@@ -28,6 +28,7 @@ from .scalars import (
     Surd,
     Vector,
     choose_rational_between,
+    point_in_ball,
     rational_in_ball,
     sqrt_convergents,
     sqrt_enclosure,
@@ -40,12 +41,10 @@ from .separation import (
     find_barrier_direction,
     norm_upper,
     point_in_apex_hull,
-    point_in_ball,
     separate,
     wedge_interior_ball,
 )
 from .sets import (
-    BallSet,
     SupportValue,
     VPolyhedron,
     is_pointed,
@@ -65,10 +64,10 @@ __all__ = [
     "surd_sign",
     "sqrt_convergents",
     "sqrt_enclosure",
+    "point_in_ball",
     "rational_in_ball",
     "choose_rational_between",
     "VPolyhedron",
-    "BallSet",
     "SupportValue",
     "support_value",
     "is_pointed",
@@ -81,7 +80,6 @@ __all__ = [
     "bound_support_on_ball",
     "compute_wedge_parameters",
     "wedge_interior_ball",
-    "point_in_ball",
     "point_in_apex_hull",
     "separate",
     "Certificate",

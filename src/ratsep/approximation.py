@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .certificates import Certificate
 from .errors import DimensionMismatchError, NotPointedError
-from .scalars import Surd, Vector
+from .scalars import Vector
 from .separation import separate
 from .sets import VPolyhedron, is_pointed, membership
 
@@ -61,17 +61,11 @@ class OuterApprox:
     def __post_init__(self):
         object.__setattr__(self, "cuts", tuple(self.cuts))
         for cut in self.cuts:
-            if cut.a.dim != self.target.dim:
-                raise DimensionMismatchError("cut dimension does not match the target")
-            for v in self.target.vertices:
-                if (cut.a.dot(v) - Surd(cut.beta)).sign() > 0:
-                    raise ValueError("cut does not contain a target vertex")
-            for r in self.target.rays:
-                if cut.a.dot(r).sign() > 0:
-                    raise ValueError("cut does not contain a target ray")
+            if not cut.contains(self.target):
+                raise ValueError("cut does not contain the target")
 
     def excludes(self, p: Vector) -> bool:
-        return any((cut.a.dot(p) - Surd(cut.beta)).sign() > 0 for cut in self.cuts)
+        return any(cut.excludes(p) for cut in self.cuts)
 
 
 def outer_approximate(
@@ -89,14 +83,10 @@ def outer_approximate(
     if not is_pointed(X):
         raise NotPointedError("outer approximation requires a pointed set")
     cuts: list[Certificate] = []
-
-    def excluded(p: Vector) -> bool:
-        return any((cut.a.dot(p) - Surd(cut.beta)).sign() > 0 for cut in cuts)
-
     for p in probes:
         if membership(X, p):
             continue
-        if excluded(p):
+        if any(cut.excludes(p) for cut in cuts):
             continue
         if len(cuts) >= budget:
             break

@@ -50,20 +50,21 @@ class Certificate:
         if not isinstance(self.beta, Fraction):
             object.__setattr__(self, "beta", Fraction(self.beta))
 
+    def contains(self, X: VPolyhedron) -> bool:
+        """Whether X lies in the halfspace: sigma_X(a) is finite and <= beta."""
+        sv = support_value(X, self.a)
+        return sv.is_finite and (sv.value - Surd(self.beta)).sign() <= 0
+
+    def excludes(self, p: Vector) -> bool:
+        """Whether p violates the cut strictly: <a, p> > beta."""
+        return (self.a.dot(p) - Surd(self.beta)).sign() > 0
+
 
 def verify_certificate(X: VPolyhedron, y_tilde: Vector, cert: Certificate) -> bool:
-    """Exact check: all vertices obey the cut, all rays point along it,
-    and the query point violates it strictly."""
+    """Exact check: the cut contains X and the query point violates it strictly."""
     if X.dim != y_tilde.dim or X.dim != cert.a.dim:
         raise DimensionMismatchError("certificate, set and point must share a dimension")
-    a, beta = cert.a, Surd(cert.beta)
-    for v in X.vertices:
-        if (a.dot(v) - beta).sign() > 0:
-            return False
-    for r in X.rays:
-        if a.dot(r).sign() > 0:
-            return False
-    return (a.dot(y_tilde) - beta).sign() > 0
+    return cert.contains(X) and cert.excludes(y_tilde)
 
 
 def _height_fractions(h: int) -> list[Fraction]:

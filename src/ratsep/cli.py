@@ -9,7 +9,8 @@ Subcommands mirror the library operations one-to-one:
   plot            2-D instance (+ optional cuts) -> SVG file
 
 Exit codes: 0 success, 1 malformed input, 2 validation errors (point
-inside set, non-pointed set), 64 usage errors.  All JSON numerics are
+inside set, non-pointed set), 3 internal errors (an exact check of the
+program's own result failed), 64 usage errors.  All JSON numerics are
 exact strings; floats appear only inside the SVG.
 """
 
@@ -27,7 +28,7 @@ from .certificates import (
     rational_parallel_direction,
     verify_certificate,
 )
-from .errors import NotPointedError, PointInSetError
+from .errors import NotPointedError, PointInSetError, SeparationBugError
 from .separation import separate
 from .svg import render_svg
 
@@ -125,16 +126,20 @@ def _cmd_separate(args) -> int:
     inst = _load_instance(args)
     if inst.point is None:
         raise ValueError("separate needs a point (instance 'point' or --point)")
+    if args.max_den is not None and args.max_den < 1:
+        raise ValueError("--max-den must be a positive integer")
+    max_den = inst.options.max_den if args.max_den is None else args.max_den
+    if max_den is not None and inst.polyhedron.dim != 2:
+        raise ValueError("--max-den cross-checking is 2-D only")
     cert, trace = separate(inst.polyhedron, inst.point)
-    max_den = args.max_den or inst.options.max_den
     if max_den is not None:
-        if inst.polyhedron.dim != 2:
-            raise ValueError("--max-den cross-checking is 2-D only")
+        if not verify_certificate(inst.polyhedron, inst.point, cert):
+            raise SeparationBugError("pipeline certificate failed verification")
         oracle = brute_force_separator(inst.polyhedron, inst.point, max_den)
         if oracle is not None and not verify_certificate(
             inst.polyhedron, inst.point, oracle
         ):
-            raise RuntimeError("brute-force oracle certificate failed verification")
+            raise SeparationBugError("brute-force oracle certificate failed verification")
     _emit(
         {
             "certificate": ser.certificate_to_json(cert),
@@ -161,6 +166,8 @@ def _cmd_approximate(args) -> int:
     inst = _load_instance(args)
     if not inst.probes:
         raise ValueError("approximate needs a nonempty 'probes' list in the instance")
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("--budget must be a positive integer")
     budget = args.budget or inst.options.budget or len(inst.probes)
     grid = inst.options.grid
     if args.grid:
@@ -242,6 +249,9 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(args)
+    except SeparationBugError as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return 3
     except (PointInSetError, NotPointedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -14,10 +14,11 @@ class PointInSetError(ValueError):
 
 
 class SeparationBugError(RuntimeError):
-    """An internal exact inequality of the separation pipeline failed.
+    """An internal exact check failed.
 
-    This cannot happen for valid inputs; if raised it is a bug, and the
-    partial pipeline state is attached for debugging.
+    This cannot happen for valid inputs; if raised it is a bug, not bad
+    input (the CLI exits with code 3), and any partial pipeline state is
+    attached for debugging.
     """
 
     def __init__(self, message: str, context: dict | None = None):

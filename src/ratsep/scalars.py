@@ -20,6 +20,8 @@ from functools import total_ordering
 from math import isqrt
 from typing import Iterable, Iterator, Union
 
+from .errors import SeparationBugError
+
 Rationalish = Union[int, Fraction]
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "surd_sign",
     "sqrt_convergents",
     "sqrt_enclosure",
+    "point_in_ball",
     "rational_in_ball",
     "choose_rational_between",
 ]
@@ -447,6 +450,13 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
     return QInterval(lo, hi)
 
 
+def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
+    """Exact closed-ball membership via squared distance."""
+    gap = p - center
+    radius = _fraction(radius)
+    return (gap.norm_sq() - Surd(radius * radius)).sign() <= 0
+
+
 def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
     """A rational point q with ||q - center|| <= radius, verified exactly.
 
@@ -476,9 +486,8 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
                 out.append(cand)
                 break
     q = Vector(out)
-    gap = q - center
-    if (gap.norm_sq() - Surd(radius * radius)).sign() > 0:
-        raise RuntimeError("per-coordinate budgets failed to cover the ball")
+    if not point_in_ball(q, center, radius):
+        raise SeparationBugError("per-coordinate budgets failed to cover the ball")
     return q
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "bound_support_on_ball",
     "compute_wedge_parameters",
     "wedge_interior_ball",
-    "point_in_ball",
     "point_in_apex_hull",
     "separate",
 ]
@@ -112,6 +111,15 @@ class SeparationTrace:
     beta: Fraction
 
 
+def _ball_in_barrier_cone(rays, ray_bounds, d: Vector, eps: Fraction) -> bool:
+    """Whether <d, r> + eps * hi <= 0 for every ray r with norm bound hi >= ||r||.
+
+    That puts the ball d + eps*B inside the barrier cone, since
+    <d + eps*u, r> <= <d, r> + eps*||r|| for every unit u.
+    """
+    return all((d.dot(r) + Surd(eps * hi)).sign() <= 0 for r, hi in zip(rays, ray_bounds))
+
+
 def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     """A rational d and eps > 0 with <d, r> + eps * norm_upper(r) <= 0 per ray.
 
@@ -144,7 +152,7 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
         b_ub.append(Fraction(1))
     res = simplex_max(c, A_ub=A_ub, b_ub=b_ub)
     if res.status != "optimal":
-        raise RuntimeError(f"margin LP ended {res.status}; it is feasible and bounded")
+        raise SeparationBugError(f"margin LP ended {res.status}; it is feasible and bounded")
     t_star = res.x[2 * n]
     if t_star.sign() <= 0:
         raise NotPointedError("ray cone admits no strictly separating direction")
@@ -155,13 +163,11 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
         else choose_rational_between(t_star * Fraction(1, 2), t_star)
     )
     ray_bounds = [norm_upper(r) for r in rays]
-    big = max(ray_bounds)
-    share = t_lo / (2 * big)
+    share = t_lo / (2 * max(ray_bounds))
     d = rational_in_ball(d_star, share)
     eps = share
-    for r, hi in zip(rays, ray_bounds):
-        if (d.dot(r) + Surd(eps * hi)).sign() > 0:
-            raise RuntimeError("barrier ball certificate failed its exact audit")
+    if not _ball_in_barrier_cone(rays, ray_bounds, d, eps):
+        raise SeparationBugError("barrier ball certificate failed its exact audit")
     return d, eps
 
 
@@ -178,9 +184,8 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
     if C.dim != d.dim:
         raise DimensionMismatchError("direction dimension does not match the set")
     eps = Fraction(eps)
-    for r in C.rays:
-        if (d.dot(r) + Surd(eps * norm_upper(r))).sign() > 0:
-            raise ValueError("ball d + eps*B is not certified inside the barrier cone")
+    if not _ball_in_barrier_cone(C.rays, [norm_upper(r) for r in C.rays], d, eps):
+        raise ValueError("ball d + eps*B is not certified inside the barrier cone")
     best = Fraction(1)
     for v in C.vertices:
         term = _rational_at_least(d.dot(v)) + eps * norm_upper(v)
@@ -248,13 +253,6 @@ def wedge_interior_ball(
     return center, radius
 
 
-def point_in_ball(p: Vector, center: Vector, radius: Fraction) -> bool:
-    """Exact closed-ball membership via squared distance."""
-    gap = p - center
-    radius = Fraction(radius)
-    return (gap.norm_sq() - Surd(radius * radius)).sign() <= 0
-
-
 def point_in_apex_hull(p: Vector, apex: Vector, center: Vector, radius: Fraction) -> bool:
     """Exact membership of p in conv({apex} u ball(center, radius)).
 
@@ -309,33 +307,7 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
     lam = 2 * radius / eps_bar
     a = rational_in_ball(center, radius)
 
-    context = {
-        "z_tilde": z_tilde,
-        "y_bar": y_bar,
-        "d": d,
-        "eps": eps,
-        "M": M,
-        "alpha": alpha,
-        "d_bar": d_bar,
-        "eps_bar": eps_bar,
-        "delta_hat": delta_hat,
-        "lam": lam,
-        "ball_center": center,
-        "ball_radius": radius,
-        "a": a,
-    }
-    if a.is_zero():
-        raise SeparationBugError("wedge produced the zero normal", context)
-    sX = support_value(X, a)
-    if not sX.is_finite:
-        raise SeparationBugError("wedge normal has infinite support value", context)
-    rhs = a.dot(y_tilde)
-    if (rhs - sX.value).sign() <= 0:
-        raise SeparationBugError("strict separation inequality failed", context)
-    beta = choose_rational_between(sX.value, rhs)
-
-    cert = Certificate(a, beta)
-    trace = SeparationTrace(
+    fields = dict(
         z_tilde=z_tilde,
         y_bar=y_bar,
         d=d,
@@ -349,6 +321,14 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
         ball_center=center,
         ball_radius=radius,
         a=a,
-        beta=beta,
     )
-    return cert, trace
+    if a.is_zero():
+        raise SeparationBugError("wedge produced the zero normal", fields)
+    sX = support_value(X, a)
+    if not sX.is_finite:
+        raise SeparationBugError("wedge normal has infinite support value", fields)
+    rhs = a.dot(y_tilde)
+    if (rhs - sX.value).sign() <= 0:
+        raise SeparationBugError("strict separation inequality failed", fields)
+    beta = choose_rational_between(sX.value, rhs)
+    return Certificate(a, beta), SeparationTrace(**fields, beta=beta)

@@ -12,8 +12,9 @@ serializes to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import get_type_hints
 
 from .approximation import GridSpec, OuterApprox
 from .certificates import Certificate
@@ -39,7 +40,6 @@ __all__ = [
     "grid_to_json",
     "parse_grid",
     "approx_to_json",
-    "parse_approx",
     "instance_to_json",
     "parse_instance",
     "dumps",
@@ -134,23 +134,22 @@ def parse_certificate(obj) -> Certificate:
     return Certificate(a, parse_fraction(obj["beta"]))
 
 
+def _trace_codecs() -> list[tuple[str, str, object, object]]:
+    """(field, JSON key, encoder, decoder) per ``SeparationTrace`` field,
+    chosen by the field's declared type; ``lam`` is written as "lambda"."""
+    codecs = {Vector: (vector_to_json, parse_vector), Fraction: (fraction_to_str, parse_fraction)}
+    hints = get_type_hints(SeparationTrace)
+    return [
+        (f.name, "lambda" if f.name == "lam" else f.name, *codecs[hints[f.name]])
+        for f in fields(SeparationTrace)
+    ]
+
+
+_TRACE_CODECS = _trace_codecs()
+
+
 def trace_to_json(trace: SeparationTrace) -> dict:
-    return {
-        "z_tilde": vector_to_json(trace.z_tilde),
-        "y_bar": vector_to_json(trace.y_bar),
-        "d": vector_to_json(trace.d),
-        "eps": fraction_to_str(trace.eps),
-        "M": fraction_to_str(trace.M),
-        "alpha": fraction_to_str(trace.alpha),
-        "d_bar": vector_to_json(trace.d_bar),
-        "eps_bar": fraction_to_str(trace.eps_bar),
-        "delta_hat": fraction_to_str(trace.delta_hat),
-        "lambda": fraction_to_str(trace.lam),
-        "ball_center": vector_to_json(trace.ball_center),
-        "ball_radius": fraction_to_str(trace.ball_radius),
-        "a": vector_to_json(trace.a),
-        "beta": fraction_to_str(trace.beta),
-    }
+    return {key: encode(getattr(trace, name)) for name, key, encode, _ in _TRACE_CODECS}
 
 
 def parse_trace(obj) -> SeparationTrace:
@@ -158,20 +157,7 @@ def parse_trace(obj) -> SeparationTrace:
         raise ValueError("a trace must be an object")
     try:
         return SeparationTrace(
-            z_tilde=parse_vector(obj["z_tilde"]),
-            y_bar=parse_vector(obj["y_bar"]),
-            d=parse_vector(obj["d"]),
-            eps=parse_fraction(obj["eps"]),
-            M=parse_fraction(obj["M"]),
-            alpha=parse_fraction(obj["alpha"]),
-            d_bar=parse_vector(obj["d_bar"]),
-            eps_bar=parse_fraction(obj["eps_bar"]),
-            delta_hat=parse_fraction(obj["delta_hat"]),
-            lam=parse_fraction(obj["lambda"]),
-            ball_center=parse_vector(obj["ball_center"]),
-            ball_radius=parse_fraction(obj["ball_radius"]),
-            a=parse_vector(obj["a"]),
-            beta=parse_fraction(obj["beta"]),
+            **{name: decode(obj[key]) for name, key, _, decode in _TRACE_CODECS}
         )
     except KeyError as exc:
         raise ValueError(f"trace is missing field {exc.args[0]!r}") from exc
@@ -199,12 +185,6 @@ def parse_grid(obj) -> GridSpec:
 
 def approx_to_json(approx: OuterApprox) -> dict:
     return {"cuts": [certificate_to_json(c) for c in approx.cuts]}
-
-
-def parse_approx(obj, target: VPolyhedron) -> OuterApprox:
-    if not isinstance(obj, dict) or "cuts" not in obj:
-        raise ValueError("an outer approximation needs a 'cuts' field")
-    return OuterApprox(target, tuple(parse_certificate(c) for c in obj["cuts"]))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,6 @@ metric projection are all exact: answers come from sign determinations
 and exact LP feasibility, never from tolerances.  That exactness is
 what lets the separation pipeline assert strict inequalities instead of
 hoping for them.
-
-Balls (``BallSet``) are demo objects only: their support values involve
-a square root of a field element, so they stay out of the exact
-pipeline; membership in a ball is still an exact check.
 """
 
 from __future__ import annotations
@@ -19,13 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DimensionMismatchError, NotPointedError
+from .errors import DimensionMismatchError, NotPointedError, SeparationBugError
 from .linalg import simplex_max, solve_linear_system
-from .scalars import QInterval, Surd, Vector, sqrt_enclosure
+from .scalars import Surd, Vector
 
 __all__ = [
     "VPolyhedron",
-    "BallSet",
     "SupportValue",
     "support_value",
     "is_pointed",
@@ -92,30 +87,6 @@ class VPolyhedron:
         return VPolyhedron(tuple(v + offset for v in self.vertices), self.rays)
 
 
-@dataclass(frozen=True)
-class BallSet:
-    """A closed Euclidean ball; demo-only (its support value leaves the field)."""
-
-    center: Vector
-    radius: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.radius, Fraction):
-            object.__setattr__(self, "radius", Fraction(self.radius))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def contains(self, x: Vector) -> bool:
-        gap = x - self.center
-        return (gap.norm_sq() - Surd(self.radius * self.radius)).sign() <= 0
-
-    def support_bounds(self, a: Vector, tol: Fraction = Fraction(1, 32)) -> tuple[Surd, Surd]:
-        """Exact lower/upper Surd bounds on sup <a, x> over the ball."""
-        enc: QInterval = sqrt_enclosure(a.norm_sq(), tol)
-        base = a.dot(self.center)
-        return base + Surd(self.radius * enc.lo), base + Surd(self.radius * enc.hi)
-
-
 def _check_dims(P: VPolyhedron, x: Vector):
     if P.dim != x.dim:
         raise DimensionMismatchError(f"set has dim {P.dim}, vector has dim {x.dim}")
@@ -127,9 +98,8 @@ def support_value(P: VPolyhedron, a: Vector) -> SupportValue:
     Ties between equal-support vertices resolve to the lowest index.
     """
     _check_dims(P, a)
-    for r in P.rays:
-        if a.dot(r).sign() > 0:
-            return SupportValue(None)
+    if not polar_cone_contains(P.rays, a):
+        return SupportValue(None)
     best = a.dot(P.vertices[0])
     for v in P.vertices[1:]:
         cand = a.dot(v)
@@ -233,4 +203,4 @@ def project(P: VPolyhedron, y: Vector) -> Vector:
                 continue
             if membership(P, z):
                 return z
-    raise RuntimeError("no face yielded the projection; generator data invalid?")
+    raise SeparationBugError("no face yielded the projection; generator data invalid?")

@@ -3,6 +3,7 @@ from math import gcd, isqrt
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratsep import (
     Certificate,
@@ -46,6 +47,37 @@ def test_verify_examples():
 def test_verify_dimension_check():
     with pytest.raises(DimensionMismatchError):
         verify_certificate(TRIANGLE, Vector([1, 1, 1]), Certificate(Vector([1, 1]), F(1)))
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def sqrt2_vectors(draw, dim):
+    return Vector([Surd(draw(small), draw(small), 2) for _ in range(dim)])
+
+
+@st.composite
+def cut_cases(draw):
+    """A polyhedron with sqrt(2) coordinates and 0-2 rays, a cut and a point."""
+    dim = draw(st.integers(2, 3))
+    vertices = draw(st.lists(sqrt2_vectors(dim), min_size=1, max_size=4))
+    rays = draw(st.lists(sqrt2_vectors(dim).filter(lambda r: not r.is_zero()), max_size=2))
+    a = draw(st.lists(small, min_size=dim, max_size=dim).filter(any))
+    beta = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4))
+    point = draw(sqrt2_vectors(dim))
+    return VPolyhedron(tuple(vertices), tuple(rays)), Certificate(Vector(a), beta), point
+
+
+@given(cut_cases())
+def test_contains_and_excludes_match_explicit_loops(case):
+    X, cert, p = case
+    beta = Surd(cert.beta)
+    reference = all((cert.a.dot(v) - beta).sign() <= 0 for v in X.vertices) and all(
+        cert.a.dot(r).sign() <= 0 for r in X.rays
+    )
+    assert cert.contains(X) == reference
+    assert cert.excludes(p) == ((cert.a.dot(p) - beta).sign() > 0)
 
 
 def test_brute_force_triangle():

@@ -3,7 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from ratsep import Certificate, Surd, Vector, VPolyhedron, verify_certificate
+from ratsep import (
+    Certificate,
+    GridSpec,
+    SeparationBugError,
+    Surd,
+    Vector,
+    VPolyhedron,
+    verify_certificate,
+)
+from ratsep import cli
 from ratsep import serialization as ser
 from ratsep.cli import main
 
@@ -37,6 +46,37 @@ def test_separate_round_trip(tmp_path, capsys):
     assert trace.z_tilde == Vector([F(1, 2), F(1, 2)])
 
 
+README_TRIANGLE = """{
+  "set": {
+    "dim": 2,
+    "k": 2,
+    "vertices": [["0/1", "0/1"], [{"r": "0/1", "s": "1/1", "k": 2}, "0/1"], ["0/1", "1/1"]],
+    "rays": []
+  },
+  "point": ["3/2", "3/2"],
+  "options": {"budget": 8, "grid": {"min": ["-1", "-1"], "max": ["2", "2"], "step": "1/20"}}
+}
+"""
+
+README_TRIANGLE_SEPARATE = (
+    '{"certificate":{"a":["506/915","575/732"],"beta":"20447/14640"},'
+    '"trace":{"M":"1/1","a":["506/915","575/732"],"alpha":"119/288",'
+    '"ball_center":[{"k":2,"r":"23/61","s":"23/183"},{"k":2,"r":"46/183","s":"23/61"}],'
+    '"ball_radius":"595/11712","beta":"20447/14640","d":["0/1","0/1"],'
+    '"d_bar":["0/1","0/1"],"delta_hat":"5/12","eps":"1/1","eps_bar":"119/288",'
+    '"lambda":"15/61","y_bar":[{"k":2,"r":"1/2","s":"1/6"},{"k":2,"r":"1/3","s":"1/2"}],'
+    '"z_tilde":[{"k":2,"r":"1/1","s":"-1/6"},{"k":2,"r":"7/6","s":"-1/2"}]}}\n'
+)
+
+
+def test_separate_readme_triangle_golden_bytes(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    path.write_text(README_TRIANGLE, encoding="utf-8")
+    code, out, _ = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 0
+    assert out == README_TRIANGLE_SEPARATE
+
+
 def test_separate_point_flag_overrides(tmp_path, capsys):
     inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([F(1, 4), F(1, 4)]))
     path = write_instance(tmp_path, "tri.json", inst)
@@ -52,6 +92,59 @@ def test_separate_with_oracle_cross_check(tmp_path, capsys):
     code, out, _ = run(capsys, ["separate", "--instance", path, "--max-den", "4"])
     assert code == 0
     assert set(json.loads(out)) == {"certificate", "trace"}
+
+
+def test_separate_max_den_rejects_pipeline_certificate_that_fails(
+    tmp_path, capsys, monkeypatch
+):
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))
+    path = write_instance(tmp_path, "tri.json", inst)
+    real_separate = cli.separate
+
+    def non_separating(X, y):
+        _, trace = real_separate(X, y)
+        return Certificate(Vector([1, 1]), F(100)), trace
+
+    monkeypatch.setattr(cli, "separate", non_separating)
+    code, out, err = run(capsys, ["separate", "--instance", path, "--max-den", "4"])
+    assert code == 3
+    assert out == ""
+    assert "error: internal: pipeline certificate failed verification" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separate", "--max-den", "0"],
+        ["separate", "--max-den", "-2"],
+        ["approximate", "--budget", "0"],
+    ],
+)
+def test_counts_below_one_exit_1(tmp_path, capsys, argv):
+    inst = ser.Instance(
+        polyhedron=TRIANGLE,
+        point=Vector([1, 1]),
+        probes=(Vector([2, 2]),),
+        options=ser.InstanceOptions(grid=GridSpec((0, 0), (1, 1), F(1, 2))),
+    )
+    path = write_instance(tmp_path, "tri.json", inst)
+    code, out, err = run(capsys, argv + ["--instance", path])
+    assert code == 1
+    assert out == ""
+    assert "must be a positive integer" in err
+
+
+def test_internal_error_exit_3_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(X, y):
+        raise SeparationBugError("strict separation inequality failed")
+
+    monkeypatch.setattr(cli, "separate", broken)
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))
+    path = write_instance(tmp_path, "tri.json", inst)
+    code, out, err = run(capsys, ["separate", "--instance", path])
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: strict separation inequality failed\n"
 
 
 def test_separate_interior_point_exit_2(tmp_path, capsys):

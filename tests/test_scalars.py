@@ -8,6 +8,7 @@ from ratsep import (
     Surd,
     Vector,
     choose_rational_between,
+    point_in_ball,
     rational_in_ball,
     sqrt_convergents,
     sqrt_enclosure,
@@ -153,6 +154,14 @@ def test_sqrt_enclosure_contract(triple, tol):
 
 
 # -- rational_in_ball ------------------------------------------------------
+
+
+def test_point_in_ball_is_closed_and_exact():
+    origin = Vector([0, 0])
+    assert point_in_ball(Vector([F(3, 5), F(4, 5)]), origin, F(1))  # on the sphere
+    assert not point_in_ball(Vector([F(3, 5), F(4, 5) + F(1, 10**9)]), origin, F(1))
+    assert point_in_ball(Vector([Surd.root(2), 0]), origin, F(3, 2))
+    assert not point_in_ball(Vector([Surd.root(2), 0]), origin, F(7, 5))
 
 
 def test_rational_in_ball_rational_center():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratsep import (
-    BallSet,
     DimensionMismatchError,
     NotPointedError,
     Surd,
@@ -226,15 +225,3 @@ def test_support_zero_at_residual_after_centering():
             sv = support_value(C, a)
             if sv.is_finite:
                 assert sv.value.sign() >= 0
-
-
-def test_ball_set():
-    ball = BallSet(Vector([0, 0]), F(1))
-    assert ball.contains(Vector([F(3, 5), F(4, 5)]))  # exactly on the sphere
-    assert not ball.contains(Vector([F(3, 5), F(4, 5) + F(1, 10**9)]))
-    lo, hi = ball.support_bounds(Vector([1, 1]))
-    assert (hi - lo).sign() >= 0
-    assert (hi - Surd.root(2)).sign() >= 0  # true value is sqrt(2)
-    assert (Surd.root(2) - lo).sign() >= 0
-    with pytest.raises(ValueError):
-        BallSet(Vector([0, 0]), F(0))
