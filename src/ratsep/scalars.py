@@ -3,12 +3,15 @@
 Every number the library computes with is either a rational
 (``fractions.Fraction``) or a ``Surd`` ``r + s*sqrt(k)`` with square-free
 ``k``, so every ordering question is settled by an exact sign
-determination and nothing is ever rounded.  Square roots of field
-elements usually fall outside the field; ``sqrt_enclosure`` brackets
-them between rationals whenever a bound is all that is needed, and
-``rational_in_ball`` / ``choose_rational_between`` produce exact
-rational witnesses inside open regions, which is how irrational data
-gets turned into rational certificates.
+determination and nothing is ever rounded.  ``k`` is checked once,
+where it enters: the public ``Surd`` constructor, ``Surd.root`` and the
+JSON parser, which also bounds it by ``serialization.MAX_FIELD_K``.
+Arithmetic results inherit the already-checked ``k`` of their operands.
+Square roots of field elements usually fall outside the field;
+``sqrt_enclosure`` brackets them between rationals whenever a bound is
+all that is needed, and ``rational_in_ball`` / ``choose_rational_between``
+produce exact rational witnesses inside open regions, which is how
+irrational data gets turned into rational certificates.
 """
 
 from __future__ import annotations
@@ -46,21 +49,33 @@ def _fraction(x: Rationalish) -> Fraction:
 
 
 def _is_square_free(k: int) -> bool:
+    """True iff k > 0 has no square factor > 1, in O(k**(1/3)) divisions.
+
+    Trial division strips every prime d with d**3 <= m off the cofactor m.
+    Every prime factor of what is left exceeds its cube root, so the
+    remainder is 1, p, p*q or p**2, and only p**2 is a perfect square.
+    """
     if k <= 0:
         return False
+    m = k
     d = 2
-    while d * d <= k:
-        if k % (d * d) == 0:
-            return False
+    while d * d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return False
         d += 1
-    return True
+    root = isqrt(m)
+    return m == 1 or root * root != m
 
 
 @total_ordering
 class Surd:
     """An element ``r + s*sqrt(k)`` of the real quadratic field Q(sqrt(k)).
 
-    ``k`` must be a positive square-free integer.  ``s == 0`` (or
+    ``k`` must be a positive square-free integer; the constructor and
+    ``root`` check it, and arithmetic results inherit the checked ``k``
+    of their operands without checking it again.  ``s == 0`` (or
     ``k == 1``) means the value is plain rational and the triple is
     canonicalized to ``(r, 0, 1)``, so two Surds are equal iff their
     canonical triples agree.  Instances are immutable by convention and
@@ -76,15 +91,27 @@ class Surd:
         s = _fraction(s)
         if not isinstance(k, int):
             raise TypeError("k must be an int")
-        if s == 0:
-            k = 1
-        if k == 1:
-            r, s = r + s, Fraction(0)
-        elif not _is_square_free(k):
+        if k != 1 and not _is_square_free(k):
             raise ValueError(f"k must be positive and square-free, got {k}")
+        if s == 0 or k == 1:
+            r, s, k = r + s, Fraction(0), 1
         self.r = r
         self.s = s
         self.k = k
+
+    @classmethod
+    def _make(cls, r: Fraction, s: Fraction, k: int) -> "Surd":
+        """``r + s*sqrt(k)`` from Fractions and an already-checked ``k``,
+        canonicalized as in ``__init__``: the constructor of arithmetic
+        results."""
+        x = object.__new__(cls)
+        if not s:
+            x.r, x.s, x.k = r, s, 1
+        elif k == 1:
+            x.r, x.s, x.k = r + s, Fraction(0), 1
+        else:
+            x.r, x.s, x.k = r, s, k
+        return x
 
     @classmethod
     def root(cls, k: int) -> "Surd":
@@ -132,14 +159,14 @@ class Surd:
             return cls(x)
         return None
 
-    def _k_with(self, other: "Surd") -> int:
-        if self.k == other.k:
-            return self.k
-        if self.k == 1:
-            return other.k
-        if other.k == 1:
-            return self.k
-        raise ValueError(f"cannot mix sqrt({self.k}) and sqrt({other.k}) exactly")
+    @staticmethod
+    def _k_with(k1: int, k2: int) -> int:
+        """The one field holding Q(sqrt(k1)) and Q(sqrt(k2))."""
+        if k1 == k2 or k2 == 1:
+            return k1
+        if k1 == 1:
+            return k2
+        raise ValueError(f"cannot mix sqrt({k1}) and sqrt({k2}) exactly")
 
     # -- arithmetic ----------------------------------------------------
 
@@ -147,7 +174,7 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Surd(self.r + o.r, self.s + o.s, self._k_with(o))
+        return Surd._make(self.r + o.r, self.s + o.s, Surd._k_with(self.k, o.k))
 
     __radd__ = __add__
 
@@ -155,7 +182,7 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Surd(self.r - o.r, self.s - o.s, self._k_with(o))
+        return Surd._make(self.r - o.r, self.s - o.s, Surd._k_with(self.k, o.k))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -164,14 +191,14 @@ class Surd:
         return o - self
 
     def __neg__(self):
-        return Surd(-self.r, -self.s, self.k)
+        return Surd._make(-self.r, -self.s, self.k)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = self._k_with(o)
-        return Surd(self.r * o.r + self.s * o.s * k, self.r * o.s + self.s * o.r, k)
+        k = Surd._k_with(self.k, o.k)
+        return Surd._make(self.r * o.r + self.s * o.s * k, self.r * o.s + self.s * o.r, k)
 
     __rmul__ = __mul__
 
@@ -179,11 +206,11 @@ class Surd:
         if self.s == 0:
             if self.r == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Surd(1 / self.r)
+            return Surd._make(1 / self.r, self.s, 1)
         # (r - s*sqrt(k)) / (r^2 - s^2 k); the denominator is nonzero
         # because sqrt(k) is irrational for square-free k > 1.
         den = self.r * self.r - self.s * self.s * self.k
-        return Surd(self.r / den, -self.s / den, self.k)
+        return Surd._make(self.r / den, -self.s / den, self.k)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -371,11 +398,23 @@ class Vector:
     __rmul__ = __mul__
 
     def dot(self, other: "Vector") -> Surd:
+        """Sum of a_i*b_i; the rational and sqrt(k) parts accumulate as
+        Fractions and one Surd is built at the end.  Raises ``ValueError``
+        when the two vectors use different irrational fields."""
         self._check_dim(other)
-        total = Surd(0)
+        k = 1
+        r = s = Fraction(0)
         for a, b in zip(self.coords, other.coords):
-            total = total + a * b
-        return total
+            if a.k != k or b.k != k:
+                k = Surd._k_with(Surd._k_with(k, a.k), b.k)
+            r += a.r * b.r
+            if a.s:
+                if b.s:
+                    r += a.s * b.s * k
+                s += a.s * b.r
+            if b.s:
+                s += a.r * b.s
+        return Surd._make(r, s, k)
 
     def norm_sq(self) -> Surd:
         return self.dot(self)

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+# The largest field k the parser accepts.  Its square-free check then costs
+# at most ~MAX_FIELD_K**(1/3) = 10**4 trial divisions; without a bound a
+# huge k would hang the parse.
+MAX_FIELD_K = 10**12
+
+
 def fraction_to_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -80,7 +86,9 @@ def parse_coord(obj) -> Surd:
             raise ValueError(f"unknown surd fields: {sorted(extra)}")
         k = obj.get("k", 1)
         if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError(f"surd k must be an integer, got {k!r}")
+            raise ValueError(f"field k must be an integer, got {k!r}")
+        if k > MAX_FIELD_K:
+            raise ValueError(f"field k must be at most {MAX_FIELD_K}, got {k}")
         return Surd(parse_fraction(obj.get("r", 0)), parse_fraction(obj.get("s", 0)), k)
     return Surd(parse_fraction(obj))
 
@@ -115,8 +123,11 @@ def parse_polyhedron(obj) -> VPolyhedron:
     P = VPolyhedron(tuple(vertices), tuple(rays))
     if "dim" in obj and obj["dim"] != P.dim:
         raise ValueError(f"declared dim {obj['dim']} but coordinates have dim {P.dim}")
-    if "k" in obj and P.field_k not in (1, obj["k"]):
-        raise ValueError(f"declared field k={obj['k']} but data uses k={P.field_k}")
+    if "k" in obj:
+        # the declared field passes the checks of a coordinate's field
+        k = parse_coord({"s": 1, "k": obj["k"]}).k
+        if P.field_k not in (1, k):
+            raise ValueError(f"declared field k={k} but data uses k={P.field_k}")
     return P
 
 

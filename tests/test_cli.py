@@ -268,6 +268,20 @@ def test_malformed_instance_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "coord", ['{"r": "1", "s": "0", "k": 4}', '{"r": "0", "s": "1", "k": 1000000000000000000000}']
+)
+def test_bad_field_k_exit_1(tmp_path, capsys, coord):
+    path = tmp_path / "bad_k.json"
+    path.write_text(
+        '{"set": {"vertices": [["0", "0"], [%s, "1"]]}, "point": ["3", "3"]}' % coord,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert "k must be" in err
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, ["separate", "--instance", "does/not/exist.json"])
     assert code == 1

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import ratsep.scalars
 from ratsep import (
     QInterval,
     Surd,
@@ -46,6 +47,12 @@ def test_canonicalization():
 def test_square_free_validation(k):
     with pytest.raises(ValueError):
         Surd(1, 1, k)
+
+
+@pytest.mark.parametrize("k", [0, -7, 4, 12])
+def test_rational_value_still_needs_a_valid_k(k):
+    with pytest.raises(ValueError):
+        Surd(1, 0, k)
 
 
 def test_mixed_fields_rejected():
@@ -100,6 +107,112 @@ def test_order_consistency(triple):
 def test_rational_hash_matches_fraction():
     assert hash(Surd(F(3, 4))) == hash(F(3, 4))
     assert Surd(F(3, 4)) == F(3, 4)
+
+
+# -- the arithmetic kernel against the checked constructor ----------------
+
+kernel_ks = st.sampled_from([1, 2, 3, 5, 1000003])
+
+
+def assert_same_surd(x, expected):
+    assert (x.r, x.s, x.k) == (expected.r, expected.s, expected.k)
+    assert type(x.r) is F and type(x.s) is F
+    assert x == expected and hash(x) == hash(expected)
+    if expected.s == 0:
+        assert x.k == 1 and x == expected.r and hash(x) == hash(expected.r)
+
+
+@given(kernel_ks, rationals, rationals, rationals, rationals)
+def test_arithmetic_matches_checked_constructor(k, ar, as_, br, bs):
+    a, b = Surd(ar, as_, k), Surd(br, bs, k)
+    assert_same_surd(a + b, Surd(ar + br, as_ + bs, k))
+    assert_same_surd(a - b, Surd(ar - br, as_ - bs, k))
+    assert_same_surd(-a, Surd(-ar, -as_, k))
+    assert_same_surd(a * b, Surd(ar * br + as_ * bs * k, ar * bs + as_ * br, k))
+    n = ar * ar - as_ * as_ * k
+    assume(n != 0)
+    assert_same_surd(a.inverse(), Surd(ar / n, -as_ / n, k))
+    assert_same_surd(b / a, Surd((br * ar - bs * as_ * k) / n, (bs * ar - br * as_) / n, k))
+
+
+def reference_dot(u, v):
+    total = Surd(0)
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
+@st.composite
+def vector_pairs(draw):
+    k = draw(kernel_ks)
+    dim = draw(st.integers(1, 4))
+    coord = st.builds(
+        lambda r, s, irrational: Surd(r, s if irrational else 0, k),
+        rationals,
+        rationals,
+        st.booleans(),
+    )
+    return tuple(Vector(draw(st.lists(coord, min_size=dim, max_size=dim))) for _ in range(2))
+
+
+@given(vector_pairs())
+def test_dot_matches_reference_loop(pair):
+    u, v = pair
+    assert_same_surd(u.dot(v), reference_dot(u, v))
+    assert_same_surd(u.norm_sq(), reference_dot(u, u))
+
+
+def test_dot_across_two_fields_raises():
+    with pytest.raises(ValueError):
+        Vector([Surd.root(2), 1]).dot(Vector([Surd.root(3), 1]))
+    with pytest.raises(ValueError):
+        Vector([Surd.root(2), 0]).dot(Vector([0, Surd.root(3)]))
+
+
+def reference_is_square_free(k):
+    if k <= 0:
+        return False
+    d = 2
+    while d * d <= k:
+        if k % (d * d) == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_square_free_matches_trial_division_below_1e5():
+    is_square_free = ratsep.scalars._is_square_free
+    assert all(is_square_free(k) == reference_is_square_free(k) for k in range(-3, 10**5))
+
+
+@pytest.mark.parametrize(
+    "k, expected",
+    [
+        (999983, True),
+        (1000003, True),
+        (999983**2, False),
+        (1000003**2, False),
+        (999983 * 1000003, True),
+        (999983 * 1000003**2, False),
+        (1000003 * 999983**2, False),
+        (7 * 999983 * 1000003, True),
+    ],
+)
+def test_square_free_large_prime_products(k, expected):
+    assert ratsep.scalars._is_square_free(k) is expected
+
+
+def test_arithmetic_does_not_recheck_k(monkeypatch):
+    k = 1000003
+    a, b = Surd(F(1, 3), F(2, 5), k), Surd(F(-3, 7), F(1, 2), k)
+    u, v = Vector([a, 1, b]), Vector([b, Surd.root(k), F(1, 2)])
+    calls = []
+    real = ratsep.scalars._is_square_free
+    monkeypatch.setattr(ratsep.scalars, "_is_square_free", lambda n: calls.append(n) or real(n))
+    x = (a + b) * (a - b) / a - b.inverse() + (-a) * 3
+    y = u.dot(v) + v.norm_sq() + (u + v).dot(u * a)
+    assert x.k == k and y.k == k
+    assert calls == []
 
 
 # -- QInterval -------------------------------------------------------------

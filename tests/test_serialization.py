@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+import ratsep.scalars
 from ratsep import Certificate, GridSpec, Surd, Vector, VPolyhedron, separate
 from ratsep import serialization as ser
 from helpers import exterior_point, random_pointed_polyhedron
@@ -55,6 +56,37 @@ def test_parse_coord_rejects_junk():
         ser.parse_coord({"r": "1/2", "s": "0/1", "k": 2, "zz": 1})
     with pytest.raises(ValueError):
         ser.parse_coord({"r": "1/2", "k": "two"})
+
+
+@pytest.mark.parametrize("k", [4, -7, 0, 12])
+def test_parse_coord_rejects_bad_k_of_rational_value(k):
+    with pytest.raises(ValueError):
+        ser.parse_coord({"r": "1", "s": "0", "k": k})
+
+
+def test_parse_bounds_k_before_checking_it(monkeypatch):
+    def fail(k):
+        raise AssertionError(f"square-free test run on k={k}")
+
+    monkeypatch.setattr(ratsep.scalars, "_is_square_free", fail)
+    huge = 10**40
+    assert huge > ser.MAX_FIELD_K
+    with pytest.raises(ValueError, match="at most"):
+        ser.parse_coord({"r": "0", "s": "1", "k": huge})
+    with pytest.raises(ValueError, match="at most"):
+        ser.parse_polyhedron({"k": huge, "vertices": [["0", "1"]]})
+
+
+@pytest.mark.parametrize("k", [4, 0, -3, "2", True, 10**40])
+def test_parse_polyhedron_rejects_bad_declared_k(k):
+    with pytest.raises(ValueError):
+        ser.parse_polyhedron({"k": k, "vertices": [["0", "1"]]})
+
+
+@pytest.mark.parametrize("k", [1, 2, 1000003])
+def test_parse_polyhedron_accepts_declared_k_with_rational_data(k):
+    P = ser.parse_polyhedron({"k": k, "vertices": [["0", "1"]]})
+    assert P.field_k == 1
 
 
 def test_vector_round_trip_mixed():

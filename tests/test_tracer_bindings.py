@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import ratsep.separation
+from ratsep import serialization
+from ratsep.scalars import Surd
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,3 +40,24 @@ def test_stage_functions_are_called_by_separate(tracer):
     for name in tracer.STAGE_OF:
         assert callable(getattr(ratsep.separation, name, None)), name
         assert name in called, name
+
+
+def test_surd_counter_sees_checked_constructions(monkeypatch):
+    """The tracer counts Surd constructions by wrapping ``Surd.__init__``;
+    the public constructor, ``Surd.root`` and the parser go through it."""
+    calls = []
+    init = Surd.__init__
+
+    def counting_init(obj, *args, **kwargs):
+        calls.append(args)
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(Surd, "__init__", counting_init)
+    for build in (
+        lambda: Surd(1, 1, 2),
+        lambda: Surd.root(3),
+        lambda: serialization.parse_vector(["1/2", {"r": "0", "s": "1", "k": 2}]),
+    ):
+        before = len(calls)
+        build()
+        assert len(calls) > before
