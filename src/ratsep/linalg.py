@@ -1,9 +1,10 @@
 """Exact dense linear algebra and linear programming over Q(sqrt(k)).
 
 Gauss-Jordan elimination for the small linear systems of the projection
-step, and a two-phase tableau simplex with Bland's rule for feasibility
-and margin problems.  Every pivot is exact field arithmetic, so
-"feasible", "optimal" and "unbounded" are decisions, not estimates.
+step and for the rank test of pointedness, and a two-phase tableau
+simplex with Bland's rule for the margin problem of the barrier step.
+Every pivot is exact field arithmetic, so "feasible", "optimal" and
+"unbounded" are decisions, not estimates.
 Problem sizes here are desk scale (a dozen variables), which the
 textbook tableau handles comfortably.
 """
@@ -15,29 +16,28 @@ from fractions import Fraction
 
 from .scalars import Surd
 
-__all__ = ["LPResult", "simplex_max", "solve_linear_system"]
+__all__ = ["LPResult", "rank", "simplex_max", "solve_linear_system"]
 
 _ZERO = Surd(0)
 _ONE = Surd(1)
 
 
 def _surd(x) -> Surd:
-    return x if isinstance(x, Surd) else Surd(x)
+    s = Surd._coerce(x)
+    if s is None:
+        raise TypeError(f"expected int, Fraction or Surd, got {type(x).__name__}")
+    return s
 
 
-def solve_linear_system(rows, rhs) -> list[Surd]:
-    """One exact solution of a consistent linear system (free variables 0).
-
-    Raises ValueError if the system is inconsistent.  Singular but
-    consistent systems (e.g. normal equations of a rank-deficient
-    design) are fine: non-pivot variables are set to zero.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[_surd(v) for v in row] + [_surd(b)] for row, b in zip(rows, rhs)]
+def _eliminate(aug, ncols) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of ``aug`` in place over its first
+    ``ncols`` columns; returns the (row, column) of each pivot."""
+    m = len(aug)
     pivots = []
     prow = 0
-    for col in range(n):
+    for col in range(ncols):
+        if prow == m:
+            break
         pr = next((i for i in range(prow, m) if aug[i][col].sign() != 0), None)
         if pr is None:
             continue
@@ -50,9 +50,26 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[prow])]
         pivots.append((prow, col))
         prow += 1
-        if prow == m:
-            break
-    for i in range(prow, m):
+    return pivots
+
+
+def rank(rows) -> int:
+    """The exact rank of a matrix given as a list of rows (0 for no rows)."""
+    return len(_eliminate([[_surd(v) for v in row] for row in rows], len(rows[0]) if rows else 0))
+
+
+def solve_linear_system(rows, rhs) -> list[Surd]:
+    """One exact solution of a consistent linear system (free variables 0).
+
+    Raises ValueError if the system is inconsistent.  Singular but
+    consistent systems (e.g. normal equations of a rank-deficient
+    design) are fine: non-pivot variables are set to zero.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[_surd(v) for v in row] + [_surd(b)] for row, b in zip(rows, rhs)]
+    pivots = _eliminate(aug, n)
+    for i in range(len(pivots), m):
         if aug[i][n].sign() != 0:
             raise ValueError("inconsistent linear system")
     x = [_ZERO] * n

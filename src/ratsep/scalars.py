@@ -27,6 +27,8 @@ from .errors import SeparationBugError
 
 Rationalish = Union[int, Fraction]
 
+_Q0 = Fraction(0)
+
 __all__ = [
     "Surd",
     "QInterval",
@@ -156,7 +158,7 @@ class Surd:
         if isinstance(x, Surd):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(x)
+            return cls._make(_fraction(x), _Q0, 1)
         return None
 
     @staticmethod
@@ -467,7 +469,7 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
             root = Fraction(rn, rd)
             return QInterval(root, root)
     top = 1
-    while (Surd(top * top) - x).sign() < 0:
+    while (x - top * top).sign() > 0:
         top *= 2
     lo_i, hi_i = 0, top
     while hi_i - lo_i > 1:

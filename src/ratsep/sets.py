@@ -1,26 +1,31 @@
 """Pointed closed convex sets described by generators.
 
 A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
-quadratic field.  Membership, pointedness, support values and the
-metric projection are all exact: answers come from sign determinations
-and exact LP feasibility, never from tolerances.  That exactness is
-what lets the separation pipeline assert strict inequalities instead of
-hoping for them.
+quadratic field.  On first use each set computes its facet description
+by the exact double-description method: the equations of its affine
+hull and one inequality per facet (Minkowski-Weyl).  Membership and
+pointedness are sign tests on that description; support values and the
+metric projection are exact too.  Answers come from sign determinations,
+never from tolerances.  That exactness is what lets the separation
+pipeline assert strict inequalities instead of hoping for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotPointedError, SeparationBugError
-from .linalg import simplex_max, solve_linear_system
+from .linalg import rank, solve_linear_system
 from .scalars import Surd, Vector
 
 __all__ = [
     "VPolyhedron",
+    "FacetDescription",
     "SupportValue",
     "support_value",
     "is_pointed",
@@ -86,6 +91,100 @@ class VPolyhedron:
     def translated(self, offset: Vector) -> "VPolyhedron":
         return VPolyhedron(tuple(v + offset for v in self.vertices), self.rays)
 
+    @cached_property
+    def facet_description(self) -> "FacetDescription":
+        """The set's equations and facets, computed once per object."""
+        return _double_description(self)
+
+
+class FacetDescription(NamedTuple):
+    """{x : <a, x> = b for (a, b) in equations, <a, x> <= b for (a, b) in facets}.
+
+    The equations cut out the affine hull and the facets are irredundant.
+    Each pair (a, b) is scaled so that the rational and sqrt(k) parts of
+    its entries are coprime integers.
+    """
+
+    equations: tuple[tuple[Vector, Surd], ...]
+    facets: tuple[tuple[Vector, Surd], ...]
+
+
+def _primitive(v: Vector) -> Vector:
+    """v times the positive rational that makes the rational and sqrt(k)
+    parts of its coordinates coprime integers."""
+    parts = [q for c in v for q in (c.r, c.s) if q]
+    return Fraction(lcm(*(q.denominator for q in parts)), gcd(*(q.numerator for q in parts))) * v
+
+
+def _halfspace(f: Vector) -> tuple[Vector, Surd]:
+    """(a, b) such that <f, (x, 1)> = <a, x> - b."""
+    return Vector(f.coords[:-1]), -f.coords[-1]
+
+
+def _double_description(P: VPolyhedron) -> FacetDescription:
+    """P's equations and facets by the double-description method.
+
+    x lies in P iff (x, 1) lies in the cone K spanned by the homogenized
+    generators (v, 1) and (r, 0).  The polar cone {f : <f, g> <= 0 for
+    every generator g} is kept as lin(basis) + cone(rays) and cut down one
+    generator at a time from the whole space (basis e_0..e_n, no rays).
+    By the bipolar theorem (x, 1) is in K iff <l, (x, 1)> = 0 for every
+    basis vector l and <f, (x, 1)> <= 0 for every extreme ray f, which are
+    the equations and facets of P.  Motzkin, Raiffa, Thompson & Thrall
+    1953; Fukuda & Prodon, "Double description method revisited", 1996.
+    """
+    n = P.dim
+    gens = [Vector([*v, 1]) for v in P.vertices] + [Vector([*r, 0]) for r in P.rays]
+    basis = [Vector([int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
+    rays: list[Vector] = []
+    zeros: list[int] = []  # bit i of zeros[j] is set iff <rays[j], gens[i]> = 0
+    for i, g in enumerate(gens):
+        bit = 1 << i
+        products = [l.dot(g) for l in basis]
+        p = next((j for j, s in enumerate(products) if s.sign() != 0), None)
+        if p is not None:
+            # g leaves the lineality space: basis[p] turns into the ray on the
+            # side <., g> < 0, and the rest is projected onto <., g> = 0
+            lp, cp = basis[p], products[p]
+
+            def onto_hyperplane(u: Vector, s: Surd) -> Vector:
+                return _primitive(u - (s / cp) * lp) if s.sign() != 0 else u
+
+            basis = [
+                onto_hyperplane(l, s) for j, (l, s) in enumerate(zip(basis, products)) if j != p
+            ]
+            rays = [onto_hyperplane(r, r.dot(g)) for r in rays]
+            zeros = [z | bit for z in zeros]
+            rays.append(-lp if cp.sign() > 0 else lp)
+            zeros.append(bit - 1)
+            continue
+        products = [r.dot(g) for r in rays]
+        signs = [s.sign() for s in products]
+        new_rays = [r for r, s in zip(rays, signs) if s <= 0]
+        new_zeros = [z | bit if s == 0 else z for z, s in zip(zeros, signs) if s <= 0]
+        # Two extreme rays are adjacent iff no third one is zero wherever both
+        # are.  Adjacent rays also share at least n - 1 - len(basis) zeros,
+        # as many as independent constraints cut out a 2-face of the polar;
+        # that cheap count runs first.
+        need = n - 1 - len(basis)
+        for a in (j for j, s in enumerate(signs) if s > 0):
+            for b in (j for j, s in enumerate(signs) if s < 0):
+                common = zeros[a] & zeros[b]
+                if common.bit_count() < need or any(
+                    zeros[c] & common == common for c in range(len(rays)) if c != a and c != b
+                ):
+                    continue
+                new_rays.append(_primitive(products[a] * rays[b] - products[b] * rays[a]))
+                new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
+    # A facet of K with no vertex on it is K's face at t = 0, whose
+    # inequality every x in the affine hull satisfies.
+    on_vertices = (1 << len(P.vertices)) - 1
+    return FacetDescription(
+        tuple(_halfspace(l) for l in basis),
+        tuple(_halfspace(f) for f, z in zip(rays, zeros) if z & on_vertices),
+    )
+
 
 def _check_dims(P: VPolyhedron, x: Vector):
     if P.dim != x.dim:
@@ -114,42 +213,34 @@ def polar_cone_contains(rays, y: Vector) -> bool:
 
 
 def is_pointed(P: VPolyhedron) -> bool:
-    """Whether cone(rays) contains no line.
+    """Whether P contains no line, i.e. cone(rays) contains none.
 
-    By the theorem of the alternative, the cone contains a line exactly
-    when some nonzero nonnegative combination of the rays vanishes, so
-    we test feasibility of {sum eta_j r_j = 0, sum eta_j = 1, eta >= 0}.
+    A set without rays is bounded.  Otherwise the lines of P run along the
+    directions d with <a, d> = 0 for every equation and facet (a, b) of
+    its facet description, so P is pointed iff those normals have rank
+    dim(P).
     """
-    rays = P.rays
-    if not rays:
+    if not P.rays:
         return True
-    n = P.dim
-    A_eq = [[r[c] for r in rays] for c in range(n)]
-    A_eq.append([Fraction(1)] * len(rays))
-    b_eq = [Fraction(0)] * n + [Fraction(1)]
-    res = simplex_max([Fraction(0)] * len(rays), A_eq=A_eq, b_eq=b_eq)
-    return res.status == "infeasible"
-
-
-@lru_cache(maxsize=65536)
-def _membership_cached(P: VPolyhedron, x: Vector) -> bool:
-    nv, nr = len(P.vertices), len(P.rays)
-    n = P.dim
-    A_eq = []
-    b_eq = []
-    for c in range(n):
-        A_eq.append([v[c] for v in P.vertices] + [r[c] for r in P.rays])
-        b_eq.append(x[c])
-    A_eq.append([Fraction(1)] * nv + [Fraction(0)] * nr)
-    b_eq.append(Fraction(1))
-    res = simplex_max([Fraction(0)] * (nv + nr), A_eq=A_eq, b_eq=b_eq)
-    return res.status == "optimal"
+    equations, facets = P.facet_description
+    return rank([list(a) for a, _ in (*equations, *facets)]) == P.dim
 
 
 def membership(P: VPolyhedron, x: Vector) -> bool:
-    """Exact decision of x in conv(vertices) + cone(rays)."""
+    """Exact decision of x in conv(vertices) + cone(rays).
+
+    x is in P iff <a, x> = b on every equation and <a, x> <= b on every
+    facet (a, b) of P's facet description, each decided by an exact sign.
+    Raises ``ValueError`` when x and P use different irrational fields.
+    """
     _check_dims(P, x)
-    return _membership_cached(P, x)
+    k, xk = P.field_k, x.field_k
+    if k != 1 and xk not in (1, k):
+        raise ValueError(f"cannot mix sqrt({xk}) and sqrt({k}) exactly")
+    equations, facets = P.facet_description
+    return all((a.dot(x) - b).sign() == 0 for a, b in equations) and all(
+        (a.dot(x) - b).sign() <= 0 for a, b in facets
+    )
 
 
 def _affine_projection(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector:

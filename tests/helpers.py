@@ -17,6 +17,35 @@ from ratsep import (
     rational_in_ball,
     support_value,
 )
+from ratsep.linalg import simplex_max
+
+
+def lp_membership(P: VPolyhedron, x: Vector) -> bool:
+    """Reference membership: feasibility of x = sum lam_i v_i + sum mu_j r_j
+    with sum lam_i = 1 and lam, mu >= 0, by the exact two-phase simplex."""
+    nv, nr = len(P.vertices), len(P.rays)
+    A_eq = []
+    b_eq = []
+    for c in range(P.dim):
+        A_eq.append([v[c] for v in P.vertices] + [r[c] for r in P.rays])
+        b_eq.append(x[c])
+    A_eq.append([Fraction(1)] * nv + [Fraction(0)] * nr)
+    b_eq.append(Fraction(1))
+    res = simplex_max([Fraction(0)] * (nv + nr), A_eq=A_eq, b_eq=b_eq)
+    return res.status == "optimal"
+
+
+def lp_is_pointed(P: VPolyhedron) -> bool:
+    """Reference pointedness by Gordan's alternative: cone(rays) contains a
+    line iff {sum eta_j r_j = 0, sum eta_j = 1, eta >= 0} is feasible."""
+    rays = P.rays
+    if not rays:
+        return True
+    A_eq = [[r[c] for r in rays] for c in range(P.dim)]
+    A_eq.append([Fraction(1)] * len(rays))
+    b_eq = [Fraction(0)] * P.dim + [Fraction(1)]
+    res = simplex_max([Fraction(0)] * len(rays), A_eq=A_eq, b_eq=b_eq)
+    return res.status == "infeasible"
 
 
 def rand_fraction(rng: Random, span: int = 3, dens=(1, 2, 3, 4)) -> Fraction:

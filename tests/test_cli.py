@@ -282,6 +282,16 @@ def test_bad_field_k_exit_1(tmp_path, capsys, coord):
     assert "k must be" in err
 
 
+def test_oversized_set_exit_1(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    vertices = [[str(i), "0"] for i in range(ser.MAX_GENERATORS + 1)]
+    instance = {"set": {"vertices": vertices}, "point": ["0", "1"]}
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert f"at most {ser.MAX_GENERATORS} vertices and rays" in err
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, ["separate", "--instance", "does/not/exist.json"])
     assert code == 1

@@ -215,6 +215,24 @@ def test_arithmetic_does_not_recheck_k(monkeypatch):
     assert calls == []
 
 
+def mixed_operations(a, q):
+    """a and q with a Surd on either side of + - * / == <."""
+    return [a + q, q + a, a - q, q - a, a * q, q * a, a / q, q / a, a == q, q == a, a < q, q < a]
+
+
+def test_rational_operands_skip_the_checked_constructor(monkeypatch):
+    surds = (Surd(F(1, 3), F(-2, 5), 2), Surd(F(-7, 4)), Surd(5))
+    rationals = (3, -1, F(5, 6), F(-1, 2))
+    expected = [mixed_operations(a, Surd(q)) for a in surds for q in rationals]
+    enclosure = sqrt_enclosure(surds[0] + 4, F(1, 64))
+    calls = []
+    init = Surd.__init__
+    monkeypatch.setattr(Surd, "__init__", lambda x, *args: calls.append(args) or init(x, *args))
+    assert [mixed_operations(a, q) for a in surds for q in rationals] == expected
+    assert sqrt_enclosure(surds[0] + 4, F(1, 64)) == enclosure
+    assert calls == []
+
+
 # -- QInterval -------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ratsep.scalars
+import ratsep.sets
 from ratsep import Certificate, GridSpec, Surd, Vector, VPolyhedron, separate
 from ratsep import serialization as ser
 from helpers import exterior_point, random_pointed_polyhedron
@@ -75,6 +76,28 @@ def test_parse_bounds_k_before_checking_it(monkeypatch):
         ser.parse_coord({"r": "0", "s": "1", "k": huge})
     with pytest.raises(ValueError, match="at most"):
         ser.parse_polyhedron({"k": huge, "vertices": [["0", "1"]]})
+
+
+def test_parse_bounds_set_size_before_building_the_set(monkeypatch):
+    def fail(*args):
+        raise AssertionError("an oversized set was built")
+
+    monkeypatch.setattr(ser, "VPolyhedron", fail)
+    monkeypatch.setattr(ratsep.sets, "_double_description", fail)
+    n = ser.MAX_GENERATORS
+    with pytest.raises(ValueError, match=f"at most {n} vertices and rays"):
+        ser.parse_polyhedron({"vertices": [["0", str(i)] for i in range(n)], "rays": [["1", "0"]]})
+    with pytest.raises(ValueError, match=f"dimension at most {ser.MAX_DIM}"):
+        ser.parse_polyhedron({"vertices": [["0", "0"]], "rays": [["1"] * (ser.MAX_DIM + 1)]})
+    with pytest.raises(ValueError, match="must be arrays"):
+        ser.parse_polyhedron({"vertices": {"0": ["0", "0"]}})
+
+
+def test_parse_admits_sets_at_the_size_bounds():
+    # the cyclic polytope: MAX_GENERATORS points on the moment curve
+    d, m = ser.MAX_DIM, ser.MAX_GENERATORS
+    P = ser.parse_polyhedron({"vertices": [[str(t**i) for i in range(1, d + 1)] for t in range(m)]})
+    assert (P.dim, len(P.vertices)) == (d, m)
 
 
 @pytest.mark.parametrize("k", [4, 0, -3, "2", True, 10**40])

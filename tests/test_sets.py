@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -6,18 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from ratsep import (
     DimensionMismatchError,
+    GridSpec,
     NotPointedError,
     Surd,
     Vector,
     VPolyhedron,
+    excess_measure,
     find_barrier_direction,
     is_pointed,
     membership,
+    outer_approximate,
     polar_cone_contains,
     project,
+    separate,
     support_value,
 )
+from ratsep import sets
 from helpers import (
+    lp_is_pointed,
+    lp_membership,
     rand_rational_vector,
     random_nonpointed_rays,
     random_pointed_polyhedron,
@@ -225,3 +233,148 @@ def test_support_zero_at_residual_after_centering():
             sv = support_value(C, a)
             if sv.is_finite:
                 assert sv.value.sign() >= 0
+
+
+def test_facet_description_examples():
+    def counts(P):
+        equations, facets = P.facet_description
+        return len(equations), len(facets)
+
+    assert counts(UNIT_SQUARE) == (0, 4)
+    # an interior and a repeated vertex add no facet
+    extra = (Vector([F(1, 2), F(1, 3)]), Vector([1, 1]))
+    assert counts(VPolyhedron((*UNIT_SQUARE.vertices, *extra))) == (0, 4)
+    assert counts(SQ2_TRIANGLE) == (0, 3)
+    assert counts(VPolyhedron((Vector([1, 2, 3]),))) == (3, 0)
+    assert counts(VPolyhedron((Vector([0, 0, 0]), Vector([1, 2, 3]), Vector([2, 4, 6])))) == (2, 2)
+    wedge = (Vector([1, 0]), Vector([1, 1]), Vector([2, 1]))
+    assert counts(VPolyhedron((Vector([0, 0]),), wedge)) == (0, 2)
+    assert counts(VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([-1, 0])))) == (1, 0)
+    cube = tuple(Vector([(i >> j) & 1 for j in range(3)]) for i in range(8))
+    assert counts(VPolyhedron(cube)) == (0, 6)
+    cross = tuple(s * Vector([int(i == j) for j in range(4)]) for i in range(4) for s in (1, -1))
+    assert counts(VPolyhedron(cross)) == (0, 16)
+    # repeated vertices make non-adjacent rays share enough zeros to pass
+    # the count test of the double description; the adjacency test drops them
+    repeats = [[-2, -1, 2], [0, -1, 0], [-1, 1, 2], [-2, -2, 1], [0, -1, 0],
+               [2, 2, 1], [-1, 1, 2], [0, -1, 0], [0, -1, -2], [-2, 2, -2]]
+    assert counts(VPolyhedron(tuple(Vector(v) for v in repeats))) == (0, 9)
+    # the cyclic polytope C(8, 4) has 8/6 * C(6, 2) = 20 facets
+    assert counts(VPolyhedron(tuple(Vector([t, t**2, t**3, t**4]) for t in range(8)))) == (0, 20)
+
+
+def test_membership_rejects_a_point_from_another_field():
+    # every facet is rational (x >= 0, y >= 0, x + y <= 2); sqrt(2) enters
+    # only through a generator on an edge
+    P = VPolyhedron((Vector([0, 0]), Vector([2, 0]), Vector([0, 2]), Vector([SQ2, 0])))
+    assert all(a.is_rational and b.is_rational for a, b in P.facet_description.facets)
+    with pytest.raises(ValueError, match=r"cannot mix sqrt\(3\) and sqrt\(2\)"):
+        membership(P, Vector([Surd.root(3), -1]))
+    assert membership(P, Vector([SQ2, 0])) and not membership(P, Vector([2, 2]))
+
+
+COORD_PARTS = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.sampled_from([0, 0, 1, -1, F(1, 2)]),
+)
+
+
+def vectors(dim: int, k: int):
+    return st.lists(COORD_PARTS, min_size=dim, max_size=dim).map(
+        lambda parts: Vector([Surd(r, s, k) for r, s in parts])
+    )
+
+
+@st.composite
+def generator_sets(draw):
+    """V-polyhedra in dims 2-4 over k in {1, 2} with 1-6 vertices and 0-4
+    rays, degenerate ones included: repeated or interior vertices, parallel
+    or duplicate rays, collinear points in 3-D, a single point, and sets
+    containing a line."""
+    shape = draw(
+        st.sampled_from(
+            ["general", "repeated", "interior", "parallel", "collinear", "point", "line"]
+        )
+    )
+    dim = 3 if shape == "collinear" else draw(st.integers(2, 4))
+    k = draw(st.sampled_from([1, 2]))
+    vec = vectors(dim, k)
+    ray = vec.filter(lambda r: not r.is_zero())
+    vertices = draw(st.lists(vec, min_size=1, max_size=6))
+    rays = draw(st.lists(ray, max_size=4))
+    if shape == "repeated":
+        vertices = (vertices[:3] * 2)[: max(2, len(vertices))]
+    elif shape == "interior":
+        vertices = vertices[:4]
+        vertices.append(F(1, len(vertices)) * sum(vertices[1:], vertices[0]))
+        vertices.append(F(1, 2) * (vertices[0] + vertices[-2]))
+    elif shape == "parallel":
+        r = draw(ray)
+        rays = [r, r, F(2) * r, F(1, 2) * r][: draw(st.integers(2, 4))]
+    elif shape == "collinear":
+        p, d = draw(vec), draw(ray)
+        ts = draw(st.lists(st.fractions(-2, 2, max_denominator=2), min_size=1, max_size=5))
+        vertices = [p + t * d for t in ts]
+        rays = draw(st.sampled_from([[], [d], [-d], [d, -d]]))
+    elif shape == "point":
+        vertices, rays = vertices[:1], []
+    elif shape == "line":
+        seed = draw(st.integers(0, 10**6))
+        rays = list(random_nonpointed_rays(Random(seed), dim, draw(st.integers(0, 2))))
+    return VPolyhedron(tuple(vertices), tuple(rays)), draw(st.lists(vec, max_size=3))
+
+
+def query_points(P: VPolyhedron, extra) -> list[Vector]:
+    """Vertices, v +- t*r, midpoints of vertex pairs, points pushed past
+    the support value of rational directions, and the given extras."""
+    points = list(P.vertices)
+    for v in P.vertices[:2]:
+        for r in P.rays:
+            points += [v + F(3) * r, v - F(1, 2) * r]
+    points += [F(1, 2) * (a + b) for a, b in combinations(P.vertices[:4], 2)]
+    for u in (Vector(row) for row in ((1,) + (0,) * (P.dim - 1), (-1, 2) + (1,) * (P.dim - 2))):
+        sv = support_value(P, u)
+        if sv.is_finite:
+            best = next(v for v in P.vertices if u.dot(v) == sv.value)
+            points += [best + F(1, 100) * u, best]
+    return points + list(extra)
+
+
+@settings(max_examples=50)
+@given(generator_sets())
+def test_membership_and_pointedness_match_the_lp_oracles(case):
+    P, extra = case
+    assert is_pointed(P) == lp_is_pointed(P)
+    for x in query_points(P, extra):
+        assert membership(P, x) == lp_membership(P, x), x
+
+
+def counting_description(monkeypatch) -> list:
+    calls = []
+    describe = sets._double_description
+
+    def counting(P):
+        calls.append(P)
+        return describe(P)
+
+    monkeypatch.setattr(sets, "_double_description", counting)
+    return calls
+
+
+def test_separate_describes_the_set_once(monkeypatch):
+    # separate calls is_pointed twice and membership three times on X,
+    # counting the calls project makes inside it
+    calls = counting_description(monkeypatch)
+    X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
+    separate(X, Vector([-1, 1]))
+    assert calls == [X]
+
+
+def test_outer_approximation_run_describes_the_set_once(monkeypatch):
+    calls = counting_description(monkeypatch)
+    X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1])))
+    grid = GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2))
+    approx = outer_approximate(X, grid.points(), budget=6)
+    excess_measure(X, approx, grid)
+    assert len(approx.cuts) == 6
+    assert calls == [X]
