@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .scalars import Surd, Vector, choose_rational_between
+from .scalars import Vector, choose_rational_between
 from .sets import VPolyhedron, support_value
 
 __all__ = [
@@ -53,11 +53,11 @@ class Certificate:
     def contains(self, X: VPolyhedron) -> bool:
         """Whether X lies in the halfspace: sigma_X(a) is finite and <= beta."""
         sv = support_value(X, self.a)
-        return sv.is_finite and (sv.value - Surd(self.beta)).sign() <= 0
+        return sv.is_finite and (sv.value - self.beta).sign() <= 0
 
     def excludes(self, p: Vector) -> bool:
         """Whether p violates the cut strictly: <a, p> > beta."""
-        return (self.a.dot(p) - Surd(self.beta)).sign() > 0
+        return (self.a.dot(p) - self.beta).sign() > 0
 
 
 def verify_certificate(X: VPolyhedron, y_tilde: Vector, cert: Certificate) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import serialization as ser
@@ -93,29 +94,19 @@ def _load_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _inline_json(flag: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag} is not valid JSON: {exc}") from exc
+
+
 def _load_instance(args) -> ser.Instance:
-    if args.instance:
-        inst = ser.parse_instance(_load_json(args.instance))
-    else:
-        inst = None
-    point = None
-    if getattr(args, "point", None):
-        try:
-            raw = json.loads(args.point)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--point is not valid JSON: {exc}") from exc
-        point = ser.parse_vector(raw)
+    inst = ser.parse_instance(_load_json(args.instance)) if args.instance else None
+    point = ser.parse_vector(_inline_json("--point", args.point)) if args.point else None
     if inst is None:
         raise ValueError("an --instance file is required")
-    if point is not None:
-        inst = ser.Instance(
-            polyhedron=inst.polyhedron,
-            point=point,
-            probes=inst.probes,
-            certificate=inst.certificate,
-            options=inst.options,
-        )
-    return inst
+    return inst if point is None else replace(inst, point=point)
 
 
 def _emit(payload: dict) -> None:
@@ -126,9 +117,9 @@ def _cmd_separate(args) -> int:
     inst = _load_instance(args)
     if inst.point is None:
         raise ValueError("separate needs a point (instance 'point' or --point)")
-    if args.max_den is not None and args.max_den < 1:
-        raise ValueError("--max-den must be a positive integer")
-    max_den = inst.options.max_den if args.max_den is None else args.max_den
+    max_den = inst.options.max_den
+    if args.max_den is not None:
+        max_den = ser.check_max_den(args.max_den, "--max-den")
     if max_den is not None and inst.polyhedron.dim != 2:
         raise ValueError("--max-den cross-checking is 2-D only")
     cert, trace = separate(inst.polyhedron, inst.point)
@@ -169,12 +160,7 @@ def _cmd_approximate(args) -> int:
     if args.budget is not None and args.budget < 1:
         raise ValueError("--budget must be a positive integer")
     budget = args.budget or inst.options.budget or len(inst.probes)
-    grid = inst.options.grid
-    if args.grid:
-        try:
-            grid = ser.parse_grid(json.loads(args.grid))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--grid is not valid JSON: {exc}") from exc
+    grid = ser.parse_grid(_inline_json("--grid", args.grid)) if args.grid else inst.options.grid
     if grid is None:
         raise ValueError("approximate needs a grid (options.grid or --grid)")
     approx = outer_approximate(inst.polyhedron, inst.probes, budget)
@@ -190,14 +176,10 @@ def _cmd_approximate(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     point = None
-    if getattr(args, "point", None):
-        try:
-            point = ser.parse_vector(json.loads(args.point))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--point is not valid JSON: {exc}") from exc
+    if args.point:
+        point = ser.parse_vector(_inline_json("--point", args.point))
     elif args.instance:
-        inst = ser.parse_instance(_load_json(args.instance))
-        point = inst.point
+        point = ser.parse_instance(_load_json(args.instance)).point
     if point is None:
         raise ValueError("counterexample needs a direction (--point or instance point)")
     direction = rational_parallel_direction(point)

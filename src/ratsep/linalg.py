@@ -18,15 +18,8 @@ from .scalars import Surd
 
 __all__ = ["LPResult", "rank", "simplex_max", "solve_linear_system"]
 
-_ZERO = Surd(0)
-_ONE = Surd(1)
-
-
-def _surd(x) -> Surd:
-    s = Surd._coerce(x)
-    if s is None:
-        raise TypeError(f"expected int, Fraction or Surd, got {type(x).__name__}")
-    return s
+_ZERO = Surd._of(0)
+_ONE = Surd._of(1)
 
 
 def _eliminate(aug, ncols) -> list[tuple[int, int]]:
@@ -55,7 +48,7 @@ def _eliminate(aug, ncols) -> list[tuple[int, int]]:
 
 def rank(rows) -> int:
     """The exact rank of a matrix given as a list of rows (0 for no rows)."""
-    return len(_eliminate([[_surd(v) for v in row] for row in rows], len(rows[0]) if rows else 0))
+    return len(_eliminate([list(map(Surd._of, row)) for row in rows], len(rows[0]) if rows else 0))
 
 
 def solve_linear_system(rows, rhs) -> list[Surd]:
@@ -67,7 +60,7 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [[_surd(v) for v in row] + [_surd(b)] for row, b in zip(rows, rhs)]
+    aug = [[Surd._of(v) for v in row] + [Surd._of(b)] for row, b in zip(rows, rhs)]
     pivots = _eliminate(aug, n)
     for i in range(len(pivots), m):
         if aug[i][n].sign() != 0:
@@ -144,7 +137,7 @@ def simplex_max(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
     then driven out (redundant rows are dropped), then the real
     objective is optimized.
     """
-    cc = [_surd(v) for v in c]
+    cc = [Surd._of(v) for v in c]
     n = len(cc)
     m_ub = len(A_ub)
     rows: list[list[Surd]] = []
@@ -152,13 +145,13 @@ def simplex_max(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
     for i, (arow, b) in enumerate(zip(A_ub, b_ub)):
         if len(arow) != n:
             raise ValueError("A_ub row length does not match objective")
-        rows.append([_surd(v) for v in arow] + [_ONE if j == i else _ZERO for j in range(m_ub)])
-        rhs.append(_surd(b))
+        rows.append([Surd._of(v) for v in arow] + [_ONE if j == i else _ZERO for j in range(m_ub)])
+        rhs.append(Surd._of(b))
     for arow, b in zip(A_eq, b_eq):
         if len(arow) != n:
             raise ValueError("A_eq row length does not match objective")
-        rows.append([_surd(v) for v in arow] + [_ZERO] * m_ub)
-        rhs.append(_surd(b))
+        rows.append([Surd._of(v) for v in arow] + [_ZERO] * m_ub)
+        rhs.append(Surd._of(b))
     m = len(rows)
     if m == 0:
         if any(v.sign() > 0 for v in cc):

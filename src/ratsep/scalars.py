@@ -6,7 +6,10 @@ Every number the library computes with is either a rational
 determination and nothing is ever rounded.  ``k`` is checked once,
 where it enters: the public ``Surd`` constructor, ``Surd.root`` and the
 JSON parser, which also bounds it by ``serialization.MAX_FIELD_K``.
-Arithmetic results inherit the already-checked ``k`` of their operands.
+Arithmetic results inherit the already-checked ``k`` of their operands,
+ints and Fractions enter as rationals without that check, and
+``Surd._k_with`` is the one rule for combining two fields.  A ``Vector``
+applies it once, when it is built, and carries the result as ``field_k``.
 Square roots of field elements usually fall outside the field;
 ``sqrt_enclosure`` brackets them between rationals whenever a bound is
 all that is needed, and ``rational_in_ball`` / ``choose_rational_between``
@@ -155,11 +158,20 @@ class Surd:
 
     @classmethod
     def _coerce(cls, x) -> "Surd | None":
+        """x as a Surd (ints and Fractions embed unchecked), or None."""
         if isinstance(x, Surd):
             return x
         if isinstance(x, (int, Fraction)):
             return cls._make(_fraction(x), _Q0, 1)
         return None
+
+    @classmethod
+    def _of(cls, x) -> "Surd":
+        """``_coerce`` for operands that must be numbers: ``TypeError`` otherwise."""
+        s = cls._coerce(x)
+        if s is None:
+            raise TypeError(f"expected int, Fraction or Surd, got {type(x).__name__}")
+        return s
 
     @staticmethod
     def _k_with(k1: int, k2: int) -> int:
@@ -269,10 +281,7 @@ class Surd:
 
 def surd_sign(x: Surd | Rationalish) -> int:
     """Exact sign of a field element: -1, 0 or +1."""
-    s = Surd._coerce(x)
-    if s is None:
-        raise TypeError(f"cannot take the sign of {type(x).__name__}")
-    return s.sign()
+    return Surd._of(x).sign()
 
 
 @dataclass(frozen=True)
@@ -294,32 +303,28 @@ class QInterval:
 
     def contains(self, value: Surd | Rationalish) -> bool:
         v = Surd._coerce(value)
-        return (v - self.lo).sign() >= 0 and (Surd(self.hi) - v).sign() >= 0
+        return (v - self.lo).sign() >= 0 and (self.hi - v).sign() >= 0
 
 
 class Vector:
     """A point or direction with Surd coordinates sharing one field.
 
     Rational coordinates embed in any Q(sqrt(k)); two coordinates with
-    different irrational parts are rejected.
+    different irrational parts are rejected.  The shared field is worked
+    out once, here, and kept as ``field_k`` (1 for a rational vector).
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "field_k")
 
     def __init__(self, coords: Iterable[Surd | Rationalish]):
-        out = []
-        for c in coords:
-            out.append(c if isinstance(c, Surd) else Surd(c))
-        if not out:
+        self.coords = tuple(map(Surd._of, coords))
+        if not self.coords:
             raise ValueError("a vector needs at least one coordinate")
         k = 1
-        for c in out:
-            if c.k != 1:
-                if k == 1:
-                    k = c.k
-                elif c.k != k:
-                    raise ValueError("coordinates mix different quadratic fields")
-        self.coords = tuple(out)
+        for c in self.coords:
+            if c.k != k:
+                k = Surd._k_with(k, c.k)
+        self.field_k = k
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
@@ -328,13 +333,6 @@ class Vector:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    @property
-    def field_k(self) -> int:
-        for c in self.coords:
-            if c.k != 1:
-                return c.k
-        return 1
 
     @property
     def is_rational(self) -> bool:
@@ -404,11 +402,9 @@ class Vector:
         Fractions and one Surd is built at the end.  Raises ``ValueError``
         when the two vectors use different irrational fields."""
         self._check_dim(other)
-        k = 1
+        k = Surd._k_with(self.field_k, other.field_k)
         r = s = Fraction(0)
         for a, b in zip(self.coords, other.coords):
-            if a.k != k or b.k != k:
-                k = Surd._k_with(Surd._k_with(k, a.k), b.k)
             r += a.r * b.r
             if a.s:
                 if b.s:
@@ -495,7 +491,7 @@ def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
     """Exact closed-ball membership via squared distance."""
     gap = p - center
     radius = _fraction(radius)
-    return (gap.norm_sq() - Surd(radius * radius)).sign() <= 0
+    return (gap.norm_sq() - radius * radius).sign() <= 0
 
 
 def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
@@ -514,7 +510,7 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
         return center
     n = center.dim
     budget = min(radius / (2 * n), radius * radius)
-    budget_sq = Surd(budget * budget)
+    budget_sq = budget * budget
     out: list[Fraction] = []
     for c in center.coords:
         if c.is_rational:
@@ -522,7 +518,7 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
             continue
         for w in sqrt_convergents(c.k):
             cand = c.r + c.s * w
-            diff = Surd(cand) - c
+            diff = cand - c
             if (diff * diff - budget_sq).sign() <= 0:
                 out.append(cand)
                 break
@@ -549,7 +545,6 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
         return mid.as_fraction()
     for w in sqrt_convergents(mid.k):
         cand = mid.r + mid.s * w
-        c = Surd(cand)
-        if (c - lo).sign() > 0 and (hi - c).sign() > 0:
+        if (cand - lo).sign() > 0 and (hi - cand).sign() > 0:
             return cand
     raise AssertionError("unreachable: convergents converge to the midpoint")

@@ -74,7 +74,7 @@ def _rational_at_least(x: Surd) -> Fraction:
     """x itself when rational, else a rational strictly above within slack."""
     if x.is_rational:
         return x.as_fraction()
-    return choose_rational_between(x, x + Surd(_UPPER_SLACK))
+    return choose_rational_between(x, x + _UPPER_SLACK)
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,6 @@ class SeparationTrace:
     ball_radius: Fraction
     a: Vector
     beta: Fraction
-
-
-def _ball_in_barrier_cone(rays, ray_bounds, d: Vector, eps: Fraction) -> bool:
-    """Whether <d, r> + eps * hi <= 0 for every ray r with norm bound hi >= ||r||.
-
-    That puts the ball d + eps*B inside the barrier cone, since
-    <d + eps*u, r> <= <d, r> + eps*||r|| for every unit u.
-    """
-    return all((d.dot(r) + Surd(eps * hi)).sign() <= 0 for r, hi in zip(rays, ray_bounds))
 
 
 def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
@@ -166,7 +157,7 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     share = t_lo / (2 * max(ray_bounds))
     d = rational_in_ball(d_star, share)
     eps = share
-    if not _ball_in_barrier_cone(rays, ray_bounds, d, eps):
+    if not all((d.dot(r) + eps * hi).sign() <= 0 for r, hi in zip(rays, ray_bounds)):
         raise SeparationBugError("barrier ball certificate failed its exact audit")
     return d, eps
 
@@ -177,15 +168,21 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
     sup_{u in B} sigma_C(d + eps u) <= sup_{x in C} (<d, x> + eps||x||),
     and the right side is attained at a vertex because the ball sits in
     the barrier cone, making the recession slope of the integrand
-    nonpositive along every ray (checked exactly; violation rejects the
-    input).  Vertex terms are rounded up to rationals and clamped below
-    by 1, which only enlarges the bound.
+    nonpositive along every ray.  That precondition, <d, r> + eps||r|| <= 0
+    for every ray r, is decided exactly as <d, r> <= 0 and
+    eps^2 ||r||^2 <= <d, r>^2; a violation, or eps <= 0, rejects the input
+    with ``ValueError``.  Vertex terms are rounded up to rationals and
+    clamped below by 1, which only enlarges the bound.
     """
     if C.dim != d.dim:
         raise DimensionMismatchError("direction dimension does not match the set")
     eps = Fraction(eps)
-    if not _ball_in_barrier_cone(C.rays, [norm_upper(r) for r in C.rays], d, eps):
-        raise ValueError("ball d + eps*B is not certified inside the barrier cone")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for r in C.rays:
+        t = d.dot(r)
+        if t.sign() > 0 or (eps * eps * r.norm_sq() - t * t).sign() > 0:
+            raise ValueError("ball d + eps*B is not inside the barrier cone")
     best = Fraction(1)
     for v in C.vertices:
         term = _rational_at_least(d.dot(v)) + eps * norm_upper(v)
@@ -264,8 +261,8 @@ def point_in_apex_hull(p: Vector, apex: Vector, center: Vector, radius: Fraction
     radius = Fraction(radius)
     w = p - apex
     g = center - apex
-    A = g.norm_sq() - Surd(radius * radius)
-    B = Surd(-2) * w.dot(g)
+    A = g.norm_sq() - radius * radius
+    B = -2 * w.dot(g)
     C = w.norm_sq()
     if C.sign() <= 0:
         return True  # p == apex

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import prod
 from typing import get_type_hints
 
 from .approximation import GridSpec, OuterApprox
@@ -39,6 +40,7 @@ __all__ = [
     "parse_trace",
     "grid_to_json",
     "parse_grid",
+    "check_max_den",
     "approx_to_json",
     "instance_to_json",
     "parse_instance",
@@ -58,6 +60,16 @@ MAX_FIELD_K = 10**12
 # outside one of its facets ~8 s, nearly all of it in ``project``.
 MAX_DIM = 6
 MAX_GENERATORS = 12
+# The largest height bound of the 2-D brute-force oracle (``options.max_den``,
+# ``separate --max-den``) and the largest grid (``options.grid``, ``--grid``)
+# of the excess measure.  The oracle scans O(max_den**4) normals; a full scan
+# that finds none (a point just outside the sqrt(2) edge of the README
+# triangle) takes ~14 s at 32.  The excess measure tests each grid point
+# against every cut and the set: at 10**5 points it takes ~7 s with no cuts
+# and ~16 s with the 11 cuts of the README triangle (2-core machine, Python
+# 3.11).
+MAX_DEN = 32
+MAX_GRID_POINTS = 10**5
 
 
 def fraction_to_str(f: Fraction) -> str:
@@ -205,7 +217,21 @@ def parse_grid(obj) -> GridSpec:
         step = parse_fraction(obj["step"])
     except KeyError as exc:
         raise ValueError(f"grid is missing field {exc.args[0]!r}") from exc
-    return GridSpec(mins, maxs, step)
+    grid = GridSpec(mins, maxs, step)
+    points = prod((hi - lo) // grid.step + 1 for lo, hi in zip(grid.mins, grid.maxs))
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"a grid may have at most {MAX_GRID_POINTS} points, got {points}")
+    return grid
+
+
+def check_max_den(value, name: str) -> int:
+    """value as the brute-force oracle's bound, an integer from 1 to MAX_DEN;
+    ``name`` is the option as the user wrote it, for the error message."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    if value > MAX_DEN:
+        raise ValueError(f"{name} must be at most {MAX_DEN}, got {value}")
+    return value
 
 
 def approx_to_json(approx: OuterApprox) -> dict:
@@ -266,8 +292,8 @@ def parse_instance(obj) -> Instance:
     if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool) or budget < 1):
         raise ValueError("options.budget must be a positive integer")
     max_den = raw_opts.get("max_den")
-    if max_den is not None and (not isinstance(max_den, int) or isinstance(max_den, bool) or max_den < 1):
-        raise ValueError("options.max_den must be a positive integer")
+    if max_den is not None:
+        check_max_den(max_den, "options.max_den")
     grid = parse_grid(raw_opts["grid"]) if "grid" in raw_opts else None
     return Instance(
         polyhedron=polyhedron,

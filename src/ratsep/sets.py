@@ -12,9 +12,9 @@ pipeline assert strict inequalities instead of hoping for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
@@ -51,10 +51,15 @@ class SupportValue:
 
 @dataclass(frozen=True)
 class VPolyhedron:
-    """conv(vertices) + cone(rays), at least one vertex, rays nonzero."""
+    """conv(vertices) + cone(rays), at least one vertex, rays nonzero.
+
+    ``field_k`` is the one field Q(sqrt(k)) of all generators (1 when they
+    are rational), worked out once at construction.
+    """
 
     vertices: tuple[Vector, ...]
     rays: tuple[Vector, ...] = ()
+    field_k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -68,25 +73,15 @@ class VPolyhedron:
         for r in self.rays:
             if r.is_zero():
                 raise ValueError("rays must be nonzero")
-        k = 1
-        for g in (*self.vertices, *self.rays):
-            gk = g.field_k
-            if gk != 1:
-                if k == 1:
-                    k = gk
-                elif gk != k:
-                    raise ValueError("generators mix different quadratic fields")
+        try:
+            k = reduce(Surd._k_with, (g.field_k for g in (*self.vertices, *self.rays)), 1)
+        except ValueError:
+            raise ValueError("generators mix different quadratic fields") from None
+        object.__setattr__(self, "field_k", k)
 
     @property
     def dim(self) -> int:
         return self.vertices[0].dim
-
-    @property
-    def field_k(self) -> int:
-        for g in (*self.vertices, *self.rays):
-            if g.field_k != 1:
-                return g.field_k
-        return 1
 
     def translated(self, offset: Vector) -> "VPolyhedron":
         return VPolyhedron(tuple(v + offset for v in self.vertices), self.rays)
@@ -234,9 +229,7 @@ def membership(P: VPolyhedron, x: Vector) -> bool:
     Raises ``ValueError`` when x and P use different irrational fields.
     """
     _check_dims(P, x)
-    k, xk = P.field_k, x.field_k
-    if k != 1 and xk not in (1, k):
-        raise ValueError(f"cannot mix sqrt({xk}) and sqrt({k}) exactly")
+    Surd._k_with(x.field_k, P.field_k)  # raises on two different irrational fields
     equations, facets = P.facet_description
     return all((a.dot(x) - b).sign() == 0 for a, b in equations) and all(
         (a.dot(x) - b).sign() <= 0 for a, b in facets

@@ -295,3 +295,51 @@ def test_oversized_set_exit_1(tmp_path, capsys):
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, ["separate", "--instance", "does/not/exist.json"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["separate", "--point", "[1,"], "--point is not valid JSON"),
+        (["counterexample", "--point", "[1,"], "--point is not valid JSON"),
+        (["approximate", "--grid", "{"], "--grid is not valid JSON"),
+    ],
+)
+def test_bad_inline_json_exit_1(tmp_path, capsys, argv, message):
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]), probes=(Vector([2, 2]),))
+    path = write_instance(tmp_path, "tri.json", inst)
+    code, out, err = run(capsys, argv + ["--instance", path])
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def fail_if_called(*args):
+    raise AssertionError("an input over a parse limit reached the computation")
+
+
+OVERSIZED_GRID = {"min": ["0", "0"], "max": ["1", "1"], "step": "1/316"}  # 317**2 points
+
+
+@pytest.mark.parametrize(
+    "options, argv, message",
+    [
+        ({"max_den": ser.MAX_DEN + 1}, ["separate"], "options.max_den must be at most"),
+        ({}, ["separate", "--max-den", str(ser.MAX_DEN + 1)], "--max-den must be at most"),
+        ({"grid": OVERSIZED_GRID}, ["approximate"], "grid may have at most"),
+        ({}, ["approximate", "--grid", json.dumps(OVERSIZED_GRID)], "grid may have at most"),
+    ],
+)
+def test_over_limit_max_den_and_grid_exit_1(tmp_path, capsys, monkeypatch, options, argv, message):
+    monkeypatch.setattr(cli, "brute_force_separator", fail_if_called)
+    monkeypatch.setattr(cli, "excess_measure", fail_if_called)
+    instance = {
+        "set": ser.polyhedron_to_json(TRIANGLE),
+        "point": ["1", "1"],
+        "probes": [["2", "2"]],
+        "options": options,
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(capsys, argv + ["--instance", str(path)])
+    assert code == 1 and out == ""
+    assert message in err

@@ -5,12 +5,17 @@ from hypothesis import assume, given, strategies as st
 
 import ratsep.scalars
 from ratsep import (
+    Certificate,
+    GridSpec,
     QInterval,
     Surd,
     Vector,
+    VPolyhedron,
     choose_rational_between,
+    point_in_apex_hull,
     point_in_ball,
     rational_in_ball,
+    separate,
     sqrt_convergents,
     sqrt_enclosure,
     surd_sign,
@@ -220,16 +225,38 @@ def mixed_operations(a, q):
     return [a + q, q + a, a - q, q - a, a * q, q * a, a / q, q / a, a == q, q == a, a < q, q < a]
 
 
+def rational_operand_results(surds, rationals):
+    """Library calls that take int or Fraction operands next to Surds."""
+    center = Vector([surds[0], F(1, 3)])
+    triangle = VPolyhedron((Vector([0, 0]), Vector([surds[0] + 1, 0]), Vector([0, 1])))
+    cut = Certificate(Vector([1, F(1, 2)]), F(3, 2))
+    grid = GridSpec((F(-1), 0), (1, F(1, 2)), F(1, 2))
+    return [
+        [mixed_operations(a, q) for a in surds for q in rationals],
+        sqrt_enclosure(surds[0] + 4, F(1, 64)),
+        Vector([3, F(-1, 2), 0]),
+        list(grid.points()),
+        [(cut.contains(X), cut.excludes(p)) for X in (triangle, triangle.translated(center))
+         for p in (center, Vector([1, 1]))],
+        point_in_ball(Vector([1, F(1, 2)]), center, F(7, 4)),
+        rational_in_ball(center, F(1, 10)),
+        choose_rational_between(surds[0], surds[0] + F(1, 100)),
+        [QInterval(F(-1), F(1, 2)).contains(x) for x in (*surds, *rationals)],
+        [point_in_apex_hull(p, Vector([0, 0]), center, F(1, 4)) for p in (center, Vector([0, 1]))],
+        separate(triangle, Vector([1, 1])),
+        separate(VPolyhedron((center,), (Vector([1, surds[0]]), Vector([0, 1]))), Vector([0, 0])),
+    ]
+
+
 def test_rational_operands_skip_the_checked_constructor(monkeypatch):
     surds = (Surd(F(1, 3), F(-2, 5), 2), Surd(F(-7, 4)), Surd(5))
     rationals = (3, -1, F(5, 6), F(-1, 2))
-    expected = [mixed_operations(a, Surd(q)) for a in surds for q in rationals]
-    enclosure = sqrt_enclosure(surds[0] + 4, F(1, 64))
+    before = rational_operand_results(surds, rationals)
+    assert before[0] == [mixed_operations(a, Surd(q)) for a in surds for q in rationals]
     calls = []
     init = Surd.__init__
     monkeypatch.setattr(Surd, "__init__", lambda x, *args: calls.append(args) or init(x, *args))
-    assert [mixed_operations(a, q) for a in surds for q in rationals] == expected
-    assert sqrt_enclosure(surds[0] + 4, F(1, 64)) == enclosure
+    assert rational_operand_results(surds, rationals) == before
     assert calls == []
 
 

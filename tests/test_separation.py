@@ -108,6 +108,18 @@ def test_support_bound_rejects_uncovered_ray():
         bound_support_on_ball(C, Vector([1, 0]), F(1, 2))
 
 
+def test_support_bound_decides_the_ball_exactly():
+    # (707/500)*sqrt(2) < 2 = -<d, r>, so the ball d + eps*B lies in the
+    # barrier cone, although eps times a 1/32-wide upper bound of sqrt(2)
+    # exceeds 2; at 708/500 the ball pokes out of the cone
+    C = VPolyhedron((Vector([0, 0]),), (Vector([1, 1]),))
+    d = Vector([-1, -1])
+    assert bound_support_on_ball(C, d, F(707, 500)) == 1
+    for eps in (F(708, 500), 0, F(-1, 2)):
+        with pytest.raises(ValueError):
+            bound_support_on_ball(C, d, eps)
+
+
 def test_support_bound_dominates_ball_supports():
     rng = Random(43)
     for _ in range(10):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from math import isqrt
 from random import Random
 
 import pytest
@@ -191,6 +192,18 @@ def test_instance_validation():
         ser.parse_instance({"set": {"vertices": [["0", "0"]]}, "options": {"budget": 0}})
     with pytest.raises(ValueError):
         ser.parse_instance({"set": {"vertices": [["0", "0"]]}, "options": {"max_den": True}})
+
+
+def test_max_den_and_grid_limits():
+    assert ser.check_max_den(ser.MAX_DEN, "options.max_den") == ser.MAX_DEN
+    with pytest.raises(ValueError, match="at most"):
+        ser.check_max_den(ser.MAX_DEN + 1, "options.max_den")
+    n = ser.MAX_GRID_POINTS
+    assert ser.parse_grid({"min": ["0", "0"], "max": [str(n - 1), "0"], "step": "1"})
+    with pytest.raises(ValueError, match="at most"):
+        ser.parse_grid({"min": ["0", "0"], "max": [str(n), "0"], "step": "1"})
+    with pytest.raises(ValueError, match="at most"):
+        ser.parse_grid({"min": ["0", "0"], "max": ["1", "1"], "step": f"1/{isqrt(n)}"})
 
 
 def test_dumps_is_canonical():

@@ -279,6 +279,38 @@ COORD_PARTS = st.tuples(
 )
 
 
+def reference_field_k(coords) -> int | None:
+    """The one k > 1 among the coordinates, 1 if there is none, None if two."""
+    ks = {c.k for c in coords} - {1}
+    return None if len(ks) > 1 else next(iter(ks), 1)
+
+
+FIELD_COORDS = st.tuples(st.sampled_from([1, 2, 3]), COORD_PARTS)
+
+
+@given(st.lists(st.lists(FIELD_COORDS, min_size=3, max_size=3), min_size=1, max_size=4))
+def test_field_k_matches_a_reference_scan(rows):
+    vectors = []
+    for row in rows:
+        coords = [Surd(r, s, k) for k, (r, s) in row]
+        k = reference_field_k(coords)
+        if k is None:
+            with pytest.raises(ValueError):
+                Vector(coords)
+        else:
+            vectors.append(Vector(coords))
+            assert vectors[-1].field_k == k
+    if not vectors:
+        return
+    rays = tuple(v for v in vectors[1:] if not v.is_zero())
+    k = reference_field_k([c for v in (vectors[0], *rays) for c in v])
+    if k is None:
+        with pytest.raises(ValueError, match="generators mix different quadratic fields"):
+            VPolyhedron(vectors[:1], rays)
+    else:
+        assert VPolyhedron(vectors[:1], rays).field_k == k
+
+
 def vectors(dim: int, k: int):
     return st.lists(COORD_PARTS, min_size=dim, max_size=dim).map(
         lambda parts: Vector([Surd(r, s, k) for r, s in parts])
