@@ -3,9 +3,11 @@
 Every number the library computes with is either a rational
 (``fractions.Fraction``) or a ``Surd`` ``r + s*sqrt(k)`` with square-free
 ``k``, so every ordering question is settled by an exact sign
-determination and nothing is ever rounded.  ``k`` is checked once,
-where it enters: the public ``Surd`` constructor, ``Surd.root`` and the
-JSON parser, which also bounds it by ``serialization.MAX_FIELD_K``.
+determination and nothing is ever rounded; ``math.floor`` and
+``math.ceil`` of a ``Surd`` are exact too, by integer square roots.
+``k`` is checked once, where it enters: the public ``Surd``
+constructor, ``Surd.root`` and the JSON parser, which also bounds it by
+``serialization.MAX_FIELD_K``.
 Arithmetic results inherit the already-checked ``k`` of their operands,
 ints and Fractions enter as rationals without that check, and
 ``Surd._k_with`` is the one rule for combining two fields.  A ``Vector``
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Union
 
 from .errors import SeparationBugError
@@ -262,6 +264,30 @@ class Surd:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
+
+    # -- rounding ------------------------------------------------------
+
+    def __floor__(self) -> int:
+        """The largest integer <= self, from integer square roots alone.
+
+        With self = (A + B*sqrt(k)) / D for integers A, B and D > 0,
+        floor(self) = (A + floor(B*sqrt(k))) // D, and floor(B*sqrt(k)) is
+        isqrt(B*B*k) when B >= 0 and -ceil(|B|*sqrt(k)) when B < 0.
+        """
+        if not self.s:
+            return self.r.numerator // self.r.denominator
+        d = lcm(self.r.denominator, self.s.denominator)
+        a = self.r.numerator * (d // self.r.denominator)
+        b = self.s.numerator * (d // self.s.denominator)
+        sq = b * b * self.k
+        root = isqrt(sq)
+        if b < 0:
+            root = -(root + (root * root != sq))
+        return (a + root) // d
+
+    def __ceil__(self) -> int:
+        """The smallest integer >= self, exactly: -floor(-self)."""
+        return -(-self).__floor__()
 
     # -- misc ----------------------------------------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from math import prod
 from typing import get_type_hints
 
 from .approximation import GridSpec, OuterApprox
@@ -64,12 +63,18 @@ MAX_GENERATORS = 12
 # ``separate --max-den``) and the largest grid (``options.grid``, ``--grid``)
 # of the excess measure.  The oracle scans O(max_den**4) normals; a full scan
 # that finds none (a point just outside the sqrt(2) edge of the README
-# triangle) takes ~14 s at 32.  The excess measure tests each grid point
-# against every cut and the set: at 10**5 points it takes ~7 s with no cuts
-# and ~16 s with the 11 cuts of the README triangle (2-core machine, Python
-# 3.11).
+# triangle) takes ~14 s at 32.  The excess measure counts the grid one line
+# at a time, along the longer axis: at 10**5 points (316 x 316) it takes
+# ~0.01 s with no cuts and ~0.02 s with the 11 cuts of the README triangle
+# (2-core machine, Python 3.11).
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
+# The longest probe list (``probes``) of an instance, checked before any
+# vector is parsed.  Each probe can cost one ``separate``: on the 2- to
+# 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``) one
+# call takes ~27 ms at the median and ~66 ms at the 90th percentile, so 500
+# probes can take ~13 s to ~33 s (same machine).
+MAX_PROBES = 500
 
 
 def fraction_to_str(f: Fraction) -> str:
@@ -218,7 +223,8 @@ def parse_grid(obj) -> GridSpec:
     except KeyError as exc:
         raise ValueError(f"grid is missing field {exc.args[0]!r}") from exc
     grid = GridSpec(mins, maxs, step)
-    points = prod((hi - lo) // grid.step + 1 for lo, hi in zip(grid.mins, grid.maxs))
+    cols, rows = grid.shape
+    points = cols * rows
     if points > MAX_GRID_POINTS:
         raise ValueError(f"a grid may have at most {MAX_GRID_POINTS} points, got {points}")
     return grid
@@ -279,9 +285,14 @@ def instance_to_json(inst: Instance) -> dict:
 def parse_instance(obj) -> Instance:
     if not isinstance(obj, dict) or "set" not in obj:
         raise ValueError("an instance needs a 'set' field")
+    raw_probes = obj.get("probes", [])
+    if not isinstance(raw_probes, list):
+        raise ValueError("'probes' must be an array")
+    if len(raw_probes) > MAX_PROBES:
+        raise ValueError(f"an instance may have at most {MAX_PROBES} probes, got {len(raw_probes)}")
     polyhedron = parse_polyhedron(obj["set"])
     point = parse_vector(obj["point"]) if "point" in obj else None
-    probes = tuple(parse_vector(p) for p in obj.get("probes", []))
+    probes = tuple(parse_vector(p) for p in raw_probes)
     certificate = (
         parse_certificate(obj["certificate"]) if "certificate" in obj else None
     )

@@ -4,10 +4,13 @@ Everything draws from an explicit ``random.Random`` so callers control
 determinism; exactness of the constructions is asserted on the spot.
 """
 
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 from ratsep import (
+    GridSpec,
     Surd,
     Vector,
     VPolyhedron,
@@ -17,6 +20,7 @@ from ratsep import (
     rational_in_ball,
     support_value,
 )
+from ratsep.approximation import OuterApprox
 from ratsep.linalg import simplex_max
 
 
@@ -33,6 +37,30 @@ def lp_membership(P: VPolyhedron, x: Vector) -> bool:
     b_eq.append(Fraction(1))
     res = simplex_max([Fraction(0)] * (nv + nr), A_eq=A_eq, b_eq=b_eq)
     return res.status == "optimal"
+
+
+def pointwise_excess(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fraction:
+    """Reference excess measure: each grid point is tested against every
+    cut and, when no cut excludes it, against X by exact membership."""
+    total = 0
+    excess = 0
+    for p in grid.points():
+        total += 1
+        if approx.excludes(p):
+            continue
+        if not membership(X, p):
+            excess += 1
+    return Fraction(excess, total)
+
+
+@contextmanager
+def forbid_floats():
+    """Make converting a Surd or a Fraction to float raise AssertionError."""
+    no_float = AssertionError("float conversion")
+    with ExitStack() as stack:
+        for cls in (Surd, Fraction):
+            stack.enter_context(patch.object(cls, "__float__", side_effect=no_float))
+        yield
 
 
 def lp_is_pointed(P: VPolyhedron) -> bool:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratsep import (
     Certificate,
@@ -13,9 +14,20 @@ from ratsep import (
     excess_measure,
     membership,
     outer_approximate,
+    support_value,
 )
 from ratsep.approximation import OuterApprox
-from helpers import exterior_point, random_pointed_polyhedron
+from ratsep.scalars import choose_rational_between
+from helpers import (
+    exterior_point,
+    forbid_floats,
+    pointwise_excess,
+    rand_coord,
+    rand_fraction,
+    rand_rational_vector,
+    rand_vector,
+    random_pointed_polyhedron,
+)
 
 UNIT_SQUARE = VPolyhedron(
     (Vector([0, 0]), Vector([1, 0]), Vector([1, 1]), Vector([0, 1]))
@@ -29,6 +41,16 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec((F(2), F(0)), (F(1), F(1)), F(1, 2))
     assert len(list(GRID.points())) == 49
+    assert GRID.shape == (7, 7)
+    off_lattice = (
+        GridSpec((F(-1), F(1, 3)), (F(9, 7), F(2)), F(1, 2)),
+        GridSpec((F(0), F(0)), (F(0), F(5, 2)), F(1)),
+        GridSpec((F(-3, 4), F(1)), (F(2, 3), F(1)), F(2, 5)),
+    )
+    assert [g.shape for g in off_lattice] == [(5, 4), (1, 3), (4, 1)]
+    for grid in (GRID, *off_lattice):
+        cols, rows = grid.shape
+        assert len(list(grid.points())) == cols * rows
 
 
 def test_outer_approx_validates_cuts():
@@ -100,6 +122,74 @@ def test_excess_dimension_check():
 
     with pytest.raises(DimensionMismatchError):
         excess_measure(X3, OuterApprox(X3, ()), GRID)
+
+
+def random_set(rng: Random, k: int, shape: str) -> VPolyhedron:
+    """A polytope, a set with rays, a point, or a horizontal or vertical
+    segment, over Q(sqrt(k))."""
+    if shape == "polytope":
+        return random_pointed_polyhedron(rng, 2, k, rng.randint(1, 4), 0)
+    if shape == "rays":
+        return random_pointed_polyhedron(rng, 2, k, rng.randint(1, 3), rng.randint(1, 2))
+    v = rand_vector(rng, 2, k)
+    if shape == "point":
+        return VPolyhedron((v,))
+    d = rand_coord(rng, k)
+    while not d:
+        d = rand_coord(rng, k)
+    step = Vector([d, 0]) if shape == "horizontal" else Vector([0, d])
+    return VPolyhedron((v, v + step))
+
+
+def random_cut(rng: Random, target: VPolyhedron) -> Certificate | None:
+    """A cut containing target, often tight on it, sometimes with a_y = 0
+    or a_x = 0 (a bound that holds on all of a grid line or on none)."""
+    a = rand_rational_vector(rng, 2)
+    if rng.random() < 0.3:
+        a = Vector([a[0], 0]) if rng.random() < 0.5 else Vector([0, a[1]])
+    if a.is_zero():
+        return None
+    sv = support_value(target, a)
+    if not sv.is_finite:
+        return None
+    beta = sv.value.r if sv.value.is_rational else choose_rational_between(sv.value, sv.value + 1)
+    if rng.random() < 0.5:
+        beta += abs(rand_fraction(rng, 1))
+    return Certificate(a, beta)
+
+
+def random_grid(rng: Random, X: VPolyhedron) -> GridSpec:
+    """A small grid whose lattice often runs through a rational vertex of X
+    and whose max corner is usually off the lattice."""
+    step = rng.choice([F(1, 2), F(1, 3), F(1, 4), F(2, 3), F(1)])
+    v = X.vertices[0]
+    mins = [
+        c.r - step * rng.randint(0, 6) if c.is_rational and rng.random() < 0.7
+        else rand_fraction(rng, 2)
+        for c in v
+    ]
+    maxs = [lo + step * rng.randint(0, 12) + step * F(rng.randint(0, 3), 4) for lo in mins]
+    return GridSpec(tuple(mins), tuple(maxs), step)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2]),
+    st.sampled_from(["polytope", "rays", "point", "horizontal", "vertical"]),
+    st.booleans(),
+)
+def test_excess_matches_pointwise_oracle(seed, k, shape, wider_target):
+    rng = Random(seed)
+    X = random_set(rng, k, shape)
+    target = X
+    if wider_target:
+        target = VPolyhedron((*X.vertices, exterior_point(rng, X)), X.rays)
+    cuts = [cut for cut in (random_cut(rng, target) for _ in range(rng.randint(0, 4))) if cut]
+    approx = OuterApprox(target, tuple(cuts))
+    grid = random_grid(rng, X)
+    with forbid_floats():
+        excess = excess_measure(X, approx, grid)
+    assert excess == pointwise_excess(X, approx, grid)
 
 
 def test_excess_monotone_in_cuts():

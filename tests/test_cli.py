@@ -343,3 +343,17 @@ def test_over_limit_max_den_and_grid_exit_1(tmp_path, capsys, monkeypatch, optio
     code, out, err = run(capsys, argv + ["--instance", str(path)])
     assert code == 1 and out == ""
     assert message in err
+
+
+def test_too_many_probes_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ser, "parse_vector", fail_if_called)
+    instance = {
+        "set": ser.polyhedron_to_json(TRIANGLE),
+        "probes": [["2", "2"]] * (ser.MAX_PROBES + 1),
+        "options": {"grid": {"min": ["0", "0"], "max": ["1", "1"], "step": "1/2"}},
+    }
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(capsys, ["approximate", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert f"at most {ser.MAX_PROBES} probes" in err

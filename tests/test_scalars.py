@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import ratsep.scalars
 from ratsep import (
@@ -20,6 +21,7 @@ from ratsep import (
     sqrt_enclosure,
     surd_sign,
 )
+from helpers import forbid_floats
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 field_ks = st.sampled_from([1, 2, 3, 5])
@@ -258,6 +260,29 @@ def test_rational_operands_skip_the_checked_constructor(monkeypatch):
     monkeypatch.setattr(Surd, "__init__", lambda x, *args: calls.append(args) or init(x, *args))
     assert rational_operand_results(surds, rationals) == before
     assert calls == []
+
+
+# -- floor and ceiling ----------------------------------------------------
+
+big_rationals = st.one_of(
+    rationals,
+    st.integers(-(2**80), 2**80).map(F),
+    st.builds(F, st.integers(-(2**80), 2**80), st.integers(2**64, 2**80)),
+)
+
+
+@given(st.sampled_from([1, 2, 3, 1000003]), big_rationals, big_rationals)
+@example(2, F(2**70 + 1, 3**45), F(-(2**65), 7))
+@example(1000003, F(-(2**66)), F(2**65 + 3, 2**64 + 1))
+@example(3, F(-5), F(0))
+def test_floor_and_ceil_bracket_the_value(k, r, s):
+    x = Surd(r, s, k)
+    with forbid_floats():
+        n, m = math.floor(x), math.ceil(x)
+    assert type(n) is int and type(m) is int
+    assert (x - n).sign() >= 0 and (x - (n + 1)).sign() < 0
+    assert (m - x).sign() >= 0 and (m - 1 - x).sign() < 0
+    assert (m == n) == (x.is_rational and x.r.denominator == 1)
 
 
 # -- QInterval -------------------------------------------------------------

@@ -94,6 +94,22 @@ def test_parse_bounds_set_size_before_building_the_set(monkeypatch):
         ser.parse_polyhedron({"vertices": {"0": ["0", "0"]}})
 
 
+def test_parse_bounds_probe_count_before_parsing_any_vector(monkeypatch):
+    def fail(obj):
+        raise AssertionError("a vector was parsed")
+
+    monkeypatch.setattr(ser, "parse_vector", fail)
+    n = ser.MAX_PROBES
+    instance = {"set": {"vertices": [["0", "0"]]}, "probes": [["1", "1"]] * (n + 1)}
+    with pytest.raises(ValueError, match=f"at most {n} probes, got {n + 1}"):
+        ser.parse_instance(instance)
+    with pytest.raises(ValueError, match="'probes' must be an array"):
+        ser.parse_instance({"set": {"vertices": [["0", "0"]]}, "probes": {"0": ["1", "1"]}})
+    monkeypatch.undo()
+    instance["probes"] = instance["probes"][:n]
+    assert len(ser.parse_instance(instance).probes) == n
+
+
 def test_parse_admits_sets_at_the_size_bounds():
     # the cyclic polytope: MAX_GENERATORS points on the moment curve
     d, m = ser.MAX_DIM, ser.MAX_GENERATORS
