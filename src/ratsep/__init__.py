@@ -23,33 +23,13 @@ from .errors import (
     PointInSetError,
     SeparationBugError,
 )
-from .scalars import (
-    QInterval,
-    Surd,
-    Vector,
-    choose_rational_between,
-    point_in_ball,
-    rational_in_ball,
-    sqrt_convergents,
-    sqrt_enclosure,
-    surd_sign,
-)
-from .separation import (
-    SeparationTrace,
-    bound_support_on_ball,
-    compute_wedge_parameters,
-    find_barrier_direction,
-    norm_upper,
-    point_in_apex_hull,
-    separate,
-    wedge_interior_ball,
-)
+from .scalars import Surd, Vector
+from .separation import SeparationTrace, separate
 from .sets import (
     SupportValue,
     VPolyhedron,
     is_pointed,
     membership,
-    polar_cone_contains,
     project,
     support_value,
 )
@@ -59,28 +39,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Surd",
-    "QInterval",
     "Vector",
-    "surd_sign",
-    "sqrt_convergents",
-    "sqrt_enclosure",
-    "point_in_ball",
-    "rational_in_ball",
-    "choose_rational_between",
     "VPolyhedron",
     "SupportValue",
     "support_value",
     "is_pointed",
-    "polar_cone_contains",
     "membership",
     "project",
     "SeparationTrace",
-    "norm_upper",
-    "find_barrier_direction",
-    "bound_support_on_ball",
-    "compute_wedge_parameters",
-    "wedge_interior_ball",
-    "point_in_apex_hull",
     "separate",
     "Certificate",
     "verify_certificate",

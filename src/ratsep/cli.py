@@ -119,7 +119,7 @@ def _cmd_separate(args) -> int:
         raise ValueError("separate needs a point (instance 'point' or --point)")
     max_den = inst.options.max_den
     if args.max_den is not None:
-        max_den = ser.check_max_den(args.max_den, "--max-den")
+        max_den = ser.check_count(args.max_den, "--max-den", ser.MAX_DEN)
     if max_den is not None and inst.polyhedron.dim != 2:
         raise ValueError("--max-den cross-checking is 2-D only")
     cert, trace = separate(inst.polyhedron, inst.point)
@@ -157,8 +157,8 @@ def _cmd_approximate(args) -> int:
     inst = _load_instance(args)
     if not inst.probes:
         raise ValueError("approximate needs a nonempty 'probes' list in the instance")
-    if args.budget is not None and args.budget < 1:
-        raise ValueError("--budget must be a positive integer")
+    if args.budget is not None:
+        ser.check_count(args.budget, "--budget", ser.MAX_PROBES)
     budget = args.budget or inst.options.budget or len(inst.probes)
     grid = ser.parse_grid(_inline_json("--grid", args.grid)) if args.grid else inst.options.grid
     if grid is None:
@@ -198,7 +198,7 @@ def _cmd_plot(args) -> int:
     cuts = ()
     if args.cuts:
         approx_obj = _load_json(args.cuts)
-        if not isinstance(approx_obj, dict) or "cuts" not in approx_obj:
+        if not isinstance(approx_obj, dict) or not isinstance(approx_obj.get("cuts"), list):
             raise ValueError("--cuts file needs a 'cuts' array")
         cuts = tuple(ser.parse_certificate(c) for c in approx_obj["cuts"])
     out_path = Path(args.out or "plot.svg")

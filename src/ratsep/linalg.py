@@ -1,10 +1,11 @@
 """Exact dense linear algebra and linear programming over Q(sqrt(k)).
 
-Gauss-Jordan elimination for the small linear systems of the projection
-step and for the rank test of pointedness, and a two-phase tableau
-simplex with Bland's rule for the margin problem of the barrier step.
-Every pivot is exact field arithmetic, so "feasible", "optimal" and
-"unbounded" are decisions, not estimates.
+One Gauss-Jordan pivot, ``_pivot``, is the only row-reduction step.
+Elimination built on it solves the small linear systems of the
+projection step and gives the rank test of pointedness; a one-phase
+tableau simplex with Bland's rule, built on the same pivot, solves the
+margin problem of the barrier step.  Every pivot is exact field
+arithmetic, so "optimal" and "unbounded" are decisions, not estimates.
 Problem sizes here are desk scale (a dozen variables), which the
 textbook tableau handles comfortably.
 """
@@ -12,7 +13,6 @@ textbook tableau handles comfortably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import Surd
 
@@ -22,27 +22,33 @@ _ZERO = Surd._of(0)
 _ONE = Surd._of(1)
 
 
+def _pivot(rows, r, c) -> None:
+    """Scale row ``r`` so its entry in column ``c`` is 1, then clear
+    column ``c`` from every other row, in place."""
+    piv = rows[r][c]
+    prow = rows[r] = [v / piv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            if f.sign() != 0:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+
+
 def _eliminate(aug, ncols) -> list[tuple[int, int]]:
     """Gauss-Jordan elimination of ``aug`` in place over its first
     ``ncols`` columns; returns the (row, column) of each pivot."""
     m = len(aug)
     pivots = []
-    prow = 0
     for col in range(ncols):
+        prow = len(pivots)
         if prow == m:
             break
         pr = next((i for i in range(prow, m) if aug[i][col].sign() != 0), None)
         if pr is None:
             continue
         aug[prow], aug[pr] = aug[pr], aug[prow]
-        piv = aug[prow][col]
-        aug[prow] = [v / piv for v in aug[prow]]
-        for i in range(m):
-            if i != prow and aug[i][col].sign() != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[prow])]
+        _pivot(aug, prow, col)
         pivots.append((prow, col))
-        prow += 1
     return pivots
 
 
@@ -73,45 +79,39 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: tuple[Surd, ...] = ()
     value: Surd = _ZERO
 
 
-def _pivot(T, basis, obj, row, col):
-    piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
-    prow = T[row]
-    for i in range(len(T)):
-        if i != row:
-            f = T[i][col]
-            if f.sign() != 0:
-                T[i] = [a - f * b for a, b in zip(T[i], prow)]
-    f = obj[col]
-    if f.sign() != 0:
-        obj[:] = [a - f * b for a, b in zip(obj, prow)]
-    basis[row] = col
+def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
+    """Maximize c.x subject to A_ub x <= b_ub and x >= 0, where b_ub >= 0.
 
-
-def _optimize(T, basis, cvec):
-    """Pivot to optimality for max(cvec . x) with Bland's rule.
-
-    The objective row of reduced costs is maintained alongside the
-    tableau; entering variable is the smallest index with positive
-    reduced cost, leaving is the minimum-ratio row with smallest basic
-    index, which guarantees termination.
+    All entries may be int, Fraction or Surd; the returned solution has
+    Surd entries.  With b_ub >= 0 the slack basis is feasible from the
+    start, so one phase suffices; a negative b_ub entry raises
+    ValueError.  The objective is the tableau's last row and is reduced
+    by the same ``_pivot`` as the constraints.  Bland's rule: the
+    entering column is the smallest index with positive reduced cost,
+    the leaving row the minimum ratio with the smallest basic index,
+    which guarantees termination.
     """
-    m = len(T)
-    ncols = len(T[0]) - 1
-    obj = [cvec[j] for j in range(ncols)] + [_ZERO]
-    for i, bi in enumerate(basis):
-        cb = cvec[bi]
-        if cb.sign() != 0:
-            obj = [o - cb * t for o, t in zip(obj, T[i])]
+    n = len(c)
+    m = len(A_ub)
+    T: list[list[Surd]] = []
+    for i, (arow, b) in enumerate(zip(A_ub, b_ub, strict=True)):
+        if len(arow) != n:
+            raise ValueError("A_ub row length does not match objective")
+        b = Surd._of(b)
+        if b.sign() < 0:
+            raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
+        T.append([Surd._of(v) for v in arow] + [_ONE if j == i else _ZERO for j in range(m)] + [b])
+    T.append([Surd._of(v) for v in c] + [_ZERO] * (m + 1))
+    basis = list(range(n, n + m))
     while True:
-        enter = next((j for j in range(ncols) if obj[j].sign() > 0), None)
+        enter = next((j for j in range(n + m) if T[-1][j].sign() > 0), None)
         if enter is None:
-            return "optimal", obj
+            break
         leave = None
         best = None
         for i in range(m):
@@ -125,93 +125,11 @@ def _optimize(T, basis, cvec):
                     if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                         leave, best = i, ratio
         if leave is None:
-            return "unbounded", obj
-        _pivot(T, basis, obj, leave, enter)
-
-
-def simplex_max(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
-    """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
-
-    All entries may be int, Fraction or Surd; the returned solution has
-    Surd entries.  Two-phase: artificial variables are minimized first,
-    then driven out (redundant rows are dropped), then the real
-    objective is optimized.
-    """
-    cc = [Surd._of(v) for v in c]
-    n = len(cc)
-    m_ub = len(A_ub)
-    rows: list[list[Surd]] = []
-    rhs: list[Surd] = []
-    for i, (arow, b) in enumerate(zip(A_ub, b_ub)):
-        if len(arow) != n:
-            raise ValueError("A_ub row length does not match objective")
-        rows.append([Surd._of(v) for v in arow] + [_ONE if j == i else _ZERO for j in range(m_ub)])
-        rhs.append(Surd._of(b))
-    for arow, b in zip(A_eq, b_eq):
-        if len(arow) != n:
-            raise ValueError("A_eq row length does not match objective")
-        rows.append([Surd._of(v) for v in arow] + [_ZERO] * m_ub)
-        rhs.append(Surd._of(b))
-    m = len(rows)
-    if m == 0:
-        if any(v.sign() > 0 for v in cc):
             return LPResult("unbounded")
-        return LPResult("optimal", tuple(_ZERO for _ in range(n)), _ZERO)
-    for i in range(m):
-        if rhs[i].sign() < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
-    width = n + m_ub
-    basis: list[int] = []
-    art_rows: list[int] = []
-    for i in range(m):
-        if i < m_ub and rows[i][n + i] == 1:
-            basis.append(n + i)
-        else:
-            basis.append(-1)
-            art_rows.append(i)
-    n_art = len(art_rows)
-    T = []
-    for i in range(m):
-        T.append(rows[i] + [_ZERO] * n_art + [rhs[i]])
-    for idx, i in enumerate(art_rows):
-        T[i][width + idx] = _ONE
-        basis[i] = width + idx
-
-    if n_art:
-        cvec1 = [_ZERO] * width + [-_ONE] * n_art
-        status, obj = _optimize(T, basis, cvec1)
-        # phase 1 is bounded above by zero, so it always terminates optimal
-        value = -obj[-1]
-        if value.sign() < 0:
-            return LPResult("infeasible")
-        keep = []
-        for i in range(len(T)):
-            if basis[i] >= width:
-                piv = next((j for j in range(width) if T[i][j].sign() != 0), None)
-                if piv is None:
-                    continue  # redundant row
-                _pivot(T, basis, obj, i, piv)
-            keep.append(i)
-        T = [T[i][:width] + [T[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
-        if not T:
-            # every row was redundant: only the nonnegativity cone remains
-            if any(v.sign() > 0 for v in cc):
-                return LPResult("unbounded")
-            return LPResult("optimal", tuple(_ZERO for _ in range(n)), _ZERO)
-
-    cvec2 = cc + [_ZERO] * m_ub
-    status, _ = _optimize(T, basis, cvec2)
-    if status == "unbounded":
-        return LPResult("unbounded")
+        _pivot(T, leave, enter)
+        basis[leave] = enter
     x = [_ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = T[i][-1]
-    value = _ZERO
-    for cj, xj in zip(cc, x):
-        if cj.sign() != 0:
-            value = value + cj * xj
-    return LPResult("optimal", tuple(x), value)
+    return LPResult("optimal", tuple(x), -T[-1][-1])

@@ -471,9 +471,11 @@ def sqrt_convergents(k: int) -> Iterator[Fraction]:
 def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
     """A rational interval [lo, hi] with lo**2 <= x <= hi**2, hi - lo <= tol.
 
-    Perfect squares of rationals are returned exactly; otherwise the
-    enclosure comes from bisection started at the integer bracket
-    [floor(sqrt(x)), floor(sqrt(x)) + 1].  Deterministic in (x, tol).
+    Perfect squares of rationals are returned exactly.  Otherwise the
+    enclosure is the dyadic interval [n/2**j, (n + 1)/2**j] for the
+    smallest j >= 0 with 2**-j <= tol, where
+    n = floor(sqrt(x) * 2**j) = isqrt(floor(x * 4**j)) by the exact
+    ``Surd.__floor__``.  Deterministic in (x, tol).
     """
     x = Surd._coerce(x)
     tol = _fraction(tol)
@@ -490,27 +492,10 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
         if rn * rn == f.numerator and rd * rd == f.denominator:
             root = Fraction(rn, rd)
             return QInterval(root, root)
-    top = 1
-    while (x - top * top).sign() > 0:
-        top *= 2
-    lo_i, hi_i = 0, top
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if (x - mid * mid).sign() >= 0:
-            lo_i = mid
-        else:
-            hi_i = mid
-    lo, hi = Fraction(lo_i), Fraction(lo_i + 1)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        d = (x - mid * mid).sign()
-        if d == 0:
-            return QInterval(mid, mid)
-        if d > 0:
-            lo = mid
-        else:
-            hi = mid
-    return QInterval(lo, hi)
+    # 2**j >= 1/tol iff 2**j >= ceil(1/tol), the integer -(-q // p)
+    j = (-(-tol.denominator // tol.numerator) - 1).bit_length()
+    n = isqrt(math.floor(x * 4**j))
+    return QInterval(Fraction(n, 2**j), Fraction(n + 1, 2**j))
 
 
 def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:

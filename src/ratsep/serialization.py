@@ -39,7 +39,7 @@ __all__ = [
     "parse_trace",
     "grid_to_json",
     "parse_grid",
-    "check_max_den",
+    "check_count",
     "approx_to_json",
     "instance_to_json",
     "parse_instance",
@@ -70,7 +70,9 @@ MAX_GENERATORS = 12
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any
-# vector is parsed.  Each probe can cost one ``separate``: on the 2- to
+# vector is parsed, and the largest cut budget (``options.budget``,
+# ``approximate --budget``): each cut needs a probe of its own, so no run
+# can use more.  Each probe can cost one ``separate``: on the 2- to
 # 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``) one
 # call takes ~27 ms at the median and ~66 ms at the 90th percentile, so 500
 # probes can take ~13 s to ~33 s (same machine).
@@ -172,7 +174,12 @@ def certificate_to_json(cert: Certificate) -> dict:
 def parse_certificate(obj) -> Certificate:
     if not isinstance(obj, dict) or "a" not in obj or "beta" not in obj:
         raise ValueError("a certificate needs fields 'a' and 'beta'")
-    a = Vector([parse_fraction(c) for c in obj["a"]])
+    raw_a = obj["a"]
+    if not isinstance(raw_a, list):
+        raise ValueError("a certificate's 'a' must be an array")
+    if len(raw_a) > MAX_DIM:
+        raise ValueError(f"a certificate may have dimension at most {MAX_DIM}")
+    a = Vector([parse_fraction(c) for c in raw_a])
     return Certificate(a, parse_fraction(obj["beta"]))
 
 
@@ -217,12 +224,14 @@ def parse_grid(obj) -> GridSpec:
     if not isinstance(obj, dict):
         raise ValueError("a grid must be an object")
     try:
-        mins = tuple(parse_fraction(v) for v in obj["min"])
-        maxs = tuple(parse_fraction(v) for v in obj["max"])
-        step = parse_fraction(obj["step"])
+        raw_mins, raw_maxs, raw_step = obj["min"], obj["max"], obj["step"]
     except KeyError as exc:
         raise ValueError(f"grid is missing field {exc.args[0]!r}") from exc
-    grid = GridSpec(mins, maxs, step)
+    if not isinstance(raw_mins, list) or not isinstance(raw_maxs, list):
+        raise ValueError("grid 'min' and 'max' must be arrays")
+    mins = tuple(parse_fraction(v) for v in raw_mins)
+    maxs = tuple(parse_fraction(v) for v in raw_maxs)
+    grid = GridSpec(mins, maxs, parse_fraction(raw_step))
     cols, rows = grid.shape
     points = cols * rows
     if points > MAX_GRID_POINTS:
@@ -230,13 +239,14 @@ def parse_grid(obj) -> GridSpec:
     return grid
 
 
-def check_max_den(value, name: str) -> int:
-    """value as the brute-force oracle's bound, an integer from 1 to MAX_DEN;
-    ``name`` is the option as the user wrote it, for the error message."""
+def check_count(value, name: str, bound: int) -> int:
+    """value as a count, an integer from 1 to ``bound`` (``MAX_DEN`` for the
+    brute-force oracle's bound, ``MAX_PROBES`` for a cut budget); ``name``
+    is the option as the user wrote it, for the error message."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
-    if value > MAX_DEN:
-        raise ValueError(f"{name} must be at most {MAX_DEN}, got {value}")
+    if value > bound:
+        raise ValueError(f"{name} must be at most {bound}, got {value}")
     return value
 
 
@@ -300,11 +310,11 @@ def parse_instance(obj) -> Instance:
     if not isinstance(raw_opts, dict):
         raise ValueError("'options' must be an object")
     budget = raw_opts.get("budget")
-    if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool) or budget < 1):
-        raise ValueError("options.budget must be a positive integer")
+    if budget is not None:
+        check_count(budget, "options.budget", MAX_PROBES)
     max_den = raw_opts.get("max_den")
     if max_den is not None:
-        check_max_den(max_den, "options.max_den")
+        check_count(max_den, "options.max_den", MAX_DEN)
     grid = parse_grid(raw_opts["grid"]) if "grid" in raw_opts else None
     return Instance(
         polyhedron=polyhedron,

@@ -6,37 +6,40 @@ determinism; exactness of the constructions is asserted on the spot.
 
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
 from random import Random
 from unittest.mock import patch
 
-from ratsep import (
-    GridSpec,
-    Surd,
-    Vector,
-    VPolyhedron,
-    membership,
-    norm_upper,
-    point_in_ball,
-    rational_in_ball,
-    support_value,
-)
+from ratsep import GridSpec, Surd, Vector, VPolyhedron, membership, support_value
 from ratsep.approximation import OuterApprox
-from ratsep.linalg import simplex_max
+from ratsep.linalg import rank, solve_linear_system
+from ratsep.scalars import QInterval, point_in_ball, rational_in_ball
+from ratsep.separation import norm_upper
+
+
+def _in_cone(columns, target) -> bool:
+    """Whether target is a nonnegative combination of columns, by
+    Caratheodory: if it is, some linearly independent set of columns
+    witnesses it, and so does any basis of their span that contains
+    that set, with the same unique solution.  Solving every subset of
+    rank(columns) columns exactly therefore decides it."""
+    for subset in combinations(columns, rank(columns)):
+        rows = [[col[i] for col in subset] for i in range(len(target))]
+        try:
+            coeffs = solve_linear_system(rows, target)
+        except ValueError:
+            continue
+        if all(c.sign() >= 0 for c in coeffs):
+            return True
+    return False
 
 
 def lp_membership(P: VPolyhedron, x: Vector) -> bool:
-    """Reference membership: feasibility of x = sum lam_i v_i + sum mu_j r_j
-    with sum lam_i = 1 and lam, mu >= 0, by the exact two-phase simplex."""
-    nv, nr = len(P.vertices), len(P.rays)
-    A_eq = []
-    b_eq = []
-    for c in range(P.dim):
-        A_eq.append([v[c] for v in P.vertices] + [r[c] for r in P.rays])
-        b_eq.append(x[c])
-    A_eq.append([Fraction(1)] * nv + [Fraction(0)] * nr)
-    b_eq.append(Fraction(1))
-    res = simplex_max([Fraction(0)] * (nv + nr), A_eq=A_eq, b_eq=b_eq)
-    return res.status == "optimal"
+    """Reference membership: is (x, 1) in cone{(v_i, 1), (r_j, 0)}, that is,
+    x = sum lam_i v_i + sum mu_j r_j with sum lam_i = 1 and lam, mu >= 0."""
+    columns = [[*v, 1] for v in P.vertices] + [[*r, 0] for r in P.rays]
+    return _in_cone(columns, [*x, 1])
 
 
 def pointwise_excess(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fraction:
@@ -65,15 +68,51 @@ def forbid_floats():
 
 def lp_is_pointed(P: VPolyhedron) -> bool:
     """Reference pointedness by Gordan's alternative: cone(rays) contains a
-    line iff {sum eta_j r_j = 0, sum eta_j = 1, eta >= 0} is feasible."""
-    rays = P.rays
-    if not rays:
-        return True
-    A_eq = [[r[c] for r in rays] for c in range(P.dim)]
-    A_eq.append([Fraction(1)] * len(rays))
-    b_eq = [Fraction(0)] * P.dim + [Fraction(1)]
-    res = simplex_max([Fraction(0)] * len(rays), A_eq=A_eq, b_eq=b_eq)
-    return res.status == "infeasible"
+    line iff sum eta_j r_j = 0 with sum eta_j = 1 and eta >= 0, that is,
+    iff (0, ..., 0, 1) is in cone{(r_j, 1)}."""
+    return not _in_cone([[*r, 1] for r in P.rays], [0] * P.dim + [1])
+
+
+def bisection_enclosure(x, tol: Fraction) -> QInterval:
+    """Reference ``sqrt_enclosure``: perfect squares exactly, otherwise a
+    doubling search and an integer bisection for floor(sqrt(x)), then
+    rational bisection of [floor, floor + 1] down to width <= tol."""
+    x = Surd._of(x)
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    sgn = x.sign()
+    if sgn < 0:
+        raise ValueError(f"cannot enclose the square root of the negative {x}")
+    if sgn == 0:
+        return QInterval(Fraction(0), Fraction(0))
+    if x.is_rational:
+        f = x.as_fraction()
+        rn, rd = isqrt(f.numerator), isqrt(f.denominator)
+        if rn * rn == f.numerator and rd * rd == f.denominator:
+            root = Fraction(rn, rd)
+            return QInterval(root, root)
+    top = 1
+    while (x - top * top).sign() > 0:
+        top *= 2
+    lo_i, hi_i = 0, top
+    while hi_i - lo_i > 1:
+        mid = (lo_i + hi_i) // 2
+        if (x - mid * mid).sign() >= 0:
+            lo_i = mid
+        else:
+            hi_i = mid
+    lo, hi = Fraction(lo_i), Fraction(lo_i + 1)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        d = (x - mid * mid).sign()
+        if d == 0:
+            return QInterval(mid, mid)
+        if d > 0:
+            lo = mid
+        else:
+            hi = mid
+    return QInterval(lo, hi)
 
 
 def rand_fraction(rng: Random, span: int = 3, dens=(1, 2, 3, 4)) -> Fraction:

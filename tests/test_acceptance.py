@@ -19,21 +19,23 @@ from ratsep import (
     VPolyhedron,
     brute_force_separator,
     excess_measure,
-    find_barrier_direction,
     membership,
-    norm_upper,
     outer_approximate,
-    point_in_apex_hull,
-    point_in_ball,
     rational_parallel_direction,
     render_svg,
     separate,
     support_value,
     verify_certificate,
-    wedge_interior_ball,
 )
 from ratsep import serialization as ser
 from ratsep.approximation import GridSpec, OuterApprox
+from ratsep.scalars import point_in_ball
+from ratsep.separation import (
+    find_barrier_direction,
+    norm_upper,
+    point_in_apex_hull,
+    wedge_interior_ball,
+)
 from helpers import (
     exterior_point,
     rand_rational_vector,

@@ -357,3 +357,63 @@ def test_too_many_probes_exit_1(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["approximate", "--instance", str(path)])
     assert code == 1 and out == ""
     assert f"at most {ser.MAX_PROBES} probes" in err
+
+
+@pytest.mark.parametrize(
+    "options, argv",
+    [
+        ({"budget": ser.MAX_PROBES + 1}, ["approximate"]),
+        ({}, ["approximate", "--budget", str(ser.MAX_PROBES + 1)]),
+    ],
+)
+def test_over_limit_budget_exit_1(tmp_path, capsys, monkeypatch, options, argv):
+    monkeypatch.setattr(cli, "outer_approximate", fail_if_called)
+    instance = {
+        "set": ser.polyhedron_to_json(TRIANGLE),
+        "probes": [["2", "2"]],
+        "options": {"grid": {"min": ["0", "0"], "max": ["1", "1"], "step": "1/2"}, **options},
+    }
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(capsys, argv + ["--instance", str(path)])
+    assert code == 1 and out == ""
+    assert f"budget must be at most {ser.MAX_PROBES}, got {ser.MAX_PROBES + 1}" in err
+
+
+@pytest.mark.parametrize(
+    "options, argv",
+    [({"budget": ser.MAX_PROBES}, ["approximate"]), ({}, ["approximate", "--budget", "500"])],
+)
+def test_budget_at_the_limit_is_accepted(tmp_path, capsys, options, argv):
+    instance = {
+        "set": ser.polyhedron_to_json(TRIANGLE),
+        "probes": [["2", "2"]],
+        "options": {"grid": {"min": ["0", "0"], "max": ["1", "1"], "step": "1/2"}, **options},
+    }
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, _ = run(capsys, argv + ["--instance", str(path)])
+    assert code == 0
+    assert len(json.loads(out)["cuts"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["approximate", "--grid", '{"min": "00", "max": "22", "step": "1/2"}'], {}, "must be arrays"),
+        (["verify", "--certificate", "CERT"], {"CERT": {"a": "12", "beta": "1"}}, "must be an array"),
+        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": "x"}}, "'cuts' array"),
+        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": {"0": {}}}}, "'cuts' array"),
+    ],
+)
+def test_string_or_object_for_an_array_exit_1(tmp_path, capsys, argv, files, message):
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]), probes=(Vector([2, 2]),))
+    path = write_instance(tmp_path, "tri.json", inst)
+    paths = {"SVG": str(tmp_path / "plot.svg")}
+    for name, obj in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv] + ["--instance", path])
+    assert code == 1 and out == ""
+    assert message in err
+    assert not (tmp_path / "plot.svg").exists()

@@ -8,20 +8,22 @@ import ratsep.scalars
 from ratsep import (
     Certificate,
     GridSpec,
-    QInterval,
     Surd,
     Vector,
     VPolyhedron,
+    separate,
+)
+from ratsep.scalars import (
+    QInterval,
     choose_rational_between,
-    point_in_apex_hull,
     point_in_ball,
     rational_in_ball,
-    separate,
     sqrt_convergents,
     sqrt_enclosure,
     surd_sign,
 )
-from helpers import forbid_floats
+from ratsep.separation import point_in_apex_hull
+from helpers import bisection_enclosure, forbid_floats
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 field_ks = st.sampled_from([1, 2, 3, 5])
@@ -334,6 +336,41 @@ def test_sqrt_enclosure_contract(triple, tol):
     assert (Surd(enc.hi * enc.hi) - x).sign() >= 0
     assert enc.width <= tol
     assert sqrt_enclosure(x, tol) == enc  # deterministic
+
+
+@st.composite
+def nonnegative_field_elements(draw):
+    """Nonnegative elements of Q(sqrt(k)): general ones, squares of field
+    elements, rational perfect squares and zero."""
+    k = draw(st.sampled_from([1, 2, 3, 1000003]))
+    kind = draw(st.sampled_from(["general", "field square", "rational square", "zero"]))
+    if kind == "zero":
+        return Surd(0)
+    if kind == "rational square":
+        return Surd(draw(big_rationals) ** 2)
+    x = Surd(draw(big_rationals), draw(big_rationals), k)
+    return x * x if kind == "field square" else abs(x)
+
+
+enclosure_tols = st.one_of(
+    st.integers(0, 80).map(lambda j: F(1, 2**j)),
+    st.fractions(min_value=F(1, 10**9), max_value=1, max_denominator=10**9),
+    st.fractions(min_value=1, max_value=8, max_denominator=7),
+)
+
+
+@given(nonnegative_field_elements(), enclosure_tols)
+@example(Surd(F(7, 2)), F(1))  # floor(x) + 1 is a perfect square
+@example(Surd(4, F(-1, 1000), 2), F(3))  # the same, irrational, tol >= 1
+@example(Surd(F(9, 16)), F(1, 3))
+@example(Surd(F(2**79 + 1, 2**64 + 3), 1, 3), F(1, 2**40))
+def test_sqrt_enclosure_matches_bisection(x, tol):
+    with forbid_floats():
+        enc = sqrt_enclosure(x, tol)
+        assert enc == bisection_enclosure(x, tol)
+    assert (x - enc.lo * enc.lo).sign() >= 0
+    assert (enc.hi * enc.hi - x).sign() >= 0
+    assert enc.hi - enc.lo <= tol
 
 
 # -- rational_in_ball ------------------------------------------------------

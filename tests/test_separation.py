@@ -10,16 +10,18 @@ from ratsep import (
     Surd,
     Vector,
     VPolyhedron,
-    bound_support_on_ball,
-    compute_wedge_parameters,
-    find_barrier_direction,
     membership,
-    norm_upper,
-    point_in_apex_hull,
-    point_in_ball,
     separate,
     support_value,
     verify_certificate,
+)
+from ratsep.scalars import point_in_ball
+from ratsep.separation import (
+    bound_support_on_ball,
+    compute_wedge_parameters,
+    find_barrier_direction,
+    norm_upper,
+    point_in_apex_hull,
     wedge_interior_ball,
 )
 from helpers import (

@@ -211,15 +211,52 @@ def test_instance_validation():
 
 
 def test_max_den_and_grid_limits():
-    assert ser.check_max_den(ser.MAX_DEN, "options.max_den") == ser.MAX_DEN
+    assert ser.check_count(ser.MAX_DEN, "options.max_den", ser.MAX_DEN) == ser.MAX_DEN
     with pytest.raises(ValueError, match="at most"):
-        ser.check_max_den(ser.MAX_DEN + 1, "options.max_den")
+        ser.check_count(ser.MAX_DEN + 1, "options.max_den", ser.MAX_DEN)
     n = ser.MAX_GRID_POINTS
     assert ser.parse_grid({"min": ["0", "0"], "max": [str(n - 1), "0"], "step": "1"})
     with pytest.raises(ValueError, match="at most"):
         ser.parse_grid({"min": ["0", "0"], "max": [str(n), "0"], "step": "1"})
     with pytest.raises(ValueError, match="at most"):
         ser.parse_grid({"min": ["0", "0"], "max": ["1", "1"], "step": f"1/{isqrt(n)}"})
+
+
+@pytest.mark.parametrize(
+    "parse, obj",
+    [
+        (ser.parse_grid, {"min": "00", "max": "22", "step": "1/2"}),
+        (ser.parse_grid, {"min": {"0": 1, "1": 2}, "max": ["2", "2"], "step": "1/2"}),
+        (ser.parse_grid, {"min": ["0", "0"], "max": {"0": 2, "1": 2}, "step": "1/2"}),
+        (ser.parse_certificate, {"a": "12", "beta": "1"}),
+        (ser.parse_certificate, {"a": {"0": "1", "1": "2"}, "beta": "1"}),
+    ],
+)
+def test_parse_requires_arrays(parse, obj):
+    # strings and objects iterate too; they must not pass for an array
+    with pytest.raises(ValueError, match="must be (an array|arrays)"):
+        parse(obj)
+
+
+def test_parse_bounds_certificate_length_before_parsing_any_entry(monkeypatch):
+    def fail(obj):
+        raise AssertionError("an entry was parsed")
+
+    monkeypatch.setattr(ser, "parse_fraction", fail)
+    n = ser.MAX_DIM
+    with pytest.raises(ValueError, match=f"dimension at most {n}"):
+        ser.parse_certificate({"a": ["1"] * (n + 1), "beta": "1"})
+    monkeypatch.undo()
+    assert ser.parse_certificate({"a": ["1"] * n, "beta": "1"}).a.dim == n
+
+
+def test_budget_is_bounded_by_the_probe_limit():
+    n = ser.MAX_PROBES
+    instance = {"set": {"vertices": [["0", "0"]]}, "options": {"budget": n}}
+    assert ser.parse_instance(instance).options.budget == n
+    instance["options"]["budget"] = n + 1
+    with pytest.raises(ValueError, match=f"options.budget must be at most {n}, got {n + 1}"):
+        ser.parse_instance(instance)
 
 
 def test_dumps_is_canonical():

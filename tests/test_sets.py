@@ -13,16 +13,16 @@ from ratsep import (
     Vector,
     VPolyhedron,
     excess_measure,
-    find_barrier_direction,
     is_pointed,
     membership,
     outer_approximate,
-    polar_cone_contains,
     project,
     separate,
     support_value,
 )
 from ratsep import sets
+from ratsep.separation import find_barrier_direction
+from ratsep.sets import polar_cone_contains
 from helpers import (
     lp_is_pointed,
     lp_membership,
