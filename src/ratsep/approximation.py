@@ -129,7 +129,7 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     shape = grid.shape
     axes = (0, 1) if shape[0] <= shape[1] else (1, 0)
     lines, length = shape[axes[0]], shape[axes[1]]
-    equations, facets = X.facet_description
+    equations, facets, _ = X.facet_description
     opposite = [(-a, -b) for a, b in equations]
     in_x = _line_bounds([*facets, *equations, *opposite], grid, axes)
     in_cuts = _line_bounds([(cut.a, cut.beta) for cut in approx.cuts], grid, axes)

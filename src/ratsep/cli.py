@@ -165,12 +165,7 @@ def _cmd_approximate(args) -> int:
         raise ValueError("approximate needs a grid (options.grid or --grid)")
     approx = outer_approximate(inst.polyhedron, inst.probes, budget)
     excess = excess_measure(inst.polyhedron, approx, grid)
-    _emit(
-        {
-            "cuts": [ser.certificate_to_json(c) for c in approx.cuts],
-            "excess": ser.fraction_to_str(excess),
-        }
-    )
+    _emit({**ser.approx_to_json(approx), "excess": ser.fraction_to_str(excess)})
     return 0
 
 

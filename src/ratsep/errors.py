@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["DimensionMismatchError", "NotPointedError", "PointInSetError", "SeparationBugError"]
+
 
 class DimensionMismatchError(ValueError):
     """Operands live in spaces of different dimension."""

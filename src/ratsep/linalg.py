@@ -2,12 +2,11 @@
 
 One Gauss-Jordan pivot, ``_pivot``, is the only row-reduction step.
 Elimination built on it solves the small linear systems of the
-projection step and gives the rank test of pointedness; a one-phase
-tableau simplex with Bland's rule, built on the same pivot, solves the
-margin problem of the barrier step.  Every pivot is exact field
-arithmetic, so "optimal" and "unbounded" are decisions, not estimates.
-Problem sizes here are desk scale (a dozen variables), which the
-textbook tableau handles comfortably.
+projection step; a one-phase tableau simplex with Bland's rule, built
+on the same pivot, solves the margin problem of the barrier step.
+Every pivot is exact field arithmetic, so "optimal" and "unbounded" are
+decisions, not estimates.  Problem sizes here are desk scale (a dozen
+variables), which the textbook tableau handles comfortably.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 from .scalars import Surd
 
-__all__ = ["LPResult", "rank", "simplex_max", "solve_linear_system"]
+__all__ = ["LPResult", "simplex_max", "solve_linear_system"]
 
 _ZERO = Surd._of(0)
 _ONE = Surd._of(1)
@@ -50,11 +49,6 @@ def _eliminate(aug, ncols) -> list[tuple[int, int]]:
         _pivot(aug, prow, col)
         pivots.append((prow, col))
     return pivots
-
-
-def rank(rows) -> int:
-    """The exact rank of a matrix given as a list of rows (0 for no rows)."""
-    return len(_eliminate([list(map(Surd._of, row)) for row in rows], len(rows[0]) if rows else 0))
 
 
 def solve_linear_system(rows, rhs) -> list[Surd]:

@@ -38,7 +38,6 @@ __all__ = [
     "Surd",
     "QInterval",
     "Vector",
-    "surd_sign",
     "sqrt_convergents",
     "sqrt_enclosure",
     "point_in_ball",
@@ -305,11 +304,6 @@ class Surd:
         return f"{self.r}{'+' if self.s >= 0 else ''}{self.s}*sqrt({self.k})"
 
 
-def surd_sign(x: Surd | Rationalish) -> int:
-    """Exact sign of a field element: -1, 0 or +1."""
-    return Surd._of(x).sign()
-
-
 @dataclass(frozen=True)
 class QInterval:
     """A rational interval [lo, hi] enclosing some real value."""
@@ -508,11 +502,12 @@ def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
 def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
     """A rational point q with ||q - center|| <= radius, verified exactly.
 
-    Each irrational coordinate r + s*sqrt(k) is replaced by r + s*w for
-    the first continued-fraction convergent w of sqrt(k) that lands
-    within the per-coordinate budget min(radius/(2n), radius**2); the
-    closing check ||q - center||**2 <= radius**2 is an exact Surd
-    comparison.  Deterministic in (center, radius).
+    Each coordinate c is replaced by ``choose_rational_between(c - b,
+    c + b)`` for the per-coordinate budget b = min(radius/(2n), radius**2):
+    c itself when rational, else r + s*w for the first continued-fraction
+    convergent w of sqrt(k) within b of c = r + s*sqrt(k).  The closing
+    check ||q - center||**2 <= radius**2 is an exact Surd comparison.
+    Deterministic in (center, radius).
     """
     radius = _fraction(radius)
     if radius <= 0:
@@ -521,19 +516,7 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
         return center
     n = center.dim
     budget = min(radius / (2 * n), radius * radius)
-    budget_sq = budget * budget
-    out: list[Fraction] = []
-    for c in center.coords:
-        if c.is_rational:
-            out.append(c.as_fraction())
-            continue
-        for w in sqrt_convergents(c.k):
-            cand = c.r + c.s * w
-            diff = cand - c
-            if (diff * diff - budget_sq).sign() <= 0:
-                out.append(cand)
-                break
-    q = Vector(out)
+    q = Vector(choose_rational_between(c - budget, c + budget) for c in center.coords)
     if not point_in_ball(q, center, radius):
         raise SeparationBugError("per-coordinate budgets failed to cover the ball")
     return q

@@ -53,7 +53,6 @@ __all__ = [
     "bound_support_on_ball",
     "compute_wedge_parameters",
     "wedge_interior_ball",
-    "point_in_apex_hull",
     "separate",
 ]
 
@@ -248,33 +247,6 @@ def wedge_interior_ball(
     center = (Fraction(1) - lam) * x0 + lam * d_bar
     radius = lam * eps_bar / 2
     return center, radius
-
-
-def point_in_apex_hull(p: Vector, apex: Vector, center: Vector, radius: Fraction) -> bool:
-    """Exact membership of p in conv({apex} u ball(center, radius)).
-
-    p belongs iff some lam in [0, 1] has
-    ||p - (1-lam) apex - lam center||^2 <= lam^2 radius^2, a quadratic
-    q(lam) = A lam^2 + B lam + C decided by endpoint signs and, when
-    q is strictly convex, by the discriminant and vertex location.
-    """
-    radius = Fraction(radius)
-    w = p - apex
-    g = center - apex
-    A = g.norm_sq() - radius * radius
-    B = -2 * w.dot(g)
-    C = w.norm_sq()
-    if C.sign() <= 0:
-        return True  # p == apex
-    if (A + B + C).sign() <= 0:
-        return True  # lam = 1: inside the ball itself
-    if A.sign() > 0:
-        # vertex of the parabola at lam* = -B / (2A)
-        if (-B).sign() < 0 or (-B - 2 * A).sign() > 0:
-            return False  # lam* outside [0, 1]; endpoints already failed
-        return (B * B - 4 * A * C).sign() >= 0
-    # A <= 0: q is concave or affine, minimized at an endpoint
-    return False
 
 
 def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTrace]:

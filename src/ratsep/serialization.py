@@ -154,8 +154,12 @@ def parse_polyhedron(obj) -> VPolyhedron:
     vertices = [parse_vector(v) for v in raw_vertices]
     rays = [parse_vector(r) for r in raw_rays]
     P = VPolyhedron(tuple(vertices), tuple(rays))
-    if "dim" in obj and obj["dim"] != P.dim:
-        raise ValueError(f"declared dim {obj['dim']} but coordinates have dim {P.dim}")
+    if "dim" in obj:
+        dim = obj["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f"declared dim must be an integer, got {dim!r}")
+        if dim != P.dim:
+            raise ValueError(f"declared dim {dim} but coordinates have dim {P.dim}")
     if "k" in obj:
         # the declared field passes the checks of a coordinate's field
         k = parse_coord({"s": 1, "k": obj["k"]}).k

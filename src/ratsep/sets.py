@@ -3,11 +3,12 @@
 A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
 quadratic field.  On first use each set computes its facet description
 by the exact double-description method: the equations of its affine
-hull and one inequality per facet (Minkowski-Weyl).  Membership and
-pointedness are sign tests on that description; support values and the
-metric projection are exact too.  Answers come from sign determinations,
-never from tolerances.  That exactness is what lets the separation
-pipeline assert strict inequalities instead of hoping for them.
+hull, one inequality per facet (Minkowski-Weyl), and whether the set
+contains a line.  Membership is a sign test on that description and
+pointedness a field of it; support values and the metric projection
+are exact too.  Answers come from sign determinations, never from
+tolerances.  That exactness is what lets the separation pipeline
+assert strict inequalities instead of hoping for them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotPointedError, SeparationBugError
-from .linalg import rank, solve_linear_system
+from .linalg import solve_linear_system
 from .scalars import Surd, Vector
 
 __all__ = [
@@ -88,7 +89,7 @@ class VPolyhedron:
 
     @cached_property
     def facet_description(self) -> "FacetDescription":
-        """The set's equations and facets, computed once per object."""
+        """The set's equations, facets and pointedness, computed once per object."""
         return _double_description(self)
 
 
@@ -97,11 +98,13 @@ class FacetDescription(NamedTuple):
 
     The equations cut out the affine hull and the facets are irredundant.
     Each pair (a, b) is scaled so that the rational and sqrt(k) parts of
-    its entries are coprime integers.
+    its entries are coprime integers.  ``pointed`` tells whether the set
+    contains no line.
     """
 
     equations: tuple[tuple[Vector, Surd], ...]
     facets: tuple[tuple[Vector, Surd], ...]
+    pointed: bool
 
 
 def _primitive(v: Vector) -> Vector:
@@ -117,7 +120,7 @@ def _halfspace(f: Vector) -> tuple[Vector, Surd]:
 
 
 def _double_description(P: VPolyhedron) -> FacetDescription:
-    """P's equations and facets by the double-description method.
+    """P's equations, facets and pointedness by the double-description method.
 
     x lies in P iff (x, 1) lies in the cone K spanned by the homogenized
     generators (v, 1) and (r, 0).  The polar cone {f : <f, g> <= 0 for
@@ -127,11 +130,16 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     basis vector l and <f, (x, 1)> <= 0 for every extreme ray f, which are
     the equations and facets of P.  Motzkin, Raiffa, Thompson & Thrall
     1953; Fukuda & Prodon, "Double description method revisited", 1996.
+
+    P contains no line iff K is pointed, iff the polar is full-dimensional.
+    The polar stays full-dimensional when g takes a basis vector; when g
+    is orthogonal to the basis, it stays so iff some ray has <f, g> < 0.
     """
     n = P.dim
     gens = [Vector([*v, 1]) for v in P.vertices] + [Vector([*r, 0]) for r in P.rays]
     basis = [Vector([int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
     rays: list[Vector] = []
+    pointed = True
     zeros: list[int] = []  # bit i of zeros[j] is set iff <rays[j], gens[i]> = 0
     for i, g in enumerate(gens):
         bit = 1 << i
@@ -155,6 +163,7 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
             continue
         products = [r.dot(g) for r in rays]
         signs = [s.sign() for s in products]
+        pointed = pointed and -1 in signs
         new_rays = [r for r, s in zip(rays, signs) if s <= 0]
         new_zeros = [z | bit if s == 0 else z for z, s in zip(zeros, signs) if s <= 0]
         # Two extreme rays are adjacent iff no third one is zero wherever both
@@ -178,6 +187,7 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     return FacetDescription(
         tuple(_halfspace(l) for l in basis),
         tuple(_halfspace(f) for f, z in zip(rays, zeros) if z & on_vertices),
+        pointed,
     )
 
 
@@ -210,15 +220,12 @@ def polar_cone_contains(rays, y: Vector) -> bool:
 def is_pointed(P: VPolyhedron) -> bool:
     """Whether P contains no line, i.e. cone(rays) contains none.
 
-    A set without rays is bounded.  Otherwise the lines of P run along the
-    directions d with <a, d> = 0 for every equation and facet (a, b) of
-    its facet description, so P is pointed iff those normals have rank
-    dim(P).
+    A set without rays is bounded.  Otherwise the double description
+    decided it: P contains no line iff its homogenized cone is pointed,
+    iff the polar of that cone is full-dimensional, which it stays until
+    a cut finds no polar ray on its negative side.
     """
-    if not P.rays:
-        return True
-    equations, facets = P.facet_description
-    return rank([list(a) for a, _ in (*equations, *facets)]) == P.dim
+    return not P.rays or P.facet_description.pointed
 
 
 def membership(P: VPolyhedron, x: Vector) -> bool:
@@ -230,7 +237,7 @@ def membership(P: VPolyhedron, x: Vector) -> bool:
     """
     _check_dims(P, x)
     Surd._k_with(x.field_k, P.field_k)  # raises on two different irrational fields
-    equations, facets = P.facet_description
+    equations, facets, _ = P.facet_description
     return all((a.dot(x) - b).sign() == 0 for a, b in equations) and all(
         (a.dot(x) - b).sign() <= 0 for a, b in facets
     )

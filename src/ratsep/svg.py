@@ -1,6 +1,7 @@
 """Static SVG rendering of 2-D sets, cuts and query points.
 
-Exact data is converted to floats only here, at the display boundary.
+Exact data is converted to floats only here, at the display boundary,
+after the hull's extreme vertices are picked by exact signs.
 The output is a pure function of the inputs (fixed canvas, fixed float
 formatting), so identical calls produce byte-identical documents.
 """
@@ -49,12 +50,39 @@ def _clip_line_to_box(a1, a2, beta, box):
     return unique[0], unique[-1]
 
 
+def _turn(o: Vector, a: Vector, b: Vector) -> int:
+    """The exact sign of the cross product (a - o) x (b - o): +1 for a left turn."""
+    return ((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])).sign()
+
+
+def _extreme_vertices(vertices: Sequence[Vector]) -> list[Vector]:
+    """The extreme points of conv(vertices), each once, in input order.
+
+    Andrew's monotone chain on exact coordinates: a point stays on a
+    chain only where the chain turns strictly left, so interior, repeated
+    and edge-interior points drop out.
+    """
+    pts = sorted(set(vertices), key=tuple)
+    hull: set[Vector] = set()
+    for chain in (pts, pts[::-1]):
+        stack: list[Vector] = []
+        for p in chain:
+            while len(stack) >= 2 and _turn(stack[-2], stack[-1], p) <= 0:
+                stack.pop()
+            stack.append(p)
+        hull.update(stack)
+    return [v for v in dict.fromkeys(vertices) if v in hull]
+
+
 def render_svg(
     X: VPolyhedron,
     cuts: Sequence[Certificate] = (),
     point: Vector | None = None,
 ) -> str:
     """An SVG document: filled vertex hull, ray arrows, cut lines, point marker.
+
+    The hull is filled through its extreme vertices only, in angular order
+    around their centroid, which is also where the ray arrows start.
 
     The viewport is the bounding box of all drawn geometry padded by 20%.
     """
@@ -63,7 +91,7 @@ def render_svg(
     if point is not None and point.dim != 2:
         raise DimensionMismatchError("query point must be 2-D")
 
-    verts = [(float(v[0]), float(v[1])) for v in X.vertices]
+    verts = [(float(v[0]), float(v[1])) for v in _extreme_vertices(X.vertices)]
     cx = sum(p[0] for p in verts) / len(verts)
     cy = sum(p[1] for p in verts) / len(verts)
 

@@ -13,9 +13,14 @@ from unittest.mock import patch
 
 from ratsep import GridSpec, Surd, Vector, VPolyhedron, membership, support_value
 from ratsep.approximation import OuterApprox
-from ratsep.linalg import rank, solve_linear_system
+from ratsep.linalg import _eliminate, solve_linear_system
 from ratsep.scalars import QInterval, point_in_ball, rational_in_ball
 from ratsep.separation import norm_upper
+
+
+def rank(rows) -> int:
+    """The exact rank of a matrix given as a list of rows (0 for no rows)."""
+    return len(_eliminate([list(map(Surd._of, row)) for row in rows], len(rows[0]) if rows else 0))
 
 
 def _in_cone(columns, target) -> bool:
@@ -40,6 +45,33 @@ def lp_membership(P: VPolyhedron, x: Vector) -> bool:
     x = sum lam_i v_i + sum mu_j r_j with sum lam_i = 1 and lam, mu >= 0."""
     columns = [[*v, 1] for v in P.vertices] + [[*r, 0] for r in P.rays]
     return _in_cone(columns, [*x, 1])
+
+
+def point_in_apex_hull(p: Vector, apex: Vector, center: Vector, radius: Fraction) -> bool:
+    """Exact membership of p in conv({apex} u ball(center, radius)).
+
+    p belongs iff some lam in [0, 1] has
+    ||p - (1-lam) apex - lam center||^2 <= lam^2 radius^2, a quadratic
+    q(lam) = A lam^2 + B lam + C decided by endpoint signs and, when
+    q is strictly convex, by the discriminant and vertex location.
+    """
+    radius = Fraction(radius)
+    w = p - apex
+    g = center - apex
+    A = g.norm_sq() - radius * radius
+    B = -2 * w.dot(g)
+    C = w.norm_sq()
+    if C.sign() <= 0:
+        return True  # p == apex
+    if (A + B + C).sign() <= 0:
+        return True  # lam = 1: inside the ball itself
+    if A.sign() > 0:
+        # vertex of the parabola at lam* = -B / (2A)
+        if (-B).sign() < 0 or (-B - 2 * A).sign() > 0:
+            return False  # lam* outside [0, 1]; endpoints already failed
+        return (B * B - 4 * A * C).sign() >= 0
+    # A <= 0: q is concave or affine, minimized at an endpoint
+    return False
 
 
 def pointwise_excess(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fraction:

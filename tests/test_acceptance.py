@@ -33,11 +33,11 @@ from ratsep.scalars import point_in_ball
 from ratsep.separation import (
     find_barrier_direction,
     norm_upper,
-    point_in_apex_hull,
     wedge_interior_ball,
 )
 from helpers import (
     exterior_point,
+    point_in_apex_hull,
     rand_rational_vector,
     random_nonpointed_rays,
     random_pointed_polyhedron,

@@ -282,6 +282,15 @@ def test_bad_field_k_exit_1(tmp_path, capsys, coord):
     assert "k must be" in err
 
 
+def test_float_declared_dim_exit_1(tmp_path, capsys):
+    path = tmp_path / "float_dim.json"
+    instance = {"set": {"dim": 2.0, "vertices": [["0", "0"], ["1", "0"]]}, "point": ["0", "1"]}
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert "declared dim must be an integer, got 2.0" in err
+
+
 def test_oversized_set_exit_1(tmp_path, capsys):
     path = tmp_path / "big.json"
     vertices = [[str(i), "0"] for i in range(ser.MAX_GENERATORS + 1)]

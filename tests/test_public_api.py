@@ -4,11 +4,14 @@
 scalar helpers stay importable from their own modules.  The scripts
 and the benchmark are the package's own users: every ``from ratsep
 import X`` and every ``ratsep.X`` attribute they contain must resolve
-on the package, read from their source with ``ast``.
+on the package, read from their source with ``ast``.  Every module's
+``__all__`` must resolve too, so a name moved out of a module leaves it.
 """
 
 import ast
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import ratsep
 
 ROOT = Path(__file__).resolve().parents[1]
 USERS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ratsep.__path__, "ratsep."))
 
 
 def resolves(name: str) -> bool:
@@ -53,3 +57,14 @@ def test_names_used_by_scripts_and_benchmark_resolve(path):
 def test_all_resolves():
     assert len(ratsep.__all__) == len(set(ratsep.__all__))
     assert [n for n in ratsep.__all__ if not hasattr(ratsep, n)] == []
+
+
+def test_the_modules_are_found():
+    assert {"ratsep.linalg", "ratsep.scalars", "ratsep.separation", "ratsep.sets"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(name)
+    assert len(module.__all__) == len(set(module.__all__))
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -20,10 +20,8 @@ from ratsep.scalars import (
     rational_in_ball,
     sqrt_convergents,
     sqrt_enclosure,
-    surd_sign,
 )
-from ratsep.separation import point_in_apex_hull
-from helpers import bisection_enclosure, forbid_floats
+from helpers import bisection_enclosure, forbid_floats, point_in_apex_hull
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 field_ks = st.sampled_from([1, 2, 3, 5])
@@ -39,11 +37,11 @@ def surd_triples(draw):
 
 
 def test_sign_examples():
-    assert surd_sign(Surd(0, 0, 2)) == 0
-    assert surd_sign(Surd(-1, 1, 2)) == 1  # sqrt(2) > 1
-    assert surd_sign(Surd(3, -2, 2)) == 1  # 3 > 2*sqrt(2)
-    assert surd_sign(Surd(-3, 2, 2)) == -1
-    assert surd_sign(Surd(F(1, 2))) == 1
+    assert Surd(0, 0, 2).sign() == 0
+    assert Surd(-1, 1, 2).sign() == 1  # sqrt(2) > 1
+    assert Surd(3, -2, 2).sign() == 1  # 3 > 2*sqrt(2)
+    assert Surd(-3, 2, 2).sign() == -1
+    assert Surd(F(1, 2)).sign() == 1
 
 
 def test_canonicalization():

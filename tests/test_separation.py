@@ -21,11 +21,11 @@ from ratsep.separation import (
     compute_wedge_parameters,
     find_barrier_direction,
     norm_upper,
-    point_in_apex_hull,
     wedge_interior_ball,
 )
 from helpers import (
     exterior_point,
+    point_in_apex_hull,
     rand_rational_vector,
     random_pointed_polyhedron,
     rational_points_in_ball,

@@ -149,9 +149,15 @@ def test_polyhedron_round_trip():
 def test_polyhedron_declaration_mismatches():
     P = VPolyhedron((Vector([0, 0]),))
     obj = ser.polyhedron_to_json(P)
-    obj["dim"] = 3
-    with pytest.raises(ValueError):
-        ser.parse_polyhedron(obj)
+    for dim in (3, 2.0, True, "2"):
+        obj["dim"] = dim
+        with pytest.raises(ValueError):
+            ser.parse_polyhedron(obj)
+    line = ser.polyhedron_to_json(VPolyhedron((Vector([0]),)))
+    for dim in (True, 1.0):
+        line["dim"] = dim
+        with pytest.raises(ValueError, match="declared dim must be an integer"):
+            ser.parse_polyhedron(line)
     obj2 = ser.polyhedron_to_json(VPolyhedron((Vector([SQ2]),)))
     obj2["k"] = 3
     with pytest.raises(ValueError):

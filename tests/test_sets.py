@@ -3,7 +3,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ratsep import (
     DimensionMismatchError,
@@ -20,7 +20,7 @@ from ratsep import (
     separate,
     support_value,
 )
-from ratsep import sets
+from ratsep import linalg, sets
 from ratsep.separation import find_barrier_direction
 from ratsep.sets import polar_cone_contains
 from helpers import (
@@ -237,7 +237,7 @@ def test_support_zero_at_residual_after_centering():
 
 def test_facet_description_examples():
     def counts(P):
-        equations, facets = P.facet_description
+        equations, facets, _ = P.facet_description
         return len(equations), len(facets)
 
     assert counts(UNIT_SQUARE) == (0, 4)
@@ -317,15 +317,23 @@ def vectors(dim: int, k: int):
     )
 
 
+def antiparallel(u: Vector, v: Vector) -> bool:
+    """Whether v = -t*u for some t > 0: equality in Cauchy-Schwarz with <u, v> < 0."""
+    d = u.dot(v)
+    return d.sign() < 0 and (d * d - u.norm_sq() * v.norm_sq()).sign() == 0
+
+
 @st.composite
 def generator_sets(draw):
     """V-polyhedra in dims 2-4 over k in {1, 2} with 1-6 vertices and 0-4
     rays, degenerate ones included: repeated or interior vertices, parallel
     or duplicate rays, collinear points in 3-D, a single point, and sets
-    containing a line."""
+    containing a line: through a pair of opposite rays, or through three or
+    four rays that sum to zero with no opposite pair among them."""
     shape = draw(
         st.sampled_from(
-            ["general", "repeated", "interior", "parallel", "collinear", "point", "line"]
+            ["general", "repeated", "interior", "parallel", "collinear", "point", "line",
+             "balanced"]
         )
     )
     dim = 3 if shape == "collinear" else draw(st.integers(2, 4))
@@ -353,6 +361,11 @@ def generator_sets(draw):
     elif shape == "line":
         seed = draw(st.integers(0, 10**6))
         rays = list(random_nonpointed_rays(Random(seed), dim, draw(st.integers(0, 2))))
+    elif shape == "balanced":
+        rays = draw(st.lists(ray, min_size=2, max_size=3))
+        rays.append(-sum(rays[1:], rays[0]))
+        assume(not rays[-1].is_zero())
+        assume(not any(antiparallel(u, v) for u, v in combinations(rays, 2)))
     return VPolyhedron(tuple(vertices), tuple(rays)), draw(st.lists(vec, max_size=3))
 
 
@@ -379,6 +392,32 @@ def test_membership_and_pointedness_match_the_lp_oracles(case):
     assert is_pointed(P) == lp_is_pointed(P)
     for x in query_points(P, extra):
         assert membership(P, x) == lp_membership(P, x), x
+
+
+def test_is_pointed_reads_the_double_description(monkeypatch):
+    # a line through three or four rays that sum to zero, with no opposite pair
+    cases = [
+        (VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([1, 1]))), True),
+        (VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([-1, 0]))), False),
+        (VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([0, 1]), Vector([-1, -1]))), False),
+        (VPolyhedron((Vector([SQ2, 0, 1]),), (Vector([1, 2, 0]), Vector([-2, -1, 0]))), True),
+        (
+            VPolyhedron(
+                (Vector([0, 0, 0]),),
+                (Vector([1, 0, 0]), Vector([0, SQ2, 1]), Vector([0, 0, -1]), Vector([-1, -SQ2, 0])),
+            ),
+            False,
+        ),
+    ]
+    assert [lp_is_pointed(P) for P, _ in cases] == [pointed for _, pointed in cases]
+    for P, _ in cases:
+        P.facet_description
+
+    def no_elimination(*args):
+        raise AssertionError("is_pointed ran an elimination")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    assert [is_pointed(P) for P, _ in cases] == [pointed for _, pointed in cases]
 
 
 def counting_description(monkeypatch) -> list:

@@ -64,3 +64,18 @@ def test_offscreen_cut_is_skipped():
     cut = Certificate(Vector([1, 0]), F(1000))
     doc = render_svg(TRIANGLE, [cut])
     assert doc.count('class="cut"') == 0
+
+
+def polygon(doc: str) -> str:
+    return next(line for line in doc.splitlines() if line.startswith("<polygon"))
+
+
+def test_hull_fills_only_extreme_vertices():
+    # an interior point, a repeated vertex and a point inside an edge used
+    # to become dents of the filled polygon
+    hull = (Vector([0, 0]), Vector([2, 0]), Vector([0, 2]))
+    expected = polygon(render_svg(VPolyhedron(hull)))
+    assert expected.count(",") == 3
+    for extra in ([F(1, 2), F(1, 2)], [2, 0], [1, 1]):
+        doc = render_svg(VPolyhedron((*hull, Vector(extra))))
+        assert polygon(doc) == expected
