@@ -10,8 +10,9 @@ Subcommands mirror the library operations one-to-one:
 
 Exit codes: 0 success, 1 malformed input, 2 validation errors (point
 inside set, non-pointed set), 3 internal errors (an exact check of the
-program's own result failed), 64 usage errors.  All JSON numerics are
-exact strings; floats appear only inside the SVG.
+program's own result failed, or any other unexpected exception, reported
+as its type and message without a traceback), 64 usage errors.  All JSON
+numerics are exact strings; floats appear only inside the SVG.
 """
 
 from __future__ import annotations
@@ -198,7 +199,10 @@ def _cmd_plot(args) -> int:
         cuts = tuple(ser.parse_certificate(c) for c in approx_obj["cuts"])
     out_path = Path(args.out or "plot.svg")
     document = render_svg(inst.polyhedron, cuts, inst.point)
-    out_path.write_text(document, encoding="utf-8")
+    try:
+        out_path.write_text(document, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
     _emit({"svg_path": str(out_path)})
     return 0
 
@@ -235,6 +239,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except Exception as exc:
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,54 +1,88 @@
 """Exact dense linear algebra and linear programming over Q(sqrt(k)).
 
-One Gauss-Jordan pivot, ``_pivot``, is the only row-reduction step.
-Elimination built on it solves the small linear systems of the
-projection step; a one-phase tableau simplex with Bland's rule, built
-on the same pivot, solves the margin problem of the barrier step.
-Every pivot is exact field arithmetic, so "optimal" and "unbounded" are
+One fraction-free pivot, ``_pivot``, is the only row-reduction step
+(Edmonds 1967; Bareiss, Math. Comp. 1968).  Each row of field elements
+is scaled once by a positive integer, so that every entry lies in
+Z[sqrt(k)], and is kept there as an integer pair (see ``scalars``).  A
+pivot on entry p replaces every other row x by (p*x - f*y) / D, where y
+is the pivot row, f the entry of x in the pivot column and D the
+previous pivot entry; the pivot row stays and p becomes the new D.  The
+entries are minors of the scaled input, so each division is exact in
+Z[sqrt(k)], and it is checked: a remainder raises ``SeparationBugError``.
+The true tableau is the stored one over D, and every sign is read off
+integers.
+
+Elimination built on the pivot solves the small linear systems of the
+projection step; a one-phase tableau simplex with Bland's rule, built on
+the same pivot, solves the margin problem of the barrier step.  Scaling
+a row by a positive integer changes no sign and no ratio, so every Bland
+choice, and with it the pivot sequence and the optimum, is that of the
+textbook tableau over the field.  "Optimal" and "unbounded" are
 decisions, not estimates.  Problem sizes here are desk scale (a dozen
-variables), which the textbook tableau handles comfortably.
+variables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .scalars import Surd
+from .scalars import Surd, _integer_pairs, _pair_mul, _pair_quotients, _pair_sign, _pair_surd
 
 __all__ = ["LPResult", "simplex_max", "solve_linear_system"]
 
 _ZERO = Surd._of(0)
-_ONE = Surd._of(1)
+_PAIR_ONE = (1, 0)
 
 
-def _pivot(rows, r, c) -> None:
-    """Scale row ``r`` so its entry in column ``c`` is 1, then clear
-    column ``c`` from every other row, in place."""
-    piv = rows[r][c]
-    prow = rows[r] = [v / piv for v in rows[r]]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            if f.sign() != 0:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
+def _field(rows) -> int:
+    """The one k of Q(sqrt(k)) holding every entry of rows of Surds."""
+    return reduce(Surd._k_with, (v.k for row in rows for v in row), 1)
 
 
-def _eliminate(aug, ncols) -> list[tuple[int, int]]:
-    """Gauss-Jordan elimination of ``aug`` in place over its first
-    ``ncols`` columns; returns the (row, column) of each pivot."""
-    m = len(aug)
+def _tableau(rows) -> tuple[list[list[tuple[int, int]]], int]:
+    """Rows of numbers as rows of integer pairs, each row scaled by a
+    positive integer, and the k of the one field of their entries."""
+    rows = [[Surd._of(v) for v in row] for row in rows]
+    return [_integer_pairs(row)[1] for row in rows], _field(rows)
+
+
+def _pivot(T, r, c, D, k) -> tuple[int, int]:
+    """Fraction-free pivot of the pair rows ``T`` on entry (r, c), in place,
+    from the previous pivot entry ``D``; returns the new one, T[r][c]."""
+    prow = T[r]
+    pa, pb = prow[c]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        fa, fb = row[c]
+        combined = [
+            (pa * xa + (pb * xb - fb * yb) * k - fa * ya, pa * xb + pb * xa - fa * yb - fb * ya)
+            for (xa, xb), (ya, yb) in zip(row, prow)
+        ]
+        T[i] = _pair_quotients(combined, D, k)
+    return pa, pb
+
+
+def _eliminate(T, k, ncols) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """Fraction-free Gauss-Jordan elimination of the pair rows ``T`` in
+    place over their first ``ncols`` columns; returns the (row, column) of
+    each pivot and the last pivot entry D.  Every pivot entry then equals
+    D, so the true rows are the stored ones over D."""
+    m = len(T)
     pivots = []
+    D = _PAIR_ONE
     for col in range(ncols):
         prow = len(pivots)
         if prow == m:
             break
-        pr = next((i for i in range(prow, m) if aug[i][col].sign() != 0), None)
+        pr = next((i for i in range(prow, m) if T[i][col] != (0, 0)), None)
         if pr is None:
             continue
-        aug[prow], aug[pr] = aug[pr], aug[prow]
-        _pivot(aug, prow, col)
+        T[prow], T[pr] = T[pr], T[prow]
+        D = _pivot(T, prow, col, D, k)
         pivots.append((prow, col))
-    return pivots
+    return pivots, D
 
 
 def solve_linear_system(rows, rhs) -> list[Surd]:
@@ -60,14 +94,14 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [[Surd._of(v) for v in row] + [Surd._of(b)] for row, b in zip(rows, rhs)]
-    pivots = _eliminate(aug, n)
+    T, k = _tableau([*row, b] for row, b in zip(rows, rhs))
+    pivots, D = _eliminate(T, k, n)
     for i in range(len(pivots), m):
-        if aug[i][n].sign() != 0:
+        if T[i][n] != (0, 0):
             raise ValueError("inconsistent linear system")
     x = [_ZERO] * n
     for row, col in pivots:
-        x[col] = aug[row][n]
+        x[col] = _pair_surd(T[row][n], k, D)
     return x
 
 
@@ -84,46 +118,61 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     All entries may be int, Fraction or Surd; the returned solution has
     Surd entries.  With b_ub >= 0 the slack basis is feasible from the
     start, so one phase suffices; a negative b_ub entry raises
-    ValueError.  The objective is the tableau's last row and is reduced
-    by the same ``_pivot`` as the constraints.  Bland's rule: the
+    ValueError.  Each constraint row, right-hand side included, and the
+    objective row are scaled by a positive integer (a scaled slack keeps
+    the unit column), and the objective, the tableau's last row, is
+    reduced by the same ``_pivot`` as the constraints.  Bland's rule: the
     entering column is the smallest index with positive reduced cost,
     the leaving row the minimum ratio with the smallest basic index,
-    which guarantees termination.
+    which guarantees termination.  Every pivot entry is positive over
+    the previous one, so D stays positive: signs of stored entries are
+    true signs, and the ratios T_i/t_i and T_l/t_l of two candidate rows
+    compare as T_i*t_l and T_l*t_i.
     """
     n = len(c)
     m = len(A_ub)
-    T: list[list[Surd]] = []
-    for i, (arow, b) in enumerate(zip(A_ub, b_ub, strict=True)):
+    rows = []
+    for arow, b in zip(A_ub, b_ub, strict=True):
         if len(arow) != n:
             raise ValueError("A_ub row length does not match objective")
         b = Surd._of(b)
         if b.sign() < 0:
             raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
-        T.append([Surd._of(v) for v in arow] + [_ONE if j == i else _ZERO for j in range(m)] + [b])
-    T.append([Surd._of(v) for v in c] + [_ZERO] * (m + 1))
+        rows.append([*map(Surd._of, arow), b])
+    cost = [Surd._of(v) for v in c]
+    k = _field([*rows, cost])
+    T = []
+    for i, row in enumerate(rows):
+        pairs = _integer_pairs(row)[1]
+        T.append(pairs[:-1] + [_PAIR_ONE if j == i else (0, 0) for j in range(m)] + pairs[-1:])
+    scale, pairs = _integer_pairs(cost)
+    T.append(pairs + [(0, 0)] * (m + 1))
     basis = list(range(n, n + m))
+    D = _PAIR_ONE
     while True:
-        enter = next((j for j in range(n + m) if T[-1][j].sign() > 0), None)
+        enter = next((j for j in range(n + m) if _pair_sign(T[-1][j], k) > 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            tie = T[i][enter]
-            if tie.sign() > 0:
-                ratio = T[i][-1] / tie
+            t = T[i][enter]
+            if _pair_sign(t, k) > 0:
                 if leave is None:
-                    leave, best = i, ratio
-                else:
-                    cmp = (ratio - best).sign()
-                    if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
-                        leave, best = i, ratio
+                    leave = i
+                    continue
+                best = T[leave]
+                cross = _pair_mul(T[i][-1], best[enter], k)
+                other = _pair_mul(best[-1], t, k)
+                cmp = _pair_sign((cross[0] - other[0], cross[1] - other[1]), k)
+                if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             return LPResult("unbounded")
-        _pivot(T, leave, enter)
+        D = _pivot(T, leave, enter, D, k)
         basis[leave] = enter
     x = [_ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = T[i][-1]
-    return LPResult("optimal", tuple(x), -T[-1][-1])
+            x[b] = _pair_surd(T[i][-1], k, D)
+    a, b = T[-1][-1]
+    return LPResult("optimal", tuple(x), _pair_surd((-a, -b), k, (D[0] * scale, D[1] * scale)))

@@ -17,6 +17,14 @@ Square roots of field elements usually fall outside the field;
 all that is needed, and ``rational_in_ball`` / ``choose_rational_between``
 produce exact rational witnesses inside open regions, which is how
 irrational data gets turned into rational certificates.
+
+The exact kernels (the pivot of ``linalg`` and the double description of
+``sets``) do not compute with Surds but with integer pairs (a, b), meaning
+a + b*sqrt(k) in Z[sqrt(k)]: a row of field elements enters scaled by a
+positive integer, signs are read off integers, exact divisions are
+checked, and Surds come back out once, at the end.  The pair helpers
+live here, beside ``Surd``; a rational ``Surd`` shares one zero Fraction
+as its sqrt(k) part.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Union
 
 from .errors import SeparationBugError
@@ -100,7 +108,7 @@ class Surd:
         if k != 1 and not _is_square_free(k):
             raise ValueError(f"k must be positive and square-free, got {k}")
         if s == 0 or k == 1:
-            r, s, k = r + s, Fraction(0), 1
+            r, s, k = r + s, _Q0, 1
         self.r = r
         self.s = s
         self.k = k
@@ -112,9 +120,9 @@ class Surd:
         results."""
         x = object.__new__(cls)
         if not s:
-            x.r, x.s, x.k = r, s, 1
+            x.r, x.s, x.k = r, _Q0, 1
         elif k == 1:
-            x.r, x.s, x.k = r + s, Fraction(0), 1
+            x.r, x.s, x.k = r + s, _Q0, 1
         else:
             x.r, x.s, x.k = r, s, k
         return x
@@ -302,6 +310,95 @@ class Surd:
         if self.s == 0:
             return str(self.r)
         return f"{self.r}{'+' if self.s >= 0 else ''}{self.s}*sqrt({self.k})"
+
+
+# -- integer pairs (a, b) = a + b*sqrt(k) in Z[sqrt(k)] ------------------
+
+
+def _integer_pairs(values: Iterable[Surd]) -> tuple[int, list[tuple[int, int]]]:
+    """(m, pairs): the least positive integer m that makes every rational
+    and sqrt(k) part of m*values an integer, and m*values as pairs."""
+    values = list(values)
+    m = lcm(*(q.denominator for v in values for q in (v.r, v.s)))
+    return m, [
+        (v.r.numerator * (m // v.r.denominator), v.s.numerator * (m // v.s.denominator))
+        for v in values
+    ]
+
+
+def _pair_sign(x: tuple[int, int], k: int) -> int:
+    """The exact sign of a + b*sqrt(k), decided as in ``Surd.sign``."""
+    a, b = x
+    sa = (a > 0) - (a < 0)
+    if not b:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa == 0 or sa == sb:
+        return sb
+    d = a * a - b * b * k
+    return sa if d > 0 else sb if d < 0 else 0
+
+
+def _pair_mul(x: tuple[int, int], y: tuple[int, int], k: int) -> tuple[int, int]:
+    a, b = x
+    c, d = y
+    return a * c + b * d * k, a * d + b * c
+
+
+def _pair_dot(u, v, k: int) -> tuple[int, int]:
+    """The dot product of two vectors of pairs."""
+    a = b = 0
+    for (ua, ub), (va, vb) in zip(u, v):
+        a += ua * va + ub * vb * k
+        b += ua * vb + ub * va
+    return a, b
+
+
+def _pair_combination(x, u, y, v, k: int) -> list[tuple[int, int]]:
+    """x*u - y*v for pairs x, y and vectors of pairs u, v."""
+    xa, xb = x
+    ya, yb = y
+    return [
+        (xa * ua + xb * ub * k - ya * va - yb * vb * k, xa * ub + xb * ua - ya * vb - yb * va)
+        for (ua, ub), (va, vb) in zip(u, v)
+    ]
+
+
+def _pair_primitive(v):
+    """The vector of pairs v over the gcd of all its parts: the one vector
+    on v's ray whose parts are coprime integers."""
+    g = gcd(*(q for x in v for q in x))
+    return v if g == 1 else [(a // g, b // g) for a, b in v]
+
+
+def _pair_quotients(xs: list[tuple[int, int]], d: tuple[int, int], k: int) -> list[tuple[int, int]]:
+    """The quotients x / d for pairs x that d divides in Z[sqrt(k)]: x times
+    the conjugate of d, over the norm of d.  A remainder means d does not
+    divide x, which the callers' algebra rules out, so it raises
+    ``SeparationBugError``."""
+    c, e = d
+    if e:
+        xs = [(a * c - b * e * k, b * c - a * e) for a, b in xs]
+        c = c * c - e * e * k
+    elif c == 1:
+        return xs
+    out = []
+    for a, b in xs:
+        qa, ra = divmod(a, c)
+        qb, rb = divmod(b, c)
+        if ra or rb:
+            raise SeparationBugError(f"division by {d} in Z[sqrt({k})] left a remainder")
+        out.append((qa, qb))
+    return out
+
+
+def _pair_surd(x: tuple[int, int], k: int, d: tuple[int, int] = (1, 0)) -> Surd:
+    """The field element x / d as a Surd."""
+    a, b = x
+    c, e = d
+    if e:
+        a, b, c = a * c - b * e * k, b * c - a * e, c * c - e * e * k
+    return Surd._make(Fraction(a, c), Fraction(b, c), k)
 
 
 @dataclass(frozen=True)

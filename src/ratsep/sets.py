@@ -4,25 +4,35 @@ A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
 quadratic field.  On first use each set computes its facet description
 by the exact double-description method: the equations of its affine
 hull, one inequality per facet (Minkowski-Weyl), and whether the set
-contains a line.  Membership is a sign test on that description and
-pointedness a field of it; support values and the metric projection
-are exact too.  Answers come from sign determinations, never from
-tolerances.  That exactness is what lets the separation pipeline
-assert strict inequalities instead of hoping for them.
+contains a line.  The method runs on integer pairs of Z[sqrt(k)],
+without a Fraction, and converts its result to field elements once.
+Membership is a sign test on that description and pointedness a field
+of it; support values and the metric projection are exact too.
+Answers come from sign determinations, never from tolerances.  That
+exactness is what lets the separation pipeline assert strict
+inequalities instead of hoping for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
-from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotPointedError, SeparationBugError
 from .linalg import solve_linear_system
-from .scalars import Surd, Vector
+from .scalars import (
+    Surd,
+    Vector,
+    _integer_pairs,
+    _pair_combination,
+    _pair_dot,
+    _pair_mul,
+    _pair_primitive,
+    _pair_sign,
+    _pair_surd,
+)
 
 __all__ = [
     "VPolyhedron",
@@ -34,6 +44,9 @@ __all__ = [
     "membership",
     "project",
 ]
+
+_ZERO = Surd._of(0)
+_ONE = Surd._of(1)
 
 
 @dataclass(frozen=True)
@@ -107,16 +120,10 @@ class FacetDescription(NamedTuple):
     pointed: bool
 
 
-def _primitive(v: Vector) -> Vector:
-    """v times the positive rational that makes the rational and sqrt(k)
-    parts of its coordinates coprime integers."""
-    parts = [q for c in v for q in (c.r, c.s) if q]
-    return Fraction(lcm(*(q.denominator for q in parts)), gcd(*(q.numerator for q in parts))) * v
-
-
-def _halfspace(f: Vector) -> tuple[Vector, Surd]:
-    """(a, b) such that <f, (x, 1)> = <a, x> - b."""
-    return Vector(f.coords[:-1]), -f.coords[-1]
+def _halfspace(f, k: int) -> tuple[Vector, Surd]:
+    """(a, b) such that <f, (x, 1)> = <a, x> - b, as field elements."""
+    a, b = f[-1]
+    return Vector([_pair_surd(x, k) for x in f[:-1]]), _pair_surd((-a, -b), k)
 
 
 def _double_description(P: VPolyhedron) -> FacetDescription:
@@ -134,35 +141,52 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     P contains no line iff K is pointed, iff the polar is full-dimensional.
     The polar stays full-dimensional when g takes a basis vector; when g
     is orthogonal to the basis, it stays so iff some ray has <f, g> < 0.
+
+    Every vector is a list of integer pairs of Z[sqrt(k)] (see
+    ``scalars``).  Each generator is scaled by a positive integer, which
+    moves no sign.  A projected basis vector or ray is taken |N(c)| times,
+    for the norm N(c) of the pivot product c, so that no division is
+    needed, and every new vector is divided by the gcd of its parts: it is
+    the one vector on its ray whose parts are coprime integers, as over
+    the field.  The result is converted to field elements once, at the end.
     """
     n = P.dim
-    gens = [Vector([*v, 1]) for v in P.vertices] + [Vector([*r, 0]) for r in P.rays]
-    basis = [Vector([int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
-    rays: list[Vector] = []
+    k = P.field_k
+    gens = [_integer_pairs([*v, _ONE])[1] for v in P.vertices]
+    gens += [_integer_pairs([*r, _ZERO])[1] for r in P.rays]
+    basis = [[(int(i == j), 0) for j in range(n + 1)] for i in range(n + 1)]
+    rays: list[list[tuple[int, int]]] = []
     pointed = True
     zeros: list[int] = []  # bit i of zeros[j] is set iff <rays[j], gens[i]> = 0
     for i, g in enumerate(gens):
         bit = 1 << i
-        products = [l.dot(g) for l in basis]
-        p = next((j for j, s in enumerate(products) if s.sign() != 0), None)
+        products = [_pair_dot(l, g, k) for l in basis]
+        p = next((j for j, s in enumerate(products) if s != (0, 0)), None)
         if p is not None:
             # g leaves the lineality space: basis[p] turns into the ray on the
-            # side <., g> < 0, and the rest is projected onto <., g> = 0
-            lp, cp = basis[p], products[p]
+            # side <., g> < 0, and the rest is projected onto <., g> = 0 as
+            # u - (s/c)*basis[p] for c = products[p], here times |N(c)| > 0:
+            # |N(c)|*u - s*(sign(N(c))*conj(c))*basis[p]
+            lp, (ca, cb) = basis[p], products[p]
+            norm = ca * ca - cb * cb * k
+            w = (ca, -cb) if norm > 0 else (-ca, cb)
+            scale = (abs(norm), 0)
 
-            def onto_hyperplane(u: Vector, s: Surd) -> Vector:
-                return _primitive(u - (s / cp) * lp) if s.sign() != 0 else u
+            def onto_hyperplane(u, s):
+                if s == (0, 0):
+                    return u
+                return _pair_primitive(_pair_combination(scale, u, _pair_mul(s, w, k), lp, k))
 
             basis = [
                 onto_hyperplane(l, s) for j, (l, s) in enumerate(zip(basis, products)) if j != p
             ]
-            rays = [onto_hyperplane(r, r.dot(g)) for r in rays]
+            rays = [onto_hyperplane(r, _pair_dot(r, g, k)) for r in rays]
             zeros = [z | bit for z in zeros]
-            rays.append(-lp if cp.sign() > 0 else lp)
+            rays.append([(-a, -b) for a, b in lp] if _pair_sign((ca, cb), k) > 0 else lp)
             zeros.append(bit - 1)
             continue
-        products = [r.dot(g) for r in rays]
-        signs = [s.sign() for s in products]
+        products = [_pair_dot(r, g, k) for r in rays]
+        signs = [_pair_sign(s, k) for s in products]
         pointed = pointed and -1 in signs
         new_rays = [r for r, s in zip(rays, signs) if s <= 0]
         new_zeros = [z | bit if s == 0 else z for z, s in zip(zeros, signs) if s <= 0]
@@ -178,15 +202,16 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
                     zeros[c] & common == common for c in range(len(rays)) if c != a and c != b
                 ):
                     continue
-                new_rays.append(_primitive(products[a] * rays[b] - products[b] * rays[a]))
+                combined = _pair_combination(products[a], rays[b], products[b], rays[a], k)
+                new_rays.append(_pair_primitive(combined))
                 new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
     # A facet of K with no vertex on it is K's face at t = 0, whose
     # inequality every x in the affine hull satisfies.
     on_vertices = (1 << len(P.vertices)) - 1
     return FacetDescription(
-        tuple(_halfspace(l) for l in basis),
-        tuple(_halfspace(f) for f, z in zip(rays, zeros) if z & on_vertices),
+        tuple(_halfspace(l, k) for l in basis),
+        tuple(_halfspace(f, k) for f, z in zip(rays, zeros) if z & on_vertices),
         pointed,
     )
 

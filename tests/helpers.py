@@ -7,20 +7,134 @@ determinism; exactness of the constructions is asserted on the spot.
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt, lcm
 from random import Random
 from unittest.mock import patch
 
 from ratsep import GridSpec, Surd, Vector, VPolyhedron, membership, support_value
 from ratsep.approximation import OuterApprox
-from ratsep.linalg import _eliminate, solve_linear_system
+from ratsep.linalg import LPResult, _eliminate, _tableau, solve_linear_system
+from ratsep.sets import FacetDescription
 from ratsep.scalars import QInterval, point_in_ball, rational_in_ball
 from ratsep.separation import norm_upper
 
 
 def rank(rows) -> int:
     """The exact rank of a matrix given as a list of rows (0 for no rows)."""
-    return len(_eliminate([list(map(Surd._of, row)) for row in rows], len(rows[0]) if rows else 0))
+    return len(_eliminate(*_tableau(rows), len(rows[0]) if rows else 0)[0])
+
+
+def _surd_pivot(rows, r, c) -> None:
+    """Gauss-Jordan pivot over the field: scale row r so its entry in
+    column c is 1, then clear column c from every other row, in place."""
+    piv = rows[r][c]
+    prow = rows[r] = [v / piv for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            if f.sign() != 0:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+
+
+def surd_simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
+    """Reference ``simplex_max``: the textbook one-phase tableau simplex
+    with Bland's rule, every entry a Surd and every pivot a field division."""
+    n = len(c)
+    m = len(A_ub)
+    zero, one = Surd(0), Surd(1)
+    T = []
+    for i, (arow, b) in enumerate(zip(A_ub, b_ub, strict=True)):
+        b = Surd._of(b)
+        if b.sign() < 0:
+            raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
+        T.append([Surd._of(v) for v in arow] + [one if j == i else zero for j in range(m)] + [b])
+    T.append([Surd._of(v) for v in c] + [zero] * (m + 1))
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if T[-1][j].sign() > 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            tie = T[i][enter]
+            if tie.sign() > 0:
+                ratio = T[i][-1] / tie
+                if leave is None:
+                    leave, best = i, ratio
+                else:
+                    cmp = (ratio - best).sign()
+                    if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+        if leave is None:
+            return LPResult("unbounded")
+        _surd_pivot(T, leave, enter)
+        basis[leave] = enter
+    x = [zero] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = T[i][-1]
+    return LPResult("optimal", tuple(x), -T[-1][-1])
+
+
+def _surd_primitive(v: Vector) -> Vector:
+    parts = [q for c in v for q in (c.r, c.s) if q]
+    return Fraction(lcm(*(q.denominator for q in parts)), gcd(*(q.numerator for q in parts))) * v
+
+
+def surd_double_description(P: VPolyhedron) -> FacetDescription:
+    """Reference ``sets._double_description``: the same double-description
+    method with Surd vectors, dividing by the pivot product where the
+    kernel multiplies by its norm and conjugate."""
+    n = P.dim
+    gens = [Vector([*v, 1]) for v in P.vertices] + [Vector([*r, 0]) for r in P.rays]
+    basis = [Vector([int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
+    rays: list[Vector] = []
+    pointed = True
+    zeros: list[int] = []
+    for i, g in enumerate(gens):
+        bit = 1 << i
+        products = [l.dot(g) for l in basis]
+        p = next((j for j, s in enumerate(products) if s.sign() != 0), None)
+        if p is not None:
+            lp, cp = basis[p], products[p]
+
+            def onto_hyperplane(u: Vector, s: Surd) -> Vector:
+                return _surd_primitive(u - (s / cp) * lp) if s.sign() != 0 else u
+
+            basis = [
+                onto_hyperplane(l, s) for j, (l, s) in enumerate(zip(basis, products)) if j != p
+            ]
+            rays = [onto_hyperplane(r, r.dot(g)) for r in rays]
+            zeros = [z | bit for z in zeros]
+            rays.append(-lp if cp.sign() > 0 else lp)
+            zeros.append(bit - 1)
+            continue
+        products = [r.dot(g) for r in rays]
+        signs = [s.sign() for s in products]
+        pointed = pointed and -1 in signs
+        new_rays = [r for r, s in zip(rays, signs) if s <= 0]
+        new_zeros = [z | bit if s == 0 else z for z, s in zip(zeros, signs) if s <= 0]
+        need = n - 1 - len(basis)
+        for a in (j for j, s in enumerate(signs) if s > 0):
+            for b in (j for j, s in enumerate(signs) if s < 0):
+                common = zeros[a] & zeros[b]
+                if common.bit_count() < need or any(
+                    zeros[c] & common == common for c in range(len(rays)) if c != a and c != b
+                ):
+                    continue
+                new_rays.append(_surd_primitive(products[a] * rays[b] - products[b] * rays[a]))
+                new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
+    on_vertices = (1 << len(P.vertices)) - 1
+
+    def halfspace(f: Vector) -> tuple[Vector, Surd]:
+        return Vector(f.coords[:-1]), -f.coords[-1]
+
+    return FacetDescription(
+        tuple(halfspace(l) for l in basis),
+        tuple(halfspace(f) for f, z in zip(rays, zeros) if z & on_vertices),
+        pointed,
+    )
 
 
 def _in_cone(columns, target) -> bool:

@@ -147,6 +147,29 @@ def test_internal_error_exit_3_without_traceback(tmp_path, capsys, monkeypatch):
     assert err == "error: internal: strict separation inequality failed\n"
 
 
+def test_unexpected_exception_exit_3_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(X, y):
+        return 1 / 0
+
+    monkeypatch.setattr(cli, "separate", broken)
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))
+    path = write_instance(tmp_path, "tri.json", inst)
+    code, out, err = run(capsys, ["separate", "--instance", path])
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: ZeroDivisionError: division by zero\n"
+
+
+def test_plot_to_an_unwritable_path_exit_1(tmp_path, capsys):
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))
+    path = write_instance(tmp_path, "tri.json", inst)
+    out_path = tmp_path / "missing" / "plot.svg"
+    code, out, err = run(capsys, ["plot", "--instance", path, "--out", str(out_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_separate_interior_point_exit_2(tmp_path, capsys):
     inst = ser.Instance(polyhedron=UNIT_SQUARE, point=Vector([F(1, 2), F(1, 2)]))
     path = write_instance(tmp_path, "sq.json", inst)

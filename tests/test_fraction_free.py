@@ -1,0 +1,156 @@
+"""The fraction-free Z[sqrt(k)] kernel against the Surd oracles.
+
+``linalg.simplex_max`` and ``sets._double_description`` compute on integer
+pairs; ``helpers.surd_simplex_max`` and ``helpers.surd_double_description``
+are the same algorithms with a Surd in every entry and a field division in
+every pivot.  Positive row scaling changes no Bland choice and no primitive
+ray, so the results must be equal, not merely equivalent.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ratsep import SeparationBugError, Surd, Vector, VPolyhedron
+from ratsep.linalg import _pivot, _tableau, simplex_max
+from ratsep.scalars import _pair_mul, _pair_quotients, _pair_sign, _pair_surd
+from ratsep.sets import _double_description
+from helpers import forbid_floats, surd_double_description, surd_simplex_max
+
+BIG_K = 1000003
+FIELD_KS = st.sampled_from([1, 2, BIG_K])
+INTS = st.integers(-10**6, 10**6)
+
+
+def field_elements(k: int):
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if k == 1:
+        return rational.map(Surd)
+    return st.tuples(rational, st.sampled_from([0, 0, 1, -1, F(1, 2)])).map(
+        lambda rs: Surd(rs[0], rs[1], k)
+    )
+
+
+# -- integer pairs ---------------------------------------------------------
+
+
+@given(FIELD_KS, INTS, INTS)
+def test_pair_sign_matches_surd_sign(k, a, b):
+    assert _pair_sign((a, b), k) == Surd(a, b, k).sign()
+
+
+@given(FIELD_KS, INTS, INTS, INTS, INTS)
+def test_pair_quotients_undo_a_product(k, a, b, c, d):
+    if k == 1:
+        b = d = 0
+    if (c, d) == (0, 0):
+        return
+    x, y = (a, b), (c, d)
+    assert _pair_quotients([_pair_mul(x, y, k)], y, k) == [x]
+    assert _pair_surd(_pair_mul(x, y, k), k, y) == Surd(a, b, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_corrupted_quotient_fails_the_exactness_audit(k):
+    root = Surd(0, 1, k) if k > 1 else Surd(0)
+    # the second pivot divides by the first pivot entry: 2, or 2 + sqrt(2)
+    rows = [[2 + root, 1, 1], [1, 3, 2], [1, 1 + root, 5]]
+    T, k = _tableau(rows)
+    D = _pivot(T, 0, 0, (1, 0), k)
+    _pivot([row[:] for row in T], 1, 1, D, k)  # the true quotients divide
+    a, b = T[1][2]
+    T[1][2] = (a + 1, b)
+    with pytest.raises(SeparationBugError, match="left a remainder"):
+        _pivot(T, 1, 1, D, k)
+
+
+# -- simplex_max -----------------------------------------------------------
+
+
+def assert_same_lp(c, A, b):
+    with forbid_floats():
+        got = simplex_max(c, A_ub=A, b_ub=b)
+        want = surd_simplex_max(c, A_ub=A, b_ub=b)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+    return got
+
+
+@st.composite
+def lps(draw):
+    """Bounded and unbounded LPs with b_ub >= 0, many right-hand sides 0;
+    entries are often 0 or +-1, so that ratio ties and optimal faces with
+    more than one vertex, where the pivot rule decides x, are common."""
+    k = draw(FIELD_KS)
+    entry = st.one_of(st.sampled_from([Surd(0), Surd(1), Surd(-1)]), field_elements(k))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(Surd(0)), entry.map(abs)), min_size=m, max_size=m))
+    return c, A, b
+
+
+@settings(max_examples=150)
+@given(lps())
+def test_simplex_matches_the_surd_tableau(lp):
+    assert_same_lp(*lp)
+
+
+def test_ratio_ties_resolve_to_the_smallest_basic_index():
+    # degenerate rows tie at ratio 0 and the optimal face is an edge, so
+    # the tie-break decides which of its vertices is returned
+    c = [0, F(1, 2), 0]
+    A = [[0, 0, 0], [0, 1, -1], [1, 0, 1], [2, -2, 0], [0, 2, 0], [2, 1, -2]]
+    b = [0, 0, 2, 0, 2, 0]
+    res = assert_same_lp(c, A, b)
+    assert res.x == (Surd(0), Surd(1), Surd(1))
+    assert res.value == F(1, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, BIG_K])
+def test_beale_cycling_lp_with_rows_scaled_in_the_field(k):
+    # a positive field element per row changes no Bland choice
+    c = [F(3, 4), -150, F(1, 50), -6]
+    A = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]]
+    b = [0, 0, 1]
+    scales = [Surd(3, 1, k), Surd(F(1, 7)), Surd(0, F(1, 2), k)] if k > 1 else [3, F(1, 7), 2]
+    A = [[s * v for v in row] for s, row in zip(scales, A)]
+    b = [s * v for s, v in zip(scales, b)]
+    res = assert_same_lp(c, A, b)
+    assert res.status == "optimal"
+    assert res.value == F(1, 20)
+    assert res.x == (Surd(F(1, 25)), Surd(0), Surd(1), Surd(0))
+
+
+# -- the double description ------------------------------------------------
+
+
+@st.composite
+def generator_sets(draw):
+    """V-polyhedra in dims 1-4 over k in {1, 2, 1000003}: general ones,
+    single points, sets containing a line, and lower-dimensional sets
+    (every generator in the hyperplane x_0 = 1 or x_0 = 0 for rays)."""
+    k = draw(FIELD_KS)
+    dim = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["general", "point", "line", "flat"]))
+    vec = st.lists(field_elements(k), min_size=dim, max_size=dim).map(Vector)
+    ray = vec.filter(lambda r: not r.is_zero())
+    vertices = draw(st.lists(vec, min_size=1, max_size=5))
+    rays = draw(st.lists(ray, max_size=3))
+    if shape == "point":
+        vertices, rays = vertices[:1], []
+    elif shape == "line":
+        r = draw(ray)
+        rays = [*rays, r, -r]
+    elif shape == "flat" and dim > 1:
+        vertices = [Vector([1, *v[1:]]) for v in vertices]
+        rays = [Vector([0, *r[1:]]) for r in rays if not Vector([0, *r[1:]]).is_zero()]
+    return VPolyhedron(tuple(vertices), tuple(rays))
+
+
+@settings(max_examples=150)
+@given(generator_sets())
+def test_double_description_matches_the_surd_oracle(P):
+    with forbid_floats():
+        assert _double_description(P) == surd_double_description(P)
