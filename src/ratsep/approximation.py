@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .certificates import Certificate
 from .errors import DimensionMismatchError, NotPointedError
-from .scalars import Surd, Vector
+from .scalars import Vector
 from .separation import separate
 from .sets import VPolyhedron, is_pointed, membership
 
@@ -151,20 +151,13 @@ def _line_bounds(halfspaces, grid: GridSpec, axes: tuple[int, int]) -> list[tupl
     h = grid.step
     out = []
     for a, b in halfspaces:
-        a_s, a_t, b = _rational_or_surd(a[s]), _rational_or_surd(a[t]), _rational_or_surd(b)
-        B = a_t * h
-        u = b - a_s * grid.mins[s] - a_t * grid.mins[t]
-        v = a_s * h
+        B = a[t] * h
+        u = b - a[s] * grid.mins[s] - a[t] * grid.mins[t]
+        v = a[s] * h
         if B:
             u, v = u / B, v / B
-        out.append(((B > 0) - (B < 0), _rational_or_surd(u), _rational_or_surd(v)))
+        out.append((B.sign(), u, v))
     return out
-
-
-def _rational_or_surd(x: Surd | Fraction) -> Surd | Fraction:
-    """x as a Fraction when it is rational, so rational data (every cut,
-    and X over Q) stays in plain Fraction arithmetic."""
-    return x.r if isinstance(x, Surd) and not x.s else x
 
 
 def _narrow(bounds, i: int, lo: int, hi: int) -> tuple[int, int]:

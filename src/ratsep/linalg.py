@@ -2,15 +2,16 @@
 
 One fraction-free pivot, ``_pivot``, is the only row-reduction step
 (Edmonds 1967; Bareiss, Math. Comp. 1968).  Each row of field elements
-is scaled once by a positive integer, so that every entry lies in
-Z[sqrt(k)], and is kept there as an integer pair (see ``scalars``).  A
-pivot on entry p replaces every other row x by (p*x - f*y) / D, where y
-is the pivot row, f the entry of x in the pivot column and D the
-previous pivot entry; the pivot row stays and p becomes the new D.  The
-entries are minors of the scaled input, so each division is exact in
-Z[sqrt(k)], and it is checked: a remainder raises ``SeparationBugError``.
-The true tableau is the stored one over D, and every sign is read off
-integers.
+is scaled once by the lcm of its entries' denominators, so that every
+entry lies in Z[sqrt(k)], and is kept there as an integer pair (see
+``scalars``); the results are pairs over a denominator, which is what a
+``Surd`` stores.  A pivot on entry p replaces every other row x by
+(p*x - f*y) / D, where y is the pivot row, f the entry of x in the pivot
+column and D the previous pivot entry; the pivot row stays and p becomes
+the new D.  The entries are minors of the scaled input, so each division
+is exact in Z[sqrt(k)], and it is checked: a remainder raises
+``SeparationBugError``.  The true tableau is the stored one over D, and
+every sign is read off integers.
 
 Elimination built on the pivot solves the small linear systems of the
 projection step; a one-phase tableau simplex with Bland's rule, built on

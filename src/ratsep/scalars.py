@@ -1,11 +1,14 @@
 """Exact scalars for geometry over a fixed real quadratic field.
 
 Every number the library computes with is either a rational
-(``fractions.Fraction``) or a ``Surd`` ``r + s*sqrt(k)`` with square-free
-``k``, so every ordering question is settled by an exact sign
-determination and nothing is ever rounded; ``math.floor`` and
-``math.ceil`` of a ``Surd`` are exact too, by integer square roots.
-``k`` is checked once, where it enters: the public ``Surd``
+(``fractions.Fraction``) or a ``Surd``, an element ``(a + b*sqrt(k)) / d``
+of Q(sqrt(k)) held as integers a, b, d and a square-free ``k``, so every
+ordering question is settled by an exact sign determination on integers
+and nothing is ever rounded; ``math.floor`` and ``math.ceil`` of a
+``Surd`` are exact too, by one integer square root.  Every Surd is kept
+in one canonical form (Cohen, "A Course in Computational Algebraic
+Number Theory", 1993, section 5.1), so equality and hashing compare
+integers.  ``k`` is checked once, where it enters: the public ``Surd``
 constructor, ``Surd.root`` and the JSON parser, which also bounds it by
 ``serialization.MAX_FIELD_K``.
 Arithmetic results inherit the already-checked ``k`` of their operands,
@@ -19,12 +22,11 @@ produce exact rational witnesses inside open regions, which is how
 irrational data gets turned into rational certificates.
 
 The exact kernels (the pivot of ``linalg`` and the double description of
-``sets``) do not compute with Surds but with integer pairs (a, b), meaning
-a + b*sqrt(k) in Z[sqrt(k)]: a row of field elements enters scaled by a
-positive integer, signs are read off integers, exact divisions are
-checked, and Surds come back out once, at the end.  The pair helpers
-live here, beside ``Surd``; a rational ``Surd`` shares one zero Fraction
-as its sqrt(k) part.
+``sets``), and ``Vector.dot``, compute with integer pairs (a, b), meaning
+a + b*sqrt(k) in Z[sqrt(k)]: a row of Surds enters scaled by the lcm of
+their ``d``, signs are read off integers, exact divisions are checked,
+and a pair over a denominator is a Surd again.  The pair helpers live
+here, beside ``Surd``, which reads its own sign with ``_pair_sign``.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from typing import Iterable, Iterator, Union
 from .errors import SeparationBugError
 
 Rationalish = Union[int, Fraction]
-
-_Q0 = Fraction(0)
 
 __all__ = [
     "Surd",
@@ -85,20 +85,23 @@ def _is_square_free(k: int) -> bool:
 
 @total_ordering
 class Surd:
-    """An element ``r + s*sqrt(k)`` of the real quadratic field Q(sqrt(k)).
+    """An element ``(a + b*sqrt(k)) / d`` of the real quadratic field Q(sqrt(k)).
 
-    ``k`` must be a positive square-free integer; the constructor and
-    ``root`` check it, and arithmetic results inherit the checked ``k``
-    of their operands without checking it again.  ``s == 0`` (or
-    ``k == 1``) means the value is plain rational and the triple is
-    canonicalized to ``(r, 0, 1)``, so two Surds are equal iff their
-    canonical triples agree.  Instances are immutable by convention and
-    hashable; arithmetic accepts ints and Fractions.  Combining two
-    values with different irrational parts (different ``k > 1``) raises
-    ``ValueError`` -- one quadratic extension per computation.
+    ``a``, ``b`` and ``d`` are integers and ``k`` is a positive
+    square-free integer; the constructor and ``root`` check ``k``, and
+    arithmetic results inherit the checked ``k`` of their operands without
+    checking it again.  Every value is kept in one canonical form:
+    ``d > 0``, ``gcd(a, b, d) == 1``, and ``b == 0`` (a rational value)
+    implies ``k == 1``.  So two Surds are equal iff a, b, d and k agree,
+    and a rational Surd hashes like its Fraction.  ``r`` and ``s`` are
+    the rational and sqrt(k) parts as Fractions.  Instances are immutable
+    by convention and hashable; arithmetic accepts ints and Fractions.
+    Combining two values with different irrational parts (different
+    ``k > 1``) raises ``ValueError`` -- one quadratic extension per
+    computation.
     """
 
-    __slots__ = ("r", "s", "k")
+    __slots__ = ("a", "b", "d", "k")
 
     def __init__(self, r: Rationalish = 0, s: Rationalish = 0, k: int = 1):
         r = _fraction(r)
@@ -107,24 +110,26 @@ class Surd:
             raise TypeError("k must be an int")
         if k != 1 and not _is_square_free(k):
             raise ValueError(f"k must be positive and square-free, got {k}")
-        if s == 0 or k == 1:
-            r, s, k = r + s, _Q0, 1
-        self.r = r
-        self.s = s
-        self.k = k
+        p, q = r.denominator, s.denominator
+        self._set(r.numerator * q, s.numerator * p, p * q, k)
+
+    def _set(self, a: int, b: int, d: int, k: int) -> None:
+        """Store ``(a + b*sqrt(k)) / d``, d != 0, in the canonical form."""
+        if not b or k == 1:
+            a, b, k = a + b, 0, 1
+        g = gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        self.a, self.b, self.d, self.k = a, b, d, k
 
     @classmethod
-    def _make(cls, r: Fraction, s: Fraction, k: int) -> "Surd":
-        """``r + s*sqrt(k)`` from Fractions and an already-checked ``k``,
-        canonicalized as in ``__init__``: the constructor of arithmetic
-        results."""
+    def _make(cls, a: int, b: int, d: int, k: int) -> "Surd":
+        """``(a + b*sqrt(k)) / d`` from integers and an already-checked
+        ``k``: the constructor of arithmetic results."""
         x = object.__new__(cls)
-        if not s:
-            x.r, x.s, x.k = r, _Q0, 1
-        elif k == 1:
-            x.r, x.s, x.k = r + s, _Q0, 1
-        else:
-            x.r, x.s, x.k = r, s, k
+        x._set(a, b, d, k)
         return x
 
     @classmethod
@@ -135,33 +140,27 @@ class Surd:
     # -- classification ------------------------------------------------
 
     @property
+    def r(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.a, self.d)
+
+    @property
+    def s(self) -> Fraction:
+        """The coefficient of sqrt(k)."""
+        return Fraction(self.b, self.d)
+
+    @property
     def is_rational(self) -> bool:
-        return self.s == 0
+        return not self.b
 
     def as_fraction(self) -> Fraction:
-        if self.s != 0:
+        if self.b:
             raise ValueError(f"{self!r} is irrational")
-        return self.r
+        return Fraction(self.a, self.d)
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        Mixed-sign cases compare r**2 against s**2 * k, which decides
-        |r| vs |s|*sqrt(k) without leaving the rationals.
-        """
-        rs = (self.r > 0) - (self.r < 0)
-        ss = (self.s > 0) - (self.s < 0)
-        if ss == 0:
-            return rs
-        if rs == 0:
-            return ss
-        if rs == ss:
-            return rs
-        d = self.r * self.r - self.s * self.s * self.k
-        cmp = (d > 0) - (d < 0)
-        if cmp == 0:
-            return 0
-        return rs if cmp > 0 else ss
+        """Exact sign in {-1, 0, +1}: that of a + b*sqrt(k), as d > 0."""
+        return _pair_sign((self.a, self.b), self.k)
 
     # -- coercion ------------------------------------------------------
 
@@ -171,7 +170,7 @@ class Surd:
         if isinstance(x, Surd):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls._make(_fraction(x), _Q0, 1)
+            return cls._make(x.numerator, 0, x.denominator, 1)
         return None
 
     @classmethod
@@ -197,7 +196,12 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Surd._make(self.r + o.r, self.s + o.s, Surd._k_with(self.k, o.k))
+        k = Surd._k_with(self.k, o.k)
+        if self.d == o.d:
+            return Surd._make(self.a + o.a, self.b + o.b, self.d, k)
+        return Surd._make(
+            self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d, k
+        )
 
     __radd__ = __add__
 
@@ -205,7 +209,12 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Surd._make(self.r - o.r, self.s - o.s, Surd._k_with(self.k, o.k))
+        k = Surd._k_with(self.k, o.k)
+        if self.d == o.d:
+            return Surd._make(self.a - o.a, self.b - o.b, self.d, k)
+        return Surd._make(
+            self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d, k
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -214,26 +223,25 @@ class Surd:
         return o - self
 
     def __neg__(self):
-        return Surd._make(-self.r, -self.s, self.k)
+        return Surd._make(-self.a, -self.b, self.d, self.k)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         k = Surd._k_with(self.k, o.k)
-        return Surd._make(self.r * o.r + self.s * o.s * k, self.r * o.s + self.s * o.r, k)
+        a, b = _pair_mul((self.a, self.b), (o.a, o.b), k)
+        return Surd._make(a, b, self.d * o.d, k)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        if self.s == 0:
-            if self.r == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Surd._make(1 / self.r, self.s, 1)
-        # (r - s*sqrt(k)) / (r^2 - s^2 k); the denominator is nonzero
-        # because sqrt(k) is irrational for square-free k > 1.
-        den = self.r * self.r - self.s * self.s * self.k
-        return Surd._make(self.r / den, -self.s / den, self.k)
+        """d / (a + b*sqrt(k)) = d*(a - b*sqrt(k)) / (a**2 - b**2*k); the
+        norm is nonzero because sqrt(k) is irrational for square-free k > 1."""
+        a, b, d = self.a, self.b, self.d
+        if not (a or b):
+            raise ZeroDivisionError("inverse of zero")
+        return Surd._make(d * a, -d * b, a * a - b * b * self.k, self.k)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -253,7 +261,7 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.r == o.r and self.s == o.s and self.k == o.k
+        return self.a == o.a and self.b == o.b and self.d == o.d and self.k == o.k
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -262,12 +270,12 @@ class Surd:
         return (self - o).sign() < 0
 
     def __hash__(self):
-        if self.s == 0:
-            return hash(self.r)
-        return hash((self.r, self.s, self.k))
+        if not self.b:
+            return hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d, self.k))
 
     def __bool__(self):
-        return self.r != 0 or self.s != 0
+        return bool(self.a or self.b)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -275,22 +283,17 @@ class Surd:
     # -- rounding ------------------------------------------------------
 
     def __floor__(self) -> int:
-        """The largest integer <= self, from integer square roots alone.
+        """The largest integer <= self, from one integer square root.
 
-        With self = (A + B*sqrt(k)) / D for integers A, B and D > 0,
-        floor(self) = (A + floor(B*sqrt(k))) // D, and floor(B*sqrt(k)) is
-        isqrt(B*B*k) when B >= 0 and -ceil(|B|*sqrt(k)) when B < 0.
+        floor(self) = (a + floor(b*sqrt(k))) // d as d > 0.  For b != 0,
+        b*sqrt(k) is irrational, so its floor is isqrt(b*b*k) when b > 0
+        and -isqrt(b*b*k) - 1 when b < 0.
         """
-        if not self.s:
-            return self.r.numerator // self.r.denominator
-        d = lcm(self.r.denominator, self.s.denominator)
-        a = self.r.numerator * (d // self.r.denominator)
-        b = self.s.numerator * (d // self.s.denominator)
-        sq = b * b * self.k
-        root = isqrt(sq)
-        if b < 0:
-            root = -(root + (root * root != sq))
-        return (a + root) // d
+        a, b = self.a, self.b
+        if b:
+            root = isqrt(b * b * self.k)
+            a += root if b > 0 else -root - 1
+        return a // self.d
 
     def __ceil__(self) -> int:
         """The smallest integer >= self, exactly: -floor(-self)."""
@@ -299,17 +302,17 @@ class Surd:
     # -- misc ----------------------------------------------------------
 
     def __float__(self):
-        return float(self.r) + float(self.s) * math.sqrt(self.k)
+        return self.a / self.d + self.b / self.d * math.sqrt(self.k)
 
     def __repr__(self):
-        if self.s == 0:
+        if not self.b:
             return f"Surd({self.r})"
         return f"Surd({self.r}, {self.s}, {self.k})"
 
     def __str__(self):
-        if self.s == 0:
+        if not self.b:
             return str(self.r)
-        return f"{self.r}{'+' if self.s >= 0 else ''}{self.s}*sqrt({self.k})"
+        return f"{self.r}{'+' if self.b >= 0 else ''}{self.s}*sqrt({self.k})"
 
 
 # -- integer pairs (a, b) = a + b*sqrt(k) in Z[sqrt(k)] ------------------
@@ -317,17 +320,19 @@ class Surd:
 
 def _integer_pairs(values: Iterable[Surd]) -> tuple[int, list[tuple[int, int]]]:
     """(m, pairs): the least positive integer m that makes every rational
-    and sqrt(k) part of m*values an integer, and m*values as pairs."""
+    and sqrt(k) part of m*values an integer, the lcm of their ``d``, and
+    m*values as pairs."""
     values = list(values)
-    m = lcm(*(q.denominator for v in values for q in (v.r, v.s)))
-    return m, [
-        (v.r.numerator * (m // v.r.denominator), v.s.numerator * (m // v.s.denominator))
-        for v in values
-    ]
+    m = lcm(*(v.d for v in values))
+    return m, [(v.a * (m // v.d), v.b * (m // v.d)) for v in values]
 
 
 def _pair_sign(x: tuple[int, int], k: int) -> int:
-    """The exact sign of a + b*sqrt(k), decided as in ``Surd.sign``."""
+    """The exact sign of a + b*sqrt(k) in {-1, 0, +1}.
+
+    When a and b have opposite signs, a*a against b*b*k decides |a| vs
+    |b|*sqrt(k) without leaving the integers.
+    """
     a, b = x
     sa = (a > 0) - (a < 0)
     if not b:
@@ -398,7 +403,7 @@ def _pair_surd(x: tuple[int, int], k: int, d: tuple[int, int] = (1, 0)) -> Surd:
     c, e = d
     if e:
         a, b, c = a * c - b * e * k, b * c - a * e, c * c - e * e * k
-    return Surd._make(Fraction(a, c), Fraction(b, c), k)
+    return Surd._make(a, b, c, k)
 
 
 @dataclass(frozen=True)
@@ -453,7 +458,7 @@ class Vector:
 
     @property
     def is_rational(self) -> bool:
-        return all(c.s == 0 for c in self.coords)
+        return not any(c.b for c in self.coords)
 
     def as_fractions(self) -> tuple[Fraction, ...]:
         return tuple(c.as_fraction() for c in self.coords)
@@ -515,21 +520,16 @@ class Vector:
     __rmul__ = __mul__
 
     def dot(self, other: "Vector") -> Surd:
-        """Sum of a_i*b_i; the rational and sqrt(k) parts accumulate as
-        Fractions and one Surd is built at the end.  Raises ``ValueError``
-        when the two vectors use different irrational fields."""
+        """Sum of a_i*b_i, as the dot product of the two vectors' integer
+        pairs over the product of their scales: one Surd is built at the
+        end.  Raises ``ValueError`` when the two vectors use different
+        irrational fields."""
         self._check_dim(other)
         k = Surd._k_with(self.field_k, other.field_k)
-        r = s = Fraction(0)
-        for a, b in zip(self.coords, other.coords):
-            r += a.r * b.r
-            if a.s:
-                if b.s:
-                    r += a.s * b.s * k
-                s += a.s * b.r
-            if b.s:
-                s += a.r * b.s
-        return Surd._make(r, s, k)
+        m, u = _integer_pairs(self.coords)
+        n, v = _integer_pairs(other.coords)
+        a, b = _pair_dot(u, v, k)
+        return Surd._make(a, b, m * n, k)
 
     def norm_sq(self) -> Surd:
         return self.dot(self)
@@ -546,6 +546,11 @@ def sqrt_convergents(k: int) -> Iterator[Fraction]:
     """
     if k <= 1 or not _is_square_free(k):
         raise ValueError(f"need square-free k > 1, got {k}")
+    yield from _convergents(k)
+
+
+def _convergents(k: int) -> Iterator[Fraction]:
+    """``sqrt_convergents`` for an already-checked k > 1."""
     a0 = isqrt(k)
     m, d, a = 0, 1, a0
     h_prev, h = 1, a0
@@ -578,9 +583,8 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
     if sgn == 0:
         return QInterval(Fraction(0), Fraction(0))
     if x.is_rational:
-        f = x.as_fraction()
-        rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
+        rn, rd = isqrt(x.a), isqrt(x.d)
+        if rn * rn == x.a and rd * rd == x.d:
             root = Fraction(rn, rd)
             return QInterval(root, root)
     # 2**j >= 1/tol iff 2**j >= ceil(1/tol), the integer -(-q // p)
@@ -634,8 +638,9 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
     mid = (lo + hi) * Fraction(1, 2)
     if mid.is_rational:
         return mid.as_fraction()
-    for w in sqrt_convergents(mid.k):
-        cand = mid.r + mid.s * w
+    r, s = mid.r, mid.s
+    for w in _convergents(mid.k):
+        cand = r + s * w
         if (cand - lo).sign() > 0 and (hi - cand).sign() > 0:
             return cand
     raise AssertionError("unreachable: convergents converge to the midpoint")

@@ -55,8 +55,10 @@ MAX_FIELD_K = 10**12
 # parsed set.  The facet count can grow like m**(d // 2), and ``project``
 # tries up to C(m, <= d) generator subsets.  At these bounds the facet
 # description of the cyclic polytope (12 points on the moment curve in
-# dimension 6, 112 facets) takes ~0.1 s, and separating a point just
-# outside one of its facets ~8 s, nearly all of it in ``project``.
+# dimension 6, 112 facets) takes ~0.01 s, and separating a point just
+# outside one of its facets (the centroid of the facet's vertices plus
+# 1/1000 of its normal) ~2 s, nearly all of it in ``project`` (2-core
+# machine, Python 3.11).
 MAX_DIM = 6
 MAX_GENERATORS = 12
 # The largest height bound of the 2-D brute-force oracle (``options.max_den``,
@@ -72,10 +74,10 @@ MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any
 # vector is parsed, and the largest cut budget (``options.budget``,
 # ``approximate --budget``): each cut needs a probe of its own, so no run
-# can use more.  Each probe can cost one ``separate``: on the 2- to
-# 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``) one
-# call takes ~27 ms at the median and ~66 ms at the 90th percentile, so 500
-# probes can take ~13 s to ~33 s (same machine).
+# can use more.  Each probe can cost one ``separate``: on 120 of the 2- to
+# 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``,
+# seed 5) one call takes ~2.7 ms at the median and ~5.3 ms at the 90th
+# percentile, so 500 probes can take ~1.5 s to ~3 s (same machine).
 MAX_PROBES = 500
 
 

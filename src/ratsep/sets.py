@@ -4,8 +4,9 @@ A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
 quadratic field.  On first use each set computes its facet description
 by the exact double-description method: the equations of its affine
 hull, one inequality per facet (Minkowski-Weyl), and whether the set
-contains a line.  The method runs on integer pairs of Z[sqrt(k)],
-without a Fraction, and converts its result to field elements once.
+contains a line.  The method runs on integer pairs of Z[sqrt(k)], the
+generators' Surds over a common denominator, and converts its result to
+Surds once.
 Membership is a sign test on that description and pointedness a field
 of it; support values and the metric projection are exact too.
 Answers come from sign determinations, never from tolerances.  That

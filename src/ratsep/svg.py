@@ -90,6 +90,8 @@ def render_svg(
         raise DimensionMismatchError("SVG rendering is 2-D only")
     if point is not None and point.dim != 2:
         raise DimensionMismatchError("query point must be 2-D")
+    if any(cut.a.dim != 2 for cut in cuts):
+        raise DimensionMismatchError("cuts must be 2-D")
 
     verts = [(float(v[0]), float(v[1])) for v in _extreme_vertices(X.vertices)]
     cx = sum(p[0] for p in verts) / len(verts)

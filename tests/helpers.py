@@ -19,6 +19,22 @@ from ratsep.scalars import QInterval, point_in_ball, rational_in_ball
 from ratsep.separation import norm_upper
 
 
+def fraction_sign(r: Fraction, s: Fraction, k: int) -> int:
+    """Reference sign of r + s*sqrt(k) for rationals r and s: the signs of
+    the two parts, and r**2 against s**2 * k when they differ."""
+    rs = (r > 0) - (r < 0)
+    ss = (s > 0) - (s < 0)
+    if ss == 0:
+        return rs
+    if rs == 0 or rs == ss:
+        return ss
+    d = r * r - s * s * k
+    cmp = (d > 0) - (d < 0)
+    if cmp == 0:
+        return 0
+    return rs if cmp > 0 else ss
+
+
 def rank(rows) -> int:
     """The exact rank of a matrix given as a list of rows (0 for no rows)."""
     return len(_eliminate(*_tableau(rows), len(rows[0]) if rows else 0)[0])

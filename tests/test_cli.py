@@ -429,6 +429,10 @@ def test_budget_at_the_limit_is_accepted(tmp_path, capsys, options, argv):
     assert len(json.loads(out)["cuts"]) == 1
 
 
+ONE_D_CUT = {"a": ["1"], "beta": "1"}
+THREE_D_CUT = {"a": ["1", "1", "1"], "beta": "3"}
+
+
 @pytest.mark.parametrize(
     "argv, files, message",
     [
@@ -436,6 +440,8 @@ def test_budget_at_the_limit_is_accepted(tmp_path, capsys, options, argv):
         (["verify", "--certificate", "CERT"], {"CERT": {"a": "12", "beta": "1"}}, "must be an array"),
         (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": "x"}}, "'cuts' array"),
         (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": {"0": {}}}}, "'cuts' array"),
+        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": [ONE_D_CUT]}}, "cuts must be 2-D"),
+        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": [THREE_D_CUT]}}, "cuts must be 2-D"),
     ],
 )
 def test_string_or_object_for_an_array_exit_1(tmp_path, capsys, argv, files, message):

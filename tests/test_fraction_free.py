@@ -16,7 +16,7 @@ from ratsep import SeparationBugError, Surd, Vector, VPolyhedron
 from ratsep.linalg import _pivot, _tableau, simplex_max
 from ratsep.scalars import _pair_mul, _pair_quotients, _pair_sign, _pair_surd
 from ratsep.sets import _double_description
-from helpers import forbid_floats, surd_double_description, surd_simplex_max
+from helpers import forbid_floats, fraction_sign, surd_double_description, surd_simplex_max
 
 BIG_K = 1000003
 FIELD_KS = st.sampled_from([1, 2, BIG_K])
@@ -35,9 +35,12 @@ def field_elements(k: int):
 # -- integer pairs ---------------------------------------------------------
 
 
-@given(FIELD_KS, INTS, INTS)
-def test_pair_sign_matches_surd_sign(k, a, b):
-    assert _pair_sign((a, b), k) == Surd(a, b, k).sign()
+@given(FIELD_KS, INTS, INTS, st.integers(1, 10**3))
+def test_pair_sign_matches_surd_sign(k, a, b, d):
+    for x, y in ((a, b), (a, -a)):  # a - a*sqrt(1) is a zero with mixed signs
+        expected = fraction_sign(F(x), F(y), k)
+        assert _pair_sign((x, y), k) == expected
+        assert Surd(F(x, d), F(y, d), k).sign() == expected
 
 
 @given(FIELD_KS, INTS, INTS, INTS, INTS)

@@ -124,6 +124,8 @@ kernel_ks = st.sampled_from([1, 2, 3, 5, 1000003])
 def assert_same_surd(x, expected):
     assert (x.r, x.s, x.k) == (expected.r, expected.s, expected.k)
     assert type(x.r) is F and type(x.s) is F
+    assert all(type(n) is int for n in (x.a, x.b, x.d, x.k))
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1 and (x.b or x.k == 1)
     assert x == expected and hash(x) == hash(expected)
     if expected.s == 0:
         assert x.k == 1 and x == expected.r and hash(x) == hash(expected.r)
@@ -218,7 +220,8 @@ def test_arithmetic_does_not_recheck_k(monkeypatch):
     monkeypatch.setattr(ratsep.scalars, "_is_square_free", lambda n: calls.append(n) or real(n))
     x = (a + b) * (a - b) / a - b.inverse() + (-a) * 3
     y = u.dot(v) + v.norm_sq() + (u + v).dot(u * a)
-    assert x.k == k and y.k == k
+    z = choose_rational_between(a, a + F(1, 100))
+    assert x.k == k and y.k == k and a < z < a + F(1, 100)
     assert calls == []
 
 

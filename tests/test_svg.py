@@ -57,6 +57,9 @@ def test_dimension_check():
         render_svg(X3)
     with pytest.raises(DimensionMismatchError):
         render_svg(TRIANGLE, point=Vector([1, 1, 1]))
+    for a in ([1], [1, 1, 1]):
+        with pytest.raises(DimensionMismatchError):
+            render_svg(TRIANGLE, [Certificate(Vector([1, 1]), F(3)), Certificate(Vector(a), F(3))])
 
 
 def test_offscreen_cut_is_skipped():
