@@ -197,8 +197,6 @@ class Surd:
         if o is None:
             return NotImplemented
         k = Surd._k_with(self.k, o.k)
-        if self.d == o.d:
-            return Surd._make(self.a + o.a, self.b + o.b, self.d, k)
         return Surd._make(
             self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d, k
         )
@@ -210,8 +208,6 @@ class Surd:
         if o is None:
             return NotImplemented
         k = Surd._k_with(self.k, o.k)
-        if self.d == o.d:
-            return Surd._make(self.a - o.a, self.b - o.b, self.d, k)
         return Surd._make(
             self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d, k
         )
