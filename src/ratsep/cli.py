@@ -30,7 +30,7 @@ from .certificates import (
     rational_parallel_direction,
     verify_certificate,
 )
-from .errors import NotPointedError, PointInSetError, SeparationBugError
+from .errors import DimensionMismatchError, NotPointedError, PointInSetError, SeparationBugError
 from .separation import separate
 from .svg import render_svg
 
@@ -164,6 +164,8 @@ def _cmd_approximate(args) -> int:
     grid = ser.parse_grid(_inline_json("--grid", args.grid)) if args.grid else inst.options.grid
     if grid is None:
         raise ValueError("approximate needs a grid (options.grid or --grid)")
+    if inst.polyhedron.dim != 2:
+        raise DimensionMismatchError("the excess measure is 2-D only")
     approx = outer_approximate(inst.polyhedron, inst.probes, budget)
     excess = excess_measure(inst.polyhedron, approx, grid)
     _emit({**ser.approx_to_json(approx), "excess": ser.fraction_to_str(excess)})

@@ -69,11 +69,9 @@ def norm_upper(v: Vector) -> Fraction:
     return sqrt_enclosure(v.norm_sq(), NORM_ENCLOSURE_TOL).hi
 
 
-def _rational_at_least(x: Surd) -> Fraction:
-    """x itself when rational, else a rational strictly above within slack."""
-    if x.is_rational:
-        return x.as_fraction()
-    return choose_rational_between(x, x + _UPPER_SLACK)
+def _rational_in(x: Surd, lo, hi) -> Fraction:
+    """x itself when rational, else a rational strictly between lo and hi."""
+    return x.as_fraction() if x.is_rational else choose_rational_between(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,7 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     if t_star.sign() <= 0:
         raise NotPointedError("ray cone admits no strictly separating direction")
     d_star = Vector([res.x[j] - res.x[n + j] for j in range(n)])
-    t_lo = (
-        t_star.as_fraction()
-        if t_star.is_rational
-        else choose_rational_between(t_star * Fraction(1, 2), t_star)
-    )
+    t_lo = _rational_in(t_star, t_star * Fraction(1, 2), t_star)
     ray_bounds = [norm_upper(r) for r in rays]
     share = t_lo / (2 * max(ray_bounds))
     d = rational_in_ball(d_star, share)
@@ -184,7 +178,8 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
             raise ValueError("ball d + eps*B is not inside the barrier cone")
     best = Fraction(1)
     for v in C.vertices:
-        term = _rational_at_least(d.dot(v)) + eps * norm_upper(v)
+        x = d.dot(v)
+        term = _rational_in(x, x, x + _UPPER_SLACK) + eps * norm_upper(v)
         if term > best:
             best = term
     return best
@@ -207,11 +202,7 @@ def compute_wedge_parameters(
     if M <= 0:
         raise ValueError("support bound M must be positive")
     nsq = y_bar.norm_sq()
-    q = (
-        nsq.as_fraction()
-        if nsq.is_rational
-        else choose_rational_between(nsq * Fraction(3, 4), nsq)
-    )
+    q = _rational_in(nsq, nsq * Fraction(3, 4), nsq)
     alpha = q / (3 * M)
     d_bar = alpha * d
     eps_bar = alpha * Fraction(eps)

@@ -57,7 +57,7 @@ MAX_FIELD_K = 10**12
 # description of the cyclic polytope (12 points on the moment curve in
 # dimension 6, 112 facets) takes ~0.01 s, and separating a point just
 # outside one of its facets (the centroid of the facet's vertices plus
-# 1/1000 of its normal) ~2 s, nearly all of it in ``project`` (2-core
+# 1/1000 of its normal) ~1 s, nearly all of it in ``project`` (2-core
 # machine, Python 3.11).
 MAX_DIM = 6
 MAX_GENERATORS = 12

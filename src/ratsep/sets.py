@@ -269,8 +269,11 @@ def membership(P: VPolyhedron, x: Vector) -> bool:
     )
 
 
-def _affine_projection(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector:
-    """Project y onto the affine hull of conv(vs) + cone(rs), exactly."""
+def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector | None:
+    """Project y onto the affine hull of conv(vs) + cone(rs), exactly, or
+    None when the solved weights leave conv(vs) + cone(rs): a negative
+    weight on a ray, on a vertex of vs[1:] or, as 1 minus the others, on
+    vs[0].  A returned point therefore lies in P."""
     v0 = vs[0]
     span = [v - v0 for v in vs[1:]] + list(rs)
     if not span:
@@ -279,6 +282,8 @@ def _affine_projection(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector:
     target = y - v0
     rhs = [u.dot(target) for u in span]
     weights = solve_linear_system(gram, rhs)
+    if any(w.sign() < 0 for w in weights) or (sum(weights[: len(vs) - 1], _ZERO) - 1).sign() > 0:
+        return None
     z = v0
     for w, u in zip(weights, span):
         if w.sign() != 0:
@@ -291,12 +296,14 @@ def project(P: VPolyhedron, y: Vector) -> Vector:
 
     Candidate faces are generator subsets (at least one vertex).  For
     each, y is projected onto the face's affine hull by solving the
-    normal equations exactly; a candidate is accepted when it lies in P
-    and satisfies the variational inequality <y - z, v - z> <= 0 at all
-    vertices and <y - z, r> <= 0 at all rays, which certifies global
-    optimality.  When y is outside P, its projection sits on a proper
-    face, whose affine hull is spanned by at most dim(P) generators, so
-    subsets are capped at that size.
+    normal equations exactly, and the candidate is kept only when its
+    weights are nonnegative, so that z lies in P.  Such a z is the
+    projection iff the variational inequality <y - z, x - z> <= 0 holds
+    on P, that is iff the support value of y - z is finite and at most
+    <y - z, z>.  When y is outside P, its projection sits on a proper
+    face, and by Caratheodory it has nonnegative weights on some
+    affinely independent subset of at most dim(P) of the face's
+    generators, so subsets are capped at that size.
     """
     _check_dims(P, y)
     if not is_pointed(P):
@@ -312,12 +319,11 @@ def project(P: VPolyhedron, y: Vector) -> Vector:
                 continue  # ascending combos: first index < nv iff a vertex is present
             vs = [P.vertices[i] for i in combo if i < nv]
             rs = [P.rays[i - nv] for i in combo if i >= nv]
-            z = _affine_projection(y, vs, rs)
+            z = _face_point(y, vs, rs)
+            if z is None:
+                continue
             g = y - z
-            if not all(g.dot(v - z).sign() <= 0 for v in P.vertices):
-                continue
-            if not all(g.dot(r).sign() <= 0 for r in P.rays):
-                continue
-            if membership(P, z):
+            sigma = support_value(P, g)
+            if sigma.is_finite and (sigma.value - g.dot(z)).sign() <= 0:
                 return z
     raise SeparationBugError("no face yielded the projection; generator data invalid?")

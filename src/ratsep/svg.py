@@ -56,22 +56,23 @@ def _turn(o: Vector, a: Vector, b: Vector) -> int:
 
 
 def _extreme_vertices(vertices: Sequence[Vector]) -> list[Vector]:
-    """The extreme points of conv(vertices), each once, in input order.
+    """The extreme points of conv(vertices), each once, counterclockwise.
 
     Andrew's monotone chain on exact coordinates: a point stays on a
     chain only where the chain turns strictly left, so interior, repeated
-    and edge-interior points drop out.
+    and edge-interior points drop out.  The lower chain runs left to
+    right and the upper one back, and each ends where the other starts.
     """
     pts = sorted(set(vertices), key=tuple)
-    hull: set[Vector] = set()
+    hull: list[Vector] = []
     for chain in (pts, pts[::-1]):
         stack: list[Vector] = []
         for p in chain:
             while len(stack) >= 2 and _turn(stack[-2], stack[-1], p) <= 0:
                 stack.pop()
             stack.append(p)
-        hull.update(stack)
-    return [v for v in dict.fromkeys(vertices) if v in hull]
+        hull += stack[:-1]
+    return hull or pts
 
 
 def render_svg(
@@ -81,8 +82,9 @@ def render_svg(
 ) -> str:
     """An SVG document: filled vertex hull, ray arrows, cut lines, point marker.
 
-    The hull is filled through its extreme vertices only, in angular order
-    around their centroid, which is also where the ray arrows start.
+    The hull is filled through its extreme vertices only, in the
+    counterclockwise order of the exact hull; the ray arrows start at
+    their centroid.
 
     The viewport is the bounding box of all drawn geometry padded by 20%.
     """
@@ -139,11 +141,7 @@ def render_svg(
         "</defs>",
     ]
 
-    hull = sorted(
-        verts,
-        key=lambda p: (math.atan2(p[1] - cy, p[0] - cx), p[0], p[1]),
-    )
-    pts_attr = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(*p) for p in hull))
+    pts_attr = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(*p) for p in verts))
     parts.append(
         f'<polygon class="set" points="{pts_attr}" '
         'fill="#9ecae1" fill-opacity="0.8" stroke="#3182bd" stroke-width="2"/>'

@@ -177,6 +177,82 @@ def lp_membership(P: VPolyhedron, x: Vector) -> bool:
     return _in_cone(columns, [*x, 1])
 
 
+def _affine_projection(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector:
+    """Project y onto the affine hull of conv(vs) + cone(rs), exactly."""
+    v0 = vs[0]
+    span = [v - v0 for v in vs[1:]] + list(rs)
+    if not span:
+        return v0
+    gram = [[u.dot(w) for w in span] for u in span]
+    rhs = [u.dot(y - v0) for u in span]
+    z = v0
+    for w, u in zip(solve_linear_system(gram, rhs), span):
+        z = z + w * u
+    return z
+
+
+def face_walk_project(P: VPolyhedron, y: Vector) -> Vector:
+    """Reference ``project``: the same walk over generator subsets of at
+    most dim(P) generators, at least one of them a vertex, accepting the
+    first affine-hull projection z that lies in P by exact membership and
+    satisfies <y - z, v - z> <= 0 at every vertex and <y - z, r> <= 0 at
+    every ray.  Those two conditions certify z as the projection."""
+    if membership(P, y):
+        return y
+    nv = len(P.vertices)
+    gens = [*P.vertices, *P.rays]
+    for size in range(1, min(P.dim, len(gens)) + 1):
+        for combo in combinations(range(len(gens)), size):
+            if combo[0] >= nv:
+                continue
+            z = _affine_projection(
+                y, [gens[i] for i in combo if i < nv], [gens[i] for i in combo if i >= nv]
+            )
+            g = y - z
+            if not all(g.dot(v - z).sign() <= 0 for v in P.vertices):
+                continue
+            if not all(g.dot(r).sign() <= 0 for r in P.rays):
+                continue
+            if membership(P, z):
+                return z
+    raise AssertionError("no face yielded the projection")
+
+
+def pushed_off_faces(P: VPolyhedron, edges: bool) -> list[tuple[Vector, Vector]]:
+    """(c, y) pairs, one per facet of P or, with ``edges``, one per edge.
+
+    c is the centroid of the vertices on a facet, or the midpoint of an
+    edge: two vertices whose common facets hold no ray and no vertex off
+    the line through them.  y is c plus 1/1000 of the sum n of the normals
+    of the facets through c.  Each of them lies in the normal cone of P at
+    c, so c is the projection of y, and y lies outside P since n != 0.
+    """
+    facets = P.facet_description.facets
+
+    def holds(x, a, b):
+        return (a.dot(x) - b).sign() == 0
+
+    faces = []
+    if edges:
+        for u, v in combinations(dict.fromkeys(P.vertices), 2):
+            active = [(a, b) for a, b in facets if holds(u, a, b) and holds(v, a, b)]
+            on = [w for w in P.vertices if all(holds(w, a, b) for a, b in active)]
+            if active and rank([list(w - u) for w in on]) == 1 and not any(
+                all(a.dot(r).sign() == 0 for a, _ in active) for r in P.rays
+            ):
+                faces.append((Fraction(1, 2) * (u + v), [a for a, _ in active]))
+    else:
+        for a, b in facets:
+            on = [v for v in P.vertices if holds(v, a, b)]
+            faces.append((Fraction(1, len(on)) * sum(on[1:], on[0]), [a]))
+    out = []
+    for c, normals in faces:
+        n = sum(normals[1:], normals[0])
+        if not n.is_zero():
+            out.append((c, c + Fraction(1, 1000) * n))
+    return out
+
+
 def point_in_apex_hull(p: Vector, apex: Vector, center: Vector, radius: Fraction) -> bool:
     """Exact membership of p in conv({apex} u ball(center, radius)).
 

@@ -170,6 +170,7 @@ def test_criterion_6_projection_oracle(batch):
     compared = 0
     for (P, y), (_, trace) in zip(instances[:100], results[:100]):
         z = trace.z_tilde
+        assert membership(P, z)
         g = y - z
         for v in P.vertices:
             assert g.dot(v - z).sign() <= 0
@@ -180,7 +181,7 @@ def test_criterion_6_projection_oracle(batch):
             x = random_point_inside(rng, P)
             assert ((y - x).norm_sq() - base).sign() >= 0
             compared += 1
-    _report(6, f"variational inequality exact on 100 instances, "
+    _report(6, f"z_tilde in X and variational inequality exact on 100 instances, "
                f"{compared} interior points no closer")
 
 

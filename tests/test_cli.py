@@ -12,7 +12,7 @@ from ratsep import (
     VPolyhedron,
     verify_certificate,
 )
-from ratsep import cli
+from ratsep import approximation, cli
 from ratsep import serialization as ser
 from ratsep.cli import main
 
@@ -375,6 +375,22 @@ def test_over_limit_max_den_and_grid_exit_1(tmp_path, capsys, monkeypatch, optio
     code, out, err = run(capsys, argv + ["--instance", str(path)])
     assert code == 1 and out == ""
     assert message in err
+
+
+def test_approximate_rejects_a_3d_set_before_separating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(approximation, "separate", fail_if_called)
+    tetrahedron = VPolyhedron(
+        (Vector([0, 0, 0]), Vector([1, 0, 0]), Vector([0, 1, 0]), Vector([0, 0, 1]))
+    )
+    inst = ser.Instance(
+        polyhedron=tetrahedron,
+        probes=tuple(Vector(p) for p in ([2, 0, 0], [0, 2, 0], [0, 0, 2], [-1, -1, -1])),
+        options=ser.InstanceOptions(grid=GridSpec((F(0), F(0)), (F(1), F(1)), F(1, 2))),
+    )
+    path = write_instance(tmp_path, "tetra.json", inst)
+    code, out, err = run(capsys, ["approximate", "--instance", path])
+    assert code == 1 and out == ""
+    assert "the excess measure is 2-D only" in err
 
 
 def test_too_many_probes_exit_1(tmp_path, capsys, monkeypatch):

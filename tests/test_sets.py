@@ -24,6 +24,7 @@ from ratsep import linalg, sets
 from ratsep.separation import find_barrier_direction
 from ratsep.sets import polar_cone_contains
 from helpers import (
+    face_walk_project,
     lp_is_pointed,
     lp_membership,
     rand_rational_vector,
@@ -32,6 +33,7 @@ from helpers import (
     random_pointed_rays,
     random_point_inside,
     exterior_point,
+    pushed_off_faces,
 )
 
 SQ2 = Surd.root(2)
@@ -181,6 +183,46 @@ def test_projection_beats_random_points():
         for _ in range(20):
             x = random_point_inside(rng, P)
             assert ((y - x).norm_sq() - base).sign() >= 0
+
+
+@settings(max_examples=100)
+@given(
+    dim=st.integers(2, 5),
+    k=st.sampled_from([1, 2]),
+    extra=st.integers(0, 2),
+    n_rays=st.integers(0, 2),
+    where=st.sampled_from(["vertex", "facet", "edge"]),
+    seed=st.integers(0, 10**6),
+)
+def test_project_matches_the_face_walk_oracle(dim, k, extra, n_rays, where, seed):
+    """Off a vertex, the centroid of a facet or the midpoint of an edge,
+    project agrees with the membership-checked walk of helpers; off a
+    facet or an edge the answer is also known: the centroid or midpoint."""
+    rng = Random(seed)
+    P = random_pointed_polyhedron(rng, dim, k, dim + extra, n_rays)
+    if where == "vertex":
+        y = exterior_point(rng, P, F(1, 2))
+        assert project(P, y) == face_walk_project(P, y)
+        return
+    faces = pushed_off_faces(P, edges=where == "edge")
+    assume(faces)
+    c, y = faces[rng.randrange(len(faces))]
+    assert project(P, y) == face_walk_project(P, y) == c
+
+
+def cyclic_polytope(dim: int, count: int, k: int) -> VPolyhedron:
+    """conv{(c*t, t^2, ..., t^dim) : t = 0..count-1} with c = sqrt(k)."""
+    c = Surd.root(k) if k > 1 else 1
+    return VPolyhedron(
+        tuple(Vector([c * t] + [t**i for i in range(2, dim + 1)]) for t in range(count))
+    )
+
+
+@pytest.mark.parametrize("dim, count, k", [(4, 8, 1), (4, 8, 2), (5, 10, 1), (5, 10, 2)])
+def test_project_just_outside_a_facet_of_a_cyclic_polytope(dim, count, k):
+    P = cyclic_polytope(dim, count, k)
+    for c, y in pushed_off_faces(P, edges=False)[:2]:
+        assert project(P, y) == face_walk_project(P, y) == c
 
 
 @given(
@@ -433,7 +475,7 @@ def counting_description(monkeypatch) -> list:
 
 
 def test_separate_describes_the_set_once(monkeypatch):
-    # separate calls is_pointed twice and membership three times on X,
+    # separate calls is_pointed twice and membership twice on X,
     # counting the calls project makes inside it
     calls = counting_description(monkeypatch)
     X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
