@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .certificates import Certificate
 from .errors import DimensionMismatchError, NotPointedError
-from .scalars import Vector
+from .scalars import Vector, _fraction
 from .separation import separate
 from .sets import VPolyhedron, is_pointed, membership
 
@@ -31,16 +31,20 @@ __all__ = ["GridSpec", "OuterApprox", "outer_approximate", "excess_measure"]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A rational 2-D grid: corner points and step, iterated x-major."""
+    """A rational 2-D grid: corner points and step, iterated x-major.
+
+    Every number is an int or a Fraction: a float or a string raises
+    TypeError.
+    """
 
     mins: tuple[Fraction, Fraction]
     maxs: tuple[Fraction, Fraction]
     step: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "mins", tuple(Fraction(v) for v in self.mins))
-        object.__setattr__(self, "maxs", tuple(Fraction(v) for v in self.maxs))
-        object.__setattr__(self, "step", Fraction(self.step))
+        object.__setattr__(self, "mins", tuple(map(_fraction, self.mins)))
+        object.__setattr__(self, "maxs", tuple(map(_fraction, self.maxs)))
+        object.__setattr__(self, "step", _fraction(self.step))
         if len(self.mins) != 2 or len(self.maxs) != 2:
             raise ValueError("grids are 2-D")
         if self.step <= 0:

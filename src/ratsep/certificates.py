@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .scalars import Vector, choose_rational_between
+from .scalars import Vector, _fraction, choose_rational_between
 from .sets import VPolyhedron, support_value
 
 __all__ = [
@@ -35,6 +35,7 @@ class Certificate:
 
     Coordinates are Fractions in lowest terms (canonical), carried as a
     rational Vector so they dot exactly against field-valued points.
+    beta is an int or a Fraction: a float or a string raises TypeError.
     """
 
     a: Vector
@@ -47,8 +48,7 @@ class Certificate:
             raise ValueError("certificate normal must be rational")
         if self.a.is_zero():
             raise ValueError("certificate normal must be nonzero")
-        if not isinstance(self.beta, Fraction):
-            object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "beta", _fraction(self.beta))
 
     def contains(self, X: VPolyhedron) -> bool:
         """Whether X lies in the halfspace: sigma_X(a) is finite and <= beta."""

@@ -1,34 +1,37 @@
 """Exact dense linear algebra and linear programming over Q(sqrt(k)).
 
 One fraction-free pivot, ``_pivot``, is the only row-reduction step
-(Edmonds 1967; Bareiss, Math. Comp. 1968).  Each row of field elements
-is scaled once by the lcm of its entries' denominators, so that every
-entry lies in Z[sqrt(k)], and is kept there as an integer pair (see
-``scalars``); the results are pairs over a denominator, which is what a
-``Surd`` stores.  A pivot on entry p replaces every other row x by
-(p*x - f*y) / D, where y is the pivot row, f the entry of x in the pivot
-column and D the previous pivot entry; the pivot row stays and p becomes
-the new D.  The entries are minors of the scaled input, so each division
-is exact in Z[sqrt(k)], and it is checked: a remainder raises
-``SeparationBugError``.  The true tableau is the stored one over D, and
-every sign is read off integers.
+(Edmonds 1967; Bareiss, Math. Comp. 1968).  Each row of ints, Fractions
+or Surds is scaled once by the lcm of its entries' denominators, so that
+every entry lies in Z[sqrt(k)], and is kept there as an integer pair (see
+``scalars``); no Surd is built on the way in, and the results are pairs
+over a denominator, which is what a ``Surd`` stores.  A pivot on entry p
+replaces every other row x by (p*x - f*y) / D, where y is the pivot row,
+f the entry of x in the pivot column and D the previous pivot entry; the
+pivot row stays and p becomes the new D.  The entries are minors of the
+scaled input, so each division is exact in Z[sqrt(k)], and it is
+checked: a remainder raises ``SeparationBugError``.  The true tableau is
+the stored one over D, and every sign is read off integers.
 
 Elimination built on the pivot solves the small linear systems of the
-projection step; a one-phase tableau simplex with Bland's rule, built on
-the same pivot, solves the margin problem of the barrier step.  Scaling
-a row by a positive integer changes no sign and no ratio, so every Bland
-choice, and with it the pivot sequence and the optimum, is that of the
-textbook tableau over the field.  "Optimal" and "unbounded" are
-decisions, not estimates.  Problem sizes here are desk scale (a dozen
-variables).
+projection step.  A one-phase simplex with Bland's rule, built on the
+same pivot, solves the margin problem of the barrier step on a
+fraction-free dictionary, as in Avis & Fukuda's reverse-search vertex
+enumeration (lrs; Discrete Comput. Geom. 8, 1992): the tableau keeps the
+nonbasic columns and the right-hand side, labelled with variable indices,
+and no slack columns, because the full tableau holds D times a unit
+vector in every basic column.  Scaling a row by a positive integer
+changes no sign and no ratio, so every Bland choice, and with it the
+pivot sequence and the optimum, is that of the textbook tableau over the
+field.  "Optimal" and "unbounded" are decisions, not estimates.  Problem
+sizes here are desk scale (a dozen variables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .scalars import Surd, _integer_pairs, _pair_mul, _pair_quotients, _pair_sign, _pair_surd
+from .scalars import Surd, _pair_mul, _pair_quotients, _pair_row, _pair_sign, _pair_surd
 
 __all__ = ["LPResult", "simplex_max", "solve_linear_system"]
 
@@ -36,16 +39,16 @@ _ZERO = Surd._of(0)
 _PAIR_ONE = (1, 0)
 
 
-def _field(rows) -> int:
-    """The one k of Q(sqrt(k)) holding every entry of rows of Surds."""
-    return reduce(Surd._k_with, (v.k for row in rows for v in row), 1)
-
-
 def _tableau(rows) -> tuple[list[list[tuple[int, int]]], int]:
     """Rows of numbers as rows of integer pairs, each row scaled by a
     positive integer, and the k of the one field of their entries."""
-    rows = [[Surd._of(v) for v in row] for row in rows]
-    return [_integer_pairs(row)[1] for row in rows], _field(rows)
+    T = []
+    k = 1
+    for row in rows:
+        _, pairs, row_k = _pair_row(row)
+        T.append(pairs)
+        k = Surd._k_with(k, row_k)
+    return T, k
 
 
 def _pivot(T, r, c, D, k) -> tuple[int, int]:
@@ -119,39 +122,45 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     All entries may be int, Fraction or Surd; the returned solution has
     Surd entries.  With b_ub >= 0 the slack basis is feasible from the
     start, so one phase suffices; a negative b_ub entry raises
-    ValueError.  Each constraint row, right-hand side included, and the
-    objective row are scaled by a positive integer (a scaled slack keeps
-    the unit column), and the objective, the tableau's last row, is
-    reduced by the same ``_pivot`` as the constraints.  Bland's rule: the
-    entering column is the smallest index with positive reduced cost,
-    the leaving row the minimum ratio with the smallest basic index,
-    which guarantees termination.  Every pivot entry is positive over
-    the previous one, so D stays positive: signs of stored entries are
-    true signs, and the ratios T_i/t_i and T_l/t_l of two candidate rows
-    compare as T_i*t_l and T_l*t_i.
+    ValueError.  Variable j < n is x_j and variable n + i the slack of
+    constraint i.  The tableau is a fraction-free dictionary (Avis &
+    Fukuda, Discrete Comput. Geom. 8, 1992): one row per constraint and
+    one for the objective, each scaled by a positive integer, and one
+    column per nonbasic variable plus the right-hand side; ``basis`` and
+    ``nonbasic`` label the rows and columns with variables.  A basic
+    variable's column in the full tableau is D times a unit vector, so it
+    is not stored.  A pivot on (r, c) is ``_pivot`` on the dictionary,
+    objective included, and then column c becomes the leaving variable's
+    column of the full tableau: the previous D in row r and -f in every
+    other row, where f is that row's entry of column c before the pivot.
+    So every stored entry is the full tableau's.  Bland's rule: the
+    entering column is the nonbasic variable of smallest index with
+    positive reduced cost, the leaving row the minimum ratio with the
+    smallest basic index, which guarantees termination.  Every pivot
+    entry is positive over the previous one, so D stays positive: signs
+    of stored entries are true signs, and the ratios T_i/t_i and T_l/t_l
+    of two candidate rows compare as T_i*t_l and T_l*t_i.
     """
     n = len(c)
-    m = len(A_ub)
     rows = []
     for arow, b in zip(A_ub, b_ub, strict=True):
         if len(arow) != n:
             raise ValueError("A_ub row length does not match objective")
-        b = Surd._of(b)
-        if b.sign() < 0:
+        rows.append([*arow, b])
+    T, k = _tableau(rows)
+    for row, b in zip(T, b_ub):
+        if _pair_sign(row[-1], k) < 0:
             raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
-        rows.append([*map(Surd._of, arow), b])
-    cost = [Surd._of(v) for v in c]
-    k = _field([*rows, cost])
-    T = []
-    for i, row in enumerate(rows):
-        pairs = _integer_pairs(row)[1]
-        T.append(pairs[:-1] + [_PAIR_ONE if j == i else (0, 0) for j in range(m)] + pairs[-1:])
-    scale, pairs = _integer_pairs(cost)
-    T.append(pairs + [(0, 0)] * (m + 1))
+    scale, cost, cost_k = _pair_row(c)
+    k = Surd._k_with(k, cost_k)
+    T.append([*cost, (0, 0)])
+    m = len(rows)
     basis = list(range(n, n + m))
+    nonbasic = list(range(n))
     D = _PAIR_ONE
     while True:
-        enter = next((j for j in range(n + m) if _pair_sign(T[-1][j], k) > 0), None)
+        positive = (j for j in range(n) if _pair_sign(T[-1][j], k) > 0)
+        enter = min(positive, key=nonbasic.__getitem__, default=None)
         if enter is None:
             break
         leave = None
@@ -169,8 +178,12 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
                     leave = i
         if leave is None:
             return LPResult("unbounded")
-        D = _pivot(T, leave, enter, D, k)
-        basis[leave] = enter
+        column = [row[enter] for row in T]
+        previous, D = D, _pivot(T, leave, enter, D, k)
+        for row, (a, b) in zip(T, column):
+            row[enter] = (-a, -b)
+        T[leave][enter] = previous
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
     x = [_ZERO] * n
     for i, b in enumerate(basis):
         if b < n:

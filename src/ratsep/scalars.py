@@ -23,9 +23,10 @@ irrational data gets turned into rational certificates.
 
 The exact kernels (the pivot of ``linalg`` and the double description of
 ``sets``), and ``Vector.dot``, compute with integer pairs (a, b), meaning
-a + b*sqrt(k) in Z[sqrt(k)]: a row of Surds enters scaled by the lcm of
-their ``d``, signs are read off integers, exact divisions are checked,
-and a pair over a denominator is a Surd again.  The pair helpers live
+a + b*sqrt(k) in Z[sqrt(k)]: a row of Surds (or, for ``linalg``, of
+ints, Fractions and Surds, with no Surd built) enters scaled by the lcm
+of their denominators, signs are read off integers, exact divisions are
+checked, and a pair over a denominator is a Surd again.  The pair helpers live
 here, beside ``Surd``, which reads its own sign with ``_pair_sign``.
 """
 
@@ -321,6 +322,25 @@ def _integer_pairs(values: Iterable[Surd]) -> tuple[int, list[tuple[int, int]]]:
     values = list(values)
     m = lcm(*(v.d for v in values))
     return m, [(v.a * (m // v.d), v.b * (m // v.d)) for v in values]
+
+
+def _pair_row(row) -> tuple[int, list[tuple[int, int]], int]:
+    """(m, pairs, k) for a row of ints, Fractions and Surds: the lcm m of
+    the entries' denominators, m*row as integer pairs, and the k of the
+    one field of the entries.  Raises ``TypeError`` for any other entry
+    and ``ValueError`` for two different irrational fields."""
+    parts = []
+    k = 1
+    for v in row:
+        if isinstance(v, Surd):
+            k = Surd._k_with(k, v.k)
+            parts.append((v.a, v.b, v.d))
+        elif isinstance(v, (int, Fraction)):
+            parts.append((v.numerator, 0, v.denominator))
+        else:
+            raise TypeError(f"expected int, Fraction or Surd, got {type(v).__name__}")
+    m = lcm(*(d for _, _, d in parts))
+    return m, [(a * (m // d), b * (m // d)) for a, b, d in parts], k
 
 
 def _pair_sign(x: tuple[int, int], k: int) -> int:

@@ -40,6 +40,7 @@ from .linalg import simplex_max
 from .scalars import (
     Surd,
     Vector,
+    _fraction,
     choose_rational_between,
     rational_in_ball,
     sqrt_enclosure,
@@ -127,17 +128,10 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     rays = P.rays
     # variables: p (n), q (n), t; d = p - q
     nvars = 2 * n + 1
-    c = [Fraction(0)] * (2 * n) + [Fraction(1)]
-    A_ub: list[list] = []
-    b_ub: list = []
-    for r in rays:
-        A_ub.append([r[j] for j in range(n)] + [-r[j] for j in range(n)] + [Fraction(1)])
-        b_ub.append(Fraction(0))
-    for j in range(2 * n):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(1)
-        A_ub.append(row)
-        b_ub.append(Fraction(1))
+    c = [0] * (2 * n) + [1]
+    A_ub = [[*r, *(-x for x in r), 1] for r in rays]
+    A_ub += [[int(i == j) for i in range(nvars)] for j in range(2 * n)]
+    b_ub = [0] * len(rays) + [1] * (2 * n)
     res = simplex_max(c, A_ub=A_ub, b_ub=b_ub)
     if res.status != "optimal":
         raise SeparationBugError(f"margin LP ended {res.status}; it is feasible and bounded")
@@ -169,7 +163,7 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
     """
     if C.dim != d.dim:
         raise DimensionMismatchError("direction dimension does not match the set")
-    eps = Fraction(eps)
+    eps = _fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     for r in C.rays:
@@ -198,14 +192,14 @@ def compute_wedge_parameters(
     """
     if y_bar.is_zero():
         raise ValueError("residual is zero: the query point lies in the set")
-    M = Fraction(M)
+    M = _fraction(M)
     if M <= 0:
         raise ValueError("support bound M must be positive")
     nsq = y_bar.norm_sq()
     q = _rational_in(nsq, nsq * Fraction(3, 4), nsq)
     alpha = q / (3 * M)
     d_bar = alpha * d
-    eps_bar = alpha * Fraction(eps)
+    eps_bar = alpha * _fraction(eps)
     tol = Fraction(1, 4)
     while True:
         enc = sqrt_enclosure(nsq, tol)
@@ -227,8 +221,8 @@ def wedge_interior_ball(
     doubled ball stays inside -- the slack that lets a nearby rational
     point be taken later without leaving the wedge.
     """
-    eps_bar = Fraction(eps_bar)
-    delta_hat = Fraction(delta_hat)
+    eps_bar = _fraction(eps_bar)
+    delta_hat = _fraction(delta_hat)
     if eps_bar <= 0:
         raise ValueError("eps_bar must be positive")
     if delta_hat <= 0:

@@ -5,8 +5,9 @@ objects {"r": "p/q", "s": "p/q", "k": int}; floats never enter the
 format, so parse(serialize(x)) == x holds exactly.  Rational
 coordinates are written as plain strings, irrational ones as surd
 objects; the parser accepts either form anywhere a coordinate appears.
-``dumps`` renders with sorted keys and fixed separators so equal data
-serializes to identical bytes.
+Every object's keys are checked against its format, and an unknown key
+is rejected by name rather than ignored.  ``dumps`` renders with sorted
+keys and fixed separators so equal data serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ MAX_GRID_POINTS = 10**5
 # ``approximate --budget``): each cut needs a probe of its own, so no run
 # can use more.  Each probe can cost one ``separate``: on 120 of the 2- to
 # 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``,
-# seed 5) one call takes ~2.7 ms at the median and ~5.3 ms at the 90th
-# percentile, so 500 probes can take ~1.5 s to ~3 s (same machine).
+# seed 5) one call takes ~2.3 ms at the median and ~4.2 ms at the 90th
+# percentile, each call timed once, so 500 probes can take ~1.2 s to ~2.1 s
+# (same machine).
 MAX_PROBES = 500
 
 
@@ -108,11 +110,17 @@ def coord_to_json(c: Surd):
     return {"r": fraction_to_str(c.r), "s": fraction_to_str(c.s), "k": c.k}
 
 
+def _check_fields(obj: dict, known: tuple[str, ...], what: str) -> None:
+    """Reject the keys of a JSON object outside its format, by name: a
+    misspelled optional field would otherwise be ignored silently."""
+    extra = set(obj) - set(known)
+    if extra:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+
+
 def parse_coord(obj) -> Surd:
     if isinstance(obj, dict):
-        extra = set(obj) - {"r", "s", "k"}
-        if extra:
-            raise ValueError(f"unknown surd fields: {sorted(extra)}")
+        _check_fields(obj, ("r", "s", "k"), "surd")
         k = obj.get("k", 1)
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"field k must be an integer, got {k!r}")
@@ -146,6 +154,7 @@ def parse_polyhedron(obj) -> VPolyhedron:
         raise ValueError("a set description must be an object")
     if "vertices" not in obj:
         raise ValueError("set description is missing 'vertices'")
+    _check_fields(obj, ("dim", "k", "vertices", "rays"), "set")
     raw_vertices, raw_rays = obj["vertices"], obj.get("rays", [])
     if not isinstance(raw_vertices, list) or not isinstance(raw_rays, list):
         raise ValueError("'vertices' and 'rays' must be arrays")
@@ -180,6 +189,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 def parse_certificate(obj) -> Certificate:
     if not isinstance(obj, dict) or "a" not in obj or "beta" not in obj:
         raise ValueError("a certificate needs fields 'a' and 'beta'")
+    _check_fields(obj, ("a", "beta"), "certificate")
     raw_a = obj["a"]
     if not isinstance(raw_a, list):
         raise ValueError("a certificate's 'a' must be an array")
@@ -233,6 +243,7 @@ def parse_grid(obj) -> GridSpec:
         raw_mins, raw_maxs, raw_step = obj["min"], obj["max"], obj["step"]
     except KeyError as exc:
         raise ValueError(f"grid is missing field {exc.args[0]!r}") from exc
+    _check_fields(obj, ("min", "max", "step"), "grid")
     if not isinstance(raw_mins, list) or not isinstance(raw_maxs, list):
         raise ValueError("grid 'min' and 'max' must be arrays")
     mins = tuple(parse_fraction(v) for v in raw_mins)
@@ -301,6 +312,7 @@ def instance_to_json(inst: Instance) -> dict:
 def parse_instance(obj) -> Instance:
     if not isinstance(obj, dict) or "set" not in obj:
         raise ValueError("an instance needs a 'set' field")
+    _check_fields(obj, ("set", "point", "probes", "certificate", "options"), "instance")
     raw_probes = obj.get("probes", [])
     if not isinstance(raw_probes, list):
         raise ValueError("'probes' must be an array")
@@ -315,6 +327,7 @@ def parse_instance(obj) -> Instance:
     raw_opts = obj.get("options", {})
     if not isinstance(raw_opts, dict):
         raise ValueError("'options' must be an object")
+    _check_fields(raw_opts, ("budget", "max_den", "grid"), "options")
     budget = raw_opts.get("budget")
     if budget is not None:
         check_count(budget, "options.budget", MAX_PROBES)

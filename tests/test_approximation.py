@@ -35,6 +35,15 @@ UNIT_SQUARE = VPolyhedron(
 GRID = GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2))
 
 
+@pytest.mark.parametrize(
+    "mins, maxs, step",
+    [((0.1, 0), (1, 1), 1), ((0, 0), ("1/3", 1), 1), ((0, 0), (1, 1), 0.5)],
+)
+def test_grid_spec_rejects_inexact_numbers(mins, maxs, step):
+    with pytest.raises(TypeError):
+        GridSpec(mins, maxs, step)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec((F(0), F(0)), (F(1), F(1)), F(0))

@@ -35,6 +35,13 @@ def test_certificate_validation():
     assert cert.a.as_fractions() == (F(1), F(2))
 
 
+@pytest.mark.parametrize("beta", [0.1, "1/3"])
+def test_certificate_rejects_an_inexact_beta(beta):
+    # a float would be stored as its binary expansion, e.g. 0.1 as .../2**55
+    with pytest.raises(TypeError):
+        Certificate(Vector([1, 0]), beta)
+
+
 def test_verify_examples():
     y = Vector([1, 1])
     assert verify_certificate(TRIANGLE, y, Certificate(Vector([1, 1]), F(3, 2)))

@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,28 @@ def test_separate_readme_triangle_golden_bytes(tmp_path, capsys):
     code, out, _ = run(capsys, ["separate", "--instance", str(path)])
     assert code == 0
     assert out == README_TRIANGLE_SEPARATE
+
+
+def test_readme_instance_parses_and_separates(tmp_path, capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+    inst = ser.parse_instance(json.loads(block))
+    path = tmp_path / "tri.json"
+    path.write_text(block, encoding="utf-8")
+    code, out, err = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 0 and err == ""
+    cert = ser.parse_certificate(json.loads(out)["certificate"])
+    assert verify_certificate(inst.polyhedron, inst.point, cert)
+
+
+def test_misspelled_option_exit_1(tmp_path, capsys):
+    # {"maxden": 4} would otherwise skip the brute-force cross-check
+    instance = {**json.loads(README_TRIANGLE), "options": {"maxden": 4}}
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert "unknown options fields: ['maxden']" in err
 
 
 def test_separate_point_flag_overrides(tmp_path, capsys):
@@ -265,6 +289,26 @@ def test_plot(tmp_path, capsys):
     assert doc.count("<polygon") == 1
     assert doc.count('class="cut"') == 1
     assert doc.count("<circle") == 1
+
+
+def test_plot_reads_the_output_of_approximate(tmp_path, capsys):
+    # the --cuts file may hold "excess" beside "cuts", as approximate writes it
+    inst = ser.Instance(
+        polyhedron=UNIT_SQUARE,
+        probes=(Vector([2, 0]), Vector([0, 2])),
+        options=ser.InstanceOptions(grid=ser.GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2))),
+    )
+    path = write_instance(tmp_path, "sq.json", inst)
+    code, out, _ = run(capsys, ["approximate", "--instance", path])
+    assert code == 0 and "excess" in json.loads(out)
+    cuts_path = tmp_path / "cuts.json"
+    cuts_path.write_text(out, encoding="utf-8")
+    out_path = tmp_path / "plot.svg"
+    code, out, _ = run(
+        capsys, ["plot", "--instance", path, "--cuts", str(cuts_path), "--out", str(out_path)]
+    )
+    assert code == 0
+    assert json.loads(out) == {"svg_path": str(out_path)}
 
 
 def test_unknown_subcommand_exit_64(capsys):

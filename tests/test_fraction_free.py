@@ -3,20 +3,31 @@
 ``linalg.simplex_max`` and ``sets._double_description`` compute on integer
 pairs; ``helpers.surd_simplex_max`` and ``helpers.surd_double_description``
 are the same algorithms with a Surd in every entry and a field division in
-every pivot.  Positive row scaling changes no Bland choice and no primitive
-ray, so the results must be equal, not merely equivalent.
+every pivot.  ``simplex_max`` stores a dictionary without the slack columns
+of the oracle's full tableau.  Positive row scaling changes no Bland choice
+and no primitive ray, so the results must be equal, not merely equivalent.
 """
 
 from fractions import Fraction as F
+from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratsep import SeparationBugError, Surd, Vector, VPolyhedron
+from ratsep import NotPointedError, SeparationBugError, Surd, Vector, VPolyhedron
+from ratsep import linalg, separation
 from ratsep.linalg import _pivot, _tableau, simplex_max
 from ratsep.scalars import _pair_mul, _pair_quotients, _pair_sign, _pair_surd
 from ratsep.sets import _double_description
-from helpers import forbid_floats, fraction_sign, surd_double_description, surd_simplex_max
+from helpers import (
+    forbid_floats,
+    fraction_sign,
+    random_nonpointed_rays,
+    random_pointed_rays,
+    surd_double_description,
+    surd_simplex_max,
+)
 
 BIG_K = 1000003
 FIELD_KS = st.sampled_from([1, 2, BIG_K])
@@ -124,6 +135,84 @@ def test_beale_cycling_lp_with_rows_scaled_in_the_field(k):
     assert res.status == "optimal"
     assert res.value == F(1, 20)
     assert res.x == (Surd(F(1, 25)), Surd(0), Surd(1), Surd(0))
+
+
+def test_simplex_pivots_a_dictionary_without_slack_columns(monkeypatch):
+    # Beale's LP: 3 constraints and 4 variables, so the full tableau would
+    # hand _pivot rows of 4 + 3 + 1 entries
+    c = [F(3, 4), -150, F(1, 50), -6]
+    A = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]]
+    shapes = []
+
+    def recorder(T, r, col, D, k):
+        shapes.extend((len(T), len(row)) for row in T)
+        return _pivot(T, r, col, D, k)
+
+    monkeypatch.setattr(linalg, "_pivot", recorder)
+    assert simplex_max(c, A_ub=A, b_ub=[0, 0, 1]).status == "optimal"
+    assert shapes and set(shapes) == {(len(A) + 1, len(c) + 1)}
+
+
+def margin_lp(rays, n):
+    """The margin LP of ``separation.find_barrier_direction``: maximize t
+    subject to <p - q, r> + t <= 0 per ray and 0 <= p, q <= 1."""
+    nvars = 2 * n + 1
+    c = [0] * (2 * n) + [1]
+    A = [[*r, *(-x for x in r), 1] for r in rays]
+    A += [[int(i == j) for i in range(nvars)] for j in range(2 * n)]
+    return c, A, [0] * len(rays) + [1] * (2 * n)
+
+
+@st.composite
+def barrier_lps(draw):
+    """Margin LPs for 1-6 rays in dims 1-6 over k in {1, 2, 1000003}.  The
+    ray rows have right-hand side 0, so every pivot through them is
+    degenerate; zero coordinates, a positive multiple of a ray, a repeated
+    ray or a ray and its negative (a line: the set is not pointed) make
+    ratio ties and optimal faces with more than one vertex."""
+    k = draw(FIELD_KS)
+    n = draw(st.integers(1, 6))
+    coord = st.one_of(st.just(Surd(0)), field_elements(k))
+    rays = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6))
+    shape = draw(st.sampled_from(["general", "parallel", "repeated", "line"]))
+    r = rays[0]
+    if shape == "parallel":
+        scale = draw(field_elements(k).filter(lambda s: s.sign() > 0))
+        rays.append([scale * x for x in r])
+    elif shape == "repeated":
+        rays.append(list(r))
+    elif shape == "line":
+        rays.append([-x for x in r])
+    return margin_lp(draw(st.permutations(rays))[:6], n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(barrier_lps())
+def test_barrier_margin_lps_match_the_surd_tableau(lp):
+    assert assert_same_lp(*lp).status == "optimal"
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELD_KS, st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2**32))
+def test_barrier_direction_is_unchanged_under_the_surd_tableau(k, dim, count, pointed, seed):
+    rng = Random(seed)
+    if pointed:
+        rays = random_pointed_rays(rng, dim, count, k)
+    else:
+        rays = random_nonpointed_rays(rng, dim, count - 1)
+    P = VPolyhedron((Vector.zero(dim),), rays)
+
+    def barrier():
+        try:
+            return separation.find_barrier_direction(P)
+        except NotPointedError:
+            return None
+
+    got = barrier()
+    with patch.object(separation, "simplex_max", surd_simplex_max):
+        want = barrier()
+    assert got == want
+    assert (got is None) == (not pointed)
 
 
 # -- the double description ------------------------------------------------

@@ -216,6 +216,26 @@ def test_instance_validation():
         ser.parse_instance({"set": {"vertices": [["0", "0"]]}, "options": {"max_den": True}})
 
 
+SET = {"vertices": [["0", "0"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "parse, obj, key",
+    [
+        (ser.parse_instance, {"set": SET, "pointt": ["1", "1"]}, "pointt"),
+        (ser.parse_instance, {"set": SET, "options": {"maxden": 4}}, "maxden"),
+        (ser.parse_instance, {"set": {**SET, "ray": [["1", "0"]]}}, "ray"),
+        (ser.parse_polyhedron, {**SET, "field": 2}, "field"),
+        (ser.parse_grid, {"min": ["0", "0"], "max": ["1", "1"], "step": "1", "steps": "2"}, "steps"),
+        (ser.parse_certificate, {"a": ["1", "0"], "beta": "1", "valid": True}, "valid"),
+    ],
+)
+def test_parse_rejects_unknown_fields_by_name(parse, obj, key):
+    # a misspelled optional field must not be dropped silently
+    with pytest.raises(ValueError, match=rf"unknown \w+ fields: \['{key}'\]"):
+        parse(obj)
+
+
 def test_max_den_and_grid_limits():
     assert ser.check_count(ser.MAX_DEN, "options.max_den", ser.MAX_DEN) == ser.MAX_DEN
     with pytest.raises(ValueError, match="at most"):
