@@ -155,9 +155,10 @@ def _line_bounds(halfspaces, grid: GridSpec, axes: tuple[int, int]) -> list[tupl
     h = grid.step
     out = []
     for a, b in halfspaces:
-        B = a[t] * h
-        u = b - a[s] * grid.mins[s] - a[t] * grid.mins[t]
-        v = a[s] * h
+        a_s, a_t = a[s], a[t]
+        B = a_t * h
+        u = b - a_s * grid.mins[s] - a_t * grid.mins[t]
+        v = a_s * h
         if B:
             u, v = u / B, v / B
         out.append((B.sign(), u, v))

@@ -22,12 +22,15 @@ produce exact rational witnesses inside open regions, which is how
 irrational data gets turned into rational certificates.
 
 The exact kernels (the pivot of ``linalg`` and the double description of
-``sets``), and ``Vector.dot``, compute with integer pairs (a, b), meaning
-a + b*sqrt(k) in Z[sqrt(k)]: a row of Surds (or, for ``linalg``, of
-ints, Fractions and Surds, with no Surd built) enters scaled by the lcm
-of their denominators, signs are read off integers, exact divisions are
-checked, and a pair over a denominator is a Surd again.  The pair helpers live
-here, beside ``Surd``, which reads its own sign with ``_pair_sign``.
+``sets``) compute with integer pairs (a, b), meaning a + b*sqrt(k) in
+Z[sqrt(k)], and ``Vector`` stores them: a row of ints, Fractions and
+Surds enters scaled by the lcm of their denominators, with no Surd
+built, signs are read off integers, exact divisions are checked, and a
+pair over a denominator is a Surd again.  A ``Vector`` keeps its
+coordinates as one such row over its least denominator, so sums,
+scalings and dot products build no Surd per coordinate.  The pair
+helpers live here, beside ``Surd``, which reads its own sign with
+``_pair_sign``.
 """
 
 from __future__ import annotations
@@ -315,15 +318,6 @@ class Surd:
 # -- integer pairs (a, b) = a + b*sqrt(k) in Z[sqrt(k)] ------------------
 
 
-def _integer_pairs(values: Iterable[Surd]) -> tuple[int, list[tuple[int, int]]]:
-    """(m, pairs): the least positive integer m that makes every rational
-    and sqrt(k) part of m*values an integer, the lcm of their ``d``, and
-    m*values as pairs."""
-    values = list(values)
-    m = lcm(*(v.d for v in values))
-    return m, [(v.a * (m // v.d), v.b * (m // v.d)) for v in values]
-
-
 def _pair_row(row) -> tuple[int, list[tuple[int, int]], int]:
     """(m, pairs, k) for a row of ints, Fractions and Surds: the lcm m of
     the entries' denominators, m*row as integer pairs, and the k of the
@@ -445,61 +439,98 @@ class QInterval:
 
 
 class Vector:
-    """A point or direction with Surd coordinates sharing one field.
+    """A point or direction with coordinates in one field Q(sqrt(k)).
 
-    Rational coordinates embed in any Q(sqrt(k)); two coordinates with
-    different irrational parts are rejected.  The shared field is worked
-    out once, here, and kept as ``field_k`` (1 for a rational vector).
+    A vector is stored as ``pairs`` over one denominator ``m``: the least
+    positive integer m that puts every coordinate times m in Z[sqrt(k)],
+    the lcm of the coordinates' ``d``, and the integer pairs (a, b) of
+    those scaled coordinates, a + b*sqrt(k) each.  ``field_k`` is the one
+    field of the coordinates, 1 exactly when every b is 0.  Rational
+    coordinates embed in any Q(sqrt(k)); two coordinates with different
+    irrational parts are rejected.  As m is least, the form is canonical
+    (the gcd of m and every a and b is 1), so equality and hashing compare
+    integers, and sums, differences, scalings and dot products run on
+    the pairs with no Surd built per coordinate.  ``coords``, the
+    coordinates as Surds, is built on first read and kept on the vector.
     """
 
-    __slots__ = ("coords", "field_k")
+    __slots__ = ("m", "pairs", "field_k", "_coords")
 
     def __init__(self, coords: Iterable[Surd | Rationalish]):
-        self.coords = tuple(map(Surd._of, coords))
-        if not self.coords:
+        coords = tuple(coords)
+        if not coords:
             raise ValueError("a vector needs at least one coordinate")
-        k = 1
-        for c in self.coords:
-            if c.k != k:
-                k = Surd._k_with(k, c.k)
-        self.field_k = k
+        m, pairs, k = _pair_row(coords)
+        self.m, self.pairs, self.field_k = m, tuple(pairs), k
+        self._coords = coords if all(isinstance(c, Surd) for c in coords) else None
+
+    @classmethod
+    def _make(cls, m: int, pairs, k: int) -> "Vector":
+        """The vector pairs/m, for m > 0 and an already-checked ``k``, in
+        the canonical form: divided by the gcd of m and every part, and
+        over Q when no sqrt(k) part is left."""
+        if m != 1:
+            g = m
+            for a, b in pairs:
+                g = gcd(g, a, b)
+                if g == 1:
+                    break
+            if g != 1:
+                m //= g
+                pairs = [(a // g, b // g) for a, b in pairs]
+        if k != 1 and not any(b for _, b in pairs):
+            k = 1
+        x = object.__new__(cls)
+        x.m, x.pairs, x.field_k, x._coords = m, tuple(pairs), k, None
+        return x
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
         return cls([Fraction(0)] * dim)
 
     @property
+    def coords(self) -> tuple[Surd, ...]:
+        """The coordinates as Surds."""
+        c = self._coords
+        if c is None:
+            m, k = self.m, self.field_k
+            c = self._coords = tuple(Surd._make(a, b, m, k) for a, b in self.pairs)
+        return c
+
+    @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.pairs)
 
     @property
     def is_rational(self) -> bool:
-        return not any(c.b for c in self.coords)
+        return self.field_k == 1
 
     def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(c.as_fraction() for c in self.coords)
+        if self.field_k != 1:
+            raise ValueError(f"{self!r} is irrational")
+        return tuple(Fraction(a, self.m) for a, _ in self.pairs)
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
+        return not any(a or b for a, b in self.pairs)
 
     # -- container protocol --------------------------------------------
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.pairs)
 
     def __iter__(self):
-        return iter(self.coords)
+        return iter(self._coords or self.coords)
 
     def __getitem__(self, i):
-        return self.coords[i]
+        return (self._coords or self.coords)[i]
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.coords == other.coords
+        return self.m == other.m and self.field_k == other.field_k and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.m, self.pairs, self.field_k))
 
     def __repr__(self):
         return f"Vector({', '.join(str(c) for c in self.coords)})"
@@ -507,45 +538,53 @@ class Vector:
     # -- linear structure ----------------------------------------------
 
     def _check_dim(self, other: "Vector"):
-        if len(self.coords) != len(other.coords):
-            raise ValueError(
-                f"dimension mismatch: {len(self.coords)} vs {len(other.coords)}"
-            )
+        if len(self.pairs) != len(other.pairs):
+            raise ValueError(f"dimension mismatch: {len(self.pairs)} vs {len(other.pairs)}")
 
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        self._check_dim(other)
-        return Vector([a + b for a, b in zip(self.coords, other.coords)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Vector", sign: int) -> "Vector":
+        """self + sign*other over the lcm of the two denominators."""
         self._check_dim(other)
-        return Vector([a - b for a, b in zip(self.coords, other.coords)])
+        k = Surd._k_with(self.field_k, other.field_k)
+        m, n = self.m, other.m
+        l = m if m == n else lcm(m, n)
+        s, t = l // m, sign * (l // n)
+        return Vector._make(
+            l, [(a * s + c * t, b * s + e * t) for (a, b), (c, e) in zip(self.pairs, other.pairs)], k
+        )
 
     def __neg__(self):
-        return Vector([-c for c in self.coords])
+        return Vector._make(self.m, [(-a, -b) for a, b in self.pairs], self.field_k)
 
     def __mul__(self, scalar):
-        s = Surd._coerce(scalar)
-        if s is None:
+        if isinstance(scalar, Surd):
+            x, d, k = (scalar.a, scalar.b), scalar.d, Surd._k_with(self.field_k, scalar.k)
+        elif isinstance(scalar, (int, Fraction)):
+            x, d, k = (scalar.numerator, 0), scalar.denominator, self.field_k
+        else:
             return NotImplemented
-        return Vector([c * s for c in self.coords])
+        return Vector._make(self.m * d, [_pair_mul(p, x, k) for p in self.pairs], k)
 
     __rmul__ = __mul__
 
     def dot(self, other: "Vector") -> Surd:
-        """Sum of a_i*b_i, as the dot product of the two vectors' integer
-        pairs over the product of their scales: one Surd is built at the
-        end.  Raises ``ValueError`` when the two vectors use different
+        """Sum of a_i*b_i: the dot product of the two vectors' pairs over
+        the product of their denominators, one Surd built at the end.
+        Raises ``ValueError`` when the two vectors use different
         irrational fields."""
         self._check_dim(other)
         k = Surd._k_with(self.field_k, other.field_k)
-        m, u = _integer_pairs(self.coords)
-        n, v = _integer_pairs(other.coords)
-        a, b = _pair_dot(u, v, k)
-        return Surd._make(a, b, m * n, k)
+        a, b = _pair_dot(self.pairs, other.pairs, k)
+        return Surd._make(a, b, self.m * other.m, k)
 
     def norm_sq(self) -> Surd:
         return self.dot(self)

@@ -77,8 +77,8 @@ MAX_GRID_POINTS = 10**5
 # ``approximate --budget``): each cut needs a probe of its own, so no run
 # can use more.  Each probe can cost one ``separate``: on 120 of the 2- to
 # 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``,
-# seed 5) one call takes ~2.3 ms at the median and ~4.2 ms at the 90th
-# percentile, each call timed once, so 500 probes can take ~1.2 s to ~2.1 s
+# seed 5) one call takes ~1.4 ms at the median and ~2.7 ms at the 90th
+# percentile, each call timed once, so 500 probes can take ~0.7 s to ~1.4 s
 # (same machine).
 MAX_PROBES = 500
 
@@ -220,6 +220,7 @@ def trace_to_json(trace: SeparationTrace) -> dict:
 def parse_trace(obj) -> SeparationTrace:
     if not isinstance(obj, dict):
         raise ValueError("a trace must be an object")
+    _check_fields(obj, tuple(key for _, key, _, _ in _TRACE_CODECS), "trace")
     try:
         return SeparationTrace(
             **{name: decode(obj[key]) for name, key, _, decode in _TRACE_CODECS}

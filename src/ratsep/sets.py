@@ -4,9 +4,9 @@ A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
 quadratic field.  On first use each set computes its facet description
 by the exact double-description method: the equations of its affine
 hull, one inequality per facet (Minkowski-Weyl), and whether the set
-contains a line.  The method runs on integer pairs of Z[sqrt(k)], the
-generators' Surds over a common denominator, and converts its result to
-Surds once.
+contains a line.  The method runs on integer pairs of Z[sqrt(k)], read
+straight off the generators' ``Vector``s, and each resulting normal is a
+``Vector`` of those pairs again; only the right-hand sides become Surds.
 Membership is a sign test on that description and pointedness a field
 of it; support values and the metric projection are exact too.
 Answers come from sign determinations, never from tolerances.  That
@@ -26,7 +26,6 @@ from .linalg import solve_linear_system
 from .scalars import (
     Surd,
     Vector,
-    _integer_pairs,
     _pair_combination,
     _pair_dot,
     _pair_mul,
@@ -47,7 +46,6 @@ __all__ = [
 ]
 
 _ZERO = Surd._of(0)
-_ONE = Surd._of(1)
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,10 @@ class FacetDescription(NamedTuple):
 
 
 def _halfspace(f, k: int) -> tuple[Vector, Surd]:
-    """(a, b) such that <f, (x, 1)> = <a, x> - b, as field elements."""
+    """(a, b) such that <f, (x, 1)> = <a, x> - b, for a primitive row f of
+    integer pairs: a is f's leading pairs over the denominator 1."""
     a, b = f[-1]
-    return Vector([_pair_surd(x, k) for x in f[:-1]]), _pair_surd((-a, -b), k)
+    return Vector._make(1, f[:-1], k), _pair_surd((-a, -b), k)
 
 
 def _double_description(P: VPolyhedron) -> FacetDescription:
@@ -144,17 +143,18 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     is orthogonal to the basis, it stays so iff some ray has <f, g> < 0.
 
     Every vector is a list of integer pairs of Z[sqrt(k)] (see
-    ``scalars``).  Each generator is scaled by a positive integer, which
+    ``scalars``).  Each generator is its ``Vector``'s pairs, that is the
+    generator scaled by its denominator m, a positive integer, which
     moves no sign.  A projected basis vector or ray is taken |N(c)| times,
     for the norm N(c) of the pivot product c, so that no division is
     needed, and every new vector is divided by the gcd of its parts: it is
     the one vector on its ray whose parts are coprime integers, as over
-    the field.  The result is converted to field elements once, at the end.
+    the field.
     """
     n = P.dim
     k = P.field_k
-    gens = [_integer_pairs([*v, _ONE])[1] for v in P.vertices]
-    gens += [_integer_pairs([*r, _ZERO])[1] for r in P.rays]
+    gens = [[*v.pairs, (v.m, 0)] for v in P.vertices]
+    gens += [[*r.pairs, (0, 0)] for r in P.rays]
     basis = [[(int(i == j), 0) for j in range(n + 1)] for i in range(n + 1)]
     rays: list[list[tuple[int, int]]] = []
     pointed = True

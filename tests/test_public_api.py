@@ -12,11 +12,13 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ratsep
+from ratsep import Surd, Vector
 
 ROOT = Path(__file__).resolve().parents[1]
 USERS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
@@ -68,3 +70,25 @@ def test_module_all_resolves(name):
     module = importlib.import_module(name)
     assert len(module.__all__) == len(set(module.__all__))
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_vector_surface_read_by_the_programs():
+    # perfbench reads c.r and c.k off the coordinates a vector yields, and
+    # as_fractions, field_k and dim off the vector; the CLI, the SVG writer
+    # and the serializer iterate and index it
+    v = Vector([Fraction(1, 2), Surd(Fraction(1, 3), Fraction(-2, 5), 2), 3])
+    assert type(v.coords) is tuple and tuple(v) == v.coords
+    assert all(type(c) is Surd for c in v) and v[1] is v.coords[1] and v[-1] == 3
+    assert [(c.r, c.s, c.k) for c in v] == [
+        (Fraction(1, 2), 0, 1),
+        (Fraction(1, 3), Fraction(-2, 5), 2),
+        (3, 0, 1),
+    ]
+    assert all(type(c.r) is Fraction and type(c.s) is Fraction for c in v)
+    assert v.field_k == 2 and v.dim == len(v) == 3
+    with pytest.raises(ValueError):
+        v.as_fractions()
+    w = Vector([Fraction(-3, 4), 2])
+    assert w.as_fractions() == (Fraction(-3, 4), Fraction(2))
+    assert all(type(f) is Fraction for f in w.as_fractions())
+    assert w.field_k == 1 and Vector.zero(2).as_fractions() == (0, 0)

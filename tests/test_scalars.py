@@ -484,3 +484,107 @@ def test_vector_scalar_multiplication():
     v = Vector([1, 2])
     assert F(1, 2) * v == Vector([F(1, 2), F(1)])
     assert v * Surd.root(2) == Vector([Surd(0, 1, 2), Surd(0, 2, 2)])
+
+
+def test_vector_rejects_floats_and_mixed_fields():
+    with pytest.raises(TypeError):
+        Vector([1, 0.5])
+    with pytest.raises(TypeError):
+        Vector([1.5])
+    u, v = Vector([Surd.root(2), 1]), Vector([1, Surd.root(3)])
+    for op in (lambda: u + v, lambda: u - v, lambda: u.dot(v), lambda: Surd.root(3) * u):
+        with pytest.raises(ValueError):
+            op()
+
+
+# -- Vector against coordinate-wise Surd arithmetic ------------------------
+
+vector_parts = st.one_of(
+    rationals,
+    st.builds(F, st.integers(-(2**80), 2**80), st.integers(2**64, 2**80)),
+)
+
+
+@st.composite
+def vector_operands(draw):
+    """(u, v, s): two coordinate lists and a scalar in one field.  v is
+    drawn freely, as zero, or with the sqrt(k) parts of u or of -u, so
+    that u - v or u + v is rational."""
+    k = draw(st.sampled_from([1, 2, 1000003]))
+    dim = draw(st.integers(1, 6))
+
+    def surd(s=None):
+        if s is None:
+            s = draw(vector_parts) if k != 1 and draw(st.booleans()) else 0
+        return Surd(draw(vector_parts), s, k)
+
+    u = [surd() for _ in range(dim)]
+    kind = draw(st.sampled_from(["free", "zero", "cancel"]))
+    if kind == "free":
+        v = [surd() for _ in range(dim)]
+    elif kind == "zero":
+        v = [Surd(0)] * dim
+    else:
+        sign = draw(st.sampled_from([1, -1]))
+        v = [surd(sign * c.s) for c in u]
+    return u, v, surd()
+
+
+def assert_vector_of(w, coords):
+    """w is the vector of the Surds coords, in the canonical pair form:
+    the least denominator m, the scaled pairs and the one field."""
+    m = math.lcm(*(c.d for c in coords))
+    assert w.m == m and math.gcd(m, *(q for p in w.pairs for q in p)) == 1
+    assert w.pairs == tuple((c.a * (m // c.d), c.b * (m // c.d)) for c in coords)
+    assert w.field_k == next((c.k for c in coords if c.b), 1)
+    assert w.dim == len(w) == len(coords)
+    for x, c in zip(w, coords):
+        assert_same_surd(x, c)
+    assert w.is_zero() == (not any(coords))
+    assert w.is_rational == all(c.is_rational for c in coords)
+    again = Vector(coords)
+    assert w == again and hash(w) == hash(again)
+
+
+@given(vector_operands())
+@example(([Surd(1, 1, 2), Surd(3)], [Surd(0, 1, 2), Surd(1)], Surd(2)))
+def test_vector_arithmetic_matches_coordinatewise_surds(operands):
+    u, v, s = operands
+    U, V = Vector(u), Vector(v)
+    assert_vector_of(U, u)
+    assert_vector_of(V, v)
+    assert_vector_of(U + V, [a + b for a, b in zip(u, v)])
+    assert_vector_of(U - V, [a - b for a, b in zip(u, v)])
+    assert_vector_of(-U, [-a for a in u])
+    assert_vector_of(s * U, [s * a for a in u])
+    assert_vector_of(U * s.r, [a * s.r for a in u])
+    assert_same_surd(U.dot(V), reference_dot(u, v))
+    assert_same_surd(U.norm_sq(), reference_dot(u, u))
+    assert (U == V) == (U.coords == V.coords)
+    W = (U + V) - V
+    assert W == U and hash(W) == hash(U) and W.coords == U.coords
+    if U.field_k != 1:
+        other = Vector([Surd.root(3)] * len(u))
+        with pytest.raises(ValueError):
+            U + other
+
+
+def test_vector_arithmetic_builds_no_surd_per_coordinate(monkeypatch):
+    sq2 = Surd.root(2)
+    u = Vector([F(1, 3), sq2 * F(2, 5), 1 + sq2, F(-7, 4)])
+    v = Vector([sq2, F(5, 6), F(1, 2) - sq2 * F(1, 9), 2])
+    s = F(3, 7) - sq2
+    X = VPolyhedron(
+        (u, v, Vector([0, 0, 0, 0]), Vector([1, 0, 0, sq2]), Vector([0, 1, F(1, 2), 0])),
+        (Vector([-1, 0, 0, 0]),),
+    )
+    calls = []
+    make = Surd._make
+    monkeypatch.setattr(Surd, "_make", classmethod(lambda cls, *args: calls.append(args) or make(*args)))
+    for w in (u + v, u - v, -u, s * u, F(2, 3) * u):
+        assert w.dim == 4
+    assert calls == []
+    u.dot(v)
+    assert len(calls) == 1
+    equations, facets, _ = X.facet_description
+    assert len(calls) == 1 + len(equations) + len(facets)

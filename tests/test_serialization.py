@@ -217,6 +217,9 @@ def test_instance_validation():
 
 
 SET = {"vertices": [["0", "0"], ["1", "0"]]}
+TRACE = ser.trace_to_json(
+    separate(VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1]))), Vector([1, 1]))[1]
+)
 
 
 @pytest.mark.parametrize(
@@ -228,6 +231,7 @@ SET = {"vertices": [["0", "0"], ["1", "0"]]}
         (ser.parse_polyhedron, {**SET, "field": 2}, "field"),
         (ser.parse_grid, {"min": ["0", "0"], "max": ["1", "1"], "step": "1", "steps": "2"}, "steps"),
         (ser.parse_certificate, {"a": ["1", "0"], "beta": "1", "valid": True}, "valid"),
+        (ser.parse_trace, {**TRACE, "lambd": "1/2"}, "lambd"),
     ],
 )
 def test_parse_rejects_unknown_fields_by_name(parse, obj, key):
