@@ -57,7 +57,7 @@ class Certificate:
 
     def excludes(self, p: Vector) -> bool:
         """Whether p violates the cut strictly: <a, p> > beta."""
-        return (self.a.dot(p) - self.beta).sign() > 0
+        return self.a.dot_sign(p, self.beta) > 0
 
 
 def verify_certificate(X: VPolyhedron, y_tilde: Vector, cert: Certificate) -> bool:

@@ -11,8 +11,10 @@ Subcommands mirror the library operations one-to-one:
 Exit codes: 0 success, 1 malformed input, 2 validation errors (point
 inside set, non-pointed set), 3 internal errors (an exact check of the
 program's own result failed, or any other unexpected exception, reported
-as its type and message without a traceback), 64 usage errors.  All JSON
-numerics are exact strings; floats appear only inside the SVG.
+as its type and message without a traceback, on stderr and as the JSON
+body {"error": "internal: <Type>: <message>"} on stdout), 64 usage
+errors.  All JSON numerics are exact strings; floats appear only inside
+the SVG.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def main(argv=None) -> int:
         return handler(args)
     except SeparationBugError as exc:
         sys.stderr.write(f"error: internal: {exc}\n")
-        return 3
+        return _internal(exc)
     except (PointInSetError, NotPointedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -243,7 +245,13 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:
         sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
-        return 3
+        return _internal(exc)
+
+
+def _internal(exc: Exception) -> int:
+    """Exit 3 with the JSON body {"error": "internal: <Type>: <message>"}."""
+    _emit({"error": f"internal: {type(exc).__name__}: {exc}"})
+    return 3
 
 
 if __name__ == "__main__":

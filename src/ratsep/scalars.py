@@ -28,9 +28,10 @@ Surds enters scaled by the lcm of their denominators, with no Surd
 built, signs are read off integers, exact divisions are checked, and a
 pair over a denominator is a Surd again.  A ``Vector`` keeps its
 coordinates as one such row over its least denominator, so sums,
-scalings and dot products build no Surd per coordinate.  The pair
-helpers live here, beside ``Surd``, which reads its own sign with
-``_pair_sign``.
+scalings and dot products build no Surd per coordinate, and
+``Vector.dot_sign`` reads the sign of <u, v> - b with none at all.
+The pair helpers live here, beside ``Surd``, which reads its own sign
+with ``_pair_sign`` and its floor with ``_pair_floor``.
 """
 
 from __future__ import annotations
@@ -283,21 +284,12 @@ class Surd:
     # -- rounding ------------------------------------------------------
 
     def __floor__(self) -> int:
-        """The largest integer <= self, from one integer square root.
-
-        floor(self) = (a + floor(b*sqrt(k))) // d as d > 0.  For b != 0,
-        b*sqrt(k) is irrational, so its floor is isqrt(b*b*k) when b > 0
-        and -isqrt(b*b*k) - 1 when b < 0.
-        """
-        a, b = self.a, self.b
-        if b:
-            root = isqrt(b * b * self.k)
-            a += root if b > 0 else -root - 1
-        return a // self.d
+        """The largest integer <= self, exactly (``_pair_floor``)."""
+        return _pair_floor((self.a, self.b), self.d, self.k)
 
     def __ceil__(self) -> int:
         """The smallest integer >= self, exactly: -floor(-self)."""
-        return -(-self).__floor__()
+        return -_pair_floor((-self.a, -self.b), self.d, self.k)
 
     # -- misc ----------------------------------------------------------
 
@@ -337,6 +329,16 @@ def _pair_row(row) -> tuple[int, list[tuple[int, int]], int]:
     return m, [(a * (m // d), b * (m // d)) for a, b, d in parts], k
 
 
+def _surd_parts(x) -> tuple[int, int, int, int]:
+    """(a, b, d, k) with x = (a + b*sqrt(k)) / d and d > 0, for an int,
+    Fraction or Surd x; ``TypeError`` for anything else."""
+    if isinstance(x, Surd):
+        return x.a, x.b, x.d, x.k
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator, 1
+    raise TypeError(f"expected int, Fraction or Surd, got {type(x).__name__}")
+
+
 def _pair_sign(x: tuple[int, int], k: int) -> int:
     """The exact sign of a + b*sqrt(k) in {-1, 0, +1}.
 
@@ -354,10 +356,36 @@ def _pair_sign(x: tuple[int, int], k: int) -> int:
     return sa if d > 0 else sb if d < 0 else 0
 
 
+def _pair_floor(x: tuple[int, int], d: int, k: int) -> int:
+    """floor((a + b*sqrt(k)) / d) for d > 0, from one integer square root.
+
+    It is (a + floor(b*sqrt(k))) // d.  For b != 0, b*sqrt(k) is
+    irrational (k > 1 square-free), so its floor is isqrt(b*b*k) when
+    b > 0 and -isqrt(b*b*k) - 1 when b < 0.
+    """
+    a, b = x
+    if b:
+        root = isqrt(b * b * k)
+        a += root if b > 0 else -root - 1
+    return a // d
+
+
 def _pair_mul(x: tuple[int, int], y: tuple[int, int], k: int) -> tuple[int, int]:
     a, b = x
     c, d = y
     return a * c + b * d * k, a * d + b * c
+
+
+def _pair_reciprocal(c: tuple[int, int], k: int) -> tuple[tuple[int, int], int]:
+    """(w, n) with 1/c = w/n for a nonzero pair c and an integer n > 0: w
+    is the conjugate of c and n its norm a*a - b*b*k, both negated when
+    the norm is negative; over Q, w = (+-1, 0) and n = |c|."""
+    a, b = c
+    if b:
+        n, w = a * a - b * b * k, (a, -b)
+    else:
+        n, w = a, (1, 0)
+    return (w, n) if n > 0 else ((-w[0], -w[1]), -n)
 
 
 def _pair_dot(u, v, k: int) -> tuple[int, int]:
@@ -586,6 +614,22 @@ class Vector:
         a, b = _pair_dot(self.pairs, other.pairs, k)
         return Surd._make(a, b, self.m * other.m, k)
 
+    def dot_sign(self, other: "Vector", b: Surd | Rationalish = 0) -> int:
+        """The exact sign of <self, other> - b, with no Surd built.
+
+        For b = (ba + bb*sqrt(k))/db it is the sign of the pair
+        db*<self.pairs, other.pairs> - self.m*other.m*(ba, bb): both
+        sides are multiplied by db*self.m*other.m > 0, which moves no
+        sign.  Raises ``TypeError`` for any other b and ``ValueError``
+        when the vectors and b use different irrational fields.
+        """
+        self._check_dim(other)
+        ba, bb, db, k = _surd_parts(b)
+        k = Surd._k_with(Surd._k_with(self.field_k, other.field_k), k)
+        a, c = _pair_dot(self.pairs, other.pairs, k)
+        m = self.m * other.m
+        return _pair_sign((db * a - m * ba, db * c - m * bb), k)
+
     def norm_sq(self) -> Surd:
         return self.dot(self)
 
@@ -652,7 +696,7 @@ def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
     """Exact closed-ball membership via squared distance."""
     gap = p - center
     radius = _fraction(radius)
-    return (gap.norm_sq() - radius * radius).sign() <= 0
+    return gap.dot_sign(gap, radius * radius) <= 0
 
 
 def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:

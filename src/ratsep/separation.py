@@ -144,7 +144,7 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     share = t_lo / (2 * max(ray_bounds))
     d = rational_in_ball(d_star, share)
     eps = share
-    if not all((d.dot(r) + eps * hi).sign() <= 0 for r, hi in zip(rays, ray_bounds)):
+    if not all(d.dot_sign(r, -eps * hi) <= 0 for r, hi in zip(rays, ray_bounds)):
         raise SeparationBugError("barrier ball certificate failed its exact audit")
     return d, eps
 

@@ -68,8 +68,8 @@ MAX_GENERATORS = 12
 # that finds none (a point just outside the sqrt(2) edge of the README
 # triangle) takes ~14 s at 32.  The excess measure counts the grid one line
 # at a time, along the longer axis: at 10**5 points (316 x 316) it takes
-# ~0.01 s with no cuts and ~0.02 s with the 11 cuts of the README triangle
-# (2-core machine, Python 3.11).
+# ~0.5 ms with no cuts and ~2 ms with the 11 cuts of the README triangle
+# (2-core machine, Python 3.11, best of 7).
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any

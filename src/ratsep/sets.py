@@ -30,6 +30,7 @@ from .scalars import (
     _pair_dot,
     _pair_mul,
     _pair_primitive,
+    _pair_reciprocal,
     _pair_sign,
     _pair_surd,
 )
@@ -166,12 +167,11 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
         if p is not None:
             # g leaves the lineality space: basis[p] turns into the ray on the
             # side <., g> < 0, and the rest is projected onto <., g> = 0 as
-            # u - (s/c)*basis[p] for c = products[p], here times |N(c)| > 0:
-            # |N(c)|*u - s*(sign(N(c))*conj(c))*basis[p]
-            lp, (ca, cb) = basis[p], products[p]
-            norm = ca * ca - cb * cb * k
-            w = (ca, -cb) if norm > 0 else (-ca, cb)
-            scale = (abs(norm), 0)
+            # u - (s/c)*basis[p] for c = products[p], here times the
+            # integer norm > 0 of 1/c = w/norm: norm*u - s*w*basis[p]
+            lp = basis[p]
+            w, norm = _pair_reciprocal(products[p], k)
+            scale = (norm, 0)
 
             def onto_hyperplane(u, s):
                 if s == (0, 0):
@@ -183,7 +183,7 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
             ]
             rays = [onto_hyperplane(r, _pair_dot(r, g, k)) for r in rays]
             zeros = [z | bit for z in zeros]
-            rays.append([(-a, -b) for a, b in lp] if _pair_sign((ca, cb), k) > 0 else lp)
+            rays.append([(-a, -b) for a, b in lp] if _pair_sign(products[p], k) > 0 else lp)
             zeros.append(bit - 1)
             continue
         products = [_pair_dot(r, g, k) for r in rays]
@@ -230,17 +230,20 @@ def support_value(P: VPolyhedron, a: Vector) -> SupportValue:
     _check_dims(P, a)
     if not polar_cone_contains(P.rays, a):
         return SupportValue(None)
-    best = a.dot(P.vertices[0])
+    # <a, v> is the pair dot over a.m * v.m; candidates compare by cross
+    # multiplication with the positive denominators, and one Surd is built.
+    k = Surd._k_with(a.field_k, P.field_k)
+    best, m = _pair_dot(a.pairs, P.vertices[0].pairs, k), P.vertices[0].m
     for v in P.vertices[1:]:
-        cand = a.dot(v)
-        if (cand - best).sign() > 0:
-            best = cand
-    return SupportValue(best)
+        c = _pair_dot(a.pairs, v.pairs, k)
+        if _pair_sign((c[0] * m - best[0] * v.m, c[1] * m - best[1] * v.m), k) > 0:
+            best, m = c, v.m
+    return SupportValue(Surd._make(*best, a.m * m, k))
 
 
 def polar_cone_contains(rays, y: Vector) -> bool:
     """Whether <y, r> <= 0 for every ray, i.e. y lies in the polar of cone(rays)."""
-    return all(y.dot(r).sign() <= 0 for r in rays)
+    return all(y.dot_sign(r) <= 0 for r in rays)
 
 
 def is_pointed(P: VPolyhedron) -> bool:
@@ -258,14 +261,15 @@ def membership(P: VPolyhedron, x: Vector) -> bool:
     """Exact decision of x in conv(vertices) + cone(rays).
 
     x is in P iff <a, x> = b on every equation and <a, x> <= b on every
-    facet (a, b) of P's facet description, each decided by an exact sign.
+    facet (a, b) of P's facet description, each decided by an exact sign
+    on integers (``Vector.dot_sign``).
     Raises ``ValueError`` when x and P use different irrational fields.
     """
     _check_dims(P, x)
     Surd._k_with(x.field_k, P.field_k)  # raises on two different irrational fields
     equations, facets, _ = P.facet_description
-    return all((a.dot(x) - b).sign() == 0 for a, b in equations) and all(
-        (a.dot(x) - b).sign() <= 0 for a, b in facets
+    return all(a.dot_sign(x, b) == 0 for a, b in equations) and all(
+        a.dot_sign(x, b) <= 0 for a, b in facets
     )
 
 
@@ -324,6 +328,6 @@ def project(P: VPolyhedron, y: Vector) -> Vector:
                 continue
             g = y - z
             sigma = support_value(P, g)
-            if sigma.is_finite and (sigma.value - g.dot(z)).sign() <= 0:
+            if sigma.is_finite and g.dot_sign(z, sigma.value) >= 0:
                 return z
     raise SeparationBugError("no face yielded the projection; generator data invalid?")

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ratsep import (
     Certificate,
@@ -16,7 +17,8 @@ from ratsep import (
     outer_approximate,
     support_value,
 )
-from ratsep.approximation import OuterApprox
+from ratsep import approximation
+from ratsep.approximation import OuterApprox, _line_bounds, _narrow
 from ratsep.scalars import choose_rational_between
 from helpers import (
     exterior_point,
@@ -167,9 +169,16 @@ def random_cut(rng: Random, target: VPolyhedron) -> Certificate | None:
     return Certificate(a, beta)
 
 
-def random_grid(rng: Random, X: VPolyhedron) -> GridSpec:
+def random_grid(rng: Random, X: VPolyhedron, unrelated: bool = False) -> GridSpec:
     """A small grid whose lattice often runs through a rational vertex of X
-    and whose max corner is usually off the lattice."""
+    and whose max corner is usually off the lattice.  With ``unrelated``,
+    the step and the two corner coordinates have pairwise unrelated
+    denominators (step 2/7, mins 1/3 and -5/6, say)."""
+    if unrelated:
+        step = rng.choice([F(2, 7), F(3, 5), F(5, 11)])
+        mins = [rand_fraction(rng, 2, dens=(3, 13)), rand_fraction(rng, 2, dens=(6, 17))]
+        maxs = [lo + step * rng.randint(0, 12) + F(rng.randint(0, 3), 19) for lo in mins]
+        return GridSpec(tuple(mins), tuple(maxs), step)
     step = rng.choice([F(1, 2), F(1, 3), F(1, 4), F(2, 3), F(1)])
     v = X.vertices[0]
     mins = [
@@ -183,11 +192,12 @@ def random_grid(rng: Random, X: VPolyhedron) -> GridSpec:
 
 @given(
     st.integers(0, 10**6),
-    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 1000003]),
     st.sampled_from(["polytope", "rays", "point", "horizontal", "vertical"]),
     st.booleans(),
+    st.booleans(),
 )
-def test_excess_matches_pointwise_oracle(seed, k, shape, wider_target):
+def test_excess_matches_pointwise_oracle(seed, k, shape, wider_target, unrelated):
     rng = Random(seed)
     X = random_set(rng, k, shape)
     target = X
@@ -195,10 +205,63 @@ def test_excess_matches_pointwise_oracle(seed, k, shape, wider_target):
         target = VPolyhedron((*X.vertices, exterior_point(rng, X)), X.rays)
     cuts = [cut for cut in (random_cut(rng, target) for _ in range(rng.randint(0, 4))) if cut]
     approx = OuterApprox(target, tuple(cuts))
-    grid = random_grid(rng, X)
+    grid = random_grid(rng, X, unrelated)
     with forbid_floats():
         excess = excess_measure(X, approx, grid)
     assert excess == pointwise_excess(X, approx, grid)
+
+
+line_parts = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(F, st.integers(-(2**70), 2**70), st.integers(2**64, 2**70)),
+)
+BEYOND = 10**120
+
+
+@given(
+    st.sampled_from([1, 2, 1000003]),
+    st.lists(line_parts, min_size=6, max_size=6),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=30), min_size=2, max_size=2),
+    st.sampled_from([F(1), F(2, 7), F(5, 3), F(1, 2**65)]),
+    st.sampled_from([(0, 1), (1, 0)]),
+    st.integers(-40, 40),
+)
+@example(2, [F(1), F(3), F(-1, 3), F(0), F(1), F(1)], [F(1, 3), F(-5, 6)], F(2, 7), (0, 1), 3)
+@example(2, [F(0), F(1), F(1), F(-1), F(5, 2), F(-1, 4)], [F(0), F(0)], F(1), (1, 0), -7)
+@example(1000003, [F(2), F(-1), F(0), F(-1), F(-3), F(1)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
+@example(1, [F(2), F(0), F(-3, 2), F(0), F(7, 4), F(0)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
+def test_line_bound_is_the_floor_or_ceil_of_the_surd_quotient(k, parts, mins, step, axes, i):
+    """On line i the bound of <a, p> <= b is floor(q) or ceil(q) for the
+    Surd quotient q = (b - a_s*(mins_s + h*i) - a_t*mins_t) / (a_t*h),
+    by the sign of a_t: divisors are negative and irrational here too."""
+    a_s, a_t, b = (Surd(r, s, k) for r, s in zip(parts[::2], parts[1::2]))
+    assume(a_t)
+    s, t = axes
+    a = [None, None]
+    a[s], a[t] = a_s, a_t
+    grid = GridSpec(tuple(mins), tuple(mins), step)
+    with forbid_floats():
+        (bound,) = _line_bounds([(Vector(a), b)], grid, axes, k)
+        got = _narrow([bound], i, -BEYOND, BEYOND, k)
+        q = (b - a_s * (mins[s] + step * i) - a_t * mins[t]) / (a_t * step)
+        if a_t.sign() > 0:
+            expected = (-BEYOND, math.floor(q))
+        else:
+            expected = (math.ceil(q), BEYOND)
+    assert got == expected
+
+
+@pytest.mark.parametrize("maxs", [(F(1), F(49999)), (F(49999), F(1))])
+def test_excess_counts_lines_along_the_shorter_side(monkeypatch, maxs):
+    grid = GridSpec((F(0), F(0)), maxs, F(1))
+    assert sorted(grid.shape) == [2, 50000]
+    calls = []
+    narrow = approximation._narrow
+    monkeypatch.setattr(approximation, "_narrow", lambda *args: calls.append(args) or narrow(*args))
+    approx = OuterApprox(UNIT_SQUARE, (Certificate(Vector([1, 1]), F(2)),))
+    # inside the cut x + y <= 2: 5 grid points, 4 of them in the square
+    assert excess_measure(UNIT_SQUARE, approx, grid) == F(1, 100000)
+    assert 0 < len(calls) <= 2 * 2
 
 
 def test_excess_monotone_in_cuts():

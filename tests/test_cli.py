@@ -132,7 +132,9 @@ def test_separate_max_den_rejects_pipeline_certificate_that_fails(
     monkeypatch.setattr(cli, "separate", non_separating)
     code, out, err = run(capsys, ["separate", "--instance", path, "--max-den", "4"])
     assert code == 3
-    assert out == ""
+    assert json.loads(out) == {
+        "error": "internal: SeparationBugError: pipeline certificate failed verification"
+    }
     assert "error: internal: pipeline certificate failed verification" in err
 
 
@@ -167,7 +169,7 @@ def test_internal_error_exit_3_without_traceback(tmp_path, capsys, monkeypatch):
     path = write_instance(tmp_path, "tri.json", inst)
     code, out, err = run(capsys, ["separate", "--instance", path])
     assert code == 3
-    assert out == ""
+    assert out == '{"error":"internal: SeparationBugError: strict separation inequality failed"}\n'
     assert err == "error: internal: strict separation inequality failed\n"
 
 
@@ -180,8 +182,21 @@ def test_unexpected_exception_exit_3_without_traceback(tmp_path, capsys, monkeyp
     path = write_instance(tmp_path, "tri.json", inst)
     code, out, err = run(capsys, ["separate", "--instance", path])
     assert code == 3
-    assert out == ""
+    assert out == '{"error":"internal: ZeroDivisionError: division by zero"}\n'
     assert err == "error: internal: ZeroDivisionError: division by zero\n"
+
+
+def test_runtime_error_exit_3_writes_a_json_error_body(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler state lost")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))
+    path = write_instance(tmp_path, "tri.json", inst)
+    code, out, err = run(capsys, ["verify", "--instance", path])
+    assert code == 3
+    assert out == ser.dumps({"error": "internal: RuntimeError: handler state lost"})
+    assert err == "error: internal: RuntimeError: handler state lost\n"
 
 
 def test_plot_to_an_unwritable_path_exit_1(tmp_path, capsys):
