@@ -65,8 +65,15 @@ class GridSpec:
 
     @property
     def shape(self) -> tuple[int, int]:
-        """(columns, rows): how many grid values lie along x and along y."""
-        return tuple((hi - lo) // self.step + 1 for lo, hi in zip(self.mins, self.maxs))
+        """(columns, rows): how many grid values lie along x and along y,
+        floor((hi - lo) / step) + 1 by one integer floor division each."""
+        sn, sd = self.step.numerator, self.step.denominator
+        return tuple(
+            (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * sd
+            // (hi.denominator * lo.denominator * sn)
+            + 1
+            for lo, hi in zip(self.mins, self.maxs)
+        )
 
     def points(self) -> Iterator[Vector]:
         x = self.mins[0]

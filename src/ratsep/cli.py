@@ -10,7 +10,8 @@ Subcommands mirror the library operations one-to-one:
 
 Exit codes: 0 success, 1 malformed input, 2 validation errors (point
 inside set, non-pointed set), 3 internal errors (an exact check of the
-program's own result failed, or any other unexpected exception, reported
+program's own result failed, a step of ``separate`` rejected its input
+after validation, or any other unexpected exception, reported
 as its type and message without a traceback, on stderr and as the JSON
 body {"error": "internal: <Type>: <message>"} on stdout), 64 usage
 errors.  All JSON numerics are exact strings; floats appear only inside

@@ -4,14 +4,24 @@ One fraction-free pivot, ``_pivot``, is the only row-reduction step
 (Edmonds 1967; Bareiss, Math. Comp. 1968).  Each row of ints, Fractions
 or Surds is scaled once by the lcm of its entries' denominators, so that
 every entry lies in Z[sqrt(k)], and is kept there as an integer pair (see
-``scalars``); no Surd is built on the way in, and the results are pairs
-over a denominator, which is what a ``Surd`` stores.  A pivot on entry p
-replaces every other row x by (p*x - f*y) / D, where y is the pivot row,
-f the entry of x in the pivot column and D the previous pivot entry; the
-pivot row stays and p becomes the new D.  The entries are minors of the
-scaled input, so each division is exact in Z[sqrt(k)], and it is
-checked: a remainder raises ``SeparationBugError``.  The true tableau is
-the stored one over D, and every sign is read off integers.
+``scalars``); no Surd is built on the way in, a ``Vector`` row enters as
+the pairs it already stores, and the results are pairs over a
+denominator, which is what a ``Surd`` stores.  The eager pivot on entry
+p replaces every other row x by (p*x - f*y) / D, where y is the pivot
+row, f the entry of x in the pivot column and D the previous pivot
+entry; the pivot row stays and p becomes the new D.  The entries are
+minors of the scaled input, so each division is exact in Z[sqrt(k)].
+
+The rows are lazy: row i is the eager row scaled by at[i]/D, where
+at[i] is the pivot entry current when the row was last written, so its
+true values are the stored ones over at[i].  A row with 0 in the pivot
+column is not touched, because its true values do not change.  Any
+other row x, stored over a = at[i], becomes (p*x - f*y) / a, with y the
+pivot row first brought up to D as y*D/at[r]: that is the eager pivot
+of the eager row x*D/a, so it is the row the eager pivot holds, and the
+division is exact.  Every division is checked: a remainder raises
+``SeparationBugError``.  Every scale is positive, so every sign is a
+true sign, read off integers.
 
 Elimination built on the pivot solves the small linear systems of the
 projection step.  A one-phase simplex with Bland's rule, built on the
@@ -30,8 +40,18 @@ sizes here are desk scale (a dozen variables).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .scalars import Surd, _pair_mul, _pair_quotients, _pair_row, _pair_sign, _pair_surd
+from .scalars import (
+    Surd,
+    Vector,
+    _pair_mul,
+    _pair_quotients,
+    _pair_row,
+    _pair_sign,
+    _pair_surd,
+    _surd_parts,
+)
 
 __all__ = ["LPResult", "simplex_max", "solve_linear_system"]
 
@@ -51,29 +71,54 @@ def _tableau(rows) -> tuple[list[list[tuple[int, int]]], int]:
     return T, k
 
 
-def _pivot(T, r, c, D, k) -> tuple[int, int]:
-    """Fraction-free pivot of the pair rows ``T`` on entry (r, c), in place,
-    from the previous pivot entry ``D``; returns the new one, T[r][c]."""
+def _constraint_row(arow, b) -> tuple[list[tuple[int, int]], int]:
+    """The row [*arow, b] as integer pairs scaled by a positive integer,
+    and the k of its field.  A ``Vector`` row enters as its own pairs over
+    its denominator m, with no Surd built."""
+    if not isinstance(arow, Vector):
+        _, pairs, k = _pair_row([*arow, b])
+        return pairs, k
+    ba, bb, db, bk = _surd_parts(b)
+    m = lcm(arow.m, db)
+    s, t = m // arow.m, m // db
+    pairs = arow.pairs if s == 1 else [(a * s, c * s) for a, c in arow.pairs]
+    return [*pairs, (ba * t, bb * t)], Surd._k_with(arow.field_k, bk)
+
+
+def _pivot(T, at, r, c, D, k) -> tuple[int, int]:
+    """Fraction-free pivot of the lazy pair rows ``T`` on entry (r, c), in
+    place, from the current pivot entry ``D``; returns the new one, p.
+
+    Row i holds its true values times ``at[i]``.  The pivot row is first
+    brought up to D, as y*D/at[r].  Each row x with a nonzero entry f in
+    column c becomes (p*x - f*y) / at[i], the eager row, and is then held
+    over p, as is the pivot row; a row with 0 in column c is not touched.
+    """
     prow = T[r]
-    pa, pb = prow[c]
+    if at[r] != D:
+        prow = T[r] = _pair_quotients([_pair_mul(y, D, k) for y in prow], at[r], k)
+    p = pa, pb = prow[c]
     for i, row in enumerate(T):
-        if i == r:
-            continue
         fa, fb = row[c]
+        if i == r or not (fa or fb):
+            continue
         combined = [
             (pa * xa + (pb * xb - fb * yb) * k - fa * ya, pa * xb + pb * xa - fa * yb - fb * ya)
             for (xa, xb), (ya, yb) in zip(row, prow)
         ]
-        T[i] = _pair_quotients(combined, D, k)
-    return pa, pb
+        T[i] = _pair_quotients(combined, at[i], k)
+        at[i] = p
+    at[r] = p
+    return p
 
 
-def _eliminate(T, k, ncols) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+def _eliminate(T, k, ncols) -> list[tuple[int, int]]:
     """Fraction-free Gauss-Jordan elimination of the pair rows ``T`` in
     place over their first ``ncols`` columns; returns the (row, column) of
-    each pivot and the last pivot entry D.  Every pivot entry then equals
-    D, so the true rows are the stored ones over D."""
+    each pivot.  Each pivot row holds its true values times its own pivot
+    entry, and every other row is a multiple of its true values."""
     m = len(T)
+    at = [_PAIR_ONE] * m
     pivots = []
     D = _PAIR_ONE
     for col in range(ncols):
@@ -84,9 +129,10 @@ def _eliminate(T, k, ncols) -> tuple[list[tuple[int, int]], tuple[int, int]]:
         if pr is None:
             continue
         T[prow], T[pr] = T[pr], T[prow]
-        D = _pivot(T, prow, col, D, k)
+        at[prow], at[pr] = at[pr], at[prow]
+        D = _pivot(T, at, prow, col, D, k)
         pivots.append((prow, col))
-    return pivots, D
+    return pivots
 
 
 def solve_linear_system(rows, rhs) -> list[Surd]:
@@ -99,13 +145,13 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
     m = len(rows)
     n = len(rows[0]) if m else 0
     T, k = _tableau([*row, b] for row, b in zip(rows, rhs))
-    pivots, D = _eliminate(T, k, n)
+    pivots = _eliminate(T, k, n)
     for i in range(len(pivots), m):
         if T[i][n] != (0, 0):
             raise ValueError("inconsistent linear system")
     x = [_ZERO] * n
     for row, col in pivots:
-        x[col] = _pair_surd(T[row][n], k, D)
+        x[col] = _pair_surd(T[row][n], k, T[row][col])
     return x
 
 
@@ -119,8 +165,9 @@ class LPResult:
 def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     """Maximize c.x subject to A_ub x <= b_ub and x >= 0, where b_ub >= 0.
 
-    All entries may be int, Fraction or Surd; the returned solution has
-    Surd entries.  With b_ub >= 0 the slack basis is feasible from the
+    All entries may be int, Fraction or Surd, and a row of A_ub may be a
+    ``Vector``, whose pairs are read as they are; the returned solution
+    has Surd entries.  With b_ub >= 0 the slack basis is feasible from the
     start, so one phase suffices; a negative b_ub entry raises
     ValueError.  Variable j < n is x_j and variable n + i the slack of
     constraint i.  The tableau is a fraction-free dictionary (Avis &
@@ -129,32 +176,38 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     column per nonbasic variable plus the right-hand side; ``basis`` and
     ``nonbasic`` label the rows and columns with variables.  A basic
     variable's column in the full tableau is D times a unit vector, so it
-    is not stored.  A pivot on (r, c) is ``_pivot`` on the dictionary,
-    objective included, and then column c becomes the leaving variable's
-    column of the full tableau: the previous D in row r and -f in every
-    other row, where f is that row's entry of column c before the pivot.
-    So every stored entry is the full tableau's.  Bland's rule: the
-    entering column is the nonbasic variable of smallest index with
-    positive reduced cost, the leaving row the minimum ratio with the
-    smallest basic index, which guarantees termination.  Every pivot
-    entry is positive over the previous one, so D stays positive: signs
-    of stored entries are true signs, and the ratios T_i/t_i and T_l/t_l
-    of two candidate rows compare as T_i*t_l and T_l*t_i.
+    is not stored.  The rows are lazy (see ``_pivot``): row i holds the
+    full tableau's row times at[i]/D.  A pivot on (r, c) is ``_pivot`` on
+    the dictionary, objective included, and then column c becomes the
+    leaving variable's column of the full tableau: the previous D in row
+    r, 0 in every row the pivot left alone, and -f*D/a in every row it
+    rewrote, where f was that row's entry of column c over a = at[i].
+    Bland's rule: the entering column is the nonbasic variable of
+    smallest index with positive reduced cost, the leaving row the
+    minimum ratio with the smallest basic index, which guarantees
+    termination.  Every pivot entry is positive over the previous one, so
+    D and every at[i] stay positive: signs of stored entries are true
+    signs, and the ratios T_i/t_i and T_l/t_l of two candidate rows, each
+    taken within its own row and so free of its scale, compare as
+    T_i*t_l and T_l*t_i.  The solution reads T_i over at[i].
     """
     n = len(c)
-    rows = []
+    T = []
+    k = 1
     for arow, b in zip(A_ub, b_ub, strict=True):
         if len(arow) != n:
             raise ValueError("A_ub row length does not match objective")
-        rows.append([*arow, b])
-    T, k = _tableau(rows)
+        row, row_k = _constraint_row(arow, b)
+        T.append(row)
+        k = Surd._k_with(k, row_k)
     for row, b in zip(T, b_ub):
         if _pair_sign(row[-1], k) < 0:
             raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
     scale, cost, cost_k = _pair_row(c)
     k = Surd._k_with(k, cost_k)
+    m = len(T)
     T.append([*cost, (0, 0)])
-    m = len(rows)
+    at = [_PAIR_ONE] * (m + 1)
     basis = list(range(n, n + m))
     nonbasic = list(range(n))
     D = _PAIR_ONE
@@ -178,15 +231,18 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
                     leave = i
         if leave is None:
             return LPResult("unbounded")
-        column = [row[enter] for row in T]
-        previous, D = D, _pivot(T, leave, enter, D, k)
-        for row, (a, b) in zip(T, column):
-            row[enter] = (-a, -b)
+        column = [(row[enter], a) for row, a in zip(T, at)]
+        previous, D = D, _pivot(T, at, leave, enter, D, k)
+        for row, ((fa, fb), a) in zip(T, column):
+            if fa or fb:
+                f = (-fa, -fb)
+                row[enter] = f if a == previous else _pair_quotients([_pair_mul(f, previous, k)], a, k)[0]
         T[leave][enter] = previous
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
     x = [_ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = _pair_surd(T[i][-1], k, D)
+            x[b] = _pair_surd(T[i][-1], k, at[i])
     a, b = T[-1][-1]
-    return LPResult("optimal", tuple(x), _pair_surd((-a, -b), k, (D[0] * scale, D[1] * scale)))
+    s, t = at[-1]
+    return LPResult("optimal", tuple(x), _pair_surd((-a, -b), k, (s * scale, t * scale)))

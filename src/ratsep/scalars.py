@@ -30,8 +30,10 @@ pair over a denominator is a Surd again.  A ``Vector`` keeps its
 coordinates as one such row over its least denominator, so sums,
 scalings and dot products build no Surd per coordinate, and
 ``Vector.dot_sign`` reads the sign of <u, v> - b with none at all.
-The pair helpers live here, beside ``Surd``, which reads its own sign
-with ``_pair_sign`` and its floor with ``_pair_floor``.
+``sqrt_enclosure`` and ``choose_rational_between`` read their arguments'
+integers too and build no Surd.  The pair helpers live here, beside
+``Surd``, which reads its own sign with ``_pair_sign`` and its floor
+with ``_pair_floor``.
 """
 
 from __future__ import annotations
@@ -645,17 +647,19 @@ def sqrt_convergents(k: int) -> Iterator[Fraction]:
     """
     if k <= 1 or not _is_square_free(k):
         raise ValueError(f"need square-free k > 1, got {k}")
-    yield from _convergents(k)
+    for h, q in _convergents(k):
+        yield Fraction(h, q)
 
 
-def _convergents(k: int) -> Iterator[Fraction]:
-    """``sqrt_convergents`` for an already-checked k > 1."""
+def _convergents(k: int) -> Iterator[tuple[int, int]]:
+    """The convergents h/q of sqrt(k) for an already-checked k > 1, as
+    coprime integers h and q > 0."""
     a0 = isqrt(k)
     m, d, a = 0, 1, a0
     h_prev, h = 1, a0
     q_prev, q = 0, 1
     while True:
-        yield Fraction(h, q)
+        yield h, q
         m = d * a - m
         d = (k - m * m) // d
         a = (a0 + m) // d
@@ -669,26 +673,28 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
     Perfect squares of rationals are returned exactly.  Otherwise the
     enclosure is the dyadic interval [n/2**j, (n + 1)/2**j] for the
     smallest j >= 0 with 2**-j <= tol, where
-    n = floor(sqrt(x) * 2**j) = isqrt(floor(x * 4**j)) by the exact
-    ``Surd.__floor__``.  Deterministic in (x, tol).
+    n = floor(sqrt(x) * 2**j) = isqrt(floor(x * 4**j)), and for
+    x = (a + b*sqrt(k))/d the floor is ``_pair_floor`` of the pair
+    (a*4**j, b*4**j) over d, with no Surd built.  Deterministic in
+    (x, tol).
     """
-    x = Surd._coerce(x)
+    a, b, d, k = _surd_parts(x)
     tol = _fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sgn = x.sign()
+    sgn = _pair_sign((a, b), k)
     if sgn < 0:
         raise ValueError(f"cannot enclose the square root of the negative {x}")
     if sgn == 0:
         return QInterval(Fraction(0), Fraction(0))
-    if x.is_rational:
-        rn, rd = isqrt(x.a), isqrt(x.d)
-        if rn * rn == x.a and rd * rd == x.d:
+    if not b:
+        rn, rd = isqrt(a), isqrt(d)
+        if rn * rn == a and rd * rd == d:
             root = Fraction(rn, rd)
             return QInterval(root, root)
     # 2**j >= 1/tol iff 2**j >= ceil(1/tol), the integer -(-q // p)
     j = (-(-tol.denominator // tol.numerator) - 1).bit_length()
-    n = isqrt(math.floor(x * 4**j))
+    n = isqrt(_pair_floor((a << 2 * j, b << 2 * j), d, k))
     return QInterval(Fraction(n, 2**j), Fraction(n + 1, 2**j))
 
 
@@ -728,18 +734,27 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
     The midpoint is returned when it is rational; otherwise the
     midpoint's sqrt(k) part is walked through continued-fraction
     convergents until the resulting rational falls strictly inside.
-    Deterministic in (lo, hi).
+    Deterministic in (lo, hi).  All of it runs on integers: with
+    lo = (la + lb*sqrt(k))/ld and hi = (ha + hb*sqrt(k))/hd, the
+    midpoint is (A + B*sqrt(k))/E for A = la*hd + ha*ld,
+    B = lb*hd + hb*ld and E = 2*ld*hd, the candidate for a convergent
+    h/q of sqrt(k) is (A*q + B*h)/(E*q), and each side is decided by one
+    ``_pair_sign`` of cross-multiplied integers.  One Fraction, the
+    result, is built.
     """
-    lo = Surd._coerce(lo)
-    hi = Surd._coerce(hi)
-    if (hi - lo).sign() <= 0:
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    mid = (lo + hi) * Fraction(1, 2)
-    if mid.is_rational:
-        return mid.as_fraction()
-    r, s = mid.r, mid.s
-    for w in _convergents(mid.k):
-        cand = r + s * w
-        if (cand - lo).sign() > 0 and (hi - cand).sign() > 0:
-            return cand
+    la, lb, ld, lk = _surd_parts(lo)
+    ha, hb, hd, hk = _surd_parts(hi)
+    k = Surd._k_with(lk, hk)
+    if _pair_sign((ha * ld - la * hd, hb * ld - lb * hd), k) <= 0:
+        raise ValueError(f"need lo < hi, got lo={Surd._of(lo)}, hi={Surd._of(hi)}")
+    A, B, E = la * hd + ha * ld, lb * hd + hb * ld, 2 * ld * hd
+    if not B:
+        return Fraction(A, E)
+    for h, q in _convergents(k):
+        num, den = A * q + B * h, E * q
+        if (
+            _pair_sign((num * ld - la * den, -lb * den), k) > 0
+            and _pair_sign((ha * den - num * hd, hb * den), k) > 0
+        ):
+            return Fraction(num, den)
     raise AssertionError("unreachable: convergents converge to the midpoint")

@@ -129,8 +129,13 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     # variables: p (n), q (n), t; d = p - q
     nvars = 2 * n + 1
     c = [0] * (2 * n) + [1]
-    A_ub = [[*r, *(-x for x in r), 1] for r in rays]
-    A_ub += [[int(i == j) for i in range(nvars)] for j in range(2 * n)]
+    # rows [r, -r, 1] per ray and the unit rows of the box, built as
+    # Vectors from r's own pairs over r.m, which simplex_max reads as they are
+    A_ub = [
+        Vector._make(r.m, [*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0)], r.field_k)
+        for r in rays
+    ]
+    A_ub += [Vector._make(1, [(int(i == j), 0) for i in range(nvars)], 1) for j in range(2 * n)]
     b_ub = [0] * len(rays) + [1] * (2 * n)
     res = simplex_max(c, A_ub=A_ub, b_ub=b_ub)
     if res.status != "optimal":
@@ -242,6 +247,10 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
     quantity exactly.  Raises NotPointedError / PointInSetError for the
     two rejected inputs, and SeparationBugError if an internal exact
     inequality fails, which would be a bug rather than a data issue.
+    Once the input has passed validation, a ``ValueError`` from any later
+    step (a ``NotPointedError`` from the barrier LP included) is such a
+    bug too, and is raised again as SeparationBugError with the fields
+    computed so far.
     """
     if X.dim != y_tilde.dim:
         raise DimensionMismatchError("point dimension does not match the set")
@@ -250,39 +259,32 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
     if membership(X, y_tilde):
         raise PointInSetError("point inside set")
 
-    z_tilde = project(X, y_tilde)
-    C = X.translated(-z_tilde)
-    y_bar = y_tilde - z_tilde
+    fields: dict = {}
+    try:
+        fields["z_tilde"] = z_tilde = project(X, y_tilde)
+        C = X.translated(-z_tilde)
+        fields["y_bar"] = y_bar = y_tilde - z_tilde
 
-    d, eps = find_barrier_direction(C)
-    M = bound_support_on_ball(C, d, eps)
-    alpha, d_bar, eps_bar, delta_hat = compute_wedge_parameters(y_bar, M, d, eps)
-    center, radius = wedge_interior_ball(y_bar, d_bar, eps_bar, delta_hat)
-    lam = 2 * radius / eps_bar
-    a = rational_in_ball(center, radius)
+        d, eps = find_barrier_direction(C)
+        fields.update(d=d, eps=eps)
+        fields["M"] = M = bound_support_on_ball(C, d, eps)
+        alpha, d_bar, eps_bar, delta_hat = compute_wedge_parameters(y_bar, M, d, eps)
+        fields.update(alpha=alpha, d_bar=d_bar, eps_bar=eps_bar, delta_hat=delta_hat)
+        center, radius = wedge_interior_ball(y_bar, d_bar, eps_bar, delta_hat)
+        fields.update(lam=2 * radius / eps_bar, ball_center=center, ball_radius=radius)
+        fields["a"] = a = rational_in_ball(center, radius)
 
-    fields = dict(
-        z_tilde=z_tilde,
-        y_bar=y_bar,
-        d=d,
-        eps=eps,
-        M=M,
-        alpha=alpha,
-        d_bar=d_bar,
-        eps_bar=eps_bar,
-        delta_hat=delta_hat,
-        lam=lam,
-        ball_center=center,
-        ball_radius=radius,
-        a=a,
-    )
-    if a.is_zero():
-        raise SeparationBugError("wedge produced the zero normal", fields)
-    sX = support_value(X, a)
-    if not sX.is_finite:
-        raise SeparationBugError("wedge normal has infinite support value", fields)
-    rhs = a.dot(y_tilde)
-    if (rhs - sX.value).sign() <= 0:
-        raise SeparationBugError("strict separation inequality failed", fields)
-    beta = choose_rational_between(sX.value, rhs)
+        if a.is_zero():
+            raise SeparationBugError("wedge produced the zero normal", fields)
+        sX = support_value(X, a)
+        if not sX.is_finite:
+            raise SeparationBugError("wedge normal has infinite support value", fields)
+        rhs = a.dot(y_tilde)
+        if (rhs - sX.value).sign() <= 0:
+            raise SeparationBugError("strict separation inequality failed", fields)
+        beta = choose_rational_between(sX.value, rhs)
+    except ValueError as exc:
+        raise SeparationBugError(
+            f"a step after validation raised {type(exc).__name__}: {exc}", fields
+        ) from exc
     return Certificate(a, beta), SeparationTrace(**fields, beta=beta)

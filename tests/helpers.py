@@ -15,7 +15,7 @@ from ratsep import GridSpec, Surd, Vector, VPolyhedron, membership, support_valu
 from ratsep.approximation import OuterApprox
 from ratsep.linalg import LPResult, _eliminate, _tableau, solve_linear_system
 from ratsep.sets import FacetDescription
-from ratsep.scalars import QInterval, point_in_ball, rational_in_ball
+from ratsep.scalars import QInterval, point_in_ball, rational_in_ball, sqrt_convergents
 from ratsep.separation import norm_upper
 
 
@@ -37,7 +37,7 @@ def fraction_sign(r: Fraction, s: Fraction, k: int) -> int:
 
 def rank(rows) -> int:
     """The exact rank of a matrix given as a list of rows (0 for no rows)."""
-    return len(_eliminate(*_tableau(rows), len(rows[0]) if rows else 0)[0])
+    return len(_eliminate(*_tableau(rows), len(rows[0]) if rows else 0))
 
 
 def _surd_pivot(rows, r, c) -> None:
@@ -351,6 +351,24 @@ def bisection_enclosure(x, tol: Fraction) -> QInterval:
         else:
             hi = mid
     return QInterval(lo, hi)
+
+
+def surd_choose_rational_between(lo, hi) -> Fraction:
+    """Reference ``choose_rational_between`` in Surd arithmetic: the
+    midpoint when it is rational, else r + s*w for the first convergent w
+    of sqrt(k) that puts it strictly between lo and hi."""
+    lo, hi = Surd._of(lo), Surd._of(hi)
+    if (hi - lo).sign() <= 0:
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
+    mid = (lo + hi) * Fraction(1, 2)
+    if mid.is_rational:
+        return mid.as_fraction()
+    r, s = mid.r, mid.s
+    for w in sqrt_convergents(mid.k):
+        cand = r + s * w
+        if (cand - lo).sign() > 0 and (hi - cand).sign() > 0:
+            return cand
+    raise AssertionError("unreachable: convergents converge to the midpoint")
 
 
 def rand_fraction(rng: Random, span: int = 3, dens=(1, 2, 3, 4)) -> Fraction:

@@ -8,13 +8,14 @@ import pytest
 from ratsep import (
     Certificate,
     GridSpec,
+    NotPointedError,
     SeparationBugError,
     Surd,
     Vector,
     VPolyhedron,
     verify_certificate,
 )
-from ratsep import approximation, cli
+from ratsep import approximation, cli, separation
 from ratsep import serialization as ser
 from ratsep.cli import main
 
@@ -171,6 +172,37 @@ def test_internal_error_exit_3_without_traceback(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == '{"error":"internal: SeparationBugError: strict separation inequality failed"}\n'
     assert err == "error: internal: strict separation inequality failed\n"
+
+
+QUADRANT = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([0, 1])))
+
+
+def _raising(exc):
+    def step(*args, **kwargs):
+        raise exc
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "step, exc",
+    [
+        ("bound_support_on_ball", ValueError("ball d + eps*B is not inside the barrier cone")),
+        ("simplex_max", ValueError("simplex_max needs b_ub >= 0, got -1")),
+        ("find_barrier_direction", NotPointedError("ray cone admits no strictly separating direction")),
+    ],
+)
+def test_value_error_after_validation_exits_3(tmp_path, capsys, monkeypatch, step, exc):
+    # a step past validation that rejects its input is a program fault,
+    # not malformed input: exit 3 with the JSON error body, not exit 1
+    monkeypatch.setattr(separation, step, _raising(exc))
+    inst = ser.Instance(polyhedron=QUADRANT, point=Vector([-1, -2]))
+    path = write_instance(tmp_path, "quadrant.json", inst)
+    code, out, err = run(capsys, ["separate", "--instance", path])
+    message = f"a step after validation raised {type(exc).__name__}: {exc}"
+    assert code == 3
+    assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
+    assert err == f"error: internal: {message}\n"
 
 
 def test_unexpected_exception_exit_3_without_traceback(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ratsep import NotPointedError, SeparationBugError, Surd, Vector, VPolyhedron
 from ratsep import linalg, separation
 from ratsep.linalg import _pivot, _tableau, simplex_max
-from ratsep.scalars import _pair_mul, _pair_quotients, _pair_sign, _pair_surd
+from ratsep.scalars import _pair_combination, _pair_mul, _pair_quotients, _pair_sign, _pair_surd
 from ratsep.sets import _double_description
 from helpers import (
     forbid_floats,
@@ -71,12 +71,13 @@ def test_a_corrupted_quotient_fails_the_exactness_audit(k):
     # the second pivot divides by the first pivot entry: 2, or 2 + sqrt(2)
     rows = [[2 + root, 1, 1], [1, 3, 2], [1, 1 + root, 5]]
     T, k = _tableau(rows)
-    D = _pivot(T, 0, 0, (1, 0), k)
-    _pivot([row[:] for row in T], 1, 1, D, k)  # the true quotients divide
+    at = [(1, 0)] * len(T)
+    D = _pivot(T, at, 0, 0, (1, 0), k)
+    _pivot([row[:] for row in T], at[:], 1, 1, D, k)  # the true quotients divide
     a, b = T[1][2]
     T[1][2] = (a + 1, b)
     with pytest.raises(SeparationBugError, match="left a remainder"):
-        _pivot(T, 1, 1, D, k)
+        _pivot(T, at, 1, 1, D, k)
 
 
 # -- simplex_max -----------------------------------------------------------
@@ -144,9 +145,9 @@ def test_simplex_pivots_a_dictionary_without_slack_columns(monkeypatch):
     A = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]]
     shapes = []
 
-    def recorder(T, r, col, D, k):
+    def recorder(T, at, r, col, D, k):
         shapes.extend((len(T), len(row)) for row in T)
-        return _pivot(T, r, col, D, k)
+        return _pivot(T, at, r, col, D, k)
 
     monkeypatch.setattr(linalg, "_pivot", recorder)
     assert simplex_max(c, A_ub=A, b_ub=[0, 0, 1]).status == "optimal"
@@ -208,11 +209,78 @@ def test_barrier_direction_is_unchanged_under_the_surd_tableau(k, dim, count, po
         except NotPointedError:
             return None
 
+    calls = []
+
+    def oracle(*args, **kwargs):
+        calls.append(args)
+        return surd_simplex_max(*args, **kwargs)
+
     got = barrier()
-    with patch.object(separation, "simplex_max", surd_simplex_max):
+    with patch.object(separation, "simplex_max", oracle):
         want = barrier()
     assert got == want
     assert (got is None) == (not pointed)
+    # P has rays, so the barrier ran its LP through the patched binding;
+    # otherwise the comparison above would set the code against itself
+    assert P.rays and len(calls) == 1
+
+
+def scaled(row, a, D, k):
+    """The lazy row stored over the scale a, brought to the scale D."""
+    return _pair_quotients([_pair_mul(x, D, k) for x in row], a, k)
+
+
+def spy_on_pivots(monkeypatch) -> list:
+    """Patch ``linalg._pivot`` to check each pivot against the eager one,
+    which rewrites every row x as (p*x - f*y) / D, and to record the pivot
+    row and column, each row and its scale before and after, and p."""
+    log = []
+
+    def spy(T, at, r, c, D, k):
+        eager = [scaled(row, a, D, k) for row, a in zip(T, at)]
+        before = [(row[:], a) for row, a in zip(T, at)]
+        p = _pivot(T, at, r, c, D, k)
+        y = eager[r]
+        want = [
+            row if i == r else _pair_quotients(_pair_combination(y[c], row, row[c], y, k), D, k)
+            for i, row in enumerate(eager)
+        ]
+        assert p == y[c]
+        assert [scaled(row, a, p, k) for row, a in zip(T, at)] == want
+        log.append((r, c, before, [(row[:], a) for row, a in zip(T, at)], p))
+        return p
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    return log
+
+
+@pytest.mark.parametrize("k", [1, 2, BIG_K])
+def test_pivot_leaves_rows_with_zero_in_the_pivot_column_alone(monkeypatch, k):
+    # the margin LP of three rays in dim 3: each box row holds a single 1,
+    # so most rows have a 0 in the pivot column
+    root = Surd(0, 1, k) if k > 1 else Surd(F(1, 3))
+    rays = [[-1, root, F(-1, 2)], [-2, -1, 0], [F(-1, 3), 0, -root - 2]]
+    log = spy_on_pivots(monkeypatch)
+    assert assert_same_lp(*margin_lp(rays, 3)).status == "optimal"
+    skipped = 0
+    for r, c, before, after, p in log:
+        assert after[r][1] == p
+        for i, ((row, a), (new_row, new_a)) in enumerate(zip(before, after)):
+            if i != r and row[c] == (0, 0):
+                skipped += 1
+                assert new_row == row and new_a == a
+            elif i != r:
+                assert new_a == p
+    assert log and skipped > len(log)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lp=barrier_lps())
+def test_lazy_rows_are_the_eager_rows_over_their_scale(lp):
+    # every pivot of a margin LP, checked against the eager pivot in the spy
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy_on_pivots(monkeypatch)
+        assert assert_same_lp(*lp).status == "optimal"
 
 
 # -- the double description ------------------------------------------------

@@ -22,7 +22,12 @@ from ratsep.scalars import (
     sqrt_convergents,
     sqrt_enclosure,
 )
-from helpers import bisection_enclosure, forbid_floats, point_in_apex_hull
+from helpers import (
+    bisection_enclosure,
+    forbid_floats,
+    point_in_apex_hull,
+    surd_choose_rational_between,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 field_ks = st.sampled_from([1, 2, 3, 5])
@@ -446,6 +451,49 @@ def test_choose_between_contract(triple):
     beta = choose_rational_between(lo, hi)
     assert (Surd(beta) - lo).sign() > 0
     assert (hi - Surd(beta)).sign() > 0
+
+
+@st.composite
+def narrow_intervals(draw):
+    """(lo, hi) over Q, Q(sqrt2) or Q(sqrt(1000003)), rational or irrational
+    at each end, as Surds, Fractions or ints, often less than 10**-12
+    wide so that many convergents are walked, and sometimes empty."""
+    k = draw(st.sampled_from([1, 2, 1000003]))
+    s = draw(st.sampled_from([0, 1, -1]) | rationals) if k > 1 else 0
+    lo = Surd(draw(rationals), s, k)
+    width = F(1, draw(st.sampled_from([1, 7, 10**3, 10**12, 10**30])))
+    gap = draw(st.sampled_from(["rational", "irrational", "zero", "negative"]))
+    if gap == "zero":
+        hi = lo
+    elif gap == "negative":
+        hi = lo - width
+    elif gap == "irrational" and k > 1:
+        hi = lo + width * abs(Surd(draw(rationals), draw(st.sampled_from([1, -1, F(1, 3)])), k))
+    else:
+        hi = lo + width
+
+    def plain(x):
+        if not x.is_rational:
+            return x
+        f = x.as_fraction()
+        return draw(st.sampled_from([x, f, int(f)] if f.denominator == 1 else [x, f]))
+
+    return plain(lo), plain(hi)
+
+
+@given(narrow_intervals())
+@example((Surd.root(2), Surd.root(2) + F(2, 10**40)))  # convergents up to q ~ 10**20
+def test_choose_between_matches_surd_arithmetic(bounds):
+    lo, hi = bounds
+    with forbid_floats():
+        try:
+            want = surd_choose_rational_between(lo, hi)
+        except ValueError:
+            with pytest.raises(ValueError, match="need lo < hi"):
+                choose_rational_between(lo, hi)
+            return
+        got = choose_rational_between(lo, hi)
+    assert type(got) is F and got == want
 
 
 # -- convergents and vectors ----------------------------------------------

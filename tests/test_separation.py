@@ -348,3 +348,18 @@ def test_separate_unbounded_set():
     assert verify_certificate(P, y, cert)
     for r in P.rays:
         assert cert.a.dot(r).sign() <= 0
+
+
+def test_value_error_after_validation_carries_the_fields_so_far(monkeypatch):
+    from ratsep import SeparationBugError, separation
+
+    def rejecting(C, d, eps):
+        raise ValueError("ball d + eps*B is not inside the barrier cone")
+
+    monkeypatch.setattr(separation, "bound_support_on_ball", rejecting)
+    P = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([0, 1])))
+    with pytest.raises(SeparationBugError, match="raised ValueError: ball d") as info:
+        separate(P, Vector([-1, -2]))
+    assert list(info.value.context) == ["z_tilde", "y_bar", "d", "eps"]
+    assert info.value.context["z_tilde"] == Vector([0, 0])
+    assert isinstance(info.value.__cause__, ValueError)
