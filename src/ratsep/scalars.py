@@ -30,10 +30,19 @@ pair over a denominator is a Surd again.  A ``Vector`` keeps its
 coordinates as one such row over its least denominator, so sums,
 scalings and dot products build no Surd per coordinate, and
 ``Vector.dot_sign`` reads the sign of <u, v> - b with none at all.
-``sqrt_enclosure`` and ``choose_rational_between`` read their arguments'
-integers too and build no Surd.  The pair helpers live here, beside
-``Surd``, which reads its own sign with ``_pair_sign`` and its floor
-with ``_pair_floor``.
+The pair helpers live here, beside ``Surd``, which reads its own sign
+with ``_pair_sign`` and its floor with ``_pair_floor``.
+
+Two private kernels turn field elements into rationals, each written
+once on integers and shared by every caller.  ``_sqrt_bounds``, the
+enclosure kernel, brackets sqrt((a + b*sqrt(k))/d) by n/2**j and
+(n + 1)/2**j, or returns it exactly when it is rational;
+``sqrt_enclosure``, ``separation.norm_upper`` and
+``separation.compute_wedge_parameters`` call it.  ``_rational_between``,
+the rounding kernel, picks a rational strictly between two field
+elements given as integers, by a continued-fraction walk that ends by a
+proven bound; ``choose_rational_between``, ``rational_in_ball`` and
+``separation``'s own roundings call it.  Neither builds a Surd.
 """
 
 from __future__ import annotations
@@ -667,35 +676,52 @@ def _convergents(k: int) -> Iterator[tuple[int, int]]:
         q_prev, q = q, a * q + q_prev
 
 
+def _dyadic_exponent(tol: Fraction) -> int:
+    """The smallest j >= 0 with 2**-j <= tol, for tol > 0: 2**j >= 1/tol
+    iff 2**j >= ceil(1/tol), the integer -(-q // p)."""
+    return (-(-tol.denominator // tol.numerator) - 1).bit_length()
+
+
+def _sqrt_bounds(a: int, b: int, d: int, k: int, j: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo/den <= sqrt(x) <= hi/den for x = (a + b*sqrt(k))/d,
+    x >= 0 and d > 0: the enclosure kernel.
+
+    When x is the square of a rational r/s, that is when b = 0 and a/d in
+    lowest terms is r**2/s**2, it is (r, r, s), whatever form (a, d) the
+    caller holds.  Otherwise it is the dyadic interval (n, n + 1, 2**j) for
+    n = floor(sqrt(x) * 2**j) = isqrt(floor(x * 4**j)), the floor being
+    ``_pair_floor`` of the pair (a*4**j, b*4**j) over d.  Integers only.
+    """
+    if not b:
+        g = gcd(a, d)
+        a, d = a // g, d // g
+        rn, rd = isqrt(a), isqrt(d)
+        if rn * rn == a and rd * rd == d:
+            return rn, rn, rd
+    n = isqrt(_pair_floor((a << 2 * j, b << 2 * j), d, k))
+    return n, n + 1, 1 << j
+
+
 def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
     """A rational interval [lo, hi] with lo**2 <= x <= hi**2, hi - lo <= tol.
 
     Perfect squares of rationals are returned exactly.  Otherwise the
     enclosure is the dyadic interval [n/2**j, (n + 1)/2**j] for the
     smallest j >= 0 with 2**-j <= tol, where
-    n = floor(sqrt(x) * 2**j) = isqrt(floor(x * 4**j)), and for
-    x = (a + b*sqrt(k))/d the floor is ``_pair_floor`` of the pair
-    (a*4**j, b*4**j) over d, with no Surd built.  Deterministic in
-    (x, tol).
+    n = floor(sqrt(x) * 2**j).  Both come from ``_sqrt_bounds``, the one
+    enclosure kernel, which ``separation.norm_upper`` and
+    ``separation.compute_wedge_parameters`` call on integer pairs too;
+    this function only checks x and tol, finds j and wraps the kernel's
+    integers in a ``QInterval``.  Deterministic in (x, tol).
     """
     a, b, d, k = _surd_parts(x)
     tol = _fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sgn = _pair_sign((a, b), k)
-    if sgn < 0:
+    if _pair_sign((a, b), k) < 0:
         raise ValueError(f"cannot enclose the square root of the negative {x}")
-    if sgn == 0:
-        return QInterval(Fraction(0), Fraction(0))
-    if not b:
-        rn, rd = isqrt(a), isqrt(d)
-        if rn * rn == a and rd * rd == d:
-            root = Fraction(rn, rd)
-            return QInterval(root, root)
-    # 2**j >= 1/tol iff 2**j >= ceil(1/tol), the integer -(-q // p)
-    j = (-(-tol.denominator // tol.numerator) - 1).bit_length()
-    n = isqrt(_pair_floor((a << 2 * j, b << 2 * j), d, k))
-    return QInterval(Fraction(n, 2**j), Fraction(n + 1, 2**j))
+    lo, hi, den = _sqrt_bounds(a, b, d, k, _dyadic_exponent(tol))
+    return QInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
@@ -708,24 +734,33 @@ def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
 def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
     """A rational point q with ||q - center|| <= radius, verified exactly.
 
-    Each coordinate c is replaced by ``choose_rational_between(c - b,
-    c + b)`` for the per-coordinate budget b = min(radius/(2n), radius**2):
-    c itself when rational, else r + s*w for the first continued-fraction
-    convergent w of sqrt(k) within b of c = r + s*sqrt(k).  The closing
-    check ||q - center||**2 <= radius**2 is an exact Surd comparison.
-    Deterministic in (center, radius).
+    A rational center is returned as it is.  Otherwise each coordinate
+    x = (a + b*sqrt(k))/m = r + s*sqrt(k) is replaced by a rational
+    strictly between x - p/q and x + p/q for the per-coordinate budget
+    p/q = min(radius/(2n), radius**2): the rounding kernel
+    ``_rational_between`` (the one behind ``choose_rational_between``)
+    runs on the integer ends (a*q - p*m, b*q) and (a*q + p*m, b*q) over
+    m*q, with no Surd built, and returns x itself when x is rational,
+    else r + s*w for the first continued-fraction convergent w of sqrt(k)
+    that lands inside.  The closing check ||q - center||**2 <= radius**2
+    is an exact sign.  Deterministic in (center, radius).
     """
     radius = _fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if center.is_rational:
         return center
-    n = center.dim
-    budget = min(radius / (2 * n), radius * radius)
-    q = Vector(choose_rational_between(c - budget, c + budget) for c in center.coords)
-    if not point_in_ball(q, center, radius):
+    budget = min(radius / (2 * center.dim), radius * radius)
+    p, q = budget.numerator, budget.denominator
+    m, k = center.m, center.field_k
+    den, step = m * q, p * m
+    point = Vector(
+        _rational_between(a * q - step, b * q, den, a * q + step, b * q, den, k)
+        for a, b in center.pairs
+    )
+    if not point_in_ball(point, center, radius):
         raise SeparationBugError("per-coordinate budgets failed to cover the ball")
-    return q
+    return point
 
 
 def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> Fraction:
@@ -734,19 +769,41 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
     The midpoint is returned when it is rational; otherwise the
     midpoint's sqrt(k) part is walked through continued-fraction
     convergents until the resulting rational falls strictly inside.
-    Deterministic in (lo, hi).  All of it runs on integers: with
-    lo = (la + lb*sqrt(k))/ld and hi = (ha + hb*sqrt(k))/hd, the
-    midpoint is (A + B*sqrt(k))/E for A = la*hd + ha*ld,
-    B = lb*hd + hb*ld and E = 2*ld*hd, the candidate for a convergent
-    h/q of sqrt(k) is (A*q + B*h)/(E*q), and each side is decided by one
-    ``_pair_sign`` of cross-multiplied integers.  One Fraction, the
-    result, is built.
+    Deterministic in (lo, hi).  This function reads the integers of lo
+    and hi and hands them to ``_rational_between``, the one rounding
+    kernel, which ``rational_in_ball`` and ``separation`` call on integer
+    pairs too.  Raises ``ValueError`` unless lo < hi.
     """
     la, lb, ld, lk = _surd_parts(lo)
     ha, hb, hd, hk = _surd_parts(hi)
-    k = Surd._k_with(lk, hk)
-    if _pair_sign((ha * ld - la * hd, hb * ld - lb * hd), k) <= 0:
-        raise ValueError(f"need lo < hi, got lo={Surd._of(lo)}, hi={Surd._of(hi)}")
+    return _rational_between(la, lb, ld, ha, hb, hd, Surd._k_with(lk, hk))
+
+
+def _rational_between(la: int, lb: int, ld: int, ha: int, hb: int, hd: int, k: int) -> Fraction:
+    """The rational of ``choose_rational_between`` for lo = (la + lb*sqrt(k))/ld
+    and hi = (ha + hb*sqrt(k))/hd with ld, hd > 0: the rounding kernel.
+
+    It first checks lo < hi, as the sign of (hi - lo)*ld*hd =
+    Wa + Wb*sqrt(k), and raises ``ValueError`` otherwise, so no walk
+    starts that could not end.  The midpoint is (A + B*sqrt(k))/E for
+    A = la*hd + ha*ld, B = lb*hd + hb*ld and E = 2*ld*hd; it is returned
+    when B = 0.  Else the candidate for a convergent h/q of sqrt(k) is (A*q + B*h)/(E*q),
+    and each side is decided by one ``_pair_sign`` of cross-multiplied
+    integers.  The result depends only on the values of lo and hi, and
+    one Fraction, the result, is built.
+
+    The walk is bounded.  Every convergent has |h/q - sqrt(k)| < 1/q**2,
+    so the candidate is within |B|/(E*q**2) of the midpoint, strictly
+    inside once q**2 * E * w >= |B| for the half-width
+    w = (hi - lo)/2 = (Wa + Wb*sqrt(k))/E, that is once
+    q**2 * (Wa + Wb*sqrt(k)) - |B| >= 0, one exact pair sign.  A
+    candidate that misses past that point means a fault in the sign
+    tests, and raises ``SeparationBugError`` instead of walking on.
+    """
+    Wa, Wb = ha * ld - la * hd, hb * ld - lb * hd
+    if _pair_sign((Wa, Wb), k) <= 0:
+        lo, hi = Surd._make(la, lb, ld, k), Surd._make(ha, hb, hd, k)
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     A, B, E = la * hd + ha * ld, lb * hd + hb * ld, 2 * ld * hd
     if not B:
         return Fraction(A, E)
@@ -757,4 +814,10 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
             and _pair_sign((ha * den - num * hd, hb * den), k) > 0
         ):
             return Fraction(num, den)
+        qq = q * q
+        if _pair_sign((qq * Wa - abs(B), qq * Wb), k) >= 0:
+            raise SeparationBugError(
+                f"convergent {h}/{q} of sqrt({k}) is within the half-width of the midpoint"
+                " but missed the interval"
+            )
     raise AssertionError("unreachable: convergents converge to the midpoint")

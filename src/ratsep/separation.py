@@ -22,6 +22,12 @@ rational enclosures chosen on the safe side, which only shrinks the
 wedge and preserves every inequality.  Each step's guarantee is
 re-verified with exact sign checks, so a returned certificate is
 correct by construction and by audit.
+
+Steps 3-5 run on the integer pairs that ``Vector`` stores.  Every norm
+bound comes from the enclosure kernel ``scalars._sqrt_bounds`` and
+every rounding from the rounding kernel ``scalars._rational_between``,
+the same two that ``sqrt_enclosure`` and ``choose_rational_between``
+wrap, so each rule is written once and these steps build no Surd.
 """
 
 from __future__ import annotations
@@ -40,10 +46,15 @@ from .linalg import simplex_max
 from .scalars import (
     Surd,
     Vector,
+    _dyadic_exponent,
     _fraction,
+    _pair_dot,
+    _pair_mul,
+    _pair_sign,
+    _rational_between,
+    _sqrt_bounds,
     choose_rational_between,
     rational_in_ball,
-    sqrt_enclosure,
 )
 from .sets import VPolyhedron, is_pointed, membership, project, support_value
 
@@ -60,19 +71,36 @@ __all__ = [
 # Shared enclosure tolerance for ||.|| upper bounds.  One constant for
 # the whole pipeline so producer guarantees and consumer checks agree.
 NORM_ENCLOSURE_TOL = Fraction(1, 32)
+_NORM_J = _dyadic_exponent(NORM_ENCLOSURE_TOL)
 
 # Slack used when replacing an irrational value by a rational strictly above.
 _UPPER_SLACK = Fraction(1, 16)
 
 
 def norm_upper(v: Vector) -> Fraction:
-    """Rational upper bound on ||v|| at the pipeline's fixed tolerance."""
-    return sqrt_enclosure(v.norm_sq(), NORM_ENCLOSURE_TOL).hi
+    """Rational upper bound on ||v|| at the pipeline's fixed tolerance.
+
+    It is the upper end of ``scalars._sqrt_bounds``, the enclosure kernel
+    of ``sqrt_enclosure``, on the pair <v.pairs, v.pairs> over v.m**2:
+    ||v|| itself when it is rational, else the dyadic bound at
+    ``NORM_ENCLOSURE_TOL``.  No Surd or interval is built.
+    """
+    k = v.field_k
+    a, b = _pair_dot(v.pairs, v.pairs, k)
+    _, hi, den = _sqrt_bounds(a, b, v.m * v.m, k, _NORM_J)
+    return Fraction(hi, den)
 
 
-def _rational_in(x: Surd, lo, hi) -> Fraction:
-    """x itself when rational, else a rational strictly between lo and hi."""
-    return x.as_fraction() if x.is_rational else choose_rational_between(lo, hi)
+def _rational_in(x: tuple[int, int], d: int, lo: tuple, hi: tuple, k: int) -> Fraction:
+    """x/d itself when rational, else a rational strictly between lo and hi.
+
+    x is a pair (a, b) over d > 0, and lo < hi are (a, b, d) triples, all
+    in Q(sqrt(k)); the rational comes from ``scalars._rational_between``,
+    the rounding kernel of ``choose_rational_between``.
+    """
+    if not x[1]:
+        return Fraction(x[0], d)
+    return _rational_between(*lo, *hi, k)
 
 
 @dataclass(frozen=True)
@@ -144,7 +172,8 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     if t_star.sign() <= 0:
         raise NotPointedError("ray cone admits no strictly separating direction")
     d_star = Vector([res.x[j] - res.x[n + j] for j in range(n)])
-    t_lo = _rational_in(t_star, t_star * Fraction(1, 2), t_star)
+    t = (t_star.a, t_star.b)
+    t_lo = _rational_in(t, t_star.d, (*t, 2 * t_star.d), (*t, t_star.d), t_star.k)
     ray_bounds = [norm_upper(r) for r in rays]
     share = t_lo / (2 * max(ray_bounds))
     d = rational_in_ball(d_star, share)
@@ -165,20 +194,36 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
     eps^2 ||r||^2 <= <d, r>^2; a violation, or eps <= 0, rejects the input
     with ``ValueError``.  Vertex terms are rounded up to rationals and
     clamped below by 1, which only enlarges the bound.
+
+    Everything runs on the vectors' integer pairs.  For eps = p/q, the
+    pair t = <d.pairs, r.pairs> and N = <r.pairs, r.pairs>, the two tests
+    are the sign of t, that of <d, r>, and the sign of p^2 d.m^2 N - q^2 t^2,
+    which is eps^2 ||r||^2 - <d, r>^2 times q^2 d.m^2 r.m^2 > 0.  A vertex
+    term is <d.pairs, v.pairs> over d.m*v.m, rounded up by the rounding
+    kernel, plus eps times ``norm_upper(v)``.
     """
     if C.dim != d.dim:
         raise DimensionMismatchError("direction dimension does not match the set")
     eps = _fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    k = Surd._k_with(d.field_k, C.field_k)
+    p, q = eps.numerator, eps.denominator
+    scale = p * p * d.m * d.m
     for r in C.rays:
-        t = d.dot(r)
-        if t.sign() > 0 or (eps * eps * r.norm_sq() - t * t).sign() > 0:
+        t = _pair_dot(d.pairs, r.pairs, k)
+        na, nb = _pair_dot(r.pairs, r.pairs, k)
+        ta, tb = _pair_mul(t, t, k)
+        gap = (scale * na - q * q * ta, scale * nb - q * q * tb)
+        if _pair_sign(t, k) > 0 or _pair_sign(gap, k) > 0:
             raise ValueError("ball d + eps*B is not inside the barrier cone")
+    sp, sq = _UPPER_SLACK.numerator, _UPPER_SLACK.denominator
     best = Fraction(1)
     for v in C.vertices:
-        x = d.dot(v)
-        term = _rational_in(x, x, x + _UPPER_SLACK) + eps * norm_upper(v)
+        a, b = x = _pair_dot(d.pairs, v.pairs, k)
+        m = d.m * v.m
+        x_up = _rational_in(x, m, (a, b, m), (a * sq + sp * m, b * sq, m * sq), k)
+        term = x_up + eps * norm_upper(v)
         if term > best:
             best = term
     return best
@@ -194,24 +239,37 @@ def compute_wedge_parameters(
     rational lower bound of ||y_bar||/3.  Using lower bounds only
     shrinks the wedge, which preserves every containment the pipeline
     relies on while keeping all downstream arithmetic rational.
+
+    ||y_bar||^2 is the one pair N = <y_bar.pairs, y_bar.pairs> over
+    y_bar.m^2.  q comes from the rounding kernel on [3N/4, N], and
+    delta_hat from the enclosure kernel at j = 2, 3, ... until its lower
+    end is positive, which is the enclosure at tol = 1/4, 1/8, ...
+    Raises ``DimensionMismatchError`` when y_bar and d differ in
+    dimension, and ``ValueError`` for a zero y_bar, M <= 0 or eps <= 0.
     """
+    if y_bar.dim != d.dim:
+        raise DimensionMismatchError("barrier direction dimension does not match the residual")
     if y_bar.is_zero():
         raise ValueError("residual is zero: the query point lies in the set")
     M = _fraction(M)
     if M <= 0:
         raise ValueError("support bound M must be positive")
-    nsq = y_bar.norm_sq()
-    q = _rational_in(nsq, nsq * Fraction(3, 4), nsq)
+    eps = _fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    k, m2 = y_bar.field_k, y_bar.m * y_bar.m
+    na, nb = n = _pair_dot(y_bar.pairs, y_bar.pairs, k)
+    q = _rational_in(n, m2, (3 * na, 3 * nb, 4 * m2), (na, nb, m2), k)
     alpha = q / (3 * M)
     d_bar = alpha * d
-    eps_bar = alpha * _fraction(eps)
-    tol = Fraction(1, 4)
+    eps_bar = alpha * eps
+    j = 2
     while True:
-        enc = sqrt_enclosure(nsq, tol)
-        if enc.lo > 0:
+        lo, _, den = _sqrt_bounds(na, nb, m2, k, j)
+        if lo > 0:
             break
-        tol /= 2
-    delta_hat = enc.lo / 3
+        j += 1
+    delta_hat = Fraction(lo, 3 * den)
     return alpha, d_bar, eps_bar, delta_hat
 
 
@@ -224,8 +282,15 @@ def wedge_interior_ball(
     the mixed ball (1-lam) x0 + lam (d_bar + eps_bar B) lies in both
     sets; its center and half its radius are returned, so that even the
     doubled ball stays inside -- the slack that lets a nearby rational
-    point be taken later without leaving the wedge.
+    point be taken later without leaving the wedge.  The norm bound is
+    ``norm_upper``, so the enclosure kernel, and for lam = P/Q the
+    center is one integer combination of the pairs,
+    ((Q - P) d_bar.m x0.pairs + P x0.m d_bar.pairs) over Q x0.m d_bar.m.
+    Raises ``DimensionMismatchError`` when x0 and d_bar differ in
+    dimension.
     """
+    if x0.dim != d_bar.dim:
+        raise DimensionMismatchError("wedge base dimension does not match the residual")
     eps_bar = _fraction(eps_bar)
     delta_hat = _fraction(delta_hat)
     if eps_bar <= 0:
@@ -234,7 +299,14 @@ def wedge_interior_ball(
         raise ValueError("delta_hat must be positive")
     reach = norm_upper(d_bar - x0)
     lam = min(delta_hat / (reach + eps_bar), Fraction(1))
-    center = (Fraction(1) - lam) * x0 + lam * d_bar
+    P, Q = lam.numerator, lam.denominator
+    k = Surd._k_with(x0.field_k, d_bar.field_k)
+    s, t = (Q - P) * d_bar.m, P * x0.m
+    center = Vector._make(
+        Q * x0.m * d_bar.m,
+        [(s * a + t * c, s * b + t * e) for (a, b), (c, e) in zip(x0.pairs, d_bar.pairs)],
+        k,
+    )
     radius = lam * eps_bar / 2
     return center, radius
 

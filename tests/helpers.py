@@ -11,12 +11,20 @@ from math import gcd, isqrt, lcm
 from random import Random
 from unittest.mock import patch
 
-from ratsep import GridSpec, Surd, Vector, VPolyhedron, membership, support_value
+from ratsep import (
+    DimensionMismatchError,
+    GridSpec,
+    Surd,
+    Vector,
+    VPolyhedron,
+    membership,
+    support_value,
+)
 from ratsep.approximation import OuterApprox
 from ratsep.linalg import LPResult, _eliminate, _tableau, solve_linear_system
 from ratsep.sets import FacetDescription
 from ratsep.scalars import QInterval, point_in_ball, rational_in_ball, sqrt_convergents
-from ratsep.separation import norm_upper
+from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL, norm_upper
 
 
 def fraction_sign(r: Fraction, s: Fraction, k: int) -> int:
@@ -369,6 +377,75 @@ def surd_choose_rational_between(lo, hi) -> Fraction:
         if (cand - lo).sign() > 0 and (hi - cand).sign() > 0:
             return cand
     raise AssertionError("unreachable: convergents converge to the midpoint")
+
+
+def _surd_rational_in(x: Surd, lo, hi) -> Fraction:
+    return x.as_fraction() if x.is_rational else surd_choose_rational_between(lo, hi)
+
+
+def surd_norm_upper(v: Vector) -> Fraction:
+    """Reference ``norm_upper``: the upper end of the bisection enclosure
+    of the Surd ||v||**2."""
+    return bisection_enclosure(v.norm_sq(), NORM_ENCLOSURE_TOL).hi
+
+
+def surd_rational_in_ball(center: Vector, radius: Fraction) -> Vector:
+    """Reference ``rational_in_ball`` in Surd arithmetic: each coordinate
+    rounded into (c - b, c + b) for b = min(radius/(2n), radius**2)."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if center.is_rational:
+        return center
+    budget = min(radius / (2 * center.dim), radius * radius)
+    q = Vector(surd_choose_rational_between(c - budget, c + budget) for c in center.coords)
+    assert point_in_ball(q, center, radius)
+    return q
+
+
+def surd_bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
+    """Reference ``bound_support_on_ball`` in Surd arithmetic: the ray
+    precondition as <d, r> <= 0 and eps**2 ||r||**2 <= <d, r>**2, then the
+    largest rounded-up vertex term, at least 1."""
+    if C.dim != d.dim:
+        raise DimensionMismatchError("direction dimension does not match the set")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for r in C.rays:
+        t = d.dot(r)
+        if t.sign() > 0 or (eps * eps * r.norm_sq() - t * t).sign() > 0:
+            raise ValueError("ball d + eps*B is not inside the barrier cone")
+    best = Fraction(1)
+    for v in C.vertices:
+        x = d.dot(v)
+        best = max(best, _surd_rational_in(x, x, x + _UPPER_SLACK) + eps * surd_norm_upper(v))
+    return best
+
+
+def surd_compute_wedge_parameters(y_bar: Vector, M: Fraction, d: Vector, eps: Fraction):
+    """Reference ``compute_wedge_parameters`` in Surd arithmetic, with the
+    bisection enclosure at tol = 1/4, 1/8, ... until its lower end is
+    positive."""
+    if y_bar.dim != d.dim:
+        raise DimensionMismatchError("barrier direction dimension does not match the residual")
+    if y_bar.is_zero() or M <= 0 or eps <= 0:
+        raise ValueError("zero residual or nonpositive M or eps")
+    nsq = y_bar.norm_sq()
+    alpha = _surd_rational_in(nsq, nsq * Fraction(3, 4), nsq) / (3 * M)
+    tol = Fraction(1, 4)
+    while (enc := bisection_enclosure(nsq, tol)).lo <= 0:
+        tol /= 2
+    return alpha, alpha * d, alpha * eps, enc.lo / 3
+
+
+def surd_wedge_interior_ball(x0: Vector, d_bar: Vector, eps_bar: Fraction, delta_hat: Fraction):
+    """Reference ``wedge_interior_ball`` in Surd arithmetic: the center
+    (1 - lam) x0 + lam d_bar and radius lam eps_bar / 2."""
+    if x0.dim != d_bar.dim:
+        raise DimensionMismatchError("wedge base dimension does not match the residual")
+    if eps_bar <= 0 or delta_hat <= 0:
+        raise ValueError("eps_bar and delta_hat must be positive")
+    lam = min(delta_hat / (surd_norm_upper(d_bar - x0) + eps_bar), Fraction(1))
+    return (1 - lam) * x0 + lam * d_bar, lam * eps_bar / 2
 
 
 def rand_fraction(rng: Random, span: int = 3, dens=(1, 2, 3, 4)) -> Fraction:

@@ -9,6 +9,7 @@ import ratsep.scalars
 from ratsep import (
     Certificate,
     GridSpec,
+    SeparationBugError,
     Surd,
     Vector,
     VPolyhedron,
@@ -27,6 +28,7 @@ from helpers import (
     forbid_floats,
     point_in_apex_hull,
     surd_choose_rational_between,
+    surd_rational_in_ball,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -317,6 +319,14 @@ def test_sqrt_enclosure_perfect_square():
     assert sqrt_enclosure(F(9, 16), F(1, 100)) == QInterval(F(3, 4), F(3, 4))
 
 
+def test_enclosure_kernel_finds_squares_in_unreduced_forms():
+    # a/d need not be in lowest terms: 2/8 = (1/2)**2 and 18/8 = (3/2)**2
+    assert ratsep.scalars._sqrt_bounds(2, 0, 8, 1, 5) == (1, 1, 2)
+    assert ratsep.scalars._sqrt_bounds(18, 0, 8, 2, 5) == (3, 3, 2)
+    assert ratsep.scalars._sqrt_bounds(0, 0, 7, 1, 5) == (0, 0, 1)
+    assert ratsep.scalars._sqrt_bounds(4, 0, 8, 1, 5) == (22, 23, 32)  # 1/2 is no square
+
+
 def test_sqrt_enclosure_zero():
     assert sqrt_enclosure(Surd(0), F(1, 10)) == QInterval(F(0), F(0))
 
@@ -424,6 +434,31 @@ def test_rational_in_ball_contract(rs, ss, k, radius):
     assert rational_in_ball(center, radius) == q  # deterministic
 
 
+@st.composite
+def ball_centers(draw):
+    """Centers over Q, Q(sqrt2) or Q(sqrt(1000003)) in dims 1-3, with large
+    or small coordinates, rational ones among them."""
+    k = draw(st.sampled_from([1, 2, 1000003]))
+    dim = draw(st.integers(1, 3))
+    parts = st.one_of(big_rationals, rationals.map(lambda r: r / 10**12))
+    return Vector(
+        [Surd(draw(parts), draw(parts | st.just(F(0))) if k > 1 else 0, k) for _ in range(dim)]
+    )
+
+
+@given(
+    ball_centers(),
+    st.one_of(
+        st.fractions(min_value=F(1, 50), max_value=2, max_denominator=50),
+        st.integers(1, 30).map(lambda j: F(1, 10**j)),
+    ),
+)
+@example(Vector([F(3, 5), Surd(F(1, 3), 1, 1000003)]), F(1, 10**12))
+def test_rational_in_ball_matches_surd_arithmetic(center, radius):
+    with forbid_floats():
+        assert rational_in_ball(center, radius) == surd_rational_in_ball(center, radius)
+
+
 # -- choose_rational_between ----------------------------------------------
 
 
@@ -494,6 +529,29 @@ def test_choose_between_matches_surd_arithmetic(bounds):
             return
         got = choose_rational_between(lo, hi)
     assert type(got) is F and got == want
+
+
+def test_convergent_walk_ends_at_its_bound(monkeypatch):
+    """With the convergents of sqrt(3) fed in while k = 2, no candidate
+    fits near sqrt(2); past q**2 >= |B|/(E*w) the walk must raise.  The
+    patched generator stops after 200 steps, so a broken bound fails
+    instead of hanging."""
+    real = ratsep.scalars._convergents
+
+    def sqrt3_convergents(k):
+        for step, hq in enumerate(real(3)):
+            if step == 200:
+                raise AssertionError("the convergent walk passed its bound")
+            yield hq
+
+    monkeypatch.setattr(ratsep.scalars, "_convergents", sqrt3_convergents)
+    root2 = Surd.root(2)
+    with pytest.raises(SeparationBugError, match="missed the interval"):
+        choose_rational_between(root2 - F(1, 100), root2 + F(1, 100))
+    with pytest.raises(SeparationBugError, match="missed the interval"):
+        choose_rational_between(root2, root2 + F(1, 10**30))
+    with pytest.raises(SeparationBugError, match="missed the interval"):
+        rational_in_ball(Vector([root2, 0]), F(1, 10))
 
 
 # -- convergents and vectors ----------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ratsep import (
     DimensionMismatchError,
@@ -25,10 +26,15 @@ from ratsep.separation import (
 )
 from helpers import (
     exterior_point,
+    forbid_floats,
     point_in_apex_hull,
     rand_rational_vector,
     random_pointed_polyhedron,
     rational_points_in_ball,
+    surd_bound_support_on_ball,
+    surd_compute_wedge_parameters,
+    surd_norm_upper,
+    surd_wedge_interior_ball,
     unit_directions,
     unit_directions_2d,
 )
@@ -224,6 +230,20 @@ def test_pipeline_steps_reject_inexact_scalars(bad):
         wedge_interior_ball(y_bar, d, F(1), bad)
 
 
+def test_wedge_steps_reject_mismatched_dimensions():
+    y_bar, d = Vector([1, 1]), Vector([0, 0, 1])
+    with pytest.raises(DimensionMismatchError):
+        compute_wedge_parameters(y_bar, F(1), d, F(1))
+    with pytest.raises(DimensionMismatchError):
+        wedge_interior_ball(y_bar, d, F(1), F(1))
+
+
+@pytest.mark.parametrize("eps", [0, F(-1), F(-1, 3)])
+def test_wedge_parameters_reject_nonpositive_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        compute_wedge_parameters(Vector([1, 1]), F(1), Vector([0, 0]), eps)
+
+
 def test_point_in_apex_hull_basics():
     apex = Vector([0, 0])
     center = Vector([2, 0])
@@ -232,6 +252,134 @@ def test_point_in_apex_hull_basics():
     assert point_in_apex_hull(Vector([1, F(1, 2)]), apex, center, F(1))  # mid-wedge
     assert not point_in_apex_hull(Vector([0, 1]), apex, center, F(1))
     assert not point_in_apex_hull(Vector([-1, 0]), apex, center, F(1))
+
+
+# -- the integer stages against their Surd references ----------------------
+
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+positives = st.one_of(
+    st.fractions(min_value=F(1, 64), max_value=8, max_denominator=64),
+    st.integers(1, 30).map(lambda j: F(1, 10**j)),
+)
+# integer vectors with an integer norm, listed as (*coordinates, norm): scaled
+# by a rational, their pair form over m has <pairs, pairs> sharing factors
+# with m**2, and the norm is a rational that the kernel must return exactly
+PYTHAGOREAN = {
+    2: [(3, 4, 5), (5, 12, 13)],
+    3: [(2, 2, 1, 3), (2, 3, 6, 7)],
+    4: [(1, 1, 1, 1, 2), (2, 4, 5, 6, 9)],
+}
+
+
+def rational_norm_vector(draw, dim):
+    """(v, s): a rational vector v with the rational norm s > 0."""
+    *xs, n = draw(st.sampled_from(PYTHAGOREAN[dim]))
+    s = draw(positives)
+    return Vector([F(x, n) * s for x in xs]), s
+
+
+@st.composite
+def field_vectors(draw, dim, k, nonzero=False):
+    """Vectors over Q(sqrt(k)): general, with a rational norm, or tiny
+    (a norm squared down to 10**-24, many enclosure steps)."""
+    kind = draw(st.sampled_from(["general", "rational norm", "tiny"]))
+    if kind == "rational norm":
+        return rational_norm_vector(draw, dim)[0]
+    v = Vector([Surd(draw(coords), draw(coords) if k > 1 else 0, k) for _ in range(dim)])
+    if kind == "tiny":
+        v = F(1, 10 ** draw(st.integers(3, 12))) * v
+    if nonzero and v.is_zero():
+        v = Vector([1] + [0] * (dim - 1))
+    return v
+
+
+dims_and_fields = st.tuples(st.integers(2, 4), st.sampled_from([1, 2, 1000003]))
+
+
+def matches_reference(new, reference, *args):
+    """new(*args) == reference(*args) exactly, or both raise the same
+    ValueError type; returns whether they raised.  No float is taken."""
+    with forbid_floats():
+        try:
+            want = reference(*args)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                new(*args)
+            return True
+        assert new(*args) == want
+    return False
+
+
+@given(dims_and_fields.flatmap(lambda dk: field_vectors(*dk)))
+@example(Vector([F(3, 5), F(4, 5)]))
+@example(Vector([F(3, 10), F(2, 5)]))
+@example(Vector([Surd(0, F(1, 10**12), 1000003), 0]))
+def test_norm_upper_matches_surd_reference(v):
+    matches_reference(norm_upper, surd_norm_upper, v)
+
+
+@st.composite
+def support_bound_inputs(draw):
+    """(C, d, eps, kind).  "random" draws everything.  The other kinds
+    have one ray r = u*w for a rational w of norm s and a positive u in
+    Q(sqrt(k)): with d = -c*w, eps = c*s puts the ball's boundary exactly
+    on the barrier cone ("boundary"), a hair more ("past") or a d
+    orthogonal to r ("orthogonal") put it outside."""
+    dim, k = draw(dims_and_fields)
+    vertices = draw(st.lists(field_vectors(dim, k), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["random", "boundary", "past", "orthogonal"]))
+    if kind == "random":
+        rays = draw(st.lists(field_vectors(dim, k, nonzero=True), max_size=2))
+        d, eps = draw(field_vectors(dim, k)), draw(positives)
+    else:
+        w, s = rational_norm_vector(draw, dim)
+        u = Surd(draw(positives), draw(coords) if k > 1 else 0, k)
+        if u.sign() <= 0:
+            u = -u + 1
+        rays = [u * w]
+        c = draw(positives)
+        d, eps = -c * w, c * s
+        if kind == "past":
+            eps += F(1, 10**40)
+        elif kind == "orthogonal":
+            d = Vector([-w[1], w[0]] + [0] * (dim - 2))
+    return VPolyhedron(tuple(vertices), tuple(rays)), d, eps, kind
+
+
+@given(support_bound_inputs())
+def test_support_bound_matches_surd_reference(inputs):
+    C, d, eps, kind = inputs
+    raised = matches_reference(bound_support_on_ball, surd_bound_support_on_ball, C, d, eps)
+    if kind != "random":
+        assert raised == (kind != "boundary")
+
+
+@st.composite
+def wedge_parameter_inputs(draw):
+    dim, k = draw(dims_and_fields)
+    y_bar = draw(field_vectors(dim, k, nonzero=True))
+    return y_bar, draw(positives), draw(field_vectors(dim, k)), draw(positives)
+
+
+@given(wedge_parameter_inputs())
+@example((Vector([F(1, 10**30), 0]), F(1), Vector([0, 0]), F(1)))
+@example((Vector([Surd(0, F(1, 10**20), 2), F(1, 10**20)]), F(3), Vector([1, 1]), F(1, 7)))
+@example((Vector([F(3, 10), F(2, 5)]), F(1), Vector([0, 0]), F(1)))
+def test_wedge_parameters_match_surd_reference(inputs):
+    matches_reference(compute_wedge_parameters, surd_compute_wedge_parameters, *inputs)
+
+
+@st.composite
+def wedge_ball_inputs(draw):
+    dim, k = draw(dims_and_fields)
+    x0, d_bar = draw(field_vectors(dim, k)), draw(field_vectors(dim, k))
+    return x0, d_bar, draw(positives), draw(positives)
+
+
+@given(wedge_ball_inputs())
+@example((Vector([0, 0]), Vector([F(3, 5), F(4, 5)]), F(1, 3), F(1, 2)))
+def test_wedge_ball_matches_surd_reference(inputs):
+    matches_reference(wedge_interior_ball, surd_wedge_interior_ball, *inputs)
 
 
 # -- separate ---------------------------------------------------------------
