@@ -5,7 +5,6 @@ Prints the exact certificate and trace JSON and writes an SVG of the
 set, the cut and the query point next to this script (out/).
 """
 
-import json
 import sys
 from fractions import Fraction as F
 from pathlib import Path

@@ -1,15 +1,16 @@
 """Exact dense linear algebra and linear programming over Q(sqrt(k)).
 
 One fraction-free pivot, ``_pivot``, is the only row-reduction step
-(Edmonds 1967; Bareiss, Math. Comp. 1968).  Each row of ints, Fractions
-or Surds is scaled once by the lcm of its entries' denominators, so that
-every entry lies in Z[sqrt(k)], and is kept there as an integer pair (see
-``scalars``); no Surd is built on the way in, a ``Vector`` row enters as
-the pairs it already stores, and the results are pairs over a
-denominator, which is what a ``Surd`` stores.  The eager pivot on entry
-p replaces every other row x by (p*x - f*y) / D, where y is the pivot
-row, f the entry of x in the pivot column and D the previous pivot
-entry; the pivot row stays and p becomes the new D.  The entries are
+(Edmonds 1967; Bareiss, Math. Comp. 1968).  One intake, ``_tableau``,
+reads each row [*row, b] of ints, Fractions or Surds, for the solver and
+the simplex alike, and scales it once by the lcm of its entries'
+denominators, so that every entry lies in Z[sqrt(k)], and keeps it there
+as an integer pair (see ``scalars``); no Surd is built on the way in, a
+``Vector`` row enters as the pairs it already stores, and the results
+are pairs over a denominator, which is what a ``Surd`` stores.  The
+eager pivot on entry p replaces every other row x by (p*x - f*y) / D,
+where y is the pivot row, f the entry of x in the pivot column and D the
+previous pivot entry; the pivot row stays and p becomes the new D.  The entries are
 minors of the scaled input, so each division is exact in Z[sqrt(k)].
 
 The rows are lazy: row i is the eager row scaled by at[i]/D, where
@@ -44,7 +45,6 @@ from math import lcm
 
 from .scalars import (
     Surd,
-    Vector,
     _pair_mul,
     _pair_quotients,
     _pair_row,
@@ -55,34 +55,28 @@ from .scalars import (
 
 __all__ = ["LPResult", "simplex_max", "solve_linear_system"]
 
-_ZERO = Surd._of(0)
+_ZERO = Surd(0)
 _PAIR_ONE = (1, 0)
 
 
-def _tableau(rows) -> tuple[list[list[tuple[int, int]]], int]:
-    """Rows of numbers as rows of integer pairs, each row scaled by a
-    positive integer, and the k of the one field of their entries."""
+def _tableau(rows, rhs) -> tuple[list[list[tuple[int, int]]], int]:
+    """Each row [*row, b] of ``rows`` and ``rhs`` as integer pairs, scaled
+    by the lcm of its entries' denominators, and the k of the one field of
+    all entries.  A ``Vector`` row enters as the pairs it stores, with no
+    Surd built."""
     T = []
     k = 1
-    for row in rows:
-        _, pairs, row_k = _pair_row(row)
+    for row, b in zip(rows, rhs, strict=True):
+        m, pairs, row_k = _pair_row(row)
+        ba, bb, db, bk = _surd_parts(b)
+        l = lcm(m, db)
+        s, t = l // m, l // db
+        if s != 1:
+            pairs = [(a * s, c * s) for a, c in pairs]
+        pairs.append((ba * t, bb * t))
         T.append(pairs)
-        k = Surd._k_with(k, row_k)
+        k = Surd._k_with(Surd._k_with(k, row_k), bk)
     return T, k
-
-
-def _constraint_row(arow, b) -> tuple[list[tuple[int, int]], int]:
-    """The row [*arow, b] as integer pairs scaled by a positive integer,
-    and the k of its field.  A ``Vector`` row enters as its own pairs over
-    its denominator m, with no Surd built."""
-    if not isinstance(arow, Vector):
-        _, pairs, k = _pair_row([*arow, b])
-        return pairs, k
-    ba, bb, db, bk = _surd_parts(b)
-    m = lcm(arow.m, db)
-    s, t = m // arow.m, m // db
-    pairs = arow.pairs if s == 1 else [(a * s, c * s) for a, c in arow.pairs]
-    return [*pairs, (ba * t, bb * t)], Surd._k_with(arow.field_k, bk)
 
 
 def _pivot(T, at, r, c, D, k) -> tuple[int, int]:
@@ -144,7 +138,7 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    T, k = _tableau([*row, b] for row, b in zip(rows, rhs))
+    T, k = _tableau(rows, rhs)
     pivots = _eliminate(T, k, n)
     for i in range(len(pivots), m):
         if T[i][n] != (0, 0):
@@ -192,21 +186,18 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     T_i*t_l and T_l*t_i.  The solution reads T_i over at[i].
     """
     n = len(c)
-    T = []
-    k = 1
-    for arow, b in zip(A_ub, b_ub, strict=True):
-        if len(arow) != n:
-            raise ValueError("A_ub row length does not match objective")
-        row, row_k = _constraint_row(arow, b)
-        T.append(row)
-        k = Surd._k_with(k, row_k)
+    b_ub = list(b_ub)
+    # the objective row enters as [*c, 1], so its last entry is the scale
+    # of c; the objective's constant, 0, then takes its place
+    T, k = _tableau([*A_ub, c], [*b_ub, 1])
+    scale = T[-1][-1][0]
+    T[-1][-1] = (0, 0)
+    m = len(T) - 1
+    if any(len(row) != n + 1 for row in T):
+        raise ValueError("A_ub row length does not match objective")
     for row, b in zip(T, b_ub):
         if _pair_sign(row[-1], k) < 0:
             raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
-    scale, cost, cost_k = _pair_row(c)
-    k = Surd._k_with(k, cost_k)
-    m = len(T)
-    T.append([*cost, (0, 0)])
     at = [_PAIR_ONE] * (m + 1)
     basis = list(range(n, n + m))
     nonbasic = list(range(n))

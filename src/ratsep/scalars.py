@@ -26,43 +26,39 @@ The exact kernels (the pivot of ``linalg`` and the double description of
 Z[sqrt(k)], and ``Vector`` stores them: a row of ints, Fractions and
 Surds enters scaled by the lcm of their denominators, with no Surd
 built, signs are read off integers, exact divisions are checked, and a
-pair over a denominator is a Surd again.  A ``Vector`` keeps its
-coordinates as one such row over its least denominator, so sums,
-scalings and dot products build no Surd per coordinate, and
-``Vector.dot_sign`` reads the sign of <u, v> - b with none at all.
+pair over a denominator is a Surd again.  ``_surd_parts`` is the one
+reader of a single number into integers, and ``_pair_row``, built on
+it, the one reader of a row.  A ``Vector`` keeps its coordinates as one
+such row over its least denominator, so sums, scalings and dot products
+build no Surd per coordinate, and ``Vector.dot_sign`` reads the sign of
+<u, v> - b with none at all.
 The pair helpers live here, beside ``Surd``, which reads its own sign
 with ``_pair_sign`` and its floor with ``_pair_floor``.
 
 Two private kernels turn field elements into rationals, each written
 once on integers and shared by every caller.  ``_sqrt_bounds``, the
 enclosure kernel, brackets sqrt((a + b*sqrt(k))/d) by n/2**j and
-(n + 1)/2**j, or returns it exactly when it is rational;
-``sqrt_enclosure``, ``separation.norm_upper`` and
-``separation.compute_wedge_parameters`` call it.  ``_rational_between``,
-the rounding kernel, picks a rational strictly between two field
-elements given as integers, by a continued-fraction walk that ends by a
-proven bound; ``choose_rational_between``, ``rational_in_ball`` and
-``separation``'s own roundings call it.  Neither builds a Surd.
+(n + 1)/2**j, or returns it exactly when it is rational.
+``_rational_between``, the rounding kernel, picks a rational strictly
+between two field elements given as integers, by a continued-fraction
+walk that ends by a proven bound.  Neither builds a Surd.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Union
 
-from .errors import SeparationBugError
+from .errors import DimensionMismatchError, SeparationBugError
 
 Rationalish = Union[int, Fraction]
 
 __all__ = [
     "Surd",
-    "QInterval",
     "Vector",
-    "sqrt_convergents",
     "sqrt_enclosure",
     "point_in_ball",
     "rational_in_ball",
@@ -188,14 +184,6 @@ class Surd:
         if isinstance(x, (int, Fraction)):
             return cls._make(x.numerator, 0, x.denominator, 1)
         return None
-
-    @classmethod
-    def _of(cls, x) -> "Surd":
-        """``_coerce`` for operands that must be numbers: ``TypeError`` otherwise."""
-        s = cls._coerce(x)
-        if s is None:
-            raise TypeError(f"expected int, Fraction or Surd, got {type(x).__name__}")
-        return s
 
     @staticmethod
     def _k_with(k1: int, k2: int) -> int:
@@ -324,20 +312,20 @@ class Surd:
 def _pair_row(row) -> tuple[int, list[tuple[int, int]], int]:
     """(m, pairs, k) for a row of ints, Fractions and Surds: the lcm m of
     the entries' denominators, m*row as integer pairs, and the k of the
-    one field of the entries.  Raises ``TypeError`` for any other entry
-    and ``ValueError`` for two different irrational fields."""
-    parts = []
-    k = 1
-    for v in row:
-        if isinstance(v, Surd):
-            k = Surd._k_with(k, v.k)
-            parts.append((v.a, v.b, v.d))
-        elif isinstance(v, (int, Fraction)):
-            parts.append((v.numerator, 0, v.denominator))
-        else:
-            raise TypeError(f"expected int, Fraction or Surd, got {type(v).__name__}")
-    m = lcm(*(d for _, _, d in parts))
-    return m, [(a * (m // d), b * (m // d)) for a, b, d in parts], k
+    one field of the entries.  A ``Vector`` is its own (m, pairs,
+    field_k).  Each entry is read by ``_surd_parts``, so any other entry
+    raises ``TypeError``; two different irrational fields raise
+    ``ValueError``."""
+    if isinstance(row, Vector):
+        return row.m, list(row.pairs), row.field_k
+    parts = list(map(_surd_parts, row))
+    k = m = 1
+    for _, _, d, vk in parts:
+        if vk != 1:
+            k = Surd._k_with(k, vk)
+        if d != 1:
+            m = lcm(m, d)
+    return m, [(a * (m // d), b * (m // d)) for a, b, d, _ in parts], k
 
 
 def _surd_parts(x) -> tuple[int, int, int, int]:
@@ -455,28 +443,6 @@ def _pair_surd(x: tuple[int, int], k: int, d: tuple[int, int] = (1, 0)) -> Surd:
     return Surd._make(a, b, c, k)
 
 
-@dataclass(frozen=True)
-class QInterval:
-    """A rational interval [lo, hi] enclosing some real value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _fraction(self.lo))
-        object.__setattr__(self, "hi", _fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, value: Surd | Rationalish) -> bool:
-        v = Surd._coerce(value)
-        return (v - self.lo).sign() >= 0 and (self.hi - v).sign() >= 0
-
-
 class Vector:
     """A point or direction with coordinates in one field Q(sqrt(k)).
 
@@ -578,7 +544,9 @@ class Vector:
 
     def _check_dim(self, other: "Vector"):
         if len(self.pairs) != len(other.pairs):
-            raise ValueError(f"dimension mismatch: {len(self.pairs)} vs {len(other.pairs)}")
+            raise DimensionMismatchError(
+                f"dimension mismatch: {len(self.pairs)} vs {len(other.pairs)}"
+            )
 
     def __add__(self, other):
         if not isinstance(other, Vector):
@@ -605,13 +573,12 @@ class Vector:
         return Vector._make(self.m, [(-a, -b) for a, b in self.pairs], self.field_k)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, Surd):
-            x, d, k = (scalar.a, scalar.b), scalar.d, Surd._k_with(self.field_k, scalar.k)
-        elif isinstance(scalar, (int, Fraction)):
-            x, d, k = (scalar.numerator, 0), scalar.denominator, self.field_k
-        else:
+        try:
+            a, b, d, k = _surd_parts(scalar)
+        except TypeError:
             return NotImplemented
-        return Vector._make(self.m * d, [_pair_mul(p, x, k) for p in self.pairs], k)
+        k = Surd._k_with(self.field_k, k)
+        return Vector._make(self.m * d, [_pair_mul(p, (a, b), k) for p in self.pairs], k)
 
     __rmul__ = __mul__
 
@@ -648,21 +615,11 @@ class Vector:
 # -- rational enclosures and witnesses ----------------------------------
 
 
-def sqrt_convergents(k: int) -> Iterator[Fraction]:
-    """Continued-fraction convergents of sqrt(k) for square-free k > 1.
-
-    Successive convergents p/q satisfy |p/q - sqrt(k)| < 1/q**2 and
-    alternate sides, so they reach any positive tolerance.
-    """
-    if k <= 1 or not _is_square_free(k):
-        raise ValueError(f"need square-free k > 1, got {k}")
-    for h, q in _convergents(k):
-        yield Fraction(h, q)
-
-
 def _convergents(k: int) -> Iterator[tuple[int, int]]:
-    """The convergents h/q of sqrt(k) for an already-checked k > 1, as
-    coprime integers h and q > 0."""
+    """The continued-fraction convergents h/q of sqrt(k) for an
+    already-checked square-free k > 1, as coprime integers h and q > 0.
+    Successive convergents satisfy |h/q - sqrt(k)| < 1/q**2 and alternate
+    sides, so they reach any positive tolerance."""
     a0 = isqrt(k)
     m, d, a = 0, 1, a0
     h_prev, h = 1, a0
@@ -702,17 +659,15 @@ def _sqrt_bounds(a: int, b: int, d: int, k: int, j: int) -> tuple[int, int, int]
     return n, n + 1, 1 << j
 
 
-def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
-    """A rational interval [lo, hi] with lo**2 <= x <= hi**2, hi - lo <= tol.
+def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> tuple[Fraction, Fraction]:
+    """Rationals (lo, hi) with lo**2 <= x <= hi**2 and hi - lo <= tol.
 
-    Perfect squares of rationals are returned exactly.  Otherwise the
-    enclosure is the dyadic interval [n/2**j, (n + 1)/2**j] for the
-    smallest j >= 0 with 2**-j <= tol, where
+    Perfect squares of rationals are returned exactly, as (r, r).
+    Otherwise the enclosure is the dyadic interval [n/2**j, (n + 1)/2**j]
+    for the smallest j >= 0 with 2**-j <= tol, where
     n = floor(sqrt(x) * 2**j).  Both come from ``_sqrt_bounds``, the one
-    enclosure kernel, which ``separation.norm_upper`` and
-    ``separation.compute_wedge_parameters`` call on integer pairs too;
-    this function only checks x and tol, finds j and wraps the kernel's
-    integers in a ``QInterval``.  Deterministic in (x, tol).
+    enclosure kernel; this function only checks x and tol and finds j.
+    Deterministic in (x, tol).
     """
     a, b, d, k = _surd_parts(x)
     tol = _fraction(tol)
@@ -721,7 +676,7 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> QInterval:
     if _pair_sign((a, b), k) < 0:
         raise ValueError(f"cannot enclose the square root of the negative {x}")
     lo, hi, den = _sqrt_bounds(a, b, d, k, _dyadic_exponent(tol))
-    return QInterval(Fraction(lo, den), Fraction(hi, den))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
@@ -771,8 +726,7 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
     convergents until the resulting rational falls strictly inside.
     Deterministic in (lo, hi).  This function reads the integers of lo
     and hi and hands them to ``_rational_between``, the one rounding
-    kernel, which ``rational_in_ball`` and ``separation`` call on integer
-    pairs too.  Raises ``ValueError`` unless lo < hi.
+    kernel.  Raises ``ValueError`` unless lo < hi.
     """
     la, lb, ld, lk = _surd_parts(lo)
     ha, hb, hd, hk = _surd_parts(hi)

@@ -26,8 +26,7 @@ correct by construction and by audit.
 Steps 3-5 run on the integer pairs that ``Vector`` stores.  Every norm
 bound comes from the enclosure kernel ``scalars._sqrt_bounds`` and
 every rounding from the rounding kernel ``scalars._rational_between``,
-the same two that ``sqrt_enclosure`` and ``choose_rational_between``
-wrap, so each rule is written once and these steps build no Surd.
+so each rule is written once and these steps build no Surd.
 """
 
 from __future__ import annotations

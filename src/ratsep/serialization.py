@@ -13,6 +13,7 @@ keys and fixed separators so equal data serializes to identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import get_type_hints
@@ -58,7 +59,8 @@ MAX_FIELD_K = 10**12
 # description of the cyclic polytope (12 points on the moment curve in
 # dimension 6, 112 facets) takes ~0.01 s, and separating a point just
 # outside one of its facets (the centroid of the facet's vertices plus
-# 1/1000 of its normal) ~1 s, nearly all of it in ``project`` (2-core
+# 1/1000 of its normal) ~0.4-0.5 s over Q and ~0.7-0.8 s over Q(sqrt 2)
+# (the curve at t + sqrt(2)/2), nearly all of it in ``project`` (2-core
 # machine, Python 3.11).
 MAX_DIM = 6
 MAX_GENERATORS = 12
@@ -77,14 +79,18 @@ MAX_GRID_POINTS = 10**5
 # ``approximate --budget``): each cut needs a probe of its own, so no run
 # can use more.  Each probe can cost one ``separate``: on 120 of the 2- to
 # 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``,
-# seed 5) one call takes ~1.4 ms at the median and ~2.7 ms at the 90th
-# percentile, each call timed once, so 500 probes can take ~0.7 s to ~1.4 s
+# seed 5) one call takes ~1.2 ms at the median and ~2.1 ms at the 90th
+# percentile, each call timed once, so 500 probes can take ~0.6 s to ~1.1 s
 # (same machine).
 MAX_PROBES = 500
 
 
 def fraction_to_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+# The one rational format: "p" or "p/q", ASCII digits, a sign only on p.
+_FRACTION = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_fraction(obj) -> Fraction:
@@ -94,6 +100,8 @@ def parse_fraction(obj) -> Fraction:
         return Fraction(obj)
     if isinstance(obj, str):
         text = obj.strip()
+        if not _FRACTION.fullmatch(text):
+            raise ValueError(f"not a rational: {obj!r}")
         num, sep, den = text.partition("/")
         try:
             if sep:

@@ -46,7 +46,7 @@ __all__ = [
     "project",
 ]
 
-_ZERO = Surd._of(0)
+_ZERO = Surd(0)
 
 
 @dataclass(frozen=True)

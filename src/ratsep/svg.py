@@ -9,7 +9,7 @@ formatting), so identical calls produce byte-identical documents.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .certificates import Certificate
 from .errors import DimensionMismatchError

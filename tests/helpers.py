@@ -23,7 +23,7 @@ from ratsep import (
 from ratsep.approximation import OuterApprox
 from ratsep.linalg import LPResult, _eliminate, _tableau, solve_linear_system
 from ratsep.sets import FacetDescription
-from ratsep.scalars import QInterval, point_in_ball, rational_in_ball, sqrt_convergents
+from ratsep.scalars import _convergents, point_in_ball, rational_in_ball
 from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL, norm_upper
 
 
@@ -45,7 +45,9 @@ def fraction_sign(r: Fraction, s: Fraction, k: int) -> int:
 
 def rank(rows) -> int:
     """The exact rank of a matrix given as a list of rows (0 for no rows)."""
-    return len(_eliminate(*_tableau(rows), len(rows[0]) if rows else 0))
+    n = len(rows[0]) if rows else 0
+    T, k = _tableau(rows, [0] * len(rows))
+    return len(_eliminate(T, k, n))
 
 
 def _surd_pivot(rows, r, c) -> None:
@@ -68,11 +70,12 @@ def surd_simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     zero, one = Surd(0), Surd(1)
     T = []
     for i, (arow, b) in enumerate(zip(A_ub, b_ub, strict=True)):
-        b = Surd._of(b)
+        b = Surd._coerce(b)
         if b.sign() < 0:
             raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
-        T.append([Surd._of(v) for v in arow] + [one if j == i else zero for j in range(m)] + [b])
-    T.append([Surd._of(v) for v in c] + [zero] * (m + 1))
+        slacks = [one if j == i else zero for j in range(m)]
+        T.append([Surd._coerce(v) for v in arow] + slacks + [b])
+    T.append([Surd._coerce(v) for v in c] + [zero] * (m + 1))
     basis = list(range(n, n + m))
     while True:
         enter = next((j for j in range(n + m) if T[-1][j].sign() > 0), None)
@@ -319,11 +322,11 @@ def lp_is_pointed(P: VPolyhedron) -> bool:
     return not _in_cone([[*r, 1] for r in P.rays], [0] * P.dim + [1])
 
 
-def bisection_enclosure(x, tol: Fraction) -> QInterval:
+def bisection_enclosure(x, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Reference ``sqrt_enclosure``: perfect squares exactly, otherwise a
     doubling search and an integer bisection for floor(sqrt(x)), then
     rational bisection of [floor, floor + 1] down to width <= tol."""
-    x = Surd._of(x)
+    x = Surd._coerce(x)
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -331,13 +334,13 @@ def bisection_enclosure(x, tol: Fraction) -> QInterval:
     if sgn < 0:
         raise ValueError(f"cannot enclose the square root of the negative {x}")
     if sgn == 0:
-        return QInterval(Fraction(0), Fraction(0))
+        return Fraction(0), Fraction(0)
     if x.is_rational:
         f = x.as_fraction()
         rn, rd = isqrt(f.numerator), isqrt(f.denominator)
         if rn * rn == f.numerator and rd * rd == f.denominator:
             root = Fraction(rn, rd)
-            return QInterval(root, root)
+            return root, root
     top = 1
     while (x - top * top).sign() > 0:
         top *= 2
@@ -353,27 +356,27 @@ def bisection_enclosure(x, tol: Fraction) -> QInterval:
         mid = (lo + hi) / 2
         d = (x - mid * mid).sign()
         if d == 0:
-            return QInterval(mid, mid)
+            return mid, mid
         if d > 0:
             lo = mid
         else:
             hi = mid
-    return QInterval(lo, hi)
+    return lo, hi
 
 
 def surd_choose_rational_between(lo, hi) -> Fraction:
     """Reference ``choose_rational_between`` in Surd arithmetic: the
     midpoint when it is rational, else r + s*w for the first convergent w
     of sqrt(k) that puts it strictly between lo and hi."""
-    lo, hi = Surd._of(lo), Surd._of(hi)
+    lo, hi = Surd._coerce(lo), Surd._coerce(hi)
     if (hi - lo).sign() <= 0:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     mid = (lo + hi) * Fraction(1, 2)
     if mid.is_rational:
         return mid.as_fraction()
     r, s = mid.r, mid.s
-    for w in sqrt_convergents(mid.k):
-        cand = r + s * w
+    for h, q in _convergents(mid.k):
+        cand = r + s * Fraction(h, q)
         if (cand - lo).sign() > 0 and (hi - cand).sign() > 0:
             return cand
     raise AssertionError("unreachable: convergents converge to the midpoint")
@@ -386,7 +389,7 @@ def _surd_rational_in(x: Surd, lo, hi) -> Fraction:
 def surd_norm_upper(v: Vector) -> Fraction:
     """Reference ``norm_upper``: the upper end of the bisection enclosure
     of the Surd ||v||**2."""
-    return bisection_enclosure(v.norm_sq(), NORM_ENCLOSURE_TOL).hi
+    return bisection_enclosure(v.norm_sq(), NORM_ENCLOSURE_TOL)[1]
 
 
 def surd_rational_in_ball(center: Vector, radius: Fraction) -> Vector:
@@ -432,9 +435,9 @@ def surd_compute_wedge_parameters(y_bar: Vector, M: Fraction, d: Vector, eps: Fr
     nsq = y_bar.norm_sq()
     alpha = _surd_rational_in(nsq, nsq * Fraction(3, 4), nsq) / (3 * M)
     tol = Fraction(1, 4)
-    while (enc := bisection_enclosure(nsq, tol)).lo <= 0:
+    while (lo := bisection_enclosure(nsq, tol)[0]) <= 0:
         tol /= 2
-    return alpha, alpha * d, alpha * eps, enc.lo / 3
+    return alpha, alpha * d, alpha * eps, lo / 3
 
 
 def surd_wedge_interior_ball(x0: Vector, d_bar: Vector, eps_bar: Fraction, delta_hat: Fraction):

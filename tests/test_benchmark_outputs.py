@@ -1,7 +1,8 @@
 """The benchmark's reference outputs, recomputed at tier-1 speed.
 
 ``perfbench/run.py`` checks the SHA-256 of the certificate and trace JSON
-of a few fixed instances per workload against ``perfbench/expected.json``.
+of a few fixed instances per workload, and of the cuts and excess sequence
+of the unshifted sweep, against ``perfbench/expected.json``.
 This test recomputes those digests with the benchmark's own generator
 and worker code, so a change of any output byte fails here instead of
 only in a benchmark run.  It reads the perfbench files and leaves them as
@@ -33,3 +34,17 @@ def test_reference_digest_matches_the_recorded_one(perfbench, workload):
     reference = run.gen.GENERATORS[workload](run.REFERENCE_SEED, run.REFERENCE_COUNT)
     w = worker.Workload(ratsep, {"workload": workload, "timed": [], "reference": reference})
     assert w.reference_digest() == run.expected(workload)["reference_digest"]
+
+
+def test_reference_sweep_matches_the_recorded_one(perfbench):
+    """Sweep 0 of ``approx_sweep`` is its reference: the digest of its cuts
+    and exact excess per cut prefix, and the final excess."""
+    run, worker = perfbench
+    timed = run.gen.approx_sweep(run.REFERENCE_SEED, 1)
+    w = worker.Workload(ratsep, {"workload": "approx_sweep", "timed": timed, "reference": [],
+                                 "block": 1, "min_units": 1})
+    w.run(seconds=None, ops=1)
+    expected = run.expected("approx_sweep")
+    assert w.reference_digest() == expected["reference_digest"]
+    _, excess = w.results[0]
+    assert ratsep.serialization.fraction_to_str(excess[-1]) == expected["final_excess"]

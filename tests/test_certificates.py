@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import isqrt
 from random import Random
 
 import pytest

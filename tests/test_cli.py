@@ -10,7 +10,6 @@ from ratsep import (
     GridSpec,
     NotPointedError,
     SeparationBugError,
-    Surd,
     Vector,
     VPolyhedron,
     verify_certificate,

@@ -69,8 +69,7 @@ def test_pair_quotients_undo_a_product(k, a, b, c, d):
 def test_a_corrupted_quotient_fails_the_exactness_audit(k):
     root = Surd(0, 1, k) if k > 1 else Surd(0)
     # the second pivot divides by the first pivot entry: 2, or 2 + sqrt(2)
-    rows = [[2 + root, 1, 1], [1, 3, 2], [1, 1 + root, 5]]
-    T, k = _tableau(rows)
+    T, k = _tableau([[2 + root, 1], [1, 3], [1, 1 + root]], [1, 2, 5])
     at = [(1, 0)] * len(T)
     D = _pivot(T, at, 0, 0, (1, 0), k)
     _pivot([row[:] for row in T], at[:], 1, 1, D, k)  # the true quotients divide

@@ -75,6 +75,8 @@ def test_simplex_rejects_negative_right_hand_side():
         simplex_max([1], A_ub=[[1], [-1]], b_ub=[1, F(-1, 2)])
     with pytest.raises(ValueError):
         simplex_max([0], A_ub=[[1]], b_ub=[Surd(1) - Surd.root(2)])
+    with pytest.raises(ValueError, match="b_ub >= 0"):  # read once, checked all the same
+        simplex_max([1], A_ub=iter([[1]]), b_ub=iter([-1]))
 
 
 def test_simplex_surd_data():

@@ -5,7 +5,9 @@ scalar helpers stay importable from their own modules.  The scripts
 and the benchmark are the package's own users: every ``from ratsep
 import X`` and every ``ratsep.X`` attribute they contain must resolve
 on the package, read from their source with ``ast``.  Every module's
-``__all__`` must resolve too, so a name moved out of a module leaves it.
+``__all__`` must resolve too, so a name moved out of a module leaves it,
+and every name a module of the package, the scripts or the tests imports
+must be used there or exported, so a deletion leaves no import behind.
 """
 
 import ast
@@ -23,6 +25,9 @@ from ratsep import Surd, Vector
 ROOT = Path(__file__).resolve().parents[1]
 USERS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ratsep.__path__, "ratsep."))
+SOURCES = sorted(
+    [*ROOT.glob("src/ratsep/*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+)
 
 
 def resolves(name: str) -> bool:
@@ -70,6 +75,38 @@ def test_module_all_resolves(name):
     module = importlib.import_module(name)
     assert len(module.__all__) == len(set(module.__all__))
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import (``from __future__`` aside) that no name
+    in the module reads and that its ``__all__`` does not list."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_the_sources_are_found():
+    assert {p.parent.name for p in SOURCES} == {"ratsep", "scripts", "tests"}
+
+
+def test_unused_imports_are_caught():
+    source = "import os.path\nfrom x import a, b as c\nfrom y import d\n__all__ = ['d']\nos.sep\n"
+    tree = ast.parse(source)
+    assert unused_imports(tree) == ["a", "c"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
 
 
 def test_vector_surface_read_by_the_programs():

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 import ratsep.scalars
 from ratsep import (
     Certificate,
+    DimensionMismatchError,
     GridSpec,
     SeparationBugError,
     Surd,
@@ -16,11 +17,10 @@ from ratsep import (
     separate,
 )
 from ratsep.scalars import (
-    QInterval,
+    _convergents,
     choose_rational_between,
     point_in_ball,
     rational_in_ball,
-    sqrt_convergents,
     sqrt_enclosure,
 )
 from helpers import (
@@ -254,7 +254,6 @@ def rational_operand_results(surds, rationals):
         point_in_ball(Vector([1, F(1, 2)]), center, F(7, 4)),
         rational_in_ball(center, F(1, 10)),
         choose_rational_between(surds[0], surds[0] + F(1, 100)),
-        [QInterval(F(-1), F(1, 2)).contains(x) for x in (*surds, *rationals)],
         [point_in_apex_hull(p, Vector([0, 0]), center, F(1, 4)) for p in (center, Vector([0, 1]))],
         separate(triangle, Vector([1, 1])),
         separate(VPolyhedron((center,), (Vector([1, surds[0]]), Vector([0, 1]))), Vector([0, 0])),
@@ -296,27 +295,12 @@ def test_floor_and_ceil_bracket_the_value(k, r, s):
     assert (m == n) == (x.is_rational and x.r.denominator == 1)
 
 
-# -- QInterval -------------------------------------------------------------
-
-
-def test_qinterval_rejects_empty():
-    with pytest.raises(ValueError):
-        QInterval(F(1), F(0))
-
-
-def test_qinterval_contains():
-    box = QInterval(F(1), F(3, 2))
-    assert box.contains(Surd.root(2))
-    assert not box.contains(F(2))
-    assert box.width == F(1, 2)
-
-
 # -- sqrt_enclosure --------------------------------------------------------
 
 
 def test_sqrt_enclosure_perfect_square():
-    assert sqrt_enclosure(Surd(4), F(1)) == QInterval(F(2), F(2))
-    assert sqrt_enclosure(F(9, 16), F(1, 100)) == QInterval(F(3, 4), F(3, 4))
+    assert sqrt_enclosure(Surd(4), F(1)) == (F(2), F(2))
+    assert sqrt_enclosure(F(9, 16), F(1, 100)) == (F(3, 4), F(3, 4))
 
 
 def test_enclosure_kernel_finds_squares_in_unreduced_forms():
@@ -328,7 +312,7 @@ def test_enclosure_kernel_finds_squares_in_unreduced_forms():
 
 
 def test_sqrt_enclosure_zero():
-    assert sqrt_enclosure(Surd(0), F(1, 10)) == QInterval(F(0), F(0))
+    assert sqrt_enclosure(Surd(0), F(1, 10)) == (F(0), F(0))
 
 
 def test_sqrt_enclosure_negative_rejected():
@@ -338,21 +322,22 @@ def test_sqrt_enclosure_negative_rejected():
 
 def test_sqrt_enclosure_of_two():
     # deterministic bisection output from bracket [1, 2]
-    enc = sqrt_enclosure(Surd(2), F(1, 10))
-    assert enc == QInterval(F(11, 8), F(23, 16))
-    assert enc.lo ** 2 <= 2 <= enc.hi ** 2
-    assert enc.width <= F(1, 10)
+    lo, hi = sqrt_enclosure(Surd(2), F(1, 10))
+    assert (lo, hi) == (F(11, 8), F(23, 16))
+    assert type(lo) is F and type(hi) is F
+    assert lo ** 2 <= 2 <= hi ** 2
+    assert hi - lo <= F(1, 10)
 
 
 @given(surd_triples(), st.fractions(min_value=F(1, 64), max_value=1, max_denominator=64))
 def test_sqrt_enclosure_contract(triple, tol):
     x = triple[0] * triple[0]  # guaranteed nonnegative field element
-    enc = sqrt_enclosure(x, tol)
-    assert enc.lo >= 0
-    assert (x - Surd(enc.lo * enc.lo)).sign() >= 0
-    assert (Surd(enc.hi * enc.hi) - x).sign() >= 0
-    assert enc.width <= tol
-    assert sqrt_enclosure(x, tol) == enc  # deterministic
+    lo, hi = sqrt_enclosure(x, tol)
+    assert lo >= 0
+    assert (x - Surd(lo * lo)).sign() >= 0
+    assert (Surd(hi * hi) - x).sign() >= 0
+    assert hi - lo <= tol
+    assert sqrt_enclosure(x, tol) == (lo, hi)  # deterministic
 
 
 @st.composite
@@ -383,11 +368,11 @@ enclosure_tols = st.one_of(
 @example(Surd(F(2**79 + 1, 2**64 + 3), 1, 3), F(1, 2**40))
 def test_sqrt_enclosure_matches_bisection(x, tol):
     with forbid_floats():
-        enc = sqrt_enclosure(x, tol)
-        assert enc == bisection_enclosure(x, tol)
-    assert (x - enc.lo * enc.lo).sign() >= 0
-    assert (enc.hi * enc.hi - x).sign() >= 0
-    assert enc.hi - enc.lo <= tol
+        lo, hi = sqrt_enclosure(x, tol)
+        assert (lo, hi) == bisection_enclosure(x, tol)
+    assert (x - lo * lo).sign() >= 0
+    assert (hi * hi - x).sign() >= 0
+    assert hi - lo <= tol
 
 
 # -- rational_in_ball ------------------------------------------------------
@@ -558,13 +543,8 @@ def test_convergent_walk_ends_at_its_bound(monkeypatch):
 
 
 def test_sqrt_convergents_prefix():
-    gen = sqrt_convergents(2)
-    assert [next(gen) for _ in range(5)] == [F(1), F(3, 2), F(7, 5), F(17, 12), F(41, 29)]
-
-
-def test_sqrt_convergents_validation():
-    with pytest.raises(ValueError):
-        next(sqrt_convergents(4))
+    gen = _convergents(2)
+    assert [next(gen) for _ in range(5)] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
 
 
 def test_vector_basics():
@@ -587,10 +567,30 @@ def test_vector_validation():
         Vector([1, 2]) + Vector([1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, v: u + v,
+        lambda u, v: u - v,
+        lambda u, v: u.dot(v),
+        lambda u, v: u.dot_sign(v, 1),
+        lambda u, v: point_in_ball(u, v, 1),
+        lambda u, v: Certificate(u, 1).excludes(v),
+    ],
+    ids=["add", "sub", "dot", "dot_sign", "point_in_ball", "excludes"],
+)
+def test_vector_dimension_mismatch_raises_the_library_error(call):
+    with pytest.raises(DimensionMismatchError):
+        call(Vector([1, 0]), Vector([1, 2, 3]))
+
+
 def test_vector_scalar_multiplication():
     v = Vector([1, 2])
     assert F(1, 2) * v == Vector([F(1, 2), F(1)])
     assert v * Surd.root(2) == Vector([Surd(0, 1, 2), Surd(0, 2, 2)])
+    assert v.__mul__(0.5) is NotImplemented and v.__mul__("2") is NotImplemented
+    with pytest.raises(TypeError):
+        v * 0.5
 
 
 def test_vector_rejects_floats_and_mixed_fields():

@@ -25,9 +25,11 @@ def test_fraction_round_trip_examples():
     assert ser.parse_fraction(5) == F(5)
 
 
-@pytest.mark.parametrize("bad", ["", "a/b", "1/0", "1.5", None, True, [1]])
+@pytest.mark.parametrize(
+    "bad", ["", "a/b", "1/0", "1.5", None, True, [1], "1_000", "\u0661\u0662", "1/-2", "+1", "1/+2"]
+)
 def test_parse_fraction_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a rational"):
         ser.parse_fraction(bad)
 
 
