@@ -196,12 +196,7 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_plot(args) -> int:
     inst = _load_instance(args)
-    cuts = ()
-    if args.cuts:
-        approx_obj = _load_json(args.cuts)
-        if not isinstance(approx_obj, dict) or not isinstance(approx_obj.get("cuts"), list):
-            raise ValueError("--cuts file needs a 'cuts' array")
-        cuts = tuple(ser.parse_certificate(c) for c in approx_obj["cuts"])
+    cuts = ser.parse_cuts(_load_json(args.cuts)) if args.cuts else ()
     out_path = Path(args.out or "plot.svg")
     document = render_svg(inst.polyhedron, cuts, inst.point)
     try:

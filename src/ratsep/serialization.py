@@ -5,9 +5,10 @@ objects {"r": "p/q", "s": "p/q", "k": int}; floats never enter the
 format, so parse(serialize(x)) == x holds exactly.  Rational
 coordinates are written as plain strings, irrational ones as surd
 objects; the parser accepts either form anywhere a coordinate appears.
-Every object's keys are checked against its format, and an unknown key
-is rejected by name rather than ignored.  ``dumps`` renders with sorted
-keys and fixed separators so equal data serializes to identical bytes.
+Shapes are checked in one place: ``_object`` reads every JSON object and
+``_array`` every JSON array of the format, bounding its length before any
+entry is parsed.  ``dumps`` renders with sorted keys and fixed separators
+so equal data serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from typing import get_type_hints
 
 from .approximation import GridSpec, OuterApprox
@@ -43,6 +45,7 @@ __all__ = [
     "parse_grid",
     "check_count",
     "approx_to_json",
+    "parse_cuts",
     "instance_to_json",
     "parse_instance",
     "dumps",
@@ -83,26 +86,66 @@ MAX_GRID_POINTS = 10**5
 # percentile, each call timed once, so 500 probes can take ~0.6 s to ~1.1 s
 # (same machine).
 MAX_PROBES = 500
+# The most digits of each numerator and denominator (of r and s alike) in
+# the coordinates of an input set, point or probe; certificates and traces,
+# which ``separate`` makes taller, are not bounded.  7 admits the cyclic
+# polytope above (11**6).  At every limit at once (k = 999999999998, a point
+# just outside a facet) ``separate`` takes ~24 s, ~1.4-1.8 s over Q, nearly
+# all in ``project``; ``approximate`` on a 2-D set of 12 such vertices took
+# ~2 s for 500 probes, 83 cuts at ~9-21 ms each (same machine).
+MAX_DIGITS = 7
 
 
 def fraction_to_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _object(obj, what: str, required: tuple[str, ...], optional: tuple[str, ...] | None) -> dict:
+    """obj, checked to be an object with every ``required`` key and no key
+    outside ``optional`` (None: any), each fault reported by name."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} is missing field {key!r}")
+    if optional is not None:
+        extra = set(obj).difference(required, optional)
+        if extra:
+            raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+    return obj
+
+
+def _array(obj, what: str, limit: int | None) -> list:
+    """obj, checked to be an array of at most ``limit`` entries (None: any)."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be an array")
+    if limit is not None and len(obj) > limit:
+        raise ValueError(f"{what} may have at most {limit} entries, got {len(obj)}")
+    return obj
+
+
 # The one rational format: "p" or "p/q", ASCII digits, a sign only on p.
 _FRACTION = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_DIGITS = "a coordinate's numerators and denominators may have at most {} digits"
 
 
-def parse_fraction(obj) -> Fraction:
+def parse_fraction(obj, digits: int | None = None) -> Fraction:
+    """obj as a Fraction, its numerator and denominator of at most
+    ``digits`` digits (None: any), checked before ``int()`` runs."""
     if isinstance(obj, bool):
         raise ValueError(f"not a rational: {obj!r}")
     if isinstance(obj, int):
+        if digits is not None and abs(obj) >= 10**digits:
+            raise ValueError(_DIGITS.format(digits))
         return Fraction(obj)
     if isinstance(obj, str):
         text = obj.strip()
         if not _FRACTION.fullmatch(text):
             raise ValueError(f"not a rational: {obj!r}")
         num, sep, den = text.partition("/")
+        if digits is not None and len(text) > digits:
+            if max(len(num.lstrip("-")), len(den)) > digits:
+                raise ValueError(_DIGITS.format(digits))
         try:
             if sep:
                 return Fraction(int(num), int(den))
@@ -118,34 +161,25 @@ def coord_to_json(c: Surd):
     return {"r": fraction_to_str(c.r), "s": fraction_to_str(c.s), "k": c.k}
 
 
-def _check_fields(obj: dict, known: tuple[str, ...], what: str) -> None:
-    """Reject the keys of a JSON object outside its format, by name: a
-    misspelled optional field would otherwise be ignored silently."""
-    extra = set(obj) - set(known)
-    if extra:
-        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
-
-
-def parse_coord(obj) -> Surd:
+def parse_coord(obj, digits: int | None = MAX_DIGITS) -> Surd:
     if isinstance(obj, dict):
-        _check_fields(obj, ("r", "s", "k"), "surd")
+        _object(obj, "surd", (), ("r", "s", "k"))
         k = obj.get("k", 1)
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"field k must be an integer, got {k!r}")
         if k > MAX_FIELD_K:
             raise ValueError(f"field k must be at most {MAX_FIELD_K}, got {k}")
-        return Surd(parse_fraction(obj.get("r", 0)), parse_fraction(obj.get("s", 0)), k)
-    return Surd(parse_fraction(obj))
+        r, s = parse_fraction(obj.get("r", 0), digits), parse_fraction(obj.get("s", 0), digits)
+        return Surd(r, s, k)
+    return Surd(parse_fraction(obj, digits))
 
 
 def vector_to_json(v: Vector) -> list:
     return [coord_to_json(c) for c in v]
 
 
-def parse_vector(obj) -> Vector:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError(f"a vector must be a nonempty array, got {obj!r}")
-    return Vector([parse_coord(c) for c in obj])
+def parse_vector(obj, digits: int | None = MAX_DIGITS) -> Vector:
+    return Vector([parse_coord(c, digits) for c in _array(obj, "a vector", MAX_DIM)])
 
 
 def polyhedron_to_json(P: VPolyhedron) -> dict:
@@ -158,18 +192,11 @@ def polyhedron_to_json(P: VPolyhedron) -> dict:
 
 
 def parse_polyhedron(obj) -> VPolyhedron:
-    if not isinstance(obj, dict):
-        raise ValueError("a set description must be an object")
-    if "vertices" not in obj:
-        raise ValueError("set description is missing 'vertices'")
-    _check_fields(obj, ("dim", "k", "vertices", "rays"), "set")
-    raw_vertices, raw_rays = obj["vertices"], obj.get("rays", [])
-    if not isinstance(raw_vertices, list) or not isinstance(raw_rays, list):
-        raise ValueError("'vertices' and 'rays' must be arrays")
+    _object(obj, "set", ("vertices",), ("dim", "k", "rays"))
+    raw_vertices = _array(obj["vertices"], "'vertices'", None)
+    raw_rays = _array(obj.get("rays", []), "'rays'", None)
     if len(raw_vertices) + len(raw_rays) > MAX_GENERATORS:
         raise ValueError(f"a set may have at most {MAX_GENERATORS} vertices and rays")
-    if any(isinstance(g, list) and len(g) > MAX_DIM for g in (*raw_vertices, *raw_rays)):
-        raise ValueError(f"a set may have dimension at most {MAX_DIM}")
     vertices = [parse_vector(v) for v in raw_vertices]
     rays = [parse_vector(r) for r in raw_rays]
     P = VPolyhedron(tuple(vertices), tuple(rays))
@@ -195,22 +222,16 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def parse_certificate(obj) -> Certificate:
-    if not isinstance(obj, dict) or "a" not in obj or "beta" not in obj:
-        raise ValueError("a certificate needs fields 'a' and 'beta'")
-    _check_fields(obj, ("a", "beta"), "certificate")
-    raw_a = obj["a"]
-    if not isinstance(raw_a, list):
-        raise ValueError("a certificate's 'a' must be an array")
-    if len(raw_a) > MAX_DIM:
-        raise ValueError(f"a certificate may have dimension at most {MAX_DIM}")
-    a = Vector([parse_fraction(c) for c in raw_a])
+    _object(obj, "certificate", ("a", "beta"), ())
+    a = Vector([parse_fraction(c) for c in _array(obj["a"], "a certificate's 'a'", MAX_DIM)])
     return Certificate(a, parse_fraction(obj["beta"]))
 
 
 def _trace_codecs() -> list[tuple[str, str, object, object]]:
     """(field, JSON key, encoder, decoder) per ``SeparationTrace`` field,
     chosen by the field's declared type; ``lam`` is written as "lambda"."""
-    codecs = {Vector: (vector_to_json, parse_vector), Fraction: (fraction_to_str, parse_fraction)}
+    tall_vector = partial(parse_vector, digits=None)
+    codecs = {Vector: (vector_to_json, tall_vector), Fraction: (fraction_to_str, parse_fraction)}
     hints = get_type_hints(SeparationTrace)
     return [
         (f.name, "lambda" if f.name == "lam" else f.name, *codecs[hints[f.name]])
@@ -219,6 +240,7 @@ def _trace_codecs() -> list[tuple[str, str, object, object]]:
 
 
 _TRACE_CODECS = _trace_codecs()
+_TRACE_KEYS = tuple(key for _, key, _, _ in _TRACE_CODECS)
 
 
 def trace_to_json(trace: SeparationTrace) -> dict:
@@ -226,15 +248,8 @@ def trace_to_json(trace: SeparationTrace) -> dict:
 
 
 def parse_trace(obj) -> SeparationTrace:
-    if not isinstance(obj, dict):
-        raise ValueError("a trace must be an object")
-    _check_fields(obj, tuple(key for _, key, _, _ in _TRACE_CODECS), "trace")
-    try:
-        return SeparationTrace(
-            **{name: decode(obj[key]) for name, key, _, decode in _TRACE_CODECS}
-        )
-    except KeyError as exc:
-        raise ValueError(f"trace is missing field {exc.args[0]!r}") from exc
+    _object(obj, "trace", _TRACE_KEYS, ())
+    return SeparationTrace(**{name: decode(obj[key]) for name, key, _, decode in _TRACE_CODECS})
 
 
 def grid_to_json(grid: GridSpec) -> dict:
@@ -246,18 +261,10 @@ def grid_to_json(grid: GridSpec) -> dict:
 
 
 def parse_grid(obj) -> GridSpec:
-    if not isinstance(obj, dict):
-        raise ValueError("a grid must be an object")
-    try:
-        raw_mins, raw_maxs, raw_step = obj["min"], obj["max"], obj["step"]
-    except KeyError as exc:
-        raise ValueError(f"grid is missing field {exc.args[0]!r}") from exc
-    _check_fields(obj, ("min", "max", "step"), "grid")
-    if not isinstance(raw_mins, list) or not isinstance(raw_maxs, list):
-        raise ValueError("grid 'min' and 'max' must be arrays")
-    mins = tuple(parse_fraction(v) for v in raw_mins)
-    maxs = tuple(parse_fraction(v) for v in raw_maxs)
-    grid = GridSpec(mins, maxs, parse_fraction(raw_step))
+    _object(obj, "grid", ("min", "max", "step"), ())
+    mins = tuple(parse_fraction(v) for v in _array(obj["min"], "grid 'min'", 2))
+    maxs = tuple(parse_fraction(v) for v in _array(obj["max"], "grid 'max'", 2))
+    grid = GridSpec(mins, maxs, parse_fraction(obj["step"]))
     cols, rows = grid.shape
     points = cols * rows
     if points > MAX_GRID_POINTS:
@@ -278,6 +285,13 @@ def check_count(value, name: str, bound: int) -> int:
 
 def approx_to_json(approx: OuterApprox) -> dict:
     return {"cuts": [certificate_to_json(c) for c in approx.cuts]}
+
+
+def parse_cuts(obj) -> tuple[Certificate, ...]:
+    """The cuts of what ``approx_to_json`` writes; other keys, such as the
+    ``"excess"`` that ``approximate`` adds, are allowed."""
+    _object(obj, "approximation", ("cuts",), None)
+    return tuple(parse_certificate(c) for c in _array(obj["cuts"], "'cuts'", MAX_PROBES))
 
 
 @dataclass(frozen=True)
@@ -319,31 +333,21 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def parse_instance(obj) -> Instance:
-    if not isinstance(obj, dict) or "set" not in obj:
-        raise ValueError("an instance needs a 'set' field")
-    _check_fields(obj, ("set", "point", "probes", "certificate", "options"), "instance")
-    raw_probes = obj.get("probes", [])
-    if not isinstance(raw_probes, list):
-        raise ValueError("'probes' must be an array")
-    if len(raw_probes) > MAX_PROBES:
-        raise ValueError(f"an instance may have at most {MAX_PROBES} probes, got {len(raw_probes)}")
+    _object(obj, "instance", ("set",), ("point", "probes", "certificate", "options"))
+    raw_probes = _array(obj.get("probes", []), "'probes'", MAX_PROBES)
     polyhedron = parse_polyhedron(obj["set"])
     point = parse_vector(obj["point"]) if "point" in obj else None
     probes = tuple(parse_vector(p) for p in raw_probes)
     certificate = (
         parse_certificate(obj["certificate"]) if "certificate" in obj else None
     )
-    raw_opts = obj.get("options", {})
-    if not isinstance(raw_opts, dict):
-        raise ValueError("'options' must be an object")
-    _check_fields(raw_opts, ("budget", "max_den", "grid"), "options")
-    budget = raw_opts.get("budget")
-    if budget is not None:
-        check_count(budget, "options.budget", MAX_PROBES)
-    max_den = raw_opts.get("max_den")
-    if max_den is not None:
-        check_count(max_den, "options.max_den", MAX_DEN)
-    grid = parse_grid(raw_opts["grid"]) if "grid" in raw_opts else None
+    opts = _object(obj.get("options", {}), "options", (), ("budget", "max_den", "grid"))
+    budget = max_den = None
+    if "budget" in opts:
+        budget = check_count(opts["budget"], "options.budget", MAX_PROBES)
+    if "max_den" in opts:
+        max_den = check_count(opts["max_den"], "options.max_den", MAX_DEN)
+    grid = parse_grid(opts["grid"]) if "grid" in opts else None
     return Instance(
         polyhedron=polyhedron,
         point=point,

@@ -1,7 +1,9 @@
 import json
 import re
+import time
 from fractions import Fraction as F
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -10,6 +12,7 @@ from ratsep import (
     GridSpec,
     NotPointedError,
     SeparationBugError,
+    Surd,
     Vector,
     VPolyhedron,
     verify_certificate,
@@ -494,7 +497,7 @@ def test_too_many_probes_exit_1(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(instance), encoding="utf-8")
     code, out, err = run(capsys, ["approximate", "--instance", str(path)])
     assert code == 1 and out == ""
-    assert f"at most {ser.MAX_PROBES} probes" in err
+    assert f"'probes' may have at most {ser.MAX_PROBES} entries" in err
 
 
 @pytest.mark.parametrize(
@@ -542,10 +545,10 @@ THREE_D_CUT = {"a": ["1", "1", "1"], "beta": "3"}
 @pytest.mark.parametrize(
     "argv, files, message",
     [
-        (["approximate", "--grid", '{"min": "00", "max": "22", "step": "1/2"}'], {}, "must be arrays"),
+        (["approximate", "--grid", '{"min": "00", "max": "22", "step": "1/2"}'], {}, "grid 'min' must be an array"),
         (["verify", "--certificate", "CERT"], {"CERT": {"a": "12", "beta": "1"}}, "must be an array"),
-        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": "x"}}, "'cuts' array"),
-        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": {"0": {}}}}, "'cuts' array"),
+        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": "x"}}, "'cuts' must be an array"),
+        (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": {"0": {}}}}, "'cuts' must be an array"),
         (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": [ONE_D_CUT]}}, "cuts must be 2-D"),
         (["plot", "--cuts", "CUTS", "--out", "SVG"], {"CUTS": {"cuts": [THREE_D_CUT]}}, "cuts must be 2-D"),
     ],
@@ -561,3 +564,119 @@ def test_string_or_object_for_an_array_exit_1(tmp_path, capsys, argv, files, mes
     assert code == 1 and out == ""
     assert message in err
     assert not (tmp_path / "plot.svg").exists()
+
+
+MARK = "7/11"  # the entries of each over-long array below
+
+
+def fail_on_mark(parse):
+    def guarded(obj, *args):
+        if obj == MARK:
+            raise AssertionError("an entry of an array over its bound was parsed")
+        return parse(obj, *args)
+
+    return guarded
+
+
+GRID = {"min": ["0", "0"], "max": ["1", "1"], "step": "1/2"}
+LONG_VECTOR = [MARK] * (ser.MAX_DIM + 1)
+LONG_CORNER = [MARK] * 3
+
+
+@pytest.mark.parametrize(
+    "argv, instance, message",
+    [
+        (["separate"], {"point": LONG_VECTOR}, f"a vector may have at most {ser.MAX_DIM} entries"),
+        (["approximate"], {"probes": [LONG_VECTOR], "options": {"grid": GRID}}, "a vector may"),
+        (
+            ["approximate", "--grid", json.dumps({**GRID, "min": LONG_CORNER})],
+            {"probes": [["2", "2"]]},
+            "grid 'min' may have at most 2 entries, got 3",
+        ),
+        (
+            ["approximate", "--grid", json.dumps({**GRID, "max": LONG_CORNER})],
+            {"probes": [["2", "2"]]},
+            "grid 'max' may have at most 2 entries, got 3",
+        ),
+        (
+            ["plot", "--cuts", "CUTS", "--out", "SVG"],
+            {},
+            f"'cuts' may have at most {ser.MAX_PROBES} entries, got {ser.MAX_PROBES + 1}",
+        ),
+    ],
+    ids=["point", "probe", "grid-min", "grid-max", "cuts"],
+)
+def test_an_array_over_its_bound_exit_1_before_any_entry_is_parsed(
+    tmp_path, capsys, monkeypatch, argv, instance, message
+):
+    monkeypatch.setattr(ser, "parse_coord", fail_on_mark(ser.parse_coord))
+    monkeypatch.setattr(ser, "parse_fraction", fail_on_mark(ser.parse_fraction))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"set": ser.polyhedron_to_json(TRIANGLE), **instance}))
+    cuts = {"cuts": [{"a": [MARK, MARK], "beta": MARK}] * (ser.MAX_PROBES + 1)}
+    (tmp_path / "cuts.json").write_text(json.dumps(cuts))
+    paths = {"CUTS": str(tmp_path / "cuts.json"), "SVG": str(tmp_path / "plot.svg")}
+    code, out, err = run(capsys, [paths.get(a, a) for a in argv] + ["--instance", str(path)])
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["separate", "counterexample"])
+def test_a_point_past_the_digit_bound_exit_1(tmp_path, capsys, command):
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))
+    path = write_instance(tmp_path, "tri.json", inst)
+    point = json.dumps(["1", "1" * (ser.MAX_DIGITS + 1)])
+    code, out, err = run(capsys, [command, "--point", point, "--instance", path])
+    assert code == 1 and out == ""
+    assert f"at most {ser.MAX_DIGITS} digits" in err
+
+
+# The largest square-free k at most MAX_FIELD_K: 2 * 499999999999.
+BIG_K = 999_999_999_998
+
+
+def tall_fraction(rng, digits):
+    """A random fraction whose numerator and denominator have ``digits`` digits."""
+    lo, hi = 10 ** (digits - 1), 10**digits
+    return F(rng.choice((-1, 1)) * rng.randrange(lo, hi), rng.randrange(lo, hi))
+
+
+def rounded(x: F, digits: int) -> F:
+    """x as a decimal fraction within ``digits`` digits (|x| < 10**(digits - 1))."""
+    e = digits - 1 - len(str(abs(x.numerator) // x.denominator))
+    return F(round(x * 10**e), 10**e)
+
+
+def test_separate_at_every_parse_limit_at_once(tmp_path, capsys):
+    # MAX_GENERATORS vertices in dimension MAX_DIM over Q(sqrt(BIG_K)), the
+    # r and s parts of every coordinate with MAX_DIGITS-digit numerators and
+    # denominators, and a point just outside a facet, so that the projection
+    # walks the generator subsets up to the facet's vertices
+    d, m, digits = ser.MAX_DIM, ser.MAX_GENERATORS, ser.MAX_DIGITS
+    assert BIG_K <= ser.MAX_FIELD_K and Surd.root(BIG_K).k == BIG_K
+    rng = Random(1)
+
+    def coord():
+        return Surd(tall_fraction(rng, digits), tall_fraction(rng, digits), BIG_K)
+
+    P = VPolyhedron(tuple(Vector([coord() for _ in range(d)]) for _ in range(m)))
+    a, b = P.facet_description.facets[0]
+    on = [v for v in P.vertices if (a.dot(v) - b).sign() == 0]
+    centroid = F(1, len(on)) * sum(on[1:], on[0])
+    # push by ~1000 along the normal, far above the rounding error of the
+    # sqrt(k) parts (< sqrt(k) / 10**(digits - 2) ~ 10), far below the
+    # coordinates (~10**6)
+    y = centroid + F(1000) / max(abs(x.r) + abs(x.s) * 10**6 for x in a) * a
+    y = Vector([Surd(rounded(x.r, digits), rounded(x.s, digits), BIG_K) for x in y])
+    assert len(on) == d and (a.dot(y) - b).sign() > 0
+    path = tmp_path / "limits.json"
+    path.write_text(ser.dumps(ser.instance_to_json(ser.Instance(polyhedron=P, point=y))))
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["separate", "--instance", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    inst = ser.parse_instance(json.loads(path.read_text()))
+    cert = ser.parse_certificate(json.loads(out)["certificate"])
+    assert verify_certificate(inst.polyhedron, inst.point, cert)
+    assert elapsed < 60, f"separate at every parse limit took {elapsed:.1f}s (limit 60s)"

@@ -8,6 +8,9 @@ on the package, read from their source with ``ast``.  Every module's
 ``__all__`` must resolve too, so a name moved out of a module leaves it,
 and every name a module of the package, the scripts or the tests imports
 must be used there or exported, so a deletion leaves no import behind.
+The JSON input format's shape checks live in one place: in
+``serialization`` and ``cli`` only the array reader tests for a list, and
+only the object reader and ``parse_coord``'s number dispatch for a dict.
 """
 
 import ast
@@ -107,6 +110,50 @@ def test_unused_imports_are_caught():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+SHAPE_CHECKERS = {"list": {"_array"}, "dict": {"_object", "parse_coord"}}
+FORMAT_SOURCES = [ROOT / "src/ratsep/serialization.py", ROOT / "src/ratsep/cli.py"]
+
+
+def stray_shape_checks(tree: ast.Module) -> list[str]:
+    """"function: type" for each ``isinstance(x, list)`` or ``isinstance(x,
+    dict)``, alone or in a tuple of types, in a function that
+    ``SHAPE_CHECKERS`` does not allow to make it."""
+    stray = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                continue
+            types = node.args[1]
+            for t in types.elts if isinstance(types, ast.Tuple) else [types]:
+                allowed = SHAPE_CHECKERS.get(getattr(t, "id", None))
+                if allowed is not None and func.name not in allowed:
+                    stray.add(f"{func.name}: {t.id}")
+    return sorted(stray)
+
+
+def test_stray_shape_checks_are_caught():
+    source = (
+        "def _array(x):\n    return isinstance(x, list)\n"
+        "def parse_coord(x):\n    return isinstance(x, dict) or isinstance(x, (str, int))\n"
+        "def parse_grid(x):\n    return isinstance(x, (list, tuple))\n"
+        "def main(x):\n    return isinstance(x, str) or isinstance(x, dict)\n"
+    )
+    assert stray_shape_checks(ast.parse(source)) == ["main: dict", "parse_grid: list"]
+
+
+@pytest.mark.parametrize("path", FORMAT_SOURCES, ids=lambda p: p.name)
+def test_shape_checks_live_in_the_two_readers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert stray_shape_checks(tree) == []
 
 
 def test_vector_surface_read_by_the_programs():

@@ -90,9 +90,9 @@ def test_parse_bounds_set_size_before_building_the_set(monkeypatch):
     n = ser.MAX_GENERATORS
     with pytest.raises(ValueError, match=f"at most {n} vertices and rays"):
         ser.parse_polyhedron({"vertices": [["0", str(i)] for i in range(n)], "rays": [["1", "0"]]})
-    with pytest.raises(ValueError, match=f"dimension at most {ser.MAX_DIM}"):
+    with pytest.raises(ValueError, match=f"a vector may have at most {ser.MAX_DIM} entries"):
         ser.parse_polyhedron({"vertices": [["0", "0"]], "rays": [["1"] * (ser.MAX_DIM + 1)]})
-    with pytest.raises(ValueError, match="must be arrays"):
+    with pytest.raises(ValueError, match="'vertices' must be an array"):
         ser.parse_polyhedron({"vertices": {"0": ["0", "0"]}})
 
 
@@ -103,7 +103,7 @@ def test_parse_bounds_probe_count_before_parsing_any_vector(monkeypatch):
     monkeypatch.setattr(ser, "parse_vector", fail)
     n = ser.MAX_PROBES
     instance = {"set": {"vertices": [["0", "0"]]}, "probes": [["1", "1"]] * (n + 1)}
-    with pytest.raises(ValueError, match=f"at most {n} probes, got {n + 1}"):
+    with pytest.raises(ValueError, match=f"'probes' may have at most {n} entries, got {n + 1}"):
         ser.parse_instance(instance)
     with pytest.raises(ValueError, match="'probes' must be an array"):
         ser.parse_instance({"set": {"vertices": [["0", "0"]]}, "probes": {"0": ["1", "1"]}})
@@ -276,7 +276,7 @@ def test_parse_bounds_certificate_length_before_parsing_any_entry(monkeypatch):
 
     monkeypatch.setattr(ser, "parse_fraction", fail)
     n = ser.MAX_DIM
-    with pytest.raises(ValueError, match=f"dimension at most {n}"):
+    with pytest.raises(ValueError, match=f"a certificate's 'a' may have at most {n} entries"):
         ser.parse_certificate({"a": ["1"] * (n + 1), "beta": "1"})
     monkeypatch.undo()
     assert ser.parse_certificate({"a": ["1"] * n, "beta": "1"}).a.dim == n
@@ -296,3 +296,55 @@ def test_dumps_is_canonical():
     text = ser.dumps(payload)
     assert text == '{"a":"1/1","b":"2/1"}\n'
     assert ser.dumps(dict(reversed(list(payload.items())))) == text
+
+
+def test_parse_accepts_coordinates_at_the_digit_bound():
+    top = "9" * ser.MAX_DIGITS
+    assert ser.parse_coord(f"-{top}/{top}") == Surd(-1)
+    assert ser.parse_coord(int(top)) == Surd(int(top))
+    assert ser.parse_coord({"r": top, "s": f"1/{top}", "k": 2}) == Surd(int(top), F(1, int(top)), 2)
+
+
+TALL = "1" * (ser.MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "coord",
+    [
+        TALL, f"-{TALL}", f"1/{TALL}", "1" * 5000, int(TALL), -int(TALL),
+        {"r": TALL}, {"s": f"1/{TALL}", "k": 2},
+    ],
+    ids=["num", "neg-num", "den", "past-int-str-limit", "int", "neg-int", "surd-r", "surd-s"],
+)
+def test_parse_bounds_coordinate_digits(coord):
+    bound = f"at most {ser.MAX_DIGITS} digits"
+    with pytest.raises(ValueError, match=bound):
+        ser.parse_coord(coord)
+    for instance in (
+        {"set": {"vertices": [[coord, "0"]]}},
+        {"set": SET, "point": ["0", coord]},
+        {"set": SET, "probes": [["1", "1"], [coord, "1"]]},
+    ):
+        with pytest.raises(ValueError, match=bound):
+            ser.parse_instance(instance)
+
+
+def test_certificates_and_traces_are_read_past_the_digit_bound():
+    # separate makes them taller than its input: on this triangle with
+    # 10-digit coordinates their numbers have up to 43 digits
+    tall = 10**10 - 1
+    tri = VPolyhedron((Vector([0, 0]), Vector([F(tall, 3), 0]), Vector([0, F(1, tall)])))
+    cert, trace = separate(tri, Vector([tall, tall]))
+    assert max(len(str(abs(f.numerator))) for f in cert.a.as_fractions()) > ser.MAX_DIGITS
+    with pytest.raises(ValueError, match=f"at most {ser.MAX_DIGITS} digits"):
+        ser.parse_vector(ser.vector_to_json(trace.z_tilde))
+    assert ser.parse_certificate(ser.certificate_to_json(cert)) == cert
+    assert ser.parse_trace(ser.trace_to_json(trace)) == trace
+    inst = {"set": SET, "certificate": ser.certificate_to_json(cert)}
+    assert ser.parse_instance(inst).certificate == cert
+
+
+@pytest.mark.parametrize("name", ["budget", "max_den"])
+def test_a_null_option_is_not_a_default(name):
+    with pytest.raises(ValueError, match=f"options.{name} must be a positive integer"):
+        ser.parse_instance({"set": SET, "options": {name: None}})
