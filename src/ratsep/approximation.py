@@ -32,6 +32,7 @@ from .scalars import (
     _pair_mul,
     _pair_reciprocal,
     _pair_sign,
+    _positive,
     _surd_parts,
 )
 from .separation import separate
@@ -55,11 +56,9 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "mins", tuple(map(_fraction, self.mins)))
         object.__setattr__(self, "maxs", tuple(map(_fraction, self.maxs)))
-        object.__setattr__(self, "step", _fraction(self.step))
+        object.__setattr__(self, "step", _positive(self.step, "step"))
         if len(self.mins) != 2 or len(self.maxs) != 2:
             raise ValueError("grids are 2-D")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
         if self.mins[0] > self.maxs[0] or self.mins[1] > self.maxs[1]:
             raise ValueError("grid corners are out of order")
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .scalars import Vector, _fraction, choose_rational_between
+from .scalars import Vector, _fraction, _pair_sign, choose_rational_between
 from .sets import VPolyhedron, support_value
 
 __all__ = [
@@ -148,17 +148,18 @@ def rational_parallel_direction(a: Vector) -> Vector | None:
 
     Normalizing by the first nonzero coordinate makes every entry a
     ratio a_j / a_i0, which is rational exactly when the coordinates
-    are pairwise rationally dependent -- decidable in the field.  The
-    halfspace {<a, x> <= beta} is contained in some rational closed
-    halfspace iff such a c exists, because halfspace containment forces
-    positively parallel normals.
+    are pairwise rationally dependent.  It is decided on the integer
+    pairs, with no division in the field: for the first nonzero pair p,
+    a pair (x, y) is a rational multiple of p iff x*p[1] == y*p[0], and
+    the ratio is x/p[0], or y/p[1] when p[0] == 0.  The halfspace
+    {<a, x> <= beta} is contained in some rational closed halfspace iff
+    such a c exists, because halfspace containment forces positively
+    parallel normals.
     """
     if a.is_zero():
         raise ValueError("direction must be nonzero")
-    i0 = next(i for i, c in enumerate(a) if c.sign() != 0)
-    pivot = a[i0]
-    ratios = [c / pivot for c in a]
-    if not all(r.is_rational for r in ratios):
+    pa, pb = p = next(x for x in a.pairs if x != (0, 0))
+    if any(x * pb != y * pa for x, y in a.pairs):
         return None
-    c = Vector([r.as_fraction() for r in ratios])
-    return -c if pivot.sign() < 0 else c
+    c = Vector([Fraction(x, pa) if pa else Fraction(y, pb) for x, y in a.pairs])
+    return -c if _pair_sign(p, a.field_k) < 0 else c

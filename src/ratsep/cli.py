@@ -61,7 +61,8 @@ def build_parser() -> _Parser:
     def add(name: str, help_text: str) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--instance", help="path to an instance JSON file")
-        p.add_argument("--point", help="inline point, a JSON array of coordinates")
+        if name != "approximate":  # approximate reads probes, never a point
+            p.add_argument("--point", help="inline point, a JSON array of coordinates")
         return p
 
     p = add("separate", "compute a separating rational halfspace and its trace")
@@ -107,7 +108,8 @@ def _inline_json(flag: str, text: str):
 
 def _load_instance(args) -> ser.Instance:
     inst = ser.parse_instance(_load_json(args.instance)) if args.instance else None
-    point = ser.parse_vector(_inline_json("--point", args.point)) if args.point else None
+    text = getattr(args, "point", None)
+    point = ser.parse_vector(_inline_json("--point", text)) if text else None
     if inst is None:
         raise ValueError("an --instance file is required")
     return inst if point is None else replace(inst, point=point)

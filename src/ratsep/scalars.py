@@ -8,9 +8,10 @@ and nothing is ever rounded; ``math.floor`` and ``math.ceil`` of a
 ``Surd`` are exact too, by one integer square root.  Every Surd is kept
 in one canonical form (Cohen, "A Course in Computational Algebraic
 Number Theory", 1993, section 5.1), so equality and hashing compare
-integers.  ``k`` is checked once, where it enters: the public ``Surd``
-constructor, ``Surd.root`` and the JSON parser, which also bounds it by
-``serialization.MAX_FIELD_K``.
+integers.  ``k`` is checked where it enters, by ``_check_field``: the
+public ``Surd`` constructor and ``Surd.root`` check it on every call, and
+the JSON parser, which first bounds it by ``serialization.MAX_FIELD_K``,
+checks each distinct k once per parsed document.
 Arithmetic results inherit the already-checked ``k`` of their operands,
 ints and Fractions enter as rationals without that check, and
 ``Surd._k_with`` is the one rule for combining two fields.  A ``Vector``
@@ -74,6 +75,15 @@ def _fraction(x: Rationalish) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _positive(x: Rationalish, what: str) -> Fraction:
+    """x as a Fraction, checked to be positive: ``ValueError`` "<what> must
+    be positive" otherwise."""
+    x = _fraction(x)
+    if x <= 0:
+        raise ValueError(f"{what} must be positive")
+    return x
+
+
 def _is_square_free(k: int) -> bool:
     """True iff k > 0 has no square factor > 1, in O(k**(1/3)) divisions.
 
@@ -93,6 +103,12 @@ def _is_square_free(k: int) -> bool:
         d += 1
     root = isqrt(m)
     return m == 1 or root * root != m
+
+
+def _check_field(k: int) -> None:
+    """Raise ``ValueError`` unless the int k is 1 or positive and square-free."""
+    if k != 1 and not _is_square_free(k):
+        raise ValueError(f"k must be positive and square-free, got {k}")
 
 
 @total_ordering
@@ -120,12 +136,10 @@ class Surd:
         s = _fraction(s)
         if not isinstance(k, int):
             raise TypeError("k must be an int")
-        if k != 1 and not _is_square_free(k):
-            raise ValueError(f"k must be positive and square-free, got {k}")
-        p, q = r.denominator, s.denominator
-        self._set(r.numerator * q, s.numerator * p, p * q, k)
+        _check_field(k)
+        self._set_parts(r, s, k)
 
-    def _set(self, a: int, b: int, d: int, k: int) -> None:
+    def _set(self, a: int, b: int, d: int, k: int) -> "Surd":
         """Store ``(a + b*sqrt(k)) / d``, d != 0, in the canonical form."""
         if not b or k == 1:
             a, b, k = a + b, 0, 1
@@ -135,14 +149,25 @@ class Surd:
         if g != 1:
             a, b, d = a // g, b // g, d // g
         self.a, self.b, self.d, self.k = a, b, d, k
+        return self
+
+    def _set_parts(self, r: Fraction, s: Fraction, k: int) -> "Surd":
+        """Store ``r + s*sqrt(k)`` from Fractions and an already-checked ``k``."""
+        p, q = r.denominator, s.denominator
+        return self._set(r.numerator * q, s.numerator * p, p * q, k)
 
     @classmethod
     def _make(cls, a: int, b: int, d: int, k: int) -> "Surd":
         """``(a + b*sqrt(k)) / d`` from integers and an already-checked
         ``k``: the constructor of arithmetic results."""
-        x = object.__new__(cls)
-        x._set(a, b, d, k)
-        return x
+        return object.__new__(cls)._set(a, b, d, k)
+
+    @classmethod
+    def _of_parts(cls, r: Fraction, s: Fraction, k: int) -> "Surd":
+        """``r + s*sqrt(k)`` from Fractions and an already-checked ``k``:
+        the constructor without its checks, for the JSON parser, which
+        checks each k once per document."""
+        return object.__new__(cls)._set_parts(r, s, k)
 
     @classmethod
     def root(cls, k: int) -> "Surd":
@@ -455,19 +480,18 @@ class Vector:
     irrational parts are rejected.  As m is least, the form is canonical
     (the gcd of m and every a and b is 1), so equality and hashing compare
     integers, and sums, differences, scalings and dot products run on
-    the pairs with no Surd built per coordinate.  ``coords``, the
-    coordinates as Surds, is built on first read and kept on the vector.
+    the pairs with no Surd built per coordinate.  The pairs are all a
+    vector stores: ``coords``, iteration and indexing build the
+    coordinates as Surds from them on each read.
     """
 
-    __slots__ = ("m", "pairs", "field_k", "_coords")
+    __slots__ = ("m", "pairs", "field_k")
 
     def __init__(self, coords: Iterable[Surd | Rationalish]):
-        coords = tuple(coords)
-        if not coords:
-            raise ValueError("a vector needs at least one coordinate")
         m, pairs, k = _pair_row(coords)
+        if not pairs:
+            raise ValueError("a vector needs at least one coordinate")
         self.m, self.pairs, self.field_k = m, tuple(pairs), k
-        self._coords = coords if all(isinstance(c, Surd) for c in coords) else None
 
     @classmethod
     def _make(cls, m: int, pairs, k: int) -> "Vector":
@@ -486,7 +510,7 @@ class Vector:
         if k != 1 and not any(b for _, b in pairs):
             k = 1
         x = object.__new__(cls)
-        x.m, x.pairs, x.field_k, x._coords = m, tuple(pairs), k, None
+        x.m, x.pairs, x.field_k = m, tuple(pairs), k
         return x
 
     @classmethod
@@ -495,12 +519,9 @@ class Vector:
 
     @property
     def coords(self) -> tuple[Surd, ...]:
-        """The coordinates as Surds."""
-        c = self._coords
-        if c is None:
-            m, k = self.m, self.field_k
-            c = self._coords = tuple(Surd._make(a, b, m, k) for a, b in self.pairs)
-        return c
+        """The coordinates as Surds, built from the pairs."""
+        m, k = self.m, self.field_k
+        return tuple(Surd._make(a, b, m, k) for a, b in self.pairs)
 
     @property
     def dim(self) -> int:
@@ -524,10 +545,10 @@ class Vector:
         return len(self.pairs)
 
     def __iter__(self):
-        return iter(self._coords or self.coords)
+        return iter(self.coords)
 
     def __getitem__(self, i):
-        return (self._coords or self.coords)[i]
+        return self.coords[i]
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -670,9 +691,7 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> tuple[Fraction, F
     Deterministic in (x, tol).
     """
     a, b, d, k = _surd_parts(x)
-    tol = _fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _positive(tol, "tol")
     if _pair_sign((a, b), k) < 0:
         raise ValueError(f"cannot enclose the square root of the negative {x}")
     lo, hi, den = _sqrt_bounds(a, b, d, k, _dyadic_exponent(tol))
@@ -700,9 +719,7 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
     that lands inside.  The closing check ||q - center||**2 <= radius**2
     is an exact sign.  Deterministic in (center, radius).
     """
-    radius = _fraction(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _positive(radius, "radius")
     if center.is_rational:
         return center
     budget = min(radius / (2 * center.dim), radius * radius)

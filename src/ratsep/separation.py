@@ -46,10 +46,10 @@ from .scalars import (
     Surd,
     Vector,
     _dyadic_exponent,
-    _fraction,
     _pair_dot,
     _pair_mul,
     _pair_sign,
+    _positive,
     _rational_between,
     _sqrt_bounds,
     choose_rational_between,
@@ -203,9 +203,7 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
     """
     if C.dim != d.dim:
         raise DimensionMismatchError("direction dimension does not match the set")
-    eps = _fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive(eps, "eps")
     k = Surd._k_with(d.field_k, C.field_k)
     p, q = eps.numerator, eps.denominator
     scale = p * p * d.m * d.m
@@ -250,12 +248,8 @@ def compute_wedge_parameters(
         raise DimensionMismatchError("barrier direction dimension does not match the residual")
     if y_bar.is_zero():
         raise ValueError("residual is zero: the query point lies in the set")
-    M = _fraction(M)
-    if M <= 0:
-        raise ValueError("support bound M must be positive")
-    eps = _fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    M = _positive(M, "support bound M")
+    eps = _positive(eps, "eps")
     k, m2 = y_bar.field_k, y_bar.m * y_bar.m
     na, nb = n = _pair_dot(y_bar.pairs, y_bar.pairs, k)
     q = _rational_in(n, m2, (3 * na, 3 * nb, 4 * m2), (na, nb, m2), k)
@@ -290,12 +284,8 @@ def wedge_interior_ball(
     """
     if x0.dim != d_bar.dim:
         raise DimensionMismatchError("wedge base dimension does not match the residual")
-    eps_bar = _fraction(eps_bar)
-    delta_hat = _fraction(delta_hat)
-    if eps_bar <= 0:
-        raise ValueError("eps_bar must be positive")
-    if delta_hat <= 0:
-        raise ValueError("delta_hat must be positive")
+    eps_bar = _positive(eps_bar, "eps_bar")
+    delta_hat = _positive(delta_hat, "delta_hat")
     reach = norm_upper(d_bar - x0)
     lam = min(delta_hat / (reach + eps_bar), Fraction(1))
     P, Q = lam.numerator, lam.denominator

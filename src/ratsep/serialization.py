@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 from .approximation import GridSpec, OuterApprox
 from .certificates import Certificate
-from .scalars import Surd, Vector
+from .scalars import Surd, Vector, _check_field
 from .separation import SeparationTrace
 from .sets import VPolyhedron
 
@@ -53,8 +53,9 @@ __all__ = [
 
 
 # The largest field k the parser accepts.  Its square-free check then costs
-# at most ~MAX_FIELD_K**(1/3) = 10**4 trial divisions; without a bound a
-# huge k would hang the parse.
+# at most ~MAX_FIELD_K**(1/3) = 10**4 trial divisions (~3 ms), run once per
+# distinct k of a parsed instance, set or vector, not once per coordinate;
+# without a bound a huge k would hang the parse.
 MAX_FIELD_K = 10**12
 # The largest dimension d and generator count m (vertices plus rays) of a
 # parsed set.  The facet count can grow like m**(d // 2), and ``project``
@@ -161,16 +162,32 @@ def coord_to_json(c: Surd):
     return {"r": fraction_to_str(c.r), "s": fraction_to_str(c.s), "k": c.k}
 
 
-def parse_coord(obj, digits: int | None = MAX_DIGITS) -> Surd:
+def _field(k, fields: set[int]) -> int:
+    """k, checked as a declared field: an integer, at most ``MAX_FIELD_K``,
+    then square-free.  The square-free test runs only for a k not yet in
+    ``fields``, the fields already checked in the document being read, and
+    adds k to it."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"field k must be an integer, got {k!r}")
+    if k > MAX_FIELD_K:
+        raise ValueError(f"field k must be at most {MAX_FIELD_K}, got {k}")
+    if k not in fields:
+        _check_field(k)
+        fields.add(k)
+    return k
+
+
+def parse_coord(obj, digits: int | None = MAX_DIGITS, *, _fields: set[int] | None = None) -> Surd:
+    """obj as a Surd.  ``_fields``, here and in ``parse_vector`` and
+    ``parse_polyhedron``, is private to this module: the set of fields
+    already checked in the document being read, so each k is tested once
+    per document.  A caller outside leaves it None, a new set, so every
+    k it reads is checked."""
     if isinstance(obj, dict):
         _object(obj, "surd", (), ("r", "s", "k"))
-        k = obj.get("k", 1)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError(f"field k must be an integer, got {k!r}")
-        if k > MAX_FIELD_K:
-            raise ValueError(f"field k must be at most {MAX_FIELD_K}, got {k}")
+        k = _field(obj.get("k", 1), set() if _fields is None else _fields)
         r, s = parse_fraction(obj.get("r", 0), digits), parse_fraction(obj.get("s", 0), digits)
-        return Surd(r, s, k)
+        return Surd._of_parts(r, s, k)
     return Surd(parse_fraction(obj, digits))
 
 
@@ -178,8 +195,9 @@ def vector_to_json(v: Vector) -> list:
     return [coord_to_json(c) for c in v]
 
 
-def parse_vector(obj, digits: int | None = MAX_DIGITS) -> Vector:
-    return Vector([parse_coord(c, digits) for c in _array(obj, "a vector", MAX_DIM)])
+def parse_vector(obj, digits: int | None = MAX_DIGITS, *, _fields: set[int] | None = None) -> Vector:
+    fields = set() if _fields is None else _fields
+    return Vector([parse_coord(c, digits, _fields=fields) for c in _array(obj, "a vector", MAX_DIM)])
 
 
 def polyhedron_to_json(P: VPolyhedron) -> dict:
@@ -191,14 +209,15 @@ def polyhedron_to_json(P: VPolyhedron) -> dict:
     }
 
 
-def parse_polyhedron(obj) -> VPolyhedron:
+def parse_polyhedron(obj, *, _fields: set[int] | None = None) -> VPolyhedron:
+    fields = set() if _fields is None else _fields
     _object(obj, "set", ("vertices",), ("dim", "k", "rays"))
     raw_vertices = _array(obj["vertices"], "'vertices'", None)
     raw_rays = _array(obj.get("rays", []), "'rays'", None)
     if len(raw_vertices) + len(raw_rays) > MAX_GENERATORS:
         raise ValueError(f"a set may have at most {MAX_GENERATORS} vertices and rays")
-    vertices = [parse_vector(v) for v in raw_vertices]
-    rays = [parse_vector(r) for r in raw_rays]
+    vertices = [parse_vector(v, _fields=fields) for v in raw_vertices]
+    rays = [parse_vector(r, _fields=fields) for r in raw_rays]
     P = VPolyhedron(tuple(vertices), tuple(rays))
     if "dim" in obj:
         dim = obj["dim"]
@@ -207,8 +226,7 @@ def parse_polyhedron(obj) -> VPolyhedron:
         if dim != P.dim:
             raise ValueError(f"declared dim {dim} but coordinates have dim {P.dim}")
     if "k" in obj:
-        # the declared field passes the checks of a coordinate's field
-        k = parse_coord({"s": 1, "k": obj["k"]}).k
+        k = _field(obj["k"], fields)
         if P.field_k not in (1, k):
             raise ValueError(f"declared field k={k} but data uses k={P.field_k}")
     return P
@@ -335,9 +353,10 @@ def instance_to_json(inst: Instance) -> dict:
 def parse_instance(obj) -> Instance:
     _object(obj, "instance", ("set",), ("point", "probes", "certificate", "options"))
     raw_probes = _array(obj.get("probes", []), "'probes'", MAX_PROBES)
-    polyhedron = parse_polyhedron(obj["set"])
-    point = parse_vector(obj["point"]) if "point" in obj else None
-    probes = tuple(parse_vector(p) for p in raw_probes)
+    fields: set[int] = set()
+    polyhedron = parse_polyhedron(obj["set"], _fields=fields)
+    point = parse_vector(obj["point"], _fields=fields) if "point" in obj else None
+    probes = tuple(parse_vector(p, _fields=fields) for p in raw_probes)
     certificate = (
         parse_certificate(obj["certificate"]) if "certificate" in obj else None
     )

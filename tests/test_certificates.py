@@ -167,6 +167,44 @@ def test_rational_parallel_output_is_positively_parallel():
         assert c[i0].sign() == a[i0].sign()
 
 
+def surd_parallel_direction(a: Vector) -> Vector | None:
+    """The Surd-division form of ``rational_parallel_direction``: every
+    coordinate over the first nonzero one, oriented by its sign."""
+    pivot = next(c for c in a if c.sign() != 0)
+    ratios = [c / pivot for c in a]
+    if not all(r.is_rational for r in ratios):
+        return None
+    c = Vector([r.as_fraction() for r in ratios])
+    return -c if pivot.sign() < 0 else c
+
+
+def test_rational_parallel_direction_divides_no_surd(monkeypatch):
+    # the decision reads the integer pairs, so it needs no inverse in the
+    # field; it gives the answers of dividing by the first nonzero coordinate
+    rng = Random(20)
+    vectors = [Vector([1, SQ2]), Vector([-SQ2, SQ2]), Vector([0, -2, 4]), Vector([0, SQ2, 3])]
+    for k in (1, 2, 3, 1000003):
+        root = Surd.root(k) if k != 1 else Surd(1)
+        for _ in range(60):
+            # rational multiples of one base, some shifted by 1 or sqrt(k)
+            # so that not every vector has a rational parallel
+            base = Surd(F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-2, 2), 3), k)
+            coords = [
+                base * rng.choice([0, 1, F(-2, 3), 5]) + rng.choice([0, 0, 0, 1, root])
+                for _ in range(rng.randint(1, 4))
+            ]
+            if not Vector(coords).is_zero():
+                vectors.append(Vector(coords))
+    expected = [surd_parallel_direction(a) for a in vectors]
+    assert any(e is None for e in expected) and sum(e is not None for e in expected) > 100
+
+    def no_inverse(self):
+        raise AssertionError("rational_parallel_direction divided by a Surd")
+
+    monkeypatch.setattr(Surd, "inverse", no_inverse)
+    assert [rational_parallel_direction(a) for a in vectors] == expected
+
+
 def test_no_small_rational_is_parallel_to_one_sqrt2():
     # c = mu * (1, sqrt2) with mu > 0 forces c2/c1 = sqrt2; for fractions
     # with numerators and denominators up to 50 that ratio is (p2 q1)/(p1 q2),

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from ratsep import (
     Surd,
     Vector,
     VPolyhedron,
+    membership,
     verify_certificate,
 )
 from ratsep import approximation, cli, separation
@@ -366,6 +368,22 @@ def test_unknown_subcommand_exit_64(capsys):
     assert "usage" in err.lower()
 
 
+def test_approximate_rejects_a_point_flag_exit_64(tmp_path, capsys):
+    # approximate reads probes and never a point, so --point is not one of
+    # its options; the 3-D point would otherwise pass unread
+    inst = ser.Instance(
+        polyhedron=UNIT_SQUARE,
+        probes=(Vector([2, 0]),),
+        options=ser.InstanceOptions(grid=ser.GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2))),
+    )
+    path = write_instance(tmp_path, "sq.json", inst)
+    code, out, err = run(capsys, ["approximate", "--instance", path, "--point", '["1","2","3"]'])
+    assert code == 64 and out == ""
+    assert "--point" in err
+    for command in ("separate", "verify", "counterexample", "plot"):
+        assert cli.build_parser().parse_args([command, "--point", "[]"]).point == "[]"
+
+
 def test_no_subcommand_exit_64(capsys):
     code, _, err = run(capsys, [])
     assert code == 64
@@ -570,10 +588,10 @@ MARK = "7/11"  # the entries of each over-long array below
 
 
 def fail_on_mark(parse):
-    def guarded(obj, *args):
+    def guarded(obj, *args, **kwargs):
         if obj == MARK:
             raise AssertionError("an entry of an array over its bound was parsed")
-        return parse(obj, *args)
+        return parse(obj, *args, **kwargs)
 
     return guarded
 
@@ -680,3 +698,49 @@ def test_separate_at_every_parse_limit_at_once(tmp_path, capsys):
     cert = ser.parse_certificate(json.loads(out)["certificate"])
     assert verify_certificate(inst.polyhedron, inst.point, cert)
     assert elapsed < 60, f"separate at every parse limit took {elapsed:.1f}s (limit 60s)"
+
+
+def test_approximate_at_every_parse_limit_at_once(tmp_path, capsys):
+    # MAX_GENERATORS vertices in the plane over Q(sqrt(BIG_K)), every r and
+    # s part with MAX_DIGITS-digit numerators and denominators, MAX_PROBES
+    # probes just outside the edges, the budget at MAX_PROBES and a grid of
+    # close to MAX_GRID_POINTS points covering the set.  The vertices lie
+    # near the circle of radius sqrt(k) about (2, 2)*sqrt(k), all extreme.
+    m, digits, n = ser.MAX_GENERATORS, ser.MAX_DIGITS, ser.MAX_PROBES
+    rng = Random(2)
+
+    def coord(s):
+        den = rng.randrange(10 ** (digits - 1), 3 * 10 ** (digits - 1))
+        return Surd(tall_fraction(rng, digits), F(round(s * den), den), BIG_K)
+
+    angles = [2 * math.pi * i / m for i in range(m)]
+    P = VPolyhedron(tuple(Vector([coord(2 + math.cos(t)), coord(2 + math.sin(t))]) for t in angles))
+    assert len(P.facet_description.facets) == m
+    edges = []
+    for a, b in P.facet_description.facets:
+        u, v = [w for w in P.vertices if (a.dot(w) - b).sign() == 0]
+        # ~1000 outward, far above the rounding error of the sqrt(k) parts
+        edges.append((u, v, F(1000) / max(abs(x.r) + abs(x.s) * 10**6 for x in a) * a))
+    probes = []
+    for i in range(n):
+        u, v, push = edges[i % len(edges)]
+        t = F(i // len(edges) + 1, n // len(edges) + 2)
+        y = t * u + (1 - t) * v + push
+        probes.append(Vector([Surd(rounded(x.r, digits), rounded(x.s, digits), BIG_K) for x in y]))
+    assert not any(membership(P, y) for y in probes)
+    corners = [float(x) for w in P.vertices for x in w]
+    lo, hi = math.floor(min(corners)) - 1, math.ceil(max(corners)) + 1
+    side = math.isqrt(ser.MAX_GRID_POINTS) - 1
+    grid = GridSpec((F(lo), F(lo)), (F(hi), F(hi)), F(hi - lo, side))
+    assert ser.MAX_GRID_POINTS - 1000 < grid.shape[0] * grid.shape[1] <= ser.MAX_GRID_POINTS
+    inst = ser.Instance(polyhedron=P, probes=tuple(probes), options=ser.InstanceOptions(grid=grid))
+    path = write_instance(tmp_path, "limits.json", inst)
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["approximate", "--instance", path, "--budget", str(n)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    cuts = ser.parse_cuts(json.loads(out))
+    approximation.OuterApprox(target=P, cuts=cuts)
+    assert cuts and all(any(cut.excludes(y) for y in probes) for cut in cuts)
+    assert elapsed < 120, f"approximate at every parse limit took {elapsed:.1f}s (limit 120s)"

@@ -162,7 +162,7 @@ def test_vector_surface_read_by_the_programs():
     # and the serializer iterate and index it
     v = Vector([Fraction(1, 2), Surd(Fraction(1, 3), Fraction(-2, 5), 2), 3])
     assert type(v.coords) is tuple and tuple(v) == v.coords
-    assert all(type(c) is Surd for c in v) and v[1] is v.coords[1] and v[-1] == 3
+    assert all(type(c) is Surd for c in v) and v[1] == v.coords[1] and v[-1] == 3
     assert [(c.r, c.s, c.k) for c in v] == [
         (Fraction(1, 2), 0, 1),
         (Fraction(1, 3), Fraction(-2, 5), 2),

@@ -119,6 +119,56 @@ def test_parse_admits_sets_at_the_size_bounds():
     assert (P.dim, len(P.vertices)) == (d, m)
 
 
+def test_each_field_is_checked_once_per_document(monkeypatch):
+    # 3078 coordinates and the set's declared k, all over one field: the
+    # O(k**(1/3)) square-free test runs once per parsed document
+    calls = []
+    square_free = ratsep.scalars._is_square_free
+
+    def counted(k):
+        calls.append(k)
+        return square_free(k)
+
+    monkeypatch.setattr(ratsep.scalars, "_is_square_free", counted)
+    big = 999999999989
+    coord = {"r": "1/2", "s": "1/3", "k": big}
+    vector = [coord] * 6
+    vertices = [[coord] * i + [{"r": "1", "k": big}] + [coord] * (5 - i) for i in range(6)]
+    vertices += [[coord] * i + [{"r": "-1", "k": big}] + [coord] * (5 - i) for i in range(6)]
+    instance = {
+        "set": {"dim": 6, "k": big, "vertices": vertices},
+        "point": vector,
+        "probes": [vector] * ser.MAX_PROBES,
+    }
+    inst = ser.parse_instance(instance)
+    assert calls == [big] and len(inst.probes) == ser.MAX_PROBES
+    assert inst.polyhedron.field_k == big
+    calls.clear()
+    ser.parse_polyhedron(instance["set"])
+    ser.parse_vector(vector)
+    assert calls == [big, big]
+    # a field first declared in an s = 0 coordinate is still checked
+    with pytest.raises(ValueError, match="k must be positive and square-free, got 4"):
+        ser.parse_vector([{"r": "1", "k": 4}, {"s": "1", "k": 4}])
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        ser.parse_coord,
+        lambda c: ser.parse_vector([c]),
+        lambda c: ser.parse_polyhedron({"vertices": [[c]]}),
+        lambda c: ser.parse_instance({"set": {"vertices": [["0"]]}, "point": [c]}),
+    ],
+    ids=["coord", "vector", "set", "instance"],
+)
+def test_public_readers_check_every_field_they_read(read):
+    # each public call starts its own set of already-checked fields, so a
+    # k it has not seen is checked, whatever was parsed before
+    with pytest.raises(ValueError, match="k must be positive and square-free, got 4"):
+        read({"s": "1", "k": 4})
+
+
 @pytest.mark.parametrize("k", [4, 0, -3, "2", True, 10**40])
 def test_parse_polyhedron_rejects_bad_declared_k(k):
     with pytest.raises(ValueError):
