@@ -106,8 +106,8 @@ def outer_approximate(
 ) -> OuterApprox:
     """Run the separation oracle over the probes, keeping up to budget cuts.
 
-    Probes inside X or already excluded by a stored cut are consumed
-    without a new cut; otherwise a cut is generated.  The loop stops
+    Probes already excluded by a stored cut, or else inside X, are
+    consumed without a new cut; otherwise a cut is generated.  The loop stops
     before a probe that would need a cut beyond the budget, so every
     consumed exterior probe ends up excluded.
     """
@@ -117,9 +117,11 @@ def outer_approximate(
         raise NotPointedError("outer approximation requires a pointed set")
     cuts: list[Certificate] = []
     for p in probes:
-        if membership(X, p):
-            continue
+        # every cut contains X, so a probe that a cut excludes lies outside
+        # X: testing the cuts first skips its membership test
         if any(cut.excludes(p) for cut in cuts):
+            continue
+        if membership(X, p):
             continue
         if len(cuts) >= budget:
             break

@@ -58,14 +58,14 @@ __all__ = [
 # without a bound a huge k would hang the parse.
 MAX_FIELD_K = 10**12
 # The largest dimension d and generator count m (vertices plus rays) of a
-# parsed set.  The facet count can grow like m**(d // 2), and ``project``
-# tries up to C(m, <= d) generator subsets.  At these bounds the facet
+# parsed set.  The facet count can grow like m**(d // 2), but ``separate``
+# builds no facet description: ``project`` visits corrals of at most d + 1
+# generators with one exact Gram solve each.  At these bounds the facet
 # description of the cyclic polytope (12 points on the moment curve in
 # dimension 6, 112 facets) takes ~0.01 s, and separating a point just
 # outside one of its facets (the centroid of the facet's vertices plus
-# 1/1000 of its normal) ~0.4-0.5 s over Q and ~0.7-0.8 s over Q(sqrt 2)
-# (the curve at t + sqrt(2)/2), nearly all of it in ``project`` (2-core
-# machine, Python 3.11).
+# 1/1000 of its normal) ~10-25 ms over Q and over Q(sqrt 2) (the curve at
+# t + sqrt(2)/2) (2-core machine, Python 3.11).
 MAX_DIM = 6
 MAX_GENERATORS = 12
 # The largest height bound of the 2-D brute-force oracle (``options.max_den``,
@@ -74,8 +74,10 @@ MAX_GENERATORS = 12
 # that finds none (a point just outside the sqrt(2) edge of the README
 # triangle) takes ~14 s at 32.  The excess measure counts the grid one line
 # at a time, along the longer axis: at 10**5 points (316 x 316) it takes
-# ~0.5 ms with no cuts and ~2 ms with the 11 cuts of the README triangle
-# (2-core machine, Python 3.11, best of 7).
+# ~1 ms with no cuts and ~3 ms with the 11 cuts of the README triangle
+# (best of 7), but ~1.3-1.5 s with the 12 cuts of a 12-vertex set over
+# Q(sqrt 999999999998) with MAX_DIGITS-digit parts, ~1.1 s of it in the
+# integer square root of each line's bound (2-core machine, Python 3.11).
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any
@@ -83,17 +85,18 @@ MAX_GRID_POINTS = 10**5
 # ``approximate --budget``): each cut needs a probe of its own, so no run
 # can use more.  Each probe can cost one ``separate``: on 120 of the 2- to
 # 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``,
-# seed 5) one call takes ~1.2 ms at the median and ~2.1 ms at the 90th
-# percentile, each call timed once, so 500 probes can take ~0.6 s to ~1.1 s
+# seed 5) one call takes ~1.0 ms at the median and ~1.7 ms at the 90th
+# percentile, each call timed once, so 500 probes can take ~0.5 s to ~0.9 s
 # (same machine).
 MAX_PROBES = 500
 # The most digits of each numerator and denominator (of r and s alike) in
 # the coordinates of an input set, point or probe; certificates and traces,
 # which ``separate`` makes taller, are not bounded.  7 admits the cyclic
 # polytope above (11**6).  At every limit at once (k = 999999999998, a point
-# just outside a facet) ``separate`` takes ~24 s, ~1.4-1.8 s over Q, nearly
-# all in ``project``; ``approximate`` on a 2-D set of 12 such vertices took
-# ~2 s for 500 probes, 83 cuts at ~9-21 ms each (same machine).
+# just outside a facet) ``separate`` takes ~1 s, three quarters of it in
+# two projections of 7 exact Gram solves each, ~0.03 s over Q; ``approximate`` on a 2-D set of 12 such vertices took
+# ~0.25 s for 500 probes, 12 cuts at ~8-10 ms each, before its excess
+# measure (same machine).
 MAX_DIGITS = 7
 
 

@@ -1,24 +1,30 @@
 """Pointed closed convex sets described by generators.
 
 A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
-quadratic field.  On first use each set computes its facet description
-by the exact double-description method: the equations of its affine
-hull, one inequality per facet (Minkowski-Weyl), and whether the set
-contains a line.  The method runs on integer pairs of Z[sqrt(k)], read
-straight off the generators' ``Vector``s, and each resulting normal is a
-``Vector`` of those pairs again; only the right-hand sides become Surds.
-Membership is a sign test on that description and pointedness a field
-of it; support values and the metric projection are exact too.
-Answers come from sign determinations, never from tolerances.  That
-exactness is what lets the separation pipeline assert strict
-inequalities instead of hoping for them.
+quadratic field.  The metric projection is Wolfe's minimum-norm point
+algorithm, run exactly on the generators with rays as generators whose
+weights have no upper bound (``_nearest``), and membership reads it off:
+x lies in P iff x is its own nearest point.  Pointedness is decided by
+the exact double-description method on the rays alone, once per set.
+Support values are a maximum over the vertices.  None of these builds
+P's facet description.
+
+That description, the equations of P's affine hull, one inequality per
+facet (Minkowski-Weyl) and whether P contains a line, is computed by the
+same double-description method on first use of ``facet_description``.
+The method runs on integer pairs of Z[sqrt(k)], read straight off the
+generators' ``Vector``s, and each resulting normal is a ``Vector`` of
+those pairs again; only the right-hand sides become Surds.  Answers come
+from sign determinations, never from tolerances.  That exactness is what
+lets the separation pipeline assert strict inequalities instead of
+hoping for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotPointedError, SeparationBugError
@@ -47,6 +53,7 @@ __all__ = [
 ]
 
 _ZERO = Surd(0)
+_ONE = Surd(1)
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,12 @@ class VPolyhedron:
         """The set's equations, facets and pointedness, computed once per object."""
         return _double_description(self)
 
+    @cached_property
+    def _rays_pointed(self) -> bool:
+        """Whether cone(rays) contains no line, from the double description
+        of the ray cone alone, computed once per object."""
+        return _polar_cone([r.pairs for r in self.rays], self.dim, self.field_k)[3]
+
 
 class FacetDescription(NamedTuple):
     """{x : <a, x> = b for (a, b) in equations, <a, x> <= b for (a, b) in facets}.
@@ -131,35 +144,54 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     """P's equations, facets and pointedness by the double-description method.
 
     x lies in P iff (x, 1) lies in the cone K spanned by the homogenized
-    generators (v, 1) and (r, 0).  The polar cone {f : <f, g> <= 0 for
-    every generator g} is kept as lin(basis) + cone(rays) and cut down one
-    generator at a time from the whole space (basis e_0..e_n, no rays).
-    By the bipolar theorem (x, 1) is in K iff <l, (x, 1)> = 0 for every
-    basis vector l and <f, (x, 1)> <= 0 for every extreme ray f, which are
-    the equations and facets of P.  Motzkin, Raiffa, Thompson & Thrall
-    1953; Fukuda & Prodon, "Double description method revisited", 1996.
+    generators (v, 1) and (r, 0).  By the bipolar theorem (x, 1) is in K
+    iff <l, (x, 1)> = 0 for every basis vector l of the polar cone's
+    lineality space and <f, (x, 1)> <= 0 for every extreme ray f of it
+    (``_polar_cone``), which are the equations and facets of P.  P
+    contains no line iff K is pointed.
 
-    P contains no line iff K is pointed, iff the polar is full-dimensional.
-    The polar stays full-dimensional when g takes a basis vector; when g
-    is orthogonal to the basis, it stays so iff some ray has <f, g> < 0.
-
-    Every vector is a list of integer pairs of Z[sqrt(k)] (see
-    ``scalars``).  Each generator is its ``Vector``'s pairs, that is the
-    generator scaled by its denominator m, a positive integer, which
-    moves no sign.  A projected basis vector or ray is taken |N(c)| times,
-    for the norm N(c) of the pivot product c, so that no division is
-    needed, and every new vector is divided by the gcd of its parts: it is
-    the one vector on its ray whose parts are coprime integers, as over
-    the field.
+    Each generator is its ``Vector``'s pairs, that is the generator scaled
+    by its denominator m, a positive integer, which moves no sign.
     """
-    n = P.dim
     k = P.field_k
     gens = [[*v.pairs, (v.m, 0)] for v in P.vertices]
     gens += [[*r.pairs, (0, 0)] for r in P.rays]
-    basis = [[(int(i == j), 0) for j in range(n + 1)] for i in range(n + 1)]
+    basis, rays, zeros, pointed = _polar_cone(gens, P.dim + 1, k)
+    # A facet of K with no vertex on it is K's face at t = 0, whose
+    # inequality every x in the affine hull satisfies.
+    on_vertices = (1 << len(P.vertices)) - 1
+    return FacetDescription(
+        tuple(_halfspace(l, k) for l in basis),
+        tuple(_halfspace(f, k) for f, z in zip(rays, zeros) if z & on_vertices),
+        pointed,
+    )
+
+
+def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int], bool]:
+    """The polar cone {f : <f, g> <= 0 for every g in gens} of the cone
+    spanned by gens, vectors of n integer pairs of Z[sqrt(k)], by the
+    double-description method (Motzkin, Raiffa, Thompson & Thrall 1953;
+    Fukuda & Prodon, "Double description method revisited", 1996).
+
+    The polar is kept as lin(basis) + cone(rays) and cut down one
+    generator at a time from the whole space (basis e_0..e_(n-1), no
+    rays).  The result is (basis, rays, zeros, pointed): bit i of zeros[j]
+    is set iff <rays[j], gens[i]> = 0, and pointed tells whether the cone
+    of gens contains no line, that is whether the polar is
+    full-dimensional.  The polar stays full-dimensional when g takes a
+    basis vector; when g is orthogonal to the basis, it stays so iff some
+    ray has <f, g> < 0.
+
+    Every vector is a list of integer pairs (see ``scalars``).  A
+    projected basis vector or ray is taken |N(c)| times, for the norm N(c)
+    of the pivot product c, so that no division is needed, and every new
+    vector is divided by the gcd of its parts: it is the one vector on its
+    ray whose parts are coprime integers, as over the field.
+    """
+    basis = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
     rays: list[list[tuple[int, int]]] = []
     pointed = True
-    zeros: list[int] = []  # bit i of zeros[j] is set iff <rays[j], gens[i]> = 0
+    zeros: list[int] = []
     for i, g in enumerate(gens):
         bit = 1 << i
         products = [_pair_dot(l, g, k) for l in basis]
@@ -192,10 +224,10 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
         new_rays = [r for r, s in zip(rays, signs) if s <= 0]
         new_zeros = [z | bit if s == 0 else z for z, s in zip(zeros, signs) if s <= 0]
         # Two extreme rays are adjacent iff no third one is zero wherever both
-        # are.  Adjacent rays also share at least n - 1 - len(basis) zeros,
+        # are.  Adjacent rays also share at least n - 2 - len(basis) zeros,
         # as many as independent constraints cut out a 2-face of the polar;
         # that cheap count runs first.
-        need = n - 1 - len(basis)
+        need = n - 2 - len(basis)
         for a in (j for j, s in enumerate(signs) if s > 0):
             for b in (j for j, s in enumerate(signs) if s < 0):
                 common = zeros[a] & zeros[b]
@@ -207,14 +239,7 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
                 new_rays.append(_pair_primitive(combined))
                 new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
-    # A facet of K with no vertex on it is K's face at t = 0, whose
-    # inequality every x in the affine hull satisfies.
-    on_vertices = (1 << len(P.vertices)) - 1
-    return FacetDescription(
-        tuple(_halfspace(l, k) for l in basis),
-        tuple(_halfspace(f, k) for f, z in zip(rays, zeros) if z & on_vertices),
-        pointed,
-    )
+    return basis, rays, zeros, pointed
 
 
 def _check_dims(P: VPolyhedron, x: Vector):
@@ -230,15 +255,45 @@ def support_value(P: VPolyhedron, a: Vector) -> SupportValue:
     _check_dims(P, a)
     if not polar_cone_contains(P.rays, a):
         return SupportValue(None)
-    # <a, v> is the pair dot over a.m * v.m; candidates compare by cross
-    # multiplication with the positive denominators, and one Surd is built.
+    return SupportValue(_highest_vertex(P, a)[1])
+
+
+def _highest_vertex(P: VPolyhedron, a: Vector) -> tuple[int, Surd]:
+    """(i, <a, v_i>) for the vertex v_i of P that maximizes <a, v>, the
+    lowest index on ties.
+
+    <a, v> is the pair dot over a.m * v.m; candidates compare by cross
+    multiplication with the positive denominators, and one Surd is built.
+    """
     k = Surd._k_with(a.field_k, P.field_k)
-    best, m = _pair_dot(a.pairs, P.vertices[0].pairs, k), P.vertices[0].m
-    for v in P.vertices[1:]:
+    vertices = P.vertices
+    top, best, m = 0, _pair_dot(a.pairs, vertices[0].pairs, k), vertices[0].m
+    for i in range(1, len(vertices)):
+        v = vertices[i]
         c = _pair_dot(a.pairs, v.pairs, k)
         if _pair_sign((c[0] * m - best[0] * v.m, c[1] * m - best[1] * v.m), k) > 0:
-            best, m = c, v.m
-    return SupportValue(Surd._make(*best, a.m * m, k))
+            top, best, m = i, c, v.m
+    return top, Surd._make(*best, a.m * m, k)
+
+
+def _nearest_vertex(P: VPolyhedron, y: Vector) -> int:
+    """The index of the vertex of P nearest y, the lowest on ties.
+
+    It minimizes ||v||**2 - 2<v, y>, which for v = p/m and y = q/n is
+    (n<p, p> - 2m<p, q>) / (n*m**2): pairs over the denominators m**2,
+    compared by cross multiplication, with no Surd built.
+    """
+    k = Surd._k_with(y.field_k, P.field_k)
+    q, n = y.pairs, y.m
+    top = best = den = None
+    for i, v in enumerate(P.vertices):
+        p, m = v.pairs, v.m
+        a, b = _pair_dot(p, p, k)
+        c, e = _pair_dot(p, q, k)
+        x, d = (n * a - 2 * m * c, n * b - 2 * m * e), m * m
+        if top is None or _pair_sign((x[0] * den - best[0] * d, x[1] * den - best[1] * d), k) < 0:
+            top, best, den = i, x, d
+    return top
 
 
 def polar_cone_contains(rays, y: Vector) -> bool:
@@ -249,85 +304,136 @@ def polar_cone_contains(rays, y: Vector) -> bool:
 def is_pointed(P: VPolyhedron) -> bool:
     """Whether P contains no line, i.e. cone(rays) contains none.
 
-    A set without rays is bounded.  Otherwise the double description
-    decided it: P contains no line iff its homogenized cone is pointed,
-    iff the polar of that cone is full-dimensional, which it stays until
-    a cut finds no polar ray on its negative side.
+    A set without rays is bounded.  Otherwise the double description of
+    the ray cone alone decides it, once per set object: cone(rays) is
+    pointed iff its polar is full-dimensional, which it stays until a cut
+    finds no polar ray on its negative side.  P's vertices and facets take
+    no part.
     """
-    return not P.rays or P.facet_description.pointed
+    return not P.rays or P._rays_pointed
+
+
+def _check_fields(P: VPolyhedron, x: Vector):
+    Surd._k_with(x.field_k, P.field_k)  # raises on two different irrational fields
 
 
 def membership(P: VPolyhedron, x: Vector) -> bool:
     """Exact decision of x in conv(vertices) + cone(rays).
 
-    x is in P iff <a, x> = b on every equation and <a, x> <= b on every
-    facet (a, b) of P's facet description, each decided by an exact sign
-    on integers (``Vector.dot_sign``).
+    x is in P iff it is its own nearest point of P (``_nearest``), a
+    comparison of exact vectors; no facet description is built.
     Raises ``ValueError`` when x and P use different irrational fields.
     """
     _check_dims(P, x)
-    Surd._k_with(x.field_k, P.field_k)  # raises on two different irrational fields
-    equations, facets, _ = P.facet_description
-    return all(a.dot_sign(x, b) == 0 for a, b in equations) and all(
-        a.dot_sign(x, b) <= 0 for a, b in facets
-    )
-
-
-def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector | None:
-    """Project y onto the affine hull of conv(vs) + cone(rs), exactly, or
-    None when the solved weights leave conv(vs) + cone(rs): a negative
-    weight on a ray, on a vertex of vs[1:] or, as 1 minus the others, on
-    vs[0].  A returned point therefore lies in P."""
-    v0 = vs[0]
-    span = [v - v0 for v in vs[1:]] + list(rs)
-    if not span:
-        return v0
-    gram = [[u.dot(w) for w in span] for u in span]
-    target = y - v0
-    rhs = [u.dot(target) for u in span]
-    weights = solve_linear_system(gram, rhs)
-    if any(w.sign() < 0 for w in weights) or (sum(weights[: len(vs) - 1], _ZERO) - 1).sign() > 0:
-        return None
-    z = v0
-    for w, u in zip(weights, span):
-        if w.sign() != 0:
-            z = z + w * u
-    return z
+    _check_fields(P, x)
+    return _nearest(P, x) == x
 
 
 def project(P: VPolyhedron, y: Vector) -> Vector:
     """The unique nearest point of P to y, with coordinates in the field.
 
-    Candidate faces are generator subsets (at least one vertex).  For
-    each, y is projected onto the face's affine hull by solving the
-    normal equations exactly, and the candidate is kept only when its
-    weights are nonnegative, so that z lies in P.  Such a z is the
-    projection iff the variational inequality <y - z, x - z> <= 0 holds
-    on P, that is iff the support value of y - z is finite and at most
-    <y - z, z>.  When y is outside P, its projection sits on a proper
-    face, and by Caratheodory it has nonnegative weights on some
-    affinely independent subset of at most dim(P) of the face's
-    generators, so subsets are capped at that size.
+    P must be pointed (``NotPointedError`` otherwise).  The point is found
+    by ``_nearest``, Wolfe's minimum-norm point algorithm run exactly; a
+    point of P is its own nearest point.  Raises ``ValueError`` when y and
+    P use different irrational fields.
     """
     _check_dims(P, y)
     if not is_pointed(P):
         raise NotPointedError("projection requires a pointed set")
-    if membership(P, y):
-        return y
-    nv = len(P.vertices)
-    gens = nv + len(P.rays)
-    cap = min(P.dim, gens)
-    for size in range(1, cap + 1):
-        for combo in combinations(range(gens), size):
-            if combo[0] >= nv:
-                continue  # ascending combos: first index < nv iff a vertex is present
-            vs = [P.vertices[i] for i in combo if i < nv]
-            rs = [P.rays[i - nv] for i in combo if i >= nv]
-            z = _face_point(y, vs, rs)
-            if z is None:
-                continue
-            g = y - z
-            sigma = support_value(P, g)
-            if sigma.is_finite and g.dot_sign(z, sigma.value) >= 0:
+    _check_fields(P, y)
+    return _nearest(P, y)
+
+
+def _nearest(P: VPolyhedron, y: Vector) -> Vector:
+    """The nearest point z of P to y, by Wolfe's minimum-norm point
+    algorithm run exactly (P. Wolfe, "Finding the nearest point in a
+    polytope", Math. Programming 11, 1976), with rays as generators whose
+    weights have no upper bound.
+
+    z is kept as a weighted sum over a corral: generators with positive
+    weights, the vertex weights summing to 1, at least one vertex, and
+    affinely independent, so a corral has at most dim + 1 members.  It
+    starts at the vertex nearest y, the lowest index on ties.
+
+    Major cycle.  With g = y - z, z is the projection iff the variational
+    inequality <g, x - z> <= 0 holds on P, that is iff <g, r> <= 0 for
+    every ray and <g, v> <= <g, z> for every vertex.  Otherwise the first
+    ray with <g, r> > 0 enters the corral, or, if there is none, the
+    vertex that maximizes <g, v>.  Minor cycles (``_minor_cycles``) then
+    make z the nearest point of the new corral's affine hull.
+
+    Each major cycle strictly lowers ||y - z||, and z is determined by
+    the corral, so no corral repeats.  More major cycles than there are
+    generator subsets with at most dim + 1 members and at least one
+    vertex mean a fault in the exact arithmetic, and raise
+    ``SeparationBugError``.
+    """
+    vertices, rays = P.vertices, P.rays
+    nv, nr = len(vertices), len(rays)
+    gens = (*vertices, *rays)
+    start = _nearest_vertex(P, y)
+    z, weights = vertices[start], {start: _ONE}
+    cycles = sum(comb(nv + nr, s) - comb(nr, s) for s in range(1, P.dim + 2))
+    for _ in range(cycles):
+        g = y - z
+        enter = next((nv + j for j, r in enumerate(rays) if g.dot_sign(r) > 0), None)
+        if enter is None:
+            enter, top = _highest_vertex(P, g)
+            if g.dot_sign(z, top) >= 0:
                 return z
-    raise SeparationBugError("no face yielded the projection; generator data invalid?")
+        weights[enter] = _ZERO
+        z, weights = _minor_cycles(y, gens, nv, weights)
+    raise SeparationBugError(f"the projection exceeded its bound of {cycles} major cycles")
+
+
+def _minor_cycles(y: Vector, gens, nv: int, weights: dict) -> tuple[Vector, dict]:
+    """Wolfe's minor cycles: (w, weights) for the nearest point w to y of
+    the corral's affine hull and its weights, all positive, once the
+    generators that would get a weight <= 0 have left the corral.
+
+    ``weights`` maps generator indices (vertices below nv, then rays) to
+    the weights lambda of the current point.  Let alpha be the affine
+    minimizer's weights (``_face_point``).  If none is negative, the
+    minimizer is the point.  Otherwise the point steps toward it, lambda
+    becoming lambda + theta*(alpha - lambda) for theta = min lambda_i /
+    (lambda_i - alpha_i) over the negative alpha_i, which keeps every
+    weight nonnegative and puts at least one at 0, and the generators at
+    0 leave.
+    """
+    while True:
+        order = sorted(weights)
+        w, alpha = _face_point(
+            y, [gens[i] for i in order if i < nv], [gens[i] for i in order if i >= nv]
+        )
+        lams = [weights[i] for i in order]
+        steps = [lam / (lam - a) for lam, a in zip(lams, alpha) if a.sign() < 0]
+        if not steps:
+            return w, {i: a for i, a in zip(order, alpha) if a.sign() > 0}
+        theta = min(steps)
+        weights = {i: lam + theta * (a - lam) for i, lam, a in zip(order, lams, alpha)}
+        weights = {i: lam for i, lam in weights.items() if lam.sign() > 0}
+
+
+def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, list[Surd]]:
+    """The nearest point z to y of the affine hull of conv(vs) + cone(rs),
+    exactly, and its weights: one per vertex, summing to 1, then one per
+    ray, z = sum of the weights times the generators.
+
+    The hull is vs[0] + span(vs[1:] - vs[0], rs), and the span's weights
+    solve the normal equations (the Gram system) exactly; vs[0] gets 1
+    minus the other vertices' weights.  Weights may be negative, when z
+    lies outside conv(vs) + cone(rs).
+    """
+    v0 = vs[0]
+    span = [v - v0 for v in vs[1:]] + list(rs)
+    if not span:
+        return v0, [_ONE]
+    gram = [[u.dot(w) for w in span] for u in span]
+    target = y - v0
+    rhs = [u.dot(target) for u in span]
+    weights = solve_linear_system(gram, rhs)
+    z = v0
+    for w, u in zip(weights, span):
+        if w.sign() != 0:
+            z = z + w * u
+    return z, [1 - sum(weights[: len(vs) - 1], _ZERO), *weights]

@@ -202,13 +202,22 @@ def _affine_projection(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector:
     return z
 
 
+def facet_membership(P: VPolyhedron, x: Vector) -> bool:
+    """Reference membership: <a, x> = b on every equation and <a, x> <= b
+    on every facet (a, b) of P's facet description, each an exact sign."""
+    equations, facets, _ = P.facet_description
+    return all(a.dot_sign(x, b) == 0 for a, b in equations) and all(
+        a.dot_sign(x, b) <= 0 for a, b in facets
+    )
+
+
 def face_walk_project(P: VPolyhedron, y: Vector) -> Vector:
-    """Reference ``project``: the same walk over generator subsets of at
-    most dim(P) generators, at least one of them a vertex, accepting the
-    first affine-hull projection z that lies in P by exact membership and
+    """Reference ``project``: a walk over generator subsets of at most
+    dim(P) generators, at least one of them a vertex, accepting the first
+    affine-hull projection z that lies in P by the facet test and
     satisfies <y - z, v - z> <= 0 at every vertex and <y - z, r> <= 0 at
     every ray.  Those two conditions certify z as the projection."""
-    if membership(P, y):
+    if facet_membership(P, y):
         return y
     nv = len(P.vertices)
     gens = [*P.vertices, *P.rays]
@@ -224,7 +233,7 @@ def face_walk_project(P: VPolyhedron, y: Vector) -> Vector:
                 continue
             if not all(g.dot(r).sign() <= 0 for r in P.rays):
                 continue
-            if membership(P, z):
+            if facet_membership(P, z):
                 return z
     raise AssertionError("no face yielded the projection")
 

@@ -16,12 +16,12 @@ from ratsep import (
     Surd,
     Vector,
     VPolyhedron,
-    membership,
     verify_certificate,
 )
-from ratsep import approximation, cli, separation
+from ratsep import approximation, cli, separation, sets
 from ratsep import serialization as ser
 from ratsep.cli import main
+from helpers import facet_membership
 
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([1, 0]), Vector([0, 1])))
 UNIT_SQUARE = VPolyhedron(
@@ -204,6 +204,24 @@ def test_value_error_after_validation_exits_3(tmp_path, capsys, monkeypatch, ste
     path = write_instance(tmp_path, "quadrant.json", inst)
     code, out, err = run(capsys, ["separate", "--instance", path])
     message = f"a step after validation raised {type(exc).__name__}: {exc}"
+    assert code == 3
+    assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
+    assert err == f"error: internal: {message}\n"
+
+
+def test_projection_past_its_cycle_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # a fault in the exact projection, here an entering generator that
+    # leaves at once, ends at the bound on its cycles as an internal error
+    minor = sets._minor_cycles
+
+    def stuck(y, gens, nv, weights):
+        return minor(y, gens, nv, {i: w for i, w in weights.items() if w.sign() > 0})
+
+    monkeypatch.setattr(sets, "_minor_cycles", stuck)
+    inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))
+    path = write_instance(tmp_path, "tri.json", inst)
+    code, out, err = run(capsys, ["separate", "--instance", path])
+    message = "the projection exceeded its bound of 7 major cycles"
     assert code == 3
     assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
     assert err == f"error: internal: {message}\n"
@@ -665,11 +683,11 @@ def rounded(x: F, digits: int) -> F:
     return F(round(x * 10**e), 10**e)
 
 
-def test_separate_at_every_parse_limit_at_once(tmp_path, capsys):
+def test_separate_at_every_parse_limit_at_once(tmp_path, capsys, monkeypatch):
     # MAX_GENERATORS vertices in dimension MAX_DIM over Q(sqrt(BIG_K)), the
     # r and s parts of every coordinate with MAX_DIGITS-digit numerators and
     # denominators, and a point just outside a facet, so that the projection
-    # walks the generator subsets up to the facet's vertices
+    # lies inside the facet, MAX_DIM vertices spanning it
     d, m, digits = ser.MAX_DIM, ser.MAX_GENERATORS, ser.MAX_DIGITS
     assert BIG_K <= ser.MAX_FIELD_K and Surd.root(BIG_K).k == BIG_K
     rng = Random(1)
@@ -690,6 +708,16 @@ def test_separate_at_every_parse_limit_at_once(tmp_path, capsys):
     path = tmp_path / "limits.json"
     path.write_text(ser.dumps(ser.instance_to_json(ser.Instance(polyhedron=P, point=y))))
 
+    # every exact Gram solve of the projection, which a walk over the
+    # generator subsets would make by the thousand
+    solves = []
+    solve = sets.solve_linear_system
+
+    def counting_solve(rows, rhs):
+        solves.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(sets, "solve_linear_system", counting_solve)
     start = time.perf_counter()
     code, out, _ = run(capsys, ["separate", "--instance", str(path)])
     elapsed = time.perf_counter() - start
@@ -698,6 +726,7 @@ def test_separate_at_every_parse_limit_at_once(tmp_path, capsys):
     cert = ser.parse_certificate(json.loads(out)["certificate"])
     assert verify_certificate(inst.polyhedron, inst.point, cert)
     assert elapsed < 60, f"separate at every parse limit took {elapsed:.1f}s (limit 60s)"
+    assert 0 < len(solves) <= 50, f"the projection made {len(solves)} Gram solves"
 
 
 def test_approximate_at_every_parse_limit_at_once(tmp_path, capsys):
@@ -727,7 +756,7 @@ def test_approximate_at_every_parse_limit_at_once(tmp_path, capsys):
         t = F(i // len(edges) + 1, n // len(edges) + 2)
         y = t * u + (1 - t) * v + push
         probes.append(Vector([Surd(rounded(x.r, digits), rounded(x.s, digits), BIG_K) for x in y]))
-    assert not any(membership(P, y) for y in probes)
+    assert not any(facet_membership(P, y) for y in probes)
     corners = [float(x) for w in P.vertices for x in w]
     lo, hi = math.floor(min(corners)) - 1, math.ceil(max(corners)) + 1
     side = math.isqrt(ser.MAX_GRID_POINTS) - 1

@@ -9,6 +9,7 @@ from ratsep import (
     DimensionMismatchError,
     GridSpec,
     NotPointedError,
+    SeparationBugError,
     Surd,
     Vector,
     VPolyhedron,
@@ -20,11 +21,12 @@ from ratsep import (
     separate,
     support_value,
 )
-from ratsep import linalg, sets
+from ratsep import approximation, linalg, sets
 from ratsep.separation import find_barrier_direction
 from ratsep.sets import polar_cone_contains
 from helpers import (
     face_walk_project,
+    facet_membership,
     lp_is_pointed,
     lp_membership,
     rand_rational_vector,
@@ -433,7 +435,7 @@ def test_membership_and_pointedness_match_the_lp_oracles(case):
     P, extra = case
     assert is_pointed(P) == lp_is_pointed(P)
     for x in query_points(P, extra):
-        assert membership(P, x) == lp_membership(P, x), x
+        assert membership(P, x) == lp_membership(P, x) == facet_membership(P, x), x
 
 
 def test_is_pointed_reads_the_double_description(monkeypatch):
@@ -475,12 +477,146 @@ def counting_description(monkeypatch) -> list:
 
 
 def test_separate_describes_the_set_once(monkeypatch):
-    # separate calls is_pointed twice and membership twice on X,
-    # counting the calls project makes inside it
+    # separate calls is_pointed twice and membership twice on X, counting
+    # the calls project makes inside it, and none of them builds X's own
+    # description: pointedness reads that of the ray cone alone
     calls = counting_description(monkeypatch)
     X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
     separate(X, Vector([-1, 1]))
-    assert calls == [X]
+    assert calls == []
+
+
+def counting_polar(monkeypatch) -> list:
+    calls = []
+    polar = sets._polar_cone
+
+    def counting(gens, n, k):
+        calls.append(gens)
+        return polar(gens, n, k)
+
+    monkeypatch.setattr(sets, "_polar_cone", counting)
+    return calls
+
+
+def test_separate_on_a_polytope_runs_no_double_description(monkeypatch):
+    rng = Random(41)
+    cases = []
+    for dim in (2, 3, 4):
+        P = random_pointed_polyhedron(rng, dim, 2, dim + 2, 0)
+        cases += [(P.vertices, y) for _, y in pushed_off_faces(P, edges=dim == 3)[:2]]
+        cases.append((P.vertices, exterior_point(rng, P)))
+    calls = counting_description(monkeypatch)
+    polar = counting_polar(monkeypatch)
+    for vertices, y in cases:
+        X = VPolyhedron(vertices)  # a new object, whose description is not built yet
+        separate(X, y)
+    assert calls == [] and polar == []
+
+
+def test_pointedness_describes_the_ray_cone_once_per_set(monkeypatch):
+    polar = counting_polar(monkeypatch)
+    X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
+    separate(X, Vector([-1, 1]))
+    separate(X, Vector([-2, 1]))
+    assert polar == [[r.pairs for r in X.rays]]
+    assert is_pointed(VPolyhedron(X.vertices, X.rays))
+    assert len(polar) == 2
+
+
+def test_outer_approximate_tests_membership_only_past_the_cuts(monkeypatch):
+    cuts, tested = [], []
+    member, separating = approximation.membership, approximation.separate
+
+    def recording_membership(X, p):
+        tested.append((p, len(cuts)))
+        return member(X, p)
+
+    def recording_separate(X, p):
+        cert, trace = separating(X, p)
+        cuts.append(cert)
+        return cert, trace
+
+    monkeypatch.setattr(approximation, "membership", recording_membership)
+    monkeypatch.setattr(approximation, "separate", recording_separate)
+    X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1])))
+    probes = list(GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2)).points())
+    approx = outer_approximate(X, probes, budget=6)
+    assert list(approx.cuts) == cuts and len(cuts) == 6
+    # a probe is tested only when no cut made before it excludes it ...
+    assert all(not any(cut.excludes(p) for cut in cuts[:n]) for p, n in tested)
+    # ... and the probes passed over before the last test are excluded
+    seen = {p for p, _ in tested}
+    last = max(probes.index(p) for p in seen)
+    skipped = [p for p in probes[:last] if p not in seen]
+    assert skipped and all(approx.excludes(p) for p in skipped)
+
+
+@pytest.mark.parametrize(
+    "P, y, z",
+    [
+        # conv{(3, 2), (0, 1), (-3, -3)}: (0, 1) enters, then (-3, -3), and
+        # the affine minimizer of all three gives (0, 1) a negative weight
+        (
+            VPolyhedron((Vector([3, 2]), Vector([0, 1]), Vector([-3, -3]))),
+            Vector([1, -2]),
+            Vector([F(-9, 61), F(-38, 61)]),
+        ),
+        # with a ray, the nearest vertex (2, 1) leaves the corral
+        (
+            VPolyhedron(
+                (Vector([0, -1]), Vector([2, 1]), Vector([1, 2]), Vector([-3, 0])),
+                (Vector([2, -1]),),
+            ),
+            Vector([4, 4]),
+            Vector([F(13, 5), F(6, 5)]),
+        ),
+    ],
+)
+def test_a_generator_leaves_the_corral(monkeypatch, P, y, z):
+    negative = []
+    face_point = sets._face_point
+
+    def recording(y, vs, rs):
+        w, weights = face_point(y, vs, rs)
+        negative.extend(a for a in weights if a.sign() < 0)
+        return w, weights
+
+    monkeypatch.setattr(sets, "_face_point", recording)
+    assert project(P, y) == face_walk_project(P, y) == z
+    assert negative  # so a minor cycle stepped by theta < 1
+
+
+def stuck_minor_cycles(monkeypatch) -> list:
+    """Break the minor cycles so that the entering generator leaves at
+    once and the corral stays as it was; returns the list of their calls."""
+    calls = []
+    minor = sets._minor_cycles
+
+    def stuck(y, gens, nv, weights):
+        calls.append(weights)
+        return minor(y, gens, nv, {i: w for i, w in weights.items() if w.sign() > 0})
+
+    monkeypatch.setattr(sets, "_minor_cycles", stuck)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "P, y, cycles",
+    [
+        # subsets of 3 vertices with 1 to 3 members
+        (TRIANGLE, Vector([1, 1]), 7),
+        # one vertex and one ray in the plane: {v} and {v, r}
+        (VPolyhedron((Vector([1, 0]),), (Vector([1, 1]),)), Vector([0, 3]), 2),
+    ],
+)
+def test_the_major_cycles_are_bounded(monkeypatch, P, y, cycles):
+    entered = stuck_minor_cycles(monkeypatch)
+    message = f"the projection exceeded its bound of {cycles} major cycles"
+    for decide in (project, membership):
+        entered.clear()
+        with pytest.raises(SeparationBugError, match=message):
+            decide(P, y)
+        assert len(entered) == cycles
 
 
 def test_outer_approximation_run_describes_the_set_once(monkeypatch):
