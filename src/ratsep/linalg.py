@@ -26,7 +26,7 @@ true sign, read off integers.
 
 Elimination built on the pivot solves the small linear systems of the
 projection step.  A one-phase simplex with Bland's rule, built on the
-same pivot, solves the margin problem of the barrier step on a
+same pivot, solves the margin LP of ``sets``, the pointedness test, on a
 fraction-free dictionary, as in Avis & Fukuda's reverse-search vertex
 enumeration (lrs; Discrete Comput. Geom. 8, 1992): the tableau keeps the
 nonbasic columns and the right-hand side, labelled with variable indices,

@@ -41,7 +41,6 @@ from .errors import (
     PointInSetError,
     SeparationBugError,
 )
-from .linalg import simplex_max
 from .scalars import (
     Surd,
     Vector,
@@ -108,7 +107,7 @@ class SeparationTrace:
 
     z_tilde      projection of the query point onto X
     y_bar        query point minus projection (nonzero residual)
-    d, eps       rational ball d + eps*B inside the barrier cone of C = X - z_tilde
+    d, eps       rational ball d + eps*B inside the barrier cone of X and C = X - z_tilde
     M            rational upper bound for the support of C on that ball, >= 1
     alpha        rescaling (q/3)/M for a rational lower bound q of ||y_bar||^2
     d_bar        alpha * d
@@ -141,36 +140,20 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
 
     That is a (deliberately stronger, enclosure-friendly) witness that
     the ball d + eps*B lies in the barrier cone of P.  With no rays the
-    barrier cone is all of space and (0, 1) is returned.  Otherwise an
-    exact LP maximizes the margin t of <d, r_i> <= -t over the box
-    ||d||_inf <= 1; a positive optimum exists iff the ray cone is
-    pointed.  The LP optimum may be irrational, so it is snapped to a
-    rational point close enough that a budgeted share of the margin
-    absorbs both the snap and eps; the final inequalities are then
-    re-checked exactly.
+    barrier cone is all of space and (0, 1) is returned.  Otherwise it
+    reads P's margin LP (``is_pointed``'s, solved once per set object):
+    the largest t with <d, r_i> <= -t over the box ||d||_inf <= 1,
+    positive iff the ray cone is pointed.  The LP optimum
+    may be irrational, so it is snapped to a rational point close enough
+    that a budgeted share of the margin absorbs both the snap and eps;
+    the final inequalities are then re-checked exactly.
     """
-    n = P.dim
-    if not P.rays:
-        return Vector.zero(n), Fraction(1)
     rays = P.rays
-    # variables: p (n), q (n), t; d = p - q
-    nvars = 2 * n + 1
-    c = [0] * (2 * n) + [1]
-    # rows [r, -r, 1] per ray and the unit rows of the box, built as
-    # Vectors from r's own pairs over r.m, which simplex_max reads as they are
-    A_ub = [
-        Vector._make(r.m, [*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0)], r.field_k)
-        for r in rays
-    ]
-    A_ub += [Vector._make(1, [(int(i == j), 0) for i in range(nvars)], 1) for j in range(2 * n)]
-    b_ub = [0] * len(rays) + [1] * (2 * n)
-    res = simplex_max(c, A_ub=A_ub, b_ub=b_ub)
-    if res.status != "optimal":
-        raise SeparationBugError(f"margin LP ended {res.status}; it is feasible and bounded")
-    t_star = res.x[2 * n]
+    if not rays:
+        return Vector.zero(P.dim), Fraction(1)
+    d_star, t_star = P._ray_margin
     if t_star.sign() <= 0:
         raise NotPointedError("ray cone admits no strictly separating direction")
-    d_star = Vector([res.x[j] - res.x[n + j] for j in range(n)])
     t = (t_star.a, t_star.b)
     t_lo = _rational_in(t, t_star.d, (*t, 2 * t_star.d), (*t, t_star.d), t_star.k)
     ray_bounds = [norm_upper(r) for r in rays]
@@ -309,7 +292,7 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
     two rejected inputs, and SeparationBugError if an internal exact
     inequality fails, which would be a bug rather than a data issue.
     Once the input has passed validation, a ``ValueError`` from any later
-    step (a ``NotPointedError`` from the barrier LP included) is such a
+    step (a ``NotPointedError`` from the barrier step included) is such a
     bug too, and is raised again as SeparationBugError with the fields
     computed so far.
     """
@@ -326,7 +309,7 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
         C = X.translated(-z_tilde)
         fields["y_bar"] = y_bar = y_tilde - z_tilde
 
-        d, eps = find_barrier_direction(C)
+        d, eps = find_barrier_direction(X)
         fields.update(d=d, eps=eps)
         fields["M"] = M = bound_support_on_ball(C, d, eps)
         alpha, d_bar, eps_bar, delta_hat = compute_wedge_parameters(y_bar, M, d, eps)

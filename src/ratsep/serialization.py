@@ -85,8 +85,8 @@ MAX_GRID_POINTS = 10**5
 # ``approximate --budget``): each cut needs a probe of its own, so no run
 # can use more.  Each probe can cost one ``separate``: on 120 of the 2- to
 # 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``,
-# seed 5) one call takes ~1.0 ms at the median and ~1.7 ms at the 90th
-# percentile, each call timed once, so 500 probes can take ~0.5 s to ~0.9 s
+# seed 5) one call takes ~0.8 ms at the median and ~1.4 ms at the 90th
+# percentile, each call timed once, so 500 probes can take ~0.4 s to ~0.7 s
 # (same machine).
 MAX_PROBES = 500
 # The most digits of each numerator and denominator (of r and s alike) in

@@ -5,16 +5,16 @@ quadratic field.  The metric projection is Wolfe's minimum-norm point
 algorithm, run exactly on the generators with rays as generators whose
 weights have no upper bound (``_nearest``), and membership reads it off:
 x lies in P iff x is its own nearest point.  Pointedness is decided by
-the exact double-description method on the rays alone, once per set.
+the barrier step's exact margin LP on the rays alone, once per set.
 Support values are a maximum over the vertices.  None of these builds
 P's facet description.
 
-That description, the equations of P's affine hull, one inequality per
-facet (Minkowski-Weyl) and whether P contains a line, is computed by the
-same double-description method on first use of ``facet_description``.
-The method runs on integer pairs of Z[sqrt(k)], read straight off the
-generators' ``Vector``s, and each resulting normal is a ``Vector`` of
-those pairs again; only the right-hand sides become Surds.  Answers come
+That description, the equations of P's affine hull and one inequality
+per facet (Minkowski-Weyl), is computed by the double-description
+method on first use of ``facet_description``.  The method runs on
+integer pairs of Z[sqrt(k)], read straight off the generators'
+``Vector``s, and each resulting normal is a ``Vector`` of those pairs
+again; only the right-hand sides become Surds.  Answers come
 from sign determinations, never from tolerances.  That exactness is what
 lets the separation pipeline assert strict inequalities instead of
 hoping for them.
@@ -28,7 +28,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotPointedError, SeparationBugError
-from .linalg import solve_linear_system
+from .linalg import simplex_max, solve_linear_system
 from .scalars import (
     Surd,
     Vector,
@@ -113,10 +113,30 @@ class VPolyhedron:
         return _double_description(self)
 
     @cached_property
-    def _rays_pointed(self) -> bool:
-        """Whether cone(rays) contains no line, from the double description
-        of the ray cone alone, computed once per object."""
-        return _polar_cone([r.pairs for r in self.rays], self.dim, self.field_k)[3]
+    def _ray_margin(self) -> tuple[Vector, Surd]:
+        """(d*, t*) maximizing t with <d, r> + t <= 0 per ray and
+        ||d||_inf <= 1, once per object; the set must have rays.  The LP
+        is feasible and bounded, so a ``ValueError`` from the simplex or
+        another status is a ``SeparationBugError``."""
+        n, rays = self.dim, self.rays
+        # variables: p (n), q (n), t; d = p - q
+        c = [0] * (2 * n) + [1]
+        # rows [r, -r, 1] per ray and the unit rows of the box, built as
+        # Vectors from r's own pairs over r.m, which simplex_max reads as they are
+        A_ub = [
+            Vector._make(r.m, [*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0)], r.field_k)
+            for r in rays
+        ]
+        box = [[(int(i == j), 0) for i in range(2 * n + 1)] for j in range(2 * n)]
+        A_ub += [Vector._make(1, row, 1) for row in box]
+        b_ub = [0] * len(rays) + [1] * (2 * n)
+        try:
+            res = simplex_max(c, A_ub=A_ub, b_ub=b_ub)
+        except ValueError as exc:
+            raise SeparationBugError(f"the margin LP raised {type(exc).__name__}: {exc}") from exc
+        if res.status != "optimal":
+            raise SeparationBugError(f"margin LP ended {res.status}; it is feasible and bounded")
+        return Vector([res.x[j] - res.x[n + j] for j in range(n)]), res.x[2 * n]
 
 
 class FacetDescription(NamedTuple):
@@ -141,14 +161,14 @@ def _halfspace(f, k: int) -> tuple[Vector, Surd]:
 
 
 def _double_description(P: VPolyhedron) -> FacetDescription:
-    """P's equations, facets and pointedness by the double-description method.
+    """P's equations and facets by the double-description method.
 
     x lies in P iff (x, 1) lies in the cone K spanned by the homogenized
     generators (v, 1) and (r, 0).  By the bipolar theorem (x, 1) is in K
     iff <l, (x, 1)> = 0 for every basis vector l of the polar cone's
     lineality space and <f, (x, 1)> <= 0 for every extreme ray f of it
     (``_polar_cone``), which are the equations and facets of P.  P
-    contains no line iff K is pointed.
+    contains a line iff cone(rays) does (``is_pointed``).
 
     Each generator is its ``Vector``'s pairs, that is the generator scaled
     by its denominator m, a positive integer, which moves no sign.
@@ -156,18 +176,18 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     k = P.field_k
     gens = [[*v.pairs, (v.m, 0)] for v in P.vertices]
     gens += [[*r.pairs, (0, 0)] for r in P.rays]
-    basis, rays, zeros, pointed = _polar_cone(gens, P.dim + 1, k)
+    basis, rays, zeros = _polar_cone(gens, P.dim + 1, k)
     # A facet of K with no vertex on it is K's face at t = 0, whose
     # inequality every x in the affine hull satisfies.
     on_vertices = (1 << len(P.vertices)) - 1
     return FacetDescription(
         tuple(_halfspace(l, k) for l in basis),
         tuple(_halfspace(f, k) for f, z in zip(rays, zeros) if z & on_vertices),
-        pointed,
+        is_pointed(P),
     )
 
 
-def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int], bool]:
+def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int]]:
     """The polar cone {f : <f, g> <= 0 for every g in gens} of the cone
     spanned by gens, vectors of n integer pairs of Z[sqrt(k)], by the
     double-description method (Motzkin, Raiffa, Thompson & Thrall 1953;
@@ -175,12 +195,8 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int], bool]:
 
     The polar is kept as lin(basis) + cone(rays) and cut down one
     generator at a time from the whole space (basis e_0..e_(n-1), no
-    rays).  The result is (basis, rays, zeros, pointed): bit i of zeros[j]
-    is set iff <rays[j], gens[i]> = 0, and pointed tells whether the cone
-    of gens contains no line, that is whether the polar is
-    full-dimensional.  The polar stays full-dimensional when g takes a
-    basis vector; when g is orthogonal to the basis, it stays so iff some
-    ray has <f, g> < 0.
+    rays).  The result is (basis, rays, zeros): bit i of zeros[j] is set
+    iff <rays[j], gens[i]> = 0.
 
     Every vector is a list of integer pairs (see ``scalars``).  A
     projected basis vector or ray is taken |N(c)| times, for the norm N(c)
@@ -190,7 +206,6 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int], bool]:
     """
     basis = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
     rays: list[list[tuple[int, int]]] = []
-    pointed = True
     zeros: list[int] = []
     for i, g in enumerate(gens):
         bit = 1 << i
@@ -220,7 +235,6 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int], bool]:
             continue
         products = [_pair_dot(r, g, k) for r in rays]
         signs = [_pair_sign(s, k) for s in products]
-        pointed = pointed and -1 in signs
         new_rays = [r for r, s in zip(rays, signs) if s <= 0]
         new_zeros = [z | bit if s == 0 else z for z, s in zip(zeros, signs) if s <= 0]
         # Two extreme rays are adjacent iff no third one is zero wherever both
@@ -239,7 +253,7 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int], bool]:
                 new_rays.append(_pair_primitive(combined))
                 new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
-    return basis, rays, zeros, pointed
+    return basis, rays, zeros
 
 
 def _check_dims(P: VPolyhedron, x: Vector):
@@ -304,13 +318,12 @@ def polar_cone_contains(rays, y: Vector) -> bool:
 def is_pointed(P: VPolyhedron) -> bool:
     """Whether P contains no line, i.e. cone(rays) contains none.
 
-    A set without rays is bounded.  Otherwise the double description of
-    the ray cone alone decides it, once per set object: cone(rays) is
-    pointed iff its polar is full-dimensional, which it stays until a cut
-    finds no polar ray on its negative side.  P's vertices and facets take
-    no part.
+    A set without rays is bounded.  Otherwise the margin LP on the rays
+    alone decides it, once per set object: by Gordan's theorem cone(rays)
+    is pointed iff some d has <d, r> < 0 for every ray, that is iff the
+    optimum t* > 0.  P's vertices and facets take no part.
     """
-    return not P.rays or P._rays_pointed
+    return not P.rays or P._ray_margin[1].sign() > 0
 
 
 def _check_fields(P: VPolyhedron, x: Vector):

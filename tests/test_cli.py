@@ -192,7 +192,7 @@ def _raising(exc):
     "step, exc",
     [
         ("bound_support_on_ball", ValueError("ball d + eps*B is not inside the barrier cone")),
-        ("simplex_max", ValueError("simplex_max needs b_ub >= 0, got -1")),
+        ("compute_wedge_parameters", ValueError("residual is zero: the query point lies in the set")),
         ("find_barrier_direction", NotPointedError("ray cone admits no strictly separating direction")),
     ],
 )
@@ -204,6 +204,20 @@ def test_value_error_after_validation_exits_3(tmp_path, capsys, monkeypatch, ste
     path = write_instance(tmp_path, "quadrant.json", inst)
     code, out, err = run(capsys, ["separate", "--instance", path])
     message = f"a step after validation raised {type(exc).__name__}: {exc}"
+    assert code == 3
+    assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
+    assert err == f"error: internal: {message}\n"
+
+
+def test_margin_lp_fault_exits_3(tmp_path, capsys, monkeypatch):
+    # validation solves the margin LP, which is feasible and bounded, so
+    # a ValueError from the simplex is a program fault too: exit 3
+    exc = ValueError("simplex_max needs b_ub >= 0, got -1")
+    monkeypatch.setattr(sets, "simplex_max", _raising(exc))
+    inst = ser.Instance(polyhedron=QUADRANT, point=Vector([-1, -2]))
+    path = write_instance(tmp_path, "quadrant.json", inst)
+    code, out, err = run(capsys, ["separate", "--instance", path])
+    message = f"the margin LP raised ValueError: {exc}"
     assert code == 3
     assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
     assert err == f"error: internal: {message}\n"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratsep import NotPointedError, SeparationBugError, Surd, Vector, VPolyhedron
-from ratsep import linalg, separation
+from ratsep import linalg, separation, sets
 from ratsep.linalg import _pivot, _tableau, simplex_max
 from ratsep.scalars import _pair_combination, _pair_mul, _pair_quotients, _pair_sign, _pair_surd
 from ratsep.sets import _double_description
@@ -154,7 +154,7 @@ def test_simplex_pivots_a_dictionary_without_slack_columns(monkeypatch):
 
 
 def margin_lp(rays, n):
-    """The margin LP of ``separation.find_barrier_direction``: maximize t
+    """The margin LP of ``sets.VPolyhedron._ray_margin``: maximize t
     subject to <p - q, r> + t <= 0 per ray and 0 <= p, q <= 1."""
     nvars = 2 * n + 1
     c = [0] * (2 * n) + [1]
@@ -200,11 +200,11 @@ def test_barrier_direction_is_unchanged_under_the_surd_tableau(k, dim, count, po
         rays = random_pointed_rays(rng, dim, count, k)
     else:
         rays = random_nonpointed_rays(rng, dim, count - 1)
-    P = VPolyhedron((Vector.zero(dim),), rays)
 
     def barrier():
+        # a new object each time: the margin LP is solved once per set object
         try:
-            return separation.find_barrier_direction(P)
+            return separation.find_barrier_direction(VPolyhedron((Vector.zero(dim),), rays))
         except NotPointedError:
             return None
 
@@ -215,13 +215,13 @@ def test_barrier_direction_is_unchanged_under_the_surd_tableau(k, dim, count, po
         return surd_simplex_max(*args, **kwargs)
 
     got = barrier()
-    with patch.object(separation, "simplex_max", oracle):
+    with patch.object(sets, "simplex_max", oracle):
         want = barrier()
     assert got == want
     assert (got is None) == (not pointed)
-    # P has rays, so the barrier ran its LP through the patched binding;
-    # otherwise the comparison above would set the code against itself
-    assert P.rays and len(calls) == 1
+    # the set has rays, so the barrier ran its LP through the patched
+    # binding; otherwise the comparison above would set the code against itself
+    assert rays and len(calls) == 1
 
 
 def scaled(row, a, D, k):

@@ -438,7 +438,7 @@ def test_membership_and_pointedness_match_the_lp_oracles(case):
         assert membership(P, x) == lp_membership(P, x) == facet_membership(P, x), x
 
 
-def test_is_pointed_reads_the_double_description(monkeypatch):
+def test_is_pointed_decides_lines_without_elimination(monkeypatch):
     # a line through three or four rays that sum to zero, with no opposite pair
     cases = [
         (VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([1, 1]))), True),
@@ -454,14 +454,13 @@ def test_is_pointed_reads_the_double_description(monkeypatch):
         ),
     ]
     assert [lp_is_pointed(P) for P, _ in cases] == [pointed for _, pointed in cases]
-    for P, _ in cases:
-        P.facet_description
 
     def no_elimination(*args):
         raise AssertionError("is_pointed ran an elimination")
 
     monkeypatch.setattr(linalg, "_eliminate", no_elimination)
     assert [is_pointed(P) for P, _ in cases] == [pointed for _, pointed in cases]
+    assert [P.facet_description.pointed for P, _ in cases] == [pointed for _, pointed in cases]
 
 
 def counting_description(monkeypatch) -> list:
@@ -479,7 +478,7 @@ def counting_description(monkeypatch) -> list:
 def test_separate_describes_the_set_once(monkeypatch):
     # separate calls is_pointed twice and membership twice on X, counting
     # the calls project makes inside it, and none of them builds X's own
-    # description: pointedness reads that of the ray cone alone
+    # description: pointedness reads the margin LP of the rays
     calls = counting_description(monkeypatch)
     X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
     separate(X, Vector([-1, 1]))
@@ -505,22 +504,52 @@ def test_separate_on_a_polytope_runs_no_double_description(monkeypatch):
         P = random_pointed_polyhedron(rng, dim, 2, dim + 2, 0)
         cases += [(P.vertices, y) for _, y in pushed_off_faces(P, edges=dim == 3)[:2]]
         cases.append((P.vertices, exterior_point(rng, P)))
+    cases = [(vertices, (), y) for vertices, y in cases]
+    for dim in (2, 3, 4):
+        P = random_pointed_polyhedron(rng, dim, 2, dim + 2, dim - 1)
+        cases += [(P.vertices, P.rays, y) for _, y in pushed_off_faces(P, edges=False)[:2]]
+        cases.append((P.vertices, P.rays, exterior_point(rng, P)))
     calls = counting_description(monkeypatch)
     polar = counting_polar(monkeypatch)
-    for vertices, y in cases:
-        X = VPolyhedron(vertices)  # a new object, whose description is not built yet
+    for vertices, rays, y in cases:
+        X = VPolyhedron(vertices, rays)  # a new object, whose description is not built yet
         separate(X, y)
     assert calls == [] and polar == []
 
 
-def test_pointedness_describes_the_ray_cone_once_per_set(monkeypatch):
-    polar = counting_polar(monkeypatch)
+def counting_lps(monkeypatch) -> list:
+    calls = []
+    solve = sets.simplex_max
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sets, "simplex_max", counting)
+    return calls
+
+
+def test_pointedness_solves_one_margin_lp_per_set(monkeypatch):
+    lps, polar = counting_lps(monkeypatch), counting_polar(monkeypatch)
     X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
     separate(X, Vector([-1, 1]))
     separate(X, Vector([-2, 1]))
-    assert polar == [[r.pairs for r in X.rays]]
+    assert len(lps) == 1
     assert is_pointed(VPolyhedron(X.vertices, X.rays))
-    assert len(polar) == 2
+    assert len(lps) == 2 and polar == []
+    # every cut of an outer approximation separates from the one set object
+    probes = list(GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2)).points())
+    approx = outer_approximate(VPolyhedron(X.vertices, X.rays), probes, budget=6)
+    assert len(approx.cuts) > 1 and len(lps) == 3 and polar == []
+
+
+def test_margin_lp_fault_is_a_bug(monkeypatch):
+    # the margin LP is feasible (d = 0, t = 0) and bounded, so any other
+    # outcome of the simplex is a program fault, not a verdict on the set
+    monkeypatch.setattr(sets, "simplex_max", lambda *args, **kwargs: linalg.LPResult("unbounded"))
+    X = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]),))
+    with pytest.raises(SeparationBugError, match="margin LP ended unbounded"):
+        is_pointed(X)
 
 
 def test_outer_approximate_tests_membership_only_past_the_cuts(monkeypatch):
