@@ -13,7 +13,10 @@ index range minus the length of its intersection with another, and the
 cost grows with the number of lines, not of points.  Each halfspace is
 cleared of the grid's and its own denominators once, into integer pairs
 of Z[sqrt(k)], so every bound is one integer floor division (and one
-integer square root over Q(sqrt(k))) with no Surd built.
+integer square root over Q(sqrt(k))) with no Surd built.  The part of
+that clearing that no grid enters, the reciprocal in Z[sqrt(k)] of each
+facet's coefficient along the line, is made once per set object and
+axis order, and a rational cut needs none.
 """
 
 from __future__ import annotations
@@ -109,8 +112,12 @@ def outer_approximate(
     Probes already excluded by a stored cut, or else inside X, are
     consumed without a new cut; otherwise a cut is generated.  The loop stops
     before a probe that would need a cut beyond the budget, so every
-    consumed exterior probe ends up excluded.
+    consumed exterior probe ends up excluded.  A budget that is not an
+    int (a bool included) raises ``TypeError``, and one below 1
+    ``ValueError``.
     """
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     if not is_pointed(X):
@@ -154,10 +161,8 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     axes = (0, 1) if shape[0] <= shape[1] else (1, 0)
     lines, length = shape[axes[0]], shape[axes[1]]
     k = X.field_k
-    equations, facets, _ = X.facet_description
-    opposite = [(-a, -b) for a, b in equations]
-    in_x = _line_bounds([*facets, *equations, *opposite], grid, axes, k)
-    in_cuts = _line_bounds([(cut.a, cut.beta) for cut in approx.cuts], grid, axes, k)
+    in_x = _line_bounds(_set_forms(X, axes), grid, axes)
+    in_cuts = _line_bounds(_cut_forms(approx.cuts, axes), grid, axes)
     excess = 0
     for i in range(lines):
         lo, hi = _narrow(in_cuts, i, 0, length - 1, k)
@@ -167,19 +172,72 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     return Fraction(excess, lines * length)
 
 
-def _line_bounds(halfspaces, grid: GridSpec, axes: tuple[int, int], k: int) -> list[tuple]:
-    """Each halfspace <a, p> <= b of Q(sqrt(k)) in integers, on the grid
-    point p whose coordinate axes[0] is mins + h*i (line i) and whose
-    coordinate axes[1] is mins + h*j (point j of the line).
+def _set_forms(X: VPolyhedron, axes: tuple[int, int]) -> list[tuple]:
+    """The line forms (``_line_forms``) of X's facets and equations, each
+    equation as a pair of opposite halfspaces, built once per set object
+    and axis order and kept on X beside its facet description."""
+    forms = vars(X).setdefault("_line_forms", {})
+    if axes not in forms:
+        equations, facets, _ = X.facet_description
+        opposite = [(-a, -b) for a, b in equations]
+        forms[axes] = _line_forms([*facets, *equations, *opposite], axes, X.field_k)
+    return forms[axes]
+
+
+def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
+    """Each halfspace <a, p> <= b of Q(sqrt(k)) in a form that no grid
+    enters, for lines along coordinate axes[1] of p.
+
+    With a = (pairs)/m, b = (pair)/db and a_s, a_t the pairs of a at
+    axes[0] and axes[1], the form is (sign of a_t, m, b*w, a_s*w, n, db)
+    for 1/a_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
+    a_t*w = n; when a_t = 0 it is (0, m, b, a_s, 0, db), w being 1.
+    """
+    s, t = axes
+    out = []
+    for a, b in halfspaces:
+        ba, bb, db, _ = _surd_parts(b)
+        a_s, a_t = a.pairs[s], a.pairs[t]
+        sign = _pair_sign(a_t, k)
+        if sign:
+            w, n = _pair_reciprocal(a_t, k)
+            out.append((sign, a.m, _pair_mul((ba, bb), w, k), _pair_mul(a_s, w, k), n, db))
+        else:
+            out.append((0, a.m, (ba, bb), a_s, 0, db))
+    return out
+
+
+def _cut_forms(cuts: Iterable[Certificate], axes: tuple[int, int]) -> list[tuple]:
+    """The line forms (``_line_forms``) of rational cuts <a, p> <= beta,
+    read off the integer numerators of a and the numerator and
+    denominator of beta: over Q, w is the sign of a_t (1 when a_t = 0)
+    and n = |a_t|."""
+    s, t = axes
+    out = []
+    for cut in cuts:
+        a, beta = cut.a, cut.beta
+        a_s, a_t = a.pairs[s][0], a.pairs[t][0]
+        w = -1 if a_t < 0 else 1
+        sign = w if a_t else 0
+        out.append((sign, a.m, (w * beta.numerator, 0), (w * a_s, 0), w * a_t, beta.denominator))
+    return out
+
+
+def _line_bounds(forms, grid: GridSpec, axes: tuple[int, int]) -> list[tuple]:
+    """Each line form of ``_line_forms`` on the grid point p whose
+    coordinate axes[0] is mins + h*i (line i) and whose coordinate
+    axes[1] is mins + h*j (point j of the line).
 
     With g the least common denominator of the grid's mins and step h,
-    m that of a and db that of b, multiplying by g*m*db > 0 turns the
-    halfspace into B*j <= U - V*i for pairs B, U, V of Z[sqrt(k)].  When
-    B != 0, (U - V*i)/B = (U*w - V*w*i)/n for 1/B = w/n with an integer
-    n > 0 (``_pair_reciprocal``).  The result is (sign of B, U*w, V*w, n)
-    with the pairs flat, and with q = (U*w - V*w*i)/n, p satisfies the
-    halfspace iff j <= floor(q) (sign 1), j >= ceil(q) (sign -1), or
-    U - V*i >= 0 (sign 0, U and V as they are, n = 0).
+    p_s = (Ms + H*i)/g and p_t = (Mt + H*j)/g for integers Ms, Mt and
+    H > 0.  Multiplying the halfspace by g*m*db > 0 turns it into
+    B*j <= U - V*i with B = db*H*a_t, U = g*m*b - db*(a_s*Ms + a_t*Mt)
+    and V = db*H*a_s, and multiplying U, V and B by w leaves the
+    quotient as it is and makes B the integer db*H*n > 0.  The result is
+    (sign of B, U*w, V*w, db*H*n) with the pairs flat, and with
+    q = (U*w - V*w*i)/(db*H*n), p satisfies the halfspace iff
+    j <= floor(q) (sign 1), j >= ceil(q) (sign -1), or U - V*i >= 0
+    (sign 0, U and V as they are, n = 0).
     """
     s, t = axes
     h, mins = grid.step, grid.mins
@@ -188,18 +246,10 @@ def _line_bounds(halfspaces, grid: GridSpec, axes: tuple[int, int], k: int) -> l
     Ms = mins[s].numerator * (g // mins[s].denominator)
     Mt = mins[t].numerator * (g // mins[t].denominator)
     out = []
-    for a, b in halfspaces:
-        (sa, sb), (ta, tb) = a.pairs[s], a.pairs[t]
-        ba, bb, db, _ = _surd_parts(b)
-        gm, dh = g * a.m, db * H
-        u = (gm * ba - db * (sa * Ms + ta * Mt), gm * bb - db * (sb * Ms + tb * Mt))
-        v = (dh * sa, dh * sb)
-        c = (dh * ta, dh * tb)
-        sign, n = _pair_sign(c, k), 0
-        if sign:
-            w, n = _pair_reciprocal(c, k)
-            u, v = _pair_mul(u, w, k), _pair_mul(v, w, k)
-        out.append((sign, *u, *v, n))
+    for sign, m, (ba, bb), (sa, sb), n, db in forms:
+        gm, dh = g * m, db * H
+        u = (gm * ba - db * (sa * Ms + n * Mt), gm * bb - db * sb * Ms)
+        out.append((sign, *u, dh * sa, dh * sb, dh * n))
     return out
 
 

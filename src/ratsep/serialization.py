@@ -85,17 +85,18 @@ MAX_GRID_POINTS = 10**5
 # ``approximate --budget``): each cut needs a probe of its own, so no run
 # can use more.  Each probe can cost one ``separate``: on 120 of the 2- to
 # 4-dimensional sets with rays of the benchmark (``perfbench/gen.py``,
-# seed 5) one call takes ~0.8 ms at the median and ~1.4 ms at the 90th
-# percentile, each call timed once, so 500 probes can take ~0.4 s to ~0.7 s
-# (same machine).
+# seed 5) one call takes ~0.6-0.85 ms at the median and ~1.0-1.5 ms at the
+# 90th percentile, each call timed once on a fresh parse, so 500 probes can
+# take ~0.3 s to ~0.75 s (same machine).
 MAX_PROBES = 500
 # The most digits of each numerator and denominator (of r and s alike) in
 # the coordinates of an input set, point or probe; certificates and traces,
 # which ``separate`` makes taller, are not bounded.  7 admits the cyclic
 # polytope above (11**6).  At every limit at once (k = 999999999998, a point
-# just outside a facet) ``separate`` takes ~1 s, three quarters of it in
-# two projections of 7 exact Gram solves each, ~0.03 s over Q; ``approximate`` on a 2-D set of 12 such vertices took
-# ~0.25 s for 500 probes, 12 cuts at ~8-10 ms each, before its excess
+# just outside a facet) ``separate`` takes ~0.45-0.6 s, ~60% of it in one
+# projection of 7 exact Gram solves, which membership and ``project`` share,
+# ~0.013 s over Q; ``approximate`` on a 2-D set of 12 such vertices took
+# ~0.16 s for 500 probes, 12 cuts at ~2.5-4 ms each, before its excess
 # measure (same machine).
 MAX_DIGITS = 7
 

@@ -4,10 +4,12 @@ A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
 quadratic field.  The metric projection is Wolfe's minimum-norm point
 algorithm, run exactly on the generators with rays as generators whose
 weights have no upper bound (``_nearest``), and membership reads it off:
-x lies in P iff x is its own nearest point.  Pointedness is decided by
-the barrier step's exact margin LP on the rays alone, once per set.
-Support values are a maximum over the vertices.  None of these builds
-P's facet description.
+x lies in P iff x is its own nearest point.  The set object keeps its
+last query and nearest point, so ``membership`` then ``project`` on one
+point, as ``separate`` and ``outer_approximate`` make them, run the
+algorithm once.  Pointedness is decided by the barrier step's exact
+margin LP on the rays alone, once per set.  Support values are a maximum
+over the vertices.  None of these builds P's facet description.
 
 That description, the equations of P's affine hull and one inequality
 per facet (Minkowski-Weyl), is computed by the double-description
@@ -380,7 +382,16 @@ def _nearest(P: VPolyhedron, y: Vector) -> Vector:
     generator subsets with at most dim + 1 members and at least one
     vertex mean a fault in the exact arithmetic, and raise
     ``SeparationBugError``.
+
+    P keeps the last (y, z) it answered, stored only once the loop has
+    returned, so a repeated query on the same object costs one vector
+    comparison.  The callers check dimensions, fields and pointedness
+    before this, so the kept pair is never read for an input they
+    reject.
     """
+    last = vars(P).get("_last_nearest")
+    if last is not None and last[0] == y:
+        return last[1]
     vertices, rays = P.vertices, P.rays
     nv, nr = len(vertices), len(rays)
     gens = (*vertices, *rays)
@@ -393,6 +404,7 @@ def _nearest(P: VPolyhedron, y: Vector) -> Vector:
         if enter is None:
             enter, top = _highest_vertex(P, g)
             if g.dot_sign(z, top) >= 0:
+                vars(P)["_last_nearest"] = (y, z)
                 return z
         weights[enter] = _ZERO
         z, weights = _minor_cycles(y, gens, nv, weights)

@@ -18,7 +18,7 @@ from ratsep import (
     support_value,
 )
 from ratsep import approximation
-from ratsep.approximation import OuterApprox, _line_bounds, _narrow
+from ratsep.approximation import OuterApprox, _cut_forms, _line_bounds, _line_forms, _narrow
 from ratsep.scalars import choose_rational_between
 from helpers import (
     exterior_point,
@@ -103,6 +103,20 @@ def test_budget_stops_cut_generation():
     probes = [Vector([2, 0]), Vector([-2, 0]), Vector([0, -2])]
     approx = outer_approximate(UNIT_SQUARE, probes, 1)
     assert len(approx.cuts) == 1
+
+
+TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([1, 0]), Vector([0, 1])))
+TRIANGLE_PROBES = [Vector([2, 0]), Vector([0, 2]), Vector([-1, -1]), Vector([1, 1]), Vector([-1, 3])]
+
+
+@pytest.mark.parametrize(
+    "budget, error",
+    [(2.5, TypeError), (F(5, 2), TypeError), (True, TypeError), (1.0, TypeError), (0, ValueError)],
+)
+def test_budget_must_be_a_positive_int(budget, error):
+    with pytest.raises(error):
+        outer_approximate(TRIANGLE, TRIANGLE_PROBES, budget)
+    assert len(outer_approximate(TRIANGLE, TRIANGLE_PROBES, 2).cuts) == 2
 
 
 def test_outer_approximate_rejects_non_pointed():
@@ -218,36 +232,65 @@ line_parts = st.one_of(
 BEYOND = 10**120
 
 
-@given(
-    st.sampled_from([1, 2, 1000003]),
-    st.lists(line_parts, min_size=6, max_size=6),
+def surd_quotient_bound(a_s, a_t, b, mins, step, axes, i) -> tuple:
+    """The bound of <a, p> <= b on line i, with Surds: floor(q) or ceil(q)
+    for q = (b - a_s*(mins_s + h*i) - a_t*mins_t) / (a_t*h), by the sign
+    of a_t."""
+    s, t = axes
+    q = (b - a_s * (mins[s] + step * i) - a_t * mins[t]) / (a_t * step)
+    if a_t.sign() > 0:
+        return -BEYOND, math.floor(q)
+    return math.ceil(q), BEYOND
+
+
+def narrowed(forms, mins, step, axes, i, k) -> tuple:
+    """The range of line i that the one line form keeps, on a one-point
+    grid at mins."""
+    (bound,) = _line_bounds(forms, GridSpec(tuple(mins), tuple(mins), step), axes)
+    return _narrow([bound], i, -BEYOND, BEYOND, k)
+
+
+line_grids = (
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=30), min_size=2, max_size=2),
     st.sampled_from([F(1), F(2, 7), F(5, 3), F(1, 2**65)]),
     st.sampled_from([(0, 1), (1, 0)]),
     st.integers(-40, 40),
 )
+
+
+@given(st.sampled_from([1, 2, 1000003]), st.lists(line_parts, min_size=6, max_size=6), *line_grids)
 @example(2, [F(1), F(3), F(-1, 3), F(0), F(1), F(1)], [F(1, 3), F(-5, 6)], F(2, 7), (0, 1), 3)
 @example(2, [F(0), F(1), F(1), F(-1), F(5, 2), F(-1, 4)], [F(0), F(0)], F(1), (1, 0), -7)
 @example(1000003, [F(2), F(-1), F(0), F(-1), F(-3), F(1)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
 @example(1, [F(2), F(0), F(-3, 2), F(0), F(7, 4), F(0)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
 def test_line_bound_is_the_floor_or_ceil_of_the_surd_quotient(k, parts, mins, step, axes, i):
-    """On line i the bound of <a, p> <= b is floor(q) or ceil(q) for the
-    Surd quotient q = (b - a_s*(mins_s + h*i) - a_t*mins_t) / (a_t*h),
-    by the sign of a_t: divisors are negative and irrational here too."""
+    """On line i the bound of <a, p> <= b, from the set's line form, is
+    the floor or ceiling of the Surd quotient: divisors are negative and
+    irrational here too."""
     a_s, a_t, b = (Surd(r, s, k) for r, s in zip(parts[::2], parts[1::2]))
     assume(a_t)
-    s, t = axes
     a = [None, None]
-    a[s], a[t] = a_s, a_t
-    grid = GridSpec(tuple(mins), tuple(mins), step)
+    a[axes[0]], a[axes[1]] = a_s, a_t
     with forbid_floats():
-        (bound,) = _line_bounds([(Vector(a), b)], grid, axes, k)
-        got = _narrow([bound], i, -BEYOND, BEYOND, k)
-        q = (b - a_s * (mins[s] + step * i) - a_t * mins[t]) / (a_t * step)
-        if a_t.sign() > 0:
-            expected = (-BEYOND, math.floor(q))
-        else:
-            expected = (math.ceil(q), BEYOND)
+        got = narrowed(_line_forms([(Vector(a), b)], axes, k), mins, step, axes, i, k)
+        expected = surd_quotient_bound(a_s, a_t, b, mins, step, axes, i)
+    assert got == expected
+
+
+@given(st.sampled_from([1, 2, 1000003]), st.lists(line_parts, min_size=3, max_size=3), *line_grids)
+@example(2, [F(1), F(-1, 3), F(1)], [F(1, 3), F(-5, 6)], F(2, 7), (0, 1), 3)
+@example(1000003, [F(2), F(-1), F(-3)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
+@example(1, [F(2), F(-3, 2), F(7, 4)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
+def test_cut_line_bound_is_the_floor_or_ceil_of_the_quotient(k, parts, mins, step, axes, i):
+    """The same oracle for a rational cut <a, p> <= beta, whose line form
+    is read off its integers; the set's field k only enters the floor."""
+    a_s, a_t, beta = parts
+    assume(a_t)
+    a = [None, None]
+    a[axes[0]], a[axes[1]] = a_s, a_t
+    with forbid_floats():
+        got = narrowed(_cut_forms([Certificate(Vector(a), beta)], axes), mins, step, axes, i, k)
+        expected = surd_quotient_bound(Surd(a_s), Surd(a_t), Surd(beta), mins, step, axes, i)
     assert got == expected
 
 
@@ -289,3 +332,31 @@ def test_run_soundness_and_progress():
                 assert cut.a.dot(r).sign() <= 0
         for p in probes:
             assert membership(P, p) or approx.excludes(p)
+
+
+def test_excess_builds_the_set_forms_once_per_set_and_axis_order(monkeypatch):
+    """Repeated calls on one set, over grids along rows and along columns
+    and over every cut prefix, equal the pointwise oracle, while the set's
+    line forms are built once per set object and axis order."""
+    built = []
+    line_forms = approximation._line_forms
+
+    def counting(halfspaces, axes, k):
+        built.append(axes)
+        return line_forms(halfspaces, axes, k)
+
+    monkeypatch.setattr(approximation, "_line_forms", counting)
+    X = VPolyhedron((Vector([0, 0]), Vector([Surd.root(2), 0]), Vector([0, 1])))
+    approx = outer_approximate(X, GRID.points(), 6)
+    assert len(approx.cuts) == 6
+    rows = GridSpec((F(-1), F(-1)), (F(2), F(0)), F(1, 3))  # 10 x 4: lines along x
+    columns = GridSpec((F(-1), F(-1)), (F(0), F(2)), F(1, 3))  # 4 x 10: lines along y
+    for _ in range(2):
+        for grid in (rows, columns, GRID):
+            for j in range(len(approx.cuts) + 1):
+                prefix = OuterApprox(X, approx.cuts[:j])
+                assert excess_measure(X, prefix, grid) == pointwise_excess(X, prefix, grid)
+    assert built == [(1, 0), (0, 1)]
+    same = VPolyhedron(X.vertices)
+    excess_measure(same, approx, rows)
+    assert built == [(1, 0), (0, 1), (1, 0)]

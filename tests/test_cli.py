@@ -723,7 +723,9 @@ def test_separate_at_every_parse_limit_at_once(tmp_path, capsys, monkeypatch):
     path.write_text(ser.dumps(ser.instance_to_json(ser.Instance(polyhedron=P, point=y))))
 
     # every exact Gram solve of the projection, which a walk over the
-    # generator subsets would make by the thousand
+    # generator subsets would make by the thousand; membership and the
+    # projection itself share one run of 7 solves, as X keeps its last
+    # projection
     solves = []
     solve = sets.solve_linear_system
 

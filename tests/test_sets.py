@@ -476,9 +476,10 @@ def counting_description(monkeypatch) -> list:
 
 
 def test_separate_describes_the_set_once(monkeypatch):
-    # separate calls is_pointed twice and membership twice on X, counting
-    # the calls project makes inside it, and none of them builds X's own
-    # description: pointedness reads the margin LP of the rays
+    # separate calls is_pointed twice on X, counting the call project
+    # makes inside it, and membership and project once each, and none of
+    # them builds X's own description: pointedness reads the margin LP of
+    # the rays, and membership and project one projection
     calls = counting_description(monkeypatch)
     X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
     separate(X, Vector([-1, 1]))
@@ -644,8 +645,86 @@ def test_the_major_cycles_are_bounded(monkeypatch, P, y, cycles):
     for decide in (project, membership):
         entered.clear()
         with pytest.raises(SeparationBugError, match=message):
-            decide(P, y)
+            # a new equal set: P itself keeps the last point an earlier
+            # test projected, and may answer y from it
+            decide(VPolyhedron(P.vertices, P.rays), y)
         assert len(entered) == cycles
+
+
+def counting_projections(monkeypatch) -> list:
+    """The runs of Wolfe's loop in ``sets._nearest``, each of which starts
+    at the vertex nearest its query (``_nearest_vertex``)."""
+    runs = []
+    start = sets._nearest_vertex
+
+    def counting(P, y):
+        runs.append(y)
+        return start(P, y)
+
+    monkeypatch.setattr(sets, "_nearest_vertex", counting)
+    return runs
+
+
+def test_separate_projects_once(monkeypatch):
+    rng = Random(43)
+    cases = []
+    for dim, rays in ((2, 0), (2, 1), (3, 0), (3, 2), (4, 1)):
+        P = random_pointed_polyhedron(rng, dim, rng.choice([1, 2]), dim + 1, rays)
+        cases += [(P, y) for _, y in pushed_off_faces(P, edges=False)[:2]]
+        cases.append((P, exterior_point(rng, P)))
+    runs = counting_projections(monkeypatch)
+    for P, y in cases:
+        runs.clear()
+        separate(VPolyhedron(P.vertices, P.rays), y)
+        assert runs == [y]
+
+
+def test_outer_approximate_projects_once_per_probe_it_tests(monkeypatch):
+    X = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
+    probes = list(GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2)).points())
+    cuts = outer_approximate(VPolyhedron(X.vertices, X.rays), probes, budget=50).cuts
+    # the probes that no cut made before them excludes, each tested once
+    tested, made = [], 0
+    for p in probes:
+        if not any(cut.excludes(p) for cut in cuts[:made]):
+            tested.append(p)
+            made += not membership(X, p)
+    assert made == len(cuts) > 1
+    runs = counting_projections(monkeypatch)
+    assert outer_approximate(VPolyhedron(X.vertices, X.rays), probes, budget=50).cuts == cuts
+    assert runs == tested
+
+
+def test_the_set_keeps_its_last_projection(monkeypatch):
+    runs = counting_projections(monkeypatch)
+    X = VPolyhedron(TRIANGLE.vertices)
+    y = Vector([1, 1])
+    z = project(X, y)
+    # an equal but distinct query reads the kept point
+    assert not membership(X, Vector([F(2, 2), F(3, 3)]))
+    assert project(X, Vector([1, 1])) == z and runs == [y]
+    # another point, then y again, since only the last query is kept
+    assert project(X, Vector([2, 1])) == Vector([1, 0])
+    assert project(X, y) == z and len(runs) == 3
+    # an equal set is another object, with nothing kept yet
+    assert project(VPolyhedron(TRIANGLE.vertices), y) == z and len(runs) == 4
+
+
+def test_the_kept_projection_skips_no_check():
+    line = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([-1, 0])))
+    y = Vector([0, 1])
+    assert not membership(line, y)
+    with pytest.raises(NotPointedError):
+        project(line, y)
+
+
+def test_a_failed_projection_keeps_nothing(monkeypatch):
+    entered = stuck_minor_cycles(monkeypatch)
+    X = VPolyhedron(TRIANGLE.vertices)
+    for _ in range(2):
+        with pytest.raises(SeparationBugError, match="exceeded its bound of 7 major cycles"):
+            project(X, Vector([1, 1]))
+    assert len(entered) == 2 * 7
 
 
 def test_outer_approximation_run_describes_the_set_once(monkeypatch):
