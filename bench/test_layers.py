@@ -4,18 +4,24 @@
 
 pytest-benchmark times each case; the tier-1 suite (``tests/``) does not
 collect this file.  The sets are the README triangle
-conv{(0,0), (sqrt2,0), (0,1)} and a 3-D set with rays over Q(sqrt 2).
-A set object keeps its last projection and its excess-measure line forms,
-so the cases that measure one call on a new set build a fresh, equal set
-in each round's set-up, outside the timed call, as a parsed instance is.
+conv{(0,0), (sqrt2,0), (0,1)}, a 2-D and a 3-D set with rays over
+Q(sqrt 2).  A set object keeps its last projection, its margin LP, its
+facet description and its excess-measure line forms, so the cases that
+measure one call on a new set build a fresh, equal set in each round's
+set-up, outside the timed call, as a parsed instance is.  The layers
+below the set operations are timed on fixed operands: ``Surd``
+arithmetic over the benchmark's big field Q(sqrt 1000003), and one exact
+Gram solve of the projection.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from ratsep import GridSpec, Surd, Vector, VPolyhedron, membership, project
+from ratsep import GridSpec, Surd, Vector, VPolyhedron, is_pointed, membership, project
+from ratsep import support_value
 from ratsep.approximation import OuterApprox, excess_measure, outer_approximate
+from ratsep.linalg import solve_linear_system
 
 SQ2 = Surd.root(2)
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1])))
@@ -23,6 +29,7 @@ RAYS_3D = VPolyhedron(
     (Vector([0, 0, 0]), Vector([2, SQ2, 0]), Vector([0, 1, 3]), Vector([1, 1, 1])),
     (Vector([1, 0, 1]), Vector([0, 1, 2])),
 )
+RAYS_2D = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
 # the probes of the README's instance file
 README_PROBES = [
     Vector([F(3, 2), F(3, 2)]),
@@ -31,6 +38,8 @@ README_PROBES = [
     Vector([2, 0]),
     Vector([0, 2]),
 ]
+# rounds per case; a case of a few microseconds times 10 or 100 calls
+# per round, so that each round stays well above the timer's resolution
 ROUNDS = 200
 
 
@@ -90,3 +99,57 @@ def test_outer_approximate_readme_probes(benchmark):
         iterations=1,
     )
     assert all(approx.excludes(p) for p in README_PROBES)
+
+
+def test_facet_description_with_rays(benchmark):
+    """The double description of a new 2-D set with rays."""
+    description = benchmark.pedantic(
+        lambda X: X.facet_description,
+        setup=lambda: ((fresh(RAYS_2D),), {}),
+        rounds=ROUNDS,
+        iterations=1,
+    )
+    assert len(description.facets) == 2
+
+
+def test_is_pointed_margin_lp(benchmark):
+    """``is_pointed`` on a new 3-D set with rays: one margin LP, the
+    simplex's layer."""
+    pointed = benchmark.pedantic(
+        is_pointed, setup=lambda: ((fresh(RAYS_3D),), {}), rounds=ROUNDS, iterations=1
+    )
+    assert pointed
+
+
+def test_support_value(benchmark):
+    """``support_value`` on the 3-D set with rays, for a direction in the
+    polar of its ray cone, so that every vertex is compared."""
+    a = Vector([-1, F(-1, 3), SQ2 - 2])
+    sv = benchmark.pedantic(support_value, (RAYS_3D, a), rounds=ROUNDS, iterations=10)
+    assert sv.is_finite
+
+
+def test_gram_solve(benchmark):
+    """One exact Gram solve of the projection: the nearest point to y of
+    the affine hull of two vertices and both rays of the 3-D set."""
+    v0, v1 = RAYS_3D.vertices[1:3]
+    span = [v1 - v0, *RAYS_3D.rays]
+    target = Vector([-1, 2, -3]) - v0
+    gram = [[u.dot(w) for w in span] for u in span]
+    rhs = [u.dot(target) for u in span]
+    weights = benchmark.pedantic(solve_linear_system, (gram, rhs), rounds=ROUNDS, iterations=10)
+    assert [sum((g * w for g, w in zip(row, weights)), Surd(0)) for row in gram] == rhs
+
+
+BIG_K = 1000003
+SURD_A = Surd(F(-31, 7), F(5, 11), BIG_K)
+SURD_B = Surd(F(17, 3), F(-2, 13), BIG_K)
+
+
+@pytest.mark.parametrize("op", ["mul", "div", "sign"])
+def test_surd_arithmetic(benchmark, op):
+    """``Surd`` mul, div and sign on two fixed operands over Q(sqrt 1000003)."""
+    a, b = SURD_A, SURD_B
+    run = {"mul": lambda: a * b, "div": lambda: a / b, "sign": a.sign}[op]
+    result = benchmark.pedantic(run, rounds=ROUNDS, iterations=100)
+    assert result == {"mul": a * b, "div": a / b, "sign": 1}[op]

@@ -178,7 +178,7 @@ def _set_forms(X: VPolyhedron, axes: tuple[int, int]) -> list[tuple]:
     and axis order and kept on X beside its facet description."""
     forms = vars(X).setdefault("_line_forms", {})
     if axes not in forms:
-        equations, facets, _ = X.facet_description
+        equations, facets = X.facet_description
         opposite = [(-a, -b) for a, b in equations]
         forms[axes] = _line_forms([*facets, *equations, *opposite], axes, X.field_k)
     return forms[axes]

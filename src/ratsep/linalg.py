@@ -80,14 +80,11 @@ def _tableau(rows, rhs) -> tuple[list[list[tuple[int, int]]], int]:
 
 
 def _pivot(T, at, r, c, D, k) -> tuple[int, int]:
-    """Fraction-free pivot of the lazy pair rows ``T`` on entry (r, c), in
+    """Fraction-free pivot of the pair rows ``T`` on entry (r, c), in
     place, from the current pivot entry ``D``; returns the new one, p.
-
-    Row i holds its true values times ``at[i]``.  The pivot row is first
-    brought up to D, as y*D/at[r].  Each row x with a nonzero entry f in
-    column c becomes (p*x - f*y) / at[i], the eager row, and is then held
-    over p, as is the pivot row; a row with 0 in column c is not touched.
-    """
+    The rows and their scales ``at`` are lazy, as the module docstring
+    states: afterwards every row the pivot wrote, the pivot row included,
+    is held over p."""
     prow = T[r]
     if at[r] != D:
         prow = T[r] = _pair_quotients([_pair_mul(y, D, k) for y in prow], at[r], k)
@@ -151,9 +148,11 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "unbounded"
+    """The simplex's verdict, "optimal" or "unbounded", and for "optimal"
+    an optimal point x; the optimum is c.x at that point."""
+
+    status: str
     x: tuple[Surd, ...] = ()
-    value: Surd = _ZERO
 
 
 def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
@@ -166,32 +165,28 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     ValueError.  Variable j < n is x_j and variable n + i the slack of
     constraint i.  The tableau is a fraction-free dictionary (Avis &
     Fukuda, Discrete Comput. Geom. 8, 1992): one row per constraint and
-    one for the objective, each scaled by a positive integer, and one
-    column per nonbasic variable plus the right-hand side; ``basis`` and
-    ``nonbasic`` label the rows and columns with variables.  A basic
+    one for the objective [*c, 0], each scaled by a positive integer, and
+    one column per nonbasic variable plus the right-hand side; ``basis``
+    and ``nonbasic`` label the rows and columns with variables.  A basic
     variable's column in the full tableau is D times a unit vector, so it
-    is not stored.  The rows are lazy (see ``_pivot``): row i holds the
-    full tableau's row times at[i]/D.  A pivot on (r, c) is ``_pivot`` on
-    the dictionary, objective included, and then column c becomes the
-    leaving variable's column of the full tableau: the previous D in row
-    r, 0 in every row the pivot left alone, and -f*D/a in every row it
-    rewrote, where f was that row's entry of column c over a = at[i].
-    Bland's rule: the entering column is the nonbasic variable of
-    smallest index with positive reduced cost, the leaving row the
-    minimum ratio with the smallest basic index, which guarantees
-    termination.  Every pivot entry is positive over the previous one, so
-    D and every at[i] stay positive: signs of stored entries are true
-    signs, and the ratios T_i/t_i and T_l/t_l of two candidate rows, each
-    taken within its own row and so free of its scale, compare as
-    T_i*t_l and T_l*t_i.  The solution reads T_i over at[i].
+    is not stored.  The rows are lazy (see the module docstring).  A
+    pivot on (r, c) is ``_pivot`` on the dictionary, objective included,
+    and then column c becomes the leaving variable's column of the full
+    tableau: the previous D in row r, 0 in every row the pivot left
+    alone, and -f*D/a in every row it rewrote, where f was that row's
+    entry of column c over a = at[i].  Bland's rule: the entering column
+    is the nonbasic variable of smallest index with positive reduced
+    cost, the leaving row the minimum ratio with the smallest basic
+    index, which guarantees termination.  Every pivot entry is positive
+    over the previous one, so D and every at[i] stay positive: signs of
+    stored entries are true signs, and the ratios T_i/t_i and T_l/t_l of
+    two candidate rows, each taken within its own row and so free of its
+    scale, compare as T_i*t_l and T_l*t_i.  The solution reads T_i over
+    at[i]; the optimum is c.x there.
     """
     n = len(c)
     b_ub = list(b_ub)
-    # the objective row enters as [*c, 1], so its last entry is the scale
-    # of c; the objective's constant, 0, then takes its place
-    T, k = _tableau([*A_ub, c], [*b_ub, 1])
-    scale = T[-1][-1][0]
-    T[-1][-1] = (0, 0)
+    T, k = _tableau([*A_ub, c], [*b_ub, 0])
     m = len(T) - 1
     if any(len(row) != n + 1 for row in T):
         raise ValueError("A_ub row length does not match objective")
@@ -234,6 +229,4 @@ def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     for i, b in enumerate(basis):
         if b < n:
             x[b] = _pair_surd(T[i][-1], k, at[i])
-    a, b = T[-1][-1]
-    s, t = at[-1]
-    return LPResult("optimal", tuple(x), _pair_surd((-a, -b), k, (s * scale, t * scale)))
+    return LPResult("optimal", tuple(x))

@@ -111,7 +111,8 @@ class VPolyhedron:
 
     @cached_property
     def facet_description(self) -> "FacetDescription":
-        """The set's equations, facets and pointedness, computed once per object."""
+        """The set's equations and facets, computed once per object by the
+        double description alone."""
         return _double_description(self)
 
     @cached_property
@@ -146,13 +147,12 @@ class FacetDescription(NamedTuple):
 
     The equations cut out the affine hull and the facets are irredundant.
     Each pair (a, b) is scaled so that the rational and sqrt(k) parts of
-    its entries are coprime integers.  ``pointed`` tells whether the set
-    contains no line.
+    its entries are coprime integers.  Whether the set contains a line is
+    ``is_pointed``'s answer, not part of the description.
     """
 
     equations: tuple[tuple[Vector, Surd], ...]
     facets: tuple[tuple[Vector, Surd], ...]
-    pointed: bool
 
 
 def _halfspace(f, k: int) -> tuple[Vector, Surd]:
@@ -169,8 +169,7 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     generators (v, 1) and (r, 0).  By the bipolar theorem (x, 1) is in K
     iff <l, (x, 1)> = 0 for every basis vector l of the polar cone's
     lineality space and <f, (x, 1)> <= 0 for every extreme ray f of it
-    (``_polar_cone``), which are the equations and facets of P.  P
-    contains a line iff cone(rays) does (``is_pointed``).
+    (``_polar_cone``), which are the equations and facets of P.
 
     Each generator is its ``Vector``'s pairs, that is the generator scaled
     by its denominator m, a positive integer, which moves no sign.
@@ -185,7 +184,6 @@ def _double_description(P: VPolyhedron) -> FacetDescription:
     return FacetDescription(
         tuple(_halfspace(l, k) for l in basis),
         tuple(_halfspace(f, k) for f, z in zip(rays, zeros) if z & on_vertices),
-        is_pointed(P),
     )
 
 

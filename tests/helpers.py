@@ -100,7 +100,7 @@ def surd_simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
     for i, b in enumerate(basis):
         if b < n:
             x[b] = T[i][-1]
-    return LPResult("optimal", tuple(x), -T[-1][-1])
+    return LPResult("optimal", tuple(x))
 
 
 def _surd_primitive(v: Vector) -> Vector:
@@ -108,10 +108,14 @@ def _surd_primitive(v: Vector) -> Vector:
     return Fraction(lcm(*(q.denominator for q in parts)), gcd(*(q.numerator for q in parts))) * v
 
 
-def surd_double_description(P: VPolyhedron) -> FacetDescription:
+def surd_double_description(P: VPolyhedron) -> tuple[FacetDescription, bool]:
     """Reference ``sets._double_description``: the same double-description
     method with Surd vectors, dividing by the pivot product where the
-    kernel multiplies by its norm and conjugate."""
+    kernel multiplies by its norm and conjugate.  Returns the description
+    and whether P contains no line, read off the same run: the
+    homogenized cone is pointed iff its polar is full-dimensional, which a
+    generator orthogonal to the lineality space keeps iff some polar ray
+    has a negative product with it."""
     n = P.dim
     gens = [Vector([*v, 1]) for v in P.vertices] + [Vector([*r, 0]) for r in P.rays]
     basis = [Vector([int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
@@ -157,11 +161,11 @@ def surd_double_description(P: VPolyhedron) -> FacetDescription:
     def halfspace(f: Vector) -> tuple[Vector, Surd]:
         return Vector(f.coords[:-1]), -f.coords[-1]
 
-    return FacetDescription(
+    description = FacetDescription(
         tuple(halfspace(l) for l in basis),
         tuple(halfspace(f) for f, z in zip(rays, zeros) if z & on_vertices),
-        pointed,
     )
+    return description, pointed
 
 
 def _in_cone(columns, target) -> bool:
@@ -205,7 +209,7 @@ def _affine_projection(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector:
 def facet_membership(P: VPolyhedron, x: Vector) -> bool:
     """Reference membership: <a, x> = b on every equation and <a, x> <= b
     on every facet (a, b) of P's facet description, each an exact sign."""
-    equations, facets, _ = P.facet_description
+    equations, facets = P.facet_description
     return all(a.dot_sign(x, b) == 0 for a, b in equations) and all(
         a.dot_sign(x, b) <= 0 for a, b in facets
     )

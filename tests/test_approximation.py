@@ -307,6 +307,24 @@ def test_excess_counts_lines_along_the_shorter_side(monkeypatch, maxs):
     assert 0 < len(calls) <= 2 * 2
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+def test_excess_walks_the_shorter_side_and_matches_the_oracle(monkeypatch, transpose):
+    # 300 x 2 and 2 x 300: two lines of 300 points whichever axis is long
+    X = VPolyhedron((Vector([0, 0]), Vector([Surd.root(2), 0]), Vector([0, 1])))
+    approx = outer_approximate(X, GRID.points(), 3)
+    mins, maxs = (F(-1, 2), F(1, 4)), (F(-1, 2) + F(299, 150), F(1, 4) + F(1, 150))
+    if transpose:
+        mins, maxs = mins[::-1], maxs[::-1]
+    grid = GridSpec(mins, maxs, F(1, 150))
+    assert sorted(grid.shape) == [2, 300]
+    calls = []
+    narrow = approximation._narrow
+    monkeypatch.setattr(approximation, "_narrow", lambda *args: calls.append(args) or narrow(*args))
+    excess = excess_measure(X, approx, grid)
+    assert {i for _, i, *_ in calls} == {0, 1} and len(calls) <= 2 * 2
+    assert excess == pointwise_excess(X, approx, grid) > 0
+
+
 def test_excess_monotone_in_cuts():
     probes = [Vector([2, 0]), Vector([0, 2]), Vector([-1, -1]), Vector([2, 2])]
     approx = outer_approximate(UNIT_SQUARE, probes, 4)

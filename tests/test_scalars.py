@@ -14,7 +14,6 @@ from ratsep import (
     Surd,
     Vector,
     VPolyhedron,
-    is_pointed,
     separate,
 )
 from ratsep.scalars import (
@@ -750,10 +749,6 @@ def test_vector_arithmetic_builds_no_surd_per_coordinate(monkeypatch):
         (u, v, Vector([0, 0, 0, 0]), Vector([1, 0, 0, sq2]), Vector([0, 1, F(1, 2), 0])),
         (Vector([-1, 0, 0, 0]),),
     )
-    # the facet description reports pointedness from the margin LP, whose
-    # optimum is built as Surds; solved here, once per set object, it
-    # leaves the count below to the double description alone
-    assert is_pointed(X)
     calls = []
     make = Surd._make
     monkeypatch.setattr(Surd, "_make", classmethod(lambda cls, *args: calls.append(args) or make(*args)))
@@ -762,5 +757,5 @@ def test_vector_arithmetic_builds_no_surd_per_coordinate(monkeypatch):
     assert calls == []
     u.dot(v)
     assert len(calls) == 1
-    equations, facets, _ = X.facet_description
+    equations, facets = X.facet_description
     assert len(calls) == 1 + len(equations) + len(facets)

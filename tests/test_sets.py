@@ -22,6 +22,7 @@ from ratsep import (
     support_value,
 )
 from ratsep import approximation, linalg, sets
+from ratsep.approximation import OuterApprox
 from ratsep.separation import find_barrier_direction
 from ratsep.sets import polar_cone_contains
 from helpers import (
@@ -35,7 +36,9 @@ from helpers import (
     random_pointed_rays,
     random_point_inside,
     exterior_point,
+    pointwise_excess,
     pushed_off_faces,
+    surd_double_description,
 )
 
 SQ2 = Surd.root(2)
@@ -281,7 +284,7 @@ def test_support_zero_at_residual_after_centering():
 
 def test_facet_description_examples():
     def counts(P):
-        equations, facets, _ = P.facet_description
+        equations, facets = P.facet_description
         return len(equations), len(facets)
 
     assert counts(UNIT_SQUARE) == (0, 4)
@@ -460,7 +463,6 @@ def test_is_pointed_decides_lines_without_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", no_elimination)
     assert [is_pointed(P) for P, _ in cases] == [pointed for _, pointed in cases]
-    assert [P.facet_description.pointed for P, _ in cases] == [pointed for _, pointed in cases]
 
 
 def counting_description(monkeypatch) -> list:
@@ -542,6 +544,29 @@ def test_pointedness_solves_one_margin_lp_per_set(monkeypatch):
     probes = list(GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2)).points())
     approx = outer_approximate(VPolyhedron(X.vertices, X.rays), probes, budget=6)
     assert len(approx.cuts) > 1 and len(lps) == 3 and polar == []
+
+
+def test_facet_description_of_a_set_with_rays_solves_no_lp(monkeypatch):
+    # pointedness is is_pointed's alone, so the double description and the
+    # excess measure that reads it run with the simplex out of reach
+    vertices, rays = (Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2]))
+    probes = list(GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2)).points())
+    cuts = outer_approximate(VPolyhedron(vertices, rays), probes, budget=4).cuts
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(sets, "simplex_max", no_lp)
+    rays_3d = VPolyhedron(
+        (Vector([0, 0, 0]), Vector([2, SQ2, 0]), Vector([0, 1, 3]), Vector([1, 1, 1])),
+        (Vector([1, 0, 1]), Vector([0, 1, 2])),
+    )
+    for P in (VPolyhedron(vertices, rays), rays_3d):
+        assert P.facet_description == surd_double_description(P)[0]
+    X = VPolyhedron(vertices, rays)
+    approx = OuterApprox(X, cuts)
+    grid = GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 4))
+    assert excess_measure(X, approx, grid) == pointwise_excess(X, approx, grid) > 0
 
 
 def test_margin_lp_fault_is_a_bug(monkeypatch):
