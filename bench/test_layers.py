@@ -1,4 +1,5 @@
-"""Per-layer timings of the set operations and the approximation loop.
+"""Per-layer timings of the set operations, the pipeline stages and the
+approximation loop.
 
     pytest bench/test_layers.py --benchmark-json=BENCH_layers.json
 
@@ -12,16 +13,44 @@ set-up, outside the timed call, as a parsed instance is.  The layers
 below the set operations are timed on fixed operands: ``Surd``
 arithmetic over the benchmark's big field Q(sqrt 1000003), and one exact
 Gram solve of the projection.
+
+The five stages of ``separate`` (project, barrier, bound, wedge,
+witness) are timed one at a time on the inputs that one ``separate`` run
+gave them, as that run's trace records them, for the README triangle's
+probe (3/2, 3/2) and for the 3-D set with rays.  Each round's set-up
+builds a fresh set and runs ``is_pointed`` on it, as validation does
+before every stage: the margin LP is timed by its own case, and the
+projection is timed by the project stage, not read back from the memo
+that validation's ``membership`` call would leave.
+
+A shared machine's speed drifts, and the same code can read up to ~1.7x
+apart between runs.  So each case also times a fixed Fraction loop, the
+speed probe, before and after it, and stores in ``extra_info`` the
+median probe time ``probe_us`` and the case's median over it,
+``median_per_probe``.  Compare two runs by ``median_per_probe``, or
+scale a run's medians to a reference probe time P by multiplying them
+by P / ``probe_us``; raw medians of two runs compare only when their
+``probe_us`` agree.
 """
 
+import gc
+import statistics
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
 from ratsep import GridSpec, Surd, Vector, VPolyhedron, is_pointed, membership, project
-from ratsep import support_value
+from ratsep import separate, support_value
 from ratsep.approximation import OuterApprox, excess_measure, outer_approximate
 from ratsep.linalg import solve_linear_system
+from ratsep.scalars import choose_rational_between, rational_in_ball
+from ratsep.separation import (
+    bound_support_on_ball,
+    compute_wedge_parameters,
+    find_barrier_direction,
+    wedge_interior_ball,
+)
 
 SQ2 = Surd.root(2)
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1])))
@@ -41,10 +70,40 @@ README_PROBES = [
 # rounds per case; a case of a few microseconds times 10 or 100 calls
 # per round, so that each round stays well above the timer's resolution
 ROUNDS = 200
+# speed probes taken before each case and as many after it
+PROBE_REPEATS = 15
 
 
 def fresh(P: VPolyhedron) -> VPolyhedron:
     return VPolyhedron(P.vertices, P.rays)
+
+
+def speed_probe_s() -> float:
+    """Seconds taken by a fixed loop of Fraction sums with growing
+    denominators, with the garbage collector off: the loop of
+    ``perfbench``'s speed probe."""
+    gc.disable()
+    try:
+        t0 = perf_counter()
+        total = F(0)
+        for i in range(1, 600):
+            total += F(1, i % 97 + 1)
+        return perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(autouse=True)
+def speed_probe(benchmark):
+    """The median of ``PROBE_REPEATS`` speed probes before and as many
+    after the case, and the case's median over it, in ``extra_info``."""
+    probes = [speed_probe_s() for _ in range(PROBE_REPEATS)]
+    yield
+    probes += [speed_probe_s() for _ in range(PROBE_REPEATS)]
+    probe = statistics.median(probes)
+    benchmark.extra_info["probe_us"] = float(f"{probe * 1e6:.6g}")
+    if benchmark.stats is not None:
+        benchmark.extra_info["median_per_probe"] = float(f"{benchmark.stats.stats.median / probe:.6g}")
 
 
 # (set, exterior point), each nearest point inside an edge, so that the
@@ -68,6 +127,60 @@ def test_membership_then_project(benchmark, case):
         both, setup=lambda: ((fresh(P),), {}), rounds=ROUNDS, iterations=1
     )
     assert not inside and z != y
+
+
+# (set, exterior point) of the stage cases: the README instance's first
+# probe and the 3-D set's point of ``POINTS``, each nearest point inside
+# an edge
+STAGE_POINTS = {
+    "triangle": (TRIANGLE, README_PROBES[0]),
+    "rays_3d": POINTS["rays_3d"],
+}
+
+
+def validated(P: VPolyhedron) -> VPolyhedron:
+    X = fresh(P)
+    assert is_pointed(X)
+    return X
+
+
+def wedge(y_bar, M, d, eps):
+    """The wedge stage: its parameters, then the ball inside the wedge."""
+    _, d_bar, eps_bar, delta_hat = compute_wedge_parameters(y_bar, M, d, eps)
+    return wedge_interior_ball(y_bar, d_bar, eps_bar, delta_hat)
+
+
+def witness(X, y, center, radius):
+    """The witness stage: a rational normal in the wedge's ball, its
+    support value on X and a rational offset below <a, y>."""
+    a = rational_in_ball(center, radius)
+    return a, choose_rational_between(support_value(X, a).value, a.dot(y))
+
+
+@pytest.mark.parametrize("case", STAGE_POINTS)
+@pytest.mark.parametrize("stage", ["project", "barrier", "bound", "wedge", "witness"])
+def test_pipeline_stage(benchmark, stage, case):
+    """One stage of ``separate`` on the inputs a ``separate`` run gave it,
+    on a fresh set whose pointedness is already decided."""
+    P, y = STAGE_POINTS[case]
+    cert, tr = separate(fresh(P), y)
+    run, inputs, expected = {
+        "project": (project, lambda X: (X, y), tr.z_tilde),
+        "barrier": (find_barrier_direction, lambda X: (X,), (tr.d, tr.eps)),
+        "bound": (
+            bound_support_on_ball, lambda X: (X.translated(-tr.z_tilde), tr.d, tr.eps), tr.M
+        ),
+        "wedge": (
+            wedge, lambda X: (tr.y_bar, tr.M, tr.d, tr.eps), (tr.ball_center, tr.ball_radius)
+        ),
+        "witness": (
+            witness, lambda X: (X, y, tr.ball_center, tr.ball_radius), (cert.a, cert.beta)
+        ),
+    }[stage]
+    result = benchmark.pedantic(
+        run, setup=lambda: (inputs(validated(P)), {}), rounds=ROUNDS, iterations=1
+    )
+    assert result == expected
 
 
 @pytest.fixture(scope="module")

@@ -10,13 +10,17 @@ can only go down as cuts accumulate.  It is counted, not sampled: on
 one grid line each cut and each facet of the set bounds the point index
 by an exact floor or ceiling, so a line's excess is the length of one
 index range minus the length of its intersection with another, and the
-cost grows with the number of lines, not of points.  Each halfspace is
-cleared of the grid's and its own denominators once, into integer pairs
-of Z[sqrt(k)], so every bound is one integer floor division (and one
-integer square root over Q(sqrt(k))) with no Surd built.  The part of
-that clearing that no grid enters, the reciprocal in Z[sqrt(k)] of each
-facet's coefficient along the line, is made once per set object and
-axis order, and a rational cut needs none.
+cost grows with the number of lines, not of points.  Everything is on
+integers.  A grid is reduced to one integer form when it is made (the
+least common denominator g of its step and corner, so that every grid
+coordinate is an integer over g), which its shape, its points and the
+bounds all read.  Each halfspace is cleared of its own denominators and
+of its coefficient along the line into integer pairs of Z[sqrt(k)]:
+once per set object and axis order for the set's facets, whose
+coefficient needs a reciprocal in Z[sqrt(k)], and per call for the
+rational cuts, which need none.  Applying the grid to such a form is a
+few integer products, and every bound is one integer floor division
+(and one integer square root over Q(sqrt(k))) with no Surd built.
 """
 
 from __future__ import annotations
@@ -49,7 +53,13 @@ class GridSpec:
     """A rational 2-D grid: corner points and step, iterated x-major.
 
     Every number is an int or a Fraction: a float or a string raises
-    TypeError.
+    TypeError.  The grid is reduced to integers once, when it is made:
+    with g the least common denominator of the step h and the two
+    coordinates of ``mins``, h = H/g and ``mins`` = corner/g for an
+    integer H > 0 and an integer pair corner, so grid value i along an
+    axis is (corner + H*i)/g.  ``shape`` is (columns, rows), the count
+    floor((max - min)/h) + 1 along x and along y, which is
+    (max.num*g - corner*max.den) // (H*max.den) + 1 on integers.
     """
 
     mins: tuple[Fraction, Fraction]
@@ -62,29 +72,26 @@ class GridSpec:
         object.__setattr__(self, "step", _positive(self.step, "step"))
         if len(self.mins) != 2 or len(self.maxs) != 2:
             raise ValueError("grids are 2-D")
-        if self.mins[0] > self.maxs[0] or self.mins[1] > self.maxs[1]:
-            raise ValueError("grid corners are out of order")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(columns, rows): how many grid values lie along x and along y,
-        floor((hi - lo) / step) + 1 by one integer floor division each."""
-        sn, sd = self.step.numerator, self.step.denominator
-        return tuple(
-            (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * sd
-            // (hi.denominator * lo.denominator * sn)
-            + 1
-            for lo, hi in zip(self.mins, self.maxs)
+        h = self.step
+        g = lcm(h.denominator, *(lo.denominator for lo in self.mins))
+        H = h.numerator * (g // h.denominator)
+        corner = tuple(lo.numerator * (g // lo.denominator) for lo in self.mins)
+        shape = tuple(
+            (hi.numerator * g - c * hi.denominator) // (H * hi.denominator) + 1
+            for c, hi in zip(corner, self.maxs)
         )
+        if min(shape) < 1:
+            raise ValueError("grid corners are out of order")
+        object.__setattr__(self, "_lattice", (g, H, corner))
+        object.__setattr__(self, "shape", shape)
 
     def points(self) -> Iterator[Vector]:
-        x = self.mins[0]
-        while x <= self.maxs[0]:
-            y = self.mins[1]
-            while y <= self.maxs[1]:
-                yield Vector([x, y])
-                y += self.step
-            x += self.step
+        g, H, (cx, cy) = self._lattice
+        cols, rows = self.shape
+        for i in range(cols):
+            x = (cx + H * i, 0)
+            for j in range(rows):
+                yield Vector._make(g, (x, (cy + H * j, 0)), 1)
 
 
 @dataclass(frozen=True)
@@ -185,41 +192,42 @@ def _set_forms(X: VPolyhedron, axes: tuple[int, int]) -> list[tuple]:
 
 
 def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
-    """Each halfspace <a, p> <= b of Q(sqrt(k)) in a form that no grid
-    enters, for lines along coordinate axes[1] of p.
+    """Each halfspace <a, p> <= b of Q(sqrt(k)), cleared of its own
+    denominators, in a form that no grid enters, for lines along
+    coordinate axes[1] of p.
 
     With a = (pairs)/m, b = (pair)/db and a_s, a_t the pairs of a at
-    axes[0] and axes[1], the form is (sign of a_t, m, b*w, a_s*w, n, db)
-    for 1/a_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
-    a_t*w = n; when a_t = 0 it is (0, m, b, a_s, 0, db), w being 1.
+    axes[0] and axes[1], the halfspace times m*db > 0 reads
+    A_s*p_s + A_t*p_t <= c with A_s = db*a_s, A_t = db*a_t and c = m*b.
+    For 1/a_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
+    a_t*w = n, the form is (sign of a_t, c*w, A_s*w, A_t*w), where
+    A_t*w = db*n; when a_t = 0 it is (0, c, A_s, 0), w being 1.
     """
     s, t = axes
     out = []
     for a, b in halfspaces:
         ba, bb, db, _ = _surd_parts(b)
-        a_s, a_t = a.pairs[s], a.pairs[t]
+        a_t = a.pairs[t]
         sign = _pair_sign(a_t, k)
-        if sign:
-            w, n = _pair_reciprocal(a_t, k)
-            out.append((sign, a.m, _pair_mul((ba, bb), w, k), _pair_mul(a_s, w, k), n, db))
-        else:
-            out.append((0, a.m, (ba, bb), a_s, 0, db))
+        w, n = _pair_reciprocal(a_t, k) if sign else ((1, 0), 0)
+        (ua, ub), (va, vb) = _pair_mul((ba, bb), w, k), _pair_mul(a.pairs[s], w, k)
+        out.append((sign, (a.m * ua, a.m * ub), (db * va, db * vb), db * n))
     return out
 
 
 def _cut_forms(cuts: Iterable[Certificate], axes: tuple[int, int]) -> list[tuple]:
     """The line forms (``_line_forms``) of rational cuts <a, p> <= beta,
-    read off the integer numerators of a and the numerator and
-    denominator of beta: over Q, w is the sign of a_t (1 when a_t = 0)
-    and n = |a_t|."""
+    read off the integers of a = (numerators)/m and beta = num/den:
+    A = den*(numerators) and c = m*num, and over Q, w is the sign of a_t
+    (1 when a_t = 0), so that A_t*w = den*|a_t|."""
     s, t = axes
     out = []
     for cut in cuts:
         a, beta = cut.a, cut.beta
         a_s, a_t = a.pairs[s][0], a.pairs[t][0]
         w = -1 if a_t < 0 else 1
-        sign = w if a_t else 0
-        out.append((sign, a.m, (w * beta.numerator, 0), (w * a_s, 0), w * a_t, beta.denominator))
+        dw = w * beta.denominator
+        out.append((w if a_t else 0, (w * a.m * beta.numerator, 0), (dw * a_s, 0), dw * a_t))
     return out
 
 
@@ -228,29 +236,24 @@ def _line_bounds(forms, grid: GridSpec, axes: tuple[int, int]) -> list[tuple]:
     coordinate axes[0] is mins + h*i (line i) and whose coordinate
     axes[1] is mins + h*j (point j of the line).
 
-    With g the least common denominator of the grid's mins and step h,
-    p_s = (Ms + H*i)/g and p_t = (Mt + H*j)/g for integers Ms, Mt and
-    H > 0.  Multiplying the halfspace by g*m*db > 0 turns it into
-    B*j <= U - V*i with B = db*H*a_t, U = g*m*b - db*(a_s*Ms + a_t*Mt)
-    and V = db*H*a_s, and multiplying U, V and B by w leaves the
-    quotient as it is and makes B the integer db*H*n > 0.  The result is
-    (sign of B, U*w, V*w, db*H*n) with the pairs flat, and with
-    q = (U*w - V*w*i)/(db*H*n), p satisfies the halfspace iff
-    j <= floor(q) (sign 1), j >= ceil(q) (sign -1), or U - V*i >= 0
-    (sign 0, U and V as they are, n = 0).
+    A form (sign, c*w, A_s*w, A_t*w) of ``_line_forms`` stands for the
+    cleared halfspace A_s*p_s + A_t*p_t <= c.  In the grid's integer form
+    (``GridSpec``), p_s = (Ms + H*i)/g and p_t = (Mt + H*j)/g, so the
+    halfspace times g > 0 is B*j <= U - V*i with B = H*A_t,
+    U = g*c - A_s*Ms - A_t*Mt and V = H*A_s.  Multiplying U, V and B by w
+    leaves the quotient as it is and makes B*w = H*A_t*w an integer.  The
+    result is (sign, U*w, V*w, B*w) with the pairs flat, and with
+    q = (U*w - V*w*i)/(B*w), p satisfies the halfspace iff j <= floor(q)
+    (sign 1), j >= ceil(q) (sign -1), or U - V*i >= 0 (sign 0, w = 1 and
+    A_t = 0).
     """
     s, t = axes
-    h, mins = grid.step, grid.mins
-    g = lcm(h.denominator, mins[0].denominator, mins[1].denominator)
-    H = h.numerator * (g // h.denominator)
-    Ms = mins[s].numerator * (g // mins[s].denominator)
-    Mt = mins[t].numerator * (g // mins[t].denominator)
-    out = []
-    for sign, m, (ba, bb), (sa, sb), n, db in forms:
-        gm, dh = g * m, db * H
-        u = (gm * ba - db * (sa * Ms + n * Mt), gm * bb - db * sb * Ms)
-        out.append((sign, *u, dh * sa, dh * sb, dh * n))
-    return out
+    g, H, corner = grid._lattice
+    Ms, Mt = corner[s], corner[t]
+    return [
+        (sign, g * ba - sa * Ms - n * Mt, g * bb - sb * Ms, H * sa, H * sb, H * n)
+        for sign, (ba, bb), (sa, sb), n in forms
+    ]
 
 
 def _narrow(bounds, i: int, lo: int, hi: int, k: int) -> tuple[int, int]:

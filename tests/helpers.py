@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from random import Random
+from typing import Iterator
 from unittest.mock import patch
 
 from ratsep import (
@@ -304,12 +305,26 @@ def point_in_apex_hull(p: Vector, apex: Vector, center: Vector, radius: Fraction
     return False
 
 
+def grid_points(grid: GridSpec) -> Iterator[Vector]:
+    """Reference grid points, x-major, by stepping Fractions from the min
+    corner while they stay within the max corner: independent of the
+    grid's integer form."""
+    x = grid.mins[0]
+    while x <= grid.maxs[0]:
+        y = grid.mins[1]
+        while y <= grid.maxs[1]:
+            yield Vector([x, y])
+            y += grid.step
+        x += grid.step
+
+
 def pointwise_excess(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fraction:
-    """Reference excess measure: each grid point is tested against every
-    cut and, when no cut excludes it, against X by exact membership."""
+    """Reference excess measure: each grid point (``grid_points``) is
+    tested against every cut and, when no cut excludes it, against X by
+    exact membership."""
     total = 0
     excess = 0
-    for p in grid.points():
+    for p in grid_points(grid):
         total += 1
         if approx.excludes(p):
             continue

@@ -23,6 +23,7 @@ from ratsep.scalars import choose_rational_between
 from helpers import (
     exterior_point,
     forbid_floats,
+    grid_points,
     pointwise_excess,
     rand_coord,
     rand_fraction,
@@ -62,6 +63,45 @@ def test_grid_spec_validation():
     for grid in (GRID, *off_lattice):
         cols, rows = grid.shape
         assert len(list(grid.points())) == cols * rows
+
+
+# (one column, one row) of each kind of off-lattice grid
+GRID_KINDS = {
+    "general": (False, False),
+    "one row": (False, True),
+    "one column": (True, False),
+    "point": (True, True),
+}
+
+
+def off_lattice_grid(rng: Random, kind: str) -> GridSpec:
+    """A grid whose corner denominators (3, 7, 9, 11) do not divide the
+    step's (1, 2, 4, 5) and whose max corner is usually off the lattice;
+    a side spans less than one step on a one-row or one-column grid, and
+    nothing on a one-point grid (mins == maxs)."""
+    step = F(rng.randint(1, 9), rng.choice([1, 2, 4, 5]))
+    mins = [F(rng.randint(-40, 40), rng.choice([3, 7, 9, 11])) for _ in range(2)]
+    spans = [
+        0 if kind == "point"
+        else step * F(rng.randint(0, 18), 19) if flat
+        else step * (rng.randint(1, 8) + F(rng.randint(0, 18), 19))
+        for flat in GRID_KINDS[kind]
+    ]
+    return GridSpec(tuple(mins), tuple(lo + d for lo, d in zip(mins, spans)), step)
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(GRID_KINDS))
+def test_grid_points_and_shape_match_fraction_stepping(seed, kind):
+    """The points and shape read off the grid's integer form equal the
+    oracle that steps Fractions from the min corner."""
+    rng = Random(611 + seed)
+    for _ in range(50):
+        grid = off_lattice_grid(rng, kind)
+        expected = list(grid_points(grid))
+        assert list(grid.points()) == expected
+        columns, rows = len({p[0] for p in expected}), len({p[1] for p in expected})
+        assert grid.shape == (columns, rows)
+        assert (columns == 1, rows == 1) == GRID_KINDS[kind]
 
 
 def test_outer_approx_validates_cuts():

@@ -1,10 +1,12 @@
-"""The README's experiment scripts run end to end.
+"""The README's experiment scripts run end to end, and the code-line
+counter counts what its docstring says.
 
-Each script is copied to a temporary directory and run from there with
-``PYTHONPATH=src``, so the SVG it writes next to itself lands in that
-directory and nothing is written under ``scripts/``.
+Each experiment script is copied to a temporary directory and run from
+there with ``PYTHONPATH=src``, so the SVG it writes next to itself lands
+in that directory and nothing is written under ``scripts/``.
 """
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -38,3 +40,39 @@ def test_outer_approximation(tmp_path):
     table = [line.split() for line in done.stderr.splitlines() if line.strip()[:1].isdigit()]
     assert table[-1][:2] == ["11", "114/3721"]
     assert (tmp_path / "out" / "outer_approximation.svg").is_file()
+
+
+def test_code_lines_counts_code_outside_docstrings():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    snippet = (
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "x = 1  # code, then a comment\n"
+        "\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        '    s = """a string that is no docstring"""\n'
+        "    return (x +\n"
+        "            1)\n"
+    )
+    # x = 1, def f():, s = ..., return (x +, and 1)
+    assert module.code_lines(snippet) == 5
+
+
+def test_code_lines_on_the_package():
+    package = ROOT / "src" / "ratsep"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(package)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    counts = {name: int(count) for count, name in rows}
+    assert set(counts) == {path.name for path in package.glob("*.py")} | {"total"}
+    total = counts.pop("total")
+    assert total == sum(counts.values())
+    assert 0 < total < sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
