@@ -7,9 +7,10 @@ pytest-benchmark times each case; the tier-1 suite (``tests/``) does not
 collect this file.  The sets are the README triangle
 conv{(0,0), (sqrt2,0), (0,1)}, a 2-D and a 3-D set with rays over
 Q(sqrt 2).  A set object keeps its last projection, its margin LP, its
-facet description and its excess-measure line forms, so the cases that
-measure one call on a new set build a fresh, equal set in each round's
-set-up, outside the timed call, as a parsed instance is.  The layers
+facet description and its excess-measure line forms, and an
+approximation keeps its cuts' line forms, so the cases that measure one
+call on a new set build a fresh, equal set in each round's set-up,
+outside the timed call, as a parsed instance is.  The layers
 below the set operations are timed on fixed operands: ``Surd``
 arithmetic over the benchmark's big field Q(sqrt 1000003), and one exact
 Gram solve of the projection.
@@ -24,13 +25,15 @@ projection is timed by the project stage, not read back from the memo
 that validation's ``membership`` call would leave.
 
 A shared machine's speed drifts, and the same code can read up to ~1.7x
-apart between runs.  So each case also times a fixed Fraction loop, the
-speed probe, before and after it, and stores in ``extra_info`` the
-median probe time ``probe_us`` and the case's median over it,
-``median_per_probe``.  Compare two runs by ``median_per_probe``, or
-scale a run's medians to a reference probe time P by multiplying them
-by P / ``probe_us``; raw medians of two runs compare only when their
-``probe_us`` agree.
+apart between runs; within one run the machine can flip between two
+speeds.  So each case times a fixed Fraction loop, the speed probe,
+right after every round (``timed``), and stores in ``extra_info`` the
+median probe time ``probe_us`` and the median over the rounds of each
+round's time over its own probe, ``median_per_probe``, which a flip
+between the rounds moves less than it moves either median alone.
+Compare two runs by ``median_per_probe``, or scale a run's medians to a
+reference probe time P by multiplying them by P / ``probe_us``; raw
+medians of two runs compare only when their ``probe_us`` agree.
 """
 
 import gc
@@ -70,8 +73,6 @@ README_PROBES = [
 # rounds per case; a case of a few microseconds times 10 or 100 calls
 # per round, so that each round stays well above the timer's resolution
 ROUNDS = 200
-# speed probes taken before each case and as many after it
-PROBE_REPEATS = 15
 
 
 def fresh(P: VPolyhedron) -> VPolyhedron:
@@ -93,17 +94,24 @@ def speed_probe_s() -> float:
         gc.enable()
 
 
-@pytest.fixture(autouse=True)
-def speed_probe(benchmark):
-    """The median of ``PROBE_REPEATS`` speed probes before and as many
-    after the case, and the case's median over it, in ``extra_info``."""
-    probes = [speed_probe_s() for _ in range(PROBE_REPEATS)]
-    yield
-    probes += [speed_probe_s() for _ in range(PROBE_REPEATS)]
-    probe = statistics.median(probes)
-    benchmark.extra_info["probe_us"] = float(f"{probe * 1e6:.6g}")
+def timed(benchmark, run, args=(), setup=None, iterations=1):
+    """``benchmark.pedantic`` of run over ``ROUNDS`` rounds with one speed
+    probe right after each round, and in ``extra_info`` the median probe
+    and the median ratio of a round's time to its probe."""
+    probes = []
+    result = benchmark.pedantic(
+        run,
+        args,
+        setup=setup,
+        teardown=lambda *_: probes.append(speed_probe_s()),
+        rounds=ROUNDS,
+        iterations=iterations,
+    )
     if benchmark.stats is not None:
-        benchmark.extra_info["median_per_probe"] = float(f"{benchmark.stats.stats.median / probe:.6g}")
+        ratios = [t / probe for t, probe in zip(benchmark.stats.stats.data, probes)]
+        benchmark.extra_info["probe_us"] = float(f"{statistics.median(probes) * 1e6:.6g}")
+        benchmark.extra_info["median_per_probe"] = float(f"{statistics.median(ratios):.6g}")
+    return result
 
 
 # (set, exterior point), each nearest point inside an edge, so that the
@@ -123,9 +131,7 @@ def test_membership_then_project(benchmark, case):
     def both(X):
         return membership(X, y), project(X, y)
 
-    inside, z = benchmark.pedantic(
-        both, setup=lambda: ((fresh(P),), {}), rounds=ROUNDS, iterations=1
-    )
+    inside, z = timed(benchmark, both, setup=lambda: ((fresh(P),), {}))
     assert not inside and z != y
 
 
@@ -177,9 +183,7 @@ def test_pipeline_stage(benchmark, stage, case):
             witness, lambda X: (X, y, tr.ball_center, tr.ball_radius), (cert.a, cert.beta)
         ),
     }[stage]
-    result = benchmark.pedantic(
-        run, setup=lambda: (inputs(validated(P)), {}), rounds=ROUNDS, iterations=1
-    )
+    result = timed(benchmark, run, setup=lambda: (inputs(validated(P)), {}))
     assert result == expected
 
 
@@ -194,33 +198,30 @@ def experiment_cuts():
 @pytest.mark.parametrize("count", [0, 5, 10])
 def test_excess_measure_on_a_grid_column(benchmark, experiment_cuts, count):
     """One x = 1/2 column of the experiment's 1/20 grid, the unit of the
-    benchmark's excess sweep, with the first ``count`` cuts, on one set."""
+    benchmark's excess sweep, with the first ``count`` cuts, on one set
+    and one approximation, which keep their line forms from an untimed
+    first call, as the sweep passes one cut prefix to every column."""
     X = fresh(TRIANGLE)
     approx = OuterApprox(X, experiment_cuts[:count])
     column = GridSpec((F(1, 2), F(-1)), (F(1, 2), F(2)), F(1, 20))
-    excess = benchmark(excess_measure, X, approx, column)
+    excess_measure(X, approx, column)
+    excess = timed(benchmark, excess_measure, (X, approx, column), iterations=10)
     assert 0 <= excess <= 1
 
 
 def test_outer_approximate_readme_probes(benchmark):
     """``outer_approximate`` over the README instance's probes, budget 8,
     on a new set."""
-    approx = benchmark.pedantic(
-        outer_approximate,
-        setup=lambda: ((fresh(TRIANGLE), README_PROBES, 8), {}),
-        rounds=ROUNDS,
-        iterations=1,
+    approx = timed(
+        benchmark, outer_approximate, setup=lambda: ((fresh(TRIANGLE), README_PROBES, 8), {})
     )
     assert all(approx.excludes(p) for p in README_PROBES)
 
 
 def test_facet_description_with_rays(benchmark):
     """The double description of a new 2-D set with rays."""
-    description = benchmark.pedantic(
-        lambda X: X.facet_description,
-        setup=lambda: ((fresh(RAYS_2D),), {}),
-        rounds=ROUNDS,
-        iterations=1,
+    description = timed(
+        benchmark, lambda X: X.facet_description, setup=lambda: ((fresh(RAYS_2D),), {})
     )
     assert len(description.facets) == 2
 
@@ -228,9 +229,7 @@ def test_facet_description_with_rays(benchmark):
 def test_is_pointed_margin_lp(benchmark):
     """``is_pointed`` on a new 3-D set with rays: one margin LP, the
     simplex's layer."""
-    pointed = benchmark.pedantic(
-        is_pointed, setup=lambda: ((fresh(RAYS_3D),), {}), rounds=ROUNDS, iterations=1
-    )
+    pointed = timed(benchmark, is_pointed, setup=lambda: ((fresh(RAYS_3D),), {}))
     assert pointed
 
 
@@ -238,7 +237,7 @@ def test_support_value(benchmark):
     """``support_value`` on the 3-D set with rays, for a direction in the
     polar of its ray cone, so that every vertex is compared."""
     a = Vector([-1, F(-1, 3), SQ2 - 2])
-    sv = benchmark.pedantic(support_value, (RAYS_3D, a), rounds=ROUNDS, iterations=10)
+    sv = timed(benchmark, support_value, (RAYS_3D, a), iterations=10)
     assert sv.is_finite
 
 
@@ -250,7 +249,7 @@ def test_gram_solve(benchmark):
     target = Vector([-1, 2, -3]) - v0
     gram = [[u.dot(w) for w in span] for u in span]
     rhs = [u.dot(target) for u in span]
-    weights = benchmark.pedantic(solve_linear_system, (gram, rhs), rounds=ROUNDS, iterations=10)
+    weights = timed(benchmark, solve_linear_system, (gram, rhs), iterations=10)
     assert [sum((g * w for g, w in zip(row, weights)), Surd(0)) for row in gram] == rhs
 
 
@@ -264,5 +263,5 @@ def test_surd_arithmetic(benchmark, op):
     """``Surd`` mul, div and sign on two fixed operands over Q(sqrt 1000003)."""
     a, b = SURD_A, SURD_B
     run = {"mul": lambda: a * b, "div": lambda: a / b, "sign": a.sign}[op]
-    result = benchmark.pedantic(run, rounds=ROUNDS, iterations=100)
+    result = timed(benchmark, run, iterations=100)
     assert result == {"mul": a * b, "div": a / b, "sign": 1}[op]

@@ -15,12 +15,12 @@ integers.  A grid is reduced to one integer form when it is made (the
 least common denominator g of its step and corner, so that every grid
 coordinate is an integer over g), which its shape, its points and the
 bounds all read.  Each halfspace is cleared of its own denominators and
-of its coefficient along the line into integer pairs of Z[sqrt(k)]:
-once per set object and axis order for the set's facets, whose
-coefficient needs a reciprocal in Z[sqrt(k)], and per call for the
-rational cuts, which need none.  Applying the grid to such a form is a
-few integer products, and every bound is one integer floor division
-(and one integer square root over Q(sqrt(k))) with no Surd built.
+of its coefficient along the line into integer pairs of Z[sqrt(k)] by
+one rule, once per owner object and axis order: a set keeps the forms
+of its facets and equations, and an approximation those of its cuts,
+which are halfspaces over Q.  Applying the grid to such a form is a few
+integer products, and every bound is one integer floor division (and
+one integer square root over Q(sqrt(k))) with no Surd built.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .scalars import (
     _surd_parts,
 )
 from .separation import separate
-from .sets import VPolyhedron, is_pointed, membership
+from .sets import VPolyhedron, _check_fields, is_pointed, membership
 
 __all__ = ["GridSpec", "OuterApprox", "outer_approximate", "excess_measure"]
 
@@ -96,7 +96,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OuterApprox:
-    """An ordered list of cuts, each exactly containing the target set."""
+    """An ordered list of cuts, each exactly containing the target set.
+
+    Like a set with its facets, it keeps its cuts' line forms per axis
+    order once the excess measure has built them (``_forms``).
+    """
 
     target: VPolyhedron
     cuts: tuple[Certificate, ...]
@@ -121,7 +125,8 @@ def outer_approximate(
     before a probe that would need a cut beyond the budget, so every
     consumed exterior probe ends up excluded.  A budget that is not an
     int (a bool included) raises ``TypeError``, and one below 1
-    ``ValueError``.
+    ``ValueError``; so does a probe whose irrational field is not X's,
+    wherever it stands among the probes.
     """
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise TypeError(f"budget must be an int, got {type(budget).__name__}")
@@ -132,7 +137,9 @@ def outer_approximate(
     cuts: list[Certificate] = []
     for p in probes:
         # every cut contains X, so a probe that a cut excludes lies outside
-        # X: testing the cuts first skips its membership test
+        # X: testing the cuts first skips its membership test, but not the
+        # field check that membership makes
+        _check_fields(X, p)
         if any(cut.excludes(p) for cut in cuts):
             continue
         if membership(X, p):
@@ -168,8 +175,8 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     axes = (0, 1) if shape[0] <= shape[1] else (1, 0)
     lines, length = shape[axes[0]], shape[axes[1]]
     k = X.field_k
-    in_x = _line_bounds(_set_forms(X, axes), grid, axes)
-    in_cuts = _line_bounds(_cut_forms(approx.cuts, axes), grid, axes)
+    in_x = _line_bounds(_forms(X, axes), grid, axes)
+    in_cuts = _line_bounds(_forms(approx, axes), grid, axes)
     excess = 0
     for i in range(lines):
         lo, hi = _narrow(in_cuts, i, 0, length - 1, k)
@@ -179,15 +186,19 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     return Fraction(excess, lines * length)
 
 
-def _set_forms(X: VPolyhedron, axes: tuple[int, int]) -> list[tuple]:
-    """The line forms (``_line_forms``) of X's facets and equations, each
-    equation as a pair of opposite halfspaces, built once per set object
-    and axis order and kept on X beside its facet description."""
-    forms = vars(X).setdefault("_line_forms", {})
+def _forms(owner: VPolyhedron | OuterApprox, axes: tuple[int, int]) -> list[tuple]:
+    """The line forms (``_line_forms``) of owner's halfspaces, built once
+    per owner object and axis order and kept on the owner: a set's facets
+    and equations, each equation as a pair of opposite halfspaces, or an
+    approximation's cuts <a, p> <= beta, which are halfspaces over Q."""
+    forms = vars(owner).setdefault("_line_forms", {})
     if axes not in forms:
-        equations, facets = X.facet_description
-        opposite = [(-a, -b) for a, b in equations]
-        forms[axes] = _line_forms([*facets, *equations, *opposite], axes, X.field_k)
+        if isinstance(owner, OuterApprox):
+            forms[axes] = _line_forms([(cut.a, cut.beta) for cut in owner.cuts], axes, 1)
+        else:
+            equations, facets = owner.facet_description
+            opposite = [(-a, -b) for a, b in equations]
+            forms[axes] = _line_forms([*facets, *equations, *opposite], axes, owner.field_k)
     return forms[axes]
 
 
@@ -212,22 +223,6 @@ def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
         w, n = _pair_reciprocal(a_t, k) if sign else ((1, 0), 0)
         (ua, ub), (va, vb) = _pair_mul((ba, bb), w, k), _pair_mul(a.pairs[s], w, k)
         out.append((sign, (a.m * ua, a.m * ub), (db * va, db * vb), db * n))
-    return out
-
-
-def _cut_forms(cuts: Iterable[Certificate], axes: tuple[int, int]) -> list[tuple]:
-    """The line forms (``_line_forms``) of rational cuts <a, p> <= beta,
-    read off the integers of a = (numerators)/m and beta = num/den:
-    A = den*(numerators) and c = m*num, and over Q, w is the sign of a_t
-    (1 when a_t = 0), so that A_t*w = den*|a_t|."""
-    s, t = axes
-    out = []
-    for cut in cuts:
-        a, beta = cut.a, cut.beta
-        a_s, a_t = a.pairs[s][0], a.pairs[t][0]
-        w = -1 if a_t < 0 else 1
-        dw = w * beta.denominator
-        out.append((w if a_t else 0, (w * a.m * beta.numerator, 0), (dw * a_s, 0), dw * a_t))
     return out
 
 

@@ -431,9 +431,16 @@ def _pair_combination(x, u, y, v, k: int) -> list[tuple[int, int]]:
     ]
 
 
-def _pair_primitive(v):
-    """The vector of pairs v over the gcd of all its parts: the one vector
-    on v's ray whose parts are coprime integers."""
+def _pair_primitive(v, k: int):
+    """The one vector on the ray of a nonzero vector of pairs v whose first
+    nonzero coordinate is rational and whose parts are coprime integers:
+    v times the conjugate of that coordinate, negated when the conjugate
+    is negative, over the gcd of all its parts.  Two positive multiples
+    of a vector with a rational first nonzero coordinate differ by a
+    rational factor, so any positive multiple of v gives the same result."""
+    a, b = next(x for x in v if x != (0, 0))
+    s = _pair_sign((a, -b), k)
+    v = [_pair_mul(x, (s * a, -s * b), k) for x in v] if b else v
     g = gcd(*(q for x in v for q in x))
     return v if g == 1 else [(a // g, b // g) for a, b in v]
 

@@ -76,9 +76,10 @@ MAX_GENERATORS = 12
 # at a time, along the longer axis: at 10**5 points (316 x 316) it takes
 # ~0.5-1 ms with no cuts and ~1.5-3 ms with the 11 cuts of the README
 # triangle (best of 7, on a machine whose speed moved 2x between runs),
-# but ~1.05-1.35 s with the 12 cuts of a 12-vertex set over
-# Q(sqrt 999999999998) with MAX_DIGITS-digit parts, ~0.9 s of it in the
-# integer square root of each line's bound (2-core machine, Python 3.11).
+# and ~0.02-0.035 s with the 12 cuts of a 12-vertex set over
+# Q(sqrt 999999999998) with MAX_DIGITS-digit parts, whose canonical facet
+# normals (parts of at most 286 bits) set the size of the integer square
+# root of each line's bound (2-core machine, Python 3.11).
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any
@@ -97,8 +98,8 @@ MAX_PROBES = 500
 # just outside a facet) ``separate`` takes ~0.45-0.6 s, ~60% of it in one
 # projection of 7 exact Gram solves, which membership and ``project`` share,
 # ~0.013 s over Q; ``approximate`` on a 2-D set of 12 such vertices took
-# ~0.16 s for 500 probes, 12 cuts at ~2.5-4 ms each, before its excess
-# measure (same machine).
+# ~0.11-0.19 s for 500 probes, 12 cuts at ~2.5-4 ms each, and the whole
+# run with its excess measure on 10**5 points ~0.16-0.22 s (same machine).
 MAX_DIGITS = 7
 
 

@@ -146,9 +146,11 @@ class FacetDescription(NamedTuple):
     """{x : <a, x> = b for (a, b) in equations, <a, x> <= b for (a, b) in facets}.
 
     The equations cut out the affine hull and the facets are irredundant.
-    Each pair (a, b) is scaled so that the rational and sqrt(k) parts of
-    its entries are coprime integers.  Whether the set contains a line is
-    ``is_pointed``'s answer, not part of the description.
+    Each pair (a, b) is the one positive multiple of itself whose first
+    nonzero entry of a is rational and whose entries' rational and
+    sqrt(k) parts, those of b included, are coprime integers.  Whether the
+    set contains a line is ``is_pointed``'s answer, not part of the
+    description.
     """
 
     equations: tuple[tuple[Vector, Surd], ...]
@@ -201,8 +203,11 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int]]:
     Every vector is a list of integer pairs (see ``scalars``).  A
     projected basis vector or ray is taken |N(c)| times, for the norm N(c)
     of the pivot product c, so that no division is needed, and every new
-    vector is divided by the gcd of its parts: it is the one vector on its
-    ray whose parts are coprime integers, as over the field.
+    vector is made canonical (``_pair_primitive``): the one vector on its
+    ray whose first nonzero coordinate is rational and whose parts are
+    coprime integers, whatever path built it.  Dividing by the gcd alone
+    would keep common factors of Z[sqrt(k)], and each step would multiply
+    in a pivot's norm, so the heights would grow with every generator.
     """
     basis = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
     rays: list[list[tuple[int, int]]] = []
@@ -223,7 +228,7 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int]]:
             def onto_hyperplane(u, s):
                 if s == (0, 0):
                     return u
-                return _pair_primitive(_pair_combination(scale, u, _pair_mul(s, w, k), lp, k))
+                return _pair_primitive(_pair_combination(scale, u, _pair_mul(s, w, k), lp, k), k)
 
             basis = [
                 onto_hyperplane(l, s) for j, (l, s) in enumerate(zip(basis, products)) if j != p
@@ -250,7 +255,7 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int]]:
                 ):
                     continue
                 combined = _pair_combination(products[a], rays[b], products[b], rays[a], k)
-                new_rays.append(_pair_primitive(combined))
+                new_rays.append(_pair_primitive(combined, k))
                 new_zeros.append(common | bit)
         rays, zeros = new_rays, new_zeros
     return basis, rays, zeros

@@ -105,6 +105,11 @@ def surd_simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
 
 
 def _surd_primitive(v: Vector) -> Vector:
+    """The canonical vector of ``sets._polar_cone`` on v's ray, by field
+    division: v over the absolute value of its first nonzero coordinate,
+    which makes that coordinate +-1, then times the positive rational
+    that makes the rational and sqrt(k) parts coprime integers."""
+    v = v * abs(next(c for c in v if c.sign() != 0)).inverse()
     parts = [q for c in v for q in (c.r, c.s) if q]
     return Fraction(lcm(*(q.denominator for q in parts)), gcd(*(q.numerator for q in parts))) * v
 

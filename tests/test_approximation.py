@@ -18,7 +18,7 @@ from ratsep import (
     support_value,
 )
 from ratsep import approximation
-from ratsep.approximation import OuterApprox, _cut_forms, _line_bounds, _line_forms, _narrow
+from ratsep.approximation import OuterApprox, _line_bounds, _line_forms, _narrow
 from ratsep.scalars import choose_rational_between
 from helpers import (
     exterior_point,
@@ -163,6 +163,17 @@ def test_outer_approximate_rejects_non_pointed():
     line = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]), Vector([-1, 0])))
     with pytest.raises(NotPointedError):
         outer_approximate(line, [Vector([0, 2])], 1)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_outer_approximate_rejects_a_probe_from_another_field(reverse):
+    # the cut made for (3, 3) also excludes (3 + sqrt 3, 3), so the second
+    # probe is rejected by its field, not only when membership tests it
+    X = VPolyhedron((Vector([0, 0]), Vector([Surd.root(2), 0]), Vector([0, 1])))
+    probes = [Vector([3, 3]), Vector([3 + Surd.root(3), 3])]
+    assert outer_approximate(X, probes[:1], 8).excludes(probes[1])
+    with pytest.raises(ValueError, match=r"cannot mix sqrt\(3\) and sqrt\(2\)"):
+        outer_approximate(X, probes[::-1] if reverse else probes, 8)
 
 
 def test_excess_zero_cuts_unit_square():
@@ -322,14 +333,16 @@ def test_line_bound_is_the_floor_or_ceil_of_the_surd_quotient(k, parts, mins, st
 @example(1000003, [F(2), F(-1), F(-3)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
 @example(1, [F(2), F(-3, 2), F(7, 4)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
 def test_cut_line_bound_is_the_floor_or_ceil_of_the_quotient(k, parts, mins, step, axes, i):
-    """The same oracle for a rational cut <a, p> <= beta, whose line form
-    is read off its integers; the set's field k only enters the floor."""
+    """The same oracle for a rational cut <a, p> <= beta, a halfspace over
+    Q whose line form is built with k = 1; the set's field k only enters
+    the floor."""
     a_s, a_t, beta = parts
     assume(a_t)
     a = [None, None]
     a[axes[0]], a[axes[1]] = a_s, a_t
+    cut = Certificate(Vector(a), beta)
     with forbid_floats():
-        got = narrowed(_cut_forms([Certificate(Vector(a), beta)], axes), mins, step, axes, i, k)
+        got = narrowed(_line_forms([(cut.a, cut.beta)], axes, 1), mins, step, axes, i, k)
         expected = surd_quotient_bound(Surd(a_s), Surd(a_t), Surd(beta), mins, step, axes, i)
     assert got == expected
 
@@ -393,28 +406,35 @@ def test_run_soundness_and_progress():
 
 
 def test_excess_builds_the_set_forms_once_per_set_and_axis_order(monkeypatch):
-    """Repeated calls on one set, over grids along rows and along columns
-    and over every cut prefix, equal the pointwise oracle, while the set's
-    line forms are built once per set object and axis order."""
+    """Repeated calls on one set, over grids along rows and along columns,
+    over each column of a grid and over every cut prefix, equal the
+    pointwise oracle, while line forms are built once per set object and
+    axis order and once per approximation object and axis order: a set's
+    build has its field k = 2 and its 3 facets, and the build of the
+    prefix of j cuts has k = 1 and j cuts."""
     built = []
     line_forms = approximation._line_forms
 
     def counting(halfspaces, axes, k):
-        built.append(axes)
+        built.append((k, len(halfspaces), axes))
         return line_forms(halfspaces, axes, k)
 
     monkeypatch.setattr(approximation, "_line_forms", counting)
     X = VPolyhedron((Vector([0, 0]), Vector([Surd.root(2), 0]), Vector([0, 1])))
     approx = outer_approximate(X, GRID.points(), 6)
     assert len(approx.cuts) == 6
+    prefixes = [OuterApprox(X, approx.cuts[:j]) for j in range(len(approx.cuts) + 1)]
     rows = GridSpec((F(-1), F(-1)), (F(2), F(0)), F(1, 3))  # 10 x 4: lines along x
     columns = GridSpec((F(-1), F(-1)), (F(0), F(2)), F(1, 3))  # 4 x 10: lines along y
+    one_column = [GridSpec((F(x, 2), F(-1)), (F(x, 2), F(2)), F(1, 2)) for x in range(-2, 5)]
     for _ in range(2):
-        for grid in (rows, columns, GRID):
-            for j in range(len(approx.cuts) + 1):
-                prefix = OuterApprox(X, approx.cuts[:j])
+        for grid in (rows, columns, GRID, *one_column):
+            for prefix in prefixes:
                 assert excess_measure(X, prefix, grid) == pointwise_excess(X, prefix, grid)
-    assert built == [(1, 0), (0, 1)]
+    both = [(1, 0), (0, 1)]
+    expected = [(2, 3, axes) for axes in both]
+    expected += [(1, j, axes) for j in range(len(prefixes)) for axes in both]
+    assert sorted(built) == sorted(expected)
     same = VPolyhedron(X.vertices)
-    excess_measure(same, approx, rows)
-    assert built == [(1, 0), (0, 1), (1, 0)]
+    excess_measure(same, OuterApprox(same, approx.cuts), rows)
+    assert sorted(built) == sorted([*expected, (2, 3, (1, 0)), (1, 6, (1, 0))])

@@ -416,6 +416,22 @@ def test_approximate_rejects_a_point_flag_exit_64(tmp_path, capsys):
         assert cli.build_parser().parse_args([command, "--point", "[]"]).point == "[]"
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_approximate_probe_from_another_field_exit_1(tmp_path, capsys, reverse):
+    # (3, 3) leaves the sqrt(2) triangle and its cut excludes (3 + sqrt 3, 3)
+    # too, so the second probe's field is checked whichever comes first
+    probes = [["3", "3"], [{"r": "3", "s": "1", "k": 3}, "3"]]
+    instance = json.loads(README_TRIANGLE)
+    del instance["point"]
+    instance["probes"] = probes[::-1] if reverse else probes
+    instance["options"]["grid"] = {"min": ["-1", "-1"], "max": ["2", "2"], "step": "1/2"}
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(capsys, ["approximate", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert "cannot mix sqrt(3) and sqrt(2) exactly" in err
+
+
 def test_no_subcommand_exit_64(capsys):
     code, _, err = run(capsys, [])
     assert code == 64

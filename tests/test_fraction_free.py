@@ -13,18 +13,26 @@ from random import Random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ratsep import NotPointedError, SeparationBugError, Surd, Vector, VPolyhedron, is_pointed
 from ratsep import linalg, separation, sets
 from ratsep.linalg import _pivot, _tableau, simplex_max
-from ratsep.scalars import _pair_combination, _pair_mul, _pair_quotients, _pair_sign, _pair_surd
+from ratsep.scalars import (
+    _pair_combination,
+    _pair_mul,
+    _pair_primitive,
+    _pair_quotients,
+    _pair_sign,
+    _pair_surd,
+)
 from ratsep.sets import _double_description
 from helpers import (
     forbid_floats,
     fraction_sign,
     random_nonpointed_rays,
     random_pointed_rays,
+    _surd_primitive,
     surd_double_description,
     surd_simplex_max,
 )
@@ -63,6 +71,22 @@ def test_pair_quotients_undo_a_product(k, a, b, c, d):
     x, y = (a, b), (c, d)
     assert _pair_quotients([_pair_mul(x, y, k)], y, k) == [x]
     assert _pair_surd(_pair_mul(x, y, k), k, y) == Surd(a, b, k)
+
+
+SMALL = st.integers(-30, 30)
+
+
+@given(FIELD_KS, st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=4), SMALL, SMALL)
+def test_pair_primitive_is_one_vector_per_ray(k, v, c, d):
+    # any positive multiple of v, rational or not, gives the same vector,
+    # and it is the Surd oracle's: v over |first nonzero coordinate|, cleared
+    if k == 1:
+        v, d = [(a, 0) for a, _ in v], 0
+    assume(any(x != (0, 0) for x in v) and _pair_sign((c, d), k) > 0)
+    got = _pair_primitive(v, k)
+    assert _pair_primitive([_pair_mul(x, (c, d), k) for x in v], k) == got
+    with forbid_floats():
+        assert Vector._make(1, got, k) == _surd_primitive(Vector._make(1, v, k))
 
 
 @pytest.mark.parametrize("k", [1, 2])
