@@ -24,6 +24,11 @@ before every stage: the margin LP is timed by its own case, and the
 projection is timed by the project stage, not read back from the memo
 that validation's ``membership`` call would leave.
 
+The approximation loop is timed over the README instance's probes and
+over the 200 probes of the benchmark's unshifted triangle sweep, and
+the test of one probe against one stored cut, ``Certificate.excludes``,
+on a rational probe and on one with sqrt(2) parts.
+
 A shared machine's speed drifts, and the same code can read up to ~1.7x
 apart between runs; within one run the machine can flip between two
 speeds.  So each case times a fixed Fraction loop, the speed probe,
@@ -188,11 +193,19 @@ def test_pipeline_stage(benchmark, stage, case):
 
 
 @pytest.fixture(scope="module")
-def experiment_cuts():
-    """The cuts of the outer-approximation experiment (scripts/), 11 of them."""
+def exterior_probes():
+    """The exterior points of the triangle on the coarse 1/5 grid of
+    [-1, 2]^2, x-major: the probes of the outer-approximation experiment
+    (scripts/); the first 200 are the probes of the benchmark's unshifted
+    triangle sweep."""
     coarse = GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 5))
-    probes = [p for p in coarse.points() if not membership(TRIANGLE, p)]
-    return outer_approximate(fresh(TRIANGLE), probes, budget=200).cuts
+    return [p for p in coarse.points() if not membership(TRIANGLE, p)]
+
+
+@pytest.fixture(scope="module")
+def experiment_cuts(exterior_probes):
+    """The cuts of the outer-approximation experiment (scripts/), 11 of them."""
+    return outer_approximate(fresh(TRIANGLE), exterior_probes, budget=200).cuts
 
 
 @pytest.mark.parametrize("count", [0, 5, 10])
@@ -216,6 +229,31 @@ def test_outer_approximate_readme_probes(benchmark):
         benchmark, outer_approximate, setup=lambda: ((fresh(TRIANGLE), README_PROBES, 8), {})
     )
     assert all(approx.excludes(p) for p in README_PROBES)
+
+
+def test_outer_approximate_sweep_probes(benchmark, exterior_probes):
+    """``outer_approximate`` over the 200 probes of the benchmark's
+    unshifted triangle sweep, budget 200, on a new set: most probes are
+    skipped by a stored cut, so the case times the cut tests as well as
+    the separations."""
+    probes = exterior_probes[:200]
+    approx = timed(
+        benchmark, outer_approximate, setup=lambda: ((fresh(TRIANGLE), probes, 200), {})
+    )
+    assert all(approx.excludes(p) for p in probes)
+
+
+# a rational probe and one with sqrt(2) parts, both on the far side of
+# the experiment's last cut
+CUT_PROBES = {"rational": Vector([2, 2]), "sqrt2": Vector([2 + SQ2, 1 + SQ2])}
+
+
+@pytest.mark.parametrize("probe", CUT_PROBES)
+def test_certificate_excludes(benchmark, experiment_cuts, probe):
+    """``Certificate.excludes``, the test of a probe against one stored
+    cut, for the experiment's last cut."""
+    cut, p = experiment_cuts[-1], CUT_PROBES[probe]
+    assert timed(benchmark, cut.excludes, (p,), iterations=100)
 
 
 def test_facet_description_with_rays(benchmark):

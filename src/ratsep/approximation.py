@@ -3,6 +3,12 @@
 Feeding exterior probe points to the separation oracle and collecting
 the resulting halfspaces yields a rational outer polyhedron.  The loop
 skips probes already excluded, so every stored cut earned its place.
+It tests a probe against the stored cuts newest first.  Probes that
+walk a grid in order lie near the probe that made the last cut, so that
+cut is the likeliest to exclude the next one; each test is exact and
+has no side effect, so the order changes how many tests run but not
+which probes are skipped or which cuts are made.  Each test is one
+integer dot product on the cut's cleared form (``Certificate``).
 
 The excess measure shows the paper's theorem on a 2-D grid: the share
 of grid points that every cut keeps but that lie outside the set, which
@@ -100,6 +106,8 @@ class OuterApprox:
 
     Like a set with its facets, it keeps its cuts' line forms per axis
     order once the excess measure has built them (``_forms``).
+    ``excludes`` tests the cuts newest first, as ``outer_approximate``
+    does.
     """
 
     target: VPolyhedron
@@ -112,7 +120,7 @@ class OuterApprox:
                 raise ValueError("cut does not contain the target")
 
     def excludes(self, p: Vector) -> bool:
-        return any(cut.excludes(p) for cut in self.cuts)
+        return any(cut.excludes(p) for cut in reversed(self.cuts))
 
 
 def outer_approximate(
@@ -121,12 +129,15 @@ def outer_approximate(
     """Run the separation oracle over the probes, keeping up to budget cuts.
 
     Probes already excluded by a stored cut, or else inside X, are
-    consumed without a new cut; otherwise a cut is generated.  The loop stops
-    before a probe that would need a cut beyond the budget, so every
-    consumed exterior probe ends up excluded.  A budget that is not an
-    int (a bool included) raises ``TypeError``, and one below 1
-    ``ValueError``; so does a probe whose irrational field is not X's,
-    wherever it stands among the probes.
+    consumed without a new cut; otherwise a cut is generated.  The stored
+    cuts are tested newest first, since the last cut is the likeliest to
+    exclude the next probe of an ordered sweep; every order skips the
+    same probes, so the order saves tests and leaves the cuts as they
+    are.  The loop stops before a probe that would need a cut beyond the
+    budget, so every consumed exterior probe ends up excluded.  A budget
+    that is not an int (a bool included) raises ``TypeError``, and one
+    below 1 ``ValueError``; so does a probe whose irrational field is not
+    X's, wherever it stands among the probes.
     """
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise TypeError(f"budget must be an int, got {type(budget).__name__}")
@@ -140,7 +151,7 @@ def outer_approximate(
         # X: testing the cuts first skips its membership test, but not the
         # field check that membership makes
         _check_fields(X, p)
-        if any(cut.excludes(p) for cut in cuts):
+        if any(cut.excludes(p) for cut in reversed(cuts)):
             continue
         if membership(X, p):
             continue

@@ -2,7 +2,12 @@
 
 A ``Certificate`` (a, beta) asserts that the halfspace <a, x> <= beta
 contains a set while excluding a query point; ``verify_certificate``
-decides that claim with finitely many exact comparisons.  The
+decides that claim with finitely many exact comparisons.  A certificate
+is cleared of its denominators once, when it is made: with a = A/m for
+the integer row A of ``a.pairs`` and beta = n/q in lowest terms, a point
+x = X/x.m with integer pairs X of Z[sqrt(k)] is excluded, <a, x> > beta,
+iff q*<A, X> > n*m*x.m, so each exclusion test is one integer dot
+product and one sign, with no Surd built, for points of any field.  The
 brute-force enumerator is a deliberately dumb 2-D oracle for catching
 pipeline bugs, and ``rational_parallel_direction`` decides whether a
 halfspace with irrational normal sits inside any rational one at all --
@@ -13,7 +18,7 @@ hypothesis for rational outer descriptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -36,10 +41,18 @@ class Certificate:
     Coordinates are Fractions in lowest terms (canonical), carried as a
     rational Vector so they dot exactly against field-valued points.
     beta is an int or a Fraction: a float or a string raises TypeError.
+
+    ``cleared`` is the cut without denominators, worked out once at
+    construction and neither compared nor shown: for a = A/a.m and
+    beta = n/q it is (q*A, n*a.m), A being the integer row of first parts
+    of ``a.pairs``.  ``excludes`` reads <a, x> > beta as the sign of the
+    pair (sum q*A_i*Xa_i - n*a.m*x.m, sum q*A_i*Xb_i) for a point
+    x = X/x.m with X_i = (Xa_i, Xb_i), one path for every field.
     """
 
     a: Vector
     beta: Fraction
+    cleared: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.a, Vector):
@@ -48,7 +61,11 @@ class Certificate:
             raise ValueError("certificate normal must be rational")
         if self.a.is_zero():
             raise ValueError("certificate normal must be nonzero")
-        object.__setattr__(self, "beta", _fraction(self.beta))
+        beta = _fraction(self.beta)
+        object.__setattr__(self, "beta", beta)
+        q = beta.denominator
+        normal = tuple(q * A for A, _ in self.a.pairs)
+        object.__setattr__(self, "cleared", (normal, beta.numerator * self.a.m))
 
     def contains(self, X: VPolyhedron) -> bool:
         """Whether X lies in the halfspace: sigma_X(a) is finite and <= beta."""
@@ -56,8 +73,16 @@ class Certificate:
         return sv.is_finite and (sv.value - self.beta).sign() <= 0
 
     def excludes(self, p: Vector) -> bool:
-        """Whether p violates the cut strictly: <a, p> > beta."""
-        return self.a.dot_sign(p, self.beta) > 0
+        """Whether p violates the cut strictly: <a, p> > beta, decided on
+        the cleared form as q*<A, P> - n*a.m*p.m > 0 for p = P/p.m
+        (``cleared``)."""
+        self.a._check_dim(p)
+        normal, offset = self.cleared
+        a, b = -offset * p.m, 0
+        for c, (xa, xb) in zip(normal, p.pairs):
+            a += c * xa
+            b += c * xb
+        return _pair_sign((a, b), p.field_k) > 0
 
 
 def verify_certificate(X: VPolyhedron, y_tilde: Vector, cert: Certificate) -> bool:

@@ -405,6 +405,42 @@ def test_run_soundness_and_progress():
             assert membership(P, p) or approx.excludes(p)
 
 
+def test_outer_approximate_tests_the_newest_cut_first(monkeypatch):
+    """On the README triangle's 1/2-grid probes, every probe tested while
+    cuts exist is tested first against the newest cut, by the loop and by
+    ``OuterApprox.excludes``, and the cuts are those of a loop that tests
+    the oldest cut first."""
+    X = VPolyhedron((Vector([0, 0]), Vector([Surd.root(2), 0]), Vector([0, 1])))
+    probes = list(GRID.points())
+    reference = []
+    for p in probes:
+        if not any(cut.excludes(p) for cut in reference) and not membership(X, p):
+            reference.append(approximation.separate(X, p)[0])
+    made, calls = [], []
+    excludes, separating = Certificate.excludes, approximation.separate
+
+    def recording_excludes(cut, p):
+        calls.append((p, cut, len(made)))
+        return excludes(cut, p)
+
+    def recording_separate(X, p):
+        cert, trace = separating(X, p)
+        made.append((p, cert))
+        return cert, trace
+
+    monkeypatch.setattr(Certificate, "excludes", recording_excludes)
+    monkeypatch.setattr(approximation, "separate", recording_separate)
+    approx = outer_approximate(VPolyhedron(X.vertices), probes, budget=50)
+    assert approx.cuts == tuple(reference) and len(reference) > 2
+    firsts = {}
+    for p, cut, count in calls:
+        firsts.setdefault(p, (cut, count))
+    assert list(firsts) == probes[probes.index(made[0][0]) + 1:]
+    assert all(cut is made[count - 1][1] for cut, count in firsts.values())
+    calls.clear()
+    assert approx.excludes(probes[0]) and calls[0][1] is approx.cuts[-1]
+
+
 def test_excess_builds_the_set_forms_once_per_set_and_axis_order(monkeypatch):
     """Repeated calls on one set, over grids along rows and along columns,
     over each column of a grid and over every cut prefix, equal the

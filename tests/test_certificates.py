@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 from math import isqrt
 from random import Random
@@ -17,7 +18,8 @@ from ratsep import (
     verify_certificate,
 )
 from ratsep.certificates import _direction_pairs
-from helpers import exterior_point, random_pointed_polyhedron
+from ratsep.serialization import certificate_to_json, parse_certificate
+from helpers import exterior_point, forbid_floats, random_pointed_polyhedron
 
 SQ2 = Surd.root(2)
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([1, 0]), Vector([0, 1])))
@@ -85,6 +87,52 @@ def test_contains_and_excludes_match_explicit_loops(case):
     )
     assert cert.contains(X) == reference
     assert cert.excludes(p) == ((cert.a.dot(p) - beta).sign() > 0)
+
+
+@st.composite
+def field_cut_cases(draw):
+    """A cut in 1-4 dimensions with a negative, zero or positive beta, a
+    point over Q(sqrt k) for k in {1, 2, 1000003}, and that point moved
+    along one coordinate onto the cut's hyperplane <a, x> = beta."""
+    k = draw(st.sampled_from([1, 2, 1000003]))
+    dim = draw(st.integers(1, 4))
+    a = draw(st.lists(small, min_size=dim, max_size=dim).filter(any))
+    beta = draw(st.sampled_from([F(0), F(-7, 3)]) | st.fractions(-6, 6, max_denominator=9))
+    point = [Surd(draw(small), draw(small), k) for _ in range(dim)]
+    i = next(i for i, c in enumerate(a) if c)
+    rest = sum((c * x for j, (c, x) in enumerate(zip(a, point)) if j != i), Surd(0))
+    on_plane = [*point[:i], (beta - rest) / a[i], *point[i + 1:]]
+    return Certificate(Vector(a), beta), Vector(point), Vector(on_plane)
+
+
+@given(field_cut_cases())
+def test_excludes_on_the_cleared_form_matches_the_surd_sign(case):
+    cert, p, on_plane = case
+    with forbid_floats():
+        assert cert.excludes(p) == ((cert.a.dot(p) - Surd(cert.beta)).sign() > 0)
+        assert (cert.a.dot(on_plane) - Surd(cert.beta)).sign() == 0
+        assert not cert.excludes(on_plane)
+        shifted = Certificate(cert.a, cert.beta - 1)
+        assert shifted.excludes(on_plane)
+        # a parsed certificate and a replaced one are cleared afresh
+        for other in (
+            parse_certificate(certificate_to_json(cert)),
+            dataclasses.replace(cert),
+            dataclasses.replace(shifted, beta=cert.beta),
+        ):
+            assert other == cert and hash(other) == hash(cert)
+            assert other.cleared == cert.cleared
+            assert [other.excludes(x) for x in (p, on_plane)] == [cert.excludes(p), False]
+
+
+def test_the_cleared_form_is_not_compared_hashed_or_shown():
+    cert = Certificate(Vector([F(1, 2), F(-2, 3)]), F(5, 4))
+    # for a = (3, -4)/6 and beta = 5/4: (4*(3, -4), 5*6)
+    assert cert.cleared == ((12, -16), 30)
+    assert repr(cert) == f"Certificate(a={cert.a!r}, beta={cert.beta!r})"
+    other = Certificate(cert.a, cert.beta)
+    object.__setattr__(other, "cleared", ((0, 0), 0))
+    assert other == cert and hash(other) == hash(cert)
 
 
 def test_brute_force_triangle():
