@@ -27,7 +27,11 @@ that validation's ``membership`` call would leave.
 The approximation loop is timed over the README instance's probes and
 over the 200 probes of the benchmark's unshifted triangle sweep, and
 the test of one probe against one stored cut, ``Certificate.excludes``,
-on a rational probe and on one with sqrt(2) parts.
+on a rational probe and on one with sqrt(2) parts.  The test of one cut
+against a set, ``Certificate.contains``, is timed on the triangle and
+on the 3-D set with rays, and the making of every ``OuterApprox``
+prefix of the sweep's cuts, each with its cuts' line forms, as the
+sweep makes them.
 
 A shared machine's speed drifts, and the same code can read up to ~1.7x
 apart between runs; within one run the machine can flip between two
@@ -48,9 +52,9 @@ from time import perf_counter
 
 import pytest
 
-from ratsep import GridSpec, Surd, Vector, VPolyhedron, is_pointed, membership, project
-from ratsep import separate, support_value
-from ratsep.approximation import OuterApprox, excess_measure, outer_approximate
+from ratsep import Certificate, GridSpec, Surd, Vector, VPolyhedron, is_pointed, membership
+from ratsep import project, separate, support_value
+from ratsep.approximation import OuterApprox, _forms, excess_measure, outer_approximate
 from ratsep.linalg import solve_linear_system
 from ratsep.scalars import choose_rational_between, rational_in_ball
 from ratsep.separation import (
@@ -254,6 +258,34 @@ def test_certificate_excludes(benchmark, experiment_cuts, probe):
     cut, for the experiment's last cut."""
     cut, p = experiment_cuts[-1], CUT_PROBES[probe]
     assert timed(benchmark, cut.excludes, (p,), iterations=100)
+
+
+# a cut through the origin that holds the 3-D set with rays
+RAYS_3D_CUT = Certificate(Vector([-1, F(-1, 3), F(-1, 2)]), 0)
+
+
+@pytest.mark.parametrize("case", ["triangle", "rays_3d"])
+def test_certificate_contains(benchmark, experiment_cuts, case):
+    """``Certificate.contains``, the test of a cut against a set that an
+    ``OuterApprox`` makes for each of its cuts: the experiment's last cut
+    on the triangle, and a cut through the origin on the 3-D set with
+    rays."""
+    X, cut = {"triangle": (TRIANGLE, experiment_cuts[-1]), "rays_3d": (RAYS_3D, RAYS_3D_CUT)}[case]
+    assert timed(benchmark, cut.contains, (X,), iterations=100)
+
+
+def test_outer_approx_prefixes(benchmark, exterior_probes):
+    """Every ``OuterApprox`` prefix of the cuts of the benchmark's
+    unshifted triangle sweep, each with its cuts' line forms for grid
+    columns, as the sweep makes them before a prefix's first column."""
+    X = fresh(TRIANGLE)
+    cuts = outer_approximate(X, exterior_probes[:200], budget=200).cuts
+
+    def prefixes():
+        return [_forms(OuterApprox(X, cuts[:j]), (0, 1)) for j in range(len(cuts) + 1)]
+
+    forms = timed(benchmark, prefixes)
+    assert [len(f) for f in forms] == list(range(len(cuts) + 1))
 
 
 def test_facet_description_with_rays(benchmark):

@@ -20,12 +20,14 @@ cost grows with the number of lines, not of points.  Everything is on
 integers.  A grid is reduced to one integer form when it is made (the
 least common denominator g of its step and corner, so that every grid
 coordinate is an integer over g), which its shape, its points and the
-bounds all read.  Each halfspace is cleared of its own denominators and
-of its coefficient along the line into integer pairs of Z[sqrt(k)] by
-one rule, once per owner object and axis order: a set keeps the forms
-of its facets and equations, and an approximation those of its cuts,
-which are halfspaces over Q.  Applying the grid to such a form is a few
-integer products, and every bound is one integer floor division (and
+bounds all read.  A halfspace is cleared of its denominators by the
+code that makes it: a set's facets and equations are rows of coprime
+integer pairs of Z[sqrt(k)] (``FacetDescription``), and a cut keeps its
+integer form (``Certificate.cleared``).  The excess measure only divides
+each one by its coefficient along the line, once per owner object and
+axis order: a set keeps the forms of its facets and equations, and an
+approximation those of its cuts.  Applying the grid to such a form is a
+few integer products, and every bound is one integer floor division (and
 one integer square root over Q(sqrt(k))) with no Surd built.
 """
 
@@ -46,7 +48,6 @@ from .scalars import (
     _pair_reciprocal,
     _pair_sign,
     _positive,
-    _surd_parts,
 )
 from .separation import separate
 from .sets import VPolyhedron, _check_fields, is_pointed, membership
@@ -104,10 +105,12 @@ class GridSpec:
 class OuterApprox:
     """An ordered list of cuts, each exactly containing the target set.
 
+    Each cut is tested on its integer form (``Certificate.cleared``):
+    against the target when the approximation is made, and against a
+    point by ``excludes``, newest first, as ``outer_approximate`` does.
     Like a set with its facets, it keeps its cuts' line forms per axis
-    order once the excess measure has built them (``_forms``).
-    ``excludes`` tests the cuts newest first, as ``outer_approximate``
-    does.
+    order once the excess measure has built them from those integer
+    forms (``_forms``).
     """
 
     target: VPolyhedron
@@ -115,9 +118,8 @@ class OuterApprox:
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", tuple(self.cuts))
-        for cut in self.cuts:
-            if not cut.contains(self.target):
-                raise ValueError("cut does not contain the target")
+        if not all(cut.contains(self.target) for cut in self.cuts):
+            raise ValueError("cut does not contain the target")
 
     def excludes(self, p: Vector) -> bool:
         return any(cut.excludes(p) for cut in reversed(self.cuts))
@@ -167,9 +169,9 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
 
     The grid is counted one line at a time, each line running along the
     longer axis, so the cost grows with the shorter side.  On line i
-    every halfspace, once cleared of its denominators, reads B*j <= U - V*i
-    in the point index j for integer pairs B, U, V of Z[sqrt(k)]
-    (``_line_bounds``): j <= floor((U - V*i)/B) when B > 0,
+    every halfspace, cleared of its denominators by its maker, reads
+    B*j <= U - V*i in the point index j for integer pairs B, U, V of
+    Z[sqrt(k)] (``_line_bounds``): j <= floor((U - V*i)/B) when B > 0,
     j >= ceil((U - V*i)/B) when B < 0, and every point or none when
     B = 0.  The points inside every cut are therefore one range, and the
     points inside X as well, X being its facets and its equations (each
@@ -201,39 +203,38 @@ def _forms(owner: VPolyhedron | OuterApprox, axes: tuple[int, int]) -> list[tupl
     """The line forms (``_line_forms``) of owner's halfspaces, built once
     per owner object and axis order and kept on the owner: a set's facets
     and equations, each equation as a pair of opposite halfspaces, or an
-    approximation's cuts <a, p> <= beta, which are halfspaces over Q."""
+    approximation's cuts, each the integer form its ``Certificate`` keeps
+    (``cleared``).  A facet or equation (a, b) is read as it is stored:
+    its parts are integers (``FacetDescription``), so a.m = 1 and b has
+    the denominator 1."""
     forms = vars(owner).setdefault("_line_forms", {})
     if axes not in forms:
         if isinstance(owner, OuterApprox):
-            forms[axes] = _line_forms([(cut.a, cut.beta) for cut in owner.cuts], axes, 1)
+            forms[axes] = _line_forms([cut.cleared for cut in owner.cuts], axes, 1)
         else:
             equations, facets = owner.facet_description
-            opposite = [(-a, -b) for a, b in equations]
-            forms[axes] = _line_forms([*facets, *equations, *opposite], axes, owner.field_k)
+            rows = [*facets, *equations, *((-a, -b) for a, b in equations)]
+            forms[axes] = _line_forms([(a.pairs, (b.a, b.b)) for a, b in rows], axes, owner.field_k)
     return forms[axes]
 
 
 def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
-    """Each halfspace <a, p> <= b of Q(sqrt(k)), cleared of its own
-    denominators, in a form that no grid enters, for lines along
-    coordinate axes[1] of p.
+    """Each halfspace <A, p> <= c of Q(sqrt(k)), given by a row A of
+    integer pairs and an integer pair c, in a form that no grid enters,
+    for lines along coordinate axes[1] of p.
 
-    With a = (pairs)/m, b = (pair)/db and a_s, a_t the pairs of a at
-    axes[0] and axes[1], the halfspace times m*db > 0 reads
-    A_s*p_s + A_t*p_t <= c with A_s = db*a_s, A_t = db*a_t and c = m*b.
-    For 1/a_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
-    a_t*w = n, the form is (sign of a_t, c*w, A_s*w, A_t*w), where
-    A_t*w = db*n; when a_t = 0 it is (0, c, A_s, 0), w being 1.
+    The halfspace is divided by its coefficient A_t along the line and
+    by nothing else, its maker having cleared it of denominators.  For
+    1/A_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
+    A_t*w = n, the form is (sign of A_t, c*w, A_s*w, n) with A_s the pair
+    of A at axes[0]; when A_t = 0 it is (0, c, A_s, 0), w being 1.
     """
     s, t = axes
     out = []
-    for a, b in halfspaces:
-        ba, bb, db, _ = _surd_parts(b)
-        a_t = a.pairs[t]
-        sign = _pair_sign(a_t, k)
-        w, n = _pair_reciprocal(a_t, k) if sign else ((1, 0), 0)
-        (ua, ub), (va, vb) = _pair_mul((ba, bb), w, k), _pair_mul(a.pairs[s], w, k)
-        out.append((sign, (a.m * ua, a.m * ub), (db * va, db * vb), db * n))
+    for A, c in halfspaces:
+        sign = _pair_sign(A[t], k)
+        w, n = _pair_reciprocal(A[t], k) if sign else ((1, 0), 0)
+        out.append((sign, _pair_mul(c, w, k), _pair_mul(A[s], w, k), n))
     return out
 
 

@@ -3,17 +3,21 @@
 A ``Certificate`` (a, beta) asserts that the halfspace <a, x> <= beta
 contains a set while excluding a query point; ``verify_certificate``
 decides that claim with finitely many exact comparisons.  A certificate
-is cleared of its denominators once, when it is made: with a = A/m for
-the integer row A of ``a.pairs`` and beta = n/q in lowest terms, a point
+is cleared of its denominators once, when it is made, and that integer
+form is the only one any test of the cut reads: with a = A/m for the
+integer row A of ``a.pairs`` and beta = n/q in lowest terms, a point
 x = X/x.m with integer pairs X of Z[sqrt(k)] is excluded, <a, x> > beta,
-iff q*<A, X> > n*m*x.m, so each exclusion test is one integer dot
-product and one sign, with no Surd built, for points of any field.  The
-brute-force enumerator is a deliberately dumb 2-D oracle for catching
-pipeline bugs, and ``rational_parallel_direction`` decides whether a
-halfspace with irrational normal sits inside any rational one at all --
-it does not when the normal has no positively-parallel rational vector,
-which is why pointedness (and not mere closedness) is the right
-hypothesis for rational outer descriptions.
+iff q*<A, X> > n*m*x.m, and a direction r = R/r.m points uphill iff
+q*<A, R> > 0.  So ``excludes`` is one integer dot product and one sign,
+``contains`` one per vertex and ray, and neither builds a Surd, for
+points and sets of any field; the excess measure of ``approximation``
+and the plot of ``svg`` read the same form.  The brute-force enumerator is a deliberately dumb
+2-D oracle for catching pipeline bugs, and
+``rational_parallel_direction`` decides whether a halfspace with
+irrational normal sits inside any rational one at all -- it does not
+when the normal has no positively-parallel rational vector, which is
+why pointedness (and not mere closedness) is the right hypothesis for
+rational outer descriptions.
 """
 
 from __future__ import annotations
@@ -44,15 +48,18 @@ class Certificate:
 
     ``cleared`` is the cut without denominators, worked out once at
     construction and neither compared nor shown: for a = A/a.m and
-    beta = n/q it is (q*A, n*a.m), A being the integer row of first parts
-    of ``a.pairs``.  ``excludes`` reads <a, x> > beta as the sign of the
-    pair (sum q*A_i*Xa_i - n*a.m*x.m, sum q*A_i*Xb_i) for a point
-    x = X/x.m with X_i = (Xa_i, Xb_i), one path for every field.
+    beta = n/q it is the row q*A and the bound n*a.m as integer pairs
+    (rational, so every sqrt(k) part is 0), A being the integer row of
+    first parts of ``a.pairs``.  It is the cut's one integer form:
+    ``excludes`` and ``contains`` read <a, x> > beta as the sign of
+    (sum q*A_i*Xa_i - n*a.m*x.m, sum q*A_i*Xb_i) for x = X/x.m with
+    X_i = (Xa_i, Xb_i), one path for every field; the excess measure takes
+    it as the cut's halfspace, and ``render_svg`` draws it.
     """
 
     a: Vector
     beta: Fraction
-    cleared: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    cleared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.a, Vector):
@@ -63,26 +70,34 @@ class Certificate:
             raise ValueError("certificate normal must be nonzero")
         beta = _fraction(self.beta)
         object.__setattr__(self, "beta", beta)
-        q = beta.denominator
-        normal = tuple(q * A for A, _ in self.a.pairs)
-        object.__setattr__(self, "cleared", (normal, beta.numerator * self.a.m))
+        normal = tuple((beta.denominator * A, 0) for A, _ in self.a.pairs)
+        object.__setattr__(self, "cleared", (normal, (beta.numerator * self.a.m, 0)))
 
     def contains(self, X: VPolyhedron) -> bool:
-        """Whether X lies in the halfspace: sigma_X(a) is finite and <= beta."""
-        sv = support_value(X, self.a)
-        return sv.is_finite and (sv.value - self.beta).sign() <= 0
+        """Whether X lies in the halfspace: no ray r = R/r.m has
+        q*<A, R> > 0 and no vertex v = V/v.m has q*<A, V> > n*a.m*v.m, each
+        one sign on the cleared form (``cleared``)."""
+        rows = [(r.pairs, 0) for r in X.rays] + [(v.pairs, v.m) for v in X.vertices]
+        return all(self._side(x, m, X.field_k) <= 0 for x, m in rows)
 
     def excludes(self, p: Vector) -> bool:
         """Whether p violates the cut strictly: <a, p> > beta, decided on
         the cleared form as q*<A, P> - n*a.m*p.m > 0 for p = P/p.m
         (``cleared``)."""
-        self.a._check_dim(p)
-        normal, offset = self.cleared
-        a, b = -offset * p.m, 0
-        for c, (xa, xb) in zip(normal, p.pairs):
-            a += c * xa
-            b += c * xb
-        return _pair_sign((a, b), p.field_k) > 0
+        return self._side(p.pairs, p.m, p.field_k) > 0
+
+    def _side(self, pairs, m: int, k: int) -> int:
+        """The sign of q*<A, X> - n*a.m*m in Q(sqrt(k)) for integer pairs
+        X: for a point X/m, whether the cut keeps it (<= 0) or not, and
+        with m = 0, whether a direction X points uphill (> 0).  A row of
+        another length raises ``DimensionMismatchError``."""
+        normal, (offset, _) = self.cleared
+        if len(pairs) != len(normal):
+            raise DimensionMismatchError(f"dimension mismatch: {len(normal)} vs {len(pairs)}")
+        a, b = -offset * m, 0
+        for (c, _), (xa, xb) in zip(normal, pairs):
+            a, b = a + c * xa, b + c * xb
+        return _pair_sign((a, b), k)
 
 
 def verify_certificate(X: VPolyhedron, y_tilde: Vector, cert: Certificate) -> bool:

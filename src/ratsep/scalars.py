@@ -706,9 +706,12 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> tuple[Fraction, F
 
 
 def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
-    """Exact closed-ball membership via squared distance."""
+    """Exact closed-ball membership via squared distance.  A ball of
+    radius 0 is its center alone, and a negative radius, which would
+    read as its absolute value in the square, raises ``ValueError``."""
+    if _fraction(radius) < 0:
+        raise ValueError("radius must be nonnegative")
     gap = p - center
-    radius = _fraction(radius)
     return gap.dot_sign(gap, radius * radius) <= 0
 
 

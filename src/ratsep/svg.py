@@ -87,6 +87,10 @@ def render_svg(
     their centroid.
 
     The viewport is the bounding box of all drawn geometry padded by 20%.
+    A cut is drawn over a power of two no smaller than its largest normal
+    coordinate, which moves no clipped point, and a cut whose line misses
+    the viewport by that measure is skipped before any float is made, so
+    a cut of any height draws or is skipped.
     """
     if X.dim != 2:
         raise DimensionMismatchError("SVG rendering is 2-D only")
@@ -157,13 +161,22 @@ def render_svg(
         )
 
     box = (min_x, min_y, max_x, max_y)
+    # once every |a_i| <= 1, |<a, x>| <= reach - 1 on the box, so a line
+    # with |beta| > reach misses it by more than the clipping tolerance
+    rn, rd = (max(-min_x, max_x) + max(-min_y, max_y) + 1).as_integer_ratio()
     for cut in cuts:
-        a = cut.a.as_fractions()
-        seg = _clip_line_to_box(float(a[0]), float(a[1]), float(cut.beta), box)
+        # the cut over unit = 2**e, the least with e >= 0 and unit >= max |a_i|,
+        # as its cleared form (q*A, n*a.m) over d = unit*q*a.m: the skip is
+        # decided on integers, and each float is the unscaled one over unit
+        # exactly, so the clipped points are the unscaled cut's and no
+        # number of a huge cut leaves the float range
+        ((A0, _), (A1, _)), (c, _) = cut.cleared
+        d = cut.beta.denominator * cut.a.m
+        d <<= (-(-max(abs(A0), abs(A1)) // d) - 1).bit_length()
+        seg = None if abs(c) * rd > rn * d else _clip_line_to_box(A0 / d, A1 / d, c / d, box)
         if seg is None:
             continue
-        p0 = to_px(*seg[0])
-        p1 = to_px(*seg[1])
+        p0, p1 = (to_px(*end) for end in seg)
         parts.append(
             f'<line class="cut" x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" '
             f'x2="{_fmt(p1[0])}" y2="{_fmt(p1[1])}" '

@@ -315,15 +315,18 @@ line_grids = (
 @example(1000003, [F(2), F(-1), F(0), F(-1), F(-3), F(1)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
 @example(1, [F(2), F(0), F(-3, 2), F(0), F(7, 4), F(0)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
 def test_line_bound_is_the_floor_or_ceil_of_the_surd_quotient(k, parts, mins, step, axes, i):
-    """On line i the bound of <a, p> <= b, from the set's line form, is
-    the floor or ceiling of the Surd quotient: divisors are negative and
-    irrational here too."""
+    """On line i the bound of <a, p> <= b, from the line form of its
+    integer row, is the floor or ceiling of the Surd quotient: divisors
+    are negative and irrational here too.  The row is <a, p> <= b times
+    a.m*b.d > 0, a row of integer pairs as a set's facets are."""
     a_s, a_t, b = (Surd(r, s, k) for r, s in zip(parts[::2], parts[1::2]))
     assume(a_t)
     a = [None, None]
     a[axes[0]], a[axes[1]] = a_s, a_t
+    a = Vector(a)
+    row = ([(x * b.d, y * b.d) for x, y in a.pairs], (b.a * a.m, b.b * a.m))
     with forbid_floats():
-        got = narrowed(_line_forms([(Vector(a), b)], axes, k), mins, step, axes, i, k)
+        got = narrowed(_line_forms([row], axes, k), mins, step, axes, i, k)
         expected = surd_quotient_bound(a_s, a_t, b, mins, step, axes, i)
     assert got == expected
 
@@ -333,16 +336,16 @@ def test_line_bound_is_the_floor_or_ceil_of_the_surd_quotient(k, parts, mins, st
 @example(1000003, [F(2), F(-1), F(-3)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
 @example(1, [F(2), F(-3, 2), F(7, 4)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
 def test_cut_line_bound_is_the_floor_or_ceil_of_the_quotient(k, parts, mins, step, axes, i):
-    """The same oracle for a rational cut <a, p> <= beta, a halfspace over
-    Q whose line form is built with k = 1; the set's field k only enters
-    the floor."""
+    """The same oracle for a rational cut <a, p> <= beta, whose line form
+    is built from its integer form ``cleared`` with k = 1; the set's
+    field k only enters the floor."""
     a_s, a_t, beta = parts
     assume(a_t)
     a = [None, None]
     a[axes[0]], a[axes[1]] = a_s, a_t
     cut = Certificate(Vector(a), beta)
     with forbid_floats():
-        got = narrowed(_line_forms([(cut.a, cut.beta)], axes, 1), mins, step, axes, i, k)
+        got = narrowed(_line_forms([cut.cleared], axes, 1), mins, step, axes, i, k)
         expected = surd_quotient_bound(Surd(a_s), Surd(a_t), Surd(beta), mins, step, axes, i)
     assert got == expected
 

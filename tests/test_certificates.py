@@ -4,7 +4,7 @@ from math import isqrt
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ratsep import (
     Certificate,
@@ -61,24 +61,47 @@ def test_verify_dimension_check():
 small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 
-@st.composite
-def sqrt2_vectors(draw, dim):
-    return Vector([Surd(draw(small), draw(small), 2) for _ in range(dim)])
+def onto_hyperplane(a, x, level):
+    """x moved along its first coordinate i with a_i != 0 onto the
+    hyperplane <a, x> = level."""
+    i = next(i for i, c in enumerate(a) if c)
+    rest = sum((c * y for j, (c, y) in enumerate(zip(a, x)) if j != i), Surd(0))
+    return [*x[:i], (level - rest) / a[i], *x[i + 1:]]
 
 
 @st.composite
 def cut_cases(draw):
-    """A polyhedron with sqrt(2) coordinates and 0-2 rays, a cut and a point."""
+    """A polyhedron over Q(sqrt k), k in {2, 1000003}, with 0-3 rays, a
+    cut and a point.  Some vertices are moved onto the cut's hyperplane
+    <a, x> = beta and some rays onto <a, r> = 0, and a ray along a, with
+    <a, r> > 0, may be added."""
+    k = draw(st.sampled_from([2, 1000003]))
     dim = draw(st.integers(2, 3))
-    vertices = draw(st.lists(sqrt2_vectors(dim), min_size=1, max_size=4))
-    rays = draw(st.lists(sqrt2_vectors(dim).filter(lambda r: not r.is_zero()), max_size=2))
+    coords = st.lists(st.builds(Surd, small, small, st.just(k)), min_size=dim, max_size=dim)
+    vertices = draw(st.lists(coords, min_size=1, max_size=4))
+    rays = draw(st.lists(coords, max_size=2))
     a = draw(st.lists(small, min_size=dim, max_size=dim).filter(any))
     beta = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4))
-    point = draw(sqrt2_vectors(dim))
-    return VPolyhedron(tuple(vertices), tuple(rays)), Certificate(Vector(a), beta), point
+    count = len(vertices) + len(rays)
+    on_plane = iter(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    vertices = [onto_hyperplane(a, v, beta) if next(on_plane) else v for v in vertices]
+    rays = [onto_hyperplane(a, r, 0) if next(on_plane) else r for r in rays]
+    rays += [a] if draw(st.booleans()) else []
+    rays = [r for r in map(Vector, rays) if not r.is_zero()]
+    X = VPolyhedron(tuple(map(Vector, vertices)), tuple(rays))
+    return X, Certificate(Vector(a), beta), Vector(draw(coords))
+
+
+ROOT = Surd.root(1000003)
+ON_EDGE = VPolyhedron((Vector([ROOT / 1000, 1 - ROOT / 1000]), Vector([0, 1]), Vector([0, 0])))
+LEVEL = VPolyhedron(ON_EDGE.vertices, (Vector([1, -1]),))
+UPHILL = VPolyhedron(ON_EDGE.vertices, (Vector([-1, 0]), Vector([1, 0])))
 
 
 @given(cut_cases())
+@example((ON_EDGE, Certificate(Vector([1, 1]), 1), Vector([1, ROOT])))
+@example((LEVEL, Certificate(Vector([1, 1]), 1), Vector([0, 0])))
+@example((UPHILL, Certificate(Vector([1, 1]), 1), Vector([0, 0])))
 def test_contains_and_excludes_match_explicit_loops(case):
     X, cert, p = case
     beta = Surd(cert.beta)
@@ -87,6 +110,25 @@ def test_contains_and_excludes_match_explicit_loops(case):
     )
     assert cert.contains(X) == reference
     assert cert.excludes(p) == ((cert.a.dot(p) - beta).sign() > 0)
+
+
+def test_contains_builds_no_surd(monkeypatch):
+    """``contains`` reads the cut's cleared form alone: with every Surd
+    construction raising, it still decides sets over Q(sqrt 1000003)
+    and a 3-D set with rays over Q(sqrt 2)."""
+    cut = Certificate(Vector([1, 1]), 1)
+    rays_3d = VPolyhedron(
+        (Vector([0, 0, 0]), Vector([2, SQ2, 0]), Vector([0, 1, 3])),
+        (Vector([1, 0, 1]), Vector([0, 1, 2])),
+    )
+    cuts_3d = [Certificate(Vector([-1, F(-1, 3), F(-1, 2)]), F(0)), Certificate(Vector([0, 0, 1]), 9)]
+
+    def no_surd(*args):
+        raise AssertionError("a Surd was built")
+
+    monkeypatch.setattr(Surd, "_set", no_surd)
+    assert [cut.contains(X) for X in (ON_EDGE, LEVEL, UPHILL)] == [True, True, False]
+    assert [c.contains(rays_3d) for c in cuts_3d] == [True, False]
 
 
 @st.composite
@@ -99,9 +141,7 @@ def field_cut_cases(draw):
     a = draw(st.lists(small, min_size=dim, max_size=dim).filter(any))
     beta = draw(st.sampled_from([F(0), F(-7, 3)]) | st.fractions(-6, 6, max_denominator=9))
     point = [Surd(draw(small), draw(small), k) for _ in range(dim)]
-    i = next(i for i, c in enumerate(a) if c)
-    rest = sum((c * x for j, (c, x) in enumerate(zip(a, point)) if j != i), Surd(0))
-    on_plane = [*point[:i], (beta - rest) / a[i], *point[i + 1:]]
+    on_plane = onto_hyperplane(a, point, beta)
     return Certificate(Vector(a), beta), Vector(point), Vector(on_plane)
 
 
@@ -127,11 +167,11 @@ def test_excludes_on_the_cleared_form_matches_the_surd_sign(case):
 
 def test_the_cleared_form_is_not_compared_hashed_or_shown():
     cert = Certificate(Vector([F(1, 2), F(-2, 3)]), F(5, 4))
-    # for a = (3, -4)/6 and beta = 5/4: (4*(3, -4), 5*6)
-    assert cert.cleared == ((12, -16), 30)
+    # for a = (3, -4)/6 and beta = 5/4: (4*(3, -4), 5*6) as integer pairs
+    assert cert.cleared == (((12, 0), (-16, 0)), (30, 0))
     assert repr(cert) == f"Certificate(a={cert.a!r}, beta={cert.beta!r})"
     other = Certificate(cert.a, cert.beta)
-    object.__setattr__(other, "cleared", ((0, 0), 0))
+    object.__setattr__(other, "cleared", (((0, 0), (0, 0)), (0, 0)))
     assert other == cert and hash(other) == hash(cert)
 
 

@@ -374,6 +374,24 @@ def test_plot(tmp_path, capsys):
     assert doc.count("<circle") == 1
 
 
+def test_plot_draws_a_cut_too_large_for_a_float(tmp_path, capsys):
+    # a 401-digit coordinate has no float; the cut draws, and one with a
+    # 401-digit offset, whose line lies far outside the canvas, is skipped
+    path = tmp_path / "tri.json"
+    path.write_text(README_TRIANGLE, encoding="utf-8")
+    cuts_path = tmp_path / "cuts.json"
+    huge = "1" + "0" * 400
+    cuts = [{"a": [huge, "1"], "beta": "1"}, {"a": ["1", "1"], "beta": huge}]
+    cuts_path.write_text(json.dumps({"cuts": cuts}), encoding="utf-8")
+    out_path = tmp_path / "plot.svg"
+    code, out, _ = run(
+        capsys, ["plot", "--instance", str(path), "--cuts", str(cuts_path), "--out", str(out_path)]
+    )
+    assert code == 0
+    assert json.loads(out) == {"svg_path": str(out_path)}
+    assert out_path.read_text(encoding="utf-8").count('class="cut"') == 1
+
+
 def test_plot_reads_the_output_of_approximate(tmp_path, capsys):
     # the --cuts file may hold "excess" beside "cuts", as approximate writes it
     inst = ser.Instance(

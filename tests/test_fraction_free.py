@@ -341,3 +341,5 @@ def test_double_description_matches_the_surd_oracle(P):
         description, pointed = surd_double_description(P)
         assert _double_description(P) == description
         assert is_pointed(P) == pointed
+    # the excess measure reads each row as it is stored, its parts integers
+    assert all(a.m == 1 and b.d == 1 for a, b in (*description.equations, *description.facets))

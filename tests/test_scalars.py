@@ -386,6 +386,17 @@ def test_point_in_ball_is_closed_and_exact():
     assert not point_in_ball(Vector([Surd.root(2), 0]), origin, F(7, 5))
 
 
+def test_point_in_ball_with_radius_zero_or_negative():
+    # radius 0 keeps the center alone; a negative radius is no ball, even
+    # around a point that lies within its absolute value
+    origin = Vector([0, 0])
+    assert point_in_ball(origin, origin, 0)
+    assert not point_in_ball(Vector([F(1, 10**9), 0]), origin, 0)
+    for radius in (F(-1, 2), -1):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            point_in_ball(origin, origin, radius)
+
+
 def test_rational_in_ball_rational_center():
     center = Vector([F(0), F(0)])
     assert rational_in_ball(center, F(1, 100)) == center

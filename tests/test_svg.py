@@ -69,6 +69,28 @@ def test_offscreen_cut_is_skipped():
     assert doc.count('class="cut"') == 0
 
 
+HUGE = 10**400
+
+
+def test_a_cut_too_large_for_a_float_draws_or_is_skipped():
+    # the normal (10**400, 1) draws the line x = 10**-400, which is x = 0
+    # on the canvas; an offset of 400 digits puts the line far outside
+    wall = render_svg(TRIANGLE, [Certificate(Vector([1, 0]), 0)])
+    assert wall.count('class="cut"') == 1
+    assert render_svg(TRIANGLE, [Certificate(Vector([HUGE, 1]), 1)]) == wall
+    far = [Certificate(Vector([1, 1]), HUGE), Certificate(Vector([-1, F(1, 3)]), -HUGE)]
+    assert render_svg(TRIANGLE, far) == render_svg(TRIANGLE)
+
+
+@pytest.mark.parametrize("power", [1, 7, 2000])
+def test_power_of_two_multiples_of_a_cut_draw_the_same_line(power):
+    cuts = [Certificate(Vector([3, F(-5, 2)]), F(1, 3)), Certificate(Vector([F(1, 7), 1]), 1)]
+    doc = render_svg(TRIANGLE, cuts, Vector([1, 1]))
+    assert doc.count('class="cut"') == 2
+    scaled = [Certificate(2**power * cut.a, 2**power * cut.beta) for cut in cuts]
+    assert render_svg(TRIANGLE, scaled, Vector([1, 1])) == doc
+
+
 def polygon(doc: str) -> str:
     return next(line for line in doc.splitlines() if line.startswith("<polygon"))
 
