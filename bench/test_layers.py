@@ -31,7 +31,8 @@ on a rational probe and on one with sqrt(2) parts.  The test of one cut
 against a set, ``Certificate.contains``, is timed on the triangle and
 on the 3-D set with rays, and the making of every ``OuterApprox``
 prefix of the sweep's cuts, each with its cuts' line forms, as the
-sweep makes them.
+sweep makes them.  ``render_svg`` is timed on the triangle with the
+sweep's cuts and its first probe.
 
 A shared machine's speed drifts, and the same code can read up to ~1.7x
 apart between runs; within one run the machine can flip between two
@@ -53,7 +54,7 @@ from time import perf_counter
 import pytest
 
 from ratsep import Certificate, GridSpec, Surd, Vector, VPolyhedron, is_pointed, membership
-from ratsep import project, separate, support_value
+from ratsep import project, render_svg, separate, support_value
 from ratsep.approximation import OuterApprox, _forms, excess_measure, outer_approximate
 from ratsep.linalg import solve_linear_system
 from ratsep.scalars import choose_rational_between, rational_in_ball
@@ -286,6 +287,15 @@ def test_outer_approx_prefixes(benchmark, exterior_probes):
 
     forms = timed(benchmark, prefixes)
     assert [len(f) for f in forms] == list(range(len(cuts) + 1))
+
+
+def test_render_svg(benchmark, exterior_probes):
+    """``render_svg`` of the triangle with the cuts of the benchmark's
+    unshifted triangle sweep, every one of which meets the viewport, and
+    the sweep's first probe."""
+    cuts = outer_approximate(fresh(TRIANGLE), exterior_probes[:200], budget=200).cuts
+    doc = timed(benchmark, render_svg, (TRIANGLE, cuts, exterior_probes[0]), iterations=10)
+    assert doc.count('class="cut"') == len(cuts) == 11
 
 
 def test_facet_description_with_rays(benchmark):

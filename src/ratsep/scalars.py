@@ -137,7 +137,8 @@ class Surd:
         if not isinstance(k, int):
             raise TypeError("k must be an int")
         _check_field(k)
-        self._set_parts(r, s, k)
+        p, q = r.denominator, s.denominator
+        self._set(r.numerator * q, s.numerator * p, p * q, k)
 
     def _set(self, a: int, b: int, d: int, k: int) -> "Surd":
         """Store ``(a + b*sqrt(k)) / d``, d != 0, in the canonical form."""
@@ -151,23 +152,12 @@ class Surd:
         self.a, self.b, self.d, self.k = a, b, d, k
         return self
 
-    def _set_parts(self, r: Fraction, s: Fraction, k: int) -> "Surd":
-        """Store ``r + s*sqrt(k)`` from Fractions and an already-checked ``k``."""
-        p, q = r.denominator, s.denominator
-        return self._set(r.numerator * q, s.numerator * p, p * q, k)
-
     @classmethod
     def _make(cls, a: int, b: int, d: int, k: int) -> "Surd":
         """``(a + b*sqrt(k)) / d`` from integers and an already-checked
-        ``k``: the constructor of arithmetic results."""
+        ``k``: the constructor of arithmetic results and of the JSON
+        parser, which checks each k once per document."""
         return object.__new__(cls)._set(a, b, d, k)
-
-    @classmethod
-    def _of_parts(cls, r: Fraction, s: Fraction, k: int) -> "Surd":
-        """``r + s*sqrt(k)`` from Fractions and an already-checked ``k``:
-        the constructor without its checks, for the JSON parser, which
-        checks each k once per document."""
-        return object.__new__(cls)._set_parts(r, s, k)
 
     @classmethod
     def root(cls, k: int) -> "Surd":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
@@ -138,7 +139,9 @@ _DIGITS = "a coordinate's numerators and denominators may have at most {} digits
 
 def parse_fraction(obj, digits: int | None = None) -> Fraction:
     """obj as a Fraction, its numerator and denominator of at most
-    ``digits`` digits (None: any), checked before ``int()`` runs."""
+    ``digits`` digits (None: any) and within the interpreter's limit on
+    the digits ``int()`` converts (``sys.get_int_max_str_digits``), both
+    checked before ``int()`` runs."""
     if isinstance(obj, bool):
         raise ValueError(f"not a rational: {obj!r}")
     if isinstance(obj, int):
@@ -150,14 +153,17 @@ def parse_fraction(obj, digits: int | None = None) -> Fraction:
         if not _FRACTION.fullmatch(text):
             raise ValueError(f"not a rational: {obj!r}")
         num, sep, den = text.partition("/")
-        if digits is not None and len(text) > digits:
-            if max(len(num.lstrip("-")), len(den)) > digits:
-                raise ValueError(_DIGITS.format(digits))
+        longest = max(len(num.lstrip("-")), len(den))
+        if digits is not None and longest > digits:
+            raise ValueError(_DIGITS.format(digits))
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < longest:
+            raise ValueError(f"a number's {longest} digits pass the interpreter's limit of {limit}")
         try:
             if sep:
                 return Fraction(int(num), int(den))
             return Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ValueError(f"not a rational: {obj!r}") from exc
     raise ValueError(f"not a rational: {obj!r}")
 
@@ -193,7 +199,8 @@ def parse_coord(obj, digits: int | None = MAX_DIGITS, *, _fields: set[int] | Non
         _object(obj, "surd", (), ("r", "s", "k"))
         k = _field(obj.get("k", 1), set() if _fields is None else _fields)
         r, s = parse_fraction(obj.get("r", 0), digits), parse_fraction(obj.get("s", 0), digits)
-        return Surd._of_parts(r, s, k)
+        p, q = r.denominator, s.denominator
+        return Surd._make(r.numerator * q, s.numerator * p, p * q, k)
     return Surd(parse_fraction(obj, digits))
 
 

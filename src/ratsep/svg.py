@@ -1,7 +1,8 @@
 """Static SVG rendering of 2-D sets, cuts and query points.
 
 Exact data is converted to floats only here, at the display boundary,
-after the hull's extreme vertices are picked by exact signs.
+after the hull's extreme vertices and the drawn cuts are picked by exact
+signs.
 The output is a pure function of the inputs (fixed canvas, fixed float
 formatting), so identical calls produce byte-identical documents.
 """
@@ -24,30 +25,6 @@ _CANVAS = 640.0
 def _fmt(v: float) -> str:
     out = f"{v:.4f}"
     return "0.0000" if out == "-0.0000" else out
-
-
-def _clip_line_to_box(a1, a2, beta, box):
-    """The segment of the line a1*x + a2*y = beta inside a rectangle."""
-    x0, y0, x1, y1 = box
-    pts = []
-    if abs(a2) > 1e-12:
-        for x in (x0, x1):
-            y = (beta - a1 * x) / a2
-            if y0 - 1e-9 <= y <= y1 + 1e-9:
-                pts.append((x, y))
-    if abs(a1) > 1e-12:
-        for y in (y0, y1):
-            x = (beta - a2 * y) / a1
-            if x0 - 1e-9 <= x <= x1 + 1e-9:
-                pts.append((x, y))
-    unique = []
-    for p in pts:
-        if not any(abs(p[0] - q[0]) < 1e-9 and abs(p[1] - q[1]) < 1e-9 for q in unique):
-            unique.append(p)
-    if len(unique) < 2:
-        return None
-    unique.sort()
-    return unique[0], unique[-1]
 
 
 def _turn(o: Vector, a: Vector, b: Vector) -> int:
@@ -87,10 +64,14 @@ def render_svg(
     their centroid.
 
     The viewport is the bounding box of all drawn geometry padded by 20%.
-    A cut is drawn over a power of two no smaller than its largest normal
-    coordinate, which moves no clipped point, and a cut whose line misses
-    the viewport by that measure is skipped before any float is made, so
-    a cut of any height draws or is skipped.
+    A cut draws iff its line meets the closed viewport: iff its cleared
+    form (``Certificate.cleared``) at the four corners, read exactly as
+    integers over a power of two, is not of one strict sign.  It draws as
+    one segment through the foot of the perpendicular from the viewport's
+    center, reaching at least a diagonal each way, which the SVG viewport
+    clips.  Each coordinate of the segment is one correctly rounded
+    quotient of integers, so every positive multiple of a cut draws the
+    same bytes, and a cut of any height draws or is skipped.
     """
     if X.dim != 2:
         raise DimensionMismatchError("SVG rendering is 2-D only")
@@ -160,26 +141,34 @@ def render_svg(
             'stroke="#555555" stroke-width="2" marker-end="url(#arrow)"/>'
         )
 
-    box = (min_x, min_y, max_x, max_y)
-    # once every |a_i| <= 1, |<a, x>| <= reach - 1 on the box, so a line
-    # with |beta| > reach misses it by more than the clipping tolerance
-    rn, rd = (max(-min_x, max_x) + max(-min_y, max_y) + 1).as_integer_ratio()
+    # the viewport's corners as integers over one power of two e; over e,
+    # DX and DY are its sides, and over E = 2e, (CX, CY) is its center and
+    # W its half-perimeter, which no diagonal exceeds
+    ratios = [v.as_integer_ratio() for v in (min_x, min_y, max_x, max_y)]
+    e = max(den for _, den in ratios)
+    X0, Y0, X1, Y1 = (num * (e // den) for num, den in ratios)
+    E, CX, CY, DX, DY = 2 * e, X0 + X1, Y0 + Y1, X1 - X0, Y1 - Y0
+    W = 2 * (DX + DY)
     for cut in cuts:
-        # the cut over unit = 2**e, the least with e >= 0 and unit >= max |a_i|,
-        # as its cleared form (q*A, n*a.m) over d = unit*q*a.m: the skip is
-        # decided on integers, and each float is the unscaled one over unit
-        # exactly, so the clipped points are the unscaled cut's and no
-        # number of a huge cut leaves the float range
         ((A0, _), (A1, _)), (c, _) = cut.cleared
-        d = cut.beta.denominator * cut.a.m
-        d <<= (-(-max(abs(A0), abs(A1)) // d) - 1).bit_length()
-        seg = None if abs(c) * rd > rn * d else _clip_line_to_box(A0 / d, A1 / d, c / d, box)
-        if seg is None:
+        # over E, A.x - c is A0*CX + A1*CY - c*E at the center and that
+        # -+ |A0|*DX -+ |A1|*DY at the corners, so their signs are all +1
+        # or all -1 iff this is the larger
+        if abs(A0 * CX + A1 * CY - c * E) > abs(A0) * DX + abs(A1) * DY:
             continue
-        p0, p1 = (to_px(*end) for end in seg)
+        # over E*N, with N = |A|^2, the point (A1*t + A0*v, A1*v - A0*t) of
+        # the line is the foot of the perpendicular from the center at t = r,
+        # and at t = r -+ W*(|A0| + |A1|) it is W/E or more away from it;
+        # each quotient's value is the same for every positive multiple of
+        # the cut
+        N, reach = A0 * A0 + A1 * A1, W * (abs(A0) + abs(A1))
+        r, v, den = CX * A1 - CY * A0, c * E, E * N
+        ends = []
+        for t in (r - reach, r + reach):
+            ends += to_px((A1 * t + A0 * v) / den, (A1 * v - A0 * t) / den)
+        x1, y1, x2, y2 = map(_fmt, ends)
         parts.append(
-            f'<line class="cut" x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" '
-            f'x2="{_fmt(p1[0])}" y2="{_fmt(p1[1])}" '
+            f'<line class="cut" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             'stroke="#d62728" stroke-width="2" stroke-dasharray="8 4"/>'
         )
 

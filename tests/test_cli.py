@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -338,7 +339,7 @@ def test_approximate_needs_grid(tmp_path, capsys):
     assert "grid" in err
 
 
-def test_counterexample(capsys):
+def test_counterexample(tmp_path, capsys):
     code, out, _ = run(
         capsys, ["counterexample", "--point", '["1",{"r":"0","s":"1","k":2}]']
     )
@@ -349,6 +350,13 @@ def test_counterexample(capsys):
         capsys,
         ["counterexample", "--point", '[{"r":"0","s":"1","k":2},{"r":"0","s":"1","k":2}]'],
     )
+    assert code == 0
+    assert json.loads(out) == {"rational_direction": ["1/1", "1/1"]}
+
+    # with no --point, the instance's point (3/2, 3/2)
+    path = tmp_path / "tri.json"
+    path.write_text(README_TRIANGLE, encoding="utf-8")
+    code, out, _ = run(capsys, ["counterexample", "--instance", str(path)])
     assert code == 0
     assert json.loads(out) == {"rational_direction": ["1/1", "1/1"]}
 
@@ -390,6 +398,32 @@ def test_plot_draws_a_cut_too_large_for_a_float(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"svg_path": str(out_path)}
     assert out_path.read_text(encoding="utf-8").count('class="cut"') == 1
+
+
+@pytest.mark.parametrize("over", [-299, 0, 1, 701])
+def test_plot_reads_cut_digits_up_to_the_interpreters_limit(tmp_path, capsys, over):
+    # a cut's parts have no digit bound of their own, but int() converts at
+    # most sys.get_int_max_str_digits() digits (4300 by default, so 4001 to
+    # 5001 digits here); past it a cut exits 1 with a short message that
+    # names both counts and echoes none of the digits
+    limit = sys.get_int_max_str_digits()
+    digits = limit + over
+    path = tmp_path / "tri.json"
+    path.write_text(README_TRIANGLE, encoding="utf-8")
+    cuts_path = tmp_path / "cuts.json"
+    cuts = [{"a": ["1" + "0" * (digits - 1), "1"], "beta": "1"}]
+    cuts_path.write_text(json.dumps({"cuts": cuts}), encoding="utf-8")
+    out_path = tmp_path / "plot.svg"
+    code, out, err = run(
+        capsys, ["plot", "--instance", str(path), "--cuts", str(cuts_path), "--out", str(out_path)]
+    )
+    if over <= 0:
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8").count('class="cut"') == 1
+    else:
+        assert code == 1 and out == "" and not out_path.exists()
+        message = f"a number's {digits} digits pass the interpreter's limit of {limit}"
+        assert err == f"error: {message}\n" and len(err) < 100
 
 
 def test_plot_reads_the_output_of_approximate(tmp_path, capsys):
@@ -703,6 +737,62 @@ def test_an_array_over_its_bound_exit_1_before_any_entry_is_parsed(
     code, out, err = run(capsys, [paths.get(a, a) for a in argv] + ["--instance", str(path)])
     assert code == 1 and out == ""
     assert message in err
+
+
+TETRAHEDRON = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "argv, instance, message",
+    [
+        (["separate"], {}, "separate needs a point (instance 'point' or --point)"),
+        (["verify"], {}, "verify needs a point (instance 'point' or --point)"),
+        (
+            ["verify"],
+            {"point": ["2", "2"]},
+            "verify needs a certificate (--certificate or instance field)",
+        ),
+        (
+            ["approximate"],
+            {"probes": [], "options": {"grid": GRID}},
+            "approximate needs a nonempty 'probes' list in the instance",
+        ),
+        (
+            ["separate", "--max-den", "4"],
+            {"set": {"vertices": TETRAHEDRON}, "point": ["2", "2", "2"]},
+            "--max-den cross-checking is 2-D only",
+        ),
+        (["separate", "--point", '["2", "2"]'], None, "an --instance file is required"),
+        (
+            ["approximate"],
+            {"probes": [["2", "2"]], "options": {"grid": {**GRID, "min": ["0"]}}},
+            "grids are 2-D",
+        ),
+        (["separate"], {"set": [], "point": ["2", "2"]}, "set must be an object"),
+        (["counterexample"], {}, "counterexample needs a direction (--point or instance point)"),
+    ],
+    ids=[
+        "separate-point",
+        "verify-point",
+        "verify-certificate",
+        "approximate-probes",
+        "max-den-3d",
+        "instance",
+        "grid-1d",
+        "set-array",
+        "counterexample-direction",
+    ],
+)
+def test_a_missing_or_misshapen_part_exit_1(tmp_path, capsys, argv, instance, message):
+    # instance None: no --instance at all; else the triangle, with no
+    # point, overridden by the entries of ``instance``
+    if instance is not None:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"set": ser.polyhedron_to_json(TRIANGLE), **instance}))
+        argv = argv + ["--instance", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["separate", "counterexample"])

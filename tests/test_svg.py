@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -84,11 +86,56 @@ def test_a_cut_too_large_for_a_float_draws_or_is_skipped():
 
 @pytest.mark.parametrize("power", [1, 7, 2000])
 def test_power_of_two_multiples_of_a_cut_draw_the_same_line(power):
+    # and so do its multiples by 3 and by 1/7 times that, no powers of two
     cuts = [Certificate(Vector([3, F(-5, 2)]), F(1, 3)), Certificate(Vector([F(1, 7), 1]), 1)]
     doc = render_svg(TRIANGLE, cuts, Vector([1, 1]))
     assert doc.count('class="cut"') == 2
-    scaled = [Certificate(2**power * cut.a, 2**power * cut.beta) for cut in cuts]
-    assert render_svg(TRIANGLE, scaled, Vector([1, 1])) == doc
+    for multiple in (2**power, 3 * 2**power, F(2**power, 7)):
+        scaled = [Certificate(multiple * cut.a, multiple * cut.beta) for cut in cuts]
+        assert render_svg(TRIANGLE, scaled, Vector([1, 1])) == doc
+
+
+def random_cuts(count: int, seed: int) -> list[Certificate]:
+    """``count`` cuts drawn from ``Random(seed)``: normal parts p/q with
+    |p| <= 9 and offsets p/q with |p| <= 12, each with 1 <= q <= 9."""
+    rng = Random(seed)
+    cuts = []
+    while len(cuts) < count:
+        a = Vector([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)])
+        beta = F(rng.randint(-12, 12), rng.randint(1, 9))
+        if not a.is_zero():
+            cuts.append(Certificate(a, beta))
+    return cuts
+
+
+# how many of random_cuts(400, 29) draw beside TRIANGLE and the point
+# (1, 1); a clipper deciding in floats, with a tolerance of 1e-9, drew
+# the same cuts
+RANDOM_CUTS_DRAWN = 204
+
+
+def test_seeded_random_cuts_draw_a_recorded_count():
+    doc = render_svg(TRIANGLE, random_cuts(400, 29), Vector([1, 1]))
+    assert doc.count('class="cut"') == RANDOM_CUTS_DRAWN
+
+
+CUT_LINE = re.compile(r'<line class="cut" x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)"')
+
+
+@pytest.mark.parametrize(
+    "X",
+    [TRIANGLE, VPolyhedron((Vector([0, 0]), Vector([F(1, 3), 1])), (Vector([1, 0]), Vector([1, 2])))],
+    ids=["triangle", "rays"],
+)
+def test_every_cut_reaches_past_the_canvas_both_ways(X):
+    # the viewport clips each cut, so neither end may fall inside the canvas
+    doc = render_svg(X, random_cuts(100, 7), Vector([1, 1]))
+    width, height = map(float, re.search(r'width="(\S+)" height="(\S+)"', doc).groups())
+    ends = [tuple(map(float, m)) for m in CUT_LINE.findall(doc)]
+    assert len(ends) > 10
+    for x1, y1, x2, y2 in ends:
+        for x, y in ((x1, y1), (x2, y2)):
+            assert not (0 < x < width and 0 < y < height)
 
 
 def polygon(doc: str) -> str:
