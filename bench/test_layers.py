@@ -6,23 +6,25 @@ approximation loop.
 pytest-benchmark times each case; the tier-1 suite (``tests/``) does not
 collect this file.  The sets are the README triangle
 conv{(0,0), (sqrt2,0), (0,1)}, a 2-D and a 3-D set with rays over
-Q(sqrt 2).  A set object keeps its last projection, its margin LP, its
-facet description and its excess-measure line forms, and an
-approximation keeps its cuts' line forms, so the cases that measure one
-call on a new set build a fresh, equal set in each round's set-up,
-outside the timed call, as a parsed instance is.  The layers
-below the set operations are timed on fixed operands: ``Surd``
-arithmetic over the benchmark's big field Q(sqrt 1000003), and one exact
-Gram solve of the projection.
+Q(sqrt 2), and a triangle over Q(sqrt 1000003).  A set object keeps its
+last projection, its margin LP, its facet description and its
+excess-measure line forms, and an approximation keeps its cuts' line
+forms, so the cases that measure one call on a new set build a fresh,
+equal set in each round's set-up, outside the timed call, as a parsed
+instance is.  The layers below the set operations are timed on fixed
+operands: ``Surd`` arithmetic over the benchmark's big field
+Q(sqrt 1000003), and one exact Gram solve of the projection.
 
 The five stages of ``separate`` (project, barrier, bound, wedge,
 witness) are timed one at a time on the inputs that one ``separate`` run
 gave them, as that run's trace records them, for the README triangle's
-probe (3/2, 3/2) and for the 3-D set with rays.  Each round's set-up
-builds a fresh set and runs ``is_pointed`` on it, as validation does
-before every stage: the margin LP is timed by its own case, and the
-projection is timed by the project stage, not read back from the memo
-that validation's ``membership`` call would leave.
+probe (3/2, 3/2), for the 3-D set with rays and for a triangle over
+Q(sqrt 1000003) with no rays.  The bound stage includes moving the set
+by the projection, ``VPolyhedron.translated``, as ``separate`` does.
+Each round's set-up builds a fresh set and runs ``is_pointed`` on it,
+as validation does before every stage: the margin LP is timed by its
+own case, and the projection is timed by the project stage, not read
+back from the memo that validation's ``membership`` call would leave.
 
 The approximation loop is timed over the README instance's probes and
 over the 200 probes of the benchmark's unshifted triangle sweep, and
@@ -72,6 +74,14 @@ RAYS_3D = VPolyhedron(
     (Vector([1, 0, 1]), Vector([0, 1, 2])),
 )
 RAYS_2D = VPolyhedron((Vector([0, 0]), Vector([SQ2, 1])), (Vector([1, 0]), Vector([1, 2])))
+BIG_K = 1000003
+BIGK_TRIANGLE = VPolyhedron(
+    (
+        Vector([Surd(1, F(1, 2), BIG_K), 2]),
+        Vector([-1, Surd(0, -1, BIG_K)]),
+        Vector([Surd(F(3, 2), F(-1, 2), BIG_K), F(1, 3)]),
+    )
+)
 # the probes of the README's instance file
 README_PROBES = [
     Vector([F(3, 2), F(3, 2)]),
@@ -146,11 +156,13 @@ def test_membership_then_project(benchmark, case):
 
 
 # (set, exterior point) of the stage cases: the README instance's first
-# probe and the 3-D set's point of ``POINTS``, each nearest point inside
-# an edge
+# probe, the 3-D set's point of ``POINTS`` and a point off a triangle
+# over the benchmark's big field with no rays, as in its separate_bigk
+# workload; each nearest point lies inside an edge
 STAGE_POINTS = {
     "triangle": (TRIANGLE, README_PROBES[0]),
     "rays_3d": POINTS["rays_3d"],
+    "bigk": (BIGK_TRIANGLE, Vector([0, 600])),
 }
 
 
@@ -158,6 +170,12 @@ def validated(P: VPolyhedron) -> VPolyhedron:
     X = fresh(P)
     assert is_pointed(X)
     return X
+
+
+def bound(X, z, d, eps):
+    """The bound stage as ``separate`` runs it: the set moved by -z, then
+    the support bound on the ball d + eps*B."""
+    return bound_support_on_ball(X.translated(-z), d, eps)
 
 
 def wedge(y_bar, M, d, eps):
@@ -183,9 +201,7 @@ def test_pipeline_stage(benchmark, stage, case):
     run, inputs, expected = {
         "project": (project, lambda X: (X, y), tr.z_tilde),
         "barrier": (find_barrier_direction, lambda X: (X,), (tr.d, tr.eps)),
-        "bound": (
-            bound_support_on_ball, lambda X: (X.translated(-tr.z_tilde), tr.d, tr.eps), tr.M
-        ),
+        "bound": (bound, lambda X: (X, tr.z_tilde, tr.d, tr.eps), tr.M),
         "wedge": (
             wedge, lambda X: (tr.y_bar, tr.M, tr.d, tr.eps), (tr.ball_center, tr.ball_radius)
         ),
@@ -333,7 +349,6 @@ def test_gram_solve(benchmark):
     assert [sum((g * w for g, w in zip(row, weights)), Surd(0)) for row in gram] == rhs
 
 
-BIG_K = 1000003
 SURD_A = Surd(F(-31, 7), F(5, 11), BIG_K)
 SURD_B = Surd(F(17, 3), F(-2, 13), BIG_K)
 

@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Time ``separate`` of this checkout against another source tree, call by call.
+
+    python scripts/ab_separate.py --against DIR [--seed S] [--count N] [--rounds R]
+
+This checkout's ``src/ratsep`` is imported as ``ratsep`` and DIR's
+``src/ratsep`` as a second package, ``ratsep_against``, in the same
+process.  The instances are those of ``perfbench/gen.py`` for the
+``separate_rays`` and ``separate_bigk`` workloads; only that file of
+``perfbench/`` is imported.  Each round parses every instance afresh in
+each tree, outside the timed call, and times ``separate`` in both trees
+on it, the tree that goes first alternating from call to call, so a
+machine whose speed drifts or flips slows both sides alike.
+
+Every call's certificate and trace must serialize to the same bytes in
+both trees; the first difference exits 1.  Otherwise each workload's
+line gives the two total times and their ratio, this checkout over DIR.
+"""
+
+import argparse
+import importlib.util
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("separate_rays", "separate_bigk")
+
+
+def load(name: str, path: Path):
+    """The module or package at path, imported under name."""
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py" if path.is_dir() else path,
+        submodule_search_locations=[str(path)] if path.is_dir() else None,
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def timed_call(r, obj) -> tuple[float, str]:
+    """Seconds of one ``separate`` on a freshly parsed instance, and the
+    canonical JSON of its certificate and trace."""
+    ser = importlib.import_module(f"{r.__name__}.serialization")
+    inst = ser.parse_instance(obj)
+    t0 = perf_counter()
+    cert, trace = r.separate(inst.polyhedron, inst.point)
+    seconds = perf_counter() - t0
+    return seconds, ser.dumps(
+        {"certificate": ser.certificate_to_json(cert), "trace": ser.trace_to_json(trace)}
+    )
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", type=Path, required=True, help="root of the other source tree")
+    ap.add_argument("--seed", type=int, default=5)
+    ap.add_argument("--count", type=int, default=240, help="instances per workload")
+    ap.add_argument("--rounds", type=int, default=3)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    trees = [load("ratsep", ROOT / "src" / "ratsep"),
+             load("ratsep_against", args.against / "src" / "ratsep")]
+    gen = load("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    for workload in WORKLOADS:
+        instances = getattr(gen, workload)(args.seed, args.count)
+        totals = [0.0, 0.0]
+        for rnd in range(args.rounds):
+            for i, obj in enumerate(instances):
+                order = (0, 1) if (i + rnd) % 2 == 0 else (1, 0)
+                out = {}
+                for side in order:
+                    seconds, out[side] = timed_call(trees[side], obj)
+                    totals[side] += seconds
+                if out[0] != out[1]:
+                    print(f"{workload}: instance {i} differs between the trees", file=sys.stderr)
+                    return 1
+        print(f"{workload}: this {totals[0]:.3f} s, against {totals[1]:.3f} s, "
+              f"ratio {totals[0] / totals[1]:.3f} over {args.rounds} x {len(instances)} calls")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,8 @@ enclosure kernel, brackets sqrt((a + b*sqrt(k))/d) by n/2**j and
 (n + 1)/2**j, or returns it exactly when it is rational.
 ``_rational_between``, the rounding kernel, picks a rational strictly
 between two field elements given as integers, by a continued-fraction
-walk that ends by a proven bound.  Neither builds a Surd.
+walk that ends by a proven bound.  Both return integers and build no
+Surd and no Fraction.
 """
 
 from __future__ import annotations
@@ -512,7 +513,11 @@ class Vector:
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls([Fraction(0)] * dim)
+        """The zero vector of dimension dim >= 1, built as dim zero pairs
+        over 1 (``_make``), with no Fraction read."""
+        if dim < 1:
+            raise ValueError("a vector needs at least one coordinate")
+        return cls._make(1, [(0, 0)] * dim, 1)
 
     @property
     def coords(self) -> tuple[Surd, ...]:
@@ -727,7 +732,7 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
     m, k = center.m, center.field_k
     den, step = m * q, p * m
     point = Vector(
-        _rational_between(a * q - step, b * q, den, a * q + step, b * q, den, k)
+        Fraction(*_rational_between(a * q - step, b * q, den, a * q + step, b * q, den, k))
         for a, b in center.pairs
     )
     if not point_in_ball(point, center, radius):
@@ -743,16 +748,20 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
     convergents until the resulting rational falls strictly inside.
     Deterministic in (lo, hi).  This function reads the integers of lo
     and hi and hands them to ``_rational_between``, the one rounding
-    kernel.  Raises ``ValueError`` unless lo < hi.
+    kernel, and builds one Fraction from its integers.  Raises
+    ``ValueError`` unless lo < hi.
     """
     la, lb, ld, lk = _surd_parts(lo)
     ha, hb, hd, hk = _surd_parts(hi)
-    return _rational_between(la, lb, ld, ha, hb, hd, Surd._k_with(lk, hk))
+    return Fraction(*_rational_between(la, lb, ld, ha, hb, hd, Surd._k_with(lk, hk)))
 
 
-def _rational_between(la: int, lb: int, ld: int, ha: int, hb: int, hd: int, k: int) -> Fraction:
+def _rational_between(
+    la: int, lb: int, ld: int, ha: int, hb: int, hd: int, k: int
+) -> tuple[int, int]:
     """The rational of ``choose_rational_between`` for lo = (la + lb*sqrt(k))/ld
-    and hi = (ha + hb*sqrt(k))/hd with ld, hd > 0: the rounding kernel.
+    and hi = (ha + hb*sqrt(k))/hd with ld, hd > 0, as integers (num, den)
+    with den > 0, not reduced: the rounding kernel.
 
     It first checks lo < hi, as the sign of (hi - lo)*ld*hd =
     Wa + Wb*sqrt(k), and raises ``ValueError`` otherwise, so no walk
@@ -760,8 +769,9 @@ def _rational_between(la: int, lb: int, ld: int, ha: int, hb: int, hd: int, k: i
     A = la*hd + ha*ld, B = lb*hd + hb*ld and E = 2*ld*hd; it is returned
     when B = 0.  Else the candidate for a convergent h/q of sqrt(k) is (A*q + B*h)/(E*q),
     and each side is decided by one ``_pair_sign`` of cross-multiplied
-    integers.  The result depends only on the values of lo and hi, and
-    one Fraction, the result, is built.
+    integers.  The result's value depends only on the values of lo and
+    hi, and no Fraction is built: each caller builds at most one, from
+    these integers or from what it computes with them.
 
     The walk is bounded.  Every convergent has |h/q - sqrt(k)| < 1/q**2,
     so the candidate is within |B|/(E*q**2) of the midpoint, strictly
@@ -777,14 +787,14 @@ def _rational_between(la: int, lb: int, ld: int, ha: int, hb: int, hd: int, k: i
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     A, B, E = la * hd + ha * ld, lb * hd + hb * ld, 2 * ld * hd
     if not B:
-        return Fraction(A, E)
+        return A, E
     for h, q in _convergents(k):
         num, den = A * q + B * h, E * q
         if (
             _pair_sign((num * ld - la * den, -lb * den), k) > 0
             and _pair_sign((ha * den - num * hd, hb * den), k) > 0
         ):
-            return Fraction(num, den)
+            return num, den
         qq = q * q
         if _pair_sign((qq * Wa - abs(B), qq * Wb), k) >= 0:
             raise SeparationBugError(

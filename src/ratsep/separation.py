@@ -26,7 +26,8 @@ correct by construction and by audit.
 Steps 3-5 run on the integer pairs that ``Vector`` stores.  Every norm
 bound comes from the enclosure kernel ``scalars._sqrt_bounds`` and
 every rounding from the rounding kernel ``scalars._rational_between``,
-so each rule is written once and these steps build no Surd.
+both as integers, so each rule is written once, these steps build no
+Surd, and each builds one Fraction or Vector per value it returns.
 """
 
 from __future__ import annotations
@@ -81,23 +82,30 @@ def norm_upper(v: Vector) -> Fraction:
     It is the upper end of ``scalars._sqrt_bounds``, the enclosure kernel
     of ``sqrt_enclosure``, on the pair <v.pairs, v.pairs> over v.m**2:
     ||v|| itself when it is rational, else the dyadic bound at
-    ``NORM_ENCLOSURE_TOL``.  No Surd or interval is built.
+    ``NORM_ENCLOSURE_TOL``.  No Surd or interval is built, and one
+    Fraction, from the integers of ``_norm_bound``.
     """
+    return Fraction(*_norm_bound(v))
+
+
+def _norm_bound(v: Vector) -> tuple[int, int]:
+    """``norm_upper(v)`` as integers (hi, den), den > 0."""
     k = v.field_k
     a, b = _pair_dot(v.pairs, v.pairs, k)
     _, hi, den = _sqrt_bounds(a, b, v.m * v.m, k, _NORM_J)
-    return Fraction(hi, den)
+    return hi, den
 
 
-def _rational_in(x: tuple[int, int], d: int, lo: tuple, hi: tuple, k: int) -> Fraction:
-    """x/d itself when rational, else a rational strictly between lo and hi.
+def _rational_in(x: tuple[int, int], d: int, lo: tuple, hi: tuple, k: int) -> tuple[int, int]:
+    """x/d itself when rational, else a rational strictly between lo and hi,
+    as integers (num, den) with den > 0.
 
     x is a pair (a, b) over d > 0, and lo < hi are (a, b, d) triples, all
     in Q(sqrt(k)); the rational comes from ``scalars._rational_between``,
     the rounding kernel of ``choose_rational_between``.
     """
     if not x[1]:
-        return Fraction(x[0], d)
+        return x[0], d
     return _rational_between(*lo, *hi, k)
 
 
@@ -155,7 +163,7 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
     if t_star.sign() <= 0:
         raise NotPointedError("ray cone admits no strictly separating direction")
     t = (t_star.a, t_star.b)
-    t_lo = _rational_in(t, t_star.d, (*t, 2 * t_star.d), (*t, t_star.d), t_star.k)
+    t_lo = Fraction(*_rational_in(t, t_star.d, (*t, 2 * t_star.d), (*t, t_star.d), t_star.k))
     ray_bounds = [norm_upper(r) for r in rays]
     share = t_lo / (2 * max(ray_bounds))
     d = rational_in_ball(d_star, share)
@@ -182,7 +190,9 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
     are the sign of t, that of <d, r>, and the sign of p^2 d.m^2 N - q^2 t^2,
     which is eps^2 ||r||^2 - <d, r>^2 times q^2 d.m^2 r.m^2 > 0.  A vertex
     term is <d.pairs, v.pairs> over d.m*v.m, rounded up by the rounding
-    kernel, plus eps times ``norm_upper(v)``.
+    kernel to xn/xd, plus eps times ``norm_upper(v)`` = hi/h, kept as the
+    integers (xn*q*h + p*hi*xd) over xd*q*h.  Terms compare by cross
+    multiplication, and the one Fraction built is the returned bound.
     """
     if C.dim != d.dim:
         raise DimensionMismatchError("direction dimension does not match the set")
@@ -198,15 +208,16 @@ def bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
         if _pair_sign(t, k) > 0 or _pair_sign(gap, k) > 0:
             raise ValueError("ball d + eps*B is not inside the barrier cone")
     sp, sq = _UPPER_SLACK.numerator, _UPPER_SLACK.denominator
-    best = Fraction(1)
+    top, den = 1, 1
     for v in C.vertices:
         a, b = x = _pair_dot(d.pairs, v.pairs, k)
         m = d.m * v.m
-        x_up = _rational_in(x, m, (a, b, m), (a * sq + sp * m, b * sq, m * sq), k)
-        term = x_up + eps * norm_upper(v)
-        if term > best:
-            best = term
-    return best
+        xn, xd = _rational_in(x, m, (a, b, m), (a * sq + sp * m, b * sq, m * sq), k)
+        hi, h = _norm_bound(v)
+        tn, td = xn * q * h + p * hi * xd, xd * q * h
+        if tn * den > top * td:
+            top, den = tn, td
+    return Fraction(top, den)
 
 
 def compute_wedge_parameters(
@@ -221,9 +232,12 @@ def compute_wedge_parameters(
     relies on while keeping all downstream arithmetic rational.
 
     ||y_bar||^2 is the one pair N = <y_bar.pairs, y_bar.pairs> over
-    y_bar.m^2.  q comes from the rounding kernel on [3N/4, N], and
-    delta_hat from the enclosure kernel at j = 2, 3, ... until its lower
-    end is positive, which is the enclosure at tol = 1/4, 1/8, ...
+    y_bar.m^2.  q comes from the rounding kernel on [3N/4, N] as
+    integers, and delta_hat from the enclosure kernel at j = 2, 3, ...
+    until its lower end is positive, which is the enclosure at
+    tol = 1/4, 1/8, ...  alpha, eps_bar and delta_hat are each one
+    Fraction built from integers, and d_bar is d's pairs times alpha's
+    numerator over d.m times its denominator (``Vector._make``).
     Raises ``DimensionMismatchError`` when y_bar and d differ in
     dimension, and ``ValueError`` for a zero y_bar, M <= 0 or eps <= 0.
     """
@@ -235,10 +249,11 @@ def compute_wedge_parameters(
     eps = _positive(eps, "eps")
     k, m2 = y_bar.field_k, y_bar.m * y_bar.m
     na, nb = n = _pair_dot(y_bar.pairs, y_bar.pairs, k)
-    q = _rational_in(n, m2, (3 * na, 3 * nb, 4 * m2), (na, nb, m2), k)
-    alpha = q / (3 * M)
-    d_bar = alpha * d
-    eps_bar = alpha * eps
+    qn, qd = _rational_in(n, m2, (3 * na, 3 * nb, 4 * m2), (na, nb, m2), k)
+    alpha = Fraction(qn * M.denominator, 3 * qd * M.numerator)
+    P, Q = alpha.numerator, alpha.denominator
+    d_bar = Vector._make(Q * d.m, [(P * a, P * b) for a, b in d.pairs], d.field_k)
+    eps_bar = Fraction(P * eps.numerator, Q * eps.denominator)
     j = 2
     while True:
         lo, _, den = _sqrt_bounds(na, nb, m2, k, j)
@@ -258,10 +273,14 @@ def wedge_interior_ball(
     the mixed ball (1-lam) x0 + lam (d_bar + eps_bar B) lies in both
     sets; its center and half its radius are returned, so that even the
     doubled ball stays inside -- the slack that lets a nearby rational
-    point be taken later without leaving the wedge.  The norm bound is
-    ``norm_upper``, so the enclosure kernel, and for lam = P/Q the
-    center is one integer combination of the pairs,
-    ((Q - P) d_bar.m x0.pairs + P x0.m d_bar.pairs) over Q x0.m d_bar.m.
+    point be taken later without leaving the wedge.  The norm bound
+    hi/h is ``norm_upper``'s, from the enclosure kernel, as integers, so
+    lam is one Fraction of integers, delta_hat * h * eps_bar.den over
+    (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den, and 1 when that
+    numerator is not below the denominator.  For lam = P/Q the center is
+    one integer combination of the pairs,
+    ((Q - P) d_bar.m x0.pairs + P x0.m d_bar.pairs) over Q x0.m d_bar.m,
+    and the radius one Fraction, P eps_bar.num over 2 Q eps_bar.den.
     Raises ``DimensionMismatchError`` when x0 and d_bar differ in
     dimension.
     """
@@ -269,8 +288,10 @@ def wedge_interior_ball(
         raise DimensionMismatchError("wedge base dimension does not match the residual")
     eps_bar = _positive(eps_bar, "eps_bar")
     delta_hat = _positive(delta_hat, "delta_hat")
-    reach = norm_upper(d_bar - x0)
-    lam = min(delta_hat / (reach + eps_bar), Fraction(1))
+    hi, h = _norm_bound(d_bar - x0)
+    en, ed = eps_bar.numerator, eps_bar.denominator
+    num, den = delta_hat.numerator * h * ed, (hi * ed + en * h) * delta_hat.denominator
+    lam = Fraction(num, den) if num < den else Fraction(1)
     P, Q = lam.numerator, lam.denominator
     k = Surd._k_with(x0.field_k, d_bar.field_k)
     s, t = (Q - P) * d_bar.m, P * x0.m
@@ -279,7 +300,7 @@ def wedge_interior_ball(
         [(s * a + t * c, s * b + t * e) for (a, b), (c, e) in zip(x0.pairs, d_bar.pairs)],
         k,
     )
-    radius = lam * eps_bar / 2
+    radius = Fraction(P * en, 2 * Q * ed)
     return center, radius
 
 
@@ -315,7 +336,11 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
         alpha, d_bar, eps_bar, delta_hat = compute_wedge_parameters(y_bar, M, d, eps)
         fields.update(alpha=alpha, d_bar=d_bar, eps_bar=eps_bar, delta_hat=delta_hat)
         center, radius = wedge_interior_ball(y_bar, d_bar, eps_bar, delta_hat)
-        fields.update(lam=2 * radius / eps_bar, ball_center=center, ball_radius=radius)
+        # lam = 2 * radius / eps_bar, built once from the integers
+        lam = Fraction(
+            2 * radius.numerator * eps_bar.denominator, radius.denominator * eps_bar.numerator
+        )
+        fields.update(lam=lam, ball_center=center, ball_radius=radius)
         fields["a"] = a = rational_in_ball(center, radius)
 
         if a.is_zero():
@@ -323,10 +348,9 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
         sX = support_value(X, a)
         if not sX.is_finite:
             raise SeparationBugError("wedge normal has infinite support value", fields)
-        rhs = a.dot(y_tilde)
-        if (rhs - sX.value).sign() <= 0:
+        if a.dot_sign(y_tilde, sX.value) <= 0:
             raise SeparationBugError("strict separation inequality failed", fields)
-        beta = choose_rational_between(sX.value, rhs)
+        beta = choose_rational_between(sX.value, a.dot(y_tilde))
     except ValueError as exc:
         raise SeparationBugError(
             f"a step after validation raised {type(exc).__name__}: {exc}", fields

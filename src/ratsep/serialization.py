@@ -108,6 +108,18 @@ def fraction_to_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# The most characters of a malformed value that an error message echoes.
+_SHOWN = 40
+
+
+def _shown(value) -> str:
+    """repr(value) as an error message shows it: whole up to ``_SHOWN``
+    characters, else its first ``_SHOWN`` and its length, so that the
+    message stays short whatever the input holds."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
 def _object(obj, what: str, required: tuple[str, ...], optional: tuple[str, ...] | None) -> dict:
     """obj, checked to be an object with every ``required`` key and no key
     outside ``optional`` (None: any), each fault reported by name."""
@@ -119,7 +131,7 @@ def _object(obj, what: str, required: tuple[str, ...], optional: tuple[str, ...]
     if optional is not None:
         extra = set(obj).difference(required, optional)
         if extra:
-            raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+            raise ValueError(f"unknown {what} fields: {_shown(sorted(extra))}")
     return obj
 
 
@@ -143,7 +155,7 @@ def parse_fraction(obj, digits: int | None = None) -> Fraction:
     the digits ``int()`` converts (``sys.get_int_max_str_digits``), both
     checked before ``int()`` runs."""
     if isinstance(obj, bool):
-        raise ValueError(f"not a rational: {obj!r}")
+        raise ValueError(f"not a rational: {_shown(obj)}")
     if isinstance(obj, int):
         if digits is not None and abs(obj) >= 10**digits:
             raise ValueError(_DIGITS.format(digits))
@@ -151,7 +163,7 @@ def parse_fraction(obj, digits: int | None = None) -> Fraction:
     if isinstance(obj, str):
         text = obj.strip()
         if not _FRACTION.fullmatch(text):
-            raise ValueError(f"not a rational: {obj!r}")
+            raise ValueError(f"not a rational: {_shown(obj)}")
         num, sep, den = text.partition("/")
         longest = max(len(num.lstrip("-")), len(den))
         if digits is not None and longest > digits:
@@ -164,8 +176,8 @@ def parse_fraction(obj, digits: int | None = None) -> Fraction:
                 return Fraction(int(num), int(den))
             return Fraction(int(num))
         except ZeroDivisionError as exc:
-            raise ValueError(f"not a rational: {obj!r}") from exc
-    raise ValueError(f"not a rational: {obj!r}")
+            raise ValueError(f"not a rational: {_shown(obj)}") from exc
+    raise ValueError(f"not a rational: {_shown(obj)}")
 
 
 def coord_to_json(c: Surd):
@@ -180,9 +192,9 @@ def _field(k, fields: set[int]) -> int:
     ``fields``, the fields already checked in the document being read, and
     adds k to it."""
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"field k must be an integer, got {k!r}")
+        raise ValueError(f"field k must be an integer, got {_shown(k)}")
     if k > MAX_FIELD_K:
-        raise ValueError(f"field k must be at most {MAX_FIELD_K}, got {k}")
+        raise ValueError(f"field k must be at most {MAX_FIELD_K}, got {_shown(k)}")
     if k not in fields:
         _check_field(k)
         fields.add(k)
@@ -235,7 +247,7 @@ def parse_polyhedron(obj, *, _fields: set[int] | None = None) -> VPolyhedron:
     if "dim" in obj:
         dim = obj["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ValueError(f"declared dim must be an integer, got {dim!r}")
+            raise ValueError(f"declared dim must be an integer, got {_shown(dim)}")
         if dim != P.dim:
             raise ValueError(f"declared dim {dim} but coordinates have dim {P.dim}")
     if "k" in obj:
@@ -310,7 +322,7 @@ def check_count(value, name: str, bound: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
     if value > bound:
-        raise ValueError(f"{name} must be at most {bound}, got {value}")
+        raise ValueError(f"{name} must be at most {bound}, got {_shown(value)}")
     return value
 
 

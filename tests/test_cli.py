@@ -426,6 +426,37 @@ def test_plot_reads_cut_digits_up_to_the_interpreters_limit(tmp_path, capsys, ov
         assert err == f"error: {message}\n" and len(err) < 100
 
 
+@pytest.mark.parametrize(
+    "command, part, shown",
+    [
+        ("plot", "1" * 5000 + "x", "'" + "1" * 39 + "... (5003 characters)"),
+        ("separate", "1" * 3000 + "y", "'" + "1" * 39 + "... (3003 characters)"),
+        ("plot", "1x", "'1x'"),
+        ("separate", "1/2/3", "'1/2/3'"),
+    ],
+    ids=["plot-cut", "separate-point", "plot-cut-short", "separate-point-short"],
+)
+def test_a_malformed_number_is_echoed_up_to_40_characters(
+    tmp_path, capsys, command, part, shown
+):
+    # a cut's part or a --point coordinate that is no rational: the error
+    # shows a short value whole, and of a long one its first 40 characters
+    # and its length, so the message stays short however long the input
+    path = tmp_path / "tri.json"
+    path.write_text(README_TRIANGLE, encoding="utf-8")
+    argv = [command, "--instance", str(path)]
+    if command == "plot":
+        cuts_path = tmp_path / "cuts.json"
+        cuts = {"cuts": [{"a": [part, "1"], "beta": "1"}]}
+        cuts_path.write_text(json.dumps(cuts), encoding="utf-8")
+        argv += ["--cuts", str(cuts_path), "--out", str(tmp_path / "plot.svg")]
+    else:
+        argv += ["--point", json.dumps([part, "1"])]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == "" and len(err) < 150
+    assert err == f"error: not a rational: {shown}\n"
+
+
 def test_plot_reads_the_output_of_approximate(tmp_path, capsys):
     # the --cuts file may hold "excess" beside "cuts", as approximate writes it
     inst = ser.Instance(

@@ -76,3 +76,32 @@ def test_code_lines_on_the_package():
     total = counts.pop("total")
     assert total == sum(counts.values())
     assert 0 < total < sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
+
+
+def run_ab_separate(against: Path):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_separate.py"), "--against", str(against),
+         "--count", "4", "--rounds", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_ab_separate_against_the_checkout_itself():
+    done = run_ab_separate(ROOT)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["separate_rays:", "separate_bigk:"]
+    assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
+
+
+def test_ab_separate_fails_on_a_different_certificate(tmp_path):
+    # a copy of the package whose separate returns beta + 1 must not pass
+    shutil.copytree(ROOT / "src" / "ratsep", tmp_path / "src" / "ratsep")
+    module = tmp_path / "src" / "ratsep" / "separation.py"
+    source = module.read_text()
+    done_line = "return Certificate(a, beta),"
+    assert source.count(done_line) == 1
+    module.write_text(source.replace(done_line, "return Certificate(a, beta + 1),"))
+    done = run_ab_separate(tmp_path)
+    assert done.returncode == 1
+    assert done.stderr == "separate_rays: instance 0 differs between the trees\n"

@@ -347,6 +347,14 @@ def support_bound_inputs(draw):
 
 
 @given(support_bound_inputs())
+@example(
+    (
+        VPolyhedron((Vector([Surd(1, F(1, 2), 1000003), F(-3, 4)]), Vector([0, F(5, 3)]))),
+        Vector.zero(2),
+        F(1),
+        "random",
+    )
+)
 def test_support_bound_matches_surd_reference(inputs):
     C, d, eps, kind = inputs
     raised = matches_reference(bound_support_on_ball, surd_bound_support_on_ball, C, d, eps)

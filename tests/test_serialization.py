@@ -292,6 +292,29 @@ def test_parse_rejects_unknown_fields_by_name(parse, obj, key):
         parse(obj)
 
 
+LONG_DIGITS = int("9" * 4000)
+
+
+@pytest.mark.parametrize(
+    "parse, obj",
+    [
+        (ser.parse_polyhedron, {**SET, "k": LONG_DIGITS}),
+        (ser.parse_polyhedron, {**SET, "k": "2" * 4000}),
+        (ser.parse_polyhedron, {**SET, "dim": "2" * 4000}),
+        (ser.parse_polyhedron, {**SET, "x" * 5000: 1}),
+        (ser.parse_instance, {"set": SET, "options": {"budget": LONG_DIGITS}}),
+        (ser.parse_coord, {"r": "1" * 5000 + "x"}),
+    ],
+    ids=["k-digits", "k-string", "dim-string", "unknown-field", "budget-digits", "coord-part"],
+)
+def test_a_long_value_is_echoed_up_to_40_characters(parse, obj):
+    # the message shows the value's first 40 characters and its length
+    with pytest.raises(ValueError) as raised:
+        parse(obj)
+    message = str(raised.value)
+    assert len(message) < 120 and message.endswith(" characters)")
+
+
 def test_max_den_and_grid_limits():
     assert ser.check_count(ser.MAX_DEN, "options.max_den", ser.MAX_DEN) == ser.MAX_DEN
     with pytest.raises(ValueError, match="at most"):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from itertools import combinations
 from random import Random
@@ -31,6 +32,7 @@ from helpers import (
     lp_is_pointed,
     lp_membership,
     rand_rational_vector,
+    rand_vector,
     random_nonpointed_rays,
     random_pointed_polyhedron,
     random_pointed_rays,
@@ -193,7 +195,7 @@ def test_projection_beats_random_points():
 @settings(max_examples=100)
 @given(
     dim=st.integers(2, 5),
-    k=st.sampled_from([1, 2]),
+    k=st.sampled_from([1, 2, 1000003]),
     extra=st.integers(0, 2),
     n_rays=st.integers(0, 2),
     where=st.sampled_from(["vertex", "facet", "edge"]),
@@ -264,6 +266,52 @@ def test_support_translation_identity():
         assert sX.is_finite == sC.is_finite
         if sX.is_finite:
             assert sX.value == sC.value + a.dot(z)
+
+
+def moved_by_hand(P: VPolyhedron, offset: Vector) -> VPolyhedron:
+    """P moved by offset through the checked constructor, the reference
+    for ``translated``."""
+    return VPolyhedron(tuple(v + offset for v in P.vertices), P.rays)
+
+
+@pytest.mark.parametrize("k", [1, 2, 1000003])
+def test_translated_matches_the_checked_constructor(k):
+    rng = Random(43)
+    for _ in range(12):
+        dim = rng.choice([2, 3])
+        P = random_pointed_polyhedron(rng, dim, k, rng.randint(1, 4), rng.randint(0, 2))
+        offset = rand_vector(rng, dim, k)
+        moved, want = P.translated(offset), moved_by_hand(P, offset)
+        assert (moved.vertices, moved.rays, moved.field_k) == (
+            want.vertices, want.rays, want.field_k
+        )
+        assert is_pointed(moved) and membership(moved, moved.vertices[-1])
+
+
+def test_translated_works_out_the_field_of_the_moved_vertices():
+    # the sqrt(2) parts cancel, so the moved set is rational
+    P = VPolyhedron((Vector([SQ2, 0]), Vector([1 + SQ2, 1])))
+    moved = P.translated(Vector([-SQ2, 0]))
+    assert moved.field_k == moved_by_hand(P, Vector([-SQ2, 0])).field_k == 1
+    assert moved == VPolyhedron((Vector([0, 0]), Vector([1, 1])))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        VPolyhedron((Vector([SQ2, 0]), Vector([0, 1]))),
+        VPolyhedron((Vector([0, 0]),), (Vector([1, SQ2]),)),
+    ],
+    ids=["sqrt2-vertex", "sqrt2-ray"],
+)
+@pytest.mark.parametrize(
+    "offset", [Vector([1, 2, 3]), Vector([Surd.root(3), 0])], ids=["dim-3", "sqrt3"]
+)
+def test_translated_raises_as_the_checked_constructor_does(P, offset):
+    with pytest.raises(ValueError) as want:
+        moved_by_hand(P, offset)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        P.translated(offset)
 
 
 def test_support_zero_at_residual_after_centering():
