@@ -19,12 +19,14 @@ The five stages of ``separate`` (project, barrier, bound, wedge,
 witness) are timed one at a time on the inputs that one ``separate`` run
 gave them, as that run's trace records them, for the README triangle's
 probe (3/2, 3/2), for the 3-D set with rays and for a triangle over
-Q(sqrt 1000003) with no rays.  The bound stage includes moving the set
-by the projection, ``VPolyhedron.translated``, as ``separate`` does.
-Each round's set-up builds a fresh set and runs ``is_pointed`` on it,
-as validation does before every stage: the margin LP is timed by its
-own case, and the projection is timed by the project stage, not read
-back from the memo that validation's ``membership`` call would leave.
+Q(sqrt 1000003) with no rays.  The step between the project and the
+bound stages, moving the set by -z (``VPolyhedron.translated``), is
+timed as a sixth case, translate, so the bound stage times the bound
+alone.  Each round's set-up builds a fresh set and runs ``is_pointed``
+on it, as validation does before every stage: the margin LP is timed
+by its own case, and the projection is timed by the project stage, not
+read back from the memo that validation's ``membership`` call would
+leave.
 
 The approximation loop is timed over the README instance's probes and
 over the 200 probes of the benchmark's unshifted triangle sweep, and
@@ -172,10 +174,9 @@ def validated(P: VPolyhedron) -> VPolyhedron:
     return X
 
 
-def bound(X, z, d, eps):
-    """The bound stage as ``separate`` runs it: the set moved by -z, then
-    the support bound on the ball d + eps*B."""
-    return bound_support_on_ball(X.translated(-z), d, eps)
+def translate(X, z):
+    """The set moved by -z, as ``separate`` moves it for the bound stage."""
+    return X.translated(-z)
 
 
 def wedge(y_bar, M, d, eps):
@@ -192,16 +193,22 @@ def witness(X, y, center, radius):
 
 
 @pytest.mark.parametrize("case", STAGE_POINTS)
-@pytest.mark.parametrize("stage", ["project", "barrier", "bound", "wedge", "witness"])
+@pytest.mark.parametrize(
+    "stage", ["project", "translate", "barrier", "bound", "wedge", "witness"]
+)
 def test_pipeline_stage(benchmark, stage, case):
     """One stage of ``separate`` on the inputs a ``separate`` run gave it,
     on a fresh set whose pointedness is already decided."""
     P, y = STAGE_POINTS[case]
     cert, tr = separate(fresh(P), y)
+    X_moved = P.translated(-tr.z_tilde)
     run, inputs, expected = {
         "project": (project, lambda X: (X, y), tr.z_tilde),
+        "translate": (translate, lambda X: (X, tr.z_tilde), X_moved),
         "barrier": (find_barrier_direction, lambda X: (X,), (tr.d, tr.eps)),
-        "bound": (bound, lambda X: (X, tr.z_tilde, tr.d, tr.eps), tr.M),
+        "bound": (
+            bound_support_on_ball, lambda X: (X.translated(-tr.z_tilde), tr.d, tr.eps), tr.M
+        ),
         "wedge": (
             wedge, lambda X: (tr.y_bar, tr.M, tr.d, tr.eps), (tr.ball_center, tr.ball_radius)
         ),

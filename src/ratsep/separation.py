@@ -237,7 +237,9 @@ def compute_wedge_parameters(
     until its lower end is positive, which is the enclosure at
     tol = 1/4, 1/8, ...  alpha, eps_bar and delta_hat are each one
     Fraction built from integers, and d_bar is d's pairs times alpha's
-    numerator over d.m times its denominator (``Vector._make``).
+    numerator over d.m times its denominator (``Vector._make``); written
+    as ``alpha * d`` and ``alpha * eps`` they cost ~3% more of a call
+    over Q(sqrt 1000003).
     Raises ``DimensionMismatchError`` when y_bar and d differ in
     dimension, and ``ValueError`` for a zero y_bar, M <= 0 or eps <= 0.
     """
@@ -315,7 +317,9 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
     Once the input has passed validation, a ``ValueError`` from any later
     step (a ``NotPointedError`` from the barrier step included) is such a
     bug too, and is raised again as SeparationBugError with the fields
-    computed so far.
+    computed so far.  The trace's lam, 2 * radius / eps_bar, is one
+    Fraction of their integers: a Fraction division would cost ~2% of a
+    call over Q(sqrt 1000003).
     """
     if X.dim != y_tilde.dim:
         raise DimensionMismatchError("point dimension does not match the set")
@@ -336,7 +340,6 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
         alpha, d_bar, eps_bar, delta_hat = compute_wedge_parameters(y_bar, M, d, eps)
         fields.update(alpha=alpha, d_bar=d_bar, eps_bar=eps_bar, delta_hat=delta_hat)
         center, radius = wedge_interior_ball(y_bar, d_bar, eps_bar, delta_hat)
-        # lam = 2 * radius / eps_bar, built once from the integers
         lam = Fraction(
             2 * radius.numerator * eps_bar.denominator, radius.denominator * eps_bar.numerator
         )

@@ -72,15 +72,6 @@ class SupportValue:
         return "SupportValue(+inf)" if self.value is None else f"SupportValue({self.value})"
 
 
-def _field_of(vertices, rays) -> int:
-    """The one field k of the generators, 1 when they are rational;
-    ``ValueError`` for two different irrational fields."""
-    try:
-        return reduce(Surd._k_with, (g.field_k for g in (*vertices, *rays)), 1)
-    except ValueError:
-        raise ValueError("generators mix different quadratic fields") from None
-
-
 @dataclass(frozen=True)
 class VPolyhedron:
     """conv(vertices) + cone(rays), at least one vertex, rays nonzero.
@@ -105,24 +96,18 @@ class VPolyhedron:
         for r in self.rays:
             if r.is_zero():
                 raise ValueError("rays must be nonzero")
-        object.__setattr__(self, "field_k", _field_of(self.vertices, self.rays))
+        try:
+            k = reduce(Surd._k_with, (g.field_k for g in (*self.vertices, *self.rays)), 1)
+        except ValueError:
+            raise ValueError("generators mix different quadratic fields") from None
+        object.__setattr__(self, "field_k", k)
 
     @property
     def dim(self) -> int:
         return self.vertices[0].dim
 
     def translated(self, offset: Vector) -> "VPolyhedron":
-        """The set moved by offset: vertices v + offset, the same rays.
-
-        The checks of ``__post_init__`` hold already and are not run
-        again: ``Vector._combine`` checks each sum's dimension, and the
-        rays were checked nonzero when this set was built.  ``field_k`` is
-        worked out from the new vertices, whose sqrt(k) parts can cancel.
-        """
-        vertices = tuple(v + offset for v in self.vertices)
-        P = object.__new__(VPolyhedron)
-        vars(P).update(vertices=vertices, rays=self.rays, field_k=_field_of(vertices, self.rays))
-        return P
+        return VPolyhedron(tuple(v + offset for v in self.vertices), self.rays)
 
     @cached_property
     def facet_description(self) -> "FacetDescription":
@@ -284,24 +269,20 @@ def _check_dims(P: VPolyhedron, x: Vector):
 def support_value(P: VPolyhedron, a: Vector) -> SupportValue:
     """sup <a, x> over P: +inf when a ray points uphill, else the vertex max.
 
-    Ties between equal-support vertices resolve to the lowest index.  The
-    value is the one Surd built from ``_highest_vertex``'s integers.
+    Ties between equal-support vertices resolve to the lowest index.
     """
     _check_dims(P, a)
     if not polar_cone_contains(P.rays, a):
         return SupportValue(None)
-    _, x, den = _highest_vertex(P, a)
-    return SupportValue(Surd._make(*x, den, Surd._k_with(a.field_k, P.field_k)))
+    return SupportValue(_highest_vertex(P, a)[1])
 
 
-def _highest_vertex(P: VPolyhedron, a: Vector) -> tuple[int, tuple[int, int], int]:
-    """(i, x, den) for the vertex v_i of P that maximizes <a, v>, the
-    lowest index on ties, and <a, v_i> = x/den as the integer pair x over
-    den = a.m * v_i.m > 0.
+def _highest_vertex(P: VPolyhedron, a: Vector) -> tuple[int, Surd]:
+    """(i, <a, v_i>) for the vertex v_i of P that maximizes <a, v>, the
+    lowest index on ties.
 
     <a, v> is the pair dot over a.m * v.m; candidates compare by cross
-    multiplication with the positive denominators.  Only integers are
-    built; each caller builds what it needs from them.
+    multiplication with the positive denominators, and one Surd is built.
     """
     k = Surd._k_with(a.field_k, P.field_k)
     vertices = P.vertices
@@ -311,7 +292,7 @@ def _highest_vertex(P: VPolyhedron, a: Vector) -> tuple[int, tuple[int, int], in
         c = _pair_dot(a.pairs, v.pairs, k)
         if _pair_sign((c[0] * m - best[0] * v.m, c[1] * m - best[1] * v.m), k) > 0:
             top, best, m = i, c, v.m
-    return top, best, a.m * m
+    return top, Surd._make(*best, a.m * m, k)
 
 
 def _nearest_vertex(P: VPolyhedron, y: Vector) -> int:
@@ -397,10 +378,7 @@ def _nearest(P: VPolyhedron, y: Vector) -> Vector:
     every ray and <g, v> <= <g, z> for every vertex.  Otherwise the first
     ray with <g, r> > 0 enters the corral, or, if there is none, the
     vertex that maximizes <g, v>.  Minor cycles (``_minor_cycles``) then
-    make z the nearest point of the new corral's affine hull.  The vertex
-    test, the stop test, is one ``_pair_sign`` of cross-multiplied
-    integers: ``_highest_vertex`` gives max <g, v> as a pair over its
-    denominator, and <g, z> is the pair dot over g.m * z.m.
+    make z the nearest point of the new corral's affine hull.
 
     Each major cycle strictly lowers ||y - z||, and z is determined by
     the corral, so no corral repeats.  More major cycles than there are
@@ -420,7 +398,6 @@ def _nearest(P: VPolyhedron, y: Vector) -> Vector:
     vertices, rays = P.vertices, P.rays
     nv, nr = len(vertices), len(rays)
     gens = (*vertices, *rays)
-    k = Surd._k_with(y.field_k, P.field_k)
     start = _nearest_vertex(P, y)
     z, weights = vertices[start], {start: _ONE}
     cycles = sum(comb(nv + nr, s) - comb(nr, s) for s in range(1, P.dim + 2))
@@ -428,10 +405,8 @@ def _nearest(P: VPolyhedron, y: Vector) -> Vector:
         g = y - z
         enter = next((nv + j for j, r in enumerate(rays) if g.dot_sign(r) > 0), None)
         if enter is None:
-            enter, (ta, tb), den = _highest_vertex(P, g)
-            ga, gb = _pair_dot(g.pairs, z.pairs, k)
-            m = g.m * z.m
-            if _pair_sign((ga * den - ta * m, gb * den - tb * m), k) >= 0:
+            enter, top = _highest_vertex(P, g)
+            if g.dot_sign(z, top) >= 0:
                 vars(P)["_last_nearest"] = (y, z)
                 return z
         weights[enter] = _ZERO
