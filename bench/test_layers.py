@@ -329,10 +329,21 @@ def test_facet_description_with_rays(benchmark):
     assert len(description.facets) == 2
 
 
-def test_is_pointed_margin_lp(benchmark):
+# the 3-D set's rays are rational, so its margin LP runs on plain ints;
+# the same set with one ray's z-coordinate sqrt(2) runs it on pairs
+MARGIN_LP_SETS = {
+    "rational": RAYS_3D,
+    "sqrt2": VPolyhedron(RAYS_3D.vertices, (Vector([1, 0, SQ2]), RAYS_3D.rays[1])),
+}
+
+
+@pytest.mark.parametrize("case", MARGIN_LP_SETS)
+def test_is_pointed_margin_lp(benchmark, case):
     """``is_pointed`` on a new 3-D set with rays: one margin LP, the
-    simplex's layer."""
-    pointed = timed(benchmark, is_pointed, setup=lambda: ((fresh(RAYS_3D),), {}))
+    simplex's layer, on ints for rational rays and on pairs otherwise."""
+    P = MARGIN_LP_SETS[case]
+    assert (P.rays[0].field_k == 1) == (case == "rational")
+    pointed = timed(benchmark, is_pointed, setup=lambda: ((fresh(P),), {}))
     assert pointed
 
 

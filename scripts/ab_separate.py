@@ -12,9 +12,13 @@ each tree, outside the timed call, and times ``separate`` in both trees
 on it, the tree that goes first alternating from call to call, so a
 machine whose speed drifts or flips slows both sides alike.
 
-Every call's certificate and trace must serialize to the same bytes in
-both trees; the first difference exits 1.  Otherwise each workload's
-line gives the two total times and their ratio, this checkout over DIR.
+Each timed call first runs ``is_pointed`` on the fresh set, which solves
+the set's margin LP and keeps it, and then ``separate``, which reads the
+kept LP, so the LP is also timed on its own.  Every call's certificate
+and trace must serialize to the same bytes in both trees; the first
+difference exits 1.  Otherwise each workload's line gives the two total
+times of ``separate``, the LP included, and their ratio, this checkout
+over DIR, and then the same for the margin LP alone.
 """
 
 import argparse
@@ -39,15 +43,18 @@ def load(name: str, path: Path):
     return module
 
 
-def timed_call(r, obj) -> tuple[float, str]:
-    """Seconds of one ``separate`` on a freshly parsed instance, and the
-    canonical JSON of its certificate and trace."""
+def timed_call(r, obj) -> tuple[float, float, str]:
+    """Seconds of one ``separate`` on a freshly parsed instance, its margin
+    LP included, the seconds of that LP alone, and the canonical JSON of
+    the certificate and trace."""
     ser = importlib.import_module(f"{r.__name__}.serialization")
     inst = ser.parse_instance(obj)
     t0 = perf_counter()
+    r.is_pointed(inst.polyhedron)
+    t1 = perf_counter()
     cert, trace = r.separate(inst.polyhedron, inst.point)
-    seconds = perf_counter() - t0
-    return seconds, ser.dumps(
+    t2 = perf_counter()
+    return t2 - t0, t1 - t0, ser.dumps(
         {"certificate": ser.certificate_to_json(cert), "trace": ser.trace_to_json(trace)}
     )
 
@@ -65,19 +72,22 @@ def main(argv=None) -> int:
     gen = load("perfbench_gen", ROOT / "perfbench" / "gen.py")
     for workload in WORKLOADS:
         instances = getattr(gen, workload)(args.seed, args.count)
-        totals = [0.0, 0.0]
+        totals, lp = [0.0, 0.0], [0.0, 0.0]
         for rnd in range(args.rounds):
             for i, obj in enumerate(instances):
                 order = (0, 1) if (i + rnd) % 2 == 0 else (1, 0)
                 out = {}
                 for side in order:
-                    seconds, out[side] = timed_call(trees[side], obj)
+                    seconds, lp_seconds, out[side] = timed_call(trees[side], obj)
                     totals[side] += seconds
+                    lp[side] += lp_seconds
                 if out[0] != out[1]:
                     print(f"{workload}: instance {i} differs between the trees", file=sys.stderr)
                     return 1
-        print(f"{workload}: this {totals[0]:.3f} s, against {totals[1]:.3f} s, "
-              f"ratio {totals[0] / totals[1]:.3f} over {args.rounds} x {len(instances)} calls")
+        calls = f"over {args.rounds} x {len(instances)} calls"
+        for name, (this, against) in ((workload, totals), (f"{workload}.margin_lp", lp)):
+            print(f"{name}: this {this:.3f} s, against {against:.3f} s, "
+                  f"ratio {this / against:.3f} {calls}")
     return 0
 
 

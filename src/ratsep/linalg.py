@@ -1,9 +1,9 @@
-"""Exact dense linear algebra and linear programming over Q(sqrt(k)).
+"""Exact dense linear algebra and the margin LP over Q(sqrt(k)).
 
 One fraction-free pivot, ``_pivot``, is the only row-reduction step
-(Edmonds 1967; Bareiss, Math. Comp. 1968).  One intake, ``_tableau``,
-reads each row [*row, b] of ints, Fractions or Surds, for the solver and
-the simplex alike, and scales it once by the lcm of its entries'
+(Edmonds 1967; Bareiss, Math. Comp. 1968).  The solver's intake,
+``_tableau``, reads each row [*row, b] of ints, Fractions or Surds and
+scales it once by the lcm of its entries'
 denominators, so that every entry lies in Z[sqrt(k)], and keeps it there
 as an integer pair (see ``scalars``); no Surd is built on the way in, a
 ``Vector`` row enters as the pairs it already stores, and the results
@@ -22,38 +22,44 @@ pivot row first brought up to D as y*D/at[r]: that is the eager pivot
 of the eager row x*D/a, so it is the row the eager pivot holds, and the
 division is exact.  Every division is checked: a remainder raises
 ``SeparationBugError``.  Every scale is positive, so every sign is a
-true sign, read off integers.
+true sign, read off integers.  Rows over Q may be plain ints instead of
+pairs, and the pivot runs on them the same way, with the same checks.
 
 Elimination built on the pivot solves the small linear systems of the
-projection step.  A one-phase simplex with Bland's rule, built on the
-same pivot, solves the margin LP of ``sets``, the pointedness test, on a
-fraction-free dictionary, as in Avis & Fukuda's reverse-search vertex
-enumeration (lrs; Discrete Comput. Geom. 8, 1992): the tableau keeps the
-nonbasic columns and the right-hand side, labelled with variable indices,
-and no slack columns, because the full tableau holds D times a unit
-vector in every basic column.  Scaling a row by a positive integer
-changes no sign and no ratio, so every Bland choice, and with it the
-pivot sequence and the optimum, is that of the textbook tableau over the
-field.  "Optimal" and "unbounded" are decisions, not estimates.  Problem
-sizes here are desk scale (a dozen variables).
+projection step.  The one LP the program solves is the margin LP of
+``sets``, the pointedness test and the barrier step's direction, and
+``simplex_max`` solves it and nothing more general: a one-phase simplex
+with Bland's rule, built on the same pivot, on a fraction-free
+dictionary read straight off the rays' pairs, as in Avis & Fukuda's
+reverse-search vertex enumeration (lrs; Discrete Comput. Geom. 8, 1992):
+the tableau keeps the nonbasic columns and the right-hand side,
+labelled with variable indices, and no slack columns, because the full
+tableau holds D times a unit vector in every basic column.  Its rows are
+plain ints when every ray is rational.  Scaling a row by a positive
+integer changes no sign and no ratio, so every Bland choice, and with it
+the pivot sequence and the optimum, is that of the textbook tableau over
+the field (``tests/helpers.surd_simplex_max``).  Problem sizes here are
+desk scale (a few dozen variables).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
+from .errors import SeparationBugError
 from .scalars import (
     Surd,
+    Vector,
     _pair_mul,
     _pair_quotients,
+    _pair_reciprocal,
     _pair_row,
     _pair_sign,
     _pair_surd,
     _surd_parts,
 )
 
-__all__ = ["LPResult", "simplex_max", "solve_linear_system"]
+__all__ = ["simplex_max", "solve_linear_system"]
 
 _ZERO = Surd(0)
 _PAIR_ONE = (1, 0)
@@ -79,12 +85,29 @@ def _tableau(rows, rhs) -> tuple[list[list[tuple[int, int]]], int]:
     return T, k
 
 
-def _pivot(T, at, r, c, D, k) -> tuple[int, int]:
-    """Fraction-free pivot of the pair rows ``T`` on entry (r, c), in
-    place, from the current pivot entry ``D``; returns the new one, p.
+def _int_quotients(xs: list[int], d: int) -> list[int]:
+    """The quotients x / d for ints x that d divides; a remainder, which
+    the pivot's algebra rules out, raises ``SeparationBugError``."""
+    if d == 1:
+        return xs
+    out = []
+    for x in xs:
+        q, rem = divmod(x, d)
+        if rem:
+            raise SeparationBugError(f"division by {d} in Z left a remainder")
+        out.append(q)
+    return out
+
+
+def _pivot(T, at, r, c, D, k):
+    """Fraction-free pivot of the rows ``T`` on entry (r, c), in place,
+    from the current pivot entry ``D``; returns the new one, p.  The rows
+    hold integer pairs of Z[sqrt(k)], or plain ints when D is an int.
     The rows and their scales ``at`` are lazy, as the module docstring
     states: afterwards every row the pivot wrote, the pivot row included,
     is held over p."""
+    if type(D) is int:
+        return _int_pivot(T, at, r, c, D)
     prow = T[r]
     if at[r] != D:
         prow = T[r] = _pair_quotients([_pair_mul(y, D, k) for y in prow], at[r], k)
@@ -99,6 +122,21 @@ def _pivot(T, at, r, c, D, k) -> tuple[int, int]:
         ]
         T[i] = _pair_quotients(combined, at[i], k)
         at[i] = p
+    at[r] = p
+    return p
+
+
+def _int_pivot(T, at, r, c, D) -> int:
+    """``_pivot`` on rows of ints."""
+    prow = T[r]
+    if at[r] != D:
+        prow = T[r] = _int_quotients([y * D for y in prow], at[r])
+    p = prow[c]
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            T[i] = _int_quotients([p * x - f * y for x, y in zip(row, prow)], at[i])
+            at[i] = p
     at[r] = p
     return p
 
@@ -146,87 +184,98 @@ def solve_linear_system(rows, rhs) -> list[Surd]:
     return x
 
 
-@dataclass(frozen=True)
-class LPResult:
-    """The simplex's verdict, "optimal" or "unbounded", and for "optimal"
-    an optimal point x; the optimum is c.x at that point."""
+def simplex_max(rays) -> tuple[Vector, Surd]:
+    """The margin LP of nonzero ``rays`` (``Vector``s of one dimension n):
+    (d*, t*) maximizing t subject to <d, r> + t <= 0 per ray and
+    ||d||_inf <= 1, with d = p - q and 0 <= p, q <= 1.
 
-    status: str
-    x: tuple[Surd, ...] = ()
-
-
-def simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
-    """Maximize c.x subject to A_ub x <= b_ub and x >= 0, where b_ub >= 0.
-
-    All entries may be int, Fraction or Surd, and a row of A_ub may be a
-    ``Vector``, whose pairs are read as they are; the returned solution
-    has Surd entries.  With b_ub >= 0 the slack basis is feasible from the
-    start, so one phase suffices; a negative b_ub entry raises
-    ValueError.  Variable j < n is x_j and variable n + i the slack of
-    constraint i.  The tableau is a fraction-free dictionary (Avis &
-    Fukuda, Discrete Comput. Geom. 8, 1992): one row per constraint and
-    one for the objective [*c, 0], each scaled by a positive integer, and
-    one column per nonbasic variable plus the right-hand side; ``basis``
-    and ``nonbasic`` label the rows and columns with variables.  A basic
-    variable's column in the full tableau is D times a unit vector, so it
-    is not stored.  The rows are lazy (see the module docstring).  A
-    pivot on (r, c) is ``_pivot`` on the dictionary, objective included,
-    and then column c becomes the leaving variable's column of the full
-    tableau: the previous D in row r, 0 in every row the pivot left
-    alone, and -f*D/a in every row it rewrote, where f was that row's
-    entry of column c over a = at[i].  Bland's rule: the entering column
-    is the nonbasic variable of smallest index with positive reduced
-    cost, the leaving row the minimum ratio with the smallest basic
-    index, which guarantees termination.  Every pivot entry is positive
-    over the previous one, so D and every at[i] stay positive: signs of
-    stored entries are true signs, and the ratios T_i/t_i and T_l/t_l of
-    two candidate rows, each taken within its own row and so free of its
-    scale, compare as T_i*t_l and T_l*t_i.  The solution reads T_i over
-    at[i]; the optimum is c.x there.
+    The dictionary is built straight from each ray's pairs over r.m, in
+    the rays' own field: one row [r, -r, m | 0] per ray, 2n box rows
+    [e_j | 1] and the objective row [0, ..., 0, 1 | 0].  Its entries are
+    plain ints when every ray is rational and integer pairs otherwise.
+    Variable j < 2n + 1 is (p, q, t)_j and variable 2n + 1 + i the slack
+    of row i.  The slack basis is feasible from the start (every
+    right-hand side is 0 or 1), so one phase suffices, and the box bounds
+    the LP, so finding no leaving row raises ``SeparationBugError``.  The
+    dictionary is fraction-free (Avis & Fukuda, Discrete Comput. Geom. 8,
+    1992): one column per nonbasic variable plus the right-hand side;
+    ``basis`` and ``nonbasic`` label the rows and columns with variables.
+    A basic variable's column in the full tableau is D times a unit
+    vector, so it is not stored.  The rows are lazy (see the module
+    docstring).  A pivot on (r, c) is ``_pivot`` on the dictionary,
+    objective included, and then column c becomes the leaving variable's
+    column of the full tableau: the previous D in row r, 0 in every row
+    the pivot left alone, and -f*D/a in every row it rewrote, where f was
+    that row's entry of column c over a = at[i].  Bland's rule: the
+    entering column is the nonbasic variable of smallest index with
+    positive reduced cost, the leaving row the minimum ratio with the
+    smallest basic index, which guarantees termination.  Every pivot
+    entry is positive over the previous one, so D and every at[i] stay
+    positive: signs of stored entries are true signs, and the ratios
+    T_i/t_i and T_l/t_l of two candidate rows, each taken within its own
+    row and so free of its scale, compare as T_i*t_l and T_l*t_i.  The
+    solution reads T_i over at[i], and d* is built over one common
+    denominator.
     """
-    n = len(c)
-    b_ub = list(b_ub)
-    T, k = _tableau([*A_ub, c], [*b_ub, 0])
+    n = rays[0].dim
+    nv = 2 * n + 1
+    k = max(r.field_k for r in rays)  # the rays' one field: 1 or their common k
+    ints = k == 1
+    zero, one = (0, 1) if ints else ((0, 0), (1, 0))
+    if ints:
+        T = [[*(a for a, _ in r.pairs), *(-a for a, _ in r.pairs), r.m, 0] for r in rays]
+    else:
+        T = [[*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0), zero] for r in rays]
+    T += [[*(one if i == j else zero for i in range(nv)), one] for j in range(2 * n)]
+    T.append([zero] * (2 * n) + [one, zero])
     m = len(T) - 1
-    if any(len(row) != n + 1 for row in T):
-        raise ValueError("A_ub row length does not match objective")
-    for row, b in zip(T, b_ub):
-        if _pair_sign(row[-1], k) < 0:
-            raise ValueError(f"simplex_max needs b_ub >= 0, got {b}")
-    at = [_PAIR_ONE] * (m + 1)
-    basis = list(range(n, n + m))
-    nonbasic = list(range(n))
-    D = _PAIR_ONE
+    at, D = [one] * (m + 1), one
+    basis, nonbasic = list(range(nv, nv + m)), list(range(nv))
     while True:
-        positive = (j for j in range(n) if _pair_sign(T[-1][j], k) > 0)
-        enter = min(positive, key=nonbasic.__getitem__, default=None)
+        # the sign of a rational entry is read inline, that of an irrational one by _pair_sign
+        enter = None
+        for j, x in enumerate(T[-1][:nv]):
+            if enter is None or nonbasic[j] < nonbasic[enter]:
+                if (x if ints else x[0] if not x[1] else _pair_sign(x, k)) > 0:
+                    enter = j
         if enter is None:
             break
         leave = None
         for i in range(m):
             t = T[i][enter]
-            if _pair_sign(t, k) > 0:
-                if leave is None:
-                    leave = i
-                    continue
+            if (t if ints else t[0] if not t[1] else _pair_sign(t, k)) <= 0:
+                continue
+            if leave is not None:
                 best = T[leave]
-                cross = _pair_mul(T[i][-1], best[enter], k)
-                other = _pair_mul(best[-1], t, k)
-                cmp = _pair_sign((cross[0] - other[0], cross[1] - other[1]), k)
-                if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
-                    leave = i
+                if ints:
+                    cmp = T[i][-1] * best[enter] - best[-1] * t
+                else:
+                    x, y = _pair_mul(T[i][-1], best[enter], k), _pair_mul(best[-1], t, k)
+                    cmp = _pair_sign((x[0] - y[0], x[1] - y[1]), k)
+                if cmp > 0 or (cmp == 0 and basis[i] > basis[leave]):
+                    continue
+            leave = i
         if leave is None:
-            return LPResult("unbounded")
+            raise SeparationBugError("the margin LP found no leaving row, but the box bounds it")
         column = [(row[enter], a) for row, a in zip(T, at)]
         previous, D = D, _pivot(T, at, leave, enter, D, k)
-        for row, ((fa, fb), a) in zip(T, column):
-            if fa or fb:
-                f = (-fa, -fb)
-                row[enter] = f if a == previous else _pair_quotients([_pair_mul(f, previous, k)], a, k)[0]
+        for row, (f, a) in zip(T, column):
+            if f != zero:
+                if ints:
+                    row[enter] = -f if a == previous else _int_quotients([-f * previous], a)[0]
+                else:
+                    f = (-f[0], -f[1])
+                    row[enter] = f if a == previous else _pair_quotients([_pair_mul(f, previous, k)], a, k)[0]
         T[leave][enter] = previous
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
-    x = [_ZERO] * n
+    # x_b = T_i / at[i] for basic b, as a pair over a positive integer; d = p - q over their lcm
+    x = [((0, 0), 1)] * nv
     for i, b in enumerate(basis):
-        if b < n:
-            x[b] = _pair_surd(T[i][-1], k, at[i])
-    return LPResult("optimal", tuple(x))
+        if b < nv:
+            w, den = _pair_reciprocal((at[i], 0) if ints else at[i], k)
+            x[b] = (_pair_mul((T[i][-1], 0) if ints else T[i][-1], w, k), den)
+    (ta, tb), dt = x[2 * n]
+    M = lcm(*(den for _, den in x[:2 * n]))
+    x = [(a * (M // den), b * (M // den)) for (a, b), den in x[:2 * n]]
+    d = [(pa - qa, pb - qb) for (pa, pb), (qa, qb) in zip(x[:n], x[n:])]
+    return Vector._make(M, d, k), Surd._make(ta, tb, dt, k)

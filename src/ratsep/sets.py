@@ -118,28 +118,14 @@ class VPolyhedron:
     @cached_property
     def _ray_margin(self) -> tuple[Vector, Surd]:
         """(d*, t*) maximizing t with <d, r> + t <= 0 per ray and
-        ||d||_inf <= 1, once per object; the set must have rays.  The LP
-        is feasible and bounded, so a ``ValueError`` from the simplex or
-        another status is a ``SeparationBugError``."""
-        n, rays = self.dim, self.rays
-        # variables: p (n), q (n), t; d = p - q
-        c = [0] * (2 * n) + [1]
-        # rows [r, -r, 1] per ray and the unit rows of the box, built as
-        # Vectors from r's own pairs over r.m, which simplex_max reads as they are
-        A_ub = [
-            Vector._make(r.m, [*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0)], r.field_k)
-            for r in rays
-        ]
-        box = [[(int(i == j), 0) for i in range(2 * n + 1)] for j in range(2 * n)]
-        A_ub += [Vector._make(1, row, 1) for row in box]
-        b_ub = [0] * len(rays) + [1] * (2 * n)
+        ||d||_inf <= 1, once per object, from ``simplex_max``; the set
+        must have rays.  The LP is feasible and bounded, so a
+        ``ValueError`` or ``SeparationBugError`` from the simplex is a
+        ``SeparationBugError`` of the margin LP."""
         try:
-            res = simplex_max(c, A_ub=A_ub, b_ub=b_ub)
-        except ValueError as exc:
+            return simplex_max(self.rays)
+        except (ValueError, SeparationBugError) as exc:
             raise SeparationBugError(f"the margin LP raised {type(exc).__name__}: {exc}") from exc
-        if res.status != "optimal":
-            raise SeparationBugError(f"margin LP ended {res.status}; it is feasible and bounded")
-        return Vector([res.x[j] - res.x[n + j] for j in range(n)]), res.x[2 * n]
 
 
 class FacetDescription(NamedTuple):
@@ -324,9 +310,11 @@ def is_pointed(P: VPolyhedron) -> bool:
     """Whether P contains no line, i.e. cone(rays) contains none.
 
     A set without rays is bounded.  Otherwise the margin LP on the rays
-    alone decides it, once per set object: by Gordan's theorem cone(rays)
-    is pointed iff some d has <d, r> < 0 for every ray, that is iff the
-    optimum t* > 0.  P's vertices and facets take no part.
+    alone, ``linalg.simplex_max(rays)``, decides it, once per set object:
+    by Gordan's theorem cone(rays) is pointed iff some d has <d, r> < 0
+    for every ray, that is iff the optimum t* > 0.  The LP runs in the
+    rays' own field, on plain ints when every ray is rational, and P's
+    vertices and facets take no part.
     """
     return not P.rays or P._ray_margin[1].sign() > 0
 

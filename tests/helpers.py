@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 from unittest.mock import patch
 
 from ratsep import (
@@ -22,7 +22,7 @@ from ratsep import (
     support_value,
 )
 from ratsep.approximation import OuterApprox
-from ratsep.linalg import LPResult, _eliminate, _tableau, solve_linear_system
+from ratsep.linalg import _eliminate, _tableau, solve_linear_system
 from ratsep.sets import FacetDescription
 from ratsep.scalars import _convergents, point_in_ball, rational_in_ball
 from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL, norm_upper
@@ -63,9 +63,24 @@ def _surd_pivot(rows, r, c) -> None:
                 rows[i] = [a - f * b for a, b in zip(row, prow)]
 
 
+class LPResult(NamedTuple):
+    """The reference simplex's verdict, "optimal" or "unbounded", with an
+    optimal point x for "optimal" and a certificate of the verdict, read
+    off the final tableau: for "optimal" an optimal dual point y, for
+    "unbounded" a ray d along which c.x grows (``lp_certificate_holds``)."""
+
+    status: str
+    x: tuple[Surd, ...] = ()
+    certificate: tuple[Surd, ...] = ()
+
+
 def surd_simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
-    """Reference ``simplex_max``: the textbook one-phase tableau simplex
-    with Bland's rule, every entry a Surd and every pivot a field division."""
+    """Reference simplex for max c.x subject to A_ub x <= b_ub and x >= 0,
+    where b_ub >= 0: the textbook one-phase tableau simplex with Bland's
+    rule, every entry a Surd and every pivot a field division.  A negative
+    b_ub entry raises ValueError.  The objective row is [c, 0, 0] - y^T [A,
+    I, b] throughout, so its slack columns hold -y."""
+    A_ub, b_ub = list(A_ub), list(b_ub)
     n = len(c)
     m = len(A_ub)
     zero, one = Surd(0), Surd(1)
@@ -94,14 +109,67 @@ def surd_simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
                     if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                         leave, best = i, ratio
         if leave is None:
-            return LPResult("unbounded")
+            # raise the entering variable by 1; basic variable i moves by -T[i][enter]
+            ray = [one if j == enter else zero for j in range(n)]
+            for i, b in enumerate(basis):
+                if b < n:
+                    ray[b] = -T[i][enter]
+            return LPResult("unbounded", (), tuple(ray))
         _surd_pivot(T, leave, enter)
         basis[leave] = enter
     x = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = T[i][-1]
-    return LPResult("optimal", tuple(x))
+    return LPResult("optimal", tuple(x), tuple(-v for v in T[-1][n:n + m]))
+
+
+def lp_certificate_holds(c, A_ub, b_ub, res: LPResult) -> bool:
+    """Whether ``res`` proves its verdict on max c.x, A_ub x <= b_ub, x >= 0
+    with b_ub >= 0, in exact arithmetic.  "optimal": x is feasible, the
+    dual point y has y >= 0 and A^T y >= c, and c.x = b.y, so by weak
+    duality no feasible point does better.  "unbounded": x = 0 is
+    feasible, and the ray d has d >= 0, A d <= 0 and c.d > 0."""
+    def dot(u, v):
+        return sum((Surd._coerce(a) * b for a, b in zip(u, v)), Surd(0))
+
+    columns = list(zip(*A_ub)) or [()] * len(c)
+    if res.status == "unbounded":
+        d = res.certificate
+        return (
+            len(d) == len(c)
+            and all(v.sign() >= 0 for v in d)
+            and all(dot(row, d).sign() <= 0 for row in A_ub)
+            and dot(c, d).sign() > 0
+        )
+    x, y = res.x, res.certificate
+    return (
+        res.status == "optimal"
+        and (len(x), len(y)) == (len(c), len(A_ub))
+        and all(v.sign() >= 0 for v in (*x, *y))
+        and all((dot(row, x) - b).sign() <= 0 for row, b in zip(A_ub, b_ub))
+        and all((dot(col, y) - cj).sign() >= 0 for col, cj in zip(columns, c))
+        and dot(c, x) == dot(b_ub, y)
+    )
+
+
+def margin_lp(rays, n):
+    """The margin LP of ``linalg.simplex_max`` in the general form: maximize
+    t subject to <p - q, r> + t <= 0 per ray and 0 <= p, q <= 1."""
+    nvars = 2 * n + 1
+    c = [0] * (2 * n) + [1]
+    A = [[*r, *(-x for x in r), 1] for r in rays]
+    A += [[int(i == j) for i in range(nvars)] for j in range(2 * n)]
+    return c, A, [0] * len(rays) + [1] * (2 * n)
+
+
+def surd_margin_lp(rays) -> tuple[Vector, Surd]:
+    """Reference ``linalg.simplex_max``: (d*, t*) of the reference simplex
+    on ``margin_lp``, with d* = p* - q*."""
+    n = len(rays[0])
+    res = surd_simplex_max(*margin_lp(rays, n))
+    assert res.status == "optimal"
+    return Vector([res.x[j] - res.x[n + j] for j in range(n)]), res.x[2 * n]
 
 
 def _surd_primitive(v: Vector) -> Vector:

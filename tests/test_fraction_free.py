@@ -1,11 +1,15 @@
 """The fraction-free Z[sqrt(k)] kernel against the Surd oracles.
 
 ``linalg.simplex_max`` and ``sets._double_description`` compute on integer
-pairs; ``helpers.surd_simplex_max`` and ``helpers.surd_double_description``
-are the same algorithms with a Surd in every entry and a field division in
-every pivot.  ``simplex_max`` stores a dictionary without the slack columns
-of the oracle's full tableau.  Positive row scaling changes no Bland choice
-and no primitive ray, so the results must be equal, not merely equivalent.
+pairs, or on plain ints when the margin LP's rays are rational;
+``helpers.surd_simplex_max`` and ``helpers.surd_double_description`` are
+the same algorithms with a Surd in every entry and a field division in
+every pivot.  ``simplex_max`` solves only the margin LP, on a dictionary
+without the slack columns of the oracle's full tableau, and the oracle
+solves it in the general form ``helpers.margin_lp``.  Positive row
+scaling changes no Bland choice and no primitive ray, so the results must
+be equal, not merely equivalent.  The oracle itself stays general, and
+its verdicts on general LPs are checked by their certificates.
 """
 
 from fractions import Fraction as F
@@ -26,14 +30,17 @@ from ratsep.scalars import (
     _pair_sign,
     _pair_surd,
 )
+from ratsep.serialization import MAX_DIGITS, MAX_DIM, MAX_GENERATORS
 from ratsep.sets import _double_description
 from helpers import (
     forbid_floats,
     fraction_sign,
+    lp_certificate_holds,
     random_nonpointed_rays,
     random_pointed_rays,
     _surd_primitive,
     surd_double_description,
+    surd_margin_lp,
     surd_simplex_max,
 )
 
@@ -103,15 +110,19 @@ def test_a_corrupted_quotient_fails_the_exactness_audit(k):
         _pivot(T, at, 1, 1, D, k)
 
 
-# -- simplex_max -----------------------------------------------------------
+def test_a_corrupted_integer_quotient_fails_the_exactness_audit():
+    # rows of plain ints pivot the same way: the second pivot divides by 2
+    T = [[2, 1, 1], [1, 3, 2], [1, 1, 5]]
+    at = [1] * len(T)
+    D = _pivot(T, at, 0, 0, 1, 1)
+    assert D == 2 and T == [[2, 1, 1], [0, 5, 3], [0, 1, 9]]
+    _pivot([row[:] for row in T], at[:], 1, 1, D, 1)  # the true quotients divide
+    T[1][2] += 1
+    with pytest.raises(SeparationBugError, match="left a remainder"):
+        _pivot(T, at, 1, 1, D, 1)
 
 
-def assert_same_lp(c, A, b):
-    with forbid_floats():
-        got = simplex_max(c, A_ub=A, b_ub=b)
-        want = surd_simplex_max(c, A_ub=A, b_ub=b)
-    assert (got.status, got.x) == (want.status, want.x)
-    return got
+# -- the reference simplex on general LPs ---------------------------------
 
 
 @st.composite
@@ -129,10 +140,27 @@ def lps(draw):
     return c, A, b
 
 
+def certified(c, A, b):
+    """The reference simplex's verdict, checked by its certificate."""
+    with forbid_floats():
+        res = surd_simplex_max(c, A, b)
+        assert lp_certificate_holds(c, A, b, res)
+    return res
+
+
 @settings(max_examples=150)
 @given(lps())
-def test_simplex_matches_the_surd_tableau(lp):
-    assert_same_lp(*lp)
+def test_the_surd_tableau_proves_its_verdicts(lp):
+    c, A, b = lp
+    res = certified(c, A, b)
+    # the check is not vacuous: the other verdict fails it, and so does a
+    # point whose objective differs from the optimum's
+    other = "unbounded" if res.status == "optimal" else "optimal"
+    assert not lp_certificate_holds(c, A, b, res._replace(status=other))
+    j = next((j for j, cj in enumerate(c) if cj.sign() != 0), None)
+    if res.status == "optimal" and j is not None:
+        off = res._replace(x=tuple(v + (i == j) for i, v in enumerate(res.x)))
+        assert not lp_certificate_holds(c, A, b, off)
 
 
 def test_ratio_ties_resolve_to_the_smallest_basic_index():
@@ -141,7 +169,7 @@ def test_ratio_ties_resolve_to_the_smallest_basic_index():
     c = [0, F(1, 2), 0]
     A = [[0, 0, 0], [0, 1, -1], [1, 0, 1], [2, -2, 0], [0, 2, 0], [2, 1, -2]]
     b = [0, 0, 2, 0, 2, 0]
-    res = assert_same_lp(c, A, b)
+    res = certified(c, A, b)
     assert res.x == (Surd(0), Surd(1), Surd(1))
     assert Vector(c).dot(Vector(res.x)) == F(1, 2)
 
@@ -155,45 +183,51 @@ def test_beale_cycling_lp_with_rows_scaled_in_the_field(k):
     scales = [Surd(3, 1, k), Surd(F(1, 7)), Surd(0, F(1, 2), k)] if k > 1 else [3, F(1, 7), 2]
     A = [[s * v for v in row] for s, row in zip(scales, A)]
     b = [s * v for s, v in zip(scales, b)]
-    res = assert_same_lp(c, A, b)
+    res = certified(c, A, b)
     assert res.status == "optimal"
     assert Vector(c).dot(Vector(res.x)) == F(1, 20)
     assert res.x == (Surd(F(1, 25)), Surd(0), Surd(1), Surd(0))
 
 
+# -- simplex_max, the margin LP ----------------------------------------------
+
+
+def assert_same_margin(rays):
+    """simplex_max on the rays against the reference simplex on the margin
+    LP in the general form; returns (d*, t*)."""
+    rays = [Vector(r) for r in rays]
+    with forbid_floats():
+        got = simplex_max(rays)
+        want = surd_margin_lp(rays)
+    assert got == want
+    return got
+
+
 def test_simplex_pivots_a_dictionary_without_slack_columns(monkeypatch):
-    # Beale's LP: 3 constraints and 4 variables, so the full tableau would
-    # hand _pivot rows of 4 + 3 + 1 entries
-    c = [F(3, 4), -150, F(1, 50), -6]
-    A = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]]
+    # R rays in dim n: R + 2n constraints and 2n + 1 variables, so the full
+    # tableau would hand _pivot rows of 2n + 1 + R + 2n + 1 entries
     shapes = []
 
     def recorder(T, at, r, col, D, k):
-        shapes.extend((len(T), len(row)) for row in T)
+        shapes.extend((len(T), len(row), type(D)) for row in T)
         return _pivot(T, at, r, col, D, k)
 
     monkeypatch.setattr(linalg, "_pivot", recorder)
-    assert simplex_max(c, A_ub=A, b_ub=[0, 0, 1]).status == "optimal"
-    assert shapes and set(shapes) == {(len(A) + 1, len(c) + 1)}
-
-
-def margin_lp(rays, n):
-    """The margin LP of ``sets.VPolyhedron._ray_margin``: maximize t
-    subject to <p - q, r> + t <= 0 per ray and 0 <= p, q <= 1."""
-    nvars = 2 * n + 1
-    c = [0] * (2 * n) + [1]
-    A = [[*r, *(-x for x in r), 1] for r in rays]
-    A += [[int(i == j) for i in range(nvars)] for j in range(2 * n)]
-    return c, A, [0] * len(rays) + [1] * (2 * n)
+    root = Surd.root(2)
+    for rays, kind in (([[1, -2], [3, 1], [-1, -1]], int), ([[1, -root], [3, 1], [-1, -1]], tuple)):
+        shapes.clear()
+        assert_same_margin(rays)
+        assert shapes and set(shapes) == {(3 + 2 * 2 + 1, 2 * 2 + 2, kind)}
 
 
 @st.composite
 def barrier_lps(draw):
-    """Margin LPs for 1-6 rays in dims 1-6 over k in {1, 2, 1000003}.  The
-    ray rows have right-hand side 0, so every pivot through them is
-    degenerate; zero coordinates, a positive multiple of a ray, a repeated
-    ray or a ray and its negative (a line: the set is not pointed) make
-    ratio ties and optimal faces with more than one vertex."""
+    """Ray lists for margin LPs with 1-6 rays in dims 1-6 over k in {1, 2,
+    1000003}.  The ray rows have right-hand side 0, so every pivot through
+    them is degenerate; zero coordinates, a positive multiple of a ray, a
+    repeated ray or a ray and its negative (a line: the set is not
+    pointed) make ratio ties and optimal faces with more than one vertex.
+    Rays whose parts are all rational take the integer path."""
     k = draw(FIELD_KS)
     n = draw(st.integers(1, 6))
     coord = st.one_of(st.just(Surd(0)), field_elements(k))
@@ -207,13 +241,60 @@ def barrier_lps(draw):
         rays.append(list(r))
     elif shape == "line":
         rays.append([-x for x in r])
-    return margin_lp(draw(st.permutations(rays))[:6], n)
+    return draw(st.permutations(rays))[:6]
 
 
 @settings(max_examples=100, deadline=None)
 @given(barrier_lps())
-def test_barrier_margin_lps_match_the_surd_tableau(lp):
-    assert assert_same_lp(*lp).status == "optimal"
+def test_barrier_margin_lps_match_the_surd_tableau(rays):
+    assert_same_margin(rays)
+
+
+def limit_part():
+    """A rational with a numerator and a denominator of up to MAX_DIGITS digits."""
+    top = 10**MAX_DIGITS - 1
+    return st.builds(F, st.integers(-top, top), st.integers(1, top))
+
+
+@st.composite
+def limit_rays(draw, k):
+    """7 to MAX_GENERATORS - 1 rays in dim MAX_DIM over Q(sqrt(k)), with
+    parts of up to MAX_DIGITS digits; "pointed" flips every ray into the
+    open halfspace <g, r> < 0 of a drawn g, "general" keeps them as drawn
+    (a cone of 7 or more general rays in dim 6 often holds a line)."""
+    coord = st.builds(lambda r, s: Surd(r, s, k), limit_part(), limit_part() if k > 1 else st.just(0))
+    ray = st.lists(coord, min_size=MAX_DIM, max_size=MAX_DIM).map(Vector)
+    rays = draw(st.lists(ray.filter(lambda r: not r.is_zero()), min_size=7, max_size=MAX_GENERATORS - 1))
+    if draw(st.booleans()):
+        g = Vector([draw(limit_part()) for _ in range(MAX_DIM)])
+        rays = [-r if g.dot_sign(r) > 0 else r for r in rays]
+    return rays
+
+
+@pytest.mark.parametrize("k", [1, 2, BIG_K])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_margin_lps_at_the_parse_limits_match_the_surd_tableau(k, data):
+    assert_same_margin(data.draw(limit_rays(k)))
+
+
+def test_rational_rays_in_a_sqrt2_set_take_the_integer_path(monkeypatch):
+    # the LP's field is the rays' own: rational rays of a set whose
+    # vertices have sqrt(2) parts build no pair, so no pair is divided
+    def no_pairs(*args):
+        raise AssertionError("a pair was divided")
+
+    rng = Random(3)
+    for dim in (2, 4, MAX_DIM):
+        root = Surd.root(2)
+        rays = random_pointed_rays(rng, dim, MAX_GENERATORS - 1)
+        X = VPolyhedron((Vector([root] * dim), Vector.zero(dim)), rays)
+        assert X.field_k == 2 and all(r.field_k == 1 for r in rays)
+        want = surd_margin_lp(rays)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_pair_quotients", no_pairs)
+            assert X._ray_margin == want
+            assert is_pointed(X)
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,9 +315,9 @@ def test_barrier_direction_is_unchanged_under_the_surd_tableau(k, dim, count, po
 
     calls = []
 
-    def oracle(*args, **kwargs):
-        calls.append(args)
-        return surd_simplex_max(*args, **kwargs)
+    def oracle(rays):
+        calls.append(rays)
+        return surd_margin_lp(rays)
 
     got = barrier()
     with patch.object(sets, "simplex_max", oracle):
@@ -253,24 +334,37 @@ def scaled(row, a, D, k):
     return _pair_quotients([_pair_mul(x, D, k) for x in row], a, k)
 
 
+def as_pairs(x):
+    """A row of plain ints, or an int, as integer pairs; pairs as they are."""
+    if isinstance(x, list):
+        return [as_pairs(v) for v in x]
+    return (x, 0) if type(x) is int else x
+
+
 def spy_on_pivots(monkeypatch) -> list:
     """Patch ``linalg._pivot`` to check each pivot against the eager one,
-    which rewrites every row x as (p*x - f*y) / D, and to record the pivot
-    row and column, each row and its scale before and after, and p."""
+    which rewrites every row x as (p*x - f*y) / D, and to record whether
+    the rows were plain ints, the pivot row and column, each row and its
+    scale before and after, as pairs, and p.  Rows of ints are checked as
+    the pairs (x, 0) with k = 1."""
     log = []
 
     def spy(T, at, r, c, D, k):
-        eager = [scaled(row, a, D, k) for row, a in zip(T, at)]
-        before = [(row[:], a) for row, a in zip(T, at)]
+        ints = type(D) is int
+        if ints:
+            assert k == 1 and all(type(x) is int for row in T for x in (*row, *at))
+        D_ = as_pairs(D)
+        eager = [scaled(as_pairs(row), as_pairs(a), D_, k) for row, a in zip(T, at)]
+        before = [(as_pairs(row), as_pairs(a)) for row, a in zip(T, at)]
         p = _pivot(T, at, r, c, D, k)
         y = eager[r]
         want = [
-            row if i == r else _pair_quotients(_pair_combination(y[c], row, row[c], y, k), D, k)
+            row if i == r else _pair_quotients(_pair_combination(y[c], row, row[c], y, k), D_, k)
             for i, row in enumerate(eager)
         ]
-        assert p == y[c]
-        assert [scaled(row, a, p, k) for row, a in zip(T, at)] == want
-        log.append((r, c, before, [(row[:], a) for row, a in zip(T, at)], p))
+        assert as_pairs(p) == y[c] and type(p) is type(D)
+        assert [scaled(as_pairs(row), as_pairs(a), as_pairs(p), k) for row, a in zip(T, at)] == want
+        log.append((ints, r, c, before, [(as_pairs(row), as_pairs(a)) for row, a in zip(T, at)], as_pairs(p)))
         return p
 
     monkeypatch.setattr(linalg, "_pivot", spy)
@@ -280,13 +374,14 @@ def spy_on_pivots(monkeypatch) -> list:
 @pytest.mark.parametrize("k", [1, 2, BIG_K])
 def test_pivot_leaves_rows_with_zero_in_the_pivot_column_alone(monkeypatch, k):
     # the margin LP of three rays in dim 3: each box row holds a single 1,
-    # so most rows have a 0 in the pivot column
+    # so most rows have a 0 in the pivot column; over Q the rows are ints
     root = Surd(0, 1, k) if k > 1 else Surd(F(1, 3))
     rays = [[-1, root, F(-1, 2)], [-2, -1, 0], [F(-1, 3), 0, -root - 2]]
     log = spy_on_pivots(monkeypatch)
-    assert assert_same_lp(*margin_lp(rays, 3)).status == "optimal"
+    assert assert_same_margin(rays)[1] > 0
     skipped = 0
-    for r, c, before, after, p in log:
+    for ints, r, c, before, after, p in log:
+        assert ints == (k == 1)
         assert after[r][1] == p
         for i, ((row, a), (new_row, new_a)) in enumerate(zip(before, after)):
             if i != r and row[c] == (0, 0):
@@ -298,12 +393,13 @@ def test_pivot_leaves_rows_with_zero_in_the_pivot_column_alone(monkeypatch, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(lp=barrier_lps())
-def test_lazy_rows_are_the_eager_rows_over_their_scale(lp):
+@given(rays=barrier_lps())
+def test_lazy_rows_are_the_eager_rows_over_their_scale(rays):
     # every pivot of a margin LP, checked against the eager pivot in the spy
     with pytest.MonkeyPatch.context() as monkeypatch:
-        spy_on_pivots(monkeypatch)
-        assert assert_same_lp(*lp).status == "optimal"
+        log = spy_on_pivots(monkeypatch)
+        assert_same_margin(rays)
+    assert all(ints == all(Vector(r).field_k == 1 for r in rays) for ints, *_ in log)
 
 
 # -- the double description ------------------------------------------------

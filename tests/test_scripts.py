@@ -90,7 +90,9 @@ def test_ab_separate_against_the_checkout_itself():
     done = run_ab_separate(ROOT)
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()]
-    assert [row[0] for row in rows] == ["separate_rays:", "separate_bigk:"]
+    assert [row[0] for row in rows] == [
+        "separate_rays:", "separate_rays.margin_lp:", "separate_bigk:", "separate_bigk.margin_lp:"
+    ]
     assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
 
 

@@ -618,12 +618,30 @@ def test_facet_description_of_a_set_with_rays_solves_no_lp(monkeypatch):
 
 
 def test_margin_lp_fault_is_a_bug(monkeypatch):
-    # the margin LP is feasible (d = 0, t = 0) and bounded, so any other
-    # outcome of the simplex is a program fault, not a verdict on the set
-    monkeypatch.setattr(sets, "simplex_max", lambda *args, **kwargs: linalg.LPResult("unbounded"))
-    X = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]),))
-    with pytest.raises(SeparationBugError, match="margin LP ended unbounded"):
+    # the margin LP is feasible (d = 0, t = 0) and bounded, so a simplex
+    # that finds no leaving row, or a division that leaves a remainder, is
+    # a program fault, not a verdict on the set
+    X = VPolyhedron((Vector([0, 0]),), (Vector([3, 1]), Vector([2, 5])))
+    fault = SeparationBugError("the margin LP found no leaving row, but the box bounds it")
+
+    def no_leaving_row(rays):
+        raise fault
+
+    monkeypatch.setattr(sets, "simplex_max", no_leaving_row)
+    with pytest.raises(SeparationBugError, match=f"the margin LP raised SeparationBugError: {fault}"):
         is_pointed(X)
+    monkeypatch.undo()
+    pivot = linalg._pivot
+
+    def corrupting(T, at, r, c, D, k):
+        # the first pivot stores one entry off by one, so the next division fails
+        p = pivot(T, at, r, c, D, k)
+        T[r][-1] += 1
+        return p
+
+    monkeypatch.setattr(linalg, "_pivot", corrupting)
+    with pytest.raises(SeparationBugError, match="the margin LP raised SeparationBugError: .* left a remainder"):
+        is_pointed(VPolyhedron(X.vertices, X.rays))
 
 
 def test_outer_approximate_tests_membership_only_past_the_cuts(monkeypatch):
