@@ -153,6 +153,16 @@ def lp_certificate_holds(c, A_ub, b_ub, res: LPResult) -> bool:
     )
 
 
+def certified_simplex_max(c, A_ub=(), b_ub=()) -> LPResult:
+    """``surd_simplex_max`` with no float conversion, its verdict checked
+    by ``lp_certificate_holds``."""
+    A_ub, b_ub = list(A_ub), list(b_ub)
+    with forbid_floats():
+        res = surd_simplex_max(c, A_ub, b_ub)
+        assert lp_certificate_holds(c, A_ub, b_ub, res)
+    return res
+
+
 def margin_lp(rays, n):
     """The margin LP of ``linalg.simplex_max`` in the general form: maximize
     t subject to <p - q, r> + t <= 0 per ray and 0 <= p, q <= 1."""

@@ -33,6 +33,7 @@ from ratsep.scalars import (
 from ratsep.serialization import MAX_DIGITS, MAX_DIM, MAX_GENERATORS
 from ratsep.sets import _double_description
 from helpers import (
+    certified_simplex_max,
     forbid_floats,
     fraction_sign,
     lp_certificate_holds,
@@ -41,7 +42,6 @@ from helpers import (
     _surd_primitive,
     surd_double_description,
     surd_margin_lp,
-    surd_simplex_max,
 )
 
 BIG_K = 1000003
@@ -140,19 +140,11 @@ def lps(draw):
     return c, A, b
 
 
-def certified(c, A, b):
-    """The reference simplex's verdict, checked by its certificate."""
-    with forbid_floats():
-        res = surd_simplex_max(c, A, b)
-        assert lp_certificate_holds(c, A, b, res)
-    return res
-
-
 @settings(max_examples=150)
 @given(lps())
 def test_the_surd_tableau_proves_its_verdicts(lp):
     c, A, b = lp
-    res = certified(c, A, b)
+    res = certified_simplex_max(c, A, b)
     # the check is not vacuous: the other verdict fails it, and so does a
     # point whose objective differs from the optimum's
     other = "unbounded" if res.status == "optimal" else "optimal"
@@ -169,7 +161,7 @@ def test_ratio_ties_resolve_to_the_smallest_basic_index():
     c = [0, F(1, 2), 0]
     A = [[0, 0, 0], [0, 1, -1], [1, 0, 1], [2, -2, 0], [0, 2, 0], [2, 1, -2]]
     b = [0, 0, 2, 0, 2, 0]
-    res = certified(c, A, b)
+    res = certified_simplex_max(c, A, b)
     assert res.x == (Surd(0), Surd(1), Surd(1))
     assert Vector(c).dot(Vector(res.x)) == F(1, 2)
 
@@ -183,7 +175,7 @@ def test_beale_cycling_lp_with_rows_scaled_in_the_field(k):
     scales = [Surd(3, 1, k), Surd(F(1, 7)), Surd(0, F(1, 2), k)] if k > 1 else [3, F(1, 7), 2]
     A = [[s * v for v in row] for s, row in zip(scales, A)]
     b = [s * v for s, v in zip(scales, b)]
-    res = certified(c, A, b)
+    res = certified_simplex_max(c, A, b)
     assert res.status == "optimal"
     assert Vector(c).dot(Vector(res.x)) == F(1, 20)
     assert res.x == (Surd(F(1, 25)), Surd(0), Surd(1), Surd(0))

@@ -5,7 +5,7 @@ import pytest
 
 from ratsep import Surd, Vector
 from ratsep.linalg import solve_linear_system
-from helpers import lp_certificate_holds, surd_simplex_max
+from helpers import certified_simplex_max
 
 
 def test_solve_2x2():
@@ -35,40 +35,32 @@ def test_solve_surd_entries():
 # and each verdict's certificate.
 
 
-def reference_simplex(c, A_ub=(), b_ub=()):
-    """The reference simplex, its verdict checked by its certificate."""
-    A_ub, b_ub = list(A_ub), list(b_ub)
-    res = surd_simplex_max(c, A_ub, b_ub)
-    assert lp_certificate_holds(c, A_ub, b_ub, res)
-    return res
-
-
 def objective(c, res) -> Surd:
     """c.x at the simplex's returned point."""
     return Vector(c).dot(Vector(res.x))
 
 
 def test_simplex_box_optimum():
-    res = reference_simplex([1, 1], A_ub=[[1, 0], [0, 1]], b_ub=[1, 1])
+    res = certified_simplex_max([1, 1], A_ub=[[1, 0], [0, 1]], b_ub=[1, 1])
     assert res.status == "optimal"
     assert objective([1, 1], res) == 2
     assert res.x == (Surd(1), Surd(1))
 
 
 def test_simplex_unbounded():
-    res = reference_simplex([1], A_ub=[[-1]], b_ub=[0])
+    res = certified_simplex_max([1], A_ub=[[-1]], b_ub=[0])
     assert res.status == "unbounded"
-    assert reference_simplex([1]).status == "unbounded"
+    assert certified_simplex_max([1]).status == "unbounded"
 
 
 def test_simplex_no_constraints_bounded():
-    res = reference_simplex([-1, 0])
+    res = certified_simplex_max([-1, 0])
     assert res.status == "optimal"
     assert objective([-1, 0], res) == 0
 
 
 def test_simplex_degenerate_at_origin():
-    res = reference_simplex([1], A_ub=[[1], [1]], b_ub=[0, 0])
+    res = certified_simplex_max([1], A_ub=[[1], [1]], b_ub=[0, 0])
     assert res.status == "optimal"
     assert objective([1], res) == 0
 
@@ -82,7 +74,7 @@ def test_simplex_beale_cycling_instance():
         [0, 0, 1, 0],
     ]
     b = [0, 0, 1]
-    res = reference_simplex(c, A_ub=A, b_ub=b)
+    res = certified_simplex_max(c, A_ub=A, b_ub=b)
     assert res.status == "optimal"
     assert objective(c, res) == F(1, 20)
     assert res.x == (Surd(F(1, 25)), Surd(0), Surd(1), Surd(0))
@@ -91,17 +83,17 @@ def test_simplex_beale_cycling_instance():
 def test_simplex_rejects_negative_right_hand_side():
     # the slack basis must be feasible at the start: b_ub >= 0
     with pytest.raises(ValueError):
-        reference_simplex([1], A_ub=[[1], [-1]], b_ub=[1, F(-1, 2)])
+        certified_simplex_max([1], A_ub=[[1], [-1]], b_ub=[1, F(-1, 2)])
     with pytest.raises(ValueError):
-        reference_simplex([0], A_ub=[[1]], b_ub=[Surd(1) - Surd.root(2)])
+        certified_simplex_max([0], A_ub=[[1]], b_ub=[Surd(1) - Surd.root(2)])
     with pytest.raises(ValueError, match="b_ub >= 0"):  # read once, checked all the same
-        reference_simplex([1], A_ub=iter([[1]]), b_ub=iter([-1]))
+        certified_simplex_max([1], A_ub=iter([[1]]), b_ub=iter([-1]))
 
 
 def test_simplex_surd_data():
     # max t  s.t.  sqrt(2) * x + t <= 0 is bounded by x >= 0 at t = 0
     r2 = Surd.root(2)
-    res = reference_simplex([0, 1], A_ub=[[r2, 1]], b_ub=[0])
+    res = certified_simplex_max([0, 1], A_ub=[[r2, 1]], b_ub=[0])
     assert res.status == "optimal"
     assert objective([0, 1], res) == 0
 
@@ -112,7 +104,7 @@ def test_solution_satisfies_constraints_exactly():
         A = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)]
         x0 = [F(rng.randint(0, 3)) for _ in range(3)]
         b = [abs(sum(a * v for a, v in zip(row, x0))) for row in A]
-        res = reference_simplex([1, 1, 1], A_ub=A, b_ub=b)
+        res = certified_simplex_max([1, 1, 1], A_ub=A, b_ub=b)
         if res.status != "optimal":
             assert res.status == "unbounded"
             continue
