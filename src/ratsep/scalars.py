@@ -69,18 +69,21 @@ __all__ = [
 
 
 def _fraction(x: Rationalish) -> Fraction:
+    """x as a Fraction; ``TypeError`` unless x is an int or a Fraction,
+    and for a bool, which is an int that no caller means as a number."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 def _positive(x: Rationalish, what: str) -> Fraction:
     """x as a Fraction, checked to be positive: ``ValueError`` "<what> must
-    be positive" otherwise."""
+    be positive" otherwise.  A Fraction's denominator is positive, so the
+    sign is its numerator's, read with no Fraction comparison."""
     x = _fraction(x)
-    if x <= 0:
+    if x.numerator <= 0:
         raise ValueError(f"{what} must be positive")
     return x
 

@@ -516,14 +516,16 @@ def surd_rational_in_ball(center: Vector, radius: Fraction) -> Vector:
     return q
 
 
-def surd_bound_support_on_ball(C: VPolyhedron, d: Vector, eps: Fraction) -> Fraction:
-    """Reference ``bound_support_on_ball`` in Surd arithmetic: the ray
+def surd_bound_support_on_ball(X: VPolyhedron, z: Vector, d: Vector, eps: Fraction) -> Fraction:
+    """Reference ``bound_support_on_ball`` in Surd arithmetic on the moved
+    set C = X - z, built by ``VPolyhedron.translated``: the ray
     precondition as <d, r> <= 0 and eps**2 ||r||**2 <= <d, r>**2, then the
-    largest rounded-up vertex term, at least 1."""
-    if C.dim != d.dim:
-        raise DimensionMismatchError("direction dimension does not match the set")
+    largest rounded-up vertex term of C, at least 1."""
+    if X.dim != d.dim or X.dim != z.dim:
+        raise DimensionMismatchError("direction or offset dimension does not match the set")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    C = X.translated(-z)
     for r in C.rays:
         t = d.dot(r)
         if t.sign() > 0 or (eps * eps * r.norm_sq() - t * t).sign() > 0:

@@ -375,6 +375,41 @@ def test_sqrt_enclosure_matches_bisection(x, tol):
     assert hi - lo <= tol
 
 
+# the checked entry points of a positive rational, each with the name its
+# message gives: a tolerance, a radius and a grid step
+POSITIVE_ENTRIES = {
+    "tol": lambda x: sqrt_enclosure(2, x),
+    "radius": lambda x: rational_in_ball(Vector([Surd.root(2), 0]), x),
+    "step": lambda x: GridSpec((0, 0), (1, 1), x),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [0, -3, F(-1, 7)], ids=["zero", "negative int", "negative Fraction"]
+)
+@pytest.mark.parametrize("what", POSITIVE_ENTRIES)
+def test_positive_checks_reject_zero_and_negatives_alike(what, bad):
+    with pytest.raises(ValueError, match=f"^{what} must be positive$"):
+        POSITIVE_ENTRIES[what](bad)
+    assert POSITIVE_ENTRIES[what](F(1, 10**30)) is not None
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: GridSpec((0, 0), (1, 1), x),
+        lambda x: Certificate(Vector([1, 0]), x),
+        lambda x: sqrt_enclosure(2, x),
+    ],
+    ids=["grid step", "certificate beta", "enclosure tol"],
+)
+def test_a_bool_is_not_a_rational(call, flag):
+    # True is an int equal to 1, which none of these means as a number
+    with pytest.raises(TypeError, match="got bool"):
+        call(flag)
+
+
 # -- rational_in_ball ------------------------------------------------------
 
 

@@ -91,7 +91,9 @@ def test_ab_separate_against_the_checkout_itself():
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()]
     assert [row[0] for row in rows] == [
-        "separate_rays:", "separate_rays.margin_lp:", "separate_bigk:", "separate_bigk.margin_lp:"
+        f"{workload}{part}:"
+        for workload in ("separate_rays", "separate_bigk")
+        for part in ("", ".margin_lp", ".stages")
     ]
     assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
 

@@ -16,7 +16,7 @@ from ratsep import (
     support_value,
     verify_certificate,
 )
-from ratsep.scalars import point_in_ball
+from ratsep.scalars import choose_rational_between, point_in_ball, rational_in_ball
 from ratsep.separation import (
     bound_support_on_ball,
     compute_wedge_parameters,
@@ -90,53 +90,125 @@ def test_barrier_direction_random_cones():
             assert (d.dot(r) + Surd(eps * norm_upper(r))).sign() <= 0
 
 
+# the 3-D set with rays of the layer bench, and the same set with one ray
+# over Q(sqrt 2)
+RAYS_3D = VPolyhedron(
+    (Vector([0, 0, 0]), Vector([2, SQ2, 0]), Vector([0, 1, 3]), Vector([1, 1, 1])),
+    (Vector([1, 0, 1]), Vector([0, 1, 2])),
+)
+BARRIER_SETS = {
+    "rays_3d": RAYS_3D,
+    "rays_3d_sqrt2": VPolyhedron(RAYS_3D.vertices, (Vector([1, 0, SQ2]), RAYS_3D.rays[1])),
+    "sqrt2_rays": VPolyhedron((Vector([0, 0]),), (Vector([SQ2, 1]), Vector([1, SQ2]))),
+}
+
+
+def fraction_barrier_direction(P):
+    """``find_barrier_direction`` written with Fractions: t_lo is t* itself
+    when rational, else a rational between t*/2 and t*, eps is
+    t_lo/(2 max norm_upper(r)), and every ray is audited by ``dot_sign``."""
+    d_star, t_star = P._ray_margin
+    if t_star.is_rational:
+        t_lo = t_star.as_fraction()
+    else:
+        t_lo = choose_rational_between(t_star / 2, t_star)
+    eps = t_lo / (2 * max(norm_upper(r) for r in P.rays))
+    d = rational_in_ball(d_star, eps)
+    assert all(d.dot_sign(r, -eps * norm_upper(r)) <= 0 for r in P.rays)
+    return d, eps
+
+
+@pytest.mark.parametrize("case", BARRIER_SETS)
+def test_barrier_direction_matches_the_fraction_formula(case):
+    P = BARRIER_SETS[case]
+    assert find_barrier_direction(VPolyhedron(P.vertices, P.rays)) == fraction_barrier_direction(P)
+
+
+@pytest.mark.parametrize("s", [1, F(1, 3)])
+def test_barrier_audit_is_exact(monkeypatch, s):
+    # on the quadrant with rays s*e1 and s*e2, eps = (s/2)/s = 1/2 and
+    # the audit reads <d, r> + s/2 <= 0, so a direction (-1/2, -1) puts
+    # the ball's boundary on the cone and passes it, and one a hair to
+    # the right fails it; s = 1/3 gives the rays a denominator
+    from ratsep import SeparationBugError, separation
+
+    quadrant = VPolyhedron((Vector([0, 0]),), (Vector([s, 0]), Vector([0, s])))
+    edge = Vector([F(-1, 2), -1])
+    monkeypatch.setattr(separation, "rational_in_ball", lambda center, radius: edge)
+    assert find_barrier_direction(quadrant) == (edge, F(1, 2))
+    hair = Vector([F(-1, 2) + F(1, 10**30), -1])
+    monkeypatch.setattr(separation, "rational_in_ball", lambda center, radius: hair)
+    with pytest.raises(SeparationBugError, match="failed its exact audit"):
+        find_barrier_direction(quadrant)
+
+
+@pytest.mark.parametrize("case", ["sqrt2_rays", "rays_3d_sqrt2"])
+def test_barrier_audit_rejects_a_direction_off_the_cone(monkeypatch, case):
+    # a rounding fault that leaves the cone must end in the audit, also
+    # inside separate, where it is a program fault and not a ValueError
+    from ratsep import SeparationBugError, separation
+
+    P = BARRIER_SETS[case]
+    off = Vector([1] * P.dim)
+    monkeypatch.setattr(separation, "rational_in_ball", lambda center, radius: off)
+    with pytest.raises(SeparationBugError, match="failed its exact audit"):
+        find_barrier_direction(P)
+    with pytest.raises(SeparationBugError, match="failed its exact audit"):
+        separate(P, Vector([-1] * P.dim))
+
+
 # -- bound_support_on_ball --------------------------------------------------
 
 
 def test_support_bound_clamps_singleton():
-    C = VPolyhedron((Vector([0, 0]),))
-    assert bound_support_on_ball(C, Vector.zero(2), F(1)) == 1
+    # C = X - z is the origin alone
+    X, z = VPolyhedron((Vector([3, F(-1, 2)]),)), Vector([3, F(-1, 2)])
+    assert bound_support_on_ball(X, z, Vector.zero(2), F(1)) == 1
 
 
 def test_support_bound_clamps_small_triangle():
-    C = VPolyhedron(
-        (Vector([F(-1, 2), F(-1, 2)]), Vector([F(1, 2), F(-1, 2)]), Vector([F(-1, 2), F(1, 2)]))
+    # C = X - z is the triangle with vertices (+-1/2, -1/2) and (-1/2, 1/2)
+    X = VPolyhedron(
+        (Vector([F(1, 2), F(1, 2)]), Vector([F(3, 2), F(1, 2)]), Vector([F(1, 2), F(3, 2)]))
     )
-    assert bound_support_on_ball(C, Vector.zero(2), F(1)) == 1
+    assert bound_support_on_ball(X, Vector([1, 1]), Vector.zero(2), F(1)) == 1
 
 
 def test_support_bound_segment():
-    C = VPolyhedron((Vector([0, 0]), Vector([2, 0])))
-    assert bound_support_on_ball(C, Vector([1, 0]), F(1, 2)) == 3
+    # C = X - z is the segment from (0, 0) to (2, 0)
+    X = VPolyhedron((Vector([1, 2]), Vector([3, 2])))
+    assert bound_support_on_ball(X, Vector([1, 2]), Vector([1, 0]), F(1, 2)) == 3
 
 
 def test_support_bound_rejects_uncovered_ray():
-    C = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]),))
+    X = VPolyhedron((Vector([5, 5]),), (Vector([1, 0]),))
     with pytest.raises(ValueError):
-        bound_support_on_ball(C, Vector([1, 0]), F(1, 2))
+        bound_support_on_ball(X, Vector([5, 5]), Vector([1, 0]), F(1, 2))
 
 
 def test_support_bound_decides_the_ball_exactly():
     # (707/500)*sqrt(2) < 2 = -<d, r>, so the ball d + eps*B lies in the
     # barrier cone, although eps times a 1/32-wide upper bound of sqrt(2)
     # exceeds 2; at 708/500 the ball pokes out of the cone
-    C = VPolyhedron((Vector([0, 0]),), (Vector([1, 1]),))
+    X, z = VPolyhedron((Vector([SQ2, 1]),), (Vector([1, 1]),)), Vector([SQ2, 1])
     d = Vector([-1, -1])
-    assert bound_support_on_ball(C, d, F(707, 500)) == 1
+    assert bound_support_on_ball(X, z, d, F(707, 500)) == 1
     for eps in (F(708, 500), 0, F(-1, 2)):
         with pytest.raises(ValueError):
-            bound_support_on_ball(C, d, eps)
+            bound_support_on_ball(X, z, d, eps)
 
 
 def test_support_bound_dominates_ball_supports():
     rng = Random(43)
     for _ in range(10):
         P = random_pointed_polyhedron(rng, 2, rng.choice([1, 2]), 3, rng.randint(0, 2))
+        z = rand_rational_vector(rng, 2)
+        C = P.translated(-z)
         d, eps = find_barrier_direction(P)
-        M = bound_support_on_ball(P, d, eps)
+        M = bound_support_on_ball(P, z, d, eps)
         assert M >= 1
         for u in unit_directions_2d():
-            sv = support_value(P, d + eps * u)
+            sv = support_value(C, d + eps * u)
             assert sv.is_finite
             assert (Surd(M) - sv.value).sign() >= 0
 
@@ -219,7 +291,7 @@ def test_wedge_ball_containments():
 def test_pipeline_steps_reject_inexact_scalars(bad):
     y_bar, d = Vector([1, 1]), Vector([0, 0])
     with pytest.raises(TypeError):
-        bound_support_on_ball(TRIANGLE, d, bad)
+        bound_support_on_ball(TRIANGLE, d, d, bad)
     with pytest.raises(TypeError):
         compute_wedge_parameters(y_bar, bad, d, F(1))
     with pytest.raises(TypeError):
@@ -320,11 +392,11 @@ def test_norm_upper_matches_surd_reference(v):
 
 @st.composite
 def support_bound_inputs(draw):
-    """(C, d, eps, kind).  "random" draws everything.  The other kinds
-    have one ray r = u*w for a rational w of norm s and a positive u in
-    Q(sqrt(k)): with d = -c*w, eps = c*s puts the ball's boundary exactly
-    on the barrier cone ("boundary"), a hair more ("past") or a d
-    orthogonal to r ("orthogonal") put it outside."""
+    """(X, z, d, eps, kind) for the bound on C = X - z.  "random" draws
+    everything.  The other kinds have one ray r = u*w for a rational w of
+    norm s and a positive u in Q(sqrt(k)): with d = -c*w, eps = c*s puts
+    the ball's boundary exactly on the barrier cone ("boundary"), a hair
+    more ("past") or a d orthogonal to r ("orthogonal") put it outside."""
     dim, k = draw(dims_and_fields)
     vertices = draw(st.lists(field_vectors(dim, k), min_size=1, max_size=3))
     kind = draw(st.sampled_from(["random", "boundary", "past", "orthogonal"]))
@@ -343,7 +415,8 @@ def support_bound_inputs(draw):
             eps += F(1, 10**40)
         elif kind == "orthogonal":
             d = Vector([-w[1], w[0]] + [0] * (dim - 2))
-    return VPolyhedron(tuple(vertices), tuple(rays)), d, eps, kind
+    z = draw(field_vectors(dim, k))
+    return VPolyhedron(tuple(vertices), tuple(rays)), z, d, eps, kind
 
 
 @given(support_bound_inputs())
@@ -351,15 +424,58 @@ def support_bound_inputs(draw):
     (
         VPolyhedron((Vector([Surd(1, F(1, 2), 1000003), F(-3, 4)]), Vector([0, F(5, 3)]))),
         Vector.zero(2),
+        Vector.zero(2),
         F(1),
         "random",
     )
 )
 def test_support_bound_matches_surd_reference(inputs):
-    C, d, eps, kind = inputs
-    raised = matches_reference(bound_support_on_ball, surd_bound_support_on_ball, C, d, eps)
+    X, z, d, eps, kind = inputs
+    raised = matches_reference(bound_support_on_ball, surd_bound_support_on_ball, X, z, d, eps)
     if kind != "random":
         assert raised == (kind != "boundary")
+
+
+@st.composite
+def moved_bound_inputs(draw):
+    """(X, z, d, eps): X over Q(sqrt(k)) in dimension 1-4 with 1-3
+    vertices and 0-3 rays, each ray's first coordinate positive, so that
+    X is pointed; z inside X (the mean of the vertices plus the rays) or
+    drawn anywhere; (d, eps) X's barrier ball or drawn at random."""
+    dim, k = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 1000003]))
+
+    def vector():
+        return Vector([Surd(draw(coords), draw(coords) if k > 1 else 0, k) for _ in range(dim)])
+
+    vertices = [vector() for _ in range(draw(st.integers(1, 3)))]
+    rays = []
+    for _ in range(draw(st.integers(0, 3))):
+        u = Surd(draw(positives), draw(coords) if k > 1 else 0, k)
+        rays.append(Vector([u if u.sign() > 0 else 1 - u, *vector().coords[1:]]))
+    X = VPolyhedron(tuple(vertices), tuple(rays))
+    if draw(st.booleans()):
+        z = F(1, len(vertices)) * sum(vertices[1:], vertices[0]) + sum(rays, Vector.zero(dim))
+    else:
+        z = vector()
+    d, eps = find_barrier_direction(X) if draw(st.booleans()) else (vector(), draw(positives))
+    return X, z, d, eps
+
+
+def bound_on_the_moved_set(X, z, d, eps):
+    """The bound on C = X - z, with C built and an offset of zero."""
+    return bound_support_on_ball(X.translated(-z), Vector.zero(X.dim), d, eps)
+
+
+@given(moved_bound_inputs())
+def test_support_bound_reads_the_moved_set_from_x_and_z(inputs):
+    X, z, d, eps = inputs
+    matches_reference(bound_support_on_ball, bound_on_the_moved_set, X, z, d, eps)
+    matches_reference(bound_support_on_ball, surd_bound_support_on_ball, X, z, d, eps)
+    with pytest.raises(DimensionMismatchError):
+        bound_support_on_ball(X, Vector([*z.coords, 0]), d, eps)
+    if X.field_k != 1:
+        with pytest.raises(ValueError, match="cannot mix"):
+            bound_support_on_ball(X, Vector([Surd.root(3)] * X.dim), d, eps)
 
 
 @st.composite
@@ -509,7 +625,7 @@ def test_separate_unbounded_set():
 def test_value_error_after_validation_carries_the_fields_so_far(monkeypatch):
     from ratsep import SeparationBugError, separation
 
-    def rejecting(C, d, eps):
+    def rejecting(X, z, d, eps):
         raise ValueError("ball d + eps*B is not inside the barrier cone")
 
     monkeypatch.setattr(separation, "bound_support_on_ball", rejecting)
