@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Time ``separate`` of this checkout against another source tree, call by call.
 
-    python scripts/ab_separate.py --against DIR [--seed S] [--count N] [--rounds R]
+    python scripts/ab_separate.py --against DIR [--workload W] [--seed S] [--count N] [--rounds R]
 
 This checkout's ``src/ratsep`` is imported as ``ratsep`` and DIR's
 ``src/ratsep`` as a second package, ``ratsep_against``, in the same
 process.  The instances are those of ``perfbench/gen.py`` for the
-``separate_rays`` and ``separate_bigk`` workloads; only that file of
-``perfbench/`` is imported.  Each round parses every instance afresh in
-each tree, outside the timed call, and times ``separate`` in both trees
-on it, the tree that goes first alternating from call to call, so a
-machine whose speed drifts or flips slows both sides alike.
+``separate_rays`` and ``separate_bigk`` workloads, or for the one named
+by ``--workload``; only that file of ``perfbench/`` is imported.  Each
+round parses every instance afresh in each tree, outside the timed
+call, and times ``separate`` in both trees on it, the tree that goes
+first alternating from call to call, so a machine whose speed drifts or
+flips slows both sides alike.
 
 Each timed call first runs ``is_pointed`` on the fresh set, which solves
 the set's margin LP and keeps it, and then ``separate``, which reads the
@@ -65,6 +66,7 @@ def timed_call(r, obj) -> tuple[float, float, str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=Path, required=True, help="root of the other source tree")
+    ap.add_argument("--workload", choices=WORKLOADS, help="time this workload only; both by default")
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--count", type=int, default=240, help="instances per workload")
     ap.add_argument("--rounds", type=int, default=3)
@@ -73,7 +75,7 @@ def main(argv=None) -> int:
     trees = [load("ratsep", ROOT / "src" / "ratsep"),
              load("ratsep_against", args.against / "src" / "ratsep")]
     gen = load("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    for workload in WORKLOADS:
+    for workload in [args.workload] if args.workload else WORKLOADS:
         instances = getattr(gen, workload)(args.seed, args.count)
         totals, lp = [0.0, 0.0], [0.0, 0.0]
         for rnd in range(args.rounds):

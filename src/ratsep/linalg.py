@@ -34,11 +34,21 @@ dictionary read straight off the rays' pairs, as in Avis & Fukuda's
 reverse-search vertex enumeration (lrs; Discrete Comput. Geom. 8, 1992):
 the tableau keeps the nonbasic columns and the right-hand side,
 labelled with variable indices, and no slack columns, because the full
-tableau holds D times a unit vector in every basic column.  Its rows are
-plain ints when every ray is rational.  Scaling a row by a positive
+tableau holds a unit vector, times the row's scale, in every basic
+column.  Its rows are plain ints when every ray is rational.  The box
+||d||_inf <= 1 is kept as bounds, not rows (Dantzig's upper-bounding
+technique, Econometrica 23, 1955): a variable at its upper bound is
+held as its complement, 1 minus it, under the label of the textbook
+tableau's box slack, and complementing a row or a column negates it and
+shifts its right-hand side, with no division.  The leaving candidates
+are those of the textbook tableau with its box rows, ratio for ratio
+and label for label, so Bland's rule (Math. Oper. Res. 2, 1977) read on
+those labels takes the same path; where the textbook pivot would leave
+through the entering variable's own box row, the column is complemented
+instead, a bound flip, with no pivot.  Scaling a row by a positive
 integer changes no sign and no ratio, so every Bland choice, and with it
 the pivot sequence and the optimum, is that of the textbook tableau over
-the field (``tests/helpers.surd_simplex_max``).  Problem sizes here are
+the field (``tests/helpers.surd_margin_lp``).  Problem sizes here are
 desk scale (a few dozen variables).
 """
 
@@ -190,47 +200,79 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     ||d||_inf <= 1, with d = p - q and 0 <= p, q <= 1.
 
     The dictionary is built straight from each ray's pairs over r.m, in
-    the rays' own field: one row [r, -r, m | 0] per ray, 2n box rows
-    [e_j | 1] and the objective row [0, ..., 0, 1 | 0].  Its entries are
-    plain ints when every ray is rational and integer pairs otherwise.
-    Variable j < 2n + 1 is (p, q, t)_j and variable 2n + 1 + i the slack
-    of row i.  The slack basis is feasible from the start (every
-    right-hand side is 0 or 1), so one phase suffices, and the box bounds
-    the LP, so finding no leaving row raises ``SeparationBugError``.  The
-    dictionary is fraction-free (Avis & Fukuda, Discrete Comput. Geom. 8,
-    1992): one column per nonbasic variable plus the right-hand side;
-    ``basis`` and ``nonbasic`` label the rows and columns with variables.
-    A basic variable's column in the full tableau is D times a unit
-    vector, so it is not stored.  The rows are lazy (see the module
-    docstring).  A pivot on (r, c) is ``_pivot`` on the dictionary,
-    objective included, and then column c becomes the leaving variable's
-    column of the full tableau: the previous D in row r, 0 in every row
-    the pivot left alone, and -f*D/a in every row it rewrote, where f was
-    that row's entry of column c over a = at[i].  Bland's rule: the
-    entering column is the nonbasic variable of smallest index with
-    positive reduced cost, the leaving row the minimum ratio with the
-    smallest basic index, which guarantees termination.  Every pivot
-    entry is positive over the previous one, so D and every at[i] stay
-    positive: signs of stored entries are true signs, and the ratios
-    T_i/t_i and T_l/t_l of two candidate rows, each taken within its own
-    row and so free of its scale, compare as T_i*t_l and T_l*t_i.  The
-    solution reads T_i over at[i], and d* is built over one common
+    the rays' own field: one row [r, -r, m | 0] per ray and the objective
+    row [0, ..., 0, 1 | 0], plain ints when every ray is rational and
+    integer pairs otherwise.  The box 0 <= p, q <= 1 is kept as bounds
+    (Dantzig's upper-bounding technique, Econometrica 23, 1955), not as
+    rows.  Labels are those of the textbook tableau with 2n box rows:
+    variable j < 2n + 1 is (p, q, t)_j, variable 2n + 1 + i the slack of
+    ray row i, and u_j = 1 - x_j, at 2n + 1 + R + j for j < 2n, the
+    slack of box row j; x_j and u_j are partners, and t and the ray
+    slacks have none.  A column labelled u_j holds x_j at its upper
+    bound, a row whose basic variable is u_j holds 1 - x_j.  Swapping a
+    label for its partner, complementing, needs no division: a column is
+    negated and subtracted from every row's right-hand side, each in its
+    row's own scale, and a row is negated, its right-hand side a becoming
+    at[i] - a.  The slack basis is feasible from the start (every
+    right-hand side is 0), so one phase suffices.
+
+    The dictionary is fraction-free (Avis & Fukuda, Discrete Comput.
+    Geom. 8, 1992): one column per nonbasic variable plus the right-hand
+    side; ``basis`` and ``nonbasic`` label the rows and columns.  A basic
+    variable's column in the full tableau is at[i] times a unit vector, so
+    it is not stored.  The rows are lazy (see the module docstring).
+    Bland's rule: the entering column is the nonbasic label of smallest
+    index with positive reduced cost.  The leaving candidates are the
+    textbook tableau's: each row with a positive entry, at its ratio and
+    labelled with its basic variable; each row with a negative entry
+    whose basic variable has a partner, at (at[i] - a)/(-entry) and
+    labelled with the partner, which sits in a box row of the textbook
+    tableau; and the entering column's own partner at ratio 1, which sits
+    in its box row with entry 1.  The least ratio wins, ties going to the
+    smallest label.  If the column's own partner wins, the column is
+    complemented, a bound flip: no pivot, and D does not change, as the
+    textbook pivot on an entry 1 leaves it.  If a row's partner wins, the
+    row is complemented first.  Complementing negates a column of the
+    constraint matrix and shifts the right-hand side by an integer
+    column, so every entry is still a minor and every division of
+    ``_pivot`` still exact.  Then a pivot on (r, c) is ``_pivot`` on
+    the dictionary, objective included, after which column c becomes the
+    leaving variable's column of the full tableau: the previous D in row
+    r, 0 in every row the pivot left alone, and -f*D/a in every row it
+    rewrote, where f was that row's entry of column c over a = at[i].
+    Both dictionaries hold the same basis, so each row and the objective
+    are the same function of the nonbasic variables, and every candidate
+    has the same ratio and label: the pivots, bound flips counted as
+    pivots, and the optimum are those of the textbook tableau
+    (``tests/helpers.surd_margin_lp``), which Bland's rule guarantees to
+    end.  The box bounds the LP, so finding no candidate raises
+    ``SeparationBugError``.  Every pivot entry is positive over the
+    previous one, so D and every at[i] stay positive: signs of stored
+    entries are true signs, and two ratios, each taken within its own row
+    and so free of its scale, compare by cross-multiplication.  The
+    solution reads T_i over at[i] for a basic x_j, 1 minus that for a
+    basic u_j and 1 for a nonbasic u_j; d* is built over one common
     denominator.
     """
     n = rays[0].dim
-    nv = 2 * n + 1
+    nv, m = 2 * n + 1, len(rays)
+    box = nv + m  # the label of u_0: x_j and u_j = box + j are partners for j < 2n
     k = max(r.field_k for r in rays)  # the rays' one field: 1 or their common k
     ints = k == 1
-    zero, one = (0, 1) if ints else ((0, 0), (1, 0))
     if ints:
+        zero, one, neg, sub = 0, 1, int.__neg__, int.__sub__
         T = [[*(a for a, _ in r.pairs), *(-a for a, _ in r.pairs), r.m, 0] for r in rays]
     else:
+        zero, one = (0, 0), (1, 0)
+        neg, sub = (lambda x: (-x[0], -x[1])), (lambda x, y: (x[0] - y[0], x[1] - y[1]))
         T = [[*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0), zero] for r in rays]
-    T += [[*(one if i == j else zero for i in range(nv)), one] for j in range(2 * n)]
     T.append([zero] * (2 * n) + [one, zero])
-    m = len(T) - 1
     at, D = [one] * (m + 1), one
-    basis, nonbasic = list(range(nv, nv + m)), list(range(nv))
+    basis, nonbasic = list(range(nv, box)), list(range(nv))
+
+    def partner(v):
+        return v + box if v < 2 * n else v - box if v >= box else None  # none for t and slacks
+
     while True:
         # the sign of a rational entry is read inline, that of an irrational one by _pair_sign
         enter = None
@@ -240,40 +282,60 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
                     enter = j
         if enter is None:
             break
-        leave = None
+        # candidates (a, t, label, row) at ratio a/t; the column's own partner is row -1
+        own = partner(nonbasic[enter])
+        leave = None if own is None else (one, one, own, -1)
         for i in range(m):
-            t = T[i][enter]
-            if (t if ints else t[0] if not t[1] else _pair_sign(t, k)) <= 0:
+            t, b = T[i][enter], basis[i]
+            s = t if ints else t[0] if not t[1] else _pair_sign(t, k)
+            if s > 0:
+                a = T[i][-1]
+            elif s < 0 and (b := partner(b)) is not None:
+                a, t = sub(at[i], T[i][-1]), neg(t)
+            else:
                 continue
             if leave is not None:
-                best = T[leave]
+                la, lt, lb, _ = leave
                 if ints:
-                    cmp = T[i][-1] * best[enter] - best[-1] * t
+                    cmp = a * lt - la * t
                 else:
-                    x, y = _pair_mul(T[i][-1], best[enter], k), _pair_mul(best[-1], t, k)
-                    cmp = _pair_sign((x[0] - y[0], x[1] - y[1]), k)
-                if cmp > 0 or (cmp == 0 and basis[i] > basis[leave]):
+                    cmp = _pair_sign(sub(_pair_mul(a, lt, k), _pair_mul(la, t, k)), k)
+                if cmp > 0 or (cmp == 0 and b > lb):
                     continue
-            leave = i
+            leave = (a, t, b, i)
         if leave is None:
             raise SeparationBugError("the margin LP found no leaving row, but the box bounds it")
+        _, _, label, r = leave
+        if r < 0:  # a bound flip: the column's variable is complemented
+            for row in T:
+                row[-1], row[enter] = sub(row[-1], row[enter]), neg(row[enter])
+            nonbasic[enter] = label
+            continue
+        if label != basis[r]:  # the row's basic variable leaves at its upper bound
+            T[r] = [*map(neg, T[r][:-1]), sub(at[r], T[r][-1])]
+            basis[r] = label
         column = [(row[enter], a) for row, a in zip(T, at)]
-        previous, D = D, _pivot(T, at, leave, enter, D, k)
+        previous, D = D, _pivot(T, at, r, enter, D, k)
         for row, (f, a) in zip(T, column):
             if f != zero:
-                if ints:
-                    row[enter] = -f if a == previous else _int_quotients([-f * previous], a)[0]
-                else:
-                    f = (-f[0], -f[1])
-                    row[enter] = f if a == previous else _pair_quotients([_pair_mul(f, previous, k)], a, k)[0]
-        T[leave][enter] = previous
-        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
-    # x_b = T_i / at[i] for basic b, as a pair over a positive integer; d = p - q over their lcm
-    x = [((0, 0), 1)] * nv
+                f = neg(f)
+                if a != previous:
+                    f = (_int_quotients([f * previous], a) if ints
+                         else _pair_quotients([_pair_mul(f, previous, k)], a, k))[0]
+                row[enter] = f
+        T[r][enter] = previous
+        basis[r], nonbasic[enter] = nonbasic[enter], basis[r]
+    # x_j = T_i / at[i] for basic x_j, 1 minus that for basic u_j, and 1 for
+    # nonbasic u_j, as a pair over a positive integer; d = p - q over their lcm
+    x = [((int(box + j in nonbasic), 0), 1) for j in range(nv)]
     for i, b in enumerate(basis):
-        if b < nv:
+        if b < nv or b >= box:
             w, den = _pair_reciprocal((at[i], 0) if ints else at[i], k)
-            x[b] = (_pair_mul((T[i][-1], 0) if ints else T[i][-1], w, k), den)
+            a, c = _pair_mul((T[i][-1], 0) if ints else T[i][-1], w, k)
+            if b < nv:
+                x[b] = ((a, c), den)
+            else:
+                x[b - box] = ((den - a, -c), den)
     (ta, tb), dt = x[2 * n]
     M = lcm(*(den for _, den in x[:2 * n]))
     x = [(a * (M // den), b * (M // den)) for (a, b), den in x[:2 * n]]

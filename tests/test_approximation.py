@@ -43,7 +43,7 @@ GRID = GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 2))
     [((0.1, 0), (1, 1), 1), ((0, 0), ("1/3", 1), 1), ((0, 0), (1, 1), 0.5)],
 )
 def test_grid_spec_rejects_inexact_numbers(mins, maxs, step):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="expected int or Fraction"):
         GridSpec(mins, maxs, step)
 
 

@@ -40,7 +40,7 @@ def test_certificate_validation():
 @pytest.mark.parametrize("beta", [0.1, "1/3"])
 def test_certificate_rejects_an_inexact_beta(beta):
     # a float would be stored as its binary expansion, e.g. 0.1 as .../2**55
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="expected int or Fraction"):
         Certificate(Vector([1, 0]), beta)
 
 

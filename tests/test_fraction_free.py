@@ -5,14 +5,17 @@ pairs, or on plain ints when the margin LP's rays are rational;
 ``helpers.surd_simplex_max`` and ``helpers.surd_double_description`` are
 the same algorithms with a Surd in every entry and a field division in
 every pivot.  ``simplex_max`` solves only the margin LP, on a dictionary
-without the slack columns of the oracle's full tableau, and the oracle
-solves it in the general form ``helpers.margin_lp``.  Positive row
-scaling changes no Bland choice and no primitive ray, so the results must
-be equal, not merely equivalent.  The oracle itself stays general, and
-its verdicts on general LPs are checked by their certificates.
+without the slack columns and the box rows of the oracle's full tableau,
+the box kept as bounds, and the oracle solves it in the general form
+``helpers.margin_lp``.  Positive row scaling changes no Bland choice and
+no primitive ray, and the bounds change no candidate of the ratio test,
+so the results must be equal, not merely equivalent.  The oracle itself
+stays general, and its verdicts on general LPs are checked by their
+certificates.
 """
 
 from fractions import Fraction as F
+from itertools import combinations, product
 from random import Random
 from unittest.mock import patch
 
@@ -196,8 +199,10 @@ def assert_same_margin(rays):
 
 
 def test_simplex_pivots_a_dictionary_without_slack_columns(monkeypatch):
-    # R rays in dim n: R + 2n constraints and 2n + 1 variables, so the full
-    # tableau would hand _pivot rows of 2n + 1 + R + 2n + 1 entries
+    # R rays in dim n: the dictionary holds the R ray rows and the objective,
+    # each with 2n + 1 nonbasic columns and the right-hand side, and keeps
+    # the box as bounds; the full tableau, with its 2n box rows, would hand
+    # _pivot R + 2n + 1 rows of 2n + 1 + R + 2n + 1 entries
     shapes = []
 
     def recorder(T, at, r, col, D, k):
@@ -209,22 +214,87 @@ def test_simplex_pivots_a_dictionary_without_slack_columns(monkeypatch):
     for rays, kind in (([[1, -2], [3, 1], [-1, -1]], int), ([[1, -root], [3, 1], [-1, -1]], tuple)):
         shapes.clear()
         assert_same_margin(rays)
-        assert shapes and set(shapes) == {(3 + 2 * 2 + 1, 2 * 2 + 2, kind)}
+        assert shapes and set(shapes) == {(3 + 1, 2 * 2 + 2, kind)}
+
+
+def small_ray_sets():
+    """Every set of up to 4 rays from {-1, 0, 1}^2 \\ {0} and of up to 2
+    rays from {-1, 0, 1}^3 \\ {0}, pointed or not."""
+    for dim, most in ((2, 4), (3, 2)):
+        rays = [r for r in product((-1, 0, 1), repeat=dim) if any(r)]
+        for size in range(1, most + 1):
+            yield from combinations(rays, size)
+
+
+def test_every_small_margin_lp_matches_the_surd_tableau():
+    # zero coordinates, opposite rays and ratio ties at every bound, swept
+    # exhaustively rather than sampled
+    margins = [assert_same_margin(rays)[1] for rays in small_ray_sets()]
+    assert len(margins) == 8 + 28 + 56 + 70 + 26 + 325
+    assert {t.sign() for t in margins} == {0, 1}
+
+
+def nonzero_coordinates(rng, n, k):
+    """n nonzero elements of Q(sqrt(k)), of both signs."""
+    out = []
+    while len(out) < n:
+        x = Surd(F(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-2, 2) if k > 1 else 0, k)
+        if x.sign():
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, BIG_K])
+@pytest.mark.parametrize("n", [1, 2, 4, MAX_DIM])
+def test_one_ray_takes_one_pivot_and_a_bound_flip_per_coordinate(monkeypatch, n, k):
+    # t enters through the ray row at ratio 0; then each of p_j and q_j that
+    # has a positive reduced cost leaves through its own box row at ratio 1,
+    # a bound flip, which the textbook tableau takes as a pivot
+    calls = []
+
+    def counting(T, at, r, c, D, k):
+        calls.append((r, c))
+        return _pivot(T, at, r, c, D, k)
+
+    monkeypatch.setattr(linalg, "_pivot", counting)
+    ray = nonzero_coordinates(Random(n * k), n, k)
+    d, t = assert_same_margin([ray])
+    assert calls == [(0, 2 * n)]
+    assert d == Vector([-x.sign() for x in ray]) and t == sum((abs(x) for x in ray), Surd(0))
+
+
+@pytest.mark.parametrize("k", [1, 2, BIG_K])
+def test_a_zero_coordinate_gets_the_reference_direction(k):
+    # a coordinate that is 0 in every ray never has a positive reduced cost,
+    # so d*_j stays 0, as in the reference; a zero in one ray only is read
+    # off the other rays
+    rng = Random(k)
+    for n in (2, 3, MAX_DIM):
+        ray = nonzero_coordinates(rng, n, k)
+        for zeros in ({0}, {n - 1}, set(range(0, n, 2))):
+            r = [Surd(0) if j in zeros else x for j, x in enumerate(ray)]
+            d, _ = assert_same_margin([r])
+            assert all(d[j] == 0 for j in zeros)
+            d, _ = assert_same_margin([r, nonzero_coordinates(rng, n, k)])
+
+
+SHAPES = ("general", "parallel", "repeated", "line")
 
 
 @st.composite
-def barrier_lps(draw):
+def barrier_lps(draw, shape=None):
     """Ray lists for margin LPs with 1-6 rays in dims 1-6 over k in {1, 2,
     1000003}.  The ray rows have right-hand side 0, so every pivot through
     them is degenerate; zero coordinates, a positive multiple of a ray, a
     repeated ray or a ray and its negative (a line: the set is not
     pointed) make ratio ties and optimal faces with more than one vertex.
-    Rays whose parts are all rational take the integer path."""
+    Rays whose parts are all rational take the integer path.  ``shape``
+    fixes the shape; by default it is drawn."""
     k = draw(FIELD_KS)
     n = draw(st.integers(1, 6))
     coord = st.one_of(st.just(Surd(0)), field_elements(k))
     rays = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6))
-    shape = draw(st.sampled_from(["general", "parallel", "repeated", "line"]))
+    shape = shape or draw(st.sampled_from(SHAPES))
     r = rays[0]
     if shape == "parallel":
         scale = draw(field_elements(k).filter(lambda s: s.sign() > 0))
@@ -240,6 +310,14 @@ def barrier_lps(draw):
 @given(barrier_lps())
 def test_barrier_margin_lps_match_the_surd_tableau(rays):
     assert_same_margin(rays)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_barrier_lp_shape_matches_the_surd_tableau(shape, data):
+    # each shape's ties and bound flips, whatever the draw above favours
+    assert_same_margin(data.draw(barrier_lps(shape)))
 
 
 def limit_part():
@@ -365,10 +443,11 @@ def spy_on_pivots(monkeypatch) -> list:
 
 @pytest.mark.parametrize("k", [1, 2, BIG_K])
 def test_pivot_leaves_rows_with_zero_in_the_pivot_column_alone(monkeypatch, k):
-    # the margin LP of three rays in dim 3: each box row holds a single 1,
-    # so most rows have a 0 in the pivot column; over Q the rows are ints
+    # the margin LP of four rays in dim 3 that share zeros and coordinates,
+    # so ray rows and the objective row meet pivot columns with a 0 in
+    # them; over Q the rows are ints
     root = Surd(0, 1, k) if k > 1 else Surd(F(1, 3))
-    rays = [[-1, root, F(-1, 2)], [-2, -1, 0], [F(-1, 3), 0, -root - 2]]
+    rays = [[root, 1, -1], [0, -2, -1], [0, 1, 0], [0, 1, -1]]
     log = spy_on_pivots(monkeypatch)
     assert assert_same_margin(rays)[1] > 0
     skipped = 0
@@ -381,7 +460,7 @@ def test_pivot_leaves_rows_with_zero_in_the_pivot_column_alone(monkeypatch, k):
                 assert new_row == row and new_a == a
             elif i != r:
                 assert new_a == p
-    assert log and skipped > len(log)
+    assert log and skipped >= len(log)
 
 
 @settings(max_examples=60, deadline=None)

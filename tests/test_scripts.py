@@ -78,24 +78,25 @@ def test_code_lines_on_the_package():
     assert 0 < total < sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
 
 
-def run_ab_separate(against: Path):
+def run_ab_separate(against: Path, *options: str):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_separate.py"), "--against", str(against),
-         "--count", "4", "--rounds", "1"],
+         "--count", "4", "--rounds", "1", *options],
         capture_output=True, text=True, timeout=120,
     )
 
 
 def test_ab_separate_against_the_checkout_itself():
-    done = run_ab_separate(ROOT)
-    assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()]
-    assert [row[0] for row in rows] == [
-        f"{workload}{part}:"
-        for workload in ("separate_rays", "separate_bigk")
-        for part in ("", ".margin_lp", ".stages")
-    ]
-    assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
+    # no --workload times both workloads; --workload W times W alone
+    for workloads in (("separate_rays", "separate_bigk"), ("separate_rays",), ("separate_bigk",)):
+        options = ("--workload", *workloads) if len(workloads) == 1 else ()
+        done = run_ab_separate(ROOT, *options)
+        assert done.returncode == 0, done.stderr
+        rows = [line.split() for line in done.stdout.splitlines()]
+        assert [row[0] for row in rows] == [
+            f"{workload}{part}:" for workload in workloads for part in ("", ".margin_lp", ".stages")
+        ]
+        assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
 
 
 def test_ab_separate_fails_on_a_different_certificate(tmp_path):

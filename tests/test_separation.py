@@ -287,18 +287,22 @@ def test_wedge_ball_containments():
             assert point_in_apex_hull(p, x0, d_bar, eps_bar)
 
 
+# the message of scalars._fraction, so that a call failing for another reason fails the test
+INEXACT = "expected int or Fraction"
+
+
 @pytest.mark.parametrize("bad", [0.5, "1/2"])
 def test_pipeline_steps_reject_inexact_scalars(bad):
     y_bar, d = Vector([1, 1]), Vector([0, 0])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=INEXACT):
         bound_support_on_ball(TRIANGLE, d, d, bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=INEXACT):
         compute_wedge_parameters(y_bar, bad, d, F(1))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=INEXACT):
         compute_wedge_parameters(y_bar, F(1), d, bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=INEXACT):
         wedge_interior_ball(y_bar, d, bad, F(1))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=INEXACT):
         wedge_interior_ball(y_bar, d, F(1), bad)
 
 
