@@ -13,17 +13,16 @@ where y is the pivot row, f the entry of x in the pivot column and D the
 previous pivot entry; the pivot row stays and p becomes the new D.  The entries are
 minors of the scaled input, so each division is exact in Z[sqrt(k)].
 
-The rows are lazy: row i is the eager row scaled by at[i]/D, where
-at[i] is the pivot entry current when the row was last written, so its
-true values are the stored ones over at[i].  A row with 0 in the pivot
-column is not touched, because its true values do not change.  Any
-other row x, stored over a = at[i], becomes (p*x - f*y) / a, with y the
-pivot row first brought up to D as y*D/at[r]: that is the eager pivot
-of the eager row x*D/a, so it is the row the eager pivot holds, and the
-division is exact.  Every division is checked: a remainder raises
-``SeparationBugError``.  Every scale is positive, so every sign is a
-true sign, read off integers.  Rows over Q may be plain ints instead of
-pairs, and the pivot runs on them the same way, with the same checks.
+The rows are eager: after each pivot every row is held over the new D,
+so its true values are the stored ones over D.  A row with 0 in the
+pivot column is rewritten too, as p*x / D; rows each held over a scale
+of their own could skip it, but the margin LP keeps its box as bounds,
+so such rows are rare (55 of the 8473 rows met by the 2784 pivots of the
+720 margin LPs of ``perfbench`` ``separate_rays`` seeds 5-7) and a
+second scale per row would buy nothing.  Every division is checked: a
+remainder raises ``SeparationBugError``.  Rows over Q may be plain ints
+instead of pairs, and the pivot runs on them the same way, with the
+same checks.
 
 Elimination built on the pivot solves the small linear systems of the
 projection step.  The one LP the program solves is the margin LP of
@@ -34,27 +33,29 @@ dictionary read straight off the rays' pairs, as in Avis & Fukuda's
 reverse-search vertex enumeration (lrs; Discrete Comput. Geom. 8, 1992):
 the tableau keeps the nonbasic columns and the right-hand side,
 labelled with variable indices, and no slack columns, because the full
-tableau holds a unit vector, times the row's scale, in every basic
-column.  Its rows are plain ints when every ray is rational.  The box
-||d||_inf <= 1 is kept as bounds, not rows (Dantzig's upper-bounding
-technique, Econometrica 23, 1955): a variable at its upper bound is
-held as its complement, 1 minus it, under the label of the textbook
-tableau's box slack, and complementing a row or a column negates it and
-shifts its right-hand side, with no division.  The leaving candidates
-are those of the textbook tableau with its box rows, ratio for ratio
-and label for label, so Bland's rule (Math. Oper. Res. 2, 1977) read on
-those labels takes the same path; where the textbook pivot would leave
-through the entering variable's own box row, the column is complemented
-instead, a bound flip, with no pivot.  Scaling a row by a positive
-integer changes no sign and no ratio, so every Bland choice, and with it
-the pivot sequence and the optimum, is that of the textbook tableau over
-the field (``tests/helpers.surd_margin_lp``).  Problem sizes here are
-desk scale (a few dozen variables).
+tableau holds a unit vector, times D, in every basic column.  Its rows
+are plain ints when every ray is rational.  The box ||d||_inf <= 1 is
+kept as bounds, not rows (Dantzig's upper-bounding technique,
+Econometrica 23, 1955): a variable at its upper bound is held as its
+complement, 1 minus it, under the label of the textbook tableau's box
+slack, and complementing a row or a column negates it and shifts its
+right-hand side, with no division.  The leaving candidates are those of
+the textbook tableau with its box rows, ratio for ratio and label for
+label, so Bland's rule (Math. Oper. Res. 2, 1977) read on those labels
+takes the same path; where the textbook pivot would leave through the
+entering variable's own box row, the column is complemented instead, a
+bound flip, with no pivot.  Every pivot entry of the simplex is
+positive, so D is, and every sign is a true sign, read off integers;
+scaling a row by a positive integer changes no sign and no ratio, so
+every Bland choice, and with it the pivot sequence and the optimum, is
+that of the textbook tableau over the field
+(``tests/helpers.surd_margin_lp``).  Problem sizes here are desk scale
+(a few dozen variables).
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import comb, lcm
 
 from .errors import SeparationBugError
 from .scalars import (
@@ -109,55 +110,45 @@ def _int_quotients(xs: list[int], d: int) -> list[int]:
     return out
 
 
-def _pivot(T, at, r, c, D, k):
+def _pivot(T, r, c, D, k):
     """Fraction-free pivot of the rows ``T`` on entry (r, c), in place,
     from the current pivot entry ``D``; returns the new one, p.  The rows
     hold integer pairs of Z[sqrt(k)], or plain ints when D is an int.
-    The rows and their scales ``at`` are lazy, as the module docstring
-    states: afterwards every row the pivot wrote, the pivot row included,
-    is held over p."""
+    Every row x other than r becomes (p*x - f*y) / D, where y is row r
+    and f the entry of x in column c, as the module docstring states:
+    afterwards every row is held over p."""
     if type(D) is int:
-        return _int_pivot(T, at, r, c, D)
+        return _int_pivot(T, r, c, D)
     prow = T[r]
-    if at[r] != D:
-        prow = T[r] = _pair_quotients([_pair_mul(y, D, k) for y in prow], at[r], k)
     p = pa, pb = prow[c]
     for i, row in enumerate(T):
-        fa, fb = row[c]
-        if i == r or not (fa or fb):
-            continue
-        combined = [
-            (pa * xa + (pb * xb - fb * yb) * k - fa * ya, pa * xb + pb * xa - fa * yb - fb * ya)
-            for (xa, xb), (ya, yb) in zip(row, prow)
-        ]
-        T[i] = _pair_quotients(combined, at[i], k)
-        at[i] = p
-    at[r] = p
+        if i != r:
+            fa, fb = row[c]
+            combined = [
+                (pa * xa + (pb * xb - fb * yb) * k - fa * ya, pa * xb + pb * xa - fa * yb - fb * ya)
+                for (xa, xb), (ya, yb) in zip(row, prow)
+            ]
+            T[i] = _pair_quotients(combined, D, k)
     return p
 
 
-def _int_pivot(T, at, r, c, D) -> int:
+def _int_pivot(T, r, c, D) -> int:
     """``_pivot`` on rows of ints."""
     prow = T[r]
-    if at[r] != D:
-        prow = T[r] = _int_quotients([y * D for y in prow], at[r])
     p = prow[c]
     for i, row in enumerate(T):
-        f = row[c]
-        if f and i != r:
-            T[i] = _int_quotients([p * x - f * y for x, y in zip(row, prow)], at[i])
-            at[i] = p
-    at[r] = p
+        if i != r:
+            f = row[c]
+            T[i] = _int_quotients([p * x - f * y for x, y in zip(row, prow)], D)
     return p
 
 
 def _eliminate(T, k, ncols) -> list[tuple[int, int]]:
     """Fraction-free Gauss-Jordan elimination of the pair rows ``T`` in
     place over their first ``ncols`` columns; returns the (row, column) of
-    each pivot.  Each pivot row holds its true values times its own pivot
-    entry, and every other row is a multiple of its true values."""
+    each pivot.  Every row holds its true values times the last pivot
+    entry D, so each pivot row holds D in its pivot column."""
     m = len(T)
-    at = [_PAIR_ONE] * m
     pivots = []
     D = _PAIR_ONE
     for col in range(ncols):
@@ -168,8 +159,7 @@ def _eliminate(T, k, ncols) -> list[tuple[int, int]]:
         if pr is None:
             continue
         T[prow], T[pr] = T[pr], T[prow]
-        at[prow], at[pr] = at[pr], at[prow]
-        D = _pivot(T, at, prow, col, D, k)
+        D = _pivot(T, prow, col, D, k)
         pivots.append((prow, col))
     return pivots
 
@@ -211,48 +201,49 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     slacks have none.  A column labelled u_j holds x_j at its upper
     bound, a row whose basic variable is u_j holds 1 - x_j.  Swapping a
     label for its partner, complementing, needs no division: a column is
-    negated and subtracted from every row's right-hand side, each in its
-    row's own scale, and a row is negated, its right-hand side a becoming
-    at[i] - a.  The slack basis is feasible from the start (every
-    right-hand side is 0), so one phase suffices.
+    negated and subtracted from every row's right-hand side, and a row
+    is negated, its right-hand side a becoming D - a.  The slack basis
+    is feasible from the start (every right-hand side is 0), so one
+    phase suffices.
 
     The dictionary is fraction-free (Avis & Fukuda, Discrete Comput.
     Geom. 8, 1992): one column per nonbasic variable plus the right-hand
-    side; ``basis`` and ``nonbasic`` label the rows and columns.  A basic
-    variable's column in the full tableau is at[i] times a unit vector, so
-    it is not stored.  The rows are lazy (see the module docstring).
-    Bland's rule: the entering column is the nonbasic label of smallest
-    index with positive reduced cost.  The leaving candidates are the
-    textbook tableau's: each row with a positive entry, at its ratio and
-    labelled with its basic variable; each row with a negative entry
-    whose basic variable has a partner, at (at[i] - a)/(-entry) and
-    labelled with the partner, which sits in a box row of the textbook
-    tableau; and the entering column's own partner at ratio 1, which sits
-    in its box row with entry 1.  The least ratio wins, ties going to the
-    smallest label.  If the column's own partner wins, the column is
-    complemented, a bound flip: no pivot, and D does not change, as the
-    textbook pivot on an entry 1 leaves it.  If a row's partner wins, the
-    row is complemented first.  Complementing negates a column of the
-    constraint matrix and shifts the right-hand side by an integer
-    column, so every entry is still a minor and every division of
-    ``_pivot`` still exact.  Then a pivot on (r, c) is ``_pivot`` on
-    the dictionary, objective included, after which column c becomes the
-    leaving variable's column of the full tableau: the previous D in row
-    r, 0 in every row the pivot left alone, and -f*D/a in every row it
-    rewrote, where f was that row's entry of column c over a = at[i].
-    Both dictionaries hold the same basis, so each row and the objective
-    are the same function of the nonbasic variables, and every candidate
-    has the same ratio and label: the pivots, bound flips counted as
-    pivots, and the optimum are those of the textbook tableau
-    (``tests/helpers.surd_margin_lp``), which Bland's rule guarantees to
-    end.  The box bounds the LP, so finding no candidate raises
-    ``SeparationBugError``.  Every pivot entry is positive over the
-    previous one, so D and every at[i] stay positive: signs of stored
-    entries are true signs, and two ratios, each taken within its own row
-    and so free of its scale, compare by cross-multiplication.  The
-    solution reads T_i over at[i] for a basic x_j, 1 minus that for a
-    basic u_j and 1 for a nonbasic u_j; d* is built over one common
-    denominator.
+    side; ``basis`` and ``nonbasic`` label the rows and columns.  Every
+    row is held over D (see the module docstring), and a basic
+    variable's column in the full tableau is D times a unit vector, so
+    it is not stored.  Bland's rule: the entering column is the nonbasic
+    label of smallest index with positive reduced cost.  The leaving
+    candidates are the textbook tableau's: each row with a positive
+    entry, at its ratio and labelled with its basic variable; each row
+    with a negative entry whose basic variable has a partner, at
+    (D - a)/(-entry) and labelled with the partner, which sits in a box
+    row of the textbook tableau; and the entering column's own partner
+    at ratio 1, which sits in its box row with entry 1.  The least ratio
+    wins, ties going to the smallest label.  If the column's own partner
+    wins, the column is complemented, a bound flip: no pivot, and D does
+    not change, as the textbook pivot on an entry 1 leaves it.  If a
+    row's partner wins, the row is complemented first.  Complementing
+    negates a column of the constraint matrix and shifts the right-hand
+    side by an integer column, so every entry is still a minor and every
+    division of ``_pivot`` still exact.  Then a pivot on (r, c) is
+    ``_pivot`` on the dictionary, objective included, after which column
+    c becomes the leaving variable's column of the full tableau: the
+    previous D in row r and -f in every other row, where f was that
+    row's entry of column c.  Both dictionaries hold the same basis, so
+    each row and the objective are the same function of the nonbasic
+    variables, and every candidate has the same ratio and label: the
+    pivots, bound flips counted as pivots, and the optimum are those of
+    the textbook tableau (``tests/helpers.surd_margin_lp``).  Bland's
+    rule never repeats a basis, so it takes no more steps, bound flips
+    counted, than that tableau's R + 2n rows over R + 4n + 1 variables
+    have bases, C(R + 4n + 1, R + 2n); a step past that bound, like a
+    missing leaving candidate where the box bounds the LP, is a fault
+    and raises ``SeparationBugError``.  Every pivot entry is positive
+    over the previous one, so D stays positive: signs of stored entries
+    are true signs, and two ratios, each taken within its own row and so
+    free of D, compare by cross-multiplication.  The solution holds each
+    x_j over D: T_i for a basic x_j, D - T_i for a basic u_j, D for a
+    nonbasic u_j and 0 for any other.
     """
     n = rays[0].dim
     nv, m = 2 * n + 1, len(rays)
@@ -267,13 +258,14 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
         neg, sub = (lambda x: (-x[0], -x[1])), (lambda x, y: (x[0] - y[0], x[1] - y[1]))
         T = [[*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0), zero] for r in rays]
     T.append([zero] * (2 * n) + [one, zero])
-    at, D = [one] * (m + 1), one
+    D = one
     basis, nonbasic = list(range(nv, box)), list(range(nv))
 
     def partner(v):
         return v + box if v < 2 * n else v - box if v >= box else None  # none for t and slacks
 
-    while True:
+    steps = comb(m + 4 * n + 1, m + 2 * n)  # the textbook tableau's bases, each visited once at most
+    for _ in range(steps):
         # the sign of a rational entry is read inline, that of an irrational one by _pair_sign
         enter = None
         for j, x in enumerate(T[-1][:nv]):
@@ -291,7 +283,7 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
             if s > 0:
                 a = T[i][-1]
             elif s < 0 and (b := partner(b)) is not None:
-                a, t = sub(at[i], T[i][-1]), neg(t)
+                a, t = sub(D, T[i][-1]), neg(t)
             else:
                 continue
             if leave is not None:
@@ -312,32 +304,26 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
             nonbasic[enter] = label
             continue
         if label != basis[r]:  # the row's basic variable leaves at its upper bound
-            T[r] = [*map(neg, T[r][:-1]), sub(at[r], T[r][-1])]
+            T[r] = [*map(neg, T[r][:-1]), sub(D, T[r][-1])]
             basis[r] = label
-        column = [(row[enter], a) for row, a in zip(T, at)]
-        previous, D = D, _pivot(T, at, r, enter, D, k)
-        for row, (f, a) in zip(T, column):
-            if f != zero:
-                f = neg(f)
-                if a != previous:
-                    f = (_int_quotients([f * previous], a) if ints
-                         else _pair_quotients([_pair_mul(f, previous, k)], a, k))[0]
-                row[enter] = f
-        T[r][enter] = previous
+        column = [neg(row[enter]) for row in T]  # the leaving variable's column after the pivot
+        column[r] = D
+        D = _pivot(T, r, enter, D, k)
+        for row, f in zip(T, column):
+            row[enter] = f
         basis[r], nonbasic[enter] = nonbasic[enter], basis[r]
-    # x_j = T_i / at[i] for basic x_j, 1 minus that for basic u_j, and 1 for
-    # nonbasic u_j, as a pair over a positive integer; d = p - q over their lcm
-    x = [((int(box + j in nonbasic), 0), 1) for j in range(nv)]
+    else:
+        raise SeparationBugError(f"the margin LP exceeded its bound of {steps} simplex steps")
+    # each x_j over D, then d = p - q and t over the one denominator of 1/D
+    x = [D if box + j in nonbasic else zero for j in range(nv)]
     for i, b in enumerate(basis):
-        if b < nv or b >= box:
-            w, den = _pair_reciprocal((at[i], 0) if ints else at[i], k)
-            a, c = _pair_mul((T[i][-1], 0) if ints else T[i][-1], w, k)
-            if b < nv:
-                x[b] = ((a, c), den)
-            else:
-                x[b - box] = ((den - a, -c), den)
-    (ta, tb), dt = x[2 * n]
-    M = lcm(*(den for _, den in x[:2 * n]))
-    x = [(a * (M // den), b * (M // den)) for (a, b), den in x[:2 * n]]
-    d = [(pa - qa, pb - qb) for (pa, pb), (qa, qb) in zip(x[:n], x[n:])]
-    return Vector._make(M, d, k), Surd._make(ta, tb, dt, k)
+        if b < nv:
+            x[b] = T[i][-1]
+        elif b >= box:
+            x[b - box] = sub(D, T[i][-1])
+    if ints:
+        x, D = [(a, 0) for a in x], (D, 0)
+    w, den = _pair_reciprocal(D, k)
+    x = [_pair_mul(v, w, k) for v in x]
+    d = [(pa - qa, pb - qb) for (pa, pb), (qa, qb) in zip(x[:n], x[n:2 * n])]
+    return Vector._make(den, d, k), Surd._make(*x[2 * n], den, k)

@@ -19,7 +19,7 @@ from ratsep import (
     VPolyhedron,
     verify_certificate,
 )
-from ratsep import approximation, cli, separation, sets
+from ratsep import approximation, cli, linalg, separation, sets
 from ratsep import serialization as ser
 from ratsep.cli import main
 from helpers import facet_membership
@@ -219,6 +219,19 @@ def test_margin_lp_fault_exits_3(tmp_path, capsys, monkeypatch):
     path = write_instance(tmp_path, "quadrant.json", inst)
     code, out, err = run(capsys, ["separate", "--instance", path])
     message = f"the margin LP raised ValueError: {exc}"
+    assert code == 3
+    assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
+    assert err == f"error: internal: {message}\n"
+
+
+def test_margin_lp_past_its_step_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # a simplex that runs past its bound on steps, here one step for an LP
+    # that needs a pivot, ends as an internal error, not in a hang
+    monkeypatch.setattr(linalg, "comb", lambda a, b: 1)
+    inst = ser.Instance(polyhedron=QUADRANT, point=Vector([-1, -2]))
+    path = write_instance(tmp_path, "quadrant.json", inst)
+    code, out, err = run(capsys, ["separate", "--instance", path])
+    message = "the margin LP raised SeparationBugError: the margin LP exceeded its bound of 1 simplex steps"
     assert code == 3
     assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
     assert err == f"error: internal: {message}\n"

@@ -102,27 +102,33 @@ def test_pair_primitive_is_one_vector_per_ray(k, v, c, d):
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_corrupted_quotient_fails_the_exactness_audit(k):
     root = Surd(0, 1, k) if k > 1 else Surd(0)
-    # the second pivot divides by the first pivot entry: 2, or 2 + sqrt(2)
-    T, k = _tableau([[2 + root, 1], [1, 3], [1, 1 + root]], [1, 2, 5])
-    at = [(1, 0)] * len(T)
-    D = _pivot(T, at, 0, 0, (1, 0), k)
-    _pivot([row[:] for row in T], at[:], 1, 1, D, k)  # the true quotients divide
-    a, b = T[1][2]
-    T[1][2] = (a + 1, b)
-    with pytest.raises(SeparationBugError, match="left a remainder"):
-        _pivot(T, at, 1, 1, D, k)
+    # the second pivot divides by the first pivot entry: 2, or 2 + sqrt(2),
+    # which does not divide the second, 5 or 5 + 3*sqrt(2), so the last
+    # row, with 0 in the second pivot's column, is rewritten and audited too
+    T, k = _tableau([[2 + root, 1], [1, 3], [1, 1 + root], [2 + root, 1]], [1, 2, 5, 3])
+    D = _pivot(T, 0, 0, (1, 0), k)
+    assert T[3][1] == (0, 0)
+    _pivot([row[:] for row in T], 1, 1, D, k)  # the true quotients divide
+    for i in (1, 3):
+        U = [row[:] for row in T]
+        a, b = U[i][2]
+        U[i][2] = (a + 1, b)
+        with pytest.raises(SeparationBugError, match="left a remainder"):
+            _pivot(U, 1, 1, D, k)
 
 
 def test_a_corrupted_integer_quotient_fails_the_exactness_audit():
-    # rows of plain ints pivot the same way: the second pivot divides by 2
-    T = [[2, 1, 1], [1, 3, 2], [1, 1, 5]]
-    at = [1] * len(T)
-    D = _pivot(T, at, 0, 0, 1, 1)
-    assert D == 2 and T == [[2, 1, 1], [0, 5, 3], [0, 1, 9]]
-    _pivot([row[:] for row in T], at[:], 1, 1, D, 1)  # the true quotients divide
-    T[1][2] += 1
-    with pytest.raises(SeparationBugError, match="left a remainder"):
-        _pivot(T, at, 1, 1, D, 1)
+    # rows of plain ints pivot the same way: the second pivot divides by 2,
+    # also the last row, 0 in the pivot column, which becomes 5*x/2
+    T = [[2, 1, 1], [1, 3, 2], [1, 1, 5], [2, 1, 3]]
+    D = _pivot(T, 0, 0, 1, 1)
+    assert D == 2 and T == [[2, 1, 1], [0, 5, 3], [0, 1, 9], [0, 0, 4]]
+    _pivot([row[:] for row in T], 1, 1, D, 1)  # the true quotients divide
+    for i in (1, 3):
+        U = [row[:] for row in T]
+        U[i][2] += 1
+        with pytest.raises(SeparationBugError, match="left a remainder"):
+            _pivot(U, 1, 1, D, 1)
 
 
 # -- the reference simplex on general LPs ---------------------------------
@@ -205,9 +211,9 @@ def test_simplex_pivots_a_dictionary_without_slack_columns(monkeypatch):
     # _pivot R + 2n + 1 rows of 2n + 1 + R + 2n + 1 entries
     shapes = []
 
-    def recorder(T, at, r, col, D, k):
+    def recorder(T, r, col, D, k):
         shapes.extend((len(T), len(row), type(D)) for row in T)
-        return _pivot(T, at, r, col, D, k)
+        return _pivot(T, r, col, D, k)
 
     monkeypatch.setattr(linalg, "_pivot", recorder)
     root = Surd.root(2)
@@ -252,15 +258,31 @@ def test_one_ray_takes_one_pivot_and_a_bound_flip_per_coordinate(monkeypatch, n,
     # a bound flip, which the textbook tableau takes as a pivot
     calls = []
 
-    def counting(T, at, r, c, D, k):
+    def counting(T, r, c, D, k):
         calls.append((r, c))
-        return _pivot(T, at, r, c, D, k)
+        return _pivot(T, r, c, D, k)
 
     monkeypatch.setattr(linalg, "_pivot", counting)
     ray = nonzero_coordinates(Random(n * k), n, k)
     d, t = assert_same_margin([ray])
     assert calls == [(0, 2 * n)]
     assert d == Vector([-x.sign() for x in ray]) and t == sum((abs(x) for x in ray), Surd(0))
+
+
+@pytest.mark.parametrize("k", [1, 2, BIG_K])
+def test_the_simplex_stops_at_its_bound_on_steps(monkeypatch, k):
+    # one ray in dim n takes n + 2 steps: the pivot, a bound flip per
+    # coordinate and the step that finds no entering column; the bound is
+    # the textbook tableau's count of bases, C(R + 4n + 1, R + 2n), and
+    # one step fewer than the path needs is a fault, not an optimum
+    n, calls = 3, []
+    ray = Vector(nonzero_coordinates(Random(k), n, k))
+    monkeypatch.setattr(linalg, "comb", lambda a, b: calls.append((a, b)) or n + 2)
+    assert simplex_max([ray]) == surd_margin_lp([ray])
+    monkeypatch.setattr(linalg, "comb", lambda a, b: calls.append((a, b)) or n + 1)
+    with pytest.raises(SeparationBugError, match=f"exceeded its bound of {n + 1} simplex steps"):
+        simplex_max([ray])
+    assert calls == [(1 + 4 * n + 1, 1 + 2 * n)] * 2
 
 
 @pytest.mark.parametrize("k", [1, 2, BIG_K])
@@ -399,11 +421,6 @@ def test_barrier_direction_is_unchanged_under_the_surd_tableau(k, dim, count, po
     assert rays and len(calls) == 1
 
 
-def scaled(row, a, D, k):
-    """The lazy row stored over the scale a, brought to the scale D."""
-    return _pair_quotients([_pair_mul(x, D, k) for x in row], a, k)
-
-
 def as_pairs(x):
     """A row of plain ints, or an int, as integer pairs; pairs as they are."""
     if isinstance(x, list):
@@ -413,64 +430,39 @@ def as_pairs(x):
 
 def spy_on_pivots(monkeypatch) -> list:
     """Patch ``linalg._pivot`` to check each pivot against the eager one,
-    which rewrites every row x as (p*x - f*y) / D, and to record whether
-    the rows were plain ints, the pivot row and column, each row and its
-    scale before and after, as pairs, and p.  Rows of ints are checked as
-    the pairs (x, 0) with k = 1."""
+    which rewrites every row x but the pivot row y as (p*x - f*y) / D,
+    and to record whether the rows were plain ints.  Rows of ints are
+    checked as the pairs (x, 0) with k = 1."""
     log = []
 
-    def spy(T, at, r, c, D, k):
+    def spy(T, r, c, D, k):
         ints = type(D) is int
         if ints:
-            assert k == 1 and all(type(x) is int for row in T for x in (*row, *at))
-        D_ = as_pairs(D)
-        eager = [scaled(as_pairs(row), as_pairs(a), D_, k) for row, a in zip(T, at)]
-        before = [(as_pairs(row), as_pairs(a)) for row, a in zip(T, at)]
-        p = _pivot(T, at, r, c, D, k)
-        y = eager[r]
+            assert k == 1 and all(type(x) is int for row in T for x in row)
+        rows, D_ = as_pairs(T), as_pairs(D)
+        y = rows[r]
         want = [
             row if i == r else _pair_quotients(_pair_combination(y[c], row, row[c], y, k), D_, k)
-            for i, row in enumerate(eager)
+            for i, row in enumerate(rows)
         ]
+        p = _pivot(T, r, c, D, k)
         assert as_pairs(p) == y[c] and type(p) is type(D)
-        assert [scaled(as_pairs(row), as_pairs(a), as_pairs(p), k) for row, a in zip(T, at)] == want
-        log.append((ints, r, c, before, [(as_pairs(row), as_pairs(a)) for row, a in zip(T, at)], as_pairs(p)))
+        assert as_pairs(T) == want
+        log.append(ints)
         return p
 
     monkeypatch.setattr(linalg, "_pivot", spy)
     return log
 
 
-@pytest.mark.parametrize("k", [1, 2, BIG_K])
-def test_pivot_leaves_rows_with_zero_in_the_pivot_column_alone(monkeypatch, k):
-    # the margin LP of four rays in dim 3 that share zeros and coordinates,
-    # so ray rows and the objective row meet pivot columns with a 0 in
-    # them; over Q the rows are ints
-    root = Surd(0, 1, k) if k > 1 else Surd(F(1, 3))
-    rays = [[root, 1, -1], [0, -2, -1], [0, 1, 0], [0, 1, -1]]
-    log = spy_on_pivots(monkeypatch)
-    assert assert_same_margin(rays)[1] > 0
-    skipped = 0
-    for ints, r, c, before, after, p in log:
-        assert ints == (k == 1)
-        assert after[r][1] == p
-        for i, ((row, a), (new_row, new_a)) in enumerate(zip(before, after)):
-            if i != r and row[c] == (0, 0):
-                skipped += 1
-                assert new_row == row and new_a == a
-            elif i != r:
-                assert new_a == p
-    assert log and skipped >= len(log)
-
-
 @settings(max_examples=60, deadline=None)
 @given(rays=barrier_lps())
-def test_lazy_rows_are_the_eager_rows_over_their_scale(rays):
+def test_every_pivot_is_the_eager_pivot(rays):
     # every pivot of a margin LP, checked against the eager pivot in the spy
     with pytest.MonkeyPatch.context() as monkeypatch:
         log = spy_on_pivots(monkeypatch)
         assert_same_margin(rays)
-    assert all(ints == all(Vector(r).field_k == 1 for r in rays) for ints, *_ in log)
+    assert all(ints == all(Vector(r).field_k == 1 for r in rays) for ints in log)
 
 
 # -- the double description ------------------------------------------------

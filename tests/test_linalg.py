@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from ratsep import Surd, Vector
-from ratsep.linalg import solve_linear_system
+from ratsep.linalg import _eliminate, _tableau, solve_linear_system
 from helpers import certified_simplex_max
 
 
@@ -28,6 +28,28 @@ def test_solve_surd_entries():
     r2 = Surd.root(2)
     x = solve_linear_system([[r2, 0], [0, 1]], [Surd(2), r2])
     assert x == [r2, r2]
+
+
+R2 = Surd.root(2)
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, rank",
+    [
+        ([[2, 0, 0], [1, 3, 0], [0, 1, 4]], [1, 2, 3], 3),
+        ([[R2, 0], [1, 1 + R2]], [1, R2], 2),
+        ([[1, 0, 2], [2, 0, 4], [0, 3, 1]], [1, 2, 5], 2),
+    ],
+    ids=["rational", "sqrt2", "rank_deficient"],
+)
+def test_elimination_holds_every_pivot_row_over_the_last_pivot_entry(rows, rhs, rank):
+    # each system has a pivot row with 0 in a later pivot column, which
+    # that pivot rewrites too, so every row ends over the one last D
+    T, k = _tableau(rows, rhs)
+    pivots = _eliminate(T, k, len(rows[0]))
+    r, c = pivots[-1]
+    assert len(pivots) == rank
+    assert all(T[i][j] == T[r][c] for i, j in pivots)
 
 
 # The program's simplex solves only the margin LP (test_fraction_free);

@@ -633,9 +633,9 @@ def test_margin_lp_fault_is_a_bug(monkeypatch):
     monkeypatch.undo()
     pivot = linalg._pivot
 
-    def corrupting(T, at, r, c, D, k):
+    def corrupting(T, r, c, D, k):
         # the first pivot stores one entry off by one, so the next division fails
-        p = pivot(T, at, r, c, D, k)
+        p = pivot(T, r, c, D, k)
         T[r][-1] += 1
         return p
 
