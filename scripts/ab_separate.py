@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time ``separate`` of this checkout against another source tree, call by call.
+"""Time ``separate`` or a sweep of this checkout against another source tree, call by call.
 
     python scripts/ab_separate.py --against DIR [--workload W] [--seed S] [--count N] [--rounds R]
 
@@ -12,6 +12,15 @@ round parses every instance afresh in each tree, outside the timed
 call, and times ``separate`` in both trees on it, the tree that goes
 first alternating from call to call, so a machine whose speed drifts or
 flips slows both sides alike.
+
+``--workload approx_sweep`` times the sweeps of that workload instead,
+which run the Gram solves and the double description that ``separate``
+on the other two seldom reaches: each timed call is ``outer_approximate``
+on a freshly parsed sweep and then ``excess_measure`` of its cuts on the
+sweep's grid.  Its lines give the total, ``outer_approximate`` alone and
+``excess_measure`` alone, and the cuts and the excess must serialize to
+the same bytes in both trees.  That workload has at most 101 sweeps, so
+``--count`` defaults to 100 there.
 
 Each timed call first runs ``is_pointed`` on the fresh set, which solves
 the set's margin LP and keeps it, and then ``separate``, which reads the
@@ -33,6 +42,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("separate_rays", "separate_bigk")
+SWEEPS = "approx_sweep"
 
 
 def load(name: str, path: Path):
@@ -47,7 +57,7 @@ def load(name: str, path: Path):
     return module
 
 
-def timed_call(r, obj) -> tuple[float, float, str]:
+def timed_separate(r, obj) -> tuple[float, float, str]:
     """Seconds of one ``separate`` on a freshly parsed instance, its margin
     LP included, the seconds of that LP alone, and the canonical JSON of
     the certificate and trace."""
@@ -63,12 +73,30 @@ def timed_call(r, obj) -> tuple[float, float, str]:
     )
 
 
+def timed_sweep(r, obj) -> tuple[float, float, str]:
+    """Seconds of ``outer_approximate`` on a freshly parsed sweep plus
+    ``excess_measure`` of its cuts on the sweep's grid, the seconds of
+    ``outer_approximate`` alone, and the canonical JSON of the cuts and
+    the exact excess."""
+    ser = importlib.import_module(f"{r.__name__}.serialization")
+    inst = ser.parse_instance(obj)
+    t0 = perf_counter()
+    approx = r.outer_approximate(inst.polyhedron, inst.probes, inst.options.budget)
+    t1 = perf_counter()
+    excess = r.excess_measure(inst.polyhedron, approx, inst.options.grid)
+    t2 = perf_counter()
+    return t2 - t0, t1 - t0, ser.dumps(
+        {**ser.approx_to_json(approx), "excess": ser.fraction_to_str(excess)}
+    )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=Path, required=True, help="root of the other source tree")
-    ap.add_argument("--workload", choices=WORKLOADS, help="time this workload only; both by default")
+    ap.add_argument("--workload", choices=(*WORKLOADS, SWEEPS),
+                    help="time this workload only; the two separate_* workloads by default")
     ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--count", type=int, default=240, help="instances per workload")
+    ap.add_argument("--count", type=int, help=f"instances per workload (240; 100 for {SWEEPS})")
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
@@ -76,22 +104,27 @@ def main(argv=None) -> int:
              load("ratsep_against", args.against / "src" / "ratsep")]
     gen = load("perfbench_gen", ROOT / "perfbench" / "gen.py")
     for workload in [args.workload] if args.workload else WORKLOADS:
-        instances = getattr(gen, workload)(args.seed, args.count)
-        totals, lp = [0.0, 0.0], [0.0, 0.0]
+        if workload == SWEEPS:
+            call, parts, unit = timed_sweep, ("outer_approximate", "excess_measure"), "sweeps"
+        else:
+            call, parts, unit = timed_separate, ("margin_lp", "stages"), "calls"
+        count = args.count or (100 if workload == SWEEPS else 240)
+        instances = getattr(gen, workload)(args.seed, count)
+        totals, first = [0.0, 0.0], [0.0, 0.0]
         for rnd in range(args.rounds):
             for i, obj in enumerate(instances):
                 order = (0, 1) if (i + rnd) % 2 == 0 else (1, 0)
                 out = {}
                 for side in order:
-                    seconds, lp_seconds, out[side] = timed_call(trees[side], obj)
+                    seconds, first_seconds, out[side] = call(trees[side], obj)
                     totals[side] += seconds
-                    lp[side] += lp_seconds
+                    first[side] += first_seconds
                 if out[0] != out[1]:
                     print(f"{workload}: instance {i} differs between the trees", file=sys.stderr)
                     return 1
-        calls = f"over {args.rounds} x {len(instances)} calls"
-        stages = [total - lp_total for total, lp_total in zip(totals, lp)]
-        lines = ((workload, totals), (f"{workload}.margin_lp", lp), (f"{workload}.stages", stages))
+        calls = f"over {args.rounds} x {len(instances)} {unit}"
+        rest = [total - first_total for total, first_total in zip(totals, first)]
+        lines = ((workload, totals), (f"{workload}.{parts[0]}", first), (f"{workload}.{parts[1]}", rest))
         for name, (this, against) in lines:
             print(f"{name}: this {this:.3f} s, against {against:.3f} s, "
                   f"ratio {this / against:.3f} {calls}")

@@ -163,6 +163,8 @@ def brute_force_separator(
     """
     if X.dim != 2 or y_tilde.dim != 2:
         raise DimensionMismatchError("the brute-force oracle is 2-D only")
+    if not isinstance(max_den, int) or isinstance(max_den, bool):
+        raise TypeError(f"max_den must be an int, got {type(max_den).__name__}")
     if max_den < 1:
         raise ValueError("max_den must be a positive integer")
     seen: set[tuple[int, int]] = set()

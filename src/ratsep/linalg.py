@@ -1,17 +1,18 @@
 """Exact dense linear algebra and the margin LP over Q(sqrt(k)).
 
 One fraction-free pivot, ``_pivot``, is the only row-reduction step
-(Edmonds 1967; Bareiss, Math. Comp. 1968).  The solver's intake,
-``_tableau``, reads each row [*row, b] of ints, Fractions or Surds and
-scales it once by the lcm of its entries'
-denominators, so that every entry lies in Z[sqrt(k)], and keeps it there
-as an integer pair (see ``scalars``); no Surd is built on the way in, a
-``Vector`` row enters as the pairs it already stores, and the results
-are pairs over a denominator, which is what a ``Surd`` stores.  The
-eager pivot on entry p replaces every other row x by (p*x - f*y) / D,
-where y is the pivot row, f the entry of x in the pivot column and D the
-previous pivot entry; the pivot row stays and p becomes the new D.  The entries are
-minors of the scaled input, so each division is exact in Z[sqrt(k)].
+(Edmonds 1967; Bareiss, Math. Comp. 1968), for rows of integer pairs
+and rows of ints alike.  The solver's intake, ``_tableau``, reads each
+row [*row, b] of ints, Fractions or Surds with one ``_pair_row`` call,
+the one row reader of ``scalars``, which scales it by the lcm of its
+entries' denominators, so that every entry lies in Z[sqrt(k)], and
+keeps it there as integer pairs; no Surd is built on the way in, and
+the results are pairs over a denominator, which is what a ``Surd``
+stores.  The eager pivot on entry p replaces every other row x by
+(p*x - f*y) / D, where y is the pivot row, f the entry of x in the pivot
+column and D the previous pivot entry; the pivot row stays and p becomes
+the new D.  The entries are minors of the scaled input, so each division
+is exact in Z[sqrt(k)].
 
 The rows are eager: after each pivot every row is held over the new D,
 so its true values are the stored ones over D.  A row with 0 in the
@@ -21,8 +22,8 @@ so such rows are rare (55 of the 8473 rows met by the 2784 pivots of the
 720 margin LPs of ``perfbench`` ``separate_rays`` seeds 5-7) and a
 second scale per row would buy nothing.  Every division is checked: a
 remainder raises ``SeparationBugError``.  Rows over Q may be plain ints
-instead of pairs, and the pivot runs on them the same way, with the
-same checks.
+instead of pairs: the pivot combines them as ints and divides them by
+``_int_quotients``, with the same checks.
 
 Elimination built on the pivot solves the small linear systems of the
 projection step.  The one LP the program solves is the margin LP of
@@ -55,19 +56,19 @@ that of the textbook tableau over the field
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb
 
 from .errors import SeparationBugError
 from .scalars import (
     Surd,
     Vector,
+    _pair_combination,
     _pair_mul,
     _pair_quotients,
     _pair_reciprocal,
     _pair_row,
     _pair_sign,
     _pair_surd,
-    _surd_parts,
 )
 
 __all__ = ["simplex_max", "solve_linear_system"]
@@ -77,22 +78,15 @@ _PAIR_ONE = (1, 0)
 
 
 def _tableau(rows, rhs) -> tuple[list[list[tuple[int, int]]], int]:
-    """Each row [*row, b] of ``rows`` and ``rhs`` as integer pairs, scaled
-    by the lcm of its entries' denominators, and the k of the one field of
-    all entries.  A ``Vector`` row enters as the pairs it stores, with no
-    Surd built."""
+    """Each row [*row, b] of ``rows`` and ``rhs`` as integer pairs, read by
+    one ``_pair_row`` call and so scaled by the lcm of its entries'
+    denominators, and the k of the one field of all entries."""
     T = []
     k = 1
     for row, b in zip(rows, rhs, strict=True):
-        m, pairs, row_k = _pair_row(row)
-        ba, bb, db, bk = _surd_parts(b)
-        l = lcm(m, db)
-        s, t = l // m, l // db
-        if s != 1:
-            pairs = [(a * s, c * s) for a, c in pairs]
-        pairs.append((ba * t, bb * t))
+        _, pairs, row_k = _pair_row([*row, b])
         T.append(pairs)
-        k = Surd._k_with(Surd._k_with(k, row_k), bk)
+        k = Surd._k_with(k, row_k)
     return T, k
 
 
@@ -116,30 +110,19 @@ def _pivot(T, r, c, D, k):
     hold integer pairs of Z[sqrt(k)], or plain ints when D is an int.
     Every row x other than r becomes (p*x - f*y) / D, where y is row r
     and f the entry of x in column c, as the module docstring states:
-    afterwards every row is held over p."""
-    if type(D) is int:
-        return _int_pivot(T, r, c, D)
-    prow = T[r]
-    p = pa, pb = prow[c]
-    for i, row in enumerate(T):
-        if i != r:
-            fa, fb = row[c]
-            combined = [
-                (pa * xa + (pb * xb - fb * yb) * k - fa * ya, pa * xb + pb * xa - fa * yb - fb * ya)
-                for (xa, xb), (ya, yb) in zip(row, prow)
-            ]
-            T[i] = _pair_quotients(combined, D, k)
-    return p
-
-
-def _int_pivot(T, r, c, D) -> int:
-    """``_pivot`` on rows of ints."""
+    afterwards every row is held over p.  Pair rows combine by
+    ``_pair_combination`` and divide by ``_pair_quotients``, int rows
+    divide by ``_int_quotients``; both check every division."""
     prow = T[r]
     p = prow[c]
+    ints = type(D) is int
     for i, row in enumerate(T):
         if i != r:
             f = row[c]
-            T[i] = _int_quotients([p * x - f * y for x, y in zip(row, prow)], D)
+            if ints:
+                T[i] = _int_quotients([p * x - f * y for x, y in zip(row, prow)], D)
+            else:
+                T[i] = _pair_quotients(_pair_combination(p, row, f, prow, k), D, k)
     return p
 
 

@@ -215,25 +215,23 @@ class Surd:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def _signed_sum(self, other, sign: int):
+        """self + sign*other over the product of the two denominators, for
+        sign 1 or -1; ``NotImplemented`` when other is not a number."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         k = Surd._k_with(self.k, o.k)
-        return Surd._make(
-            self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d, k
-        )
+        t = sign * self.d
+        return Surd._make(self.a * o.d + o.a * t, self.b * o.d + o.b * t, self.d * o.d, k)
+
+    def __add__(self, other):
+        return self._signed_sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        k = Surd._k_with(self.k, o.k)
-        return Surd._make(
-            self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d, k
-        )
+        return self._signed_sum(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -255,12 +253,13 @@ class Surd:
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        """d / (a + b*sqrt(k)) = d*(a - b*sqrt(k)) / (a**2 - b**2*k); the
-        norm is nonzero because sqrt(k) is irrational for square-free k > 1."""
-        a, b, d = self.a, self.b, self.d
-        if not (a or b):
+        """d / (a + b*sqrt(k)) = d*(a - b*sqrt(k)) / (a**2 - b**2*k), the
+        conjugate over the norm from ``_pair_reciprocal``; the norm is
+        nonzero because sqrt(k) is irrational for square-free k > 1."""
+        if not (self.a or self.b):
             raise ZeroDivisionError("inverse of zero")
-        return Surd._make(d * a, -d * b, a * a - b * b * self.k, self.k)
+        (wa, wb), n = _pair_reciprocal((self.a, self.b), self.k)
+        return Surd._make(self.d * wa, self.d * wb, n, self.k)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -349,10 +348,11 @@ def _pair_row(row) -> tuple[int, list[tuple[int, int]], int]:
 
 def _surd_parts(x) -> tuple[int, int, int, int]:
     """(a, b, d, k) with x = (a + b*sqrt(k)) / d and d > 0, for an int,
-    Fraction or Surd x; ``TypeError`` for anything else."""
+    Fraction or Surd x; ``TypeError`` for anything else, a bool included,
+    as in ``_fraction``."""
     if isinstance(x, Surd):
         return x.a, x.b, x.d, x.k
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x.numerator, 0, x.denominator, 1
     raise TypeError(f"expected int, Fraction or Surd, got {type(x).__name__}")
 
@@ -420,7 +420,7 @@ def _pair_combination(x, u, y, v, k: int) -> list[tuple[int, int]]:
     xa, xb = x
     ya, yb = y
     return [
-        (xa * ua + xb * ub * k - ya * va - yb * vb * k, xa * ub + xb * ua - ya * vb - yb * va)
+        (xa * ua - ya * va + (xb * ub - yb * vb) * k, xa * ub + xb * ua - ya * vb - yb * va)
         for (ua, ub), (va, vb) in zip(u, v)
     ]
 
@@ -461,12 +461,10 @@ def _pair_quotients(xs: list[tuple[int, int]], d: tuple[int, int], k: int) -> li
 
 
 def _pair_surd(x: tuple[int, int], k: int, d: tuple[int, int] = (1, 0)) -> Surd:
-    """The field element x / d as a Surd."""
-    a, b = x
-    c, e = d
-    if e:
-        a, b, c = a * c - b * e * k, b * c - a * e, c * c - e * e * k
-    return Surd._make(a, b, c, k)
+    """The field element x / d for a nonzero pair d as a Surd: x times the
+    conjugate of d over its norm (``_pair_reciprocal``)."""
+    w, n = _pair_reciprocal(d, k)
+    return Surd._make(*_pair_mul(x, w, k), n, k)
 
 
 class Vector:
@@ -517,7 +515,10 @@ class Vector:
     @classmethod
     def zero(cls, dim: int) -> "Vector":
         """The zero vector of dimension dim >= 1, built as dim zero pairs
-        over 1 (``_make``), with no Fraction read."""
+        over 1 (``_make``), with no Fraction read; ``TypeError`` unless dim
+        is an int, and for a bool."""
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"dim must be an int, got {type(dim).__name__}")
         if dim < 1:
             raise ValueError("a vector needs at least one coordinate")
         return cls._make(1, [(0, 0)] * dim, 1)

@@ -191,6 +191,14 @@ def test_brute_force_with_ray():
     assert cert == Certificate(Vector([0, 1]), F(1, 2))
 
 
+@pytest.mark.parametrize("max_den", [True, 2.0, F(2)])
+def test_brute_force_max_den_must_be_an_int(max_den):
+    with pytest.raises(TypeError, match=f"max_den must be an int, got {type(max_den).__name__}"):
+        brute_force_separator(TRIANGLE, Vector([1, 1]), max_den)
+    with pytest.raises(ValueError, match="max_den must be a positive integer"):
+        brute_force_separator(TRIANGLE, Vector([1, 1]), 0)
+
+
 def test_brute_force_dim_check():
     X = VPolyhedron((Vector([0, 0, 0]),))
     with pytest.raises(DimensionMismatchError):

@@ -34,6 +34,21 @@ R2 = Surd.root(2)
 
 
 @pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        ([[F(1, 2), 2, 0], [1, F(-1, 3), 1], [0, 1, F(3, 4)]], [1, F(2, 5), 3]),
+        ([[R2, F(1, 2), 0], [1, 1 + R2, 0], [0, R2 / 3, 2]], [1, R2, F(1, 3)]),
+    ],
+    ids=["rational", "sqrt2"],
+)
+def test_vector_rows_solve_as_their_coordinates(rows, rhs):
+    # a row given as a Vector reads as the list of its coordinates
+    x = solve_linear_system(rows, rhs)
+    assert solve_linear_system([Vector(row) for row in rows], rhs) == x
+    assert all(Vector(row).dot(Vector(x)) == b for row, b in zip(rows, rhs))
+
+
+@pytest.mark.parametrize(
     "rows, rhs, rank",
     [
         ([[2, 0, 0], [1, 3, 0], [0, 1, 4]], [1, 2, 3], 3),

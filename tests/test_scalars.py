@@ -16,6 +16,7 @@ from ratsep import (
     VPolyhedron,
     separate,
 )
+from ratsep.linalg import solve_linear_system
 from ratsep.scalars import (
     _convergents,
     choose_rational_between,
@@ -401,8 +402,16 @@ def test_positive_checks_reject_zero_and_negatives_alike(what, bad):
         lambda x: GridSpec((0, 0), (1, 1), x),
         lambda x: Certificate(Vector([1, 0]), x),
         lambda x: sqrt_enclosure(2, x),
+        lambda x: sqrt_enclosure(x, 1),
+        lambda x: Vector([x, 0]),
+        lambda x: choose_rational_between(x, 2),
+        lambda x: solve_linear_system([[x]], [1]),
+        lambda x: solve_linear_system([[1]], [x]),
     ],
-    ids=["grid step", "certificate beta", "enclosure tol"],
+    ids=[
+        "grid step", "certificate beta", "enclosure tol", "enclosure radicand",
+        "vector coordinate", "rounding bound", "system entry", "system right-hand side",
+    ],
 )
 def test_a_bool_is_not_a_rational(call, flag):
     # True is an int equal to 1, which none of these means as a number
@@ -637,6 +646,13 @@ def test_vector_scalar_multiplication():
     assert v.__mul__(0.5) is NotImplemented and v.__mul__("2") is NotImplemented
     with pytest.raises(TypeError):
         v * 0.5
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, F(2)])
+def test_zero_vector_dimension_must_be_an_int(dim):
+    with pytest.raises(TypeError, match=f"dim must be an int, got {type(dim).__name__}"):
+        Vector.zero(dim)
+    assert Vector.zero(2) == Vector([0, 0])
 
 
 def test_vector_rejects_floats_and_mixed_fields():

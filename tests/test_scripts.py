@@ -110,3 +110,26 @@ def test_ab_separate_fails_on_a_different_certificate(tmp_path):
     done = run_ab_separate(tmp_path)
     assert done.returncode == 1
     assert done.stderr == "separate_rays: instance 0 differs between the trees\n"
+
+
+def test_ab_separate_times_the_sweeps_against_the_checkout_itself():
+    done = run_ab_separate(ROOT, "--workload", "approx_sweep")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == [
+        f"approx_sweep{part}:" for part in ("", ".outer_approximate", ".excess_measure")
+    ]
+    assert all(row[-5:] == ["over", "1", "x", "4", "sweeps"] for row in rows)
+
+
+def test_ab_separate_fails_on_a_different_excess(tmp_path):
+    # a copy of the package whose excess measure counts one more point must not pass
+    shutil.copytree(ROOT / "src" / "ratsep", tmp_path / "src" / "ratsep")
+    module = tmp_path / "src" / "ratsep" / "approximation.py"
+    source = module.read_text()
+    done_line = "return Fraction(excess, lines * length)"
+    assert source.count(done_line) == 1
+    module.write_text(source.replace(done_line, "return Fraction(excess + 1, lines * length)"))
+    done = run_ab_separate(tmp_path, "--workload", "approx_sweep")
+    assert done.returncode == 1
+    assert done.stderr == "approx_sweep: instance 0 differs between the trees\n"
