@@ -13,7 +13,8 @@ forms, so the cases that measure one call on a new set build a fresh,
 equal set in each round's set-up, outside the timed call, as a parsed
 instance is.  The layers below the set operations are timed on fixed
 operands: ``Surd`` arithmetic over the benchmark's big field
-Q(sqrt 1000003), and one exact Gram solve of the projection.
+Q(sqrt 1000003), and exact Gram solves of the projection, on the 3-D
+set with rays and at the parse limits.
 
 The five stages of ``separate`` (project, barrier, bound, wedge,
 witness) are timed one at a time on the inputs that one ``separate`` run
@@ -52,6 +53,7 @@ medians of two runs compare only when their ``probe_us`` agree.
 import gc
 import statistics
 from fractions import Fraction as F
+from random import Random
 from time import perf_counter
 
 import pytest
@@ -67,6 +69,7 @@ from ratsep.separation import (
     find_barrier_direction,
     wedge_interior_ball,
 )
+from ratsep.serialization import MAX_DIGITS
 
 SQ2 = Surd.root(2)
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1])))
@@ -343,15 +346,43 @@ def test_support_value(benchmark):
     assert sv.is_finite
 
 
-def test_gram_solve(benchmark):
-    """One exact Gram solve of the projection: the nearest point to y of
-    the affine hull of two vertices and both rays of the 3-D set."""
-    v0, v1 = RAYS_3D.vertices[1:3]
-    span = [v1 - v0, *RAYS_3D.rays]
-    target = Vector([-1, 2, -3]) - v0
-    gram = [[u.dot(w) for w in span] for u in span]
-    rhs = [u.dot(target) for u in span]
-    weights = timed(benchmark, solve_linear_system, (gram, rhs), iterations=10)
+def limit_vector(rng: Random, dim: int) -> Vector:
+    """A vector over Q(sqrt 999999999998), the largest field the parser
+    accepts, whose every r and s part has a ``MAX_DIGITS``-digit numerator
+    and denominator."""
+
+    def part():
+        lo, hi = 10 ** (MAX_DIGITS - 1), 10**MAX_DIGITS - 1
+        return F(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+
+    return Vector([Surd(part(), part(), 999999999998) for _ in range(dim)])
+
+
+def gram_system(vertices, rays, y):
+    """The Gram system of the nearest point to y of the affine hull of
+    conv(vertices) + cone(rays), as ``sets._face_point`` builds it."""
+    v0 = vertices[0]
+    span = [v - v0 for v in vertices[1:]] + list(rays)
+    target = y - v0
+    return [[u.dot(w) for w in span] for u in span], [u.dot(target) for u in span]
+
+
+_LIMITS = Random(6)
+# (vertices, rays, y, calls per round): two vertices and both rays of the
+# 3-D set, and 7 vertices in dimension 6 at the parse limits, whose 6 x 6
+# system is the largest a corral of a parsed set makes
+GRAM_SYSTEMS = {
+    "rays_3d": (RAYS_3D.vertices[1:3], RAYS_3D.rays, Vector([-1, 2, -3]), 10),
+    "limits_6d": ([limit_vector(_LIMITS, 6) for _ in range(7)], (), limit_vector(_LIMITS, 6), 1),
+}
+
+
+@pytest.mark.parametrize("case", GRAM_SYSTEMS)
+def test_gram_solve(benchmark, case):
+    """One exact Gram solve of the projection, checked by gram * x = rhs."""
+    vertices, rays, y, iterations = GRAM_SYSTEMS[case]
+    gram, rhs = gram_system(vertices, rays, y)
+    weights = timed(benchmark, solve_linear_system, (gram, rhs), iterations=iterations)
     assert [sum((g * w for g, w in zip(row, weights)), Surd(0)) for row in gram] == rhs
 
 

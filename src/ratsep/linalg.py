@@ -25,9 +25,16 @@ remainder raises ``SeparationBugError``.  Rows over Q may be plain ints
 instead of pairs: the pivot combines them as ints and divides them by
 ``_int_quotients``, with the same checks.
 
-Elimination built on the pivot solves the small linear systems of the
-projection step.  The one LP the program solves is the margin LP of
-``sets``, the pointedness test and the barrier step's direction, and
+The one kind of linear system the program solves is the Gram system of
+a corral of Wolfe's minimum-norm point algorithm in ``sets``, whose span
+vectors are linearly independent, so the system is positive definite
+and every leading principal minor is positive.  ``solve_linear_system``
+therefore pivots down the diagonal, one ``_pivot`` per unknown, with no
+row search, rank or consistency handling: a zero pivot, which that
+algebra rules out, raises ``SeparationBugError``.
+
+The one LP the program solves is the margin LP of ``sets``, the
+pointedness test and the barrier step's direction, and
 ``simplex_max`` solves it and nothing more general: a one-phase simplex
 with Bland's rule, built on the same pivot, on a fraction-free
 dictionary read straight off the rays' pairs, as in Avis & Fukuda's
@@ -72,9 +79,6 @@ from .scalars import (
 )
 
 __all__ = ["simplex_max", "solve_linear_system"]
-
-_ZERO = Surd(0)
-_PAIR_ONE = (1, 0)
 
 
 def _tableau(rows, rhs) -> tuple[list[list[tuple[int, int]]], int]:
@@ -126,45 +130,27 @@ def _pivot(T, r, c, D, k):
     return p
 
 
-def _eliminate(T, k, ncols) -> list[tuple[int, int]]:
-    """Fraction-free Gauss-Jordan elimination of the pair rows ``T`` in
-    place over their first ``ncols`` columns; returns the (row, column) of
-    each pivot.  Every row holds its true values times the last pivot
-    entry D, so each pivot row holds D in its pivot column."""
-    m = len(T)
-    pivots = []
-    D = _PAIR_ONE
-    for col in range(ncols):
-        prow = len(pivots)
-        if prow == m:
-            break
-        pr = next((i for i in range(prow, m) if T[i][col] != (0, 0)), None)
-        if pr is None:
-            continue
-        T[prow], T[pr] = T[pr], T[prow]
-        D = _pivot(T, prow, col, D, k)
-        pivots.append((prow, col))
-    return pivots
-
-
 def solve_linear_system(rows, rhs) -> list[Surd]:
-    """One exact solution of a consistent linear system (free variables 0).
+    """The one solution x of the square system rows * x = rhs whose
+    leading principal minors are all nonzero, as every positive definite
+    Gram system's are.
 
-    Raises ValueError if the system is inconsistent.  Singular but
-    consistent systems (e.g. normal equations of a rank-deficient
-    design) are fine: non-pivot variables are set to zero.
+    ``_tableau`` reads the rows, then one ``_pivot`` per diagonal entry,
+    with no row search, leaves every row held over the last pivot entry
+    D with D in its own diagonal column, so x_i is row i's right-hand
+    side over D.  A system that is not square raises ``ValueError``; a
+    zero pivot, a zero leading minor, raises ``SeparationBugError``.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"a linear system must be square: {n} rows, not all of length {n}")
     T, k = _tableau(rows, rhs)
-    pivots = _eliminate(T, k, n)
-    for i in range(len(pivots), m):
-        if T[i][n] != (0, 0):
-            raise ValueError("inconsistent linear system")
-    x = [_ZERO] * n
-    for row, col in pivots:
-        x[col] = _pair_surd(T[row][n], k, T[row][col])
-    return x
+    D = (1, 0)
+    for i in range(n):
+        if T[i][i] == (0, 0):
+            raise SeparationBugError(f"the linear system's leading minor of order {i + 1} is 0")
+        D = _pivot(T, i, i, D, k)
+    return [_pair_surd(row[n], k, D) for row in T]
 
 
 def simplex_max(rays) -> tuple[Vector, Surd]:

@@ -29,7 +29,8 @@ Surds enters scaled by the lcm of their denominators, with no Surd
 built, signs are read off integers, exact divisions are checked, and a
 pair over a denominator is a Surd again.  ``_surd_parts`` is the one
 reader of a single number into integers, and ``_pair_row``, built on
-it, the one reader of a row.  A ``Vector`` keeps its coordinates as one
+it, the one reader of a row, which reads a ``Vector`` through its
+coordinates like any other row.  A ``Vector`` keeps its coordinates as one
 such row over its least denominator, so sums, scalings and dot products
 build no Surd per coordinate, and ``Vector.dot_sign`` reads the sign of
 <u, v> - b with none at all.
@@ -138,8 +139,8 @@ class Surd:
     def __init__(self, r: Rationalish = 0, s: Rationalish = 0, k: int = 1):
         r = _fraction(r)
         s = _fraction(s)
-        if not isinstance(k, int):
-            raise TypeError("k must be an int")
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"k must be an int, got {type(k).__name__}")
         _check_field(k)
         p, q = r.denominator, s.denominator
         self._set(r.numerator * q, s.numerator * p, p * q, k)
@@ -330,12 +331,10 @@ class Surd:
 def _pair_row(row) -> tuple[int, list[tuple[int, int]], int]:
     """(m, pairs, k) for a row of ints, Fractions and Surds: the lcm m of
     the entries' denominators, m*row as integer pairs, and the k of the
-    one field of the entries.  A ``Vector`` is its own (m, pairs,
-    field_k).  Each entry is read by ``_surd_parts``, so any other entry
-    raises ``TypeError``; two different irrational fields raise
-    ``ValueError``."""
-    if isinstance(row, Vector):
-        return row.m, list(row.pairs), row.field_k
+    one field of the entries.  A ``Vector`` reads through its
+    coordinates, like any other iterable.  Each entry is read by
+    ``_surd_parts``, so any other entry raises ``TypeError``; two
+    different irrational fields raise ``ValueError``."""
     parts = list(map(_surd_parts, row))
     k = m = 1
     for _, _, d, vk in parts:

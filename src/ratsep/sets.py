@@ -439,6 +439,14 @@ def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, 
     solve the normal equations (the Gram system) exactly; vs[0] gets 1
     minus the other vertices' weights.  Weights may be negative, when z
     lies outside conv(vs) + cone(rs).
+
+    The span vectors are linearly independent, so the Gram system is
+    positive definite, with every leading principal minor positive, as
+    ``solve_linear_system`` needs.  A corral is affinely independent:
+    with g = y - z orthogonal to the current corral's flat, an entering
+    ray has <g, r> > 0 and an entering vertex <g, v - z> > 0, so neither
+    lies in that flat, and a generator that leaves keeps the rest
+    independent.
     """
     v0 = vs[0]
     span = [v - v0 for v in vs[1:]] + list(rs)

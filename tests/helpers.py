@@ -7,7 +7,7 @@ determinism; exactness of the constructions is asserted on the spot.
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from random import Random
 from typing import Iterator, NamedTuple
 from unittest.mock import patch
@@ -22,9 +22,8 @@ from ratsep import (
     support_value,
 )
 from ratsep.approximation import OuterApprox
-from ratsep.linalg import _eliminate, _tableau, solve_linear_system
 from ratsep.sets import FacetDescription
-from ratsep.scalars import _convergents, point_in_ball, rational_in_ball
+from ratsep.scalars import rational_in_ball
 from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL, norm_upper
 
 
@@ -44,13 +43,6 @@ def fraction_sign(r: Fraction, s: Fraction, k: int) -> int:
     return rs if cmp > 0 else ss
 
 
-def rank(rows) -> int:
-    """The exact rank of a matrix given as a list of rows (0 for no rows)."""
-    n = len(rows[0]) if rows else 0
-    T, k = _tableau(rows, [0] * len(rows))
-    return len(_eliminate(T, k, n))
-
-
 def _surd_pivot(rows, r, c) -> None:
     """Gauss-Jordan pivot over the field: scale row r so its entry in
     column c is 1, then clear column c from every other row, in place."""
@@ -61,6 +53,43 @@ def _surd_pivot(rows, r, c) -> None:
             f = row[c]
             if f.sign() != 0:
                 rows[i] = [a - f * b for a, b in zip(row, prow)]
+
+
+def _surd_eliminate(rows, ncols) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of Surd rows over the field, in place,
+    over their first ncols columns: each column's pivot is the first
+    nonzero entry below the pivots found so far, swapped up and cleared
+    by ``_surd_pivot``.  Returns the (row, column) of each pivot."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c].sign() != 0), None)
+        if p is not None:
+            rows[r], rows[p] = rows[p], rows[r]
+            _surd_pivot(rows, r, c)
+            pivots.append((r, c))
+    return pivots
+
+
+def rank(rows) -> int:
+    """The exact rank of a matrix given as a list of rows (0 for no rows)."""
+    n = len(rows[0]) if rows else 0
+    return len(_surd_eliminate([list(map(Surd._coerce, row)) for row in rows], n))
+
+
+def surd_solve(rows, rhs) -> list[Surd]:
+    """One exact solution of rows * x = rhs over the field, any shape and
+    rank, with every free variable 0; ``ValueError`` when the system is
+    inconsistent."""
+    n = len(rows[0]) if rows else 0
+    T = [list(map(Surd._coerce, [*row, b])) for row, b in zip(rows, rhs, strict=True)]
+    pivots = _surd_eliminate(T, n)
+    if any(row[n].sign() != 0 for row in T[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    x = [Surd(0)] * n
+    for r, c in pivots:
+        x[c] = T[r][n]
+    return x
 
 
 class LPResult(NamedTuple):
@@ -261,7 +290,7 @@ def _in_cone(columns, target) -> bool:
     for subset in combinations(columns, rank(columns)):
         rows = [[col[i] for col in subset] for i in range(len(target))]
         try:
-            coeffs = solve_linear_system(rows, target)
+            coeffs = surd_solve(rows, target)
         except ValueError:
             continue
         if all(c.sign() >= 0 for c in coeffs):
@@ -285,7 +314,7 @@ def _affine_projection(y: Vector, vs: list[Vector], rs: list[Vector]) -> Vector:
     gram = [[u.dot(w) for w in span] for u in span]
     rhs = [u.dot(y - v0) for u in span]
     z = v0
-    for w, u in zip(solve_linear_system(gram, rhs), span):
+    for w, u in zip(surd_solve(gram, rhs), span):
         z = z + w * u
     return z
 
@@ -475,10 +504,32 @@ def bisection_enclosure(x, tol: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def surd_convergents(k: int) -> Iterator[tuple[int, int]]:
+    """The continued-fraction convergents h/q of sqrt(k), for a
+    square-free k > 1, from the Surd walk x <- 1/(x - floor(x)) started at
+    sqrt(k): each partial quotient is floor(x), read exactly."""
+    x = Surd.root(k)
+    h_prev, h, q_prev, q = 0, 1, 1, 0
+    while True:
+        a = floor(x)
+        h_prev, h = h, a * h + h_prev
+        q_prev, q = q, a * q + q_prev
+        yield h, q
+        x = 1 / (x - a)
+
+
+def surd_in_ball(p: Vector, center: Vector, radius) -> bool:
+    """Closed-ball membership read off the sign of the Surd
+    (p - c).(p - c) - radius**2, summed coordinate by coordinate."""
+    gaps = [a - b for a, b in zip(p, center, strict=True)]
+    return (sum((g * g for g in gaps), Surd(0)) - radius * radius).sign() <= 0
+
+
 def surd_choose_rational_between(lo, hi) -> Fraction:
     """Reference ``choose_rational_between`` in Surd arithmetic: the
     midpoint when it is rational, else r + s*w for the first convergent w
-    of sqrt(k) that puts it strictly between lo and hi."""
+    of sqrt(k), from ``surd_convergents``, that puts it strictly between
+    lo and hi."""
     lo, hi = Surd._coerce(lo), Surd._coerce(hi)
     if (hi - lo).sign() <= 0:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
@@ -486,7 +537,7 @@ def surd_choose_rational_between(lo, hi) -> Fraction:
     if mid.is_rational:
         return mid.as_fraction()
     r, s = mid.r, mid.s
-    for h, q in _convergents(mid.k):
+    for h, q in surd_convergents(mid.k):
         cand = r + s * Fraction(h, q)
         if (cand - lo).sign() > 0 and (hi - cand).sign() > 0:
             return cand
@@ -512,7 +563,7 @@ def surd_rational_in_ball(center: Vector, radius: Fraction) -> Vector:
         return center
     budget = min(radius / (2 * center.dim), radius * radius)
     q = Vector(surd_choose_rational_between(c - budget, c + budget) for c in center.coords)
-    assert point_in_ball(q, center, radius)
+    assert surd_in_ball(q, center, radius)
     return q
 
 
@@ -703,6 +754,6 @@ def rational_points_in_ball(
             continue
         offset = (radius / 2 / norm_upper(w)) * w
         p = rational_in_ball(center + offset, radius / 4)
-        assert point_in_ball(p, center, radius)
+        assert surd_in_ball(p, center, radius)
         out.append(p)
     return out

@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from ratsep import Surd, Vector
-from ratsep.linalg import _eliminate, _tableau, solve_linear_system
+from ratsep import SeparationBugError, Surd, Vector
+from ratsep.linalg import solve_linear_system
 from helpers import certified_simplex_max
 
 
@@ -13,15 +13,25 @@ def test_solve_2x2():
     assert x == [Surd(2), Surd(1)]
 
 
-def test_solve_singular_consistent():
-    # rank 1: second equation is a multiple of the first
-    x = solve_linear_system([[1, 1], [2, 2]], [3, 6])
-    assert x == [Surd(3), Surd(0)]  # free variable pinned to zero
+@pytest.mark.parametrize("rhs", [[3, 6], [3, 7]], ids=["consistent", "inconsistent"])
+def test_solve_raises_on_a_zero_leading_minor(rhs):
+    # a Gram system of independent span vectors has none, so one is a fault
+    with pytest.raises(SeparationBugError, match="leading minor of order 2 is 0"):
+        solve_linear_system([[1, 1], [2, 2]], rhs)
 
 
-def test_solve_inconsistent():
-    with pytest.raises(ValueError):
-        solve_linear_system([[1, 1], [2, 2]], [3, 7])
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [([[1, 2, 3], [4, 5, 6]], [1, 2]), ([[1], [2]], [1, 2]), ([[1, 0], [0]], [1, 2])],
+    ids=["wide", "tall", "ragged"],
+)
+def test_solve_rejects_a_system_that_is_not_square(rows, rhs):
+    with pytest.raises(ValueError, match="must be square"):
+        solve_linear_system(rows, rhs)
+
+
+def test_solve_empty_system():
+    assert solve_linear_system([], []) == []
 
 
 def test_solve_surd_entries():
@@ -49,22 +59,19 @@ def test_vector_rows_solve_as_their_coordinates(rows, rhs):
 
 
 @pytest.mark.parametrize(
-    "rows, rhs, rank",
+    "rows, rhs",
     [
-        ([[2, 0, 0], [1, 3, 0], [0, 1, 4]], [1, 2, 3], 3),
-        ([[R2, 0], [1, 1 + R2]], [1, R2], 2),
-        ([[1, 0, 2], [2, 0, 4], [0, 3, 1]], [1, 2, 5], 2),
+        ([[2, 0, 0], [1, 3, 0], [0, 1, 4]], [1, 2, 3]),
+        ([[R2, 0], [1, 1 + R2]], [1, R2]),
     ],
-    ids=["rational", "sqrt2", "rank_deficient"],
+    ids=["rational", "sqrt2"],
 )
-def test_elimination_holds_every_pivot_row_over_the_last_pivot_entry(rows, rhs, rank):
-    # each system has a pivot row with 0 in a later pivot column, which
-    # that pivot rewrites too, so every row ends over the one last D
-    T, k = _tableau(rows, rhs)
-    pivots = _eliminate(T, k, len(rows[0]))
-    r, c = pivots[-1]
-    assert len(pivots) == rank
-    assert all(T[i][j] == T[r][c] for i, j in pivots)
+def test_solve_rewrites_rows_with_zero_in_a_later_pivot_column(rows, rhs):
+    # each system has a pivot row with 0 in a later pivot column; its
+    # unknown is its right-hand side over the last pivot entry only if
+    # that pivot rewrites the row too
+    x = solve_linear_system(rows, rhs)
+    assert [sum((a * xi for a, xi in zip(row, x)), Surd(0)) for row in rows] == rhs
 
 
 # The program's simplex solves only the margin LP (test_fraction_free);

@@ -17,8 +17,10 @@ from ratsep import (
     separate,
 )
 from ratsep.linalg import solve_linear_system
+from ratsep.serialization import MAX_FIELD_K
 from ratsep.scalars import (
     _convergents,
+    _is_square_free,
     choose_rational_between,
     point_in_ball,
     rational_in_ball,
@@ -29,6 +31,7 @@ from helpers import (
     forbid_floats,
     point_in_apex_hull,
     surd_choose_rational_between,
+    surd_convergents,
     surd_rational_in_ball,
 )
 
@@ -407,10 +410,13 @@ def test_positive_checks_reject_zero_and_negatives_alike(what, bad):
         lambda x: choose_rational_between(x, 2),
         lambda x: solve_linear_system([[x]], [1]),
         lambda x: solve_linear_system([[1]], [x]),
+        lambda x: Surd(0, 1, x),
+        lambda x: Surd.root(x),
     ],
     ids=[
         "grid step", "certificate beta", "enclosure tol", "enclosure radicand",
         "vector coordinate", "rounding bound", "system entry", "system right-hand side",
+        "field k", "root",
     ],
 )
 def test_a_bool_is_not_a_rational(call, flag):
@@ -600,6 +606,15 @@ def test_convergent_walk_ends_at_its_bound(monkeypatch):
 def test_sqrt_convergents_prefix():
     gen = _convergents(2)
     assert [next(gen) for _ in range(5)] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
+
+
+def test_the_surd_walk_gives_the_kernels_convergents():
+    # the reference rounding takes its convergents from x <- 1/(x - floor(x))
+    # on Surds, the kernel from the integer recurrence of sqrt(k)'s expansion
+    largest = next(k for k in range(MAX_FIELD_K, 1, -1) if _is_square_free(k))
+    for k in (2, 3, 1000003, largest):
+        walk, kernel = surd_convergents(k), _convergents(k)
+        assert [next(walk) for _ in range(8)] == [next(kernel) for _ in range(8)], k
 
 
 def test_vector_basics():

@@ -506,10 +506,10 @@ def test_is_pointed_decides_lines_without_elimination(monkeypatch):
     ]
     assert [lp_is_pointed(P) for P, _ in cases] == [pointed for _, pointed in cases]
 
-    def no_elimination(*args):
-        raise AssertionError("is_pointed ran an elimination")
+    def no_solve(*args):
+        raise AssertionError("is_pointed solved a linear system")
 
-    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    monkeypatch.setattr(sets, "solve_linear_system", no_solve)
     assert [is_pointed(P) for P, _ in cases] == [pointed for _, pointed in cases]
 
 
