@@ -28,10 +28,15 @@ by its own case, and the projection is timed by the project stage, not
 read back from the memo that validation's ``membership`` call would
 leave.
 
-The approximation loop is timed over the README instance's probes and
-over the 200 probes of the benchmark's unshifted triangle sweep, and
-the test of one probe against one stored cut, ``Certificate.excludes``,
-on a rational probe and on one with sqrt(2) parts.  The test of one cut
+The excess measure reads each halfspace's line form on every grid
+line.  It is timed on one grid column, the unit of the benchmark's
+sweep, with the line forms kept from an untimed first call, and on a
+grid of close to ``MAX_GRID_POINTS`` points in one call that builds
+them, as the CLI's ``approximate`` runs it.  The approximation loop is
+timed over the README instance's probes and over the 200 probes of the
+benchmark's unshifted triangle sweep, and the test of one probe against
+one stored cut, ``Certificate.excludes``, on a rational probe and on
+one with sqrt(2) parts.  The test of one cut
 against a set, ``Certificate.contains``, is timed on the triangle and
 on the 3-D set with rays, and the making of every ``OuterApprox``
 prefix of the sweep's cuts, each with its cuts' line forms, as the
@@ -69,7 +74,7 @@ from ratsep.separation import (
     find_barrier_direction,
     wedge_interior_ball,
 )
-from ratsep.serialization import MAX_DIGITS
+from ratsep.serialization import MAX_DIGITS, MAX_GRID_POINTS
 
 SQ2 = Surd.root(2)
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1])))
@@ -239,6 +244,22 @@ def test_excess_measure_on_a_grid_column(benchmark, experiment_cuts, count):
     excess_measure(X, approx, column)
     excess = timed(benchmark, excess_measure, (X, approx, column), iterations=10)
     assert 0 <= excess <= 1
+
+
+def test_excess_measure_on_the_largest_grid(benchmark, experiment_cuts):
+    """The experiment's 11 cuts on a 316 x 316 grid of [-1, 2]^2, close
+    to ``MAX_GRID_POINTS``, in one call on a fresh set and an
+    approximation of fresh cuts, as the CLI's ``approximate`` makes
+    them: the call builds every line form it reads."""
+    grid = GridSpec((F(-1), F(-1)), (F(2), F(2)), F(1, 105))
+    assert grid.shape == (316, 316) and 316 * 316 <= MAX_GRID_POINTS
+
+    def setup():
+        X = fresh(TRIANGLE)
+        cuts = [Certificate(cut.a, cut.beta) for cut in experiment_cuts]
+        return (X, OuterApprox(X, cuts), grid), {}
+
+    assert timed(benchmark, excess_measure, setup=setup) == F(1445, 49928)
 
 
 def test_outer_approximate_readme_probes(benchmark):

@@ -15,10 +15,13 @@ flips slows both sides alike.
 
 ``--workload approx_sweep`` times the sweeps of that workload instead,
 which run the Gram solves and the double description that ``separate``
-on the other two seldom reaches: each timed call is ``outer_approximate``
-on a freshly parsed sweep and then ``excess_measure`` of its cuts on the
-sweep's grid.  Its lines give the total, ``outer_approximate`` alone and
-``excess_measure`` alone, and the cuts and the excess must serialize to
+on the other two seldom reaches.  A sweep is timed as
+``perfbench/worker.py`` times it: ``outer_approximate`` on a freshly
+parsed sweep, then ``excess_measure`` after every prefix of its cuts, one
+call per column of the sweep's grid, with the columns and the prefixes
+built outside the timed calls.  Its lines give the total,
+``outer_approximate`` alone and the ``excess_measure`` calls alone, and
+the cuts and every column's excess after every prefix must serialize to
 the same bytes in both trees.  That workload has at most 101 sweeps, so
 ``--count`` defaults to 100 there.
 
@@ -75,19 +78,27 @@ def timed_separate(r, obj) -> tuple[float, float, str]:
 
 def timed_sweep(r, obj) -> tuple[float, float, str]:
     """Seconds of ``outer_approximate`` on a freshly parsed sweep plus
-    ``excess_measure`` of its cuts on the sweep's grid, the seconds of
-    ``outer_approximate`` alone, and the canonical JSON of the cuts and
-    the exact excess."""
+    those of each ``excess_measure`` call after every cut prefix on each
+    column of the sweep's grid, the seconds of ``outer_approximate``
+    alone, and the canonical JSON of the cuts and of every call's exact
+    excess."""
     ser = importlib.import_module(f"{r.__name__}.serialization")
     inst = ser.parse_instance(obj)
+    X, grid = inst.polyhedron, inst.options.grid
+    xs = (grid.mins[0] + grid.step * i for i in range(grid.shape[0]))
+    columns = [r.GridSpec((x, grid.mins[1]), (x, grid.maxs[1]), grid.step) for x in xs]
     t0 = perf_counter()
-    approx = r.outer_approximate(inst.polyhedron, inst.probes, inst.options.budget)
-    t1 = perf_counter()
-    excess = r.excess_measure(inst.polyhedron, approx, inst.options.grid)
-    t2 = perf_counter()
-    return t2 - t0, t1 - t0, ser.dumps(
-        {**ser.approx_to_json(approx), "excess": ser.fraction_to_str(excess)}
-    )
+    approx = r.outer_approximate(X, inst.probes, inst.options.budget)
+    outer = perf_counter() - t0
+    seconds, excess = outer, []
+    for j in range(len(approx.cuts) + 1):
+        prefix = r.approximation.OuterApprox(X, approx.cuts[:j])
+        for column in columns:
+            t0 = perf_counter()
+            value = r.excess_measure(X, prefix, column)
+            seconds += perf_counter() - t0
+            excess.append(ser.fraction_to_str(value))
+    return seconds, outer, ser.dumps({**ser.approx_to_json(approx), "excess": excess})
 
 
 def main(argv=None) -> int:

@@ -26,9 +26,11 @@ integer pairs of Z[sqrt(k)] (``FacetDescription``), and a cut keeps its
 integer form (``Certificate.cleared``).  The excess measure only divides
 each one by its coefficient along the line, once per owner object and
 axis order: a set keeps the forms of its facets and equations, and an
-approximation those of its cuts.  Applying the grid to such a form is a
-few integer products, and every bound is one integer floor division (and
-one integer square root over Q(sqrt(k))) with no Surd built.
+approximation those of its cuts.  Each line reads every form straight
+off it: a few integer products bound the line's integer coordinate, and
+two integer floor divisions bound its point index, with one integer
+square root before them only when the bound has a sqrt(k) part.  No
+Surd is built.
 """
 
 from __future__ import annotations
@@ -168,15 +170,17 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     """Fraction of grid points inside every cut but outside X (2-D, exact).
 
     The grid is counted one line at a time, each line running along the
-    longer axis, so the cost grows with the shorter side.  On line i
-    every halfspace, cleared of its denominators by its maker, reads
-    B*j <= U - V*i in the point index j for integer pairs B, U, V of
-    Z[sqrt(k)] (``_line_bounds``): j <= floor((U - V*i)/B) when B > 0,
-    j >= ceil((U - V*i)/B) when B < 0, and every point or none when
-    B = 0.  The points inside every cut are therefore one range, and the
-    points inside X as well, X being its facets and its equations (each
-    one a pair of opposite halfspaces).  A line adds the count of the
-    first range minus the count of its intersection with the second.
+    longer axis, so the cost grows with the shorter side.  On each line
+    every halfspace, cleared of its denominators by its maker, bounds the
+    point index j by q/B for an integer B > 0 and a pair q of Z[sqrt(k)],
+    both a few integer products of its line form (``_line_forms``) and
+    the line's coordinate (``_narrow``): j <= floor(q/B) when its
+    coefficient along the line is positive, j >= ceil(q/B) when that is
+    negative, and every point or none when it is 0.  The points inside
+    every cut are therefore one range, and the points inside X as well,
+    X being its facets and its equations (each one a pair of opposite
+    halfspaces).  A line adds the count of the first range minus the
+    count of its intersection with the second.
     Every bound is an exact floor or ceiling on integers, so no point is
     tested on its own, no Surd is built and nothing is rounded.  The
     count does not assume that the cuts contain X: ``approx.target`` may
@@ -188,13 +192,15 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     axes = (0, 1) if shape[0] <= shape[1] else (1, 0)
     lines, length = shape[axes[0]], shape[axes[1]]
     k = X.field_k
-    in_x = _line_bounds(_forms(X, axes), grid, axes)
-    in_cuts = _line_bounds(_forms(approx, axes), grid, axes)
+    g, H, corner = grid._lattice
+    Ms, Mt = corner[axes[0]], corner[axes[1]]
+    in_x, in_cuts = _forms(X, axes), _forms(approx, axes)
     excess = 0
     for i in range(lines):
-        lo, hi = _narrow(in_cuts, i, 0, length - 1, k)
+        line = (g, Ms + H * i, Mt, H)
+        lo, hi = _narrow(in_cuts, line, 0, length - 1, k)
         if lo <= hi:
-            in_lo, in_hi = _narrow(in_x, i, lo, hi, k)
+            in_lo, in_hi = _narrow(in_x, line, lo, hi, k)
             excess += hi - lo + 1 - max(0, in_hi - in_lo + 1)
     return Fraction(excess, lines * length)
 
@@ -228,6 +234,7 @@ def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
     1/A_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
     A_t*w = n, the form is (sign of A_t, c*w, A_s*w, n) with A_s the pair
     of A at axes[0]; when A_t = 0 it is (0, c, A_s, 0), w being 1.
+    ``_narrow`` reads it on each grid line.
     """
     s, t = axes
     out = []
@@ -238,41 +245,36 @@ def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
     return out
 
 
-def _line_bounds(forms, grid: GridSpec, axes: tuple[int, int]) -> list[tuple]:
-    """Each line form of ``_line_forms`` on the grid point p whose
-    coordinate axes[0] is mins + h*i (line i) and whose coordinate
-    axes[1] is mins + h*j (point j of the line).
+def _narrow(forms, line: tuple[int, int, int, int], lo: int, hi: int, k: int) -> tuple[int, int]:
+    """The points j in lo..hi of one grid line that satisfy every line
+    form of ``_line_forms``; the range is empty when lo > hi.
 
-    A form (sign, c*w, A_s*w, A_t*w) of ``_line_forms`` stands for the
-    cleared halfspace A_s*p_s + A_t*p_t <= c.  In the grid's integer form
-    (``GridSpec``), p_s = (Ms + H*i)/g and p_t = (Mt + H*j)/g, so the
-    halfspace times g > 0 is B*j <= U - V*i with B = H*A_t,
-    U = g*c - A_s*Ms - A_t*Mt and V = H*A_s.  Multiplying U, V and B by w
-    leaves the quotient as it is and makes B*w = H*A_t*w an integer.  The
-    result is (sign, U*w, V*w, B*w) with the pairs flat, and with
-    q = (U*w - V*w*i)/(B*w), p satisfies the halfspace iff j <= floor(q)
-    (sign 1), j >= ceil(q) (sign -1), or U - V*i >= 0 (sign 0, w = 1 and
-    A_t = 0).
+    The line is (g, x, Mt, H) in the grid's integer form (``GridSpec``):
+    its coordinate axes[0] is x/g, and its point j has coordinate axes[1]
+    y/g for the integer y = Mt + H*j.  A form (sign, c*w, A_s*w, n) with
+    A_t*w = n > 0 stands for the cleared halfspace A_s*p_s + A_t*p_t <= c,
+    which times g reads A_s*x + A_t*y <= g*c.  Times w, whose sign is
+    that of A_t, it bounds n*y by the pair q = g*(c*w) - (A_s*w)*x of
+    Z[sqrt(k)]: y <= floor(q/n) (sign 1) or y >= ceil(q/n) (sign -1), so
+    j <= floor((floor(q/n) - Mt)/H) or j >= ceil((ceil(q/n) - Mt)/H),
+    which equal floor((q/n - Mt)/H) and ceil((q/n - Mt)/H) since Mt and
+    H > 0 are integers.  With sign 0 (A_t = 0, w = 1 and n = 0) it holds
+    on the whole line iff q >= 0.  A rational q is read with integer
+    floor divisions inline; only a q with a sqrt(k) part takes
+    ``_pair_floor`` or ``_pair_sign``.
     """
-    s, t = axes
-    g, H, corner = grid._lattice
-    Ms, Mt = corner[s], corner[t]
-    return [
-        (sign, g * ba - sa * Ms - n * Mt, g * bb - sb * Ms, H * sa, H * sb, H * n)
-        for sign, (ba, bb), (sa, sb), n in forms
-    ]
-
-
-def _narrow(bounds, i: int, lo: int, hi: int, k: int) -> tuple[int, int]:
-    """The points j in lo..hi of line i that satisfy every bound of
-    ``_line_bounds``; the range is empty when lo > hi."""
-    for sign, ua, ub, va, vb, n in bounds:
-        qa, qb = ua - va * i, ub - vb * i
+    g, x, Mt, H = line
+    for sign, (ca, cb), (sa, sb), n in forms:
+        q, r = g * ca - sa * x, g * cb - sb * x
         if sign > 0:
-            hi = min(hi, _pair_floor((qa, qb), n, k))
+            j = ((_pair_floor((q, r), n, k) if r else q // n) - Mt) // H
+            if j < hi:
+                hi = j
         elif sign < 0:
-            lo = max(lo, -_pair_floor((-qa, -qb), n, k))
-        elif _pair_sign((qa, qb), k) < 0:
+            j = -((Mt + (_pair_floor((-q, -r), n, k) if r else -q // n)) // H)
+            if j > lo:
+                lo = j
+        elif (_pair_sign((q, r), k) if r else q) < 0:
             return lo, lo - 1
         if lo > hi:
             break

@@ -75,12 +75,13 @@ MAX_GENERATORS = 12
 # that finds none (a point just outside the sqrt(2) edge of the README
 # triangle) takes ~14 s at 32.  The excess measure counts the grid one line
 # at a time, along the longer axis: at 10**5 points (316 x 316) it takes
-# ~0.5-1 ms with no cuts and ~1.5-3 ms with the 11 cuts of the README
-# triangle (best of 7, on a machine whose speed moved 2x between runs),
-# and ~0.02-0.035 s with the 12 cuts of a 12-vertex set over
-# Q(sqrt 999999999998) with MAX_DIGITS-digit parts, whose canonical facet
-# normals (parts of at most 286 bits) set the size of the integer square
-# root of each line's bound (2-core machine, Python 3.11).
+# ~0.35-0.55 ms with no cuts and ~0.75-1.1 ms with the 11 cuts of the
+# README triangle (best of 7 on fresh objects, on a machine whose speed
+# drifts between runs), and ~0.014-0.018 s with the 12 cuts of a
+# 12-vertex set over Q(sqrt 999999999998) with MAX_DIGITS-digit parts,
+# whose canonical facet normals (parts of at most 286 bits) set the size
+# of the integer square root of each line's bound (2-core machine,
+# Python 3.11).
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any

@@ -18,7 +18,7 @@ from ratsep import (
     support_value,
 )
 from ratsep import approximation
-from ratsep.approximation import OuterApprox, _line_bounds, _line_forms, _narrow
+from ratsep.approximation import OuterApprox, _line_forms, _narrow
 from ratsep.scalars import choose_rational_between
 from helpers import (
     exterior_point,
@@ -297,8 +297,9 @@ def surd_quotient_bound(a_s, a_t, b, mins, step, axes, i) -> tuple:
 def narrowed(forms, mins, step, axes, i, k) -> tuple:
     """The range of line i that the one line form keeps, on a one-point
     grid at mins."""
-    (bound,) = _line_bounds(forms, GridSpec(tuple(mins), tuple(mins), step), axes)
-    return _narrow([bound], i, -BEYOND, BEYOND, k)
+    g, H, corner = GridSpec(tuple(mins), tuple(mins), step)._lattice
+    s, t = axes
+    return _narrow(forms, (g, corner[s] + H * i, corner[t], H), -BEYOND, BEYOND, k)
 
 
 line_grids = (
@@ -314,6 +315,12 @@ line_grids = (
 @example(2, [F(0), F(1), F(1), F(-1), F(5, 2), F(-1, 4)], [F(0), F(0)], F(1), (1, 0), -7)
 @example(1000003, [F(2), F(-1), F(0), F(-1), F(-3), F(1)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
 @example(1, [F(2), F(0), F(-3, 2), F(0), F(7, 4), F(0)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
+# rational quotients -777/25 (a floor) and -461/120 (a ceiling), read
+# inline in two floor divisions that a rounding toward zero would each
+# move: the line's integer coordinate is bounded by -762/5 and 379/20,
+# and the point index by -156/5 and -23/6
+@example(2, [F(-3), F(0), F(1), F(0), F(1, 5), F(0)], [F(1), F(-2)], F(5, 3), (1, 0), -9)
+@example(1000003, [F(3, 4), F(0), F(-5), F(0), F(-7, 3), F(0)], [F(7, 3), F(2)], F(2, 7), (0, 1), 2)
 def test_line_bound_is_the_floor_or_ceil_of_the_surd_quotient(k, parts, mins, step, axes, i):
     """On line i the bound of <a, p> <= b, from the line form of its
     integer row, is the floor or ceiling of the Surd quotient: divisors
@@ -335,6 +342,10 @@ def test_line_bound_is_the_floor_or_ceil_of_the_surd_quotient(k, parts, mins, st
 @example(2, [F(1), F(-1, 3), F(1)], [F(1, 3), F(-5, 6)], F(2, 7), (0, 1), 3)
 @example(1000003, [F(2), F(-1), F(-3)], [F(1, 3), F(1, 5)], F(5, 3), (0, 1), 11)
 @example(1, [F(2), F(-3, 2), F(7, 4)], [F(-1, 2), F(1, 3)], F(2, 7), (1, 0), 5)
+# the rational examples above as cuts: quotients -777/25 (a floor) and
+# -461/120 (a ceiling)
+@example(2, [F(-3), F(1), F(1, 5)], [F(1), F(-2)], F(5, 3), (1, 0), -9)
+@example(1000003, [F(3, 4), F(-5), F(-7, 3)], [F(7, 3), F(2)], F(2, 7), (0, 1), 2)
 def test_cut_line_bound_is_the_floor_or_ceil_of_the_quotient(k, parts, mins, step, axes, i):
     """The same oracle for a rational cut <a, p> <= beta, whose line form
     is built from its integer form ``cleared`` with k = 1; the set's
@@ -360,7 +371,8 @@ def test_excess_counts_lines_along_the_shorter_side(monkeypatch, maxs):
     approx = OuterApprox(UNIT_SQUARE, (Certificate(Vector([1, 1]), F(2)),))
     # inside the cut x + y <= 2: 5 grid points, 4 of them in the square
     assert excess_measure(UNIT_SQUARE, approx, grid) == F(1, 100000)
-    assert 0 < len(calls) <= 2 * 2
+    # on this grid g = H = 1 and the corner is 0, so a line's x is its index
+    assert {x for _, (_, x, _, _), *_ in calls} == {0, 1} and len(calls) <= 2 * 2
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -377,7 +389,9 @@ def test_excess_walks_the_shorter_side_and_matches_the_oracle(monkeypatch, trans
     narrow = approximation._narrow
     monkeypatch.setattr(approximation, "_narrow", lambda *args: calls.append(args) or narrow(*args))
     excess = excess_measure(X, approx, grid)
-    assert {i for _, i, *_ in calls} == {0, 1} and len(calls) <= 2 * 2
+    g, H, corner = grid._lattice
+    s = 0 if grid.shape[0] == 2 else 1
+    assert {(x - corner[s]) // H for _, (_, x, _, _), *_ in calls} == {0, 1} and len(calls) <= 2 * 2
     assert excess == pointwise_excess(X, approx, grid) > 0
 
 
