@@ -23,7 +23,11 @@ built outside the timed calls.  Its lines give the total,
 ``outer_approximate`` alone and the ``excess_measure`` calls alone, and
 the cuts and every column's excess after every prefix must serialize to
 the same bytes in both trees.  That workload has at most 101 sweeps, so
-``--count`` defaults to 100 there.
+``--count`` defaults to 100 there.  One more line gives each tree's
+median and p90 time of one ``excess_measure`` call, the statistics that
+``perfbench`` reports as ``latency_ms.p50`` and ``latency_ms.p90`` there,
+and their ratios; it goes to standard error, so standard output keeps
+one line per total.
 
 Each timed call first runs ``is_pointed`` on the fresh set, which solves
 the set's margin LP and keeps it, and then ``separate``, which reads the
@@ -39,6 +43,7 @@ other stages shows more plainly there.
 
 import argparse
 import importlib.util
+import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -76,12 +81,13 @@ def timed_separate(r, obj) -> tuple[float, float, str]:
     )
 
 
-def timed_sweep(r, obj) -> tuple[float, float, str]:
+def timed_sweep(r, obj, calls: list[float]) -> tuple[float, float, str]:
     """Seconds of ``outer_approximate`` on a freshly parsed sweep plus
     those of each ``excess_measure`` call after every cut prefix on each
     column of the sweep's grid, the seconds of ``outer_approximate``
     alone, and the canonical JSON of the cuts and of every call's exact
-    excess."""
+    excess.  The seconds of each ``excess_measure`` call are appended to
+    calls."""
     ser = importlib.import_module(f"{r.__name__}.serialization")
     inst = ser.parse_instance(obj)
     X, grid = inst.polyhedron, inst.options.grid
@@ -96,7 +102,8 @@ def timed_sweep(r, obj) -> tuple[float, float, str]:
         for column in columns:
             t0 = perf_counter()
             value = r.excess_measure(X, prefix, column)
-            seconds += perf_counter() - t0
+            calls.append(perf_counter() - t0)
+            seconds += calls[-1]
             excess.append(ser.fraction_to_str(value))
     return seconds, outer, ser.dumps({**ser.approx_to_json(approx), "excess": excess})
 
@@ -121,13 +128,14 @@ def main(argv=None) -> int:
             call, parts, unit = timed_separate, ("margin_lp", "stages"), "calls"
         count = args.count or (100 if workload == SWEEPS else 240)
         instances = getattr(gen, workload)(args.seed, count)
-        totals, first = [0.0, 0.0], [0.0, 0.0]
+        totals, first, per_call = [0.0, 0.0], [0.0, 0.0], ([], [])
         for rnd in range(args.rounds):
             for i, obj in enumerate(instances):
                 order = (0, 1) if (i + rnd) % 2 == 0 else (1, 0)
                 out = {}
                 for side in order:
-                    seconds, first_seconds, out[side] = call(trees[side], obj)
+                    extra = (per_call[side],) if workload == SWEEPS else ()
+                    seconds, first_seconds, out[side] = call(trees[side], obj, *extra)
                     totals[side] += seconds
                     first[side] += first_seconds
                 if out[0] != out[1]:
@@ -139,6 +147,15 @@ def main(argv=None) -> int:
         for name, (this, against) in lines:
             print(f"{name}: this {this:.3f} s, against {against:.3f} s, "
                   f"ratio {this / against:.3f} {calls}")
+        if workload == SWEEPS:
+            (this50, this90), (against50, against90) = (
+                (statistics.median(c) * 1e6, statistics.quantiles(c, n=10)[8] * 1e6)
+                for c in per_call
+            )
+            print(f"{workload}.excess_measure.per_call: this p50 {this50:.3f} us, "
+                  f"p90 {this90:.3f} us, against p50 {against50:.3f} us, p90 {against90:.3f} us, "
+                  f"ratio p50 {this50 / against50:.3f}, p90 {this90 / against90:.3f} "
+                  f"over {len(per_call[0])} calls", file=sys.stderr)
     return 0
 
 

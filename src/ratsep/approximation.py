@@ -26,11 +26,15 @@ integer pairs of Z[sqrt(k)] (``FacetDescription``), and a cut keeps its
 integer form (``Certificate.cleared``).  The excess measure only divides
 each one by its coefficient along the line, once per owner object and
 axis order: a set keeps the forms of its facets and equations, and an
-approximation those of its cuts.  Each line reads every form straight
-off it: a few integer products bound the line's integer coordinate, and
-two integer floor divisions bound its point index, with one integer
-square root before them only when the bound has a sqrt(k) part.  No
-Surd is built.
+approximation those of its cuts, each form one flat tuple of integers.
+Each line reads every form straight off it: a few integer products
+bound the line's integer coordinate, and two integer floor divisions
+bound its point index, with one integer square root before them only
+when the bound has a sqrt(k) part.  No Surd is built.  Apart from its
+lines a call does little: two stored dimensions read and compared, one
+lookup of each owner's kept forms, and the closing ``Fraction``; so a
+sweep of one-line grids, as ``perfbench``'s ``approx_sweep`` makes,
+pays mostly for its lines.
 """
 
 from __future__ import annotations
@@ -188,17 +192,19 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     """
     if X.dim != 2 or approx.target.dim != 2:
         raise DimensionMismatchError("the excess measure is 2-D only")
-    shape = grid.shape
-    axes = (0, 1) if shape[0] <= shape[1] else (1, 0)
-    lines, length = shape[axes[0]], shape[axes[1]]
+    g, H, (cx, cy) = grid._lattice
+    cols, rows = grid.shape
+    if cols <= rows:
+        axes, lines, length, Ms, Mt = (0, 1), cols, rows, cx, cy
+    else:
+        axes, lines, length, Ms, Mt = (1, 0), rows, cols, cy, cx
     k = X.field_k
-    g, H, corner = grid._lattice
-    Ms, Mt = corner[axes[0]], corner[axes[1]]
     in_x, in_cuts = _forms(X, axes), _forms(approx, axes)
+    last = length - 1
     excess = 0
-    for i in range(lines):
-        line = (g, Ms + H * i, Mt, H)
-        lo, hi = _narrow(in_cuts, line, 0, length - 1, k)
+    for x in range(Ms, Ms + H * lines, H):
+        line = (g, x, Mt, H)
+        lo, hi = _narrow(in_cuts, line, 0, last, k)
         if lo <= hi:
             in_lo, in_hi = _narrow(in_x, line, lo, hi, k)
             excess += hi - lo + 1 - max(0, in_hi - in_lo + 1)
@@ -212,16 +218,23 @@ def _forms(owner: VPolyhedron | OuterApprox, axes: tuple[int, int]) -> list[tupl
     approximation's cuts, each the integer form its ``Certificate`` keeps
     (``cleared``).  A facet or equation (a, b) is read as it is stored:
     its parts are integers (``FacetDescription``), so a.m = 1 and b has
-    the denominator 1."""
-    forms = vars(owner).setdefault("_line_forms", {})
-    if axes not in forms:
-        if isinstance(owner, OuterApprox):
-            forms[axes] = _line_forms([cut.cleared for cut in owner.cuts], axes, 1)
-        else:
-            equations, facets = owner.facet_description
-            rows = [*facets, *equations, *((-a, -b) for a, b in equations)]
-            forms[axes] = _line_forms([(a.pairs, (b.a, b.b)) for a, b in rows], axes, owner.field_k)
-    return forms[axes]
+    the denominator 1.
+
+    The kept forms are read with one lookup, ``owner._line_forms[axes]``;
+    only a miss, the owner's first call for that axis order, builds them
+    and, on the owner's first call at all, the dict that keeps them."""
+    try:
+        return owner._line_forms[axes]
+    except (AttributeError, KeyError):
+        pass
+    if isinstance(owner, OuterApprox):
+        made = _line_forms([cut.cleared for cut in owner.cuts], axes, 1)
+    else:
+        equations, facets = owner.facet_description
+        rows = [*facets, *equations, *((-a, -b) for a, b in equations)]
+        made = _line_forms([(a.pairs, (b.a, b.b)) for a, b in rows], axes, owner.field_k)
+    vars(owner).setdefault("_line_forms", {})[axes] = made
+    return made
 
 
 def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
@@ -232,16 +245,17 @@ def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
     The halfspace is divided by its coefficient A_t along the line and
     by nothing else, its maker having cleared it of denominators.  For
     1/A_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
-    A_t*w = n, the form is (sign of A_t, c*w, A_s*w, n) with A_s the pair
-    of A at axes[0]; when A_t = 0 it is (0, c, A_s, 0), w being 1.
-    ``_narrow`` reads it on each grid line.
+    A_t*w = n, the form is the flat tuple (sign, ca, cb, sa, sb, n) of
+    the sign of A_t, the pair c*w = (ca, cb), the pair A_s*w = (sa, sb)
+    with A_s the pair of A at axes[0], and n; when A_t = 0 it is
+    (0, *c, *A_s, 0), w being 1.  ``_narrow`` reads it on each grid line.
     """
     s, t = axes
     out = []
     for A, c in halfspaces:
         sign = _pair_sign(A[t], k)
         w, n = _pair_reciprocal(A[t], k) if sign else ((1, 0), 0)
-        out.append((sign, _pair_mul(c, w, k), _pair_mul(A[s], w, k), n))
+        out.append((sign, *_pair_mul(c, w, k), *_pair_mul(A[s], w, k), n))
     return out
 
 
@@ -251,10 +265,11 @@ def _narrow(forms, line: tuple[int, int, int, int], lo: int, hi: int, k: int) ->
 
     The line is (g, x, Mt, H) in the grid's integer form (``GridSpec``):
     its coordinate axes[0] is x/g, and its point j has coordinate axes[1]
-    y/g for the integer y = Mt + H*j.  A form (sign, c*w, A_s*w, n) with
-    A_t*w = n > 0 stands for the cleared halfspace A_s*p_s + A_t*p_t <= c,
-    which times g reads A_s*x + A_t*y <= g*c.  Times w, whose sign is
-    that of A_t, it bounds n*y by the pair q = g*(c*w) - (A_s*w)*x of
+    y/g for the integer y = Mt + H*j.  A flat form (sign, ca, cb, sa, sb,
+    n), with c*w = (ca, cb), A_s*w = (sa, sb) and A_t*w = n > 0, stands
+    for the cleared halfspace A_s*p_s + A_t*p_t <= c, which times g
+    reads A_s*x + A_t*y <= g*c.  Times w, whose sign is that of A_t, it
+    bounds n*y by the pair q = g*(c*w) - (A_s*w)*x of
     Z[sqrt(k)]: y <= floor(q/n) (sign 1) or y >= ceil(q/n) (sign -1), so
     j <= floor((floor(q/n) - Mt)/H) or j >= ceil((ceil(q/n) - Mt)/H),
     which equal floor((q/n - Mt)/H) and ceil((q/n - Mt)/H) since Mt and
@@ -264,7 +279,7 @@ def _narrow(forms, line: tuple[int, int, int, int], lo: int, hi: int, k: int) ->
     ``_pair_floor`` or ``_pair_sign``.
     """
     g, x, Mt, H = line
-    for sign, (ca, cb), (sa, sb), n in forms:
+    for sign, ca, cb, sa, sb, n in forms:
         q, r = g * ca - sa * x, g * cb - sb * x
         if sign > 0:
             j = ((_pair_floor((q, r), n, k) if r else q // n) - Mt) // H

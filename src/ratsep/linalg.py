@@ -207,7 +207,14 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     counted, than that tableau's R + 2n rows over R + 4n + 1 variables
     have bases, C(R + 4n + 1, R + 2n); a step past that bound, like a
     missing leaving candidate where the box bounds the LP, is a fault
-    and raises ``SeparationBugError``.  Every pivot entry is positive
+    and raises ``SeparationBugError``.  So is a repeated basis.  The
+    nonbasic labels, which also say which variables sit at their upper
+    bound, name the textbook tableau's basis: it is the labels they
+    leave out, the basic labels of the dictionary among them.  Each step
+    records them as one bitmask, so a fault that makes the walk cycle
+    raises at its first repeated basis rather than after the bound,
+    which is 2,310,789,600 steps at the parse limits (n = 6 and
+    R = 11).  Every pivot entry is positive
     over the previous one, so D stays positive: signs of stored entries
     are true signs, and two ratios, each taken within its own row and so
     free of D, compare by cross-multiplication.  The solution holds each
@@ -234,7 +241,12 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
         return v + box if v < 2 * n else v - box if v >= box else None  # none for t and slacks
 
     steps = comb(m + 4 * n + 1, m + 2 * n)  # the textbook tableau's bases, each visited once at most
-    for _ in range(steps):
+    # bit v is set iff variable v is nonbasic, one int per basis visited
+    labels, visited = (1 << nv) - 1, set()
+    for step in range(steps):
+        if labels in visited:
+            raise SeparationBugError(f"the margin LP revisited a basis at step {step}")
+        visited.add(labels)
         # the sign of a rational entry is read inline, that of an irrational one by _pair_sign
         enter = None
         for j, x in enumerate(T[-1][:nv]):
@@ -270,6 +282,7 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
         if r < 0:  # a bound flip: the column's variable is complemented
             for row in T:
                 row[-1], row[enter] = sub(row[-1], row[enter]), neg(row[enter])
+            labels ^= 1 << nonbasic[enter] | 1 << label
             nonbasic[enter] = label
             continue
         if label != basis[r]:  # the row's basic variable leaves at its upper bound
@@ -280,6 +293,7 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
         D = _pivot(T, r, enter, D, k)
         for row, f in zip(T, column):
             row[enter] = f
+        labels ^= 1 << nonbasic[enter] | 1 << basis[r]
         basis[r], nonbasic[enter] = nonbasic[enter], basis[r]
     else:
         raise SeparationBugError(f"the margin LP exceeded its bound of {steps} simplex steps")

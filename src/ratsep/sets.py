@@ -76,12 +76,16 @@ class SupportValue:
 class VPolyhedron:
     """conv(vertices) + cone(rays), at least one vertex, rays nonzero.
 
-    ``field_k`` is the one field Q(sqrt(k)) of all generators (1 when they
-    are rational), worked out once at construction.
+    ``dim``, the one dimension of all generators, and ``field_k``, the one
+    field Q(sqrt(k)) of all of them (1 when they are rational), are worked
+    out once at construction and stored as fields that are neither
+    constructor arguments nor part of ``==``, ``hash`` or ``repr``, so
+    every dimension check reads one attribute.
     """
 
     vertices: tuple[Vector, ...]
     rays: tuple[Vector, ...] = ()
+    dim: int = field(init=False, repr=False, compare=False)
     field_k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,11 +104,8 @@ class VPolyhedron:
             k = reduce(Surd._k_with, (g.field_k for g in (*self.vertices, *self.rays)), 1)
         except ValueError:
             raise ValueError("generators mix different quadratic fields") from None
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field_k", k)
-
-    @property
-    def dim(self) -> int:
-        return self.vertices[0].dim
 
     def translated(self, offset: Vector) -> "VPolyhedron":
         return VPolyhedron(tuple(v + offset for v in self.vertices), self.rays)
@@ -229,16 +230,29 @@ def _polar_cone(gens, n: int, k: int) -> tuple[list, list, list[int]]:
         new_rays = [r for r, s in zip(rays, signs) if s <= 0]
         new_zeros = [z | bit if s == 0 else z for z, s in zip(zeros, signs) if s <= 0]
         # Two extreme rays are adjacent iff no third one is zero wherever both
-        # are.  Adjacent rays also share at least n - 2 - len(basis) zeros,
-        # as many as independent constraints cut out a 2-face of the polar;
-        # that cheap count runs first.
+        # are, that is iff the rays zero on every generator where both are
+        # zero are the two alone.  zero_on[j] is the bitmask of the rays zero
+        # on generator j, so those rays are the AND of zero_on[j] over the
+        # common zero bits j, which stops as soon as only the two are left.
+        # Adjacent rays also share at least n - 2 - len(basis) zeros, as many
+        # as independent constraints cut out a 2-face of the polar; that
+        # cheap count runs first.
+        zero_on = [sum(1 << c for c, z in enumerate(zeros) if z >> j & 1) for j in range(i)]
+        everyone = (1 << len(rays)) - 1
         need = n - 2 - len(basis)
+        below = [(j, zeros[j]) for j, s in enumerate(signs) if s < 0]
         for a in (j for j, s in enumerate(signs) if s > 0):
-            for b in (j for j, s in enumerate(signs) if s < 0):
-                common = zeros[a] & zeros[b]
-                if common.bit_count() < need or any(
-                    zeros[c] & common == common for c in range(len(rays)) if c != a and c != b
-                ):
+            za = zeros[a]
+            for b, zb in below:
+                common = za & zb
+                if common.bit_count() < need:
+                    continue
+                pair, both, bits = (1 << a) | (1 << b), everyone, common
+                while bits and both != pair:
+                    low = bits & -bits
+                    both &= zero_on[low.bit_length() - 1]
+                    bits ^= low
+                if both != pair:
                     continue
                 combined = _pair_combination(products[a], rays[b], products[b], rays[a], k)
                 new_rays.append(_pair_primitive(combined, k))

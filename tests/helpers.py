@@ -22,6 +22,7 @@ from ratsep import (
     support_value,
 )
 from ratsep.approximation import OuterApprox
+from ratsep.linalg import _pivot
 from ratsep.sets import FacetDescription
 from ratsep.scalars import rational_in_ball
 from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL, norm_upper
@@ -209,6 +210,20 @@ def surd_margin_lp(rays) -> tuple[Vector, Surd]:
     res = surd_simplex_max(*margin_lp(rays, n))
     assert res.status == "optimal"
     return Vector([res.x[j] - res.x[n + j] for j in range(n)]), res.x[2 * n]
+
+
+def objective_negating_pivot(calls: list):
+    """``linalg._pivot`` with a fault, recording each (row, column) in
+    calls: after the pivot it negates the objective row, so variables
+    that left the basis re-enter it and the margin LP's walk cycles."""
+
+    def pivot(T, r, c, D, k):
+        calls.append((r, c))
+        p = _pivot(T, r, c, D, k)
+        T[-1] = [-x if type(x) is int else (-x[0], -x[1]) for x in T[-1]]
+        return p
+
+    return pivot
 
 
 def _surd_primitive(v: Vector) -> Vector:

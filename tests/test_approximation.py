@@ -196,8 +196,18 @@ def test_excess_dimension_check():
     X3 = VPolyhedron((Vector([0, 0, 0]),))
     from ratsep import DimensionMismatchError
 
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="2-D only"):
         excess_measure(X3, OuterApprox(X3, ()), GRID)
+    # a 3-D set with a 2-D target
+    with pytest.raises(DimensionMismatchError, match="2-D only"):
+        excess_measure(X3, OuterApprox(UNIT_SQUARE, ()), GRID)
+    # a 2-D set whose line forms are already kept, against a 3-D target: the
+    # check runs on every call, before any kept form is read
+    X = VPolyhedron(UNIT_SQUARE.vertices)
+    assert excess_measure(X, OuterApprox(X, ()), GRID) == F(40, 49)
+    assert vars(X)["_line_forms"]
+    with pytest.raises(DimensionMismatchError, match="2-D only"):
+        excess_measure(X, OuterApprox(X3, ()), GRID)
 
 
 def random_set(rng: Random, k: int, shape: str) -> VPolyhedron:

@@ -22,7 +22,7 @@ from ratsep import (
 from ratsep import approximation, cli, linalg, separation, sets
 from ratsep import serialization as ser
 from ratsep.cli import main
-from helpers import facet_membership
+from helpers import facet_membership, objective_negating_pivot
 
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([1, 0]), Vector([0, 1])))
 UNIT_SQUARE = VPolyhedron(
@@ -235,6 +235,21 @@ def test_margin_lp_past_its_step_bound_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
     assert err == f"error: internal: {message}\n"
+
+
+def test_margin_lp_revisiting_a_basis_exits_3(tmp_path, capsys, monkeypatch):
+    # a pivot fault that makes the simplex cycle ends at its first repeated
+    # basis as an internal error, not after its bound of 462 steps
+    calls = []
+    monkeypatch.setattr(linalg, "_pivot", objective_negating_pivot(calls))
+    inst = ser.Instance(polyhedron=QUADRANT, point=Vector([-1, -2]))
+    path = write_instance(tmp_path, "quadrant.json", inst)
+    code, out, err = run(capsys, ["separate", "--instance", path])
+    message = "the margin LP raised SeparationBugError: the margin LP revisited a basis at step 3"
+    assert code == 3
+    assert out == ser.dumps({"error": f"internal: SeparationBugError: {message}"})
+    assert err == f"error: internal: {message}\n"
+    assert len(calls) == 3
 
 
 def test_projection_past_its_cycle_bound_exits_3(tmp_path, capsys, monkeypatch):

@@ -40,6 +40,7 @@ from helpers import (
     forbid_floats,
     fraction_sign,
     lp_certificate_holds,
+    objective_negating_pivot,
     random_nonpointed_rays,
     random_pointed_rays,
     _surd_primitive,
@@ -283,6 +284,21 @@ def test_the_simplex_stops_at_its_bound_on_steps(monkeypatch, k):
     with pytest.raises(SeparationBugError, match=f"exceeded its bound of {n + 1} simplex steps"):
         simplex_max([ray])
     assert calls == [(1 + 4 * n + 1, 1 + 2 * n)] * 2
+
+
+@pytest.mark.parametrize("k", [1, 2, BIG_K])
+def test_a_cycling_simplex_stops_at_its_first_repeated_basis(monkeypatch, k):
+    # the faulty walk's third pivot brings back the slack basis it started
+    # from, so the simplex raises there, not after its bound of
+    # C(R + 4n + 1, R + 2n) steps (3432 for one ray in dim 3); the ray's
+    # integer coordinates keep every division of the faulty walk exact, so
+    # only the cycle can raise
+    calls = []
+    ray = Vector([1 + Surd.root(k), 2, 3])
+    monkeypatch.setattr(linalg, "_pivot", objective_negating_pivot(calls))
+    with pytest.raises(SeparationBugError, match="the margin LP revisited a basis at step 3$"):
+        simplex_max([ray])
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("k", [1, 2, BIG_K])

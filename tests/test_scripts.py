@@ -8,10 +8,14 @@ in that directory and nothing is written under ``scripts/``.
 
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from ratsep import outer_approximate
+from ratsep.serialization import parse_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,3 +137,30 @@ def test_ab_separate_fails_on_a_different_excess(tmp_path):
     done = run_ab_separate(tmp_path, "--workload", "approx_sweep")
     assert done.returncode == 1
     assert done.stderr == "approx_sweep: instance 0 differs between the trees\n"
+
+
+def test_ab_separate_times_each_excess_call_against_the_checkout_itself():
+    # the per-call line goes to standard error: each tree's median and p90
+    # of one excess_measure call, their ratios, and one sample per call
+    done = run_ab_separate(ROOT, "--workload", "approx_sweep")
+    assert done.returncode == 0, done.stderr
+    number = r"(\d+\.\d{3})"
+    match = re.fullmatch(
+        rf"approx_sweep\.excess_measure\.per_call: this p50 {number} us, p90 {number} us, "
+        rf"against p50 {number} us, p90 {number} us, ratio p50 {number}, p90 {number} "
+        r"over (\d+) calls\n",
+        done.stderr,
+    )
+    assert match, done.stderr
+    this50, this90, against50, against90, ratio50, ratio90 = map(float, match.groups()[:6])
+    assert 0 < this50 <= this90 and 0 < against50 <= against90
+    assert abs(ratio50 - this50 / against50) < 0.01 and abs(ratio90 - this90 / against90) < 0.01
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    calls = 0
+    for obj in gen.approx_sweep(5, 4):
+        inst = parse_instance(obj)
+        approx = outer_approximate(inst.polyhedron, inst.probes, inst.options.budget)
+        calls += (len(approx.cuts) + 1) * inst.options.grid.shape[0]
+    assert int(match.group(7)) == calls

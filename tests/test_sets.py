@@ -63,6 +63,21 @@ def test_vpolyhedron_validation():
         VPolyhedron((Vector([SQ2, 0]), Vector([Surd.root(3), 0])))
 
 
+def test_vpolyhedron_stores_its_dimension():
+    # dim is the vertices' dimension, stored once at construction: not a
+    # constructor argument, and no part of ==, hash or repr
+    ray_set = VPolyhedron((Vector([0, 0, 1]),), (Vector([1, 0, 0]),))
+    for P, dim in ((TRIANGLE, 2), (ray_set, 3), (VPolyhedron((Vector([SQ2]),)), 1)):
+        assert P.dim == P.vertices[0].dim == dim and vars(P)["dim"] == dim
+    with pytest.raises(TypeError):
+        VPolyhedron(TRIANGLE.vertices, dim=2)
+    with pytest.raises(TypeError):
+        VPolyhedron(TRIANGLE.vertices, (), 2)
+    same = VPolyhedron(TRIANGLE.vertices)
+    assert same == TRIANGLE and hash(same) == hash(TRIANGLE)
+    assert repr(TRIANGLE) == f"VPolyhedron(vertices={TRIANGLE.vertices!r}, rays=())"
+
+
 def test_support_value_examples():
     assert support_value(UNIT_SQUARE, Vector([1, 1])).value == 2
     ray_set = VPolyhedron((Vector([0, 0]),), (Vector([1, 0]),))
