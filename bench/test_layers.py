@@ -206,7 +206,9 @@ def test_pipeline_stage(benchmark, stage, case):
         "barrier": (find_barrier_direction, lambda X: (X,), (tr.d, tr.eps)),
         "bound": (bound_support_on_ball, lambda X: (X, tr.z_tilde, tr.d, tr.eps), tr.M),
         "wedge": (
-            wedge, lambda X: (tr.y_bar, tr.M, tr.d, tr.eps), (tr.ball_center, tr.ball_radius)
+            wedge,
+            lambda X: (tr.y_bar, tr.M, tr.d, tr.eps),
+            (tr.lam, tr.ball_center, tr.ball_radius),
         ),
         "witness": (
             witness, lambda X: (X, y, tr.ball_center, tr.ball_radius), (cert.a, cert.beta)

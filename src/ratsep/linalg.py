@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import SeparationBugError
+from .errors import DimensionMismatchError, SeparationBugError
 from .scalars import (
     Surd,
     Vector,
@@ -158,6 +158,11 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     (d*, t*) maximizing t subject to <d, r> + t <= 0 per ray and
     ||d||_inf <= 1, with d = p - q and 0 <= p, q <= 1.
 
+    The rays' field is combined by ``Surd._k_with``, the one field rule,
+    so rays in two different irrational fields raise ``ValueError``, as
+    does an empty list; rays of two dimensions raise
+    ``DimensionMismatchError``.
+
     The dictionary is built straight from each ray's pairs over r.m, in
     the rays' own field: one row [r, -r, m | 0] per ray and the objective
     row [0, ..., 0, 1 | 0], plain ints when every ray is rational and
@@ -221,10 +226,15 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     x_j over D: T_i for a basic x_j, D - T_i for a basic u_j, D for a
     nonbasic u_j and 0 for any other.
     """
-    n = rays[0].dim
+    if not rays:
+        raise ValueError("the margin LP needs at least one ray")
+    n, k = rays[0].dim, 1
+    for r in rays:
+        if r.dim != n:
+            raise DimensionMismatchError("the margin LP's rays differ in dimension")
+        k = Surd._k_with(k, r.field_k)
     nv, m = 2 * n + 1, len(rays)
     box = nv + m  # the label of u_0: x_j and u_j = box + j are partners for j < 2n
-    k = max(r.field_k for r in rays)  # the rays' one field: 1 or their common k
     ints = k == 1
     if ints:
         zero, one, neg, sub = 0, 1, int.__neg__, int.__sub__

@@ -634,9 +634,6 @@ class Vector:
         m = self.m * other.m
         return _pair_sign((db * a - m * ba, db * c - m * bb), k)
 
-    def norm_sq(self) -> Surd:
-        return self.dot(self)
-
 
 # -- rational enclosures and witnesses ----------------------------------
 

@@ -126,7 +126,7 @@ class SeparationTrace:
     d_bar        alpha * d
     eps_bar      alpha * eps
     delta_hat    rational lower bound of ||y_bar||/3, > 0
-    lam          wedge mixing weight in (0, 1]
+    lam          wedge mixing weight in (0, 1], as ``wedge_interior_ball`` returns it
     ball_center  center of the ball inscribed in the wedge
     ball_radius  half the inscribed ball's safe radius (rational witness room)
     a, beta      the resulting certificate data
@@ -307,19 +307,20 @@ def compute_wedge_parameters(
 
 def wedge_interior_ball(
     x0: Vector, d_bar: Vector, eps_bar: Fraction, delta_hat: Fraction
-) -> tuple[Vector, Fraction]:
+) -> tuple[Fraction, Vector, Fraction]:
     """A ball inside conv({x0} u (d_bar + eps_bar*B)) and x0 + delta_hat*B.
 
     With lam = min(delta_hat / (norm_upper(d_bar - x0) + eps_bar), 1),
     the mixed ball (1-lam) x0 + lam (d_bar + eps_bar B) lies in both
-    sets; its center and half its radius are returned, so that even the
-    doubled ball stays inside -- the slack that lets a nearby rational
-    point be taken later without leaving the wedge.  The norm bound
-    hi/h is ``norm_upper``'s, from the enclosure kernel, as integers, so
-    lam is one Fraction of integers, delta_hat * h * eps_bar.den over
-    (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den, and 1 when that
-    numerator is not below the denominator.  For lam = P/Q the center is
-    one integer combination of the pairs,
+    sets.  Returns (lam, center, radius), the radius half the mixed
+    ball's, lam * eps_bar / 2 exactly, so that even the doubled ball stays
+    inside -- the slack that lets a nearby rational point be taken later
+    without leaving the wedge; ``separate``'s trace records this lam.
+    The norm bound hi/h is ``norm_upper``'s, from the enclosure kernel,
+    as integers, so lam is one Fraction of integers, delta_hat * h *
+    eps_bar.den over (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den,
+    and 1 when that numerator is not below the denominator.  For lam =
+    P/Q the center is one integer combination of the pairs,
     ((Q - P) d_bar.m x0.pairs + P x0.m d_bar.pairs) over Q x0.m d_bar.m,
     and the radius one Fraction, P eps_bar.num over 2 Q eps_bar.den.
     Raises ``DimensionMismatchError`` when x0 and d_bar differ in
@@ -342,7 +343,7 @@ def wedge_interior_ball(
         k,
     )
     radius = Fraction(P * en, 2 * Q * ed)
-    return center, radius
+    return lam, center, radius
 
 
 def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTrace]:
@@ -356,9 +357,8 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
     Once the input has passed validation, a ``ValueError`` from any later
     step (a ``NotPointedError`` from the barrier step included) is such a
     bug too, and is raised again as SeparationBugError with the fields
-    computed so far.  The trace's lam, 2 * radius / eps_bar, is one
-    Fraction of their integers: a Fraction division would cost ~2% of a
-    call over Q(sqrt 1000003).
+    computed so far.  The trace's lam, center and radius are
+    ``wedge_interior_ball``'s.
     """
     if X.dim != y_tilde.dim:
         raise DimensionMismatchError("point dimension does not match the set")
@@ -377,10 +377,7 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
         fields["M"] = M = bound_support_on_ball(X, z_tilde, d, eps)
         alpha, d_bar, eps_bar, delta_hat = compute_wedge_parameters(y_bar, M, d, eps)
         fields.update(alpha=alpha, d_bar=d_bar, eps_bar=eps_bar, delta_hat=delta_hat)
-        center, radius = wedge_interior_ball(y_bar, d_bar, eps_bar, delta_hat)
-        lam = Fraction(
-            2 * radius.numerator * eps_bar.denominator, radius.denominator * eps_bar.numerator
-        )
+        lam, center, radius = wedge_interior_ball(y_bar, d_bar, eps_bar, delta_hat)
         fields.update(lam=lam, ball_center=center, ball_radius=radius)
         fields["a"] = a = rational_in_ball(center, radius)
 

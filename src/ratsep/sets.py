@@ -107,9 +107,6 @@ class VPolyhedron:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field_k", k)
 
-    def translated(self, offset: Vector) -> "VPolyhedron":
-        return VPolyhedron(tuple(v + offset for v in self.vertices), self.rays)
-
     @cached_property
     def facet_description(self) -> "FacetDescription":
         """The set's equations and facets, computed once per object by the

@@ -297,20 +297,20 @@ def surd_double_description(P: VPolyhedron) -> tuple[FacetDescription, bool]:
 
 
 def _in_cone(columns, target) -> bool:
-    """Whether target is a nonnegative combination of columns, by
-    Caratheodory: if it is, some linearly independent set of columns
-    witnesses it, and so does any basis of their span that contains
-    that set, with the same unique solution.  Solving every subset of
-    rank(columns) columns exactly therefore decides it."""
-    for subset in combinations(columns, rank(columns)):
-        rows = [[col[i] for col in subset] for i in range(len(target))]
-        try:
-            coeffs = surd_solve(rows, target)
-        except ValueError:
-            continue
-        if all(c.sign() >= 0 for c in coeffs):
-            return True
-    return False
+    """Whether target is a nonnegative combination of columns, by one LP.
+    With each row i of the system flipped so that its target entry t_i is
+    nonnegative, max sum_i <A_i, x> subject to A x <= t and x >= 0 is at
+    most sum_i t_i, with equality iff A x = t for some x >= 0.  The
+    reference simplex solves it from the slack basis, and
+    ``certified_simplex_max`` checks its optimality certificate."""
+    A, t = [], []
+    for i, b in enumerate(target):
+        s = -1 if Surd._coerce(b).sign() < 0 else 1
+        A.append([s * col[i] for col in columns])
+        t.append(s * b)
+    c = [sum(col, Surd(0)) for col in zip(*A)]
+    res = certified_simplex_max(c, A, t)
+    return (sum(t, Surd(0)) - sum((a * x for a, x in zip(c, res.x)), Surd(0))).sign() == 0
 
 
 def lp_membership(P: VPolyhedron, x: Vector) -> bool:
@@ -416,9 +416,9 @@ def point_in_apex_hull(p: Vector, apex: Vector, center: Vector, radius: Fraction
     radius = Fraction(radius)
     w = p - apex
     g = center - apex
-    A = g.norm_sq() - radius * radius
+    A = g.dot(g) - radius * radius
     B = -2 * w.dot(g)
-    C = w.norm_sq()
+    C = w.dot(w)
     if C.sign() <= 0:
         return True  # p == apex
     if (A + B + C).sign() <= 0:
@@ -566,7 +566,7 @@ def _surd_rational_in(x: Surd, lo, hi) -> Fraction:
 def surd_norm_upper(v: Vector) -> Fraction:
     """Reference ``norm_upper``: the upper end of the bisection enclosure
     of the Surd ||v||**2."""
-    return bisection_enclosure(v.norm_sq(), NORM_ENCLOSURE_TOL)[1]
+    return bisection_enclosure(v.dot(v), NORM_ENCLOSURE_TOL)[1]
 
 
 def surd_rational_in_ball(center: Vector, radius: Fraction) -> Vector:
@@ -582,19 +582,24 @@ def surd_rational_in_ball(center: Vector, radius: Fraction) -> Vector:
     return q
 
 
+def moved_by_hand(P: VPolyhedron, offset: Vector) -> VPolyhedron:
+    """P moved by offset, built through the checked constructor."""
+    return VPolyhedron(tuple(v + offset for v in P.vertices), P.rays)
+
+
 def surd_bound_support_on_ball(X: VPolyhedron, z: Vector, d: Vector, eps: Fraction) -> Fraction:
     """Reference ``bound_support_on_ball`` in Surd arithmetic on the moved
-    set C = X - z, built by ``VPolyhedron.translated``: the ray
+    set C = X - z, built by ``moved_by_hand``: the ray
     precondition as <d, r> <= 0 and eps**2 ||r||**2 <= <d, r>**2, then the
     largest rounded-up vertex term of C, at least 1."""
     if X.dim != d.dim or X.dim != z.dim:
         raise DimensionMismatchError("direction or offset dimension does not match the set")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    C = X.translated(-z)
+    C = moved_by_hand(X, -z)
     for r in C.rays:
         t = d.dot(r)
-        if t.sign() > 0 or (eps * eps * r.norm_sq() - t * t).sign() > 0:
+        if t.sign() > 0 or (eps * eps * r.dot(r) - t * t).sign() > 0:
             raise ValueError("ball d + eps*B is not inside the barrier cone")
     best = Fraction(1)
     for v in C.vertices:
@@ -611,7 +616,7 @@ def surd_compute_wedge_parameters(y_bar: Vector, M: Fraction, d: Vector, eps: Fr
         raise DimensionMismatchError("barrier direction dimension does not match the residual")
     if y_bar.is_zero() or M <= 0 or eps <= 0:
         raise ValueError("zero residual or nonpositive M or eps")
-    nsq = y_bar.norm_sq()
+    nsq = y_bar.dot(y_bar)
     alpha = _surd_rational_in(nsq, nsq * Fraction(3, 4), nsq) / (3 * M)
     tol = Fraction(1, 4)
     while (lo := bisection_enclosure(nsq, tol)[0]) <= 0:
@@ -620,14 +625,14 @@ def surd_compute_wedge_parameters(y_bar: Vector, M: Fraction, d: Vector, eps: Fr
 
 
 def surd_wedge_interior_ball(x0: Vector, d_bar: Vector, eps_bar: Fraction, delta_hat: Fraction):
-    """Reference ``wedge_interior_ball`` in Surd arithmetic: the center
-    (1 - lam) x0 + lam d_bar and radius lam eps_bar / 2."""
+    """Reference ``wedge_interior_ball`` in Surd arithmetic: lam, the
+    center (1 - lam) x0 + lam d_bar and the radius lam eps_bar / 2."""
     if x0.dim != d_bar.dim:
         raise DimensionMismatchError("wedge base dimension does not match the residual")
     if eps_bar <= 0 or delta_hat <= 0:
         raise ValueError("eps_bar and delta_hat must be positive")
     lam = min(delta_hat / (surd_norm_upper(d_bar - x0) + eps_bar), Fraction(1))
-    return (1 - lam) * x0 + lam * d_bar, lam * eps_bar / 2
+    return lam, (1 - lam) * x0 + lam * d_bar, lam * eps_bar / 2
 
 
 def rand_fraction(rng: Random, span: int = 3, dens=(1, 2, 3, 4)) -> Fraction:
@@ -737,7 +742,7 @@ def unit_directions_2d() -> list[Vector]:
     for t in ts:
         den = 1 + t * t
         u = Vector([(1 - t * t) / den, 2 * t / den])
-        assert u.norm_sq() == 1
+        assert u.dot(u) == 1
         dirs.append(u)
         dirs.append(-u)
     return dirs

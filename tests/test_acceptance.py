@@ -37,6 +37,7 @@ from ratsep.separation import (
 )
 from helpers import (
     exterior_point,
+    moved_by_hand,
     point_in_apex_hull,
     rand_rational_vector,
     random_nonpointed_rays,
@@ -96,7 +97,7 @@ def test_criterion_2_residual_support_is_zero(batch):
     rng = Random(101)
     checked = 0
     for (P, _), (_, trace) in zip(instances, results):
-        C = P.translated(-trace.z_tilde)
+        C = moved_by_hand(P, -trace.z_tilde)
         assert support_value(C, trace.y_bar).value.sign() == 0
         for _ in range(50):
             a = rand_rational_vector(rng, P.dim)
@@ -113,7 +114,7 @@ def test_criterion_3_strict_inequality_on_ball_samples(batch):
     rng = Random(103)
     samples = 0
     for (P, _), (_, trace) in zip(instances, results):
-        C = P.translated(-trace.z_tilde)
+        C = moved_by_hand(P, -trace.z_tilde)
         pts = rational_points_in_ball(rng, trace.ball_center, trace.ball_radius, 50)
         for a in pts:
             sv = support_value(C, a)
@@ -155,7 +156,7 @@ def test_criterion_5_wedge_ball_containment():
         d_bar = rand_rational_vector(rng, dim)
         eps_bar = F(rng.randint(1, 9), rng.randint(1, 9))
         delta_hat = F(rng.randint(1, 9), rng.randint(1, 9))
-        center, radius = wedge_interior_ball(x0, d_bar, eps_bar, delta_hat)
+        _, center, radius = wedge_interior_ball(x0, d_bar, eps_bar, delta_hat)
         for u in unit_directions(dim):
             p = center + (2 * radius) * u
             assert point_in_ball(p, x0, delta_hat)
@@ -176,10 +177,10 @@ def test_criterion_6_projection_oracle(batch):
             assert g.dot(v - z).sign() <= 0
         for r in P.rays:
             assert g.dot(r).sign() <= 0
-        base = g.norm_sq()
+        base = g.dot(g)
         for _ in range(100):
             x = random_point_inside(rng, P)
-            assert ((y - x).norm_sq() - base).sign() >= 0
+            assert ((y - x).dot(y - x) - base).sign() >= 0
             compared += 1
     _report(6, f"z_tilde in X and variational inequality exact on 100 instances, "
                f"{compared} interior points no closer")

@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from ratsep import SeparationBugError, Surd, Vector
-from ratsep.linalg import solve_linear_system
+from ratsep import DimensionMismatchError, SeparationBugError, Surd, Vector
+from ratsep.linalg import simplex_max, solve_linear_system
 from helpers import certified_simplex_max
 
 
@@ -72,6 +72,22 @@ def test_solve_rewrites_rows_with_zero_in_a_later_pivot_column(rows, rhs):
     # that pivot rewrites the row too
     x = solve_linear_system(rows, rhs)
     assert [sum((a * xi for a, xi in zip(row, x)), Surd(0)) for row in rows] == rhs
+
+
+def test_margin_lp_rejects_rays_in_two_irrational_fields():
+    # no one field holds both rays; the LP must not answer in the larger k
+    with pytest.raises(ValueError, match=r"cannot mix sqrt\(2\) and sqrt\(3\)"):
+        simplex_max([Vector([R2, 1]), Vector([-1, Surd.root(3)])])
+
+
+def test_margin_lp_rejects_rays_of_two_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        simplex_max([Vector([1, 0]), Vector([1, 0, 0])])
+
+
+def test_margin_lp_rejects_an_empty_ray_list():
+    with pytest.raises(ValueError, match="at least one ray"):
+        simplex_max([])
 
 
 # The program's simplex solves only the margin LP (test_fraction_free);

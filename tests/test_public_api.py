@@ -11,12 +11,17 @@ must be used there or exported, so a deletion leaves no import behind.
 The JSON input format's shape checks live in one place: in
 ``serialization`` and ``cli`` only the array reader tests for a list, and
 only the object reader and ``parse_coord``'s number dispatch for a dict.
+The package holds no code that only tests call: every private function
+or method is read somewhere else in the package, and every public method
+or property of a public class is read by the package, the scripts, the
+layer benchmarks or the benchmark.
 """
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +35,10 @@ USERS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")])
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ratsep.__path__, "ratsep."))
 SOURCES = sorted(
     [*ROOT.glob("src/ratsep/*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+)
+PACKAGE = sorted(ROOT.glob("src/ratsep/*.py"))
+CALLERS = sorted(
+    [*PACKAGE, *ROOT.glob("scripts/*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("perfbench/*.py")]
 )
 
 
@@ -176,3 +185,92 @@ def test_vector_surface_read_by_the_programs():
     assert w.as_fractions() == (Fraction(-3, 4), Fraction(2))
     assert all(type(f) is Fraction for f in w.as_fractions())
     assert w.field_k == 1 and Vector.zero(2).as_fractions() == (0, 0)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def parsed(paths) -> dict[str, ast.Module]:
+    return {
+        f"{p.parent.name}/{p.name}": ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in paths
+    }
+
+
+def private_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Every function and method whose name starts with an underscore,
+    dunders aside."""
+    return [
+        f for f in ast.walk(tree)
+        if isinstance(f, FUNCTIONS)
+        and f.name.startswith("_")
+        and not (f.name.startswith("__") and f.name.endswith("__"))
+    ]
+
+
+def public_methods(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Every method or property, dunders aside, whose name and whose
+    class's name start with a letter."""
+    return [
+        f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+        for f in c.body if isinstance(f, FUNCTIONS) and not f.name.startswith("_")
+    ]
+
+
+def unreferenced(defined: dict[str, ast.Module], callers: dict[str, ast.Module], pick) -> list[str]:
+    """"file:name" for each function ``pick`` finds in a ``defined`` tree
+    whose name no bare name or attribute of a ``callers`` tree reads
+    outside the function's own lines."""
+    reads = defaultdict(set)
+    for path, tree in callers.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads[node.id].add((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr].add((path, node.lineno))
+    return sorted(
+        f"{path}:{f.name}"
+        for path, tree in defined.items()
+        for f in pick(tree)
+        if all(p == path and f.lineno <= line <= f.end_lineno for p, line in reads[f.name])
+    )
+
+
+def test_uncalled_private_functions_are_caught():
+    source = (
+        "def _used():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def __dunder__():\n    pass\n"
+        "class A:\n"
+        "    def _helper(self):\n        return self._called()\n"
+        "    def _called(self):\n        return _used()\n"
+    )
+    package = {"ratsep/m.py": ast.parse(source)}
+    assert unreferenced(package, package, private_functions) == [
+        "ratsep/m.py:_helper", "ratsep/m.py:_recursive"
+    ]
+
+
+def test_public_methods_only_tests_call_are_caught():
+    source = (
+        "class V:\n"
+        "    def used(self):\n        return self.kept\n"
+        "    @property\n    def kept(self):\n        return 1\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "    def __len__(self):\n        return 0\n"
+        "class _Hidden:\n"
+        "    def alone(self):\n        pass\n"
+    )
+    package = {"ratsep/m.py": ast.parse(source)}
+    callers = {**package, "scripts/s.py": ast.parse("from ratsep.m import V\nV().used()\n")}
+    assert unreferenced(package, callers, public_methods) == ["ratsep/m.py:unused"]
+
+
+def test_every_private_function_is_called_in_the_package():
+    package = parsed(PACKAGE)
+    assert unreferenced(package, package, private_functions) == []
+
+
+def test_every_public_method_is_called_outside_the_tests():
+    assert {p.parent.name for p in CALLERS} == {"ratsep", "scripts", "bench", "perfbench"}
+    assert unreferenced(parsed(PACKAGE), parsed(CALLERS), public_methods) == []

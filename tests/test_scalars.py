@@ -29,6 +29,7 @@ from ratsep.scalars import (
 from helpers import (
     bisection_enclosure,
     forbid_floats,
+    moved_by_hand,
     point_in_apex_hull,
     surd_choose_rational_between,
     surd_convergents,
@@ -180,7 +181,7 @@ def vector_pairs(draw):
 def test_dot_matches_reference_loop(pair):
     u, v = pair
     assert_same_surd(u.dot(v), reference_dot(u, v))
-    assert_same_surd(u.norm_sq(), reference_dot(u, u))
+    assert_same_surd(u.dot(u), reference_dot(u, u))
 
 
 def test_dot_across_two_fields_raises():
@@ -231,7 +232,7 @@ def test_arithmetic_does_not_recheck_k(monkeypatch):
     real = ratsep.scalars._is_square_free
     monkeypatch.setattr(ratsep.scalars, "_is_square_free", lambda n: calls.append(n) or real(n))
     x = (a + b) * (a - b) / a - b.inverse() + (-a) * 3
-    y = u.dot(v) + v.norm_sq() + (u + v).dot(u * a)
+    y = u.dot(v) + v.dot(v) + (u + v).dot(u * a)
     z = choose_rational_between(a, a + F(1, 100))
     assert x.k == k and y.k == k and a < z < a + F(1, 100)
     assert calls == []
@@ -253,7 +254,7 @@ def rational_operand_results(surds, rationals):
         sqrt_enclosure(surds[0] + 4, F(1, 64)),
         Vector([3, F(-1, 2), 0]),
         list(grid.points()),
-        [(cut.contains(X), cut.excludes(p)) for X in (triangle, triangle.translated(center))
+        [(cut.contains(X), cut.excludes(p)) for X in (triangle, moved_by_hand(triangle, center))
          for p in (center, Vector([1, 1]))],
         point_in_ball(Vector([1, F(1, 2)]), center, F(7, 4)),
         rational_in_ball(center, F(1, 10)),
@@ -476,7 +477,7 @@ def test_rational_in_ball_contract(rs, ss, k, radius):
     q = rational_in_ball(center, radius)
     assert q.is_rational
     gap = q - center
-    assert (gap.norm_sq() - Surd(radius * radius)).sign() <= 0
+    assert (gap.dot(gap) - Surd(radius * radius)).sign() <= 0
     assert rational_in_ball(center, radius) == q  # deterministic
 
 
@@ -625,7 +626,7 @@ def test_vector_basics():
     w = Vector([0, F(1, 2), 0])
     assert (v - w) == Vector([1, 0, Surd.root(2)])
     assert v.dot(w) == F(1, 4)
-    assert Vector([1, 1]).norm_sq() == 2
+    assert Vector([1, 1]).dot(Vector([1, 1])) == 2
 
 
 def test_vector_validation():
@@ -743,7 +744,7 @@ def test_vector_arithmetic_matches_coordinatewise_surds(operands):
     assert_vector_of(s * U, [s * a for a in u])
     assert_vector_of(U * s.r, [a * s.r for a in u])
     assert_same_surd(U.dot(V), reference_dot(u, v))
-    assert_same_surd(U.norm_sq(), reference_dot(u, u))
+    assert_same_surd(U.dot(U), reference_dot(u, u))
     assert (U == V) == (U.coords == V.coords)
     W = (U + V) - V
     assert W == U and hash(W) == hash(U) and W.coords == U.coords

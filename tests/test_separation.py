@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratsep import (
     DimensionMismatchError,
@@ -17,6 +17,7 @@ from ratsep import (
     verify_certificate,
 )
 from ratsep.scalars import choose_rational_between, point_in_ball, rational_in_ball
+from ratsep.serialization import MAX_DIM, MAX_GENERATORS
 from ratsep.separation import (
     bound_support_on_ball,
     compute_wedge_parameters,
@@ -26,10 +27,16 @@ from ratsep.separation import (
 )
 from helpers import (
     exterior_point,
+    face_walk_project,
     forbid_floats,
+    lp_membership,
+    moved_by_hand,
     point_in_apex_hull,
+    pushed_off_faces,
     rand_rational_vector,
+    rand_vector,
     random_pointed_polyhedron,
+    random_point_inside,
     rational_points_in_ball,
     surd_bound_support_on_ball,
     surd_compute_wedge_parameters,
@@ -203,7 +210,7 @@ def test_support_bound_dominates_ball_supports():
     for _ in range(10):
         P = random_pointed_polyhedron(rng, 2, rng.choice([1, 2]), 3, rng.randint(0, 2))
         z = rand_rational_vector(rng, 2)
-        C = P.translated(-z)
+        C = moved_by_hand(P, -z)
         d, eps = find_barrier_direction(P)
         M = bound_support_on_ball(P, z, d, eps)
         assert M >= 1
@@ -244,7 +251,7 @@ def test_wedge_parameters_zero_residual_rejected():
 def test_wedge_parameters_surd_norm():
     y_bar = Vector([1, SQ2])  # ||y_bar||^2 = 3
     alpha, _, _, delta_hat = compute_wedge_parameters(y_bar, F(2), Vector.zero(2), F(1))
-    nsq = y_bar.norm_sq()
+    nsq = y_bar.dot(y_bar)
     assert 0 < 3 * F(2) * alpha <= nsq.as_fraction()
     assert 0 < delta_hat
     assert (nsq - Surd(9 * delta_hat * delta_hat)).sign() >= 0
@@ -254,10 +261,12 @@ def test_wedge_parameters_surd_norm():
 
 
 def test_wedge_ball_examples():
-    center, radius = wedge_interior_ball(Vector([0, 0]), Vector([1, 0]), F(1), F(1))
+    lam, center, radius = wedge_interior_ball(Vector([0, 0]), Vector([1, 0]), F(1), F(1))
+    assert lam == F(1, 2)
     assert center == Vector([F(1, 2), 0])
     assert radius == F(1, 4)
-    center, radius = wedge_interior_ball(Vector([0, 0]), Vector([0, 0]), F(1, 6), F(2, 9))
+    lam, center, radius = wedge_interior_ball(Vector([0, 0]), Vector([0, 0]), F(1, 6), F(2, 9))
+    assert lam == 1
     assert center == Vector([0, 0])
     assert radius == F(1, 12)
 
@@ -279,8 +288,8 @@ def test_wedge_ball_containments():
         d_bar = rand_rational_vector(rng, dim)
         eps_bar = F(rng.randint(1, 8), rng.randint(1, 8))
         delta_hat = F(rng.randint(1, 8), rng.randint(1, 8))
-        center, radius = wedge_interior_ball(x0, d_bar, eps_bar, delta_hat)
-        assert 0 < 2 * radius <= eps_bar
+        lam, center, radius = wedge_interior_ball(x0, d_bar, eps_bar, delta_hat)
+        assert 0 < 2 * radius == lam * eps_bar <= eps_bar
         for u in unit_directions(dim):
             p = center + (2 * radius) * u
             assert point_in_ball(p, x0, delta_hat)
@@ -467,7 +476,7 @@ def moved_bound_inputs(draw):
 
 def bound_on_the_moved_set(X, z, d, eps):
     """The bound on C = X - z, with C built and an offset of zero."""
-    return bound_support_on_ball(X.translated(-z), Vector.zero(X.dim), d, eps)
+    return bound_support_on_ball(moved_by_hand(X, -z), Vector.zero(X.dim), d, eps)
 
 
 @given(moved_bound_inputs())
@@ -559,8 +568,11 @@ def test_trace_consistency():
         assert trace.d_bar == trace.alpha * trace.d
         assert trace.eps_bar == trace.alpha * trace.eps
         assert 0 < trace.lam <= 1
+        assert 2 * trace.ball_radius == trace.lam * trace.eps_bar
+        ball = wedge_interior_ball(trace.y_bar, trace.d_bar, trace.eps_bar, trace.delta_hat)
+        assert ball == (trace.lam, trace.ball_center, trace.ball_radius)
         assert trace.M >= 1
-        nsq = trace.y_bar.norm_sq()
+        nsq = trace.y_bar.dot(trace.y_bar)
         assert (nsq - Surd(9 * trace.delta_hat ** 2)).sign() >= 0
         sX = support_value(P, trace.a).value
         assert (Surd(trace.beta) - sX).sign() > 0
@@ -574,9 +586,9 @@ def test_trace_inequality_chains():
         P = random_pointed_polyhedron(rng, 2, rng.choice([1, 2]), 3, rng.randint(0, 2))
         y = exterior_point(rng, P)
         _, trace = separate(P, y)
-        C = P.translated(-trace.z_tilde)
+        C = moved_by_hand(P, -trace.z_tilde)
         y_bar = trace.y_bar
-        nsq = y_bar.norm_sq()
+        nsq = y_bar.dot(y_bar)
         assert support_value(C, y_bar).value.sign() == 0
         for a in rational_points_in_ball(rng, trace.ball_center, trace.ball_radius, 12):
             sv = support_value(C, a)
@@ -624,6 +636,54 @@ def test_separate_unbounded_set():
     assert verify_certificate(P, y, cert)
     for r in P.rays:
         assert cert.a.dot(r).sign() <= 0
+
+
+# -- separate against independent oracles in every admitted dimension -------
+
+
+@st.composite
+def shaped_sets_and_points(draw):
+    """A pointed set of a drawn shape, dimension 1..MAX_DIM and field, and
+    points: one at random, one inside, one pushed out past a vertex and,
+    when the set has faces, one pushed off a facet or an edge."""
+    dim = draw(st.sampled_from(range(1, MAX_DIM + 1)))
+    k = draw(st.sampled_from([1, 2, 1000003]))
+    shape = draw(st.sampled_from(["point", "polytope", "cone", "polyhedron"]))
+    rays = draw(st.integers(1, 3)) if shape in ("cone", "polyhedron") else 0
+    many = range(2, MAX_GENERATORS - rays + 1)
+    vertices = 1 if shape in ("point", "cone") else draw(st.sampled_from(many))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    P = random_pointed_polyhedron(rng, dim, k, vertices, rays)
+    points = [rand_vector(rng, dim, k), random_point_inside(rng, P), exterior_point(rng, P)]
+    faces = pushed_off_faces(P, edges=draw(st.booleans()))
+    if faces:
+        points.append(draw(st.sampled_from(faces))[1])
+    return P, points
+
+
+@settings(max_examples=60)
+@given(shaped_sets_and_points())
+@example((VPolyhedron((Vector([1]),)), [Vector([0]), Vector([2])]))
+@example((VPolyhedron((Vector([1]), Vector([3]))), [Vector([0]), Vector([2]), Vector([4])]))
+@example((VPolyhedron((Vector([1]),), (Vector([2]),)), [Vector([0]), Vector([5])]))
+@example((VPolyhedron((Vector([SQ2]),), (Vector([-1]),)), [Vector([0]), Vector([2])]))
+def test_separate_agrees_with_the_oracles_in_every_admitted_dimension(case):
+    """``separate`` against ``lp_membership``, ``face_walk_project`` and
+    ``verify_certificate`` in dims 1..MAX_DIM, over Q, Q(sqrt 2) and
+    Q(sqrt 1000003), with up to MAX_GENERATORS generators and 0-3 rays.
+    The examples are stratified by shape: a point, a polytope, a cone
+    and a polyhedron with rays.  The explicit ones are the 1-D point,
+    segment and half-lines with y on either side.  Budget: about 3 s of
+    tier-1 wall time."""
+    P, points = case
+    for y in points:
+        if lp_membership(P, y):
+            with pytest.raises(PointInSetError):
+                separate(P, y)
+            continue
+        cert, trace = separate(P, y)
+        assert verify_certificate(P, y, cert)
+        assert trace.z_tilde == face_walk_project(P, y)
 
 
 def test_value_error_after_validation_carries_the_fields_so_far(monkeypatch):
