@@ -14,7 +14,10 @@ equal set in each round's set-up, outside the timed call, as a parsed
 instance is.  The layers below the set operations are timed on fixed
 operands: ``Surd`` arithmetic over the benchmark's big field
 Q(sqrt 1000003), and exact Gram solves of the projection, on the 3-D
-set with rays and at the parse limits.
+set with rays and at the parse limits, each timed as one
+``sets._face_point`` call, which builds the Gram system from the
+generators' pairs, solves it and makes the nearest point and its
+weights.
 
 The five stages of ``separate`` (project, barrier, bound, wedge,
 witness) are timed one at a time on the inputs that one ``separate`` run
@@ -66,7 +69,6 @@ import pytest
 from ratsep import Certificate, GridSpec, Surd, Vector, VPolyhedron, is_pointed, membership
 from ratsep import project, render_svg, separate, support_value
 from ratsep.approximation import OuterApprox, _forms, excess_measure, outer_approximate
-from ratsep.linalg import solve_linear_system
 from ratsep.scalars import choose_rational_between, rational_in_ball
 from ratsep.separation import (
     bound_support_on_ball,
@@ -75,6 +77,7 @@ from ratsep.separation import (
     wedge_interior_ball,
 )
 from ratsep.serialization import MAX_DIGITS, MAX_GRID_POINTS
+from ratsep.sets import _face_point
 
 SQ2 = Surd.root(2)
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([SQ2, 0]), Vector([0, 1])))
@@ -381,19 +384,10 @@ def limit_vector(rng: Random, dim: int) -> Vector:
     return Vector([Surd(part(), part(), 999999999998) for _ in range(dim)])
 
 
-def gram_system(vertices, rays, y):
-    """The Gram system of the nearest point to y of the affine hull of
-    conv(vertices) + cone(rays), as ``sets._face_point`` builds it."""
-    v0 = vertices[0]
-    span = [v - v0 for v in vertices[1:]] + list(rays)
-    target = y - v0
-    return [[u.dot(w) for w in span] for u in span], [u.dot(target) for u in span]
-
-
 _LIMITS = Random(6)
 # (vertices, rays, y, calls per round): two vertices and both rays of the
 # 3-D set, and 7 vertices in dimension 6 at the parse limits, whose 6 x 6
-# system is the largest a corral of a parsed set makes
+# Gram system is the largest a corral of a parsed set makes
 GRAM_SYSTEMS = {
     "rays_3d": (RAYS_3D.vertices[1:3], RAYS_3D.rays, Vector([-1, 2, -3]), 10),
     "limits_6d": ([limit_vector(_LIMITS, 6) for _ in range(7)], (), limit_vector(_LIMITS, 6), 1),
@@ -402,11 +396,16 @@ GRAM_SYSTEMS = {
 
 @pytest.mark.parametrize("case", GRAM_SYSTEMS)
 def test_gram_solve(benchmark, case):
-    """One exact Gram solve of the projection, checked by gram * x = rhs."""
+    """One exact Gram solve of the projection, ``sets._face_point``, from
+    the generators' pairs to the nearest point z of their affine hull and
+    its weights, checked by z = sum of the weights times the generators,
+    the vertex weights summing to 1, and y - z orthogonal to the hull."""
     vertices, rays, y, iterations = GRAM_SYSTEMS[case]
-    gram, rhs = gram_system(vertices, rays, y)
-    weights = timed(benchmark, solve_linear_system, (gram, rhs), iterations=iterations)
-    assert [sum((g * w for g, w in zip(row, weights)), Surd(0)) for row in gram] == rhs
+    z, weights = timed(benchmark, _face_point, (y, vertices, rays), iterations=iterations)
+    gens = [*vertices, *rays]
+    assert sum((w * g for w, g in zip(weights[1:], gens[1:])), weights[0] * gens[0]) == z
+    assert sum(weights[1 : len(vertices)], weights[0]) == 1
+    assert all((y - z).dot(u) == 0 for u in [v - vertices[0] for v in vertices[1:]] + list(rays))
 
 
 SURD_A = Surd(F(-31, 7), F(5, 11), BIG_K)

@@ -29,6 +29,17 @@ median and p90 time of one ``excess_measure`` call, the statistics that
 and their ratios; it goes to standard error, so standard output keeps
 one line per total.
 
+``--workload limits`` times ``separate`` on instances at every parse
+limit at once, built as ``tests/test_cli.py``'s
+``test_separate_at_every_parse_limit_at_once`` builds its one, one
+instance per seed from ``--seed`` on (``--count`` defaults to 3 there;
+that test's instance is seed 1's): ``MAX_GENERATORS`` vertices in
+dimension ``MAX_DIM`` over Q(sqrt 999999999998), every r and s part
+with ``MAX_DIGITS``-digit numerators and denominators, and a point just
+outside a facet, so that the projection makes the largest Gram solves a
+parsed set allows.  They are built by this checkout and parsed in each
+tree like the others.
+
 Each timed call first runs ``is_pointed`` on the fresh set, which solves
 the set's margin LP and keeps it, and then ``separate``, which reads the
 kept LP, so the LP is also timed on its own.  Every call's certificate
@@ -45,12 +56,17 @@ import argparse
 import importlib.util
 import statistics
 import sys
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("separate_rays", "separate_bigk")
 SWEEPS = "approx_sweep"
+LIMITS = "limits"
+# the largest square-free k at most serialization.MAX_FIELD_K: 2 * 499999999999
+BIG_K = 999_999_999_998
 
 
 def load(name: str, path: Path):
@@ -108,13 +124,45 @@ def timed_sweep(r, obj, calls: list[float]) -> tuple[float, float, str]:
     return seconds, outer, ser.dumps({**ser.approx_to_json(approx), "excess": excess})
 
 
+def rounded(x: Fraction, digits: int) -> Fraction:
+    """x as a decimal fraction within ``digits`` digits (|x| < 10**(digits - 1))."""
+    e = digits - 1 - len(str(abs(x.numerator) // x.denominator))
+    return Fraction(round(x * 10**e), 10**e)
+
+
+def limit_instances(r, seed: int, count: int) -> list:
+    """The instance JSON of ``count`` parse-limit instances, seeds seed,
+    seed + 1, ..., built by the package r (see the module docstring)."""
+    ser = importlib.import_module(f"{r.__name__}.serialization")
+    d, m, digits = ser.MAX_DIM, ser.MAX_GENERATORS, ser.MAX_DIGITS
+    lo, hi = 10 ** (digits - 1), 10**digits
+    instances = []
+    for rng in map(Random, range(seed, seed + count)):
+
+        def part():
+            return Fraction(rng.choice((-1, 1)) * rng.randrange(lo, hi), rng.randrange(lo, hi))
+
+        P = r.VPolyhedron(
+            tuple(r.Vector([r.Surd(part(), part(), BIG_K) for _ in range(d)]) for _ in range(m))
+        )
+        a, b = P.facet_description.facets[0]
+        on = [v for v in P.vertices if (a.dot(v) - b).sign() == 0]
+        # pushed by ~1000 along the facet's normal from the centroid of its vertices
+        y = Fraction(1, len(on)) * sum(on[1:], on[0])
+        y += Fraction(1000) / max(abs(x.r) + abs(x.s) * 10**6 for x in a) * a
+        y = r.Vector([r.Surd(rounded(x.r, digits), rounded(x.s, digits), BIG_K) for x in y])
+        instances.append(ser.instance_to_json(ser.Instance(polyhedron=P, point=y)))
+    return instances
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=Path, required=True, help="root of the other source tree")
-    ap.add_argument("--workload", choices=(*WORKLOADS, SWEEPS),
+    ap.add_argument("--workload", choices=(*WORKLOADS, SWEEPS, LIMITS),
                     help="time this workload only; the two separate_* workloads by default")
     ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--count", type=int, help=f"instances per workload (240; 100 for {SWEEPS})")
+    ap.add_argument("--count", type=int,
+                    help=f"instances per workload (240; 100 for {SWEEPS}, 3 for {LIMITS})")
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
@@ -126,8 +174,11 @@ def main(argv=None) -> int:
             call, parts, unit = timed_sweep, ("outer_approximate", "excess_measure"), "sweeps"
         else:
             call, parts, unit = timed_separate, ("margin_lp", "stages"), "calls"
-        count = args.count or (100 if workload == SWEEPS else 240)
-        instances = getattr(gen, workload)(args.seed, count)
+        count = args.count or {SWEEPS: 100, LIMITS: 3}.get(workload, 240)
+        if workload == LIMITS:
+            instances = limit_instances(trees[0], args.seed, count)
+        else:
+            instances = getattr(gen, workload)(args.seed, count)
         totals, first, per_call = [0.0, 0.0], [0.0, 0.0], ([], [])
         for rnd in range(args.rounds):
             for i, obj in enumerate(instances):

@@ -2,17 +2,13 @@
 
 One fraction-free pivot, ``_pivot``, is the only row-reduction step
 (Edmonds 1967; Bareiss, Math. Comp. 1968), for rows of integer pairs
-and rows of ints alike.  The solver's intake, ``_tableau``, reads each
-row [*row, b] of ints, Fractions or Surds with one ``_pair_row`` call,
-the one row reader of ``scalars``, which scales it by the lcm of its
-entries' denominators, so that every entry lies in Z[sqrt(k)], and
-keeps it there as integer pairs; no Surd is built on the way in, and
-the results are pairs over a denominator, which is what a ``Surd``
-stores.  The eager pivot on entry p replaces every other row x by
+of Z[sqrt(k)] and rows of ints alike.  Its callers build their rows
+straight from the generators' ``Vector`` pairs, so no Surd is built on
+the way in.  The eager pivot on entry p replaces every other row x by
 (p*x - f*y) / D, where y is the pivot row, f the entry of x in the pivot
 column and D the previous pivot entry; the pivot row stays and p becomes
-the new D.  The entries are minors of the scaled input, so each division
-is exact in Z[sqrt(k)].
+the new D.  The entries are minors of the input, so each division is
+exact in Z[sqrt(k)].
 
 The rows are eager: after each pivot every row is held over the new D,
 so its true values are the stored ones over D.  A row with 0 in the
@@ -28,10 +24,13 @@ instead of pairs: the pivot combines them as ints and divides them by
 The one kind of linear system the program solves is the Gram system of
 a corral of Wolfe's minimum-norm point algorithm in ``sets``, whose span
 vectors are linearly independent, so the system is positive definite
-and every leading principal minor is positive.  ``solve_linear_system``
-therefore pivots down the diagonal, one ``_pivot`` per unknown, with no
-row search, rank or consistency handling: a zero pivot, which that
-algebra rules out, raises ``SeparationBugError``.
+and every leading principal minor is positive; ``sets._face_point``
+scales its columns so that its rows are pairs with no common
+denominator.  ``solve_linear_system`` therefore pivots down the
+diagonal, one ``_pivot`` per unknown, with no row search, rank or
+consistency handling: a zero pivot, which that algebra rules out,
+raises ``SeparationBugError``.  It returns the solution as pairs over
+the last pivot entry, and the caller makes each weight once.
 
 The one LP the program solves is the margin LP of ``sets``, the
 pointedness test and the barrier step's direction, and
@@ -73,25 +72,10 @@ from .scalars import (
     _pair_mul,
     _pair_quotients,
     _pair_reciprocal,
-    _pair_row,
     _pair_sign,
-    _pair_surd,
 )
 
 __all__ = ["simplex_max", "solve_linear_system"]
-
-
-def _tableau(rows, rhs) -> tuple[list[list[tuple[int, int]]], int]:
-    """Each row [*row, b] of ``rows`` and ``rhs`` as integer pairs, read by
-    one ``_pair_row`` call and so scaled by the lcm of its entries'
-    denominators, and the k of the one field of all entries."""
-    T = []
-    k = 1
-    for row, b in zip(rows, rhs, strict=True):
-        _, pairs, row_k = _pair_row([*row, b])
-        T.append(pairs)
-        k = Surd._k_with(k, row_k)
-    return T, k
 
 
 def _int_quotients(xs: list[int], d: int) -> list[int]:
@@ -130,27 +114,23 @@ def _pivot(T, r, c, D, k):
     return p
 
 
-def solve_linear_system(rows, rhs) -> list[Surd]:
-    """The one solution x of the square system rows * x = rhs whose
+def solve_linear_system(T, k: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """(X, D) with x = X / D the one solution of the square system whose
+    rows [*row, b] of integer pairs of Z[sqrt(k)] are ``T``, when its
     leading principal minors are all nonzero, as every positive definite
     Gram system's are.
 
-    ``_tableau`` reads the rows, then one ``_pivot`` per diagonal entry,
-    with no row search, leaves every row held over the last pivot entry
-    D with D in its own diagonal column, so x_i is row i's right-hand
-    side over D.  A system that is not square raises ``ValueError``; a
-    zero pivot, a zero leading minor, raises ``SeparationBugError``.
+    One ``_pivot`` per diagonal entry, in place and with no row search,
+    leaves every row held over the last pivot entry D with D in its own
+    diagonal column, so X_i is row i's right-hand side.  A zero pivot, a
+    zero leading minor, raises ``SeparationBugError``.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError(f"a linear system must be square: {n} rows, not all of length {n}")
-    T, k = _tableau(rows, rhs)
     D = (1, 0)
-    for i in range(n):
+    for i in range(len(T)):
         if T[i][i] == (0, 0):
             raise SeparationBugError(f"the linear system's leading minor of order {i + 1} is 0")
         D = _pivot(T, i, i, D, k)
-    return [_pair_surd(row[n], k, D) for row in T]
+    return [row[-1] for row in T], D
 
 
 def simplex_max(rays) -> tuple[Vector, Surd]:

@@ -22,18 +22,19 @@ all that is needed, and ``rational_in_ball`` / ``choose_rational_between``
 produce exact rational witnesses inside open regions, which is how
 irrational data gets turned into rational certificates.
 
-The exact kernels (the pivot of ``linalg`` and the double description of
-``sets``) compute with integer pairs (a, b), meaning a + b*sqrt(k) in
-Z[sqrt(k)], and ``Vector`` stores them: a row of ints, Fractions and
-Surds enters scaled by the lcm of their denominators, with no Surd
-built, signs are read off integers, exact divisions are checked, and a
-pair over a denominator is a Surd again.  ``_surd_parts`` is the one
-reader of a single number into integers, and ``_pair_row``, built on
-it, the one reader of a row, which reads a ``Vector`` through its
-coordinates like any other row.  A ``Vector`` keeps its coordinates as one
-such row over its least denominator, so sums, scalings and dot products
-build no Surd per coordinate, and ``Vector.dot_sign`` reads the sign of
-<u, v> - b with none at all.
+The exact kernels (the pivot of ``linalg``, and Wolfe's Gram systems
+and the double description of ``sets``) compute with integer pairs
+(a, b), meaning a + b*sqrt(k) in Z[sqrt(k)], and ``Vector`` stores them:
+a row of ints, Fractions and Surds enters scaled by the lcm of their
+denominators, with no Surd built, signs are read off integers, exact
+divisions are checked, and a pair over a denominator is a Surd again.
+``_surd_parts`` is the one reader of a single number into integers, and
+the ``Vector`` constructor, built on it, the one reader of a row, which
+reads a ``Vector`` through its coordinates like any other row.  A
+``Vector`` keeps its coordinates as one such row over its least
+denominator, so sums, scalings and dot products build no Surd per
+coordinate, and ``Vector.dot_sign`` reads the sign of <u, v> - b with
+none at all.
 The pair helpers live here, beside ``Surd``, which reads its own sign
 with ``_pair_sign`` and its floor with ``_pair_floor``.
 
@@ -328,23 +329,6 @@ class Surd:
 # -- integer pairs (a, b) = a + b*sqrt(k) in Z[sqrt(k)] ------------------
 
 
-def _pair_row(row) -> tuple[int, list[tuple[int, int]], int]:
-    """(m, pairs, k) for a row of ints, Fractions and Surds: the lcm m of
-    the entries' denominators, m*row as integer pairs, and the k of the
-    one field of the entries.  A ``Vector`` reads through its
-    coordinates, like any other iterable.  Each entry is read by
-    ``_surd_parts``, so any other entry raises ``TypeError``; two
-    different irrational fields raise ``ValueError``."""
-    parts = list(map(_surd_parts, row))
-    k = m = 1
-    for _, _, d, vk in parts:
-        if vk != 1:
-            k = Surd._k_with(k, vk)
-        if d != 1:
-            m = lcm(m, d)
-    return m, [(a * (m // d), b * (m // d)) for a, b, d, _ in parts], k
-
-
 def _surd_parts(x) -> tuple[int, int, int, int]:
     """(a, b, d, k) with x = (a + b*sqrt(k)) / d and d > 0, for an int,
     Fraction or Surd x; ``TypeError`` for anything else, a bool included,
@@ -459,13 +443,6 @@ def _pair_quotients(xs: list[tuple[int, int]], d: tuple[int, int], k: int) -> li
     return out
 
 
-def _pair_surd(x: tuple[int, int], k: int, d: tuple[int, int] = (1, 0)) -> Surd:
-    """The field element x / d for a nonzero pair d as a Surd: x times the
-    conjugate of d over its norm (``_pair_reciprocal``)."""
-    w, n = _pair_reciprocal(d, k)
-    return Surd._make(*_pair_mul(x, w, k), n, k)
-
-
 class Vector:
     """A point or direction with coordinates in one field Q(sqrt(k)).
 
@@ -486,10 +463,20 @@ class Vector:
     __slots__ = ("m", "pairs", "field_k")
 
     def __init__(self, coords: Iterable[Surd | Rationalish]):
-        m, pairs, k = _pair_row(coords)
-        if not pairs:
+        """The vector of ``coords``, ints, Fractions and Surds, each read by
+        ``_surd_parts``, so any other entry raises ``TypeError``; two
+        different irrational fields raise ``ValueError``."""
+        parts = list(map(_surd_parts, coords))
+        if not parts:
             raise ValueError("a vector needs at least one coordinate")
-        self.m, self.pairs, self.field_k = m, tuple(pairs), k
+        k = m = 1
+        for _, _, d, vk in parts:
+            if vk != 1:
+                k = Surd._k_with(k, vk)
+            if d != 1:
+                m = lcm(m, d)
+        self.m, self.field_k = m, k
+        self.pairs = tuple((a * (m // d), b * (m // d)) for a, b, d, _ in parts)
 
     @classmethod
     def _make(cls, m: int, pairs, k: int) -> "Vector":

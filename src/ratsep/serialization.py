@@ -97,9 +97,10 @@ MAX_PROBES = 500
 # the coordinates of an input set, point or probe; certificates and traces,
 # which ``separate`` makes taller, are not bounded.  7 admits the cyclic
 # polytope above (11**6).  At every limit at once (k = 999999999998, a point
-# just outside a facet) ``separate`` takes ~0.45-0.6 s, ~60% of it in one
-# projection of 7 exact Gram solves, which membership and ``project`` share,
-# ~0.013 s over Q; ``approximate`` on a 2-D set of 12 such vertices took
+# just outside a facet) ``separate`` takes ~0.12-0.22 s, 25-60% of it in one
+# projection of 5-9 exact Gram solves, which membership and ``project``
+# share, ~0.006 s over Q (best of 3 on seeds 0-2 of ``scripts/ab_separate.py
+# --workload limits``); ``approximate`` on a 2-D set of 12 such vertices took
 # ~0.11-0.19 s for 500 probes, 12 cuts at ~2.5-4 ms each, and the whole
 # run with its excess measure on 10**5 points ~0.16-0.22 s (same machine).
 MAX_DIGITS = 7

@@ -40,7 +40,6 @@ from .scalars import (
     _pair_primitive,
     _pair_reciprocal,
     _pair_sign,
-    _pair_surd,
 )
 
 __all__ = [
@@ -145,7 +144,7 @@ def _halfspace(f, k: int) -> tuple[Vector, Surd]:
     """(a, b) such that <f, (x, 1)> = <a, x> - b, for a primitive row f of
     integer pairs: a is f's leading pairs over the denominator 1."""
     a, b = f[-1]
-    return Vector._make(1, f[:-1], k), _pair_surd((-a, -b), k)
+    return Vector._make(1, f[:-1], k), Surd._make(-a, -b, 1, k)
 
 
 def _double_description(P: VPolyhedron) -> FacetDescription:
@@ -447,9 +446,18 @@ def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, 
     ray, z = sum of the weights times the generators.
 
     The hull is vs[0] + span(vs[1:] - vs[0], rs), and the span's weights
-    solve the normal equations (the Gram system) exactly; vs[0] gets 1
+    x solve the normal equations (the Gram system) exactly; vs[0] gets 1
     minus the other vertices' weights.  Weights may be negative, when z
     lies outside conv(vs) + cone(rs).
+
+    The system is built from the vectors' integer pairs, with no Surd:
+    for span vectors u_i = U_i/m_i and y - vs[0] = T/m_t, row i times
+    m_i*m_t reads sum_j <U_i, U_j> * (m_t*x_j/m_j) = <U_i, T>.
+    ``solve_linear_system`` returns those unknowns as X_j / D, so
+    x_j = X_j*m_j / (m_t*D), and with 1/D = w/n (``_pair_reciprocal``)
+    z = (m_t*n*V0 + v0.m * sum_j X_j*w*U_j) / (v0.m*m_t*n), where the m_j
+    cancel.  The field of z takes in y and every generator, since a
+    rational y - vs[0] and span can still sit on an irrational vs[0].
 
     The span vectors are linearly independent, so the Gram system is
     positive definite, with every leading principal minor positive, as
@@ -463,12 +471,18 @@ def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, 
     span = [v - v0 for v in vs[1:]] + list(rs)
     if not span:
         return v0, [_ONE]
-    gram = [[u.dot(w) for w in span] for u in span]
-    target = y - v0
-    rhs = [u.dot(target) for u in span]
-    weights = solve_linear_system(gram, rhs)
-    z = v0
-    for w, u in zip(weights, span):
-        if w.sign() != 0:
-            z = z + w * u
-    return z, [1 - sum(weights[: len(vs) - 1], _ZERO), *weights]
+    k = reduce(Surd._k_with, (g.field_k for g in (y, *vs, *rs)), 1)
+    t = y - v0
+    rows = [[*(_pair_dot(u.pairs, s.pairs, k) for s in span), _pair_dot(u.pairs, t.pairs, k)]
+            for u in span]
+    X, D = solve_linear_system(rows, k)
+    w, n = _pair_reciprocal(D, k)
+    den = t.m * n
+    W = [_pair_mul(x, w, k) for x in X]
+    xs = [(a * u.m, b * u.m) for (a, b), u in zip(W, span)]
+    z = [(den * a, den * b) for a, b in v0.pairs]
+    for (a, b), u in zip(W, span):
+        z = _pair_combination((1, 0), z, (-v0.m * a, -v0.m * b), u.pairs, k)
+    vertex = xs[: len(vs) - 1]
+    first = (den - sum(a for a, _ in vertex), -sum(b for _, b in vertex))
+    return Vector._make(v0.m * den, z, k), [Surd._make(*x, den, k) for x in (first, *xs)]

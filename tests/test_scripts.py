@@ -103,6 +103,15 @@ def test_ab_separate_against_the_checkout_itself():
         assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
 
 
+def test_ab_separate_times_the_parse_limits_against_the_checkout_itself():
+    # one instance at every parse limit at once, seed 5's
+    done = run_ab_separate(ROOT, "--workload", "limits", "--count", "1")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == [f"limits{part}:" for part in ("", ".margin_lp", ".stages")]
+    assert all(row[-5:] == ["over", "1", "x", "1", "calls"] for row in rows)
+
+
 def test_ab_separate_fails_on_a_different_certificate(tmp_path):
     # a copy of the package whose separate returns beta + 1 must not pass
     shutil.copytree(ROOT / "src" / "ratsep", tmp_path / "src" / "ratsep")
