@@ -398,11 +398,14 @@ GRAM_SYSTEMS = {
 def test_gram_solve(benchmark, case):
     """One exact Gram solve of the projection, ``sets._face_point``, from
     the generators' pairs to the nearest point z of their affine hull and
-    its weights, checked by z = sum of the weights times the generators,
-    the vertex weights summing to 1, and y - z orthogonal to the hull."""
+    its weights, integer pairs over one denominator, checked by z = sum of
+    the weights times the generators, the vertex weights summing to 1,
+    and y - z orthogonal to the hull."""
     vertices, rays, y, iterations = GRAM_SYSTEMS[case]
-    z, weights = timed(benchmark, _face_point, (y, vertices, rays), iterations=iterations)
+    z, pairs, den = timed(benchmark, _face_point, (y, vertices, rays), iterations=iterations)
     gens = [*vertices, *rays]
+    k = max(g.field_k for g in gens)  # each case has one irrational field
+    weights = [Surd._make(a, b, den, k) for a, b in pairs]
     assert sum((w * g for w, g in zip(weights[1:], gens[1:])), weights[0] * gens[0]) == z
     assert sum(weights[1 : len(vertices)], weights[0]) == 1
     assert all((y - z).dot(u) == 0 for u in [v - vertices[0] for v in vertices[1:]] + list(rays))

@@ -41,15 +41,21 @@ parsed set allows.  They are built by this checkout and parsed in each
 tree like the others.
 
 Each timed call first runs ``is_pointed`` on the fresh set, which solves
-the set's margin LP and keeps it, and then ``separate``, which reads the
-kept LP, so the LP is also timed on its own.  Every call's certificate
-and trace must serialize to the same bytes in both trees; the first
-difference exits 1.  Otherwise each workload's line gives the two total
-times of ``separate``, the LP included, and their ratio, this checkout
-over DIR, then the same for the margin LP alone, and then for the stages
-of ``separate`` without it, its total minus the LP's time: on
-``separate_rays`` the LP is nearly half of a call, so a change to the
-other stages shows more plainly there.
+the set's margin LP and keeps it, then ``membership`` of the point,
+which runs Wolfe's projection and keeps the nearest point, and then
+``separate``, which reads the kept LP and point, so the LP and Wolfe's
+run are also timed on their own.  Every call's certificate and trace
+must serialize to the same bytes in both trees; the first difference
+exits 1.  Otherwise each workload's line gives the two total times of
+``separate``, the LP and Wolfe's run included, and their ratio, this
+checkout over DIR, then the same for the margin LP alone, and then for
+the stages of ``separate`` without it, its total minus the LP's time:
+on ``separate_rays`` the LP is nearly half of a call, so a change to
+the other stages shows more plainly there.  One more line, on standard
+error, gives the same for Wolfe's run alone, ``<workload>.membership``.
+
+A count or a number of rounds below 1, or more than 101 sweeps, is a
+usage error (exit 2); exit 1 is kept for outputs that differ.
 """
 
 import argparse
@@ -67,6 +73,8 @@ SWEEPS = "approx_sweep"
 LIMITS = "limits"
 # the largest square-free k at most serialization.MAX_FIELD_K: 2 * 499999999999
 BIG_K = 999_999_999_998
+# the distinct sweeps that perfbench/gen.py's approx_sweep makes
+MAX_SWEEPS = 101
 
 
 def load(name: str, path: Path):
@@ -81,23 +89,35 @@ def load(name: str, path: Path):
     return module
 
 
-def timed_separate(r, obj) -> tuple[float, float, str]:
+def at_least_one(text: str) -> int:
+    """The int of text, an argparse type that rejects values below 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def timed_separate(r, obj) -> tuple[float, tuple[float, float], str]:
     """Seconds of one ``separate`` on a freshly parsed instance, its margin
-    LP included, the seconds of that LP alone, and the canonical JSON of
-    the certificate and trace."""
+    LP and Wolfe's run included, the seconds of that LP alone and of
+    Wolfe's run alone, and the canonical JSON of the certificate and
+    trace."""
     ser = importlib.import_module(f"{r.__name__}.serialization")
     inst = ser.parse_instance(obj)
+    X, y = inst.polyhedron, inst.point
     t0 = perf_counter()
-    r.is_pointed(inst.polyhedron)
+    r.is_pointed(X)
     t1 = perf_counter()
-    cert, trace = r.separate(inst.polyhedron, inst.point)
+    r.membership(X, y)
     t2 = perf_counter()
-    return t2 - t0, t1 - t0, ser.dumps(
+    cert, trace = r.separate(X, y)
+    t3 = perf_counter()
+    return t3 - t0, (t1 - t0, t2 - t1), ser.dumps(
         {"certificate": ser.certificate_to_json(cert), "trace": ser.trace_to_json(trace)}
     )
 
 
-def timed_sweep(r, obj, calls: list[float]) -> tuple[float, float, str]:
+def timed_sweep(r, obj, calls: list[float]) -> tuple[float, tuple[float], str]:
     """Seconds of ``outer_approximate`` on a freshly parsed sweep plus
     those of each ``excess_measure`` call after every cut prefix on each
     column of the sweep's grid, the seconds of ``outer_approximate``
@@ -121,7 +141,7 @@ def timed_sweep(r, obj, calls: list[float]) -> tuple[float, float, str]:
             calls.append(perf_counter() - t0)
             seconds += calls[-1]
             excess.append(ser.fraction_to_str(value))
-    return seconds, outer, ser.dumps({**ser.approx_to_json(approx), "excess": excess})
+    return seconds, (outer,), ser.dumps({**ser.approx_to_json(approx), "excess": excess})
 
 
 def rounded(x: Fraction, digits: int) -> Fraction:
@@ -155,16 +175,24 @@ def limit_instances(r, seed: int, count: int) -> list:
     return instances
 
 
+def ratio_line(name: str, times, calls: str) -> str:
+    """The line of one timed part: both trees' seconds and their ratio."""
+    this, against = times
+    return f"{name}: this {this:.3f} s, against {against:.3f} s, ratio {this / against:.3f} {calls}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=Path, required=True, help="root of the other source tree")
     ap.add_argument("--workload", choices=(*WORKLOADS, SWEEPS, LIMITS),
                     help="time this workload only; the two separate_* workloads by default")
     ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--count", type=int,
+    ap.add_argument("--count", type=at_least_one,
                     help=f"instances per workload (240; 100 for {SWEEPS}, 3 for {LIMITS})")
-    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--rounds", type=at_least_one, default=3)
     args = ap.parse_args(argv)
+    if args.workload == SWEEPS and (args.count or 0) > MAX_SWEEPS:
+        ap.error(f"argument --count: {SWEEPS} has at most {MAX_SWEEPS} sweeps, got {args.count}")
     sys.path.insert(0, str(ROOT / "src"))
     trees = [load("ratsep", ROOT / "src" / "ratsep"),
              load("ratsep_against", args.against / "src" / "ratsep")]
@@ -179,25 +207,29 @@ def main(argv=None) -> int:
             instances = limit_instances(trees[0], args.seed, count)
         else:
             instances = getattr(gen, workload)(args.seed, count)
-        totals, first, per_call = [0.0, 0.0], [0.0, 0.0], ([], [])
+        # totals[side], and part_totals[j][side] for the j-th timed part of a call
+        totals, part_totals, per_call = [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]], ([], [])
         for rnd in range(args.rounds):
             for i, obj in enumerate(instances):
                 order = (0, 1) if (i + rnd) % 2 == 0 else (1, 0)
                 out = {}
                 for side in order:
                     extra = (per_call[side],) if workload == SWEEPS else ()
-                    seconds, first_seconds, out[side] = call(trees[side], obj, *extra)
+                    seconds, parts_seconds, out[side] = call(trees[side], obj, *extra)
                     totals[side] += seconds
-                    first[side] += first_seconds
+                    for j, part_seconds in enumerate(parts_seconds):
+                        part_totals[j][side] += part_seconds
                 if out[0] != out[1]:
                     print(f"{workload}: instance {i} differs between the trees", file=sys.stderr)
                     return 1
         calls = f"over {args.rounds} x {len(instances)} {unit}"
+        first = part_totals[0]
         rest = [total - first_total for total, first_total in zip(totals, first)]
         lines = ((workload, totals), (f"{workload}.{parts[0]}", first), (f"{workload}.{parts[1]}", rest))
-        for name, (this, against) in lines:
-            print(f"{name}: this {this:.3f} s, against {against:.3f} s, "
-                  f"ratio {this / against:.3f} {calls}")
+        for name, times in lines:
+            print(ratio_line(name, times, calls))
+        if workload != SWEEPS:
+            print(ratio_line(f"{workload}.membership", part_totals[1], calls), file=sys.stderr)
         if workload == SWEEPS:
             (this50, this90), (against50, against90) = (
                 (statistics.median(c) * 1e6, statistics.quantiles(c, n=10)[8] * 1e6)

@@ -398,6 +398,18 @@ def _pair_dot(u, v, k: int) -> tuple[int, int]:
     return a, b
 
 
+def _pair_distance_sq(U, um: int, V, vm: int, k: int) -> tuple[int, int]:
+    """||U/um - V/vm||**2 for vectors of pairs U, V and positive integers
+    um, vm, as a pair over (um*vm)**2: <W, W> for W = vm*U - um*V, summed
+    as W's pairs are made, with no vector of W built."""
+    a = b = 0
+    for (s, t), (u, w) in zip(U, V):
+        wa, wb = vm * s - um * u, vm * t - um * w
+        a += wa * wa + wb * wb * k
+        b += 2 * wa * wb
+    return a, b
+
+
 def _pair_combination(x, u, y, v, k: int) -> list[tuple[int, int]]:
     """x*u - y*v for pairs x, y and vectors of pairs u, v."""
     xa, xb = x
@@ -690,11 +702,24 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> tuple[Fraction, F
 def point_in_ball(p: Vector, center: Vector, radius: Rationalish) -> bool:
     """Exact closed-ball membership via squared distance.  A ball of
     radius 0 is its center alone, and a negative radius, which would
-    read as its absolute value in the square, raises ``ValueError``."""
-    if _fraction(radius) < 0:
+    read as its absolute value in the square, raises ``ValueError``.
+
+    For radius = r/s, ||p - center||**2 is the pair (a, b) over
+    (p.m*center.m)**2 (``_pair_distance_sq``), so p lies in the ball iff
+    the pair s**2*(a, b) - r**2*(p.m*center.m)**2 has sign <= 0: no
+    difference Vector, Surd or Fraction square is built.  Points of two
+    dimensions raise ``DimensionMismatchError``, two irrational fields
+    ``ValueError``.
+    """
+    radius = _fraction(radius)
+    r, s = radius.numerator, radius.denominator
+    if r < 0:
         raise ValueError("radius must be nonnegative")
-    gap = p - center
-    return gap.dot_sign(gap, radius * radius) <= 0
+    p._check_dim(center)
+    k = Surd._k_with(p.field_k, center.field_k)
+    a, b = _pair_distance_sq(p.pairs, p.m, center.pairs, center.m, k)
+    m = p.m * center.m
+    return _pair_sign((s * s * a - r * r * m * m, s * s * b), k) <= 0
 
 
 def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
@@ -703,25 +728,32 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
     A rational center is returned as it is.  Otherwise each coordinate
     x = (a + b*sqrt(k))/m = r + s*sqrt(k) is replaced by a rational
     strictly between x - p/q and x + p/q for the per-coordinate budget
-    p/q = min(radius/(2n), radius**2): the rounding kernel
-    ``_rational_between`` (the one behind ``choose_rational_between``)
-    runs on the integer ends (a*q - p*m, b*q) and (a*q + p*m, b*q) over
-    m*q, with no Surd built, and returns x itself when x is rational,
-    else r + s*w for the first continued-fraction convergent w of sqrt(k)
-    that lands inside.  The closing check ||q - center||**2 <= radius**2
-    is an exact sign.  Deterministic in (center, radius).
+    p/q = min(radius/(2n), radius**2), taken for radius = u/v by cross
+    multiplication as u/(2n*v) when v <= 2n*u, else u**2/v**2: the
+    rounding kernel ``_rational_between`` (the one behind
+    ``choose_rational_between``) runs on the integer ends (a*q - p*m, b*q)
+    and (a*q + p*m, b*q) over m*q, with no Surd built, and returns x
+    itself when x is rational, else r + s*w for the first
+    continued-fraction convergent w of sqrt(k) that lands inside.  The
+    kernel reads only the values of the ends, so p/q need not be in
+    lowest terms.  The point is one ``Vector._make`` of the kernel's
+    (num, den) over the lcm of the dens.  The closing check
+    ``point_in_ball`` is an exact sign.  Deterministic in (center, radius).
     """
     radius = _positive(radius, "radius")
     if center.is_rational:
         return center
-    budget = min(radius / (2 * center.dim), radius * radius)
-    p, q = budget.numerator, budget.denominator
+    u, v = radius.numerator, radius.denominator
+    n2 = 2 * len(center.pairs)
+    p, q = (u, n2 * v) if v <= n2 * u else (u * u, v * v)
     m, k = center.m, center.field_k
     den, step = m * q, p * m
-    point = Vector(
-        Fraction(*_rational_between(a * q - step, b * q, den, a * q + step, b * q, den, k))
+    coords = [
+        _rational_between(a * q - step, b * q, den, a * q + step, b * q, den, k)
         for a, b in center.pairs
-    )
+    ]
+    lcd = lcm(*(d for _, d in coords))
+    point = Vector._make(lcd, [(c * (lcd // d), 0) for c, d in coords], 1)
     if not point_in_ball(point, center, radius):
         raise SeparationBugError("per-coordinate budgets failed to cover the ball")
     return point

@@ -23,15 +23,25 @@ wedge and preserves every inequality.  Each step's guarantee is
 re-verified with exact sign checks, so a returned certificate is
 correct by construction and by audit.
 
-Steps 3-5 run on the integer pairs that ``Vector`` stores.  Every norm
-bound comes from the enclosure kernel ``scalars._sqrt_bounds`` and
-every rounding from the rounding kernel ``scalars._rational_between``,
-both as integers, so each rule is written once, these steps build no
-Surd, and each builds one Fraction or Vector per value it returns.
-The re-centered set C = X - z_tilde of step 3 is never built: the bound
+Every step runs on the integer pairs that ``Vector`` stores.  The
+projection of step 1 is Wolfe's minimum-norm point algorithm
+(``sets._nearest``), whose cycles read y - z and the corral's weights
+as pairs.  Every norm bound comes from the enclosure kernel
+``scalars._sqrt_bounds`` and every rounding from the rounding kernel
+``scalars._rational_between``, both as integers, so each rule is
+written once.  Steps 3 and 4 build no Surd, and one Fraction or Vector
+per value they return; both read a squared distance, ||v - z_tilde||^2
+and ||d_bar - y_bar||^2, from one pair helper,
+``scalars._pair_distance_sq``, with no difference Vector.  The
+re-centered set C = X - z_tilde of step 3 is never built: the bound
 reads <d, v - z_tilde> and ||v - z_tilde|| off the integers of X's
-vertices and of z_tilde.  Step 2 picks the largest ray norm bound and
-audits its ball on integers too, with one Fraction, eps.
+vertices and of z_tilde, and skips <d, v - z_tilde> when d = 0, as it
+is for every set without rays.  Step 2 picks the largest ray norm bound
+and audits its ball on integers too, with one Fraction, eps.  Step 5
+builds the rational point as one Vector of the rounding kernel's
+integers (``rational_in_ball``), takes <a, y_tilde> once as a pair,
+decides sigma_X(a) < <a, y_tilde> by one cross-multiplied sign, and
+builds one Surd of each side for ``choose_rational_between``.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .scalars import (
     Surd,
     Vector,
     _dyadic_exponent,
+    _pair_distance_sq,
     _pair_dot,
     _pair_mul,
     _pair_sign,
@@ -215,14 +226,15 @@ def bound_support_on_ball(X: VPolyhedron, z: Vector, d: Vector, eps: Fraction) -
     which is eps^2 ||r||^2 - <d, r>^2 times q^2 d.m^2 r.m^2 > 0.  For a
     vertex v = V/v.m, z = Z/z.m and d = D/d.m, <d, v - z> is the pair
     z.m<D, V> - v.m<D, Z> over d.m*v.m*z.m, with <D, Z> taken once, and
-    ||v - z||^2 is <W, W> over (v.m*z.m)^2 for W = z.m*V - v.m*Z, summed
-    as W's pairs are made: building W as a list for ``_pair_dot`` costs
-    ~2.5% more of a call over Q(sqrt 1000003).  Both go unreduced to the
-    rounding and enclosure kernels, which read only their values:
-    <d, v - z> is rounded up to xn/xd, and eps times the norm bound hi/h
-    is added, kept as the integers (xn*q*h + p*hi*xd) over xd*q*h.  Terms
-    compare by cross multiplication, and the one Fraction built is the
-    returned bound.
+    ||v - z||^2 is <W, W> over (v.m*z.m)^2 for W = z.m*V - v.m*Z
+    (``_pair_distance_sq``).  Both go unreduced to the rounding and
+    enclosure kernels, which read only their values: <d, v - z> is
+    rounded up to xn/xd, and eps times the norm bound hi/h is added, kept
+    as the integers (xn*q*h + p*hi*xd) over xd*q*h.  A zero d, which
+    ``find_barrier_direction`` returns for every set without rays, has
+    <d, v - z> = 0 = 0/1, so <D, Z>, <D, V> and their rounding are
+    skipped.  Terms compare by cross multiplication, and the one Fraction
+    built is the returned bound.
     """
     if not X.dim == d.dim == z.dim:
         raise DimensionMismatchError("direction or offset dimension does not match the set")
@@ -239,19 +251,19 @@ def bound_support_on_ball(X: VPolyhedron, z: Vector, d: Vector, eps: Fraction) -
         if _pair_sign(t, k) > 0 or _pair_sign(gap, k) > 0:
             raise ValueError("ball d + eps*B is not inside the barrier cone")
     sp, sq = _UPPER_SLACK.numerator, _UPPER_SLACK.denominator
-    za, zb = _pair_dot(D, Z, k)
+    flat = d.is_zero()
+    if not flat:
+        za, zb = _pair_dot(D, Z, k)
     top, den = 1, 1
     for v in X.vertices:
         V, vm = v.pairs, v.m
-        va, vb = _pair_dot(D, V, k)
-        a, b = x = (zm * va - vm * za, zm * vb - vm * zb)
-        m = dm * vm * zm
-        xn, xd = _rational_in(x, m, (a, b, m), (a * sq + sp * m, b * sq, m * sq), k)
-        na = nb = 0
-        for (s, t), (u, w) in zip(V, Z):
-            wa, wb = zm * s - vm * u, zm * t - vm * w
-            na += wa * wa + wb * wb * k
-            nb += 2 * wa * wb
+        xn, xd = 0, 1
+        if not flat:
+            va, vb = _pair_dot(D, V, k)
+            a, b = x = (zm * va - vm * za, zm * vb - vm * zb)
+            m = dm * vm * zm
+            xn, xd = _rational_in(x, m, (a, b, m), (a * sq + sp * m, b * sq, m * sq), k)
+        na, nb = _pair_distance_sq(V, vm, Z, zm, k)
         _, hi, h = _sqrt_bounds(na, nb, (vm * zm) ** 2, k, _NORM_J)
         tn, td = xn * q * h + p * hi * xd, xd * q * h
         if tn * den > top * td:
@@ -316,10 +328,13 @@ def wedge_interior_ball(
     ball's, lam * eps_bar / 2 exactly, so that even the doubled ball stays
     inside -- the slack that lets a nearby rational point be taken later
     without leaving the wedge; ``separate``'s trace records this lam.
-    The norm bound hi/h is ``norm_upper``'s, from the enclosure kernel,
-    as integers, so lam is one Fraction of integers, delta_hat * h *
-    eps_bar.den over (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den,
-    and 1 when that numerator is not below the denominator.  For lam =
+    The norm bound hi/h is ``norm_upper(d_bar - x0)`` as integers, the
+    enclosure kernel's on ||d_bar - x0||^2, which ``_pair_distance_sq``
+    reads off the two vectors' pairs over (d_bar.m x0.m)^2 with no
+    difference Vector built, so lam is one Fraction of integers,
+    delta_hat * h * eps_bar.den over
+    (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den, and 1 when
+    that numerator is not below the denominator.  For lam =
     P/Q the center is one integer combination of the pairs,
     ((Q - P) d_bar.m x0.pairs + P x0.m d_bar.pairs) over Q x0.m d_bar.m,
     and the radius one Fraction, P eps_bar.num over 2 Q eps_bar.den.
@@ -330,12 +345,13 @@ def wedge_interior_ball(
         raise DimensionMismatchError("wedge base dimension does not match the residual")
     eps_bar = _positive(eps_bar, "eps_bar")
     delta_hat = _positive(delta_hat, "delta_hat")
-    hi, h = _norm_bound(d_bar - x0)
+    k = Surd._k_with(x0.field_k, d_bar.field_k)
+    na, nb = _pair_distance_sq(d_bar.pairs, d_bar.m, x0.pairs, x0.m, k)
+    _, hi, h = _sqrt_bounds(na, nb, (d_bar.m * x0.m) ** 2, k, _NORM_J)
     en, ed = eps_bar.numerator, eps_bar.denominator
     num, den = delta_hat.numerator * h * ed, (hi * ed + en * h) * delta_hat.denominator
     lam = Fraction(num, den) if num < den else Fraction(1)
     P, Q = lam.numerator, lam.denominator
-    k = Surd._k_with(x0.field_k, d_bar.field_k)
     s, t = (Q - P) * d_bar.m, P * x0.m
     center = Vector._make(
         Q * x0.m * d_bar.m,
@@ -386,9 +402,13 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
         sX = support_value(X, a)
         if not sX.is_finite:
             raise SeparationBugError("wedge normal has infinite support value", fields)
-        if a.dot_sign(y_tilde, sX.value) <= 0:
+        s = sX.value
+        k = Surd._k_with(y_tilde.field_k, s.k)  # a is rational
+        ta, tb = _pair_dot(a.pairs, y_tilde.pairs, k)
+        m = a.m * y_tilde.m
+        if _pair_sign((ta * s.d - s.a * m, tb * s.d - s.b * m), k) <= 0:
             raise SeparationBugError("strict separation inequality failed", fields)
-        beta = choose_rational_between(sX.value, a.dot(y_tilde))
+        beta = choose_rational_between(s, Surd._make(ta, tb, m, k))
     except ValueError as exc:
         raise SeparationBugError(
             f"a step after validation raised {type(exc).__name__}: {exc}", fields

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, NotPointedError, SeparationBugError
@@ -52,10 +52,6 @@ __all__ = [
     "membership",
     "project",
 ]
-
-_ZERO = Surd(0)
-_ONE = Surd(1)
-
 
 @dataclass(frozen=True)
 class SupportValue:
@@ -270,25 +266,28 @@ def support_value(P: VPolyhedron, a: Vector) -> SupportValue:
     _check_dims(P, a)
     if not polar_cone_contains(P.rays, a):
         return SupportValue(None)
-    return SupportValue(_highest_vertex(P, a)[1])
-
-
-def _highest_vertex(P: VPolyhedron, a: Vector) -> tuple[int, Surd]:
-    """(i, <a, v_i>) for the vertex v_i of P that maximizes <a, v>, the
-    lowest index on ties.
-
-    <a, v> is the pair dot over a.m * v.m; candidates compare by cross
-    multiplication with the positive denominators, and one Surd is built.
-    """
     k = Surd._k_with(a.field_k, P.field_k)
+    _, c, m = _highest_vertex(P, a.pairs, k)
+    return SupportValue(Surd._make(*c, a.m * m, k))
+
+
+def _highest_vertex(P: VPolyhedron, A, k: int) -> tuple[int, tuple[int, int], int]:
+    """(i, c, m) for the vertex v_i = V_i/m of P that maximizes <A, v>, the
+    lowest index on ties, and c = <A, V_i>, so <A, v_i> = c/m.
+
+    A is a vector of integer pairs of Z[sqrt(k)], a direction scaled by
+    any positive integer, which picks the same vertex.  Candidates
+    compare by cross multiplication with the positive denominators, and
+    no Surd is built.
+    """
     vertices = P.vertices
-    top, best, m = 0, _pair_dot(a.pairs, vertices[0].pairs, k), vertices[0].m
+    top, best, m = 0, _pair_dot(A, vertices[0].pairs, k), vertices[0].m
     for i in range(1, len(vertices)):
         v = vertices[i]
-        c = _pair_dot(a.pairs, v.pairs, k)
+        c = _pair_dot(A, v.pairs, k)
         if _pair_sign((c[0] * m - best[0] * v.m, c[1] * m - best[1] * v.m), k) > 0:
             top, best, m = i, c, v.m
-    return top, Surd._make(*best, a.m * m, k)
+    return top, best, m
 
 
 def _nearest_vertex(P: VPolyhedron, y: Vector) -> int:
@@ -369,14 +368,21 @@ def _nearest(P: VPolyhedron, y: Vector) -> Vector:
     z is kept as a weighted sum over a corral: generators with positive
     weights, the vertex weights summing to 1, at least one vertex, and
     affinely independent, so a corral has at most dim + 1 members.  It
-    starts at the vertex nearest y, the lowest index on ties.
+    starts at the vertex nearest y, the lowest index on ties.  The
+    weights are integer pairs over one positive integer
+    (``_minor_cycles``).
 
     Major cycle.  With g = y - z, z is the projection iff the variational
     inequality <g, x - z> <= 0 holds on P, that is iff <g, r> <= 0 for
     every ray and <g, v> <= <g, z> for every vertex.  Otherwise the first
     ray with <g, r> > 0 enters the corral, or, if there is none, the
     vertex that maximizes <g, v>.  Minor cycles (``_minor_cycles``) then
-    make z the nearest point of the new corral's affine hull.
+    make z the nearest point of the new corral's affine hull.  For
+    y = Y/y.m and z = Z/z.m, g is read as the pairs G = z.m*Y - y.m*Z,
+    g times y.m*z.m > 0, which moves no sign: the ray test is the sign
+    of <G, R>, and the stop test that of <G, Z>*m - c*z.m for the
+    highest vertex's <G, V> = c over its m (``_highest_vertex``), so no
+    Vector or Surd is built for g.
 
     Each major cycle strictly lowers ||y - z||, and z is determined by
     the corral, so no corral repeats.  More major cycles than there are
@@ -395,55 +401,92 @@ def _nearest(P: VPolyhedron, y: Vector) -> Vector:
         return last[1]
     vertices, rays = P.vertices, P.rays
     nv, nr = len(vertices), len(rays)
-    gens = (*vertices, *rays)
+    k = Surd._k_with(y.field_k, P.field_k)
+    Y, ym = y.pairs, y.m
     start = _nearest_vertex(P, y)
-    z, weights = vertices[start], {start: _ONE}
+    z, weights, den = vertices[start], {start: (1, 0)}, 1
     cycles = sum(comb(nv + nr, s) - comb(nr, s) for s in range(1, P.dim + 2))
     for _ in range(cycles):
-        g = y - z
-        enter = next((nv + j for j, r in enumerate(rays) if g.dot_sign(r) > 0), None)
+        Z, zm = z.pairs, z.m
+        G = [(a * zm - c * ym, b * zm - e * ym) for (a, b), (c, e) in zip(Y, Z)]
+        ups = (j for j, r in enumerate(rays, nv) if _pair_sign(_pair_dot(G, r.pairs, k), k) > 0)
+        enter = next(ups, None)
         if enter is None:
-            enter, top = _highest_vertex(P, g)
-            if g.dot_sign(z, top) >= 0:
+            enter, (ca, cb), m = _highest_vertex(P, G, k)
+            ga, gb = _pair_dot(G, Z, k)
+            if _pair_sign((ga * m - ca * zm, gb * m - cb * zm), k) >= 0:
                 vars(P)["_last_nearest"] = (y, z)
                 return z
-        weights[enter] = _ZERO
-        z, weights = _minor_cycles(y, gens, nv, weights)
+        weights[enter] = (0, 0)
+        z, weights, den = _minor_cycles(y, P, weights, den)
     raise SeparationBugError(f"the projection exceeded its bound of {cycles} major cycles")
 
 
-def _minor_cycles(y: Vector, gens, nv: int, weights: dict) -> tuple[Vector, dict]:
-    """Wolfe's minor cycles: (w, weights) for the nearest point w to y of
-    the corral's affine hull and its weights, all positive, once the
+def _minor_cycles(y: Vector, P: VPolyhedron, weights: dict, den: int) -> tuple[Vector, dict, int]:
+    """Wolfe's minor cycles: (w, weights, den) for the nearest point w to y
+    of the corral's affine hull and its weights, all positive, once the
     generators that would get a weight <= 0 have left the corral.
 
-    ``weights`` maps generator indices (vertices below nv, then rays) to
-    the weights lambda of the current point.  Let alpha be the affine
-    minimizer's weights (``_face_point``).  If none is negative, the
-    minimizer is the point.  Otherwise the point steps toward it, lambda
-    becoming lambda + theta*(alpha - lambda) for theta = min lambda_i /
-    (lambda_i - alpha_i) over the negative alpha_i, which keeps every
-    weight nonnegative and puts at least one at 0, and the generators at
-    0 leave.
+    ``weights`` maps generator indices (P's vertices, then its rays) to
+    the weights lambda of the current point, integer pairs of Z[sqrt(k)]
+    over the one positive integer den, and so do the returned ones.  Let
+    alpha be the affine minimizer's weights, pairs over the positive
+    integer A (``_face_point``).  If none is negative, the minimizer is
+    the point, with the weights alpha over A.  Otherwise the point steps
+    toward it, lambda becoming lambda + theta*(alpha - lambda) for theta
+    = min lambda_i / (lambda_i - alpha_i) over the negative alpha_i,
+    which keeps every weight nonnegative and puts at least one at 0, and
+    the generators at 0 leave.
+
+    For lambda_i = l_i/den and alpha_i = a_i/A that quotient is
+    A*l_i/q_i for q_i = A*l_i - den*a_i, which is positive where
+    alpha_i < 0, so the quotients compare as l_i/q_i by cross
+    multiplication.  For the least, at j, the new weights
+    (lambda_j*alpha_i - lambda_i*alpha_j)/(lambda_j - alpha_j) are
+    (l_j*a_i - l_i*a_j)/q_j, read with 1/q_j = w/n (``_pair_reciprocal``)
+    as the pairs (l_j*a_i - l_i*a_j)*w over n, all divided by their one
+    gcd.  No Surd is built.
     """
+    vertices = P.vertices
+    nv, gens = len(vertices), (*vertices, *P.rays)
+    k = Surd._k_with(y.field_k, P.field_k)
     while True:
         order = sorted(weights)
-        w, alpha = _face_point(
+        w, alpha, A = _face_point(
             y, [gens[i] for i in order if i < nv], [gens[i] for i in order if i >= nv]
         )
-        lams = [weights[i] for i in order]
-        steps = [lam / (lam - a) for lam, a in zip(lams, alpha) if a.sign() < 0]
-        if not steps:
-            return w, {i: a for i, a in zip(order, alpha) if a.sign() > 0}
-        theta = min(steps)
-        weights = {i: lam + theta * (a - lam) for i, lam, a in zip(order, lams, alpha)}
-        weights = {i: lam for i, lam in weights.items() if lam.sign() > 0}
+        signs = [_pair_sign(a, k) for a in alpha]
+        step = None
+        for i, a, s in zip(order, alpha, signs):
+            if s < 0:
+                li = weights[i]
+                q = (A * li[0] - den * a[0], A * li[1] - den * a[1])
+                if step is not None:
+                    (xa, xb), (ya, yb) = _pair_mul(li, step[2], k), _pair_mul(step[0], q, k)
+                    if _pair_sign((xa - ya, xb - yb), k) >= 0:
+                        continue
+                step = li, a, q
+        if step is None:
+            return w, {i: a for i, a, s in zip(order, alpha, signs) if s > 0}, A
+        lj, aj, q = step
+        wq, n = _pair_reciprocal(q, k)
+        lams = {}
+        for i, a in zip(order, alpha):
+            (xa, xb), (ya, yb) = _pair_mul(lj, a, k), _pair_mul(weights[i], aj, k)
+            x = (xa - ya, xb - yb)
+            if _pair_sign(x, k) > 0:
+                lams[i] = _pair_mul(x, wq, k)
+        g = gcd(n, *(c for lam in lams.values() for c in lam))
+        weights = {i: (a // g, b // g) for i, (a, b) in lams.items()}
+        den = n // g
 
 
-def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, list[Surd]]:
+def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, list, int]:
     """The nearest point z to y of the affine hull of conv(vs) + cone(rs),
-    exactly, and its weights: one per vertex, summing to 1, then one per
-    ray, z = sum of the weights times the generators.
+    exactly, and its weights, as (z, weights, den): one weight per
+    vertex, summing to 1, then one per ray, each an integer pair of
+    Z[sqrt(k)] over the one positive integer den, z = sum of the weights
+    times the generators.
 
     The hull is vs[0] + span(vs[1:] - vs[0], rs), and the span's weights
     x solve the normal equations (the Gram system) exactly; vs[0] gets 1
@@ -455,9 +498,13 @@ def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, 
     m_i*m_t reads sum_j <U_i, U_j> * (m_t*x_j/m_j) = <U_i, T>.
     ``solve_linear_system`` returns those unknowns as X_j / D, so
     x_j = X_j*m_j / (m_t*D), and with 1/D = w/n (``_pair_reciprocal``)
+    x_j is the pair X_j*w*m_j over m_t*n, and
     z = (m_t*n*V0 + v0.m * sum_j X_j*w*U_j) / (v0.m*m_t*n), where the m_j
-    cancel.  The field of z takes in y and every generator, since a
-    rational y - vs[0] and span can still sit on an irrational vs[0].
+    cancel.  The weights and den = m_t*n are divided by their one gcd,
+    which at the parse limits removes about a third of their bits and so
+    shortens each step of the minor cycles.  The field of z takes in y
+    and every generator, since a rational y - vs[0] and span can still
+    sit on an irrational vs[0].
 
     The span vectors are linearly independent, so the Gram system is
     positive definite, with every leading principal minor positive, as
@@ -470,7 +517,7 @@ def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, 
     v0 = vs[0]
     span = [v - v0 for v in vs[1:]] + list(rs)
     if not span:
-        return v0, [_ONE]
+        return v0, [(1, 0)], 1
     k = reduce(Surd._k_with, (g.field_k for g in (y, *vs, *rs)), 1)
     t = y - v0
     rows = [[*(_pair_dot(u.pairs, s.pairs, k) for s in span), _pair_dot(u.pairs, t.pairs, k)]
@@ -484,5 +531,6 @@ def _face_point(y: Vector, vs: list[Vector], rs: list[Vector]) -> tuple[Vector, 
     for (a, b), u in zip(W, span):
         z = _pair_combination((1, 0), z, (-v0.m * a, -v0.m * b), u.pairs, k)
     vertex = xs[: len(vs) - 1]
-    first = (den - sum(a for a, _ in vertex), -sum(b for _, b in vertex))
-    return Vector._make(v0.m * den, z, k), [Surd._make(*x, den, k) for x in (first, *xs)]
+    weights = [(den - sum(a for a, _ in vertex), -sum(b for _, b in vertex)), *xs]
+    g = gcd(den, *(c for x in weights for c in x))
+    return Vector._make(v0.m * den, z, k), [(a // g, b // g) for a, b in weights], den // g

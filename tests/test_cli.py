@@ -257,8 +257,8 @@ def test_projection_past_its_cycle_bound_exits_3(tmp_path, capsys, monkeypatch):
     # leaves at once, ends at the bound on its cycles as an internal error
     minor = sets._minor_cycles
 
-    def stuck(y, gens, nv, weights):
-        return minor(y, gens, nv, {i: w for i, w in weights.items() if w.sign() > 0})
+    def stuck(y, P, weights, den):
+        return minor(y, P, {i: w for i, w in weights.items() if w != (0, 0)}, den)
 
     monkeypatch.setattr(sets, "_minor_cycles", stuck)
     inst = ser.Instance(polyhedron=TRIANGLE, point=Vector([1, 1]))

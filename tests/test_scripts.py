@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ratsep import outer_approximate
 from ratsep.serialization import parse_instance
 
@@ -101,6 +103,10 @@ def test_ab_separate_against_the_checkout_itself():
             f"{workload}{part}:" for workload in workloads for part in ("", ".margin_lp", ".stages")
         ]
         assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
+        # Wolfe's run alone, one line per workload on standard error
+        rows = [line.split() for line in done.stderr.splitlines()]
+        assert [row[0] for row in rows] == [f"{workload}.membership:" for workload in workloads]
+        assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
 
 
 def test_ab_separate_times_the_parse_limits_against_the_checkout_itself():
@@ -110,6 +116,25 @@ def test_ab_separate_times_the_parse_limits_against_the_checkout_itself():
     rows = [line.split() for line in done.stdout.splitlines()]
     assert [row[0] for row in rows] == [f"limits{part}:" for part in ("", ".margin_lp", ".stages")]
     assert all(row[-5:] == ["over", "1", "x", "1", "calls"] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--rounds", "0"), "argument --rounds: must be at least 1, got 0"),
+        (("--count", "0"), "argument --count: must be at least 1, got 0"),
+        (
+            ("--workload", "approx_sweep", "--count", "102"),
+            "argument --count: approx_sweep has at most 101 sweeps, got 102",
+        ),
+    ],
+)
+def test_ab_separate_rejects_an_empty_or_oversized_run(options, message):
+    # a usage error, exit 2, before any tree is loaded; exit 1 means the outputs differ
+    done = run_ab_separate(ROOT, *options)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: ab_separate.py") and done.stderr.endswith(f"{message}\n")
+    assert done.stdout == ""
 
 
 def test_ab_separate_fails_on_a_different_certificate(tmp_path):

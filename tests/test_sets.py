@@ -23,6 +23,7 @@ from ratsep import (
 )
 from ratsep import approximation, linalg, sets
 from ratsep.approximation import OuterApprox
+from ratsep.scalars import _pair_sign
 from ratsep.separation import find_barrier_direction
 from ratsep.sets import polar_cone_contains
 from helpers import (
@@ -674,13 +675,22 @@ def test_a_generator_leaves_the_corral(monkeypatch, P, y, z):
     face_point = sets._face_point
 
     def recording(y, vs, rs):
-        w, weights = face_point(y, vs, rs)
-        negative.extend(a for a in weights if a.sign() < 0)
-        return w, weights
+        w, weights, den = face_point(y, vs, rs)
+        negative.extend(a for a in weights if _pair_sign(a, P.field_k) < 0)
+        return w, weights, den
 
     monkeypatch.setattr(sets, "_face_point", recording)
     assert project(P, y) == face_walk_project(P, y) == z
     assert negative  # so a minor cycle stepped by theta < 1
+
+
+def test_the_face_point_takes_the_field_of_v0_and_y():
+    # the span (1, 0) and y - v0 = (1/2, 1) are rational, v0 and y are not:
+    # z lies in Q(sqrt 2) all the same, halfway between the two vertices
+    v0, v1 = Vector([SQ2, 0]), Vector([SQ2 + 1, 0])
+    z, weights, den = sets._face_point(Vector([SQ2 + F(1, 2), 1]), [v0, v1], [])
+    assert z == Vector([SQ2 + F(1, 2), 0]) and z.field_k == 2
+    assert (weights, den) == ([(1, 0), (1, 0)], 2)
 
 
 def stuck_minor_cycles(monkeypatch) -> list:
@@ -689,9 +699,9 @@ def stuck_minor_cycles(monkeypatch) -> list:
     calls = []
     minor = sets._minor_cycles
 
-    def stuck(y, gens, nv, weights):
+    def stuck(y, P, weights, den):
         calls.append(weights)
-        return minor(y, gens, nv, {i: w for i, w in weights.items() if w.sign() > 0})
+        return minor(y, P, {i: w for i, w in weights.items() if w != (0, 0)}, den)
 
     monkeypatch.setattr(sets, "_minor_cycles", stuck)
     return calls
