@@ -51,8 +51,12 @@ exits 1.  Otherwise each workload's line gives the two total times of
 checkout over DIR, then the same for the margin LP alone, and then for
 the stages of ``separate`` without it, its total minus the LP's time:
 on ``separate_rays`` the LP is nearly half of a call, so a change to
-the other stages shows more plainly there.  One more line, on standard
-error, gives the same for Wolfe's run alone, ``<workload>.membership``.
+the other stages shows more plainly there.  Two more lines, on standard
+error, give the same for Wolfe's run alone, ``<workload>.membership``,
+and each tree's median and p90 time of one whole call, LP and Wolfe's
+run included, with their ratios, ``<workload>.separate.per_call``: the
+statistics that ``perfbench`` reports as ``latency_ms.p50`` and
+``latency_ms.p90``, in the format of the sweeps' per-call line.
 
 A count or a number of rounds below 1, or more than 101 sweeps, is a
 usage error (exit 2); exit 1 is kept for outputs that differ.
@@ -181,6 +185,20 @@ def ratio_line(name: str, times, calls: str) -> str:
     return f"{name}: this {this:.3f} s, against {against:.3f} s, ratio {this / against:.3f} {calls}"
 
 
+def per_call_line(name: str, per_call) -> str:
+    """The line of one timed call's median and p90 in both trees, in
+    microseconds, and their ratios, this checkout over the other.  The p90
+    is ``perfbench``'s, the ninth decile; a single call is its own."""
+    (this50, this90), (against50, against90) = (
+        (statistics.median(c) * 1e6, (statistics.quantiles(c, n=10)[8] if len(c) > 1 else c[0]) * 1e6)
+        for c in per_call
+    )
+    return (f"{name}.per_call: this p50 {this50:.3f} us, "
+            f"p90 {this90:.3f} us, against p50 {against50:.3f} us, p90 {against90:.3f} us, "
+            f"ratio p50 {this50 / against50:.3f}, p90 {this90 / against90:.3f} "
+            f"over {len(per_call[0])} calls")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=Path, required=True, help="root of the other source tree")
@@ -216,6 +234,8 @@ def main(argv=None) -> int:
                 for side in order:
                     extra = (per_call[side],) if workload == SWEEPS else ()
                     seconds, parts_seconds, out[side] = call(trees[side], obj, *extra)
+                    if workload != SWEEPS:
+                        per_call[side].append(seconds)
                     totals[side] += seconds
                     for j, part_seconds in enumerate(parts_seconds):
                         part_totals[j][side] += part_seconds
@@ -228,17 +248,11 @@ def main(argv=None) -> int:
         lines = ((workload, totals), (f"{workload}.{parts[0]}", first), (f"{workload}.{parts[1]}", rest))
         for name, times in lines:
             print(ratio_line(name, times, calls))
-        if workload != SWEEPS:
-            print(ratio_line(f"{workload}.membership", part_totals[1], calls), file=sys.stderr)
         if workload == SWEEPS:
-            (this50, this90), (against50, against90) = (
-                (statistics.median(c) * 1e6, statistics.quantiles(c, n=10)[8] * 1e6)
-                for c in per_call
-            )
-            print(f"{workload}.excess_measure.per_call: this p50 {this50:.3f} us, "
-                  f"p90 {this90:.3f} us, against p50 {against50:.3f} us, p90 {against90:.3f} us, "
-                  f"ratio p50 {this50 / against50:.3f}, p90 {this90 / against90:.3f} "
-                  f"over {len(per_call[0])} calls", file=sys.stderr)
+            print(per_call_line(f"{workload}.excess_measure", per_call), file=sys.stderr)
+        else:
+            print(ratio_line(f"{workload}.membership", part_totals[1], calls), file=sys.stderr)
+            print(per_call_line(f"{workload}.separate", per_call), file=sys.stderr)
     return 0
 
 

@@ -15,11 +15,20 @@ so its true values are the stored ones over D.  A row with 0 in the
 pivot column is rewritten too, as p*x / D; rows each held over a scale
 of their own could skip it, but the margin LP keeps its box as bounds,
 so such rows are rare (55 of the 8473 rows met by the 2784 pivots of the
-720 margin LPs of ``perfbench`` ``separate_rays`` seeds 5-7) and a
-second scale per row would buy nothing.  Every division is checked: a
-remainder raises ``SeparationBugError``.  Rows over Q may be plain ints
-instead of pairs: the pivot combines them as ints and divides them by
-``_int_quotients``, with the same checks.
+720 margin LPs of ``perfbench`` ``separate_rays`` seeds 5-7, re-counted
+for the one-pass pivot) and a second scale per row would buy nothing.
+
+Each row is rewritten in one pass, the division folded into it.  Over
+an irrational D = c + e*sqrt(k), dividing by D is multiplying by its
+conjugate conj(D) = c - e*sqrt(k) and dividing by its norm, the integer
+N = c*c - e*e*k, which is nonzero and may be negative.  So conj(D) is
+folded into p once per pivot and into f once per row, and every entry
+of the new row is (p'*x - f'*y) / N, for p' = p*conj(D) and f' =
+f*conj(D): two integer divisions per entry, both parts of the pair.
+Over a rational D = (c, 0), N is c, and rows over Q may be plain ints,
+combined as ints and divided by the int D.  Every division is checked:
+a remainder, which the algebra rules out, raises ``SeparationBugError``.
+Only N = 1, or an int D = 1, skips the division, where it is exact.
 
 The one kind of linear system the program solves is the Gram system of
 a corral of Wolfe's minimum-norm point algorithm in ``sets``, whose span
@@ -65,31 +74,9 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DimensionMismatchError, SeparationBugError
-from .scalars import (
-    Surd,
-    Vector,
-    _pair_combination,
-    _pair_mul,
-    _pair_quotients,
-    _pair_reciprocal,
-    _pair_sign,
-)
+from .scalars import Surd, Vector, _pair_mul, _pair_reciprocal, _pair_sign
 
 __all__ = ["simplex_max", "solve_linear_system"]
-
-
-def _int_quotients(xs: list[int], d: int) -> list[int]:
-    """The quotients x / d for ints x that d divides; a remainder, which
-    the pivot's algebra rules out, raises ``SeparationBugError``."""
-    if d == 1:
-        return xs
-    out = []
-    for x in xs:
-        q, rem = divmod(x, d)
-        if rem:
-            raise SeparationBugError(f"division by {d} in Z left a remainder")
-        out.append(q)
-    return out
 
 
 def _pivot(T, r, c, D, k):
@@ -98,19 +85,59 @@ def _pivot(T, r, c, D, k):
     hold integer pairs of Z[sqrt(k)], or plain ints when D is an int.
     Every row x other than r becomes (p*x - f*y) / D, where y is row r
     and f the entry of x in column c, as the module docstring states:
-    afterwards every row is held over p.  Pair rows combine by
-    ``_pair_combination`` and divide by ``_pair_quotients``, int rows
-    divide by ``_int_quotients``; both check every division."""
+    afterwards every row is held over p.
+
+    Each row is rewritten in one pass.  Over an irrational D = c + e*sqrt(k),
+    conj(D) = c - e*sqrt(k) is folded into p once per pivot and into each
+    row's f once per row, so both parts of every new entry are integers
+    divided by the norm N = c*c - e*e*k of D, which may be negative; over
+    a rational D = (c, 0), N is c, and int rows are divided by D.  Every
+    division is checked, a remainder raising ``SeparationBugError``;
+    N = 1, or an int D = 1, skips it."""
     prow = T[r]
     p = prow[c]
-    ints = type(D) is int
+    if type(D) is int:
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[c]
+                if D == 1:
+                    T[i] = [p * x - f * y for x, y in zip(row, prow)]
+                    continue
+                new = []
+                for x, y in zip(row, prow):
+                    q, rem = divmod(p * x - f * y, D)
+                    if rem:
+                        raise SeparationBugError(f"division by {D} in Z left a remainder")
+                    new.append(q)
+                T[i] = new
+        return p
+    (dc, de), (pa, pb) = D, p
+    N = dc
+    if de:  # conj(D) = dc - de*sqrt(k) folded into p, and below into each f
+        dek = de * k
+        N = dc * dc - de * dek
+        pa, pb = pa * dc - pb * dek, pb * dc - pa * de
+    pbk = pb * k
     for i, row in enumerate(T):
         if i != r:
-            f = row[c]
-            if ints:
-                T[i] = _int_quotients([p * x - f * y for x, y in zip(row, prow)], D)
-            else:
-                T[i] = _pair_quotients(_pair_combination(p, row, f, prow, k), D, k)
+            fa, fb = row[c]
+            if de:
+                fa, fb = fa * dc - fb * dek, fb * dc - fa * de
+            fbk = fb * k
+            if N == 1:
+                T[i] = [
+                    (pa * xa + pbk * xb - fa * ya - fbk * yb, pa * xb + pb * xa - fa * yb - fb * ya)
+                    for (xa, xb), (ya, yb) in zip(row, prow)
+                ]
+                continue
+            new = []
+            for (xa, xb), (ya, yb) in zip(row, prow):
+                qa, ra = divmod(pa * xa + pbk * xb - fa * ya - fbk * yb, N)
+                qb, rb = divmod(pa * xb + pb * xa - fa * yb - fb * ya, N)
+                if ra or rb:
+                    raise SeparationBugError(f"division by {D} in Z[sqrt({k})] left a remainder")
+                new.append((qa, qb))
+            T[i] = new
     return p
 
 
@@ -152,7 +179,8 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     variable j < 2n + 1 is (p, q, t)_j, variable 2n + 1 + i the slack of
     ray row i, and u_j = 1 - x_j, at 2n + 1 + R + j for j < 2n, the
     slack of box row j; x_j and u_j are partners, and t and the ray
-    slacks have none.  A column labelled u_j holds x_j at its upper
+    slacks have none, which a list indexed by label, built once, holds
+    for the whole walk.  A column labelled u_j holds x_j at its upper
     bound, a row whose basic variable is u_j holds 1 - x_j.  Swapping a
     label for its partner, complementing, needs no division: a column is
     negated and subtracted from every row's right-hand side, and a row
@@ -215,21 +243,17 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
         k = Surd._k_with(k, r.field_k)
     nv, m = 2 * n + 1, len(rays)
     box = nv + m  # the label of u_0: x_j and u_j = box + j are partners for j < 2n
+    partner = [*range(box, box + 2 * n), *[None] * (1 + m), *range(2 * n)]  # none for t and slacks
     ints = k == 1
     if ints:
-        zero, one, neg, sub = 0, 1, int.__neg__, int.__sub__
+        zero, one = 0, 1
         T = [[*(a for a, _ in r.pairs), *(-a for a, _ in r.pairs), r.m, 0] for r in rays]
     else:
         zero, one = (0, 0), (1, 0)
-        neg, sub = (lambda x: (-x[0], -x[1])), (lambda x, y: (x[0] - y[0], x[1] - y[1]))
         T = [[*r.pairs, *((-a, -b) for a, b in r.pairs), (r.m, 0), zero] for r in rays]
     T.append([zero] * (2 * n) + [one, zero])
     D = one
     basis, nonbasic = list(range(nv, box)), list(range(nv))
-
-    def partner(v):
-        return v + box if v < 2 * n else v - box if v >= box else None  # none for t and slacks
-
     steps = comb(m + 4 * n + 1, m + 2 * n)  # the textbook tableau's bases, each visited once at most
     # bit v is set iff variable v is nonbasic, one int per basis visited
     labels, visited = (1 << nv) - 1, set()
@@ -237,63 +261,71 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
         if labels in visited:
             raise SeparationBugError(f"the margin LP revisited a basis at step {step}")
         visited.add(labels)
-        # the sign of a rational entry is read inline, that of an irrational one by _pair_sign
-        enter = None
-        for j, x in enumerate(T[-1][:nv]):
-            if enter is None or nonbasic[j] < nonbasic[enter]:
+        # Bland's entering column, the smallest label v with a positive reduced cost (box + 2n
+        # exceeds every label); the sign of a rational entry is read inline, that of an
+        # irrational one by _pair_sign
+        objective, enter, v = T[m], None, box + 2 * n
+        for j, u in enumerate(nonbasic):
+            if u < v:
+                x = objective[j]
                 if (x if ints else x[0] if not x[1] else _pair_sign(x, k)) > 0:
-                    enter = j
+                    enter, v = j, u
         if enter is None:
             break
-        # candidates (a, t, label, row) at ratio a/t; the column's own partner is row -1
-        own = partner(nonbasic[enter])
-        leave = None if own is None else (one, one, own, -1)
+        # the leaving candidate: ratio num/den, its label and its row, -1 for the column's own partner
+        num, den, label, r = one, one, partner[v], -1
         for i in range(m):
-            t, b = T[i][enter], basis[i]
+            row = T[i]
+            t = row[enter]
             s = t if ints else t[0] if not t[1] else _pair_sign(t, k)
             if s > 0:
-                a = T[i][-1]
-            elif s < 0 and (b := partner(b)) is not None:
-                a, t = sub(D, T[i][-1]), neg(t)
+                a, b = row[-1], basis[i]
+            elif s < 0 and (b := partner[basis[i]]) is not None:
+                a = row[-1]
+                a, t = (D - a, -t) if ints else ((D[0] - a[0], D[1] - a[1]), (-t[0], -t[1]))
             else:
                 continue
-            if leave is not None:
-                la, lt, lb, _ = leave
+            if label is not None:
                 if ints:
-                    cmp = a * lt - la * t
+                    cmp = a * den - num * t
                 else:
-                    cmp = _pair_sign(sub(_pair_mul(a, lt, k), _pair_mul(la, t, k)), k)
-                if cmp > 0 or (cmp == 0 and b > lb):
+                    (x0, x1), (y0, y1) = _pair_mul(a, den, k), _pair_mul(num, t, k)
+                    cmp = _pair_sign((x0 - y0, x1 - y1), k)
+                if cmp > 0 or (cmp == 0 and b > label):
                     continue
-            leave = (a, t, b, i)
-        if leave is None:
+            num, den, label, r = a, t, b, i
+        if label is None:
             raise SeparationBugError("the margin LP found no leaving row, but the box bounds it")
-        _, _, label, r = leave
         if r < 0:  # a bound flip: the column's variable is complemented
             for row in T:
-                row[-1], row[enter] = sub(row[-1], row[enter]), neg(row[enter])
-            labels ^= 1 << nonbasic[enter] | 1 << label
+                x, a = row[enter], row[-1]
+                row[enter], row[-1] = (-x, a - x) if ints else ((-x[0], -x[1]), (a[0] - x[0], a[1] - x[1]))
+            labels ^= 1 << v | 1 << label
             nonbasic[enter] = label
             continue
         if label != basis[r]:  # the row's basic variable leaves at its upper bound
-            T[r] = [*map(neg, T[r][:-1]), sub(D, T[r][-1])]
+            a = T[r][-1]
+            row = T[r] = [-x for x in T[r]] if ints else [(-x, -y) for x, y in T[r]]
+            row[-1] = D - a if ints else (D[0] - a[0], D[1] - a[1])
             basis[r] = label
-        column = [neg(row[enter]) for row in T]  # the leaving variable's column after the pivot
-        column[r] = D
+        # after the pivot, column enter holds the leaving variable's: -f per row, the old D in row r
+        column, prev = [row[enter] for row in T], D
         D = _pivot(T, r, enter, D, k)
         for row, f in zip(T, column):
-            row[enter] = f
-        labels ^= 1 << nonbasic[enter] | 1 << basis[r]
-        basis[r], nonbasic[enter] = nonbasic[enter], basis[r]
+            row[enter] = -f if ints else (-f[0], -f[1])
+        T[r][enter] = prev
+        labels ^= 1 << v | 1 << basis[r]
+        basis[r], nonbasic[enter] = v, basis[r]
     else:
         raise SeparationBugError(f"the margin LP exceeded its bound of {steps} simplex steps")
     # each x_j over D, then d = p - q and t over the one denominator of 1/D
-    x = [D if box + j in nonbasic else zero for j in range(nv)]
+    x = [D if labels >> box + j & 1 else zero for j in range(nv)]
     for i, b in enumerate(basis):
         if b < nv:
             x[b] = T[i][-1]
         elif b >= box:
-            x[b - box] = sub(D, T[i][-1])
+            a = T[i][-1]
+            x[b - box] = D - a if ints else (D[0] - a[0], D[1] - a[1])
     if ints:
         x, D = [(a, 0) for a in x], (D, 0)
     w, den = _pair_reciprocal(D, k)

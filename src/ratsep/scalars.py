@@ -33,8 +33,8 @@ the ``Vector`` constructor, built on it, the one reader of a row, which
 reads a ``Vector`` through its coordinates like any other row.  A
 ``Vector`` keeps its coordinates as one such row over its least
 denominator, so sums, scalings and dot products build no Surd per
-coordinate, and ``Vector.dot_sign`` reads the sign of <u, v> - b with
-none at all.
+coordinate, and ``Vector.dot_sign`` reads the sign of <u, v> with none
+at all.
 The pair helpers live here, beside ``Surd``, which reads its own sign
 with ``_pair_sign`` and its floor with ``_pair_floor``.
 
@@ -434,27 +434,6 @@ def _pair_primitive(v, k: int):
     return v if g == 1 else [(a // g, b // g) for a, b in v]
 
 
-def _pair_quotients(xs: list[tuple[int, int]], d: tuple[int, int], k: int) -> list[tuple[int, int]]:
-    """The quotients x / d for pairs x that d divides in Z[sqrt(k)]: x times
-    the conjugate of d, over the norm of d.  A remainder means d does not
-    divide x, which the callers' algebra rules out, so it raises
-    ``SeparationBugError``."""
-    c, e = d
-    if e:
-        xs = [(a * c - b * e * k, b * c - a * e) for a, b in xs]
-        c = c * c - e * e * k
-    elif c == 1:
-        return xs
-    out = []
-    for a, b in xs:
-        qa, ra = divmod(a, c)
-        qb, rb = divmod(b, c)
-        if ra or rb:
-            raise SeparationBugError(f"division by {d} in Z[sqrt({k})] left a remainder")
-        out.append((qa, qb))
-    return out
-
-
 class Vector:
     """A point or direction with coordinates in one field Q(sqrt(k)).
 
@@ -617,21 +596,14 @@ class Vector:
         a, b = _pair_dot(self.pairs, other.pairs, k)
         return Surd._make(a, b, self.m * other.m, k)
 
-    def dot_sign(self, other: "Vector", b: Surd | Rationalish = 0) -> int:
-        """The exact sign of <self, other> - b, with no Surd built.
-
-        For b = (ba + bb*sqrt(k))/db it is the sign of the pair
-        db*<self.pairs, other.pairs> - self.m*other.m*(ba, bb): both
-        sides are multiplied by db*self.m*other.m > 0, which moves no
-        sign.  Raises ``TypeError`` for any other b and ``ValueError``
-        when the vectors and b use different irrational fields.
-        """
+    def dot_sign(self, other: "Vector") -> int:
+        """The exact sign of <self, other>, with no Surd built: the sign of
+        the dot product of the two vectors' pairs, whose denominators are
+        positive.  Raises ``ValueError`` when the vectors use different
+        irrational fields."""
         self._check_dim(other)
-        ba, bb, db, k = _surd_parts(b)
-        k = Surd._k_with(Surd._k_with(self.field_k, other.field_k), k)
-        a, c = _pair_dot(self.pairs, other.pairs, k)
-        m = self.m * other.m
-        return _pair_sign((db * a - m * ba, db * c - m * bb), k)
+        k = Surd._k_with(self.field_k, other.field_k)
+        return _pair_sign(_pair_dot(self.pairs, other.pairs, k), k)
 
 
 # -- rational enclosures and witnesses ----------------------------------

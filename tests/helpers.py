@@ -338,8 +338,8 @@ def facet_membership(P: VPolyhedron, x: Vector) -> bool:
     """Reference membership: <a, x> = b on every equation and <a, x> <= b
     on every facet (a, b) of P's facet description, each an exact sign."""
     equations, facets = P.facet_description
-    return all(a.dot_sign(x, b) == 0 for a, b in equations) and all(
-        a.dot_sign(x, b) <= 0 for a, b in facets
+    return all((a.dot(x) - b).sign() == 0 for a, b in equations) and all(
+        (a.dot(x) - b).sign() <= 0 for a, b in facets
     )
 
 

@@ -20,18 +20,12 @@ from random import Random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ratsep import NotPointedError, SeparationBugError, Surd, Vector, VPolyhedron, is_pointed
 from ratsep import linalg, separation, sets
 from ratsep.linalg import _pivot, simplex_max
-from ratsep.scalars import (
-    _pair_combination,
-    _pair_mul,
-    _pair_primitive,
-    _pair_quotients,
-    _pair_sign,
-)
+from ratsep.scalars import _pair_combination, _pair_mul, _pair_primitive, _pair_sign
 from ratsep.serialization import MAX_DIGITS, MAX_DIM, MAX_GENERATORS
 from ratsep.sets import _double_description
 from helpers import (
@@ -72,14 +66,25 @@ def test_pair_sign_matches_surd_sign(k, a, b, d):
         assert Surd(F(x, d), F(y, d), k).sign() == expected
 
 
-@given(FIELD_KS, INTS, INTS, INTS, INTS)
-def test_pair_quotients_undo_a_product(k, a, b, c, d):
+@given(st.sampled_from([1, 2, 3, BIG_K]), INTS, INTS, INTS, INTS)
+@example(2, 7, -3, 1, 1)  # D = 1 + sqrt(2), of norm -1
+@example(2, 7, -3, 1, 2)  # D = 1 + 2*sqrt(2), of norm -7
+@example(2, 7, -3, 3, 2)  # D = 3 + 2*sqrt(2), of norm 1, which skips the division
+@example(3, 7, 0, 5, 0)  # a rational D over Q(sqrt(3))
+def test_a_pivot_divides_out_a_product(k, a, b, c, d):
+    # pivoting [[1, 0], [0, x*y]] on (0, 0) from D = y leaves the row [0, x]
     if k == 1:
         b = d = 0
     if (c, d) == (0, 0):
         return
     x, y = (a, b), (c, d)
-    assert _pair_quotients([_pair_mul(x, y, k)], y, k) == [x]
+    T = [[(1, 0), (0, 0)], [(0, 0), _pair_mul(x, y, k)]]
+    assert _pivot(T, 0, 0, y, k) == (1, 0)
+    assert T == [[(1, 0), (0, 0)], [(0, 0), x]]
+    if k == 1:  # rows of plain ints
+        T = [[1, 0], [0, a * c]]
+        assert _pivot(T, 0, 0, c, k) == 1
+        assert T == [[1, 0], [0, a]]
 
 
 SMALL = st.integers(-30, 30)
@@ -393,9 +398,10 @@ def test_margin_lps_at_the_parse_limits_match_the_surd_tableau(k, data):
 
 def test_rational_rays_in_a_sqrt2_set_take_the_integer_path(monkeypatch):
     # the LP's field is the rays' own: rational rays of a set whose
-    # vertices have sqrt(2) parts build no pair, so no pair is divided
-    def no_pairs(*args):
-        raise AssertionError("a pair was divided")
+    # vertices have sqrt(2) parts build no pair, so every pivot is on ints
+    def int_pivot(T, r, c, D, k):
+        assert type(D) is int, "a pair row was pivoted"
+        return _pivot(T, r, c, D, k)
 
     rng = Random(3)
     for dim in (2, 4, MAX_DIM):
@@ -405,7 +411,7 @@ def test_rational_rays_in_a_sqrt2_set_take_the_integer_path(monkeypatch):
         assert X.field_k == 2 and all(r.field_k == 1 for r in rays)
         want = surd_margin_lp(rays)
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_pair_quotients", no_pairs)
+            m.setattr(linalg, "_pivot", int_pivot)
             assert X._ray_margin == want
             assert is_pointed(X)
 
@@ -449,11 +455,22 @@ def as_pairs(x):
     return (x, 0) if type(x) is int else x
 
 
+def surd_quotients(xs, d, k):
+    """x / d for each pair x, by division in the field; each quotient must
+    lie in Z[sqrt(k)], so that its canonical denominator is 1."""
+    out = []
+    for a, b in xs:
+        q = Surd(a, b, k) / Surd(*d, k)
+        assert q.d == 1, f"{d} does not divide {(a, b)} in Z[sqrt({k})]"
+        out.append((q.a, q.b))
+    return out
+
+
 def spy_on_pivots(monkeypatch) -> list:
     """Patch ``linalg._pivot`` to check each pivot against the eager one,
     which rewrites every row x but the pivot row y as (p*x - f*y) / D,
-    and to record whether the rows were plain ints.  Rows of ints are
-    checked as the pairs (x, 0) with k = 1."""
+    computed here by field division, and to record whether the rows were
+    plain ints.  Rows of ints are checked as the pairs (x, 0) with k = 1."""
     log = []
 
     def spy(T, r, c, D, k):
@@ -463,7 +480,7 @@ def spy_on_pivots(monkeypatch) -> list:
         rows, D_ = as_pairs(T), as_pairs(D)
         y = rows[r]
         want = [
-            row if i == r else _pair_quotients(_pair_combination(y[c], row, row[c], y, k), D_, k)
+            row if i == r else surd_quotients(_pair_combination(y[c], row, row[c], y, k), D_, k)
             for i, row in enumerate(rows)
         ]
         p = _pivot(T, r, c, D, k)

@@ -103,10 +103,21 @@ def test_ab_separate_against_the_checkout_itself():
             f"{workload}{part}:" for workload in workloads for part in ("", ".margin_lp", ".stages")
         ]
         assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
-        # Wolfe's run alone, one line per workload on standard error
+        # Wolfe's run alone and one call's median and p90, two lines per
+        # workload on standard error
         rows = [line.split() for line in done.stderr.splitlines()]
-        assert [row[0] for row in rows] == [f"{workload}.membership:" for workload in workloads]
-        assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
+        assert [row[0] for row in rows] == [
+            f"{workload}{part}:" for workload in workloads for part in (".membership", ".separate.per_call")
+        ]
+        assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows[::2])
+        for row in rows[1::2]:
+            assert row[1:3] == ["this", "p50"] and row[-3:] == ["over", "4", "calls"]
+            this50, this90, against50, against90, ratio50, ratio90 = (
+                float(row[i].rstrip(",")) for i in (3, 6, 10, 13, 17, 19)
+            )
+            assert 0 < this50 <= this90 and 0 < against50 <= against90
+            assert ratio50 == pytest.approx(this50 / against50, abs=1e-3)
+            assert ratio90 == pytest.approx(this90 / against90, abs=1e-3)
 
 
 def test_ab_separate_times_the_parse_limits_against_the_checkout_itself():

@@ -113,7 +113,7 @@ BARRIER_SETS = {
 def fraction_barrier_direction(P):
     """``find_barrier_direction`` written with Fractions: t_lo is t* itself
     when rational, else a rational between t*/2 and t*, eps is
-    t_lo/(2 max norm_upper(r)), and every ray is audited by ``dot_sign``."""
+    t_lo/(2 max norm_upper(r)), and every ray is audited by an exact sign."""
     d_star, t_star = P._ray_margin
     if t_star.is_rational:
         t_lo = t_star.as_fraction()
@@ -121,7 +121,7 @@ def fraction_barrier_direction(P):
         t_lo = choose_rational_between(t_star / 2, t_star)
     eps = t_lo / (2 * max(norm_upper(r) for r in P.rays))
     d = rational_in_ball(d_star, eps)
-    assert all(d.dot_sign(r, -eps * norm_upper(r)) <= 0 for r in P.rays)
+    assert all((d.dot(r) + eps * norm_upper(r)).sign() <= 0 for r in P.rays)
     return d, eps
 
 
