@@ -30,10 +30,10 @@ and their ratios; it goes to standard error, so standard output keeps
 one line per total.
 
 ``--workload limits`` times ``separate`` on instances at every parse
-limit at once, built as ``tests/test_cli.py``'s
-``test_separate_at_every_parse_limit_at_once`` builds its one, one
-instance per seed from ``--seed`` on (``--count`` defaults to 3 there;
-that test's instance is seed 1's): ``MAX_GENERATORS`` vertices in
+limit at once, one instance per seed from ``--seed`` on (``--count``
+defaults to 3 there), built by ``limit_instances``, which
+``tests/test_cli.py``'s ``test_separate_at_every_parse_limit_at_once``
+calls for its one, seed 1's: ``MAX_GENERATORS`` vertices in
 dimension ``MAX_DIM`` over Q(sqrt 999999999998), every r and s part
 with ``MAX_DIGITS``-digit numerators and denominators, and a point just
 outside a facet, so that the projection makes the largest Gram solves a
@@ -171,7 +171,9 @@ def limit_instances(r, seed: int, count: int) -> list:
         )
         a, b = P.facet_description.facets[0]
         on = [v for v in P.vertices if (a.dot(v) - b).sign() == 0]
-        # pushed by ~1000 along the facet's normal from the centroid of its vertices
+        # pushed by ~1000 along the facet's normal from the centroid of its vertices: far above
+        # the rounding error of the sqrt(k) parts (< sqrt(k) / 10**(digits - 2) ~ 10), far
+        # below the coordinates (~10**6)
         y = Fraction(1, len(on)) * sum(on[1:], on[0])
         y += Fraction(1000) / max(abs(x.r) + abs(x.s) * 10**6 for x in a) * a
         y = r.Vector([r.Surd(rounded(x.r, digits), rounded(x.s, digits), BIG_K) for x in y])

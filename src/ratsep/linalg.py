@@ -26,9 +26,9 @@ folded into p once per pivot and into f once per row, and every entry
 of the new row is (p'*x - f'*y) / N, for p' = p*conj(D) and f' =
 f*conj(D): two integer divisions per entry, both parts of the pair.
 Over a rational D = (c, 0), N is c, and rows over Q may be plain ints,
-combined as ints and divided by the int D.  Every division is checked:
-a remainder, which the algebra rules out, raises ``SeparationBugError``.
-Only N = 1, or an int D = 1, skips the division, where it is exact.
+combined as ints and divided by the int D.  Every division is checked,
+by a unit divisor too: a remainder, which the algebra rules out, raises
+``SeparationBugError``.
 
 The one kind of linear system the program solves is the Gram system of
 a corral of Wolfe's minimum-norm point algorithm in ``sets``, whose span
@@ -92,17 +92,14 @@ def _pivot(T, r, c, D, k):
     row's f once per row, so both parts of every new entry are integers
     divided by the norm N = c*c - e*e*k of D, which may be negative; over
     a rational D = (c, 0), N is c, and int rows are divided by D.  Every
-    division is checked, a remainder raising ``SeparationBugError``;
-    N = 1, or an int D = 1, skips it."""
+    division, by N = 1 or an int D = 1 too, is checked, a remainder
+    raising ``SeparationBugError``."""
     prow = T[r]
     p = prow[c]
     if type(D) is int:
         for i, row in enumerate(T):
             if i != r:
                 f = row[c]
-                if D == 1:
-                    T[i] = [p * x - f * y for x, y in zip(row, prow)]
-                    continue
                 new = []
                 for x, y in zip(row, prow):
                     q, rem = divmod(p * x - f * y, D)
@@ -124,12 +121,6 @@ def _pivot(T, r, c, D, k):
             if de:
                 fa, fb = fa * dc - fb * dek, fb * dc - fa * de
             fbk = fb * k
-            if N == 1:
-                T[i] = [
-                    (pa * xa + pbk * xb - fa * ya - fbk * yb, pa * xb + pb * xa - fa * yb - fb * ya)
-                    for (xa, xb), (ya, yb) in zip(row, prow)
-                ]
-                continue
             new = []
             for (xa, xb), (ya, yb) in zip(row, prow):
                 qa, ra = divmod(pa * xa + pbk * xb - fa * ya - fbk * yb, N)

@@ -33,10 +33,14 @@ the ``Vector`` constructor, built on it, the one reader of a row, which
 reads a ``Vector`` through its coordinates like any other row.  A
 ``Vector`` keeps its coordinates as one such row over its least
 denominator, so sums, scalings and dot products build no Surd per
-coordinate, and ``Vector.dot_sign`` reads the sign of <u, v> with none
-at all.
+coordinate, and a sign of <u, v> read off ``_pair_dot`` builds none at
+all.
 The pair helpers live here, beside ``Surd``, which reads its own sign
-with ``_pair_sign`` and its floor with ``_pair_floor``.
+with ``_pair_sign`` and its floor with ``_pair_floor``.  One reader of a
+positive rational argument, ``_positive``, is behind every "must be
+positive" check of a tolerance, radius, bound or grid step; like every
+reader of an exact rational, it takes an int or a Fraction and raises
+``TypeError`` for a bool.
 
 Two private kernels turn field elements into rationals, each written
 once on integers and shared by every caller.  ``_sqrt_bounds``, the
@@ -595,15 +599,6 @@ class Vector:
         k = Surd._k_with(self.field_k, other.field_k)
         a, b = _pair_dot(self.pairs, other.pairs, k)
         return Surd._make(a, b, self.m * other.m, k)
-
-    def dot_sign(self, other: "Vector") -> int:
-        """The exact sign of <self, other>, with no Surd built: the sign of
-        the dot product of the two vectors' pairs, whose denominators are
-        positive.  Raises ``ValueError`` when the vectors use different
-        irrational fields."""
-        self._check_dim(other)
-        k = Surd._k_with(self.field_k, other.field_k)
-        return _pair_sign(_pair_dot(self.pairs, other.pairs, k), k)
 
 
 # -- rational enclosures and witnesses ----------------------------------

@@ -36,12 +36,14 @@ and ||d_bar - y_bar||^2, from one pair helper,
 re-centered set C = X - z_tilde of step 3 is never built: the bound
 reads <d, v - z_tilde> and ||v - z_tilde|| off the integers of X's
 vertices and of z_tilde, and skips <d, v - z_tilde> when d = 0, as it
-is for every set without rays.  Step 2 picks the largest ray norm bound
-and audits its ball on integers too, with one Fraction, eps.  Step 5
-builds the rational point as one Vector of the rounding kernel's
-integers (``rational_in_ball``), takes <a, y_tilde> once as a pair,
-decides sigma_X(a) < <a, y_tilde> by one cross-multiplied sign, and
-builds one Surd of each side for ``choose_rational_between``.
+is for every set without rays.  Step 2 rounds the optimum of the margin
+LP that ``sets`` solved for pointedness, so ``separate`` solves no LP of
+its own; it picks the largest ray norm bound and audits its ball on
+integers too, with one Fraction, eps.  Step 5 builds the rational point
+as one Vector of the rounding kernel's integers (``rational_in_ball``),
+takes <a, y_tilde> once as a pair, decides sigma_X(a) < <a, y_tilde> by
+one cross-multiplied sign, and builds one Surd of each side for
+``choose_rational_between``.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .sets import VPolyhedron, is_pointed, membership, project, support_value
 
 __all__ = [
     "SeparationTrace",
-    "norm_upper",
     "find_barrier_direction",
     "bound_support_on_ball",
     "compute_wedge_parameters",
@@ -91,20 +92,15 @@ _NORM_J = _dyadic_exponent(NORM_ENCLOSURE_TOL)
 _UPPER_SLACK = Fraction(1, 16)
 
 
-def norm_upper(v: Vector) -> Fraction:
-    """Rational upper bound on ||v|| at the pipeline's fixed tolerance.
+def _norm_bound(v: Vector) -> tuple[int, int]:
+    """A rational upper bound hi/den on ||v|| at the pipeline's fixed
+    tolerance, as integers (hi, den), den > 0.
 
     It is the upper end of ``scalars._sqrt_bounds``, the enclosure kernel
     of ``sqrt_enclosure``, on the pair <v.pairs, v.pairs> over v.m**2:
     ||v|| itself when it is rational, else the dyadic bound at
-    ``NORM_ENCLOSURE_TOL``.  No Surd or interval is built, and one
-    Fraction, from the integers of ``_norm_bound``.
+    ``NORM_ENCLOSURE_TOL``.  No Surd, interval or Fraction is built.
     """
-    return Fraction(*_norm_bound(v))
-
-
-def _norm_bound(v: Vector) -> tuple[int, int]:
-    """``norm_upper(v)`` as integers (hi, den), den > 0."""
     k = v.field_k
     a, b = _pair_dot(v.pairs, v.pairs, k)
     _, hi, den = _sqrt_bounds(a, b, v.m * v.m, k, _NORM_J)
@@ -160,7 +156,8 @@ class SeparationTrace:
 
 
 def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
-    """A rational d and eps > 0 with <d, r> + eps * norm_upper(r) <= 0 per ray.
+    """A rational d and eps > 0 with <d, r> + eps * b/c <= 0 per ray, for
+    b/c = ``_norm_bound(r)``, a rational upper bound on ||r||.
 
     That is a (deliberately stronger, enclosure-friendly) witness that
     the ball d + eps*B lies in the barrier cone of P.  With no rays the
@@ -322,16 +319,17 @@ def wedge_interior_ball(
 ) -> tuple[Fraction, Vector, Fraction]:
     """A ball inside conv({x0} u (d_bar + eps_bar*B)) and x0 + delta_hat*B.
 
-    With lam = min(delta_hat / (norm_upper(d_bar - x0) + eps_bar), 1),
-    the mixed ball (1-lam) x0 + lam (d_bar + eps_bar B) lies in both
-    sets.  Returns (lam, center, radius), the radius half the mixed
-    ball's, lam * eps_bar / 2 exactly, so that even the doubled ball stays
+    With lam = min(delta_hat / (hi/h + eps_bar), 1), for a rational upper
+    bound hi/h on ||d_bar - x0||, the mixed ball
+    (1-lam) x0 + lam (d_bar + eps_bar B) lies in both sets.  Returns
+    (lam, center, radius), the radius half the mixed ball's,
+    lam * eps_bar / 2 exactly, so that even the doubled ball stays
     inside -- the slack that lets a nearby rational point be taken later
     without leaving the wedge; ``separate``'s trace records this lam.
-    The norm bound hi/h is ``norm_upper(d_bar - x0)`` as integers, the
-    enclosure kernel's on ||d_bar - x0||^2, which ``_pair_distance_sq``
-    reads off the two vectors' pairs over (d_bar.m x0.m)^2 with no
-    difference Vector built, so lam is one Fraction of integers,
+    The norm bound hi/h is the one ``_norm_bound`` gives, the enclosure
+    kernel's on ||d_bar - x0||^2, which ``_pair_distance_sq`` reads off
+    the two vectors' pairs over (d_bar.m x0.m)^2 with no difference
+    Vector built, so lam is one Fraction of integers,
     delta_hat * h * eps_bar.den over
     (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den, and 1 when
     that numerator is not below the denominator.  For lam =

@@ -1,15 +1,18 @@
 """Pointed closed convex sets described by generators.
 
 A ``VPolyhedron`` is conv(vertices) + cone(rays) with coordinates in one
-quadratic field.  The metric projection is Wolfe's minimum-norm point
-algorithm, run exactly on the generators with rays as generators whose
-weights have no upper bound (``_nearest``), and membership reads it off:
-x lies in P iff x is its own nearest point.  The set object keeps its
-last query and nearest point, so ``membership`` then ``project`` on one
-point, as ``separate`` and ``outer_approximate`` make them, run the
-algorithm once.  Pointedness is decided by the barrier step's exact
-margin LP on the rays alone, once per set.  Support values are a maximum
-over the vertices.  None of these builds P's facet description.
+quadratic field.  No part of the program moves a set, so a moved set is
+built through the constructor from its moved vertices.  The metric
+projection is Wolfe's minimum-norm point algorithm, run exactly on the
+generators with rays as generators whose weights have no upper bound
+(``_nearest``), and membership reads it off: x lies in P iff x is its
+own nearest point.  The set object keeps its last query and nearest
+point, so ``membership`` then ``project`` on one point, as ``separate``
+and ``outer_approximate`` make them, run the algorithm once.
+Pointedness is decided by the barrier step's exact margin LP on the rays
+alone, once per set.  A support value is +inf when a ray points uphill,
+else a maximum over the vertices; both are read off integer pairs.  None
+of these builds P's facet description.
 
 That description, the equations of P's affine hull and one inequality
 per facet (Minkowski-Weyl), is computed by the double-description
@@ -48,7 +51,6 @@ __all__ = [
     "SupportValue",
     "support_value",
     "is_pointed",
-    "polar_cone_contains",
     "membership",
     "project",
 ]
@@ -261,13 +263,18 @@ def _check_dims(P: VPolyhedron, x: Vector):
 def support_value(P: VPolyhedron, a: Vector) -> SupportValue:
     """sup <a, x> over P: +inf when a ray points uphill, else the vertex max.
 
-    Ties between equal-support vertices resolve to the lowest index.
+    A ray r points uphill when <a, r> > 0, read as the sign of the dot
+    product of the two vectors' pairs, whose denominators are positive,
+    with no Surd built.  Ties between equal-support vertices resolve to
+    the lowest index.  Raises ``ValueError`` when a and P use different
+    irrational fields, whichever way a points.
     """
     _check_dims(P, a)
-    if not polar_cone_contains(P.rays, a):
-        return SupportValue(None)
     k = Surd._k_with(a.field_k, P.field_k)
-    _, c, m = _highest_vertex(P, a.pairs, k)
+    A = a.pairs
+    if any(_pair_sign(_pair_dot(A, r.pairs, k), k) > 0 for r in P.rays):
+        return SupportValue(None)
+    _, c, m = _highest_vertex(P, A, k)
     return SupportValue(Surd._make(*c, a.m * m, k))
 
 
@@ -308,11 +315,6 @@ def _nearest_vertex(P: VPolyhedron, y: Vector) -> int:
         if top is None or _pair_sign((x[0] * den - best[0] * d, x[1] * den - best[1] * d), k) < 0:
             top, best, den = i, x, d
     return top
-
-
-def polar_cone_contains(rays, y: Vector) -> bool:
-    """Whether <y, r> <= 0 for every ray, i.e. y lies in the polar of cone(rays)."""
-    return all(y.dot_sign(r) <= 0 for r in rays)
 
 
 def is_pointed(P: VPolyhedron) -> bool:

@@ -25,7 +25,7 @@ from ratsep.approximation import OuterApprox
 from ratsep.linalg import _pivot
 from ratsep.sets import FacetDescription
 from ratsep.scalars import rational_in_ball
-from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL, norm_upper
+from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL
 
 
 def fraction_sign(r: Fraction, s: Fraction, k: int) -> int:
@@ -564,8 +564,8 @@ def _surd_rational_in(x: Surd, lo, hi) -> Fraction:
 
 
 def surd_norm_upper(v: Vector) -> Fraction:
-    """Reference ``norm_upper``: the upper end of the bisection enclosure
-    of the Surd ||v||**2."""
+    """Reference norm bound of ``separation._norm_bound``: the upper end
+    of the bisection enclosure of the Surd ||v||**2."""
     return bisection_enclosure(v.dot(v), NORM_ENCLOSURE_TOL)[1]
 
 
@@ -772,7 +772,7 @@ def rational_points_in_ball(
         w = rand_rational_vector(rng, center.dim, span=2)
         if w.is_zero():
             continue
-        offset = (radius / 2 / norm_upper(w)) * w
+        offset = (radius / 2 / surd_norm_upper(w)) * w
         p = rational_in_ball(center + offset, radius / 4)
         assert surd_in_ball(p, center, radius)
         out.append(p)

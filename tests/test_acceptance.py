@@ -32,7 +32,6 @@ from ratsep.approximation import GridSpec, OuterApprox
 from ratsep.scalars import point_in_ball
 from ratsep.separation import (
     find_barrier_direction,
-    norm_upper,
     wedge_interior_ball,
 )
 from helpers import (
@@ -45,6 +44,7 @@ from helpers import (
     random_pointed_rays,
     random_point_inside,
     rational_points_in_ball,
+    surd_norm_upper,
     unit_directions,
 )
 
@@ -133,7 +133,7 @@ def test_criterion_4_barrier_direction():
         d, eps = find_barrier_direction(P)
         assert d.is_rational and eps > 0
         for r in rays:
-            assert (d.dot(r) + Surd(eps * norm_upper(r))).sign() <= 0
+            assert (d.dot(r) + Surd(eps * surd_norm_upper(r))).sign() <= 0
     rejected = 0
     for i in range(20):
         dim = (2, 3, 4)[i % 3]

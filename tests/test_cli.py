@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from random import Random
 
 import pytest
 
+import ratsep
 from ratsep import (
     Certificate,
     GridSpec,
@@ -24,6 +26,7 @@ from ratsep import serialization as ser
 from ratsep.cli import main
 from helpers import facet_membership, objective_negating_pivot
 
+ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([1, 0]), Vector([0, 1])))
 UNIT_SQUARE = VPolyhedron(
     (Vector([0, 0]), Vector([1, 0]), Vector([1, 1]), Vector([0, 1]))
@@ -86,7 +89,7 @@ def test_separate_readme_triangle_golden_bytes(tmp_path, capsys):
 
 
 def test_readme_instance_parses_and_separates(tmp_path, capsys):
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```json\n(.*?)```", text, flags=re.S)
     inst = ser.parse_instance(json.loads(block))
     path = tmp_path / "tri.json"
@@ -884,26 +887,20 @@ def test_separate_at_every_parse_limit_at_once(tmp_path, capsys, monkeypatch):
     # MAX_GENERATORS vertices in dimension MAX_DIM over Q(sqrt(BIG_K)), the
     # r and s parts of every coordinate with MAX_DIGITS-digit numerators and
     # denominators, and a point just outside a facet, so that the projection
-    # lies inside the facet, MAX_DIM vertices spanning it
-    d, m, digits = ser.MAX_DIM, ser.MAX_GENERATORS, ser.MAX_DIGITS
-    assert BIG_K <= ser.MAX_FIELD_K and Surd.root(BIG_K).k == BIG_K
-    rng = Random(1)
-
-    def coord():
-        return Surd(tall_fraction(rng, digits), tall_fraction(rng, digits), BIG_K)
-
-    P = VPolyhedron(tuple(Vector([coord() for _ in range(d)]) for _ in range(m)))
+    # lies inside the facet, MAX_DIM vertices spanning it: seed 1's instance
+    # of scripts/ab_separate.py's limits workload
+    spec = importlib.util.spec_from_file_location("ab_separate", ROOT / "scripts" / "ab_separate.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    assert ab.BIG_K == BIG_K <= ser.MAX_FIELD_K and Surd.root(BIG_K).k == BIG_K
+    path = tmp_path / "limits.json"
+    path.write_text(ser.dumps(ab.limit_instances(ratsep, 1, 1)[0]))
+    inst = ser.parse_instance(json.loads(path.read_text()))
+    P, y = inst.polyhedron, inst.point
     a, b = P.facet_description.facets[0]
     on = [v for v in P.vertices if (a.dot(v) - b).sign() == 0]
-    centroid = F(1, len(on)) * sum(on[1:], on[0])
-    # push by ~1000 along the normal, far above the rounding error of the
-    # sqrt(k) parts (< sqrt(k) / 10**(digits - 2) ~ 10), far below the
-    # coordinates (~10**6)
-    y = centroid + F(1000) / max(abs(x.r) + abs(x.s) * 10**6 for x in a) * a
-    y = Vector([Surd(rounded(x.r, digits), rounded(x.s, digits), BIG_K) for x in y])
-    assert len(on) == d and (a.dot(y) - b).sign() > 0
-    path = tmp_path / "limits.json"
-    path.write_text(ser.dumps(ser.instance_to_json(ser.Instance(polyhedron=P, point=y))))
+    assert len(P.vertices) == ser.MAX_GENERATORS and P.dim == ser.MAX_DIM and P.field_k == BIG_K
+    assert len(on) == ser.MAX_DIM and (a.dot(y) - b).sign() > 0
 
     # every exact Gram solve of the projection, which a walk over the
     # generator subsets would make by the thousand; membership and the
@@ -921,9 +918,8 @@ def test_separate_at_every_parse_limit_at_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["separate", "--instance", str(path)])
     elapsed = time.perf_counter() - start
     assert code == 0
-    inst = ser.parse_instance(json.loads(path.read_text()))
     cert = ser.parse_certificate(json.loads(out)["certificate"])
-    assert verify_certificate(inst.polyhedron, inst.point, cert)
+    assert verify_certificate(P, y, cert)
     assert elapsed < 60, f"separate at every parse limit took {elapsed:.1f}s (limit 60s)"
     assert 0 < len(solves) <= 50, f"the projection made {len(solves)} Gram solves"
 

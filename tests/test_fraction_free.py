@@ -69,7 +69,7 @@ def test_pair_sign_matches_surd_sign(k, a, b, d):
 @given(st.sampled_from([1, 2, 3, BIG_K]), INTS, INTS, INTS, INTS)
 @example(2, 7, -3, 1, 1)  # D = 1 + sqrt(2), of norm -1
 @example(2, 7, -3, 1, 2)  # D = 1 + 2*sqrt(2), of norm -7
-@example(2, 7, -3, 3, 2)  # D = 3 + 2*sqrt(2), of norm 1, which skips the division
+@example(2, 7, -3, 3, 2)  # D = 3 + 2*sqrt(2), of norm 1, a unit divisor
 @example(3, 7, 0, 5, 0)  # a rational D over Q(sqrt(3))
 def test_a_pivot_divides_out_a_product(k, a, b, c, d):
     # pivoting [[1, 0], [0, x*y]] on (0, 0) from D = y leaves the row [0, x]
@@ -385,7 +385,7 @@ def limit_rays(draw, k):
     rays = draw(st.lists(ray.filter(lambda r: not r.is_zero()), min_size=7, max_size=MAX_GENERATORS - 1))
     if draw(st.booleans()):
         g = Vector([draw(limit_part()) for _ in range(MAX_DIM)])
-        rays = [-r if g.dot_sign(r) > 0 else r for r in rays]
+        rays = [-r if g.dot(r).sign() > 0 else r for r in rays]
     return rays
 
 

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction as F
-from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -15,6 +14,7 @@ from ratsep import (
     Vector,
     VPolyhedron,
     separate,
+    support_value,
 )
 from ratsep.serialization import MAX_FIELD_K
 from ratsep.scalars import (
@@ -640,11 +640,10 @@ def test_vector_validation():
         lambda u, v: u + v,
         lambda u, v: u - v,
         lambda u, v: u.dot(v),
-        lambda u, v: u.dot_sign(v),
         lambda u, v: point_in_ball(u, v, 1),
         lambda u, v: Certificate(u, 1).excludes(v),
     ],
-    ids=["add", "sub", "dot", "dot_sign", "point_in_ball", "excludes"],
+    ids=["add", "sub", "dot", "point_in_ball", "excludes"],
 )
 def test_vector_dimension_mismatch_raises_the_library_error(call):
     with pytest.raises(DimensionMismatchError):
@@ -751,43 +750,6 @@ def test_vector_arithmetic_matches_coordinatewise_surds(operands):
             U + other
 
 
-@st.composite
-def dot_sign_operands(draw):
-    """(u, v): two vectors of one field."""
-    k = draw(st.sampled_from([1, 2, 1000003]))
-    dim = draw(st.integers(1, 6))
-
-    def surd():
-        s = draw(vector_parts) if k != 1 and draw(st.booleans()) else 0
-        return Surd(draw(vector_parts), s, k)
-
-    return Vector([surd() for _ in range(dim)]), Vector([surd() for _ in range(dim)])
-
-
-@given(dot_sign_operands())
-@example((Vector([F(1, 2**65), Surd.root(2)]), Vector([3, Surd.root(2)])))
-@example((Vector([Surd(1, 1, 2)]), Vector([Surd(-1, 1, 2)])))
-@example((Vector([F(1, 3)] * 6), Vector([3] * 6)))
-@example((Vector([Surd(1, 1, 2), 1]), Vector([1, Surd(-1, -1, 2)])))  # a zero
-def test_dot_sign_matches_surd_arithmetic(operands):
-    u, v = operands
-    expected = u.dot(v).sign()
-    calls = []
-    make = Surd._make
-    with patch.object(Surd, "_make", classmethod(lambda cls, *args: calls.append(args) or make(*args))):
-        got = u.dot_sign(v)
-    assert got == expected
-    assert calls == []
-
-
-def test_dot_sign_rejects_mixed_fields_and_dimensions():
-    sq2, sq3 = Surd.root(2), Surd.root(3)
-    with pytest.raises(ValueError):
-        Vector([sq2, 1]).dot_sign(Vector([sq3, 1]))
-    with pytest.raises(ValueError):
-        Vector([1, 1]).dot_sign(Vector([1, 1, 1]))
-
-
 def test_vector_arithmetic_builds_no_surd_per_coordinate(monkeypatch):
     sq2 = Surd.root(2)
     u = Vector([F(1, 3), sq2 * F(2, 5), 1 + sq2, F(-7, 4)])
@@ -805,5 +767,9 @@ def test_vector_arithmetic_builds_no_surd_per_coordinate(monkeypatch):
     assert calls == []
     u.dot(v)
     assert len(calls) == 1
+    # the ray tests of a support value are signs of integer pairs: only a
+    # finite value is built
+    assert support_value(X, u).is_finite and len(calls) == 2
+    assert not support_value(X, -u).is_finite and len(calls) == 2
     equations, facets = X.facet_description
-    assert len(calls) == 1 + len(equations) + len(facets)
+    assert len(calls) == 2 + len(equations) + len(facets)

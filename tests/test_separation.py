@@ -19,10 +19,10 @@ from ratsep import (
 from ratsep.scalars import choose_rational_between, point_in_ball, rational_in_ball
 from ratsep.serialization import MAX_DIM, MAX_GENERATORS
 from ratsep.separation import (
+    _norm_bound,
     bound_support_on_ball,
     compute_wedge_parameters,
     find_barrier_direction,
-    norm_upper,
     wedge_interior_ball,
 )
 from helpers import (
@@ -68,7 +68,7 @@ def test_barrier_direction_quadrant():
     assert d == Vector([-1, -1])
     assert eps == F(1, 2)
     for r in P.rays:
-        assert (d.dot(r) + Surd(eps * norm_upper(r))).sign() <= 0
+        assert (d.dot(r) + Surd(eps * surd_norm_upper(r))).sign() <= 0
 
 
 def test_barrier_direction_not_pointed():
@@ -83,7 +83,7 @@ def test_barrier_direction_surd_rays():
     assert d.is_rational
     assert eps > 0
     for r in P.rays:
-        assert (d.dot(r) + Surd(eps * norm_upper(r))).sign() <= 0
+        assert (d.dot(r) + Surd(eps * surd_norm_upper(r))).sign() <= 0
 
 
 def test_barrier_direction_random_cones():
@@ -94,7 +94,7 @@ def test_barrier_direction_random_cones():
         d, eps = find_barrier_direction(P)
         assert d.is_rational and eps > 0
         for r in P.rays:
-            assert (d.dot(r) + Surd(eps * norm_upper(r))).sign() <= 0
+            assert (d.dot(r) + Surd(eps * surd_norm_upper(r))).sign() <= 0
 
 
 # the 3-D set with rays of the layer bench, and the same set with one ray
@@ -113,15 +113,15 @@ BARRIER_SETS = {
 def fraction_barrier_direction(P):
     """``find_barrier_direction`` written with Fractions: t_lo is t* itself
     when rational, else a rational between t*/2 and t*, eps is
-    t_lo/(2 max norm_upper(r)), and every ray is audited by an exact sign."""
+    t_lo/(2 max surd_norm_upper(r)), and every ray is audited by an exact sign."""
     d_star, t_star = P._ray_margin
     if t_star.is_rational:
         t_lo = t_star.as_fraction()
     else:
         t_lo = choose_rational_between(t_star / 2, t_star)
-    eps = t_lo / (2 * max(norm_upper(r) for r in P.rays))
+    eps = t_lo / (2 * max(surd_norm_upper(r) for r in P.rays))
     d = rational_in_ball(d_star, eps)
-    assert all((d.dot(r) + eps * norm_upper(r)).sign() <= 0 for r in P.rays)
+    assert all((d.dot(r) + eps * surd_norm_upper(r)).sign() <= 0 for r in P.rays)
     return d, eps
 
 
@@ -399,8 +399,8 @@ def matches_reference(new, reference, *args):
 @example(Vector([F(3, 5), F(4, 5)]))
 @example(Vector([F(3, 10), F(2, 5)]))
 @example(Vector([Surd(0, F(1, 10**12), 1000003), 0]))
-def test_norm_upper_matches_surd_reference(v):
-    matches_reference(norm_upper, surd_norm_upper, v)
+def test_norm_bound_matches_surd_reference(v):
+    matches_reference(lambda v: F(*_norm_bound(v)), surd_norm_upper, v)
 
 
 @st.composite
@@ -596,7 +596,7 @@ def test_trace_inequality_chains():
             # upper chain: support stays below a third of ||y_bar||^2
             assert (nsq * F(1, 3) - sv.value).sign() >= 0
             # lower chain: <a, y_bar> >= ||y_bar||^2 - delta_hat * hi(||y_bar||)
-            bound = nsq - Surd(trace.delta_hat * norm_upper(y_bar))
+            bound = nsq - Surd(trace.delta_hat * surd_norm_upper(y_bar))
             assert (a.dot(y_bar) - bound).sign() >= 0
             # and the strict conclusion
             assert (a.dot(y_bar) - sv.value).sign() > 0

@@ -25,7 +25,6 @@ from ratsep import approximation, linalg, sets
 from ratsep.approximation import OuterApprox
 from ratsep.scalars import _pair_sign
 from ratsep.separation import find_barrier_direction
-from ratsep.sets import polar_cone_contains
 from helpers import (
     face_walk_project,
     facet_membership,
@@ -117,10 +116,20 @@ def test_is_pointed_agrees_with_margin_lp():
         assert pointed == margin_positive
 
 
-def test_polar_cone_contains():
-    assert polar_cone_contains((), Vector([5, -7]))
-    assert polar_cone_contains((Vector([1, 0]), Vector([0, 1])), Vector([-1, -1]))
-    assert not polar_cone_contains((Vector([1, 0]),), Vector([1, 0]))
+def test_support_value_is_finite_iff_no_ray_points_uphill():
+    origin = (Vector([0, 0]),)
+    assert support_value(VPolyhedron(origin), Vector([5, -7])).is_finite
+    quadrant = VPolyhedron(origin, (Vector([1, 0]), Vector([0, 1])))
+    assert support_value(quadrant, Vector([-1, -1])).is_finite
+    assert not support_value(VPolyhedron(origin, (Vector([1, 0]),)), Vector([1, 0])).is_finite
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_support_value_rejects_another_irrational_field_whichever_way_it_points(sign):
+    # the ray (1, 0) points uphill from (sqrt 3, 0) and downhill from (-sqrt 3, 0)
+    P = VPolyhedron((Vector([SQ2, 0]),), (Vector([1, 0]),))
+    with pytest.raises(ValueError, match=r"cannot mix sqrt\(3\) and sqrt\(2\)"):
+        support_value(P, Vector([sign * Surd.root(3), 0]))
 
 
 def test_membership_examples():
