@@ -75,7 +75,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("separate_rays", "separate_bigk")
 SWEEPS = "approx_sweep"
 LIMITS = "limits"
-# the largest square-free k at most serialization.MAX_FIELD_K: 2 * 499999999999
+# the largest square-free k at most scalars.MAX_FIELD_K: 2 * 499999999999
 BIG_K = 999_999_999_998
 # the distinct sweeps that perfbench/gen.py's approx_sweep makes
 MAX_SWEEPS = 101

@@ -30,7 +30,8 @@ approximation those of its cuts, each form one flat tuple of integers.
 Each line reads every form straight off it: a few integer products
 bound the line's integer coordinate, and two integer floor divisions
 bound its point index, with one integer square root before them only
-when the bound has a sqrt(k) part.  No Surd is built.  Apart from its
+when the bound has a sqrt(k) part, which no cut has, every cut being
+rational, and no facet over Q.  No Surd is built.  Apart from its
 lines a call does little: two stored dimensions read and compared, one
 lookup of each owner's kept forms, and the closing ``Fraction``; so a
 sweep of one-line grids, as ``perfbench``'s ``approx_sweep`` makes,
@@ -66,8 +67,8 @@ class GridSpec:
     """A rational 2-D grid: corner points and step, iterated x-major.
 
     Every number is an int or a Fraction: a float or a string raises
-    TypeError.  The grid is reduced to integers once, when it is made:
-    with g the least common denominator of the step h and the two
+    TypeError, and corners that are not 2-D or out of order ValueError.
+    With g the least common denominator of the step h and the two
     coordinates of ``mins``, h = H/g and ``mins`` = corner/g for an
     integer H > 0 and an integer pair corner, so grid value i along an
     axis is (corner + H*i)/g.  ``shape`` is (columns, rows), the count
@@ -109,14 +110,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OuterApprox:
-    """An ordered list of cuts, each exactly containing the target set.
-
-    Each cut is tested on its integer form (``Certificate.cleared``):
-    against the target when the approximation is made, and against a
-    point by ``excludes``, newest first, as ``outer_approximate`` does.
-    Like a set with its facets, it keeps its cuts' line forms per axis
-    order once the excess measure has built them from those integer
-    forms (``_forms``).
+    """An ordered list of cuts, each exactly containing the target set,
+    which is checked when it is made (``ValueError`` otherwise).
+    ``excludes`` tests a point against the cuts newest first, as
+    ``outer_approximate`` does.
     """
 
     target: VPolyhedron
@@ -137,12 +134,9 @@ def outer_approximate(
     """Run the separation oracle over the probes, keeping up to budget cuts.
 
     Probes already excluded by a stored cut, or else inside X, are
-    consumed without a new cut; otherwise a cut is generated.  The stored
-    cuts are tested newest first, since the last cut is the likeliest to
-    exclude the next probe of an ordered sweep; every order skips the
-    same probes, so the order saves tests and leaves the cuts as they
-    are.  The loop stops before a probe that would need a cut beyond the
-    budget, so every consumed exterior probe ends up excluded.  A budget
+    consumed without a new cut; otherwise a cut is generated.  The loop
+    stops before a probe that would need a cut beyond the budget, so
+    every consumed exterior probe ends up excluded.  A budget
     that is not an int (a bool included) raises ``TypeError``, and one
     below 1 ``ValueError``; so does a probe whose irrational field is not
     X's, wherever it stands among the probes.
@@ -173,22 +167,13 @@ def outer_approximate(
 def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fraction:
     """Fraction of grid points inside every cut but outside X (2-D, exact).
 
-    The grid is counted one line at a time, each line running along the
-    longer axis, so the cost grows with the shorter side.  On each line
-    every halfspace, cleared of its denominators by its maker, bounds the
-    point index j by q/B for an integer B > 0 and a pair q of Z[sqrt(k)],
-    both a few integer products of its line form (``_line_forms``) and
-    the line's coordinate (``_narrow``): j <= floor(q/B) when its
-    coefficient along the line is positive, j >= ceil(q/B) when that is
-    negative, and every point or none when it is 0.  The points inside
-    every cut are therefore one range, and the points inside X as well,
-    X being its facets and its equations (each one a pair of opposite
-    halfspaces).  A line adds the count of the first range minus the
-    count of its intersection with the second.
-    Every bound is an exact floor or ceiling on integers, so no point is
-    tested on its own, no Surd is built and nothing is rounded.  The
+    Each grid line runs along the longer axis, so the cost grows with
+    the shorter side.  On a line the points inside every cut form one
+    range, and the points inside X another (``_narrow``); the line adds
+    the count of the first minus the count of their intersection.  The
     count does not assume that the cuts contain X: ``approx.target`` may
-    be a larger set.
+    be a larger set.  Raises ``DimensionMismatchError`` unless both sets
+    are 2-D.
     """
     if X.dim != 2 or approx.target.dim != 2:
         raise DimensionMismatchError("the excess measure is 2-D only")
@@ -212,17 +197,12 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
 
 
 def _forms(owner: VPolyhedron | OuterApprox, axes: tuple[int, int]) -> list[tuple]:
-    """The line forms (``_line_forms``) of owner's halfspaces, built once
-    per owner object and axis order and kept on the owner: a set's facets
-    and equations, each equation as a pair of opposite halfspaces, or an
-    approximation's cuts, each the integer form its ``Certificate`` keeps
-    (``cleared``).  A facet or equation (a, b) is read as it is stored:
-    its parts are integers (``FacetDescription``), so a.m = 1 and b has
-    the denominator 1.
-
-    The kept forms are read with one lookup, ``owner._line_forms[axes]``;
-    only a miss, the owner's first call for that axis order, builds them
-    and, on the owner's first call at all, the dict that keeps them."""
+    """The line forms (``_line_forms``) of owner's halfspaces, kept on the
+    owner per axis order: a set's facets and equations, each equation as
+    a pair of opposite halfspaces, or an approximation's cuts.  A facet or
+    equation (a, b) is read as it is stored, with a.m = 1 and b over 1.
+    Only a miss of the one lookup ``owner._line_forms[axes]`` builds them,
+    and the owner's first call the dict that keeps them."""
     try:
         return owner._line_forms[axes]
     except (AttributeError, KeyError):
@@ -242,8 +222,7 @@ def _line_forms(halfspaces, axes: tuple[int, int], k: int) -> list[tuple]:
     integer pairs and an integer pair c, in a form that no grid enters,
     for lines along coordinate axes[1] of p.
 
-    The halfspace is divided by its coefficient A_t along the line and
-    by nothing else, its maker having cleared it of denominators.  For
+    The halfspace is divided by its coefficient A_t along the line.  For
     1/A_t = w/n with an integer n > 0 (``_pair_reciprocal``), so that
     A_t*w = n, the form is the flat tuple (sign, ca, cb, sa, sb, n) of
     the sign of A_t, the pair c*w = (ca, cb), the pair A_s*w = (sa, sb)
@@ -263,9 +242,9 @@ def _narrow(forms, line: tuple[int, int, int, int], lo: int, hi: int, k: int) ->
     """The points j in lo..hi of one grid line that satisfy every line
     form of ``_line_forms``; the range is empty when lo > hi.
 
-    The line is (g, x, Mt, H) in the grid's integer form (``GridSpec``):
-    its coordinate axes[0] is x/g, and its point j has coordinate axes[1]
-    y/g for the integer y = Mt + H*j.  A flat form (sign, ca, cb, sa, sb,
+    The line is (g, x, Mt, H): its coordinate axes[0] is x/g, and its
+    point j has coordinate axes[1] y/g for the integer y = Mt + H*j.  A
+    flat form (sign, ca, cb, sa, sb,
     n), with c*w = (ca, cb), A_s*w = (sa, sb) and A_t*w = n > 0, stands
     for the cleared halfspace A_s*p_s + A_t*p_t <= c, which times g
     reads A_s*x + A_t*y <= g*c.  Times w, whose sign is that of A_t, it
@@ -274,9 +253,8 @@ def _narrow(forms, line: tuple[int, int, int, int], lo: int, hi: int, k: int) ->
     j <= floor((floor(q/n) - Mt)/H) or j >= ceil((ceil(q/n) - Mt)/H),
     which equal floor((q/n - Mt)/H) and ceil((q/n - Mt)/H) since Mt and
     H > 0 are integers.  With sign 0 (A_t = 0, w = 1 and n = 0) it holds
-    on the whole line iff q >= 0.  A rational q is read with integer
-    floor divisions inline; only a q with a sqrt(k) part takes
-    ``_pair_floor`` or ``_pair_sign``.
+    on the whole line iff q >= 0.  Only a q with a sqrt(k) part takes
+    ``_pair_floor`` or ``_pair_sign``; a rational one is read inline.
     """
     g, x, Mt, H = line
     for sign, ca, cb, sa, sb, n in forms:

@@ -46,15 +46,10 @@ class Certificate:
     rational Vector so they dot exactly against field-valued points.
     beta is an int or a Fraction: a float or a string raises TypeError.
 
-    ``cleared`` is the cut without denominators, worked out once at
-    construction and neither compared nor shown: for a = A/a.m and
-    beta = n/q it is the row q*A and the bound n*a.m as integer pairs
-    (rational, so every sqrt(k) part is 0), A being the integer row of
-    first parts of ``a.pairs``.  It is the cut's one integer form:
-    ``excludes`` and ``contains`` read <a, x> > beta as the sign of
-    (sum q*A_i*Xa_i - n*a.m*x.m, sum q*A_i*Xb_i) for x = X/x.m with
-    X_i = (Xa_i, Xb_i), one path for every field; the excess measure takes
-    it as the cut's halfspace, and ``render_svg`` draws it.
+    ``cleared`` is the cut's one integer form (see the module docstring),
+    worked out once at construction and neither compared nor shown: for
+    a = A/a.m and beta = n/q it is the row q*A and the bound n*a.m as
+    integer pairs (rational, so every sqrt(k) part is 0).
     """
 
     a: Vector
@@ -74,16 +69,14 @@ class Certificate:
         object.__setattr__(self, "cleared", (normal, (beta.numerator * self.a.m, 0)))
 
     def contains(self, X: VPolyhedron) -> bool:
-        """Whether X lies in the halfspace: no ray r = R/r.m has
-        q*<A, R> > 0 and no vertex v = V/v.m has q*<A, V> > n*a.m*v.m, each
-        one sign on the cleared form (``cleared``)."""
+        """Whether X lies in the halfspace, one sign of ``cleared`` per
+        vertex and ray."""
         rows = [(r.pairs, 0) for r in X.rays] + [(v.pairs, v.m) for v in X.vertices]
         return all(self._side(x, m, X.field_k) <= 0 for x, m in rows)
 
     def excludes(self, p: Vector) -> bool:
-        """Whether p violates the cut strictly: <a, p> > beta, decided on
-        the cleared form as q*<A, P> - n*a.m*p.m > 0 for p = P/p.m
-        (``cleared``)."""
+        """Whether p violates the cut strictly, <a, p> > beta, one sign of
+        ``cleared``."""
         return self._side(p.pairs, p.m, p.field_k) > 0
 
     def _side(self, pairs, m: int, k: int) -> int:
@@ -159,7 +152,9 @@ def brute_force_separator(
     first a with finite support value sigma_X(a) < <a, y_tilde>, paired
     with a strictly-between rational bound.  Positive rescalings of an
     already-tested direction are skipped, since separation is invariant
-    under them.  Returns None when no bounded normal separates.
+    under them.  Returns None when no bounded normal separates.  A
+    max_den that is not an int (a bool included) raises ``TypeError``,
+    and one below 1 ``ValueError``.
     """
     if X.dim != 2 or y_tilde.dim != 2:
         raise DimensionMismatchError("the brute-force oracle is 2-D only")

@@ -91,19 +91,17 @@ def build_parser() -> _Parser:
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    return _inline_json(path, text)
 
 
-def _inline_json(flag: str, text: str):
+def _inline_json(what: str, text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{flag} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _load_instance(args) -> ser.Instance:

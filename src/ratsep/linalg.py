@@ -37,9 +37,8 @@ and every leading principal minor is positive; ``sets._face_point``
 scales its columns so that its rows are pairs with no common
 denominator.  ``solve_linear_system`` therefore pivots down the
 diagonal, one ``_pivot`` per unknown, with no row search, rank or
-consistency handling: a zero pivot, which that algebra rules out,
-raises ``SeparationBugError``.  It returns the solution as pairs over
-the last pivot entry, and the caller makes each weight once.
+consistency handling, and returns the solution as pairs over the last
+pivot entry, so the caller makes each weight once.
 
 The one LP the program solves is the margin LP of ``sets``, the
 pointedness test and the barrier step's direction, and
@@ -81,19 +80,10 @@ __all__ = ["simplex_max", "solve_linear_system"]
 
 def _pivot(T, r, c, D, k):
     """Fraction-free pivot of the rows ``T`` on entry (r, c), in place,
-    from the current pivot entry ``D``; returns the new one, p.  The rows
-    hold integer pairs of Z[sqrt(k)], or plain ints when D is an int.
-    Every row x other than r becomes (p*x - f*y) / D, where y is row r
-    and f the entry of x in column c, as the module docstring states:
-    afterwards every row is held over p.
-
-    Each row is rewritten in one pass.  Over an irrational D = c + e*sqrt(k),
-    conj(D) = c - e*sqrt(k) is folded into p once per pivot and into each
-    row's f once per row, so both parts of every new entry are integers
-    divided by the norm N = c*c - e*e*k of D, which may be negative; over
-    a rational D = (c, 0), N is c, and int rows are divided by D.  Every
-    division, by N = 1 or an int D = 1 too, is checked, a remainder
-    raising ``SeparationBugError``."""
+    from the current pivot entry ``D``; returns the new one, p, over which
+    every row is then held.  The rows hold integer pairs of Z[sqrt(k)], or
+    plain ints when D is an int.  The update and its one-pass division are
+    the module docstring's; a remainder raises ``SeparationBugError``."""
     prow = T[r]
     p = prow[c]
     if type(D) is int:
@@ -134,14 +124,10 @@ def _pivot(T, r, c, D, k):
 
 def solve_linear_system(T, k: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
     """(X, D) with x = X / D the one solution of the square system whose
-    rows [*row, b] of integer pairs of Z[sqrt(k)] are ``T``, when its
-    leading principal minors are all nonzero, as every positive definite
-    Gram system's are.
-
-    One ``_pivot`` per diagonal entry, in place and with no row search,
-    leaves every row held over the last pivot entry D with D in its own
-    diagonal column, so X_i is row i's right-hand side.  A zero pivot, a
-    zero leading minor, raises ``SeparationBugError``.
+    rows [*row, b] of integer pairs of Z[sqrt(k)] are ``T``, solved in
+    place down the diagonal when its leading principal minors are all
+    nonzero; a zero one raises ``SeparationBugError``.  Every row ends over
+    D with D in its own diagonal column, so X_i is row i's right-hand side.
     """
     D = (1, 0)
     for i in range(len(T)):
@@ -161,69 +147,46 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     does an empty list; rays of two dimensions raise
     ``DimensionMismatchError``.
 
-    The dictionary is built straight from each ray's pairs over r.m, in
-    the rays' own field: one row [r, -r, m | 0] per ray and the objective
-    row [0, ..., 0, 1 | 0], plain ints when every ray is rational and
-    integer pairs otherwise.  The box 0 <= p, q <= 1 is kept as bounds
-    (Dantzig's upper-bounding technique, Econometrica 23, 1955), not as
-    rows.  Labels are those of the textbook tableau with 2n box rows:
-    variable j < 2n + 1 is (p, q, t)_j, variable 2n + 1 + i the slack of
-    ray row i, and u_j = 1 - x_j, at 2n + 1 + R + j for j < 2n, the
-    slack of box row j; x_j and u_j are partners, and t and the ray
+    The dictionary of the module docstring has one row [r, -r, m | 0] per
+    ray, from its pairs over r.m, and the objective row
+    [0, ..., 0, 1 | 0]; ``basis`` and ``nonbasic`` label its rows and
+    columns.  Variable j < 2n + 1 is (p, q, t)_j, variable 2n + 1 + i the
+    slack of ray row i, and u_j = 1 - x_j, at 2n + 1 + R + j for j < 2n,
+    the slack of box row j; x_j and u_j are partners, and t and the ray
     slacks have none, which a list indexed by label, built once, holds
-    for the whole walk.  A column labelled u_j holds x_j at its upper
-    bound, a row whose basic variable is u_j holds 1 - x_j.  Swapping a
-    label for its partner, complementing, needs no division: a column is
-    negated and subtracted from every row's right-hand side, and a row
-    is negated, its right-hand side a becoming D - a.  The slack basis
-    is feasible from the start (every right-hand side is 0), so one
-    phase suffices.
-
-    The dictionary is fraction-free (Avis & Fukuda, Discrete Comput.
-    Geom. 8, 1992): one column per nonbasic variable plus the right-hand
-    side; ``basis`` and ``nonbasic`` label the rows and columns.  Every
-    row is held over D (see the module docstring), and a basic
-    variable's column in the full tableau is D times a unit vector, so
-    it is not stored.  Bland's rule: the entering column is the nonbasic
-    label of smallest index with positive reduced cost.  The leaving
-    candidates are the textbook tableau's: each row with a positive
-    entry, at its ratio and labelled with its basic variable; each row
-    with a negative entry whose basic variable has a partner, at
-    (D - a)/(-entry) and labelled with the partner, which sits in a box
-    row of the textbook tableau; and the entering column's own partner
-    at ratio 1, which sits in its box row with entry 1.  The least ratio
-    wins, ties going to the smallest label.  If the column's own partner
-    wins, the column is complemented, a bound flip: no pivot, and D does
-    not change, as the textbook pivot on an entry 1 leaves it.  If a
-    row's partner wins, the row is complemented first.  Complementing
-    negates a column of the constraint matrix and shifts the right-hand
+    for the whole walk.  Complementing a column negates it and subtracts
+    it from every row's right-hand side; complementing a row negates it,
+    its right-hand side a becoming D - a.  Either shifts the right-hand
     side by an integer column, so every entry is still a minor and every
-    division of ``_pivot`` still exact.  Then a pivot on (r, c) is
-    ``_pivot`` on the dictionary, objective included, after which column
-    c becomes the leaving variable's column of the full tableau: the
-    previous D in row r and -f in every other row, where f was that
-    row's entry of column c.  Both dictionaries hold the same basis, so
-    each row and the objective are the same function of the nonbasic
-    variables, and every candidate has the same ratio and label: the
-    pivots, bound flips counted as pivots, and the optimum are those of
-    the textbook tableau (``tests/helpers.surd_margin_lp``).  Bland's
-    rule never repeats a basis, so it takes no more steps, bound flips
-    counted, than that tableau's R + 2n rows over R + 4n + 1 variables
-    have bases, C(R + 4n + 1, R + 2n); a step past that bound, like a
-    missing leaving candidate where the box bounds the LP, is a fault
-    and raises ``SeparationBugError``.  So is a repeated basis.  The
-    nonbasic labels, which also say which variables sit at their upper
-    bound, name the textbook tableau's basis: it is the labels they
-    leave out, the basic labels of the dictionary among them.  Each step
-    records them as one bitmask, so a fault that makes the walk cycle
-    raises at its first repeated basis rather than after the bound,
-    which is 2,310,789,600 steps at the parse limits (n = 6 and
-    R = 11).  Every pivot entry is positive
-    over the previous one, so D stays positive: signs of stored entries
-    are true signs, and two ratios, each taken within its own row and so
-    free of D, compare by cross-multiplication.  The solution holds each
-    x_j over D: T_i for a basic x_j, D - T_i for a basic u_j, D for a
-    nonbasic u_j and 0 for any other.
+    division of ``_pivot`` exact.  The slack basis is feasible from the
+    start (every right-hand side is 0), so one phase suffices.
+
+    The entering column is the nonbasic label of smallest index with
+    positive reduced cost.  The leaving candidates are each row with a
+    positive entry, at its ratio and labelled with its basic variable;
+    each row with a negative entry whose basic variable has a partner,
+    at (D - a)/(-entry) and labelled with the partner; and the entering
+    column's own partner at ratio 1.  The least ratio wins, ties going
+    to the smallest label, and two ratios compare by cross-multiplication.
+    If the column's own partner wins, the column is complemented, with no
+    pivot and D unchanged, as the textbook pivot on its entry 1 leaves it.
+    If a row's partner wins, the row is
+    complemented first.  A pivot on (r, c) is ``_pivot`` on the
+    dictionary, objective included, after which column c becomes the
+    leaving variable's column of the full tableau: the previous D in row
+    r and -f in every other row, where f was that row's entry of column c.
+
+    Bland's rule never repeats a basis, so it takes no more steps, bound
+    flips counted, than the textbook tableau's R + 2n rows over
+    R + 4n + 1 variables have bases, C(R + 4n + 1, R + 2n); a step past
+    that bound, a missing leaving candidate where the box bounds the LP,
+    or a repeated basis raises ``SeparationBugError``.  The nonbasic
+    labels name the textbook tableau's basis, the labels they leave out,
+    and each step records them as one bitmask, so a walk that cycles
+    raises at its first repeated basis rather than after the bound, which
+    is 2,310,789,600 steps at the parse limits (n = 6 and R = 11).  The
+    solution holds each x_j over D: T_i for a basic x_j, D - T_i for a
+    basic u_j, D for a nonbasic u_j and 0 for any other.
     """
     if not rays:
         raise ValueError("the margin LP needs at least one ray")

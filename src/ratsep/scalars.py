@@ -8,19 +8,18 @@ and nothing is ever rounded; ``math.floor`` and ``math.ceil`` of a
 ``Surd`` are exact too, by one integer square root.  Every Surd is kept
 in one canonical form (Cohen, "A Course in Computational Algebraic
 Number Theory", 1993, section 5.1), so equality and hashing compare
-integers.  ``k`` is checked where it enters, by ``_check_field``: the
-public ``Surd`` constructor and ``Surd.root`` check it on every call, and
-the JSON parser, which first bounds it by ``serialization.MAX_FIELD_K``,
-checks each distinct k once per parsed document.
-Arithmetic results inherit the already-checked ``k`` of their operands,
-ints and Fractions enter as rationals without that check, and
+integers.  ``k`` is checked where it enters, by ``_check_field``, which
+bounds it by ``MAX_FIELD_K`` before its square-free test, so no k can
+hang it: the public ``Surd`` constructor and ``Surd.root`` check it on
+every call, and the JSON parser checks each distinct k once per parsed
+document.  Arithmetic results inherit the already-checked ``k`` of their
+operands, ints and Fractions enter as rationals without that check, and
 ``Surd._k_with`` is the one rule for combining two fields.  A ``Vector``
 applies it once, when it is built, and carries the result as ``field_k``.
-Square roots of field elements usually fall outside the field;
-``sqrt_enclosure`` brackets them between rationals whenever a bound is
-all that is needed, and ``rational_in_ball`` / ``choose_rational_between``
-produce exact rational witnesses inside open regions, which is how
-irrational data gets turned into rational certificates.
+Square roots of field elements usually fall outside the field, and
+``rational_in_ball`` / ``choose_rational_between`` produce exact
+rational witnesses inside open regions, which is how irrational data
+gets turned into rational certificates.
 
 The exact kernels (the pivot of ``linalg``, and Wolfe's Gram systems
 and the double description of ``sets``) compute with integer pairs
@@ -30,26 +29,20 @@ denominators, with no Surd built, signs are read off integers, exact
 divisions are checked, and a pair over a denominator is a Surd again.
 ``_surd_parts`` is the one reader of a single number into integers, and
 the ``Vector`` constructor, built on it, the one reader of a row, which
-reads a ``Vector`` through its coordinates like any other row.  A
-``Vector`` keeps its coordinates as one such row over its least
-denominator, so sums, scalings and dot products build no Surd per
-coordinate, and a sign of <u, v> read off ``_pair_dot`` builds none at
-all.
-The pair helpers live here, beside ``Surd``, which reads its own sign
-with ``_pair_sign`` and its floor with ``_pair_floor``.  One reader of a
-positive rational argument, ``_positive``, is behind every "must be
-positive" check of a tolerance, radius, bound or grid step; like every
-reader of an exact rational, it takes an int or a Fraction and raises
-``TypeError`` for a bool.
+reads a ``Vector`` through its coordinates like any other row.  Sums,
+scalings and dot products of Vectors run on the pairs with no Surd per
+coordinate, and a sign of <u, v> read off ``_pair_dot`` builds none.  ``Surd``
+reads its own sign with ``_pair_sign`` and its floor with
+``_pair_floor``.  One reader of a positive rational argument,
+``_positive``, is behind every "must be positive" check of a tolerance,
+radius, bound or grid step; like every reader of an exact rational, it
+takes an int or a Fraction and raises ``TypeError`` for a bool.
 
 Two private kernels turn field elements into rationals, each written
-once on integers and shared by every caller.  ``_sqrt_bounds``, the
-enclosure kernel, brackets sqrt((a + b*sqrt(k))/d) by n/2**j and
-(n + 1)/2**j, or returns it exactly when it is rational.
-``_rational_between``, the rounding kernel, picks a rational strictly
-between two field elements given as integers, by a continued-fraction
-walk that ends by a proven bound.  Both return integers and build no
-Surd and no Fraction.
+once on integers, returning integers and building no Surd and no
+Fraction: ``_sqrt_bounds``, the enclosure kernel, and
+``_rational_between``, the rounding kernel.  The pipeline reads
+``_sqrt_bounds`` directly, and ``sqrt_enclosure`` is its public front.
 """
 
 from __future__ import annotations
@@ -115,10 +108,20 @@ def _is_square_free(k: int) -> bool:
     return m == 1 or root * root != m
 
 
+# The largest field k.  Its square-free check then costs at most
+# ~MAX_FIELD_K**(1/3) = 10**4 trial divisions (~3 ms); without a bound a
+# huge k would hang it.
+MAX_FIELD_K = 10**12
+
+
 def _check_field(k: int) -> None:
-    """Raise ``ValueError`` unless the int k is 1 or positive and square-free."""
+    """Raise ``ValueError`` unless the int k is 1, or positive, at most
+    ``MAX_FIELD_K`` and square-free, the bound checked first.  No message
+    echoes k, which may be of any size."""
+    if k > MAX_FIELD_K:
+        raise ValueError(f"field k must be at most {MAX_FIELD_K}")
     if k != 1 and not _is_square_free(k):
-        raise ValueError(f"k must be positive and square-free, got {k}")
+        raise ValueError("k must be positive and square-free")
 
 
 @total_ordering
@@ -126,9 +129,7 @@ class Surd:
     """An element ``(a + b*sqrt(k)) / d`` of the real quadratic field Q(sqrt(k)).
 
     ``a``, ``b`` and ``d`` are integers and ``k`` is a positive
-    square-free integer; the constructor and ``root`` check ``k``, and
-    arithmetic results inherit the checked ``k`` of their operands without
-    checking it again.  Every value is kept in one canonical form:
+    square-free integer.  Every value is kept in one canonical form:
     ``d > 0``, ``gcd(a, b, d) == 1``, and ``b == 0`` (a rational value)
     implies ``k == 1``.  So two Surds are equal iff a, b, d and k agree,
     and a rational Surd hashes like its Fraction.  ``r`` and ``s`` are
@@ -142,8 +143,7 @@ class Surd:
     __slots__ = ("a", "b", "d", "k")
 
     def __init__(self, r: Rationalish = 0, s: Rationalish = 0, k: int = 1):
-        r = _fraction(r)
-        s = _fraction(s)
+        r, s = _fraction(r), _fraction(s)
         if not isinstance(k, int) or isinstance(k, bool):
             raise TypeError(f"k must be an int, got {type(k).__name__}")
         _check_field(k)
@@ -449,10 +449,8 @@ class Vector:
     coordinates embed in any Q(sqrt(k)); two coordinates with different
     irrational parts are rejected.  As m is least, the form is canonical
     (the gcd of m and every a and b is 1), so equality and hashing compare
-    integers, and sums, differences, scalings and dot products run on
-    the pairs with no Surd built per coordinate.  The pairs are all a
-    vector stores: ``coords``, iteration and indexing build the
-    coordinates as Surds from them on each read.
+    integers.  The pairs are all a vector stores: ``coords``, iteration
+    and indexing build the coordinates as Surds from them on each read.
     """
 
     __slots__ = ("m", "pairs", "field_k")
@@ -636,7 +634,7 @@ def _sqrt_bounds(a: int, b: int, d: int, k: int, j: int) -> tuple[int, int, int]
     lowest terms is r**2/s**2, it is (r, r, s), whatever form (a, d) the
     caller holds.  Otherwise it is the dyadic interval (n, n + 1, 2**j) for
     n = floor(sqrt(x) * 2**j) = isqrt(floor(x * 4**j)), the floor being
-    ``_pair_floor`` of the pair (a*4**j, b*4**j) over d.  Integers only.
+    ``_pair_floor`` of the pair (a*4**j, b*4**j) over d.
     """
     if not b:
         g = gcd(a, d)
@@ -654,9 +652,9 @@ def sqrt_enclosure(x: Surd | Rationalish, tol: Rationalish) -> tuple[Fraction, F
     Perfect squares of rationals are returned exactly, as (r, r).
     Otherwise the enclosure is the dyadic interval [n/2**j, (n + 1)/2**j]
     for the smallest j >= 0 with 2**-j <= tol, where
-    n = floor(sqrt(x) * 2**j).  Both come from ``_sqrt_bounds``, the one
-    enclosure kernel; this function only checks x and tol and finds j.
-    Deterministic in (x, tol).
+    n = floor(sqrt(x) * 2**j), both from the enclosure kernel
+    ``_sqrt_bounds``.  Deterministic in (x, tol); a negative x or a tol
+    that is not positive raises ``ValueError``.
     """
     a, b, d, k = _surd_parts(x)
     tol = _positive(tol, "tol")
@@ -697,15 +695,11 @@ def rational_in_ball(center: Vector, radius: Rationalish) -> Vector:
     strictly between x - p/q and x + p/q for the per-coordinate budget
     p/q = min(radius/(2n), radius**2), taken for radius = u/v by cross
     multiplication as u/(2n*v) when v <= 2n*u, else u**2/v**2: the
-    rounding kernel ``_rational_between`` (the one behind
-    ``choose_rational_between``) runs on the integer ends (a*q - p*m, b*q)
-    and (a*q + p*m, b*q) over m*q, with no Surd built, and returns x
-    itself when x is rational, else r + s*w for the first
-    continued-fraction convergent w of sqrt(k) that lands inside.  The
-    kernel reads only the values of the ends, so p/q need not be in
-    lowest terms.  The point is one ``Vector._make`` of the kernel's
-    (num, den) over the lcm of the dens.  The closing check
-    ``point_in_ball`` is an exact sign.  Deterministic in (center, radius).
+    rounding kernel runs on the integer ends (a*q - p*m, b*q) and
+    (a*q + p*m, b*q) over m*q, whose values alone it reads, so p/q need
+    not be in lowest terms.  The point is one ``Vector._make`` of the
+    kernel's (num, den) over the lcm of the dens, and ``point_in_ball``
+    checks it.  Deterministic in (center, radius).
     """
     radius = _positive(radius, "radius")
     if center.is_rational:
@@ -732,10 +726,8 @@ def choose_rational_between(lo: Surd | Rationalish, hi: Surd | Rationalish) -> F
     The midpoint is returned when it is rational; otherwise the
     midpoint's sqrt(k) part is walked through continued-fraction
     convergents until the resulting rational falls strictly inside.
-    Deterministic in (lo, hi).  This function reads the integers of lo
-    and hi and hands them to ``_rational_between``, the one rounding
-    kernel, and builds one Fraction from its integers.  Raises
-    ``ValueError`` unless lo < hi.
+    Deterministic in (lo, hi); the rounding kernel ``_rational_between``
+    finds it.  Raises ``ValueError`` unless lo < hi.
     """
     la, lb, ld, lk = _surd_parts(lo)
     ha, hb, hd, hk = _surd_parts(hi)
@@ -752,12 +744,10 @@ def _rational_between(
     It first checks lo < hi, as the sign of (hi - lo)*ld*hd =
     Wa + Wb*sqrt(k), and raises ``ValueError`` otherwise, so no walk
     starts that could not end.  The midpoint is (A + B*sqrt(k))/E for
-    A = la*hd + ha*ld, B = lb*hd + hb*ld and E = 2*ld*hd; it is returned
-    when B = 0.  Else the candidate for a convergent h/q of sqrt(k) is (A*q + B*h)/(E*q),
-    and each side is decided by one ``_pair_sign`` of cross-multiplied
-    integers.  The result's value depends only on the values of lo and
-    hi, and no Fraction is built: each caller builds at most one, from
-    these integers or from what it computes with them.
+    A = la*hd + ha*ld, B = lb*hd + hb*ld and E = 2*ld*hd, and the candidate
+    for a convergent h/q of sqrt(k) is (A*q + B*h)/(E*q), each side
+    decided by one ``_pair_sign`` of cross-multiplied integers.  The
+    result's value depends only on the values of lo and hi.
 
     The walk is bounded.  Every convergent has |h/q - sqrt(k)| < 1/q**2,
     so the candidate is within |B|/(E*q**2) of the midpoint, strictly

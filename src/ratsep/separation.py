@@ -96,10 +96,9 @@ def _norm_bound(v: Vector) -> tuple[int, int]:
     """A rational upper bound hi/den on ||v|| at the pipeline's fixed
     tolerance, as integers (hi, den), den > 0.
 
-    It is the upper end of ``scalars._sqrt_bounds``, the enclosure kernel
-    of ``sqrt_enclosure``, on the pair <v.pairs, v.pairs> over v.m**2:
-    ||v|| itself when it is rational, else the dyadic bound at
-    ``NORM_ENCLOSURE_TOL``.  No Surd, interval or Fraction is built.
+    It is the upper end of the enclosure kernel on the pair
+    <v.pairs, v.pairs> over v.m**2: ||v|| itself when it is rational, else
+    the dyadic bound at ``NORM_ENCLOSURE_TOL``.
     """
     k = v.field_k
     a, b = _pair_dot(v.pairs, v.pairs, k)
@@ -112,8 +111,7 @@ def _rational_in(x: tuple[int, int], d: int, lo: tuple, hi: tuple, k: int) -> tu
     as integers (num, den) with den > 0.
 
     x is a pair (a, b) over d > 0, and lo < hi are (a, b, d) triples, all
-    in Q(sqrt(k)); the rational comes from ``scalars._rational_between``,
-    the rounding kernel of ``choose_rational_between``.
+    in Q(sqrt(k)), as the rounding kernel reads them.
     """
     if not x[1]:
         return x[0], d
@@ -161,22 +159,18 @@ def find_barrier_direction(P: VPolyhedron) -> tuple[Vector, Fraction]:
 
     That is a (deliberately stronger, enclosure-friendly) witness that
     the ball d + eps*B lies in the barrier cone of P.  With no rays the
-    barrier cone is all of space and (0, 1) is returned.  Otherwise it
-    reads P's margin LP (``is_pointed``'s, solved once per set object):
-    the largest t with <d, r_i> <= -t over the box ||d||_inf <= 1,
-    positive iff the ray cone is pointed.  The LP optimum
-    may be irrational, so it is snapped to a rational point close enough
-    that a budgeted share of the margin absorbs both the snap and eps;
-    the final inequalities are then re-checked exactly.
-
-    It runs on integers.  The margin's rational lower bound t_lo = tn/td
-    comes from the rounding kernel and each ray's norm bound b/c from
-    ``_norm_bound``; the largest b/c is picked by cross multiplication,
-    and eps = t_lo/(2 b/c) is the one Fraction tn*c over 2*td*b.  For
-    eps = p/q and a ray's bound b/c, the audit's <d, r> + eps*b/c <= 0,
+    barrier cone is all of space and (0, 1) is returned.  Otherwise the
+    margin t of P's margin LP, the largest t with <d, r_i> <= -t over the
+    box ||d||_inf <= 1, is positive iff the ray cone is pointed, and
+    ``NotPointedError`` is raised when it is not.  The LP optimum may be
+    irrational, so it is snapped to a rational point close enough that a
+    budgeted share of the margin absorbs both the snap and eps:
+    eps = t_lo/(2 b/c) = tn*c over 2*td*b, for the margin's rational lower
+    bound t_lo = tn/td and the largest ray bound b/c.  The inequalities
+    are then re-checked exactly: for eps = p/q, <d, r> + eps*b/c <= 0,
     times q*c*d.m*r.m > 0, is the sign of the pair
-    q*c*<d.pairs, r.pairs> + p*b*d.m*r.m; d is rational, so P's field
-    reads it.  A ray outside the ball's cone raises ``SeparationBugError``.
+    q*c*<d.pairs, r.pairs> + p*b*d.m*r.m, read in P's field as d is
+    rational.  A ray outside the ball's cone raises ``SeparationBugError``.
     """
     rays = P.rays
     if not rays:
@@ -217,21 +211,17 @@ def bound_support_on_ball(X: VPolyhedron, z: Vector, d: Vector, eps: Fraction) -
     Raises ``DimensionMismatchError`` when z or d differs from X in
     dimension.
 
-    Everything runs on the vectors' integer pairs.  For eps = p/q, the
-    pair t = <d.pairs, r.pairs> and N = <r.pairs, r.pairs>, the two tests
-    are the sign of t, that of <d, r>, and the sign of p^2 d.m^2 N - q^2 t^2,
-    which is eps^2 ||r||^2 - <d, r>^2 times q^2 d.m^2 r.m^2 > 0.  For a
-    vertex v = V/v.m, z = Z/z.m and d = D/d.m, <d, v - z> is the pair
+    For eps = p/q, the pair t = <d.pairs, r.pairs> and
+    N = <r.pairs, r.pairs>, the two tests are the sign of t, that of
+    <d, r>, and the sign of p^2 d.m^2 N - q^2 t^2, which is
+    eps^2 ||r||^2 - <d, r>^2 times q^2 d.m^2 r.m^2 > 0.  For a vertex
+    v = V/v.m, z = Z/z.m and d = D/d.m, <d, v - z> is the pair
     z.m<D, V> - v.m<D, Z> over d.m*v.m*z.m, with <D, Z> taken once, and
-    ||v - z||^2 is <W, W> over (v.m*z.m)^2 for W = z.m*V - v.m*Z
-    (``_pair_distance_sq``).  Both go unreduced to the rounding and
-    enclosure kernels, which read only their values: <d, v - z> is
-    rounded up to xn/xd, and eps times the norm bound hi/h is added, kept
-    as the integers (xn*q*h + p*hi*xd) over xd*q*h.  A zero d, which
-    ``find_barrier_direction`` returns for every set without rays, has
-    <d, v - z> = 0 = 0/1, so <D, Z>, <D, V> and their rounding are
-    skipped.  Terms compare by cross multiplication, and the one Fraction
-    built is the returned bound.
+    ||v - z||^2 is <W, W> over (v.m*z.m)^2 for W = z.m*V - v.m*Z.  Both go
+    unreduced to the rounding and enclosure kernels, which read only
+    their values: <d, v - z> is rounded up to xn/xd, and eps times the
+    norm bound hi/h is added, kept as the integers (xn*q*h + p*hi*xd) over
+    xd*q*h.  Terms compare by cross multiplication.
     """
     if not X.dim == d.dim == z.dim:
         raise DimensionMismatchError("direction or offset dimension does not match the set")
@@ -280,14 +270,12 @@ def compute_wedge_parameters(
     relies on while keeping all downstream arithmetic rational.
 
     ||y_bar||^2 is the one pair N = <y_bar.pairs, y_bar.pairs> over
-    y_bar.m^2.  q comes from the rounding kernel on [3N/4, N] as
-    integers, and delta_hat from the enclosure kernel at j = 2, 3, ...
-    until its lower end is positive, which is the enclosure at
-    tol = 1/4, 1/8, ...  alpha, eps_bar and delta_hat are each one
-    Fraction built from integers, and d_bar is d's pairs times alpha's
-    numerator over d.m times its denominator (``Vector._make``); written
-    as ``alpha * d`` and ``alpha * eps`` they cost ~3% more of a call
-    over Q(sqrt 1000003).
+    y_bar.m^2.  q comes from the rounding kernel on [3N/4, N], and
+    delta_hat from the enclosure kernel at j = 2, 3, ... until its lower
+    end is positive, which is the enclosure at tol = 1/4, 1/8, ...  d_bar
+    is d's pairs times alpha's numerator over d.m times its denominator;
+    written as ``alpha * d`` and ``alpha * eps`` they cost ~3% more of a
+    call over Q(sqrt 1000003).
     Raises ``DimensionMismatchError`` when y_bar and d differ in
     dimension, and ``ValueError`` for a zero y_bar, M <= 0 or eps <= 0.
     """
@@ -325,17 +313,13 @@ def wedge_interior_ball(
     (lam, center, radius), the radius half the mixed ball's,
     lam * eps_bar / 2 exactly, so that even the doubled ball stays
     inside -- the slack that lets a nearby rational point be taken later
-    without leaving the wedge; ``separate``'s trace records this lam.
-    The norm bound hi/h is the one ``_norm_bound`` gives, the enclosure
-    kernel's on ||d_bar - x0||^2, which ``_pair_distance_sq`` reads off
-    the two vectors' pairs over (d_bar.m x0.m)^2 with no difference
-    Vector built, so lam is one Fraction of integers,
-    delta_hat * h * eps_bar.den over
-    (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den, and 1 when
-    that numerator is not below the denominator.  For lam =
-    P/Q the center is one integer combination of the pairs,
+    without leaving the wedge.  hi/h is the enclosure kernel's bound at
+    ``NORM_ENCLOSURE_TOL`` on ||d_bar - x0||^2, a pair over
+    (d_bar.m x0.m)^2, so lam is delta_hat * h * eps_bar.den over
+    (hi * eps_bar.den + eps_bar.num * h) * delta_hat.den, or 1 when that
+    numerator is not below the denominator.  For lam = P/Q the center is
     ((Q - P) d_bar.m x0.pairs + P x0.m d_bar.pairs) over Q x0.m d_bar.m,
-    and the radius one Fraction, P eps_bar.num over 2 Q eps_bar.den.
+    and the radius P eps_bar.num over 2 Q eps_bar.den.
     Raises ``DimensionMismatchError`` when x0 and d_bar differ in
     dimension.
     """
@@ -371,8 +355,7 @@ def separate(X: VPolyhedron, y_tilde: Vector) -> tuple[Certificate, SeparationTr
     Once the input has passed validation, a ``ValueError`` from any later
     step (a ``NotPointedError`` from the barrier step included) is such a
     bug too, and is raised again as SeparationBugError with the fields
-    computed so far.  The trace's lam, center and radius are
-    ``wedge_interior_ball``'s.
+    computed so far.
     """
     if X.dim != y_tilde.dim:
         raise DimensionMismatchError("point dimension does not match the set")

@@ -53,11 +53,6 @@ __all__ = [
 ]
 
 
-# The largest field k the parser accepts.  Its square-free check then costs
-# at most ~MAX_FIELD_K**(1/3) = 10**4 trial divisions (~3 ms), run once per
-# distinct k of a parsed instance, set or vector, not once per coordinate;
-# without a bound a huge k would hang the parse.
-MAX_FIELD_K = 10**12
 # The largest dimension d and generator count m (vertices plus rays) of a
 # parsed set.  The facet count can grow like m**(d // 2), but ``separate``
 # builds no facet description: ``project`` visits corrals of at most d + 1
@@ -80,8 +75,9 @@ MAX_GENERATORS = 12
 # drifts between runs), and ~0.014-0.018 s with the 12 cuts of a
 # 12-vertex set over Q(sqrt 999999999998) with MAX_DIGITS-digit parts,
 # whose canonical facet normals (parts of at most 286 bits) set the size
-# of the integer square root of each line's bound (2-core machine,
-# Python 3.11).
+# of the integer square root of each line's bound; with a gcd alone the
+# double description grew them to 13017 bits, and the same count took
+# ~1.2-1.5 s (2-core machine, Python 3.11).
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any
@@ -95,14 +91,21 @@ MAX_GRID_POINTS = 10**5
 MAX_PROBES = 500
 # The most digits of each numerator and denominator (of r and s alike) in
 # the coordinates of an input set, point or probe; certificates and traces,
-# which ``separate`` makes taller, are not bounded.  7 admits the cyclic
-# polytope above (11**6).  At every limit at once (k = 999999999998, a point
-# just outside a facet) ``separate`` takes ~0.12-0.22 s, 25-60% of it in one
-# projection of 5-9 exact Gram solves, which membership and ``project``
-# share, ~0.006 s over Q (best of 3 on seeds 0-2 of ``scripts/ab_separate.py
-# --workload limits``); ``approximate`` on a 2-D set of 12 such vertices took
-# ~0.11-0.19 s for 500 probes, 12 cuts at ~2.5-4 ms each, and the whole
-# run with its excess measure on 10**5 points ~0.16-0.22 s (same machine).
+# which ``separate`` makes taller, are not bounded.  7 is the least bound
+# that admits the cyclic polytope above (11**6 has 7 digits).  At every
+# limit at once (k = 999999999998, a point just outside a facet)
+# ``separate`` takes ~0.12-0.22 s, 25-60% of it in one projection of 5-9
+# exact Gram solves, which membership and ``project`` share, ~0.006 s over
+# Q (best of 3 on seeds 0-2 of ``scripts/ab_separate.py --workload
+# limits``).  On the 2-D set of 12 such vertices of
+# ``test_cli::test_approximate_at_every_parse_limit_at_once``, ``approximate``
+# on its 500 probes near the edges makes 12 cuts in ~0.05 s, each
+# ``separate`` ~1.1-1.6 ms as it reuses the projection of the membership
+# test before it, with 3254 tests of probes against stored cuts at ~8-11 us
+# each on integers that large; a public ``membership`` query on a new point
+# costs one projection, ~0.8-0.9 ms; the whole run, its excess measure on
+# 10**5 points included, takes ~0.07-0.085 s (7 runs in-process, same
+# machine).
 MAX_DIGITS = 7
 
 
@@ -189,16 +192,19 @@ def coord_to_json(c: Surd):
 
 
 def _field(k, fields: set[int]) -> int:
-    """k, checked as a declared field: an integer, at most ``MAX_FIELD_K``,
-    then square-free.  The square-free test runs only for a k not yet in
-    ``fields``, the fields already checked in the document being read, and
-    adds k to it."""
+    """k, checked as a declared field: an integer, then by
+    ``scalars._check_field``, which bounds it by ``scalars.MAX_FIELD_K``
+    before its square-free test, its message showing k as ``_shown`` does.
+    That check runs only for a k not yet in ``fields``, the fields already
+    checked in the document being read, and adds k to it, so it runs once
+    per distinct k of a parsed instance, set or vector."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"field k must be an integer, got {_shown(k)}")
-    if k > MAX_FIELD_K:
-        raise ValueError(f"field k must be at most {MAX_FIELD_K}, got {_shown(k)}")
     if k not in fields:
-        _check_field(k)
+        try:
+            _check_field(k)
+        except ValueError as exc:
+            raise ValueError(f"{exc}, got {_shown(k)}") from exc
         fields.add(k)
     return k
 

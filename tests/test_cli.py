@@ -618,6 +618,25 @@ def test_bad_inline_json_exit_1(tmp_path, capsys, argv, message):
     assert message in err
 
 
+# a list nested past the interpreter's recursion limit: malformed input,
+# though json's decoder raises RecursionError on it
+DEEP_LIST = "[" * 100000 + "]" * 100000
+
+
+def test_an_inline_point_nested_too_deep_exit_1(capsys):
+    code, out, err = run(capsys, ["counterexample", "--point", DEEP_LIST])
+    assert code == 1 and out == ""
+    assert "--point is not valid JSON" in err
+
+
+def test_an_instance_point_nested_too_deep_exit_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"set": {"vertices": [["0", "0"]]}, "point": ' + DEEP_LIST + "}", encoding="utf-8")
+    code, out, err = run(capsys, ["separate", "--instance", str(path)])
+    assert code == 1 and out == ""
+    assert f"{path} is not valid JSON" in err
+
+
 def fail_if_called(*args):
     raise AssertionError("an input over a parse limit reached the computation")
 
@@ -892,7 +911,7 @@ def test_separate_at_every_parse_limit_at_once(tmp_path, capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("ab_separate", ROOT / "scripts" / "ab_separate.py")
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
-    assert ab.BIG_K == BIG_K <= ser.MAX_FIELD_K and Surd.root(BIG_K).k == BIG_K
+    assert ab.BIG_K == BIG_K <= ratsep.scalars.MAX_FIELD_K and Surd.root(BIG_K).k == BIG_K
     path = tmp_path / "limits.json"
     path.write_text(ser.dumps(ab.limit_instances(ratsep, 1, 1)[0]))
     inst = ser.parse_instance(json.loads(path.read_text()))

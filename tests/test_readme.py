@@ -1,5 +1,7 @@
-"""The README's CLI block runs as written.
+"""The README's module table and CLI block.
 
+The module table names every module of the package, each row short
+enough to point to the module's docstring rather than restate it.
 Each JSON block of the README's CLI section is written to the file named
 last in backticks before it, and each line of the section's shell block
 then runs in-process from that directory: ``ratsep ...`` through
@@ -8,25 +10,37 @@ then runs in-process from that directory: ``ratsep ...`` through
 """
 
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import ratsep
 from ratsep import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ratsep.__path__, "ratsep."))
 
 
-def cli_section() -> str:
+def section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_module_table_names_every_module_in_short_rows():
+    # past the header row and its rule, one row per module or pair of them
+    rows = re.findall(r"^\| (.*?) \| (.*) \|$", section("What is inside"), flags=re.M)[2:]
+    named = [name for names, _ in rows for name in re.findall(r"`(ratsep\.\w+)`", names)]
+    assert sorted(named) == MODULES
+    for names, contents in rows:
+        assert len(contents.split()) <= 70, f"the row of {names} has {len(contents.split())} words"
 
 
 def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
-    section = cli_section()
-    (commands,) = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
-    for block in re.finditer(r"```json\n(.*?)```", section, flags=re.S):
-        name = re.findall(r"`([\w.]+\.json)`", section[: block.start()])[-1]
+    cli_section = section("CLI")
+    (commands,) = re.findall(r"```sh\n(.*?)```", cli_section, flags=re.S)
+    for block in re.finditer(r"```json\n(.*?)```", cli_section, flags=re.S):
+        name = re.findall(r"`([\w.]+\.json)`", cli_section[: block.start()])[-1]
         (tmp_path / name).write_text(block.group(1), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     outputs = {}

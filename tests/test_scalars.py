@@ -16,8 +16,8 @@ from ratsep import (
     separate,
     support_value,
 )
-from ratsep.serialization import MAX_FIELD_K
 from ratsep.scalars import (
+    MAX_FIELD_K,
     _convergents,
     _is_square_free,
     choose_rational_between,
@@ -72,6 +72,18 @@ def test_square_free_validation(k):
 def test_rational_value_still_needs_a_valid_k(k):
     with pytest.raises(ValueError):
         Surd(1, 0, k)
+
+
+def test_the_constructor_bounds_k_before_its_square_free_test(monkeypatch):
+    def fail(k):
+        raise AssertionError(f"square-free test run on k={k}")
+
+    monkeypatch.setattr(ratsep.scalars, "_is_square_free", fail)
+    for k in (MAX_FIELD_K + 1, 10**40 + 1):
+        for make in (Surd.root, lambda k: Surd(0, 1, k)):
+            with pytest.raises(ValueError, match="at most") as caught:
+                make(k)
+            assert str(k) not in str(caught.value)
 
 
 def test_mixed_fields_rejected():

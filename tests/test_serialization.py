@@ -74,7 +74,7 @@ def test_parse_bounds_k_before_checking_it(monkeypatch):
 
     monkeypatch.setattr(ratsep.scalars, "_is_square_free", fail)
     huge = 10**40
-    assert huge > ser.MAX_FIELD_K
+    assert huge > ratsep.scalars.MAX_FIELD_K
     with pytest.raises(ValueError, match="at most"):
         ser.parse_coord({"r": "0", "s": "1", "k": huge})
     with pytest.raises(ValueError, match="at most"):
@@ -299,13 +299,14 @@ LONG_DIGITS = int("9" * 4000)
     "parse, obj",
     [
         (ser.parse_polyhedron, {**SET, "k": LONG_DIGITS}),
+        (ser.parse_polyhedron, {**SET, "k": -LONG_DIGITS}),
         (ser.parse_polyhedron, {**SET, "k": "2" * 4000}),
         (ser.parse_polyhedron, {**SET, "dim": "2" * 4000}),
         (ser.parse_polyhedron, {**SET, "x" * 5000: 1}),
         (ser.parse_instance, {"set": SET, "options": {"budget": LONG_DIGITS}}),
         (ser.parse_coord, {"r": "1" * 5000 + "x"}),
     ],
-    ids=["k-digits", "k-string", "dim-string", "unknown-field", "budget-digits", "coord-part"],
+    ids=["k-digits", "negative-k-digits", "k-string", "dim-string", "unknown-field", "budget-digits", "coord-part"],
 )
 def test_a_long_value_is_echoed_up_to_40_characters(parse, obj):
     # the message shows the value's first 40 characters and its length
