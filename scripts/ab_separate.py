@@ -58,6 +58,12 @@ run included, with their ratios, ``<workload>.separate.per_call``: the
 statistics that ``perfbench`` reports as ``latency_ms.p50`` and
 ``latency_ms.p90``, in the format of the sweeps' per-call line.
 
+A run against an untouched copy of this checkout, an A/A run, gives
+the spread of the ratios on an unchanged tree.  The comments beside the
+kernels' kept shortcuts that cite this script give the ratios it read
+with the shortcut deleted, and the A/A spread, each run 8 to 16 rounds
+on a 2-core machine.
+
 A count or a number of rounds below 1, or more than 101 sweeps, is a
 usage error (exit 2); exit 1 is kept for outputs that differ.
 """

@@ -190,6 +190,7 @@ def excess_measure(X: VPolyhedron, approx: OuterApprox, grid: GridSpec) -> Fract
     for x in range(Ms, Ms + H * lines, H):
         line = (g, x, Mt, H)
         lo, hi = _narrow(in_cuts, line, 0, last, k)
+        # without this skip, ab_separate.py read excess_measure per call 1.07-1.12 (A/A 1.00-1.01)
         if lo <= hi:
             in_lo, in_hi = _narrow(in_x, line, lo, hi, k)
             excess += hi - lo + 1 - max(0, in_hi - in_lo + 1)
@@ -269,6 +270,4 @@ def _narrow(forms, line: tuple[int, int, int, int], lo: int, hi: int, k: int) ->
                 lo = j
         elif (_pair_sign((q, r), k) if r else q) < 0:
             return lo, lo - 1
-        if lo > hi:
-            break
     return lo, hi

@@ -57,8 +57,6 @@ class Certificate:
     cleared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.a, Vector):
-            object.__setattr__(self, "a", Vector(self.a))
         if not self.a.is_rational:
             raise ValueError("certificate normal must be rational")
         if self.a.is_zero():

@@ -100,6 +100,7 @@ def _pivot(T, r, c, D, k):
         return p
     (dc, de), (pa, pb) = D, p
     N = dc
+    # without the skips over Q, a 6 x 6 Gram solve of 7-digit ints took 1.12-1.17x (A/A 0.97-1.01)
     if de:  # conj(D) = dc - de*sqrt(k) folded into p, and below into each f
         dek = de * k
         N = dc * dc - de * dek

@@ -68,16 +68,16 @@ MAX_GENERATORS = 12
 # ``separate --max-den``) and the largest grid (``options.grid``, ``--grid``)
 # of the excess measure.  The oracle scans O(max_den**4) normals; a full scan
 # that finds none (a point just outside the sqrt(2) edge of the README
-# triangle) takes ~14 s at 32.  The excess measure counts the grid one line
-# at a time, along the longer axis: at 10**5 points (316 x 316) it takes
-# ~0.35-0.55 ms with no cuts and ~0.75-1.1 ms with the 11 cuts of the
-# README triangle (best of 7 on fresh objects, on a machine whose speed
-# drifts between runs), and ~0.014-0.018 s with the 12 cuts of a
-# 12-vertex set over Q(sqrt 999999999998) with MAX_DIGITS-digit parts,
-# whose canonical facet normals (parts of at most 286 bits) set the size
-# of the integer square root of each line's bound; with a gcd alone the
-# double description grew them to 13017 bits, and the same count took
-# ~1.2-1.5 s (2-core machine, Python 3.11).
+# triangle) takes ~3.5-3.9 s at 32, in-process.  The excess measure counts
+# the grid one line at a time, along the longer axis: at 10**5 points
+# (316 x 316) it takes ~0.35-0.55 ms with no cuts and ~0.75-1.1 ms with
+# the 11 cuts of the README triangle (best of 7 on fresh objects, on a
+# machine whose speed drifts between runs), and ~0.014-0.018 s with the
+# 12 cuts of a 12-vertex set over Q(sqrt 999999999998) with
+# MAX_DIGITS-digit parts, whose canonical facet normals (parts of at most
+# 286 bits) set the size of the integer square root of each line's bound;
+# with a gcd alone the double description grew them to 13017 bits, and
+# the same count took ~1.2-1.5 s (2-core machine, Python 3.11).
 MAX_DEN = 32
 MAX_GRID_POINTS = 10**5
 # The longest probe list (``probes``) of an instance, checked before any

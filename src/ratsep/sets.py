@@ -265,8 +265,7 @@ def support_value(P: VPolyhedron, a: Vector) -> SupportValue:
 
     A ray r points uphill when <a, r> > 0, read as the sign of the dot
     product of the two vectors' pairs, whose denominators are positive,
-    with no Surd built.  Ties between equal-support vertices resolve to
-    the lowest index.  Raises ``ValueError`` when a and P use different
+    with no Surd built.  Raises ``ValueError`` when a and P use different
     irrational fields, whichever way a points.
     """
     _check_dims(P, a)

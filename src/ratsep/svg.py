@@ -27,6 +27,18 @@ def _fmt(v: float) -> str:
     return "0.0000" if out == "-0.0000" else out
 
 
+def _box(points) -> tuple[float, float, float, float]:
+    """(min x, min y, max x, max y) of float points (x, y)."""
+    xs, ys = zip(*points)
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _line(cls: str, ends, style: str) -> str:
+    """A <line> of class cls through the pixel ends (x1, y1, x2, y2)."""
+    x1, y1, x2, y2 = map(_fmt, ends)
+    return f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
+
+
 def _turn(o: Vector, a: Vector, b: Vector) -> int:
     """The exact sign of the cross product (a - o) x (b - o): +1 for a left turn."""
     return ((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])).sign()
@@ -87,11 +99,8 @@ def render_svg(
     anchors = list(verts)
     if point is not None:
         anchors.append((float(point[0]), float(point[1])))
-    extent = max(
-        max(p[0] for p in anchors) - min(p[0] for p in anchors),
-        max(p[1] for p in anchors) - min(p[1] for p in anchors),
-        1.0,
-    )
+    min_x, min_y, max_x, max_y = _box(anchors)
+    extent = max(max_x - min_x, max_y - min_y, 1.0)
     ray_len = 0.6 * extent
     ray_segments = []
     for r in X.rays:
@@ -100,10 +109,7 @@ def render_svg(
         ray_segments.append((cx, cy, cx + ray_len * rx / norm, cy + ray_len * ry / norm))
         anchors.append(ray_segments[-1][2:])
 
-    min_x = min(p[0] for p in anchors)
-    max_x = max(p[0] for p in anchors)
-    min_y = min(p[1] for p in anchors)
-    max_y = max(p[1] for p in anchors)
+    min_x, min_y, max_x, max_y = _box(anchors)
     pad = 0.2 * max(max_x - min_x, max_y - min_y, 1.0)
     min_x, max_x = min_x - pad, max_x + pad
     min_y, max_y = min_y - pad, max_y + pad
@@ -133,13 +139,8 @@ def render_svg(
     )
 
     for x0, y0, x1, y1 in ray_segments:
-        p0 = to_px(x0, y0)
-        p1 = to_px(x1, y1)
-        parts.append(
-            f'<line class="ray" x1="{_fmt(p0[0])}" y1="{_fmt(p0[1])}" '
-            f'x2="{_fmt(p1[0])}" y2="{_fmt(p1[1])}" '
-            'stroke="#555555" stroke-width="2" marker-end="url(#arrow)"/>'
-        )
+        ends = (*to_px(x0, y0), *to_px(x1, y1))
+        parts.append(_line("ray", ends, 'stroke="#555555" stroke-width="2" marker-end="url(#arrow)"'))
 
     # the viewport's corners as integers over one power of two e; over e,
     # DX and DY are its sides, and over E = 2e, (CX, CY) is its center and
@@ -166,11 +167,7 @@ def render_svg(
         ends = []
         for t in (r - reach, r + reach):
             ends += to_px((A1 * t + A0 * v) / den, (A1 * v - A0 * t) / den)
-        x1, y1, x2, y2 = map(_fmt, ends)
-        parts.append(
-            f'<line class="cut" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            'stroke="#d62728" stroke-width="2" stroke-dasharray="8 4"/>'
-        )
+        parts.append(_line("cut", ends, 'stroke="#d62728" stroke-width="2" stroke-dasharray="8 4"'))
 
     if point is not None:
         px, py = to_px(float(point[0]), float(point[1]))

@@ -316,6 +316,22 @@ def test_a_long_value_is_echoed_up_to_40_characters(parse, obj):
     assert len(message) < 120 and message.endswith(" characters)")
 
 
+def test_a_value_is_echoed_whole_up_to_40_characters_and_cut_past_them():
+    with pytest.raises(ValueError) as whole:
+        ser.parse_fraction("a" * 38)
+    assert str(whole.value).endswith(repr("a" * 38))
+    with pytest.raises(ValueError) as cut:
+        ser.parse_fraction("a" * 39)
+    assert str(cut.value).endswith(f"{repr('a' * 39)[:40]}... (41 characters)")
+
+
+def test_a_json_integer_may_have_max_digits_digits_and_no_more():
+    top = 10**ser.MAX_DIGITS - 1
+    assert ser.parse_vector([top]) == Vector([top])
+    with pytest.raises(ValueError, match=f"at most {ser.MAX_DIGITS} digits"):
+        ser.parse_vector([top + 1])
+
+
 def test_max_den_and_grid_limits():
     assert ser.check_count(ser.MAX_DEN, "options.max_den", ser.MAX_DEN) == ser.MAX_DEN
     with pytest.raises(ValueError, match="at most"):

@@ -71,6 +71,21 @@ def test_offscreen_cut_is_skipped():
     assert doc.count('class="cut"') == 0
 
 
+# the padded viewport of TRIANGLE is [-0.2, 1.2] x [-0.2, 1.2] in floats
+LEFT, RIGHT = F(-0.2), F(1.0 + 0.2)
+
+
+@pytest.mark.parametrize(
+    "a, beta, drawn",
+    [([1, 0], RIGHT, 1), ([-1, -1], -(LEFT + LEFT), 1), ([1, 0], RIGHT + F(1, 10**30), 0)],
+    ids=["right-edge", "lower-left-corner", "just-outside"],
+)
+def test_a_cut_on_the_viewport_boundary_draws(a, beta, drawn):
+    # the viewport is closed: a line along its edge or through a corner meets it
+    doc = render_svg(TRIANGLE, [Certificate(Vector(a), beta)])
+    assert doc.count('class="cut"') == drawn
+
+
 HUGE = 10**400
 
 
