@@ -58,6 +58,13 @@ run included, with their ratios, ``<workload>.separate.per_call``: the
 statistics that ``perfbench`` reports as ``latency_ms.p50`` and
 ``latency_ms.p90``, in the format of the sweeps' per-call line.
 
+The last line of each workload on standard error,
+``<workload>.boundary``, times the JSON boundary that the other lines
+leave out: ``parse_instance`` of each instance plus writing its outputs
+to JSON text, the certificate and trace of a call or the cuts and
+excess of a sweep, in each tree as its call runs, so the trees
+alternate as the calls do.
+
 A run against an untouched copy of this checkout, an A/A run, gives
 the spread of the ratios on an unchanged tree.  The comments beside the
 kernels' kept shortcuts that cite this script give the ratios it read
@@ -107,13 +114,15 @@ def at_least_one(text: str) -> int:
     return n
 
 
-def timed_separate(r, obj) -> tuple[float, tuple[float, float], str]:
+def timed_separate(r, obj) -> tuple[float, tuple[float, float], float, str]:
     """Seconds of one ``separate`` on a freshly parsed instance, its margin
     LP and Wolfe's run included, the seconds of that LP alone and of
-    Wolfe's run alone, and the canonical JSON of the certificate and
-    trace."""
+    Wolfe's run alone, the seconds of parsing the instance and writing
+    the JSON, and the canonical JSON of the certificate and trace."""
     ser = importlib.import_module(f"{r.__name__}.serialization")
+    b0 = perf_counter()
     inst = ser.parse_instance(obj)
+    parse = perf_counter() - b0
     X, y = inst.polyhedron, inst.point
     t0 = perf_counter()
     r.is_pointed(X)
@@ -122,20 +131,21 @@ def timed_separate(r, obj) -> tuple[float, tuple[float, float], str]:
     t2 = perf_counter()
     cert, trace = r.separate(X, y)
     t3 = perf_counter()
-    return t3 - t0, (t1 - t0, t2 - t1), ser.dumps(
-        {"certificate": ser.certificate_to_json(cert), "trace": ser.trace_to_json(trace)}
-    )
+    out = ser.dumps({"certificate": ser.certificate_to_json(cert), "trace": ser.trace_to_json(trace)})
+    return t3 - t0, (t1 - t0, t2 - t1), parse + perf_counter() - t3, out
 
 
-def timed_sweep(r, obj, calls: list[float]) -> tuple[float, tuple[float], str]:
+def timed_sweep(r, obj, calls: list[float]) -> tuple[float, tuple[float], float, str]:
     """Seconds of ``outer_approximate`` on a freshly parsed sweep plus
     those of each ``excess_measure`` call after every cut prefix on each
     column of the sweep's grid, the seconds of ``outer_approximate``
-    alone, and the canonical JSON of the cuts and of every call's exact
-    excess.  The seconds of each ``excess_measure`` call are appended to
-    calls."""
+    alone, the seconds of parsing the sweep and writing the JSON, and the
+    canonical JSON of the cuts and of every call's exact excess.  The
+    seconds of each ``excess_measure`` call are appended to calls."""
     ser = importlib.import_module(f"{r.__name__}.serialization")
+    b0 = perf_counter()
     inst = ser.parse_instance(obj)
+    parse = perf_counter() - b0
     X, grid = inst.polyhedron, inst.options.grid
     xs = (grid.mins[0] + grid.step * i for i in range(grid.shape[0]))
     columns = [r.GridSpec((x, grid.mins[1]), (x, grid.maxs[1]), grid.step) for x in xs]
@@ -150,8 +160,11 @@ def timed_sweep(r, obj, calls: list[float]) -> tuple[float, tuple[float], str]:
             value = r.excess_measure(X, prefix, column)
             calls.append(perf_counter() - t0)
             seconds += calls[-1]
-            excess.append(ser.fraction_to_str(value))
-    return seconds, (outer,), ser.dumps({**ser.approx_to_json(approx), "excess": excess})
+            excess.append(value)
+    b0 = perf_counter()
+    excess = [ser.fraction_to_str(value) for value in excess]
+    out = ser.dumps({**ser.approx_to_json(approx), "excess": excess})
+    return seconds, (outer,), parse + perf_counter() - b0, out
 
 
 def rounded(x: Fraction, digits: int) -> Fraction:
@@ -235,16 +248,18 @@ def main(argv=None) -> int:
             instances = getattr(gen, workload)(args.seed, count)
         # totals[side], and part_totals[j][side] for the j-th timed part of a call
         totals, part_totals, per_call = [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]], ([], [])
+        boundary = [0.0, 0.0]
         for rnd in range(args.rounds):
             for i, obj in enumerate(instances):
                 order = (0, 1) if (i + rnd) % 2 == 0 else (1, 0)
                 out = {}
                 for side in order:
                     extra = (per_call[side],) if workload == SWEEPS else ()
-                    seconds, parts_seconds, out[side] = call(trees[side], obj, *extra)
+                    seconds, parts_seconds, boundary_seconds, out[side] = call(trees[side], obj, *extra)
                     if workload != SWEEPS:
                         per_call[side].append(seconds)
                     totals[side] += seconds
+                    boundary[side] += boundary_seconds
                     for j, part_seconds in enumerate(parts_seconds):
                         part_totals[j][side] += part_seconds
                 if out[0] != out[1]:
@@ -261,6 +276,7 @@ def main(argv=None) -> int:
         else:
             print(ratio_line(f"{workload}.membership", part_totals[1], calls), file=sys.stderr)
             print(per_call_line(f"{workload}.separate", per_call), file=sys.stderr)
+        print(ratio_line(f"{workload}.boundary", boundary, calls), file=sys.stderr)
     return 0
 
 

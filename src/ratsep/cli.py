@@ -184,13 +184,7 @@ def _cmd_counterexample(args) -> int:
     if point is None:
         raise ValueError("counterexample needs a direction (--point or instance point)")
     direction = rational_parallel_direction(point)
-    _emit(
-        {
-            "rational_direction": None
-            if direction is None
-            else [ser.fraction_to_str(f) for f in direction.as_fractions()]
-        }
-    )
+    _emit({"rational_direction": None if direction is None else ser.vector_to_json(direction)})
     return 0
 
 

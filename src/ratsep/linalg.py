@@ -199,6 +199,7 @@ def simplex_max(rays) -> tuple[Vector, Surd]:
     nv, m = 2 * n + 1, len(rays)
     box = nv + m  # the label of u_0: x_j and u_j = box + j are partners for j < 2n
     partner = [*range(box, box + 2 * n), *[None] * (1 + m), *range(2 * n)]  # none for t and slacks
+    # without the int rows, ab_separate.py read separate_rays margin LP 1.107-1.127 (A/A 0.991-1.005)
     ints = k == 1
     if ints:
         zero, one = 0, 1

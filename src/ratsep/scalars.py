@@ -134,7 +134,8 @@ class Surd:
     implies ``k == 1``.  So two Surds are equal iff a, b, d and k agree,
     and a rational Surd hashes like its Fraction.  ``r`` and ``s`` are
     the rational and sqrt(k) parts as Fractions.  Instances are immutable
-    by convention and hashable; arithmetic accepts ints and Fractions.
+    by convention and hashable; arithmetic accepts ints and Fractions,
+    read by ``_surd_parts``, and no bool.
     Combining two values with different irrational parts (different
     ``k > 1``) raises ``ValueError`` -- one quadratic extension per
     computation.
@@ -191,11 +192,6 @@ class Surd:
     def is_rational(self) -> bool:
         return not self.b
 
-    def as_fraction(self) -> Fraction:
-        if self.b:
-            raise ValueError(f"{self!r} is irrational")
-        return Fraction(self.a, self.d)
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}: that of a + b*sqrt(k), as d > 0."""
         return _pair_sign((self.a, self.b), self.k)
@@ -204,12 +200,14 @@ class Surd:
 
     @classmethod
     def _coerce(cls, x) -> "Surd | None":
-        """x as a Surd (ints and Fractions embed unchecked), or None."""
+        """x as a Surd, read by ``_surd_parts`` (ints and Fractions embed
+        unchecked), or None for anything else, a bool included."""
         if isinstance(x, Surd):
             return x
-        if isinstance(x, (int, Fraction)):
-            return cls._make(x.numerator, 0, x.denominator, 1)
-        return None
+        try:
+            return cls._make(*_surd_parts(x))
+        except TypeError:
+            return None
 
     @staticmethod
     def _k_with(k1: int, k2: int) -> int:

@@ -5,6 +5,10 @@ objects {"r": "p/q", "s": "p/q", "k": int}; floats never enter the
 format, so parse(serialize(x)) == x holds exactly.  Rational
 coordinates are written as plain strings, irrational ones as surd
 objects; the parser accepts either form anywhere a coordinate appears.
+Each number is read to integers once, by ``_ratio``, the one reader
+behind ``parse_fraction`` and ``parse_coord``, and a vector is written
+from its integer pairs over its one denominator, so neither direction
+builds a Fraction per coordinate.
 Shapes are checked in one place: ``_object`` reads every JSON object and
 ``_array`` every JSON array of the format, bounding its length before any
 entry is parsed.  ``dumps`` renders with sorted keys and fixed separators
@@ -19,7 +23,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from typing import get_type_hints
+from math import gcd
 
 from .approximation import GridSpec, OuterApprox
 from .certificates import Certificate
@@ -32,7 +36,6 @@ __all__ = [
     "InstanceOptions",
     "fraction_to_str",
     "parse_fraction",
-    "coord_to_json",
     "parse_coord",
     "vector_to_json",
     "parse_vector",
@@ -154,17 +157,17 @@ _FRACTION = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _DIGITS = "a coordinate's numerators and denominators may have at most {} digits"
 
 
-def parse_fraction(obj, digits: int | None = None) -> Fraction:
-    """obj as a Fraction, its numerator and denominator of at most
-    ``digits`` digits (None: any) and within the interpreter's limit on
-    the digits ``int()`` converts (``sys.get_int_max_str_digits``), both
-    checked before ``int()`` runs."""
+def _ratio(obj, digits: int | None) -> tuple[int, int]:
+    """obj as integers (p, q) with q > 0, not reduced, its numerator and
+    denominator of at most ``digits`` digits (None: any) and within the
+    interpreter's limit on the digits ``int()`` converts
+    (``sys.get_int_max_str_digits``), both checked before ``int()`` runs."""
     if isinstance(obj, bool):
         raise ValueError(f"not a rational: {_shown(obj)}")
     if isinstance(obj, int):
         if digits is not None and abs(obj) >= 10**digits:
             raise ValueError(_DIGITS.format(digits))
-        return Fraction(obj)
+        return obj, 1
     if isinstance(obj, str):
         text = obj.strip()
         if not _FRACTION.fullmatch(text):
@@ -176,19 +179,15 @@ def parse_fraction(obj, digits: int | None = None) -> Fraction:
         limit = sys.get_int_max_str_digits()
         if 0 < limit < longest:
             raise ValueError(f"a number's {longest} digits pass the interpreter's limit of {limit}")
-        try:
-            if sep:
-                return Fraction(int(num), int(den))
-            return Fraction(int(num))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"not a rational: {_shown(obj)}") from exc
+        q = int(den) if sep else 1
+        if q:
+            return int(num), q
     raise ValueError(f"not a rational: {_shown(obj)}")
 
 
-def coord_to_json(c: Surd):
-    if c.is_rational:
-        return fraction_to_str(c.as_fraction())
-    return {"r": fraction_to_str(c.r), "s": fraction_to_str(c.s), "k": c.k}
+def parse_fraction(obj, digits: int | None = None) -> Fraction:
+    """obj as a Fraction, read by ``_ratio``."""
+    return Fraction(*_ratio(obj, digits))
 
 
 def _field(k, fields: set[int]) -> int:
@@ -218,14 +217,25 @@ def parse_coord(obj, digits: int | None = MAX_DIGITS, *, _fields: set[int] | Non
     if isinstance(obj, dict):
         _object(obj, "surd", (), ("r", "s", "k"))
         k = _field(obj.get("k", 1), set() if _fields is None else _fields)
-        r, s = parse_fraction(obj.get("r", 0), digits), parse_fraction(obj.get("s", 0), digits)
-        p, q = r.denominator, s.denominator
-        return Surd._make(r.numerator * q, s.numerator * p, p * q, k)
-    return Surd(parse_fraction(obj, digits))
+        (a, p), (b, q) = _ratio(obj.get("r", 0), digits), _ratio(obj.get("s", 0), digits)
+        return Surd._make(a * q, b * p, p * q, k)
+    p, q = _ratio(obj, digits)
+    return Surd._make(p, 0, q, 1)
+
+
+def _part(a: int, m: int) -> str:
+    """a/m, for m > 0, as "p/q" in lowest terms."""
+    g = gcd(a, m)
+    return f"{a // g}/{m // g}"
 
 
 def vector_to_json(v: Vector) -> list:
-    return [coord_to_json(c) for c in v]
+    """Each coordinate (a + b*sqrt(k))/m from the pairs (a, b) and ``m``:
+    "p/q" when b is 0, else a surd object."""
+    m, k = v.m, v.field_k
+    return [
+        _part(a, m) if not b else {"r": _part(a, m), "s": _part(b, m), "k": k} for a, b in v.pairs
+    ]
 
 
 def parse_vector(obj, digits: int | None = MAX_DIGITS, *, _fields: set[int] | None = None) -> Vector:
@@ -267,7 +277,7 @@ def parse_polyhedron(obj, *, _fields: set[int] | None = None) -> VPolyhedron:
 
 def certificate_to_json(cert: Certificate) -> dict:
     return {
-        "a": [fraction_to_str(f) for f in cert.a.as_fractions()],
+        "a": vector_to_json(cert.a),
         "beta": fraction_to_str(cert.beta),
     }
 
@@ -280,12 +290,12 @@ def parse_certificate(obj) -> Certificate:
 
 def _trace_codecs() -> list[tuple[str, str, object, object]]:
     """(field, JSON key, encoder, decoder) per ``SeparationTrace`` field,
-    chosen by the field's declared type; ``lam`` is written as "lambda"."""
+    chosen by the field's annotation, a string under ``separation``'s
+    ``from __future__ import annotations``; ``lam`` is written as "lambda"."""
     tall_vector = partial(parse_vector, digits=None)
-    codecs = {Vector: (vector_to_json, tall_vector), Fraction: (fraction_to_str, parse_fraction)}
-    hints = get_type_hints(SeparationTrace)
+    codecs = {"Vector": (vector_to_json, tall_vector), "Fraction": (fraction_to_str, parse_fraction)}
     return [
-        (f.name, "lambda" if f.name == "lam" else f.name, *codecs[hints[f.name]])
+        (f.name, "lambda" if f.name == "lam" else f.name, *codecs[f.type])
         for f in fields(SeparationTrace)
     ]
 

@@ -25,7 +25,30 @@ from ratsep.approximation import OuterApprox
 from ratsep.linalg import _pivot
 from ratsep.sets import FacetDescription
 from ratsep.scalars import rational_in_ball
+from ratsep.serialization import fraction_to_str
 from ratsep.separation import _UPPER_SLACK, NORM_ENCLOSURE_TOL
+
+
+def as_fraction(x: Surd) -> Fraction:
+    """The rational Surd x as a Fraction; ``ValueError`` for an irrational x."""
+    if not x.is_rational:
+        raise ValueError(f"{x!r} is irrational")
+    return Fraction(x.a, x.d)
+
+
+def reference_vector_to_json(v: Vector) -> list:
+    """Reference ``vector_to_json``: each coordinate built as a Surd and
+    written from its Fraction parts, a plain string when it is rational."""
+    return [
+        fraction_to_str(as_fraction(c)) if c.is_rational
+        else {"r": fraction_to_str(c.r), "s": fraction_to_str(c.s), "k": c.k}
+        for c in v
+    ]
+
+
+def reference_normal_to_json(a: Vector) -> list:
+    """Reference for a certificate's ``"a"``: the rational normal's Fractions."""
+    return [fraction_to_str(f) for f in a.as_fractions()]
 
 
 def fraction_sign(r: Fraction, s: Fraction, k: int) -> int:
@@ -491,7 +514,7 @@ def bisection_enclosure(x, tol: Fraction) -> tuple[Fraction, Fraction]:
     if sgn == 0:
         return Fraction(0), Fraction(0)
     if x.is_rational:
-        f = x.as_fraction()
+        f = as_fraction(x)
         rn, rd = isqrt(f.numerator), isqrt(f.denominator)
         if rn * rn == f.numerator and rd * rd == f.denominator:
             root = Fraction(rn, rd)
@@ -550,7 +573,7 @@ def surd_choose_rational_between(lo, hi) -> Fraction:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     mid = (lo + hi) * Fraction(1, 2)
     if mid.is_rational:
-        return mid.as_fraction()
+        return as_fraction(mid)
     r, s = mid.r, mid.s
     for h, q in surd_convergents(mid.k):
         cand = r + s * Fraction(h, q)
@@ -560,7 +583,7 @@ def surd_choose_rational_between(lo, hi) -> Fraction:
 
 
 def _surd_rational_in(x: Surd, lo, hi) -> Fraction:
-    return x.as_fraction() if x.is_rational else surd_choose_rational_between(lo, hi)
+    return as_fraction(x) if x.is_rational else surd_choose_rational_between(lo, hi)
 
 
 def surd_norm_upper(v: Vector) -> Fraction:
@@ -758,7 +781,7 @@ def unit_directions(dim: int) -> list[Vector]:
     for idx, u in enumerate(base):
         i, j = planes[idx % len(planes)]
         coords = [Fraction(0)] * dim
-        coords[i], coords[j] = u[0].as_fraction(), u[1].as_fraction()
+        coords[i], coords[j] = as_fraction(u[0]), as_fraction(u[1])
         dirs.append(Vector(coords))
     return dirs
 

@@ -19,7 +19,7 @@ from ratsep import (
 )
 from ratsep.certificates import _direction_pairs
 from ratsep.serialization import certificate_to_json, parse_certificate
-from helpers import exterior_point, forbid_floats, random_pointed_polyhedron
+from helpers import as_fraction, exterior_point, forbid_floats, random_pointed_polyhedron
 
 SQ2 = Surd.root(2)
 TRIANGLE = VPolyhedron((Vector([0, 0]), Vector([1, 0]), Vector([0, 1])))
@@ -270,7 +270,7 @@ def surd_parallel_direction(a: Vector) -> Vector | None:
     ratios = [c / pivot for c in a]
     if not all(r.is_rational for r in ratios):
         return None
-    c = Vector([r.as_fraction() for r in ratios])
+    c = Vector([as_fraction(r) for r in ratios])
     return -c if pivot.sign() < 0 else c
 
 

@@ -171,7 +171,7 @@ def test_the_surd_tableau_proves_its_verdicts(lp):
     assert not lp_certificate_holds(c, A, b, res._replace(status=other))
     j = next((j for j, cj in enumerate(c) if cj.sign() != 0), None)
     if res.status == "optimal" and j is not None:
-        off = res._replace(x=tuple(v + (i == j) for i, v in enumerate(res.x)))
+        off = res._replace(x=tuple(v + int(i == j) for i, v in enumerate(res.x)))
         assert not lp_certificate_holds(c, A, b, off)
 
 

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from ratsep.scalars import (
     sqrt_enclosure,
 )
 from helpers import (
+    as_fraction,
     bisection_enclosure,
     forbid_floats,
     moved_by_hand,
@@ -434,6 +436,21 @@ def test_a_bool_is_not_a_rational(call, flag):
         call(flag)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.lt],
+    ids=["+", "-", "*", "/", "<"],
+)
+def test_surd_arithmetic_with_a_bool_raises(op, flag):
+    # Surd reads an operand with _surd_parts, which takes no bool
+    for x in (Surd(2), Surd(1, 1, 2)):
+        with pytest.raises(TypeError, match="'bool'"):
+            op(x, flag)
+        with pytest.raises(TypeError, match="'bool'"):
+            op(flag, x)
+    assert (Surd(1) == True) is False and (Surd(0) == False) is False  # noqa: E712
+
+
 # -- rational_in_ball ------------------------------------------------------
 
 
@@ -565,7 +582,7 @@ def narrow_intervals(draw):
     def plain(x):
         if not x.is_rational:
             return x
-        f = x.as_fraction()
+        f = as_fraction(x)
         return draw(st.sampled_from([x, f, int(f)] if f.denominator == 1 else [x, f]))
 
     return plain(lo), plain(hi)

@@ -103,14 +103,16 @@ def test_ab_separate_against_the_checkout_itself():
             f"{workload}{part}:" for workload in workloads for part in ("", ".margin_lp", ".stages")
         ]
         assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows)
-        # Wolfe's run alone and one call's median and p90, two lines per
-        # workload on standard error
+        # Wolfe's run alone, one call's median and p90, and the JSON
+        # boundary, three lines per workload on standard error
         rows = [line.split() for line in done.stderr.splitlines()]
         assert [row[0] for row in rows] == [
-            f"{workload}{part}:" for workload in workloads for part in (".membership", ".separate.per_call")
+            f"{workload}{part}:"
+            for workload in workloads
+            for part in (".membership", ".separate.per_call", ".boundary")
         ]
-        assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows[::2])
-        for row in rows[1::2]:
+        assert all(row[-5:] == ["over", "1", "x", "4", "calls"] for row in rows[::3] + rows[2::3])
+        for row in rows[1::3]:
             assert row[1:3] == ["this", "p50"] and row[-3:] == ["over", "4", "calls"]
             this50, this90, against50, against90, ratio50, ratio90 = (
                 float(row[i].rstrip(",")) for i in (3, 6, 10, 13, 17, 19)
@@ -186,14 +188,15 @@ def test_ab_separate_fails_on_a_different_excess(tmp_path):
 
 def test_ab_separate_times_each_excess_call_against_the_checkout_itself():
     # the per-call line goes to standard error: each tree's median and p90
-    # of one excess_measure call, their ratios, and one sample per call
+    # of one excess_measure call, their ratios, and one sample per call;
+    # the boundary line follows it
     done = run_ab_separate(ROOT, "--workload", "approx_sweep")
     assert done.returncode == 0, done.stderr
     number = r"(\d+\.\d{3})"
     match = re.fullmatch(
         rf"approx_sweep\.excess_measure\.per_call: this p50 {number} us, p90 {number} us, "
         rf"against p50 {number} us, p90 {number} us, ratio p50 {number}, p90 {number} "
-        r"over (\d+) calls\n",
+        r"over (\d+) calls\napprox_sweep\.boundary: .* over 1 x 4 sweeps\n",
         done.stderr,
     )
     assert match, done.stderr

@@ -26,6 +26,7 @@ from ratsep.separation import (
     wedge_interior_ball,
 )
 from helpers import (
+    as_fraction,
     exterior_point,
     face_walk_project,
     forbid_floats,
@@ -116,7 +117,7 @@ def fraction_barrier_direction(P):
     t_lo/(2 max surd_norm_upper(r)), and every ray is audited by an exact sign."""
     d_star, t_star = P._ray_margin
     if t_star.is_rational:
-        t_lo = t_star.as_fraction()
+        t_lo = as_fraction(t_star)
     else:
         t_lo = choose_rational_between(t_star / 2, t_star)
     eps = t_lo / (2 * max(surd_norm_upper(r) for r in P.rays))
@@ -252,7 +253,7 @@ def test_wedge_parameters_surd_norm():
     y_bar = Vector([1, SQ2])  # ||y_bar||^2 = 3
     alpha, _, _, delta_hat = compute_wedge_parameters(y_bar, F(2), Vector.zero(2), F(1))
     nsq = y_bar.dot(y_bar)
-    assert 0 < 3 * F(2) * alpha <= nsq.as_fraction()
+    assert 0 < 3 * F(2) * alpha <= as_fraction(nsq)
     assert 0 < delta_hat
     assert (nsq - Surd(9 * delta_hat * delta_hat)).sign() >= 0
 
@@ -536,7 +537,7 @@ def test_separate_singleton():
     X = VPolyhedron((Vector([0, 0]),))
     y = Vector([1, 0])
     cert, trace = separate(X, y)
-    a1 = cert.a[0].as_fraction()
+    a1 = as_fraction(cert.a[0])
     assert a1 > 0
     assert 0 < cert.beta < a1
     assert trace.y_bar == y

@@ -10,7 +10,12 @@ import ratsep.scalars
 import ratsep.sets
 from ratsep import Certificate, GridSpec, Surd, Vector, VPolyhedron, separate
 from ratsep import serialization as ser
-from helpers import exterior_point, random_pointed_polyhedron
+from helpers import (
+    exterior_point,
+    random_pointed_polyhedron,
+    reference_normal_to_json,
+    reference_vector_to_json,
+)
 
 SQ2 = Surd.root(2)
 
@@ -39,12 +44,12 @@ def test_fraction_round_trip(f):
 
 
 def test_coord_encoding_shape():
-    assert ser.coord_to_json(Surd(F(1, 2))) == "1/2"
-    assert ser.coord_to_json(Surd(F(1, 2), F(-1, 3), 2)) == {
+    assert ser.vector_to_json(Vector([Surd(F(1, 2))])) == ["1/2"]
+    assert ser.vector_to_json(Vector([Surd(F(1, 2), F(-1, 3), 2)])) == [{
         "r": "1/2",
         "s": "-1/3",
         "k": 2,
-    }
+    }]
     assert ser.parse_coord("1/2") == Surd(F(1, 2))
     assert ser.parse_coord({"r": "0/1", "s": "1/1", "k": 2}) == SQ2
 
@@ -52,7 +57,8 @@ def test_coord_encoding_shape():
 @given(rationals, rationals, st.sampled_from([1, 2, 3, 5]))
 def test_coord_round_trip(r, s, k):
     c = Surd(r, s, k)
-    assert ser.parse_coord(ser.coord_to_json(c)) == c
+    (obj,) = ser.vector_to_json(Vector([c]))
+    assert ser.parse_coord(obj) == c
 
 
 def test_parse_coord_rejects_junk():
@@ -438,3 +444,75 @@ def test_certificates_and_traces_are_read_past_the_digit_bound():
 def test_a_null_option_is_not_a_default(name):
     with pytest.raises(ValueError, match=f"options.{name} must be a positive integer"):
         ser.parse_instance({"set": SET, "options": {name: None}})
+
+
+# parts of at most 7 digits over 7 digits, zero drawn often and alone
+parts = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+)
+
+
+@st.composite
+def mixed_vectors(draw):
+    """Vectors of dimension 1-6 over Q or Q(sqrt k), k in {2, 3, 1000003},
+    their coordinates ints, Fractions and Surds, any part zero or negative."""
+    k = draw(st.sampled_from([1, 2, 3, 1000003]))
+    coords = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["int", "fraction", "surd"]))
+        if kind == "int":
+            coords.append(draw(st.integers(-(10**9), 10**9)))
+        elif kind == "fraction":
+            coords.append(draw(parts))
+        else:
+            coords.append(Surd(draw(parts), draw(parts), k))
+    return Vector(coords)
+
+
+@given(mixed_vectors())
+def test_the_writers_keep_their_bytes(v):
+    # the integer writers against the Surd-and-Fraction writers they replace
+    obj = ser.vector_to_json(v)
+    assert obj == reference_vector_to_json(v)
+    assert ser.parse_vector(obj, digits=None) == v
+    if v.is_rational and not v.is_zero():
+        cert = Certificate(v, F(1, 3))
+        assert ser.certificate_to_json(cert)["a"] == reference_normal_to_json(v)
+
+
+@pytest.mark.parametrize(
+    "coord, written, field_k, m",
+    [
+        ("4/6", "2/3", 1, 3),
+        (" 7 ", "7/1", 1, 1),
+        ("-0", "0/1", 1, 1),
+        ({"r": "2/4", "s": "0", "k": 3}, "1/2", 1, 2),
+        ({"r": "1/2", "s": "1/2", "k": 2}, {"r": "1/2", "s": "1/2", "k": 2}, 2, 2),
+    ],
+    ids=["unreduced", "spaces", "minus-zero", "zero-sqrt-part", "surd"],
+)
+def test_a_coordinate_is_read_canonical_and_written_reduced(coord, written, field_k, m):
+    v = ser.parse_vector([coord])
+    assert (v.field_k, v.m) == (field_k, m)
+    assert ser.vector_to_json(v) == [written] == reference_vector_to_json(v)
+
+
+def test_a_zero_denominator_is_not_a_rational():
+    for read in (ser.parse_coord, lambda c: ser.parse_vector([c])):
+        with pytest.raises(ValueError, match="not a rational: '1/0'"):
+            read("1/0")
+
+
+def test_the_boundary_builds_no_checked_surd_reading_and_none_writing(monkeypatch):
+    # parse_vector builds each coordinate with Surd._make, so Surd.__init__
+    # (which the benchmark tracer counts) runs zero times; vector_to_json
+    # writes from the pairs and builds no Surd at all
+    def fail(*args, **kwargs):
+        raise AssertionError("a Surd was built")
+
+    monkeypatch.setattr(Surd, "__init__", fail)
+    v = ser.parse_vector(["1/2", {"r": "1/3", "s": "-1", "k": 2}, 5])
+    cert = Certificate(ser.parse_vector(["1/2", "-3"]), F(1))
+    monkeypatch.setattr(Surd, "_make", fail)
+    assert ser.vector_to_json(v) == ["1/2", {"r": "1/3", "s": "-1/1", "k": 2}, "5/1"]
+    assert ser.certificate_to_json(cert) == {"a": ["1/2", "-3/1"], "beta": "1/1"}

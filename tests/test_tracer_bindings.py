@@ -53,7 +53,10 @@ def test_stage_functions_are_called_by_separate(tracer):
 
 def test_surd_counter_sees_checked_constructions(monkeypatch):
     """The tracer counts Surd constructions by wrapping ``Surd.__init__``;
-    the public constructor, ``Surd.root`` and the parser go through it."""
+    the public constructor and ``Surd.root`` go through it.  The parser
+    does not (``test_serialization`` pins that), and the benchmark's
+    count leaves parsing out anyway: ``worker.trace`` reads the counter
+    after the setup's parse and counts only the timed units."""
     calls = []
     init = Surd.__init__
 
@@ -65,7 +68,6 @@ def test_surd_counter_sees_checked_constructions(monkeypatch):
     for build in (
         lambda: Surd(1, 1, 2),
         lambda: Surd.root(3),
-        lambda: serialization.parse_vector(["1/2", {"r": "0", "s": "1", "k": 2}]),
     ):
         before = len(calls)
         build()
